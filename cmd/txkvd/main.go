@@ -127,10 +127,10 @@ func main() {
 	if *adaptive && cfg.KWindow == 0 {
 		cfg.KWindow = 64 // the controller's k rules read the windowed estimator
 	}
-	// Always-on metrics plane: latency histograms and the abort
-	// taxonomy feed /metrics and /v1/stats; -metrics-sample paces the
-	// commit-phase timers. Sharded per worker — size for whichever
-	// pool identity (serve workers or bench users) is larger.
+	// The metrics plane feeds /metrics, /v1/stats and the -adaptive
+	// control loop; -metrics-sample paces the commit-phase timers.
+	// Sharded per worker — size for whichever pool identity (serve
+	// workers or bench users) is larger.
 	planeWorkers := *workers
 	if *bench && int(*users) > planeWorkers {
 		planeWorkers = int(*users)
@@ -181,19 +181,16 @@ func main() {
 
 	switch {
 	case *bench:
-		// The recorder goes on cfg.Trace first so attachSampler tees
-		// into it: adaptive sampling and trace capture stack.
 		var rec *trace.Recorder
 		if *record != "" {
 			rec = trace.NewRecorder("txkv:"+w.Name(), planeWorkers, cfg.String())
 			rec.SetUnitNs(scenario.CalibrateUnitNs())
 			cfg.Trace = rec
 		}
-		sampler := attachSampler(&cfg, *adaptive)
 		s := w.NewStore(txkv.Config{Capacity: *capacity, EscrowCounters: *fold, STM: cfg})
 		var tn *tune.Tuner
-		if sampler != nil {
-			tn = tune.New(s.Runtime(), sampler, tune.Limits{}, 0)
+		if *adaptive {
+			tn = tune.New(s.Runtime(), tune.Limits{}, 0)
 			tn.Start()
 		}
 		res, err := w.RunLocal(s, g)
@@ -248,17 +245,6 @@ func saveRecording(rec *trace.Recorder, path string) {
 	fmt.Printf("recorded %d transactions to %s\n", n, path)
 }
 
-// attachSampler wraps cfg.Trace in a tune.Sampler when adaptive mode
-// is on, returning the sampler (nil otherwise).
-func attachSampler(cfg *stm.Config, adaptive bool) *tune.Sampler {
-	if !adaptive {
-		return nil
-	}
-	s := tune.NewSampler(cfg.Trace)
-	cfg.Trace = s
-	return s
-}
-
 func modeLabel(cfg stm.Config, adaptive bool) string {
 	label := "eager"
 	switch {
@@ -284,11 +270,10 @@ func modeLabel(cfg stm.Config, adaptive bool) string {
 // — guarded behind the flag because the profile endpoints leak
 // goroutine stacks and heap contents to anyone who can reach them.
 func serve(w *txkv.Workload, addr string, capacity, workers int, seed uint64, cfg stm.Config, adaptive, escrow, pprofOn bool) {
-	sampler := attachSampler(&cfg, adaptive)
 	s := w.NewStore(txkv.Config{Capacity: capacity, EscrowCounters: escrow, STM: cfg})
 	sv := txkv.NewServer(s, workers, seed)
-	if sampler != nil {
-		tn := tune.New(s.Runtime(), sampler, tune.Limits{}, 0)
+	if adaptive {
+		tn := tune.New(s.Runtime(), tune.Limits{}, 0)
 		sv.AttachTuner(tn)
 		tn.Start() // sv.Close stops it
 	}

@@ -68,9 +68,11 @@
 // KWindow, CommitBatch, retry bounds — lives in an stm.Policy behind
 // one atomic pointer, swappable mid-run via Runtime.SetPolicy (each
 // attempt latches the policy once, so swaps never tear a running
-// transaction). internal/tune closes the trace→policy loop online —
-// a Sampler in the Config.Trace seam keeps rolling counters, a
-// hysteresis Controller maps windowed observations to policy moves
+// transaction). internal/tune closes the measurement→policy loop
+// online — a Window is the difference of two snapshots of the
+// runtime's always-on metrics plane (internal/metrics, the one place
+// an event is counted), a hysteresis Controller maps windows to
+// policy moves
 // (group-commit lane on grace fraction, KWindow from k variance,
 // requestor-wins↔aborts at the paper's k≈2.5 boundary), and a Tuner
 // goroutine applies them with a decision log. stmbench -adaptive

@@ -215,10 +215,8 @@ func AdaptiveConvergence(cfg AdaptiveConfig) (*AdaptiveReport, error) {
 	// pair-conflict default so phase shifts force real decisions.
 	aCfg.Policy = core.RequestorAborts
 	aCfg.Strategy = strategy.ExpRA{}
-	sampler := tune.NewSampler(nil)
-	aCfg.Trace = sampler
 	rt := stm.New(words, aCfg)
-	tn := tune.New(rt, sampler, tune.Limits{}, cfg.TuneInterval)
+	tn := tune.New(rt, tune.Limits{}, cfg.TuneInterval)
 	tn.Start()
 	defer tn.Stop()
 
@@ -274,11 +272,9 @@ func AdaptiveConvergence(cfg AdaptiveConfig) (*AdaptiveReport, error) {
 	}
 	drill := func(p99 float64) tune.Window {
 		return tune.Window{
-			Counters: tune.Counters{
-				Commits:     1000,
-				GraceWaitNs: 100_000, // 10% of DurNs: inside every hysteresis band
-				DurNs:       1_000_000,
-			},
+			Commits:     1000,
+			GraceWaitNs: 100_000, // 10% of DurNs: inside every hysteresis band
+			DurNs:       1_000_000,
 			Elapsed:     time.Second,
 			CommitP50Ns: p99 / 2,
 			CommitP99Ns: p99,

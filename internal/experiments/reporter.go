@@ -20,10 +20,10 @@ import (
 // the loop and flushes one final window; it must be called before
 // reading the runtime's final counters.
 func startReporter(w io.Writer, rt *stm.Runtime, every time.Duration, label string) (stop func()) {
-	p := rt.Metrics()
-	if p == nil || every <= 0 {
+	if every <= 0 {
 		return func() {}
 	}
+	p := rt.Metrics()
 	done := make(chan struct{})
 	finished := make(chan struct{})
 	go func() {

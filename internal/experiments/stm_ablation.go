@@ -21,8 +21,7 @@ type stmMeasurement struct {
 	AbortsPerCommit float64
 	KEstimate       float64
 	// CommitP50Ns/CommitP99Ns are commit-latency quantiles from the
-	// runtime's metrics plane (0 when the runtime has no plane or
-	// nothing committed).
+	// runtime's metrics plane (0 when nothing committed).
 	CommitP50Ns float64
 	CommitP99Ns float64
 	Stats       map[string]uint64
@@ -36,19 +35,20 @@ func measureSTM(rn *scenario.STMRunner, n int, d time.Duration, seed uint64) (st
 	if err := rn.Check(res.PerWorker); err != nil {
 		return stmMeasurement{}, err
 	}
-	snap := rn.Runtime().Stats.Snapshot()
+	ps := rn.Runtime().Metrics().Snapshot()
+	snap, q := ps.Counts(), ps.Commit.Summary()
 	commits := snap["commits"]
-	m := stmMeasurement{Stats: snap, KEstimate: rn.Runtime().KEstimate()}
+	m := stmMeasurement{
+		Stats:       snap,
+		KEstimate:   rn.Runtime().KEstimate(),
+		CommitP50Ns: q.P50,
+		CommitP99Ns: q.P99,
+	}
 	if res.ElapsedSec > 0 {
 		m.CommitsPerSec = float64(commits) / res.ElapsedSec
 	}
 	if commits > 0 {
 		m.AbortsPerCommit = float64(snap["aborts"]) / float64(commits)
-	}
-	if p := rn.Runtime().Metrics(); p != nil {
-		ps := p.Snapshot()
-		q := ps.Commit.Summary()
-		m.CommitP50Ns, m.CommitP99Ns = q.P50, q.P99
 	}
 	return m, nil
 }

@@ -1,9 +1,10 @@
-// Package metrics is the runtime's always-on observability plane: a
-// lock-free layer between the raw atomic counters of stm.Stats and
-// the heavyweight per-transaction traces of internal/trace. It
-// answers the questions counters cannot ("what is commit p99 right
-// now?") at a cost traces cannot match (a handful of atomic adds per
-// transaction, zero allocations).
+// Package metrics is the runtime's always-on observability plane and
+// the one place a runtime event is counted: every stm.Runtime has a
+// Plane, stm.Stats is a view of it, and the tuner steers by the
+// difference of two of its snapshots. It answers the questions bare
+// counters cannot ("what is commit p99 right now?") at a cost the
+// per-transaction traces of internal/trace cannot match (a handful of
+// uncontended atomic adds per transaction, zero allocations).
 //
 // Three pieces:
 //
@@ -13,14 +14,16 @@
 //     concurrent Observe calls never lock — and snapshots are value
 //     types that merge and subtract, so per-worker shards and rolling
 //     windows fall out of the representation.
-//   - AbortReason / CommitPhase: the abort-reason taxonomy that
-//     replaces the single Aborts counter, and the commit-phase timer
-//     labels (validation, lock acquisition, write-back, stripe-clock
-//     advance) sampled 1-in-N on the commit path.
+//   - AbortReason / Counter / CommitPhase: the abort-reason taxonomy
+//     that replaces a single aborts counter, the index of the plain
+//     event counters (kills, extensions, combiner rounds, folds), and
+//     the commit-phase timer labels (validation, lock acquisition,
+//     write-back, stripe-clock advance) sampled 1-in-N on the commit
+//     path.
 //   - Plane: per-worker cache-line-padded shards of the above, plus a
 //     merged PlaneSnapshot and a Prometheus text-exposition writer
-//     (prom.go) — the backing store for txkvd's GET /metrics, the
-//     latency section of /v1/stats, and the p99 feed of the tuner.
+//     (prom.go) — the backing store for txkvd's GET /metrics and
+//     /v1/stats, for stm.Stats, and for the tuner's windows.
 package metrics
 
 import (
@@ -69,7 +72,7 @@ func BucketLower(i int) uint64 {
 type Histogram struct {
 	counts [NumBuckets]atomic.Uint64
 	count  atomic.Uint64
-	sum    atomic.Uint64 // saturating at ~584 years of nanoseconds
+	sum    atomic.Uint64 // wraps after ~584 years of nanoseconds
 }
 
 // Observe records one value (negative values clamp to zero, so

@@ -85,6 +85,38 @@ func (p CommitPhase) String() string {
 	return "unknown"
 }
 
+// Counter indexes a shard's plain event counters: the runtime events
+// that are neither a latency observation nor an abort attribution.
+// Together with the histogram counts and the abort taxonomy they are
+// everything stm.Stats reports (see PlaneSnapshot.Counts).
+type Counter uint8
+
+const (
+	CounterKills         Counter = iota // receiver aborts forced by requestors
+	CounterSelfAborts                   // requestor-side and validation aborts
+	CounterExtensions                   // successful stripe-snapshot extensions
+	CounterBatches                      // combiner rounds
+	CounterBatchCommits                 // write sets committed by a combiner
+	CounterBatchFails                   // admissions failed inside a batch
+	CounterFoldedCommits                // admitted members whose deltas were folded
+	CounterFoldedWords                  // hot words applied as one summed delta
+
+	NumCounters = int(CounterFoldedWords) + 1
+)
+
+// counterNames are the lowerCamel keys of Counts (and so of
+// /v1/stats and, snake-cased, of /metrics).
+var counterNames = [NumCounters]string{
+	"kills",
+	"selfAborts",
+	"extensions",
+	"batches",
+	"batchCommits",
+	"batchFails",
+	"foldedCommits",
+	"foldedWords",
+}
+
 const cacheLine = 64
 
 // DefaultSampleN is the default 1-in-N sampling interval for the
@@ -102,9 +134,10 @@ type Shard struct {
 	grace   Histogram // per-conflict grace-period wait
 	drain   Histogram // combiner round: drain to outcome stamps
 
-	aborts  [NumAbortReasons]atomic.Uint64
-	phaseNs [NumCommitPhases]atomic.Uint64
-	phaseN  [NumCommitPhases]atomic.Uint64
+	aborts   [NumAbortReasons]atomic.Uint64
+	counters [NumCounters]atomic.Uint64
+	phaseNs  [NumCommitPhases]atomic.Uint64
+	phaseN   [NumCommitPhases]atomic.Uint64
 
 	tick       atomic.Uint64
 	sampleMask uint64
@@ -127,6 +160,9 @@ func (s *Shard) ObserveDrain(ns int64) { s.drain.Observe(ns) }
 
 // Abort attributes one aborted attempt (or escalation event).
 func (s *Shard) Abort(r AbortReason) { s.aborts[r].Add(1) }
+
+// Add bumps one event counter by n.
+func (s *Shard) Add(c Counter, n uint64) { s.counters[c].Add(n) }
 
 // Sample reports whether this commit should run the phase timers:
 // true once every SampleN calls on this shard.
@@ -193,9 +229,10 @@ type PlaneSnapshot struct {
 	Grace   HistSnapshot
 	Drain   HistSnapshot
 
-	Aborts  [NumAbortReasons]uint64
-	PhaseNs [NumCommitPhases]uint64
-	PhaseN  [NumCommitPhases]uint64
+	Aborts   [NumAbortReasons]uint64
+	Counters [NumCounters]uint64
+	PhaseNs  [NumCommitPhases]uint64
+	PhaseN   [NumCommitPhases]uint64
 
 	SampleN int
 }
@@ -213,6 +250,9 @@ func (p *Plane) Snapshot() PlaneSnapshot {
 		for r := 0; r < NumAbortReasons; r++ {
 			out.Aborts[r] += sh.aborts[r].Load()
 		}
+		for c := 0; c < NumCounters; c++ {
+			out.Counters[c] += sh.counters[c].Load()
+		}
 		for ph := 0; ph < NumCommitPhases; ph++ {
 			out.PhaseNs[ph] += sh.phaseNs[ph].Load()
 			out.PhaseN[ph] += sh.phaseN[ph].Load()
@@ -221,9 +261,9 @@ func (p *Plane) Snapshot() PlaneSnapshot {
 	return out
 }
 
-// AbortTotal sums the taxonomy (per-attempt reasons only, excluding
-// the MaxRetries escalation marker and explicit user aborts, so the
-// total is comparable to Stats.Aborts).
+// AbortTotal sums the taxonomy over the per-attempt reasons only,
+// excluding the MaxRetries escalation marker and explicit user aborts:
+// the number of attempts that were retried.
 func (s *PlaneSnapshot) AbortTotal() uint64 {
 	var t uint64
 	for r := 0; r < NumAbortReasons; r++ {
@@ -233,6 +273,23 @@ func (s *PlaneSnapshot) AbortTotal() uint64 {
 		t += s.Aborts[r]
 	}
 	return t
+}
+
+// Counts renders the runtime's event counts as the name-keyed map
+// stm.Stats.Snapshot returns. Four keys are read off the histograms
+// and the taxonomy — an event observed there is not counted a second
+// time — so graceWaits counts grace waits that have ended.
+func (s *PlaneSnapshot) Counts() map[string]uint64 {
+	out := map[string]uint64{
+		"commits":     s.Commit.Count,
+		"aborts":      s.AbortTotal(),
+		"graceWaits":  s.Grace.Count,
+		"irrevocable": s.Aborts[AbortMaxRetries],
+	}
+	for c, name := range counterNames {
+		out[name] = s.Counters[c]
+	}
+	return out
 }
 
 // LatencySummaries renders the four histograms as the standard

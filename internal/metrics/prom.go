@@ -146,7 +146,7 @@ func (s *PlaneSnapshot) WriteProm(w io.Writer, prefix string) error {
 }
 
 // CounterProm writes a single-sample counter family — the bridge for
-// the reflection-generated stm.Stats snapshot and ad-hoc gauges.
+// the PlaneSnapshot.Counts map and ad-hoc gauges.
 func CounterProm(w io.Writer, name, typ, help string, v uint64) error {
 	p := NewPromWriter(w)
 	p.Family(name, typ, help)

@@ -128,7 +128,7 @@ func TestScenarioParityKWindow(t *testing.T) {
 	if err := rn.Check(res.PerWorker); err != nil {
 		t.Fatal(err)
 	}
-	if waits := rn.Runtime().Stats.GraceWaits.Load(); waits > 0 {
+	if waits := rn.Runtime().Stats.Snapshot()["graceWaits"]; waits > 0 {
 		if est := rn.Runtime().KEstimate(); est < 2 {
 			t.Fatalf("KEstimate = %v after %d grace waits, want >= 2", est, waits)
 		}

@@ -212,7 +212,7 @@ func TestSTMRunnerSingleWorker(t *testing.T) {
 			if err := rn.Check([]uint64{ops}); err != nil {
 				t.Fatal(err)
 			}
-			if got := rn.Runtime().Stats.Commits.Load(); got < ops {
+			if got := rn.Runtime().Stats.Snapshot()["commits"]; got < ops {
 				t.Fatalf("runtime commits %d < %d ops", got, ops)
 			}
 		})

@@ -90,15 +90,14 @@
 // gate off, irrevocable blocks) Add lowers to the equivalent
 // load/store pair at record time, so the operation is always exact —
 // folding changes only how many clock advances and lock handoffs the
-// hot word pays, never what it reads afterwards. Stats.FoldedCommits
-// and Stats.FoldedWords count the folds; TxTrace.FoldedWrites
+// hot word pays, never what it reads afterwards. The foldedCommits
+// and foldedWords counters count the folds; TxTrace.FoldedWrites
 // attributes them per block.
 package stm
 
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -202,13 +201,16 @@ type Config struct {
 	// instrumentation is gated behind this nil check, so the hot path
 	// is unperturbed when tracing is off.
 	Trace Tracer
-	// Metrics, when non-nil, attaches the observability plane
-	// (internal/metrics): per-worker latency histograms for attempt,
+	// Metrics is the plane (internal/metrics) every event of this
+	// runtime is counted in: per-worker latency histograms for attempt,
 	// commit, grace-wait and combiner-drain time, the abort-reason
-	// taxonomy, and 1-in-N sampled commit-phase timers. Unlike Trace
-	// it is meant to stay on in production — the per-transaction cost
-	// is a few uncontended atomic adds and no allocations (pinned by
-	// TestTraceGateOverhead's metrics variant).
+	// taxonomy, the event counters behind Stats, and 1-in-N sampled
+	// commit-phase timers. Unlike Trace it is always on — the
+	// per-transaction cost is a few uncontended atomic adds and no
+	// allocations (pinned by TestTraceGateOverhead) — so nil only
+	// leaves the sizing to New; supply a plane to choose the shard
+	// count and the phase-sample interval. A plane passed to two
+	// runtimes merges their counters.
 	Metrics *metrics.Plane
 }
 
@@ -282,45 +284,20 @@ func (e *kEstimator) estimate() float64 {
 	return float64(e.sum.Load()) / float64(n)
 }
 
-// Stats aggregates runtime counters (all updated atomically).
-type Stats struct {
-	Commits     atomic.Uint64
-	Aborts      atomic.Uint64
-	Kills       atomic.Uint64 // receiver aborts forced by requestors
-	SelfAborts  atomic.Uint64 // requestor-side and validation aborts
-	GraceWaits  atomic.Uint64 // conflicts that entered a grace wait
-	Irrevocable atomic.Uint64 // slow-path executions
-	Extensions  atomic.Uint64 // successful stripe-snapshot extensions
+// Stats is the runtime's event counts: a read-only view of its
+// metrics plane, which is where every event is counted once.
+type Stats struct{ plane *metrics.Plane }
 
-	// Group commit (Config.CommitBatch > 0, lazy mode only).
-	Batches      atomic.Uint64 // combiner rounds
-	BatchCommits atomic.Uint64 // write sets committed by a combiner
-	BatchFails   atomic.Uint64 // admissions failed inside a batch
-
-	// Commutative folding (Policy.FoldCommutative, batched lazy mode).
-	FoldedCommits atomic.Uint64 // admitted members whose deltas were folded
-	FoldedWords   atomic.Uint64 // hot words applied as one summed delta
-}
-
-// Snapshot returns a plain-value copy of the counters, keyed by the
-// lowerCamel field name ("SelfAborts" → "selfAborts"). The map is
-// generated by reflection over the struct, so a counter added to
-// Stats can never be silently missing from /v1/stats, the Prometheus
-// exposition, or the bench reports — the set of keys IS the set of
-// fields (asserted by TestStatsSnapshotComplete).
+// Snapshot returns the counts keyed by lowerCamel name — commits,
+// aborts, kills, selfAborts, graceWaits, irrevocable, extensions,
+// batches, batchCommits, batchFails, foldedCommits, foldedWords —
+// from one plane snapshot (metrics.PlaneSnapshot.Counts is the key
+// table). A caller that also wants the plane's histograms takes
+// Metrics().Snapshot() and calls Counts on it instead of paying for
+// two snapshots.
 func (s *Stats) Snapshot() map[string]uint64 {
-	v := reflect.ValueOf(s).Elem()
-	t := v.Type()
-	out := make(map[string]uint64, t.NumField())
-	for i := 0; i < t.NumField(); i++ {
-		c, ok := v.Field(i).Addr().Interface().(*atomic.Uint64)
-		if !ok {
-			continue
-		}
-		name := t.Field(i).Name
-		out[string(name[0]|0x20)+name[1:]] = c.Load()
-	}
-	return out
+	ps := s.plane.Snapshot()
+	return ps.Counts()
 }
 
 // Runtime is a transactional memory arena plus its conflict policy.
@@ -369,10 +346,15 @@ func New(n int, cfg Config) *Runtime {
 		sh = defaultShards()
 	}
 	sh = ceilPow2(sh)
+	plane := cfg.Metrics
+	if plane == nil {
+		plane = metrics.NewPlane(runtime.GOMAXPROCS(0), 0)
+	}
 	rt := &Runtime{
 		lazy:       cfg.Lazy,
 		tracer:     cfg.Trace,
-		metrics:    cfg.Metrics,
+		metrics:    plane,
+		Stats:      Stats{plane: plane},
 		stripeMask: sh - 1,
 		stripes:    make([]stripe, sh),
 		meta:       make([]wordMeta, n),
@@ -466,8 +448,7 @@ func (rt *Runtime) Config() Config {
 	}
 }
 
-// Metrics returns the attached observability plane (nil when the
-// runtime was built without one).
+// Metrics returns the runtime's metrics plane (never nil).
 func (rt *Runtime) Metrics() *metrics.Plane { return rt.metrics }
 
 // ReadCommitted reads a word outside any transaction, spinning past

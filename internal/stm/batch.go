@@ -181,8 +181,8 @@ func batchPause(spins int) {
 
 // finishBatch translates a terminal batch outcome into the normal
 // commit/abort control flow on the member's own goroutine, so commit
-// bookkeeping (Stats.Commits, the duration profile, TxTrace emission)
-// stays per-transaction exactly as on the unbatched path.
+// bookkeeping (the commit observation, the duration profile, TxTrace
+// emission) stays per-transaction exactly as on the unbatched path.
 func (tx *Tx) finishBatch(out uint64) {
 	switch out {
 	case statusBatchDone:
@@ -195,7 +195,7 @@ func (tx *Tx) finishBatch(out uint64) {
 	case statusBatchKilled:
 		tx.abort(metrics.AbortKilled)
 	default: // statusBatchFail
-		tx.rt.Stats.SelfAborts.Add(1)
+		tx.mx.Add(metrics.CounterSelfAborts, 1)
 		tx.abort(metrics.AbortBatchAdmission)
 	}
 }
@@ -213,22 +213,17 @@ const maxHelpRounds = 2
 // abort unwinding out of lock acquisition. Returns tx's own outcome.
 func (tx *Tx) combine(sh *batchShard) uint64 {
 	defer sh.busy.Store(0)
-	var t0 int64
-	if tx.mx != nil {
-		t0 = time.Now().UnixNano()
-	}
+	t0 := time.Now().UnixNano()
 	out := tx.combineRound(sh, true)
 	for r := 0; r < maxHelpRounds && sh.head.Load() != nil; r++ {
 		if !tx.helpRound(sh) {
 			break
 		}
 	}
-	if tx.mx != nil {
-		// Drain time: the whole lane occupancy, own round plus
-		// altruistic rounds (a combiner abort unwinds past this and
-		// the round goes unobserved, like any other dead attempt).
-		tx.mx.ObserveDrain(time.Now().UnixNano() - t0)
-	}
+	// Drain time: the whole lane occupancy, own round plus altruistic
+	// rounds (a combiner abort unwinds past this and the round goes
+	// unobserved, like any other dead attempt).
+	tx.mx.ObserveDrain(time.Now().UnixNano() - t0)
 	return out
 }
 
@@ -345,7 +340,7 @@ func (tx *Tx) combineRound(sh *batchShard, includeSelf bool) uint64 {
 	// Phase timers, 1-in-N sampled on the combiner's shard; the whole
 	// batch's phase work is attributed to one sample, matching the
 	// amortization story (one acquisition/advance for many commits).
-	sampled := tx.mx != nil && tx.mx.Sample()
+	sampled := tx.mx.Sample()
 	var t0 int64
 	if sampled {
 		t0 = time.Now().UnixNano()
@@ -533,7 +528,7 @@ func (tx *Tx) combineRound(sh *batchShard, includeSelf bool) uint64 {
 	// locks immediately) and settle the ledger. Per-member commit
 	// bookkeeping happens on each member's own goroutine when it
 	// observes its stamp.
-	rt.Stats.Batches.Add(1)
+	tx.mx.Add(metrics.CounterBatches, 1)
 	var committedN, failedN uint64
 	var selfOut uint64
 	for i, m := range members {
@@ -549,11 +544,11 @@ func (tx *Tx) combineRound(sh *batchShard, includeSelf bool) uint64 {
 			stampOutcome(m, outs[i])
 		}
 	}
-	rt.Stats.BatchCommits.Add(committedN)
-	rt.Stats.BatchFails.Add(failedN)
+	tx.mx.Add(metrics.CounterBatchCommits, committedN)
+	tx.mx.Add(metrics.CounterBatchFails, failedN)
 	if foldedTxs > 0 {
-		rt.Stats.FoldedCommits.Add(foldedTxs)
-		rt.Stats.FoldedWords.Add(foldedWords)
+		tx.mx.Add(metrics.CounterFoldedCommits, foldedTxs)
+		tx.mx.Add(metrics.CounterFoldedWords, foldedWords)
 	}
 	completed = true
 	tx.dropBatchRefs()

@@ -81,8 +81,8 @@ func TestBatchKillStress(t *testing.T) {
 		target = 50
 	}
 	deadline := time.Now().Add(20 * time.Second)
-	for rt.Stats.Kills.Load() < target/10 || rt.Stats.Batches.Load() < target {
-		if time.Now().After(deadline) {
+	for time.Now().Before(deadline) {
+		if st := rt.Stats.Snapshot(); st["kills"] >= target/10 && st["batches"] >= target {
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -97,7 +97,7 @@ func TestBatchKillStress(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		tallySum += rt.ReadCommitted(hot + w)
 	}
-	commits := rt.Stats.Commits.Load()
+	commits := rt.Stats.Snapshot()["commits"]
 	if hotSum != 2*commits || tallySum != commits {
 		t.Fatalf("ledger broken: hot sum %d (want %d), tally sum %d (want %d); stats %v",
 			hotSum, 2*commits, tallySum, commits, rt.Stats.Snapshot())

@@ -33,13 +33,14 @@ func TestBatchUncontended(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := rt.Stats.Commits.Load(); got != n {
+	st := rt.Stats.Snapshot()
+	if got := st["commits"]; got != n {
 		t.Fatalf("commits = %d, want %d", got, n)
 	}
-	if got := rt.Stats.Batches.Load(); got != n {
+	if got := st["batches"]; got != n {
 		t.Fatalf("batches = %d, want %d (every commit combines)", got, n)
 	}
-	if got := rt.Stats.BatchCommits.Load(); got != n {
+	if got := st["batchCommits"]; got != n {
 		t.Fatalf("batchCommits = %d, want %d", got, n)
 	}
 	if rt.ReadCommitted(15) != n-1 {
@@ -62,8 +63,8 @@ func TestBatchEagerIgnored(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if rt.batch != nil || rt.Stats.Batches.Load() != 0 {
-		t.Fatalf("eager runtime built combiner lanes (batches=%d)", rt.Stats.Batches.Load())
+	if batches := rt.Stats.Snapshot()["batches"]; rt.batch != nil || batches != 0 {
+		t.Fatalf("eager runtime built combiner lanes (batches=%d)", batches)
 	}
 	if rt.ReadCommitted(0) != 10 {
 		t.Fatalf("word 0 = %d, want 10", rt.ReadCommitted(0))
@@ -97,8 +98,8 @@ func TestBatchContendedCounter(t *testing.T) {
 	if got := rt.ReadCommitted(0); got != workers*per {
 		t.Fatalf("counter = %d, want %d (stats %v)", got, workers*per, rt.Stats.Snapshot())
 	}
-	if rt.Stats.Commits.Load() != workers*per {
-		t.Fatalf("commits = %d, want %d", rt.Stats.Commits.Load(), workers*per)
+	if commits := rt.Stats.Snapshot()["commits"]; commits != workers*per {
+		t.Fatalf("commits = %d, want %d", commits, workers*per)
 	}
 }
 
@@ -130,7 +131,7 @@ func TestBatchDisjointMembers(t *testing.T) {
 			t.Fatalf("word %d = %d, want %d (stats %v)", w, got, per, rt.Stats.Snapshot())
 		}
 	}
-	if fails := rt.Stats.BatchFails.Load(); fails != 0 {
+	if fails := rt.Stats.Snapshot()["batchFails"]; fails != 0 {
 		t.Fatalf("disjoint write sets failed admission %d times", fails)
 	}
 }
@@ -193,7 +194,7 @@ func TestBatchReadOnlySkipsCombiner(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := rt.Stats.Batches.Load(); got != 0 {
+	if got := rt.Stats.Snapshot()["batches"]; got != 0 {
 		t.Fatalf("read-only transactions combined %d times", got)
 	}
 }
@@ -240,8 +241,9 @@ func TestBatchQueueBound(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatalf("batched commits wedged (stats %v)", rt.Stats.Snapshot())
 	}
-	commits := rt.Stats.BatchCommits.Load() + rt.Stats.BatchFails.Load()
-	if batches := rt.Stats.Batches.Load(); commits > batches*batch {
+	st := rt.Stats.Snapshot()
+	commits := st["batchCommits"] + st["batchFails"]
+	if batches := st["batches"]; commits > batches*batch {
 		t.Fatalf("%d outcomes across %d batches exceeds the bound %d per round",
 			commits, batches, batch)
 	}

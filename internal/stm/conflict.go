@@ -49,21 +49,16 @@ func (tx *Tx) onLocked(idx int) {
 		runtime.Gosched()
 		return
 	}
-	rt.Stats.GraceWaits.Add(1)
-	if tx.traced || tx.mx != nil {
-		// The deferred accumulation also runs when the wait ends in
-		// an abort panic, so no grace time is lost on killed waiters.
-		waitStart := time.Now()
-		defer func() {
-			ns := time.Since(waitStart).Nanoseconds()
-			if tx.traced {
-				tx.tr.GraceWaitNs += ns
-			}
-			if tx.mx != nil {
-				tx.mx.ObserveGrace(ns)
-			}
-		}()
-	}
+	// The deferred observation also runs when the wait ends in an
+	// abort panic, so no grace time is lost on killed waiters.
+	waitStart := time.Now()
+	defer func() {
+		ns := time.Since(waitStart).Nanoseconds()
+		if tx.traced {
+			tx.tr.GraceWaitNs += ns
+		}
+		tx.mx.ObserveGrace(ns)
+	}()
 	k := owner.chainK()
 	defer owner.leaveChain()
 	if est := rt.kEst.Load(); est != nil {
@@ -107,12 +102,12 @@ func (tx *Tx) onLocked(idx int) {
 	// Grace expired: resolve the conflict.
 	if owner.irrevocable.Load() {
 		// The receiver cannot be killed; yield to it.
-		rt.Stats.SelfAborts.Add(1)
+		tx.mx.Add(metrics.CounterSelfAborts, 1)
 		tx.abort(metrics.AbortLockTimeout)
 	}
 	if pol == core.RequestorWins || tx.irrevocable.Load() {
 		if owner.state.CompareAndSwap(st0, st0&^stateStatusMask|statusKilled) {
-			rt.Stats.Kills.Add(1)
+			tx.mx.Add(metrics.CounterKills, 1)
 			if tx.traced {
 				tx.tr.KillsIssued++
 			}
@@ -130,7 +125,7 @@ func (tx *Tx) onLocked(idx int) {
 		return
 	}
 	// Requestor aborts.
-	rt.Stats.SelfAborts.Add(1)
+	tx.mx.Add(metrics.CounterSelfAborts, 1)
 	tx.abort(metrics.AbortLockTimeout)
 }
 

@@ -83,26 +83,33 @@ func TestEpochKillSkipsLaterAttempt(t *testing.T) {
 			runtime.Gosched()
 		}
 	}
+	// parked reports a requestor inside a grace wait on word 0's owner
+	// (graceWaits only counts a wait once it has ended).
+	parked := func() bool {
+		owner := rt.meta[0].owner.Load()
+		return owner != nil && owner.waiters.Load() >= 1
+	}
 	// Park the requestor against attempt 1, then retire attempt 1.
-	waitFor(func() bool { return rt.Stats.GraceWaits.Load() >= 1 }, "requestor grace wait")
+	waitFor(parked, "requestor grace wait")
 	close(abort1)
 	<-held2
-	// The fixed protocol starts a *fresh* grace wait against attempt
-	// 2 (or the requestor slipped in and committed during the
-	// inter-attempt window); the broken one fires the stale deadline
-	// and kills attempt 2.
+	// The fixed protocol ends the wait on attempt 1 and starts a
+	// *fresh* one against attempt 2 (or the requestor slipped in and
+	// committed during the inter-attempt window); the broken one stays
+	// in the first wait, fires the stale deadline and kills attempt 2.
 	waitFor(func() bool {
-		return rt.Stats.GraceWaits.Load() >= 2 ||
-			rt.Stats.Commits.Load() >= 1 || // requestor won the window
-			rt.Stats.Kills.Load() >= 1
+		s := rt.Stats.Snapshot()
+		return s["graceWaits"] >= 1 && parked() ||
+			s["commits"] >= 1 || // requestor won the window
+			s["kills"] >= 1
 	}, "requestor re-resolution")
 	close(done2)
 	wg.Wait()
 
-	if kills := rt.Stats.Kills.Load(); kills != 0 {
+	if kills := rt.Stats.Snapshot()["kills"]; kills != 0 {
 		t.Fatalf("stale requestor killed a later attempt (%d kills, stats %v)", kills, rt.Stats.Snapshot())
 	}
-	if commits := rt.Stats.Commits.Load(); commits != 2 {
+	if commits := rt.Stats.Snapshot()["commits"]; commits != 2 {
 		t.Fatalf("commits = %d, want 2 (stats %v)", commits, rt.Stats.Snapshot())
 	}
 }
@@ -160,7 +167,7 @@ func TestForeignPanicReleasesIrrevocableToken(t *testing.T) {
 			panic("user bug on the irrevocable path")
 		})
 	}()
-	if rt.Stats.Irrevocable.Load() == 0 {
+	if rt.Stats.Snapshot()["irrevocable"] == 0 {
 		t.Fatal("staging failed: transaction never went irrevocable")
 	}
 	if !rt.fallback.TryLock() {

@@ -82,7 +82,7 @@ func TestKWindowObservesConflicts(t *testing.T) {
 	if got := rt.ReadCommitted(0); got != workers*opsPer {
 		t.Fatalf("counter = %d, want %d", got, workers*opsPer)
 	}
-	if rt.Stats.GraceWaits.Load() > 0 {
+	if rt.Stats.Snapshot()["graceWaits"] > 0 {
 		if est := rt.KEstimate(); est < 2 {
 			t.Fatalf("KEstimate = %v after conflicts, want >= 2", est)
 		}

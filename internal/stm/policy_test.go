@@ -136,8 +136,8 @@ func TestLazyRuntimeOpensLaneLater(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		_ = rt.AtomicWorker(0, r, func(tx *Tx) error { tx.Store(i%64, uint64(i)); return nil })
 	}
-	if rt.Stats.Commits.Load() < 200 {
-		t.Fatalf("commits = %d", rt.Stats.Commits.Load())
+	if commits := rt.Stats.Snapshot()["commits"]; commits < 200 {
+		t.Fatalf("commits = %d", commits)
 	}
 	// And close it again; commits must keep flowing on the direct path.
 	p.CommitBatch = 0
@@ -145,8 +145,8 @@ func TestLazyRuntimeOpensLaneLater(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		_ = rt.AtomicWorker(0, r, func(tx *Tx) error { tx.Store(i%64, uint64(i)); return nil })
 	}
-	if rt.Stats.Commits.Load() < 400 {
-		t.Fatalf("commits = %d after closing the lane", rt.Stats.Commits.Load())
+	if commits := rt.Stats.Snapshot()["commits"]; commits < 400 {
+		t.Fatalf("commits = %d after closing the lane", commits)
 	}
 }
 
@@ -290,7 +290,7 @@ func TestFoldPolicyChurn(t *testing.T) {
 				t.Fatal("churner never swapped")
 			}
 			t.Logf("%s: %d commits, %d folded, under %d policy swaps",
-				mode.name, total, rt.Stats.FoldedCommits.Load(), rt.PolicySwaps())
+				mode.name, total, rt.Stats.Snapshot()["foldedCommits"], rt.PolicySwaps())
 		})
 	}
 }

@@ -69,7 +69,7 @@ func TestSnapshotExtension(t *testing.T) {
 			return nil
 		})
 	}
-	before := rt.Stats.Extensions.Load()
+	before := rt.Stats.Snapshot()["extensions"]
 	err := rt.Atomic(r, func(tx *Tx) error {
 		for i := 0; i < 4; i++ {
 			if got := tx.Load(i); got != uint64(100+i) {
@@ -81,11 +81,12 @@ func TestSnapshotExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Stats.Extensions.Load() == before {
+	st := rt.Stats.Snapshot()
+	if st["extensions"] == before {
 		t.Fatal("multi-stripe read-only transaction never extended its snapshot")
 	}
-	if rt.Stats.Aborts.Load() != 0 {
-		t.Fatalf("extension path aborted: %v", rt.Stats.Snapshot())
+	if st["aborts"] != 0 {
+		t.Fatalf("extension path aborted: %v", st)
 	}
 }
 
@@ -141,7 +142,7 @@ func TestShardedObjectSumInvariant(t *testing.T) {
 			if sum != want {
 				t.Fatalf("object sum = %d, want %d (stats %v)", sum, want, rt.Stats.Snapshot())
 			}
-			if got := rt.Stats.Commits.Load(); got != uint64(goroutines*perG) {
+			if got := rt.Stats.Snapshot()["commits"]; got != uint64(goroutines*perG) {
 				t.Fatalf("commits = %d, want %d", got, goroutines*perG)
 			}
 		})
@@ -179,7 +180,7 @@ func benchDisjointWriters(b *testing.B, shards int) {
 			})
 		}
 	})
-	b.ReportMetric(float64(rt.Stats.Aborts.Load()), "aborts")
+	b.ReportMetric(float64(rt.Stats.Snapshot()["aborts"]), "aborts")
 }
 
 // BenchmarkClockSharding measures commit throughput of disjoint

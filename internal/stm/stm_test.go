@@ -67,8 +67,8 @@ func TestSequentialLoadStore(t *testing.T) {
 	if got := rt.ReadCommitted(3); got != 42 {
 		t.Fatalf("committed value = %d", got)
 	}
-	if rt.Stats.Commits.Load() != 1 {
-		t.Fatalf("commits = %d", rt.Stats.Commits.Load())
+	if commits := rt.Stats.Snapshot()["commits"]; commits != 1 {
+		t.Fatalf("commits = %d", commits)
 	}
 }
 
@@ -91,7 +91,7 @@ func TestUserErrorAbortsWithoutRetry(t *testing.T) {
 	if got := rt.ReadCommitted(0); got != 0 {
 		t.Fatalf("aborted write leaked: %d", got)
 	}
-	if rt.Stats.Commits.Load() != 0 {
+	if rt.Stats.Snapshot()["commits"] != 0 {
 		t.Fatal("user abort counted as commit")
 	}
 }
@@ -170,8 +170,8 @@ func TestCounterConcurrent(t *testing.T) {
 			if got := rt.ReadCommitted(0); got != goroutines*perG {
 				t.Fatalf("counter = %d, want %d (stats %v)", got, goroutines*perG, rt.Stats.Snapshot())
 			}
-			if rt.Stats.Commits.Load() != goroutines*perG {
-				t.Fatalf("commits = %d", rt.Stats.Commits.Load())
+			if commits := rt.Stats.Snapshot()["commits"]; commits != goroutines*perG {
+				t.Fatalf("commits = %d", commits)
 			}
 		})
 	}
@@ -322,8 +322,8 @@ func TestIrrevocableFallback(t *testing.T) {
 	}
 	// On an oversubscribed machine goroutines can serialize and never
 	// abort, in which case the fallback is legitimately idle.
-	if rt.Stats.Aborts.Load() > uint64(goroutines) && rt.Stats.Irrevocable.Load() == 0 {
-		t.Fatalf("fallback never engaged despite MaxRetries=1 and %d aborts", rt.Stats.Aborts.Load())
+	if st := rt.Stats.Snapshot(); st["aborts"] > uint64(goroutines) && st["irrevocable"] == 0 {
+		t.Fatalf("fallback never engaged despite MaxRetries=1 and %d aborts", st["aborts"])
 	}
 }
 
@@ -376,9 +376,9 @@ func stageConflict(t *testing.T, pol core.Policy) *Runtime {
 	// lock is released, so this cannot hang.
 	resolved := func() bool {
 		if pol == core.RequestorWins {
-			return rt.Stats.Kills.Load() > 0
+			return rt.Stats.Snapshot()["kills"] > 0
 		}
-		return rt.Stats.SelfAborts.Load() > 0
+		return rt.Stats.Snapshot()["selfAborts"] > 0
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for !resolved() {
@@ -396,17 +396,19 @@ func TestPolicyKillAccounting(t *testing.T) {
 	// Requestor-wins must resolve a conflict by killing the receiver;
 	// requestor aborts must never kill (only self aborts).
 	rw := stageConflict(t, core.RequestorWins)
-	if rw.Stats.Kills.Load() == 0 {
+	st := rw.Stats.Snapshot()
+	if st["kills"] == 0 {
 		t.Error("requestor-wins conflict produced no kills")
 	}
-	if rw.Stats.GraceWaits.Load() == 0 {
+	if st["graceWaits"] == 0 {
 		t.Error("requestor-wins conflict skipped the grace wait")
 	}
 	ra := stageConflict(t, core.RequestorAborts)
-	if ra.Stats.Kills.Load() != 0 {
-		t.Errorf("requestor-aborts produced %d kills", ra.Stats.Kills.Load())
+	st = ra.Stats.Snapshot()
+	if st["kills"] != 0 {
+		t.Errorf("requestor-aborts produced %d kills", st["kills"])
 	}
-	if ra.Stats.SelfAborts.Load() == 0 {
+	if st["selfAborts"] == 0 {
 		t.Error("requestor-aborts conflict produced no self aborts")
 	}
 	// Both runtimes must still settle to consistent committed state.

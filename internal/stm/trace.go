@@ -60,10 +60,9 @@ type Tracer interface {
 // enabled only).
 func (tx *Tx) beginTrace(worker int) {
 	tx.tr = TxTrace{
-		Worker:      worker,
-		StartUnixNs: time.Now().UnixNano(),
-		Reads:       tx.tr.Reads[:0],
-		Writes:      tx.tr.Writes[:0],
+		Worker: worker,
+		Reads:  tx.tr.Reads[:0],
+		Writes: tx.tr.Writes[:0],
 	}
 }
 
@@ -123,6 +122,9 @@ func (tx *Tx) noteAbort(reason metrics.AbortReason) {
 func (tx *Tx) emitTrace(committed bool) {
 	tx.tr.Committed = committed
 	tx.tr.Retries = int(tx.attempts.Load())
-	tx.tr.DurNs = time.Now().UnixNano() - tx.tr.StartUnixNs
+	// The first attempt's start is the block's: one clock read serves
+	// the trace and the plane's commit-latency observation.
+	tx.tr.StartUnixNs = tx.blockStart
+	tx.tr.DurNs = time.Now().UnixNano() - tx.blockStart
 	tx.rt.tracer.TraceTx(&tx.tr)
 }

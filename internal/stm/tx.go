@@ -87,8 +87,7 @@ type Tx struct {
 	traced bool
 	tr     TxTrace
 
-	// mx is this worker's metrics shard (nil when the runtime has no
-	// metrics plane), latched per Atomic call like the tracer;
+	// mx is this worker's metrics shard, latched per Atomic call;
 	// blockStart is the first attempt's start (ns), the base of the
 	// committed-block latency observation; lastAbort is the taxonomy
 	// reason of the most recent aborted attempt.
@@ -177,10 +176,7 @@ func (rt *Runtime) AtomicWorker(worker int, r *rng.Rand, fn func(tx *Tx) error) 
 	tx.rng = r
 	tx.attempts.Store(0)
 	tx.blockStart = 0
-	tx.mx = nil
-	if rt.metrics != nil {
-		tx.mx = rt.metrics.Shard(worker)
-	}
+	tx.mx = rt.metrics.Shard(worker)
 	if tx.traced = rt.tracer != nil; tx.traced {
 		tx.beginTrace(worker)
 	}
@@ -195,15 +191,11 @@ func (rt *Runtime) AtomicWorker(worker int, r *rng.Rand, fn func(tx *Tx) error) 
 			rt.txPool.Put(tx)
 			return err
 		}
-		rt.Stats.Aborts.Add(1)
 		tx.attempts.Add(1)
 		if mr := tx.pol.MaxRetries; mr > 0 && int(tx.attempts.Load()) >= mr && !tx.irrevocable.Load() {
 			rt.fallback.Lock()
 			tx.irrevocable.Store(true)
-			rt.Stats.Irrevocable.Add(1)
-			if tx.mx != nil {
-				tx.mx.Abort(metrics.AbortMaxRetries)
-			}
+			tx.mx.Abort(metrics.AbortMaxRetries)
 			if tx.traced {
 				tx.tr.Irrevocable = true
 			}
@@ -256,10 +248,8 @@ func (tx *Tx) attempt(fn func(tx *Tx) error) (err error, aborted bool) {
 			if tx.traced {
 				tx.noteAbort(ab.reason)
 			}
-			if tx.mx != nil {
-				tx.mx.ObserveAttempt(time.Now().UnixNano() - tx.startNanos.Load())
-				tx.mx.Abort(ab.reason)
-			}
+			tx.mx.ObserveAttempt(time.Now().UnixNano() - tx.startNanos.Load())
+			tx.mx.Abort(ab.reason)
 			tx.rollback()
 			aborted = true
 		}
@@ -272,10 +262,8 @@ func (tx *Tx) attempt(fn func(tx *Tx) error) (err error, aborted bool) {
 		}
 		tx.rollback()
 		tx.releaseToken()
-		if tx.mx != nil {
-			tx.mx.ObserveAttempt(time.Now().UnixNano() - tx.startNanos.Load())
-			tx.mx.Abort(metrics.AbortExplicit)
-		}
+		tx.mx.ObserveAttempt(time.Now().UnixNano() - tx.startNanos.Load())
+		tx.mx.Abort(metrics.AbortExplicit)
 		return err, false
 	}
 	if tx.traced {
@@ -283,13 +271,10 @@ func (tx *Tx) attempt(fn func(tx *Tx) error) (err error, aborted bool) {
 	}
 	tx.commit()
 	tx.releaseToken()
-	tx.rt.Stats.Commits.Add(1)
 	now := time.Now().UnixNano()
 	tx.rt.profileUpdate(float64(now - tx.startNanos.Load()))
-	if tx.mx != nil {
-		tx.mx.ObserveAttempt(now - tx.startNanos.Load())
-		tx.mx.ObserveCommit(now - tx.blockStart)
-	}
+	tx.mx.ObserveAttempt(now - tx.startNanos.Load())
+	tx.mx.ObserveCommit(now - tx.blockStart)
 	return nil, false
 }
 
@@ -341,9 +326,9 @@ func (tx *Tx) rollback() {
 	tx.lockedUpTo = 0
 	// Retire this attempt's epoch: the locks are gone, so any
 	// requestor still holding our captured (epoch, status) must see
-	// the attempt as over — its kill CAS has to miss, keeping
-	// Stats.Kills honest even while the descriptor idles in the pool
-	// (the next reset bumps the epoch again).
+	// the attempt as over — its kill CAS has to miss, keeping the
+	// kills counter honest even while the descriptor idles in the
+	// pool (the next reset bumps the epoch again).
 	tx.state.Add(1 << stateEpochShift)
 }
 
@@ -379,18 +364,18 @@ func (tx *Tx) extend(s int) {
 		l := tx.rt.meta[re.idx].lock.Load()
 		if l&1 == 1 {
 			if !tx.ownsLock(re.idx) {
-				tx.rt.Stats.SelfAborts.Add(1)
+				tx.mx.Add(metrics.CounterSelfAborts, 1)
 				tx.abort(metrics.AbortValidation)
 			}
 			continue
 		}
 		if l>>1 != re.ver {
-			tx.rt.Stats.SelfAborts.Add(1)
+			tx.mx.Add(metrics.CounterSelfAborts, 1)
 			tx.abort(metrics.AbortValidation)
 		}
 	}
 	tx.rv[s] = c
-	tx.rt.Stats.Extensions.Add(1)
+	tx.mx.Add(metrics.CounterExtensions, 1)
 }
 
 // Load reads word idx transactionally.
@@ -566,7 +551,7 @@ func (tx *Tx) enterNoReturn() {
 	}
 	if st&stateStatusMask != statusActive ||
 		!tx.state.CompareAndSwap(st, st&^stateStatusMask|statusNoReturn) {
-		tx.rt.Stats.SelfAborts.Add(1)
+		tx.mx.Add(metrics.CounterSelfAborts, 1)
 		tx.abort(metrics.AbortKilled)
 	}
 }
@@ -577,13 +562,13 @@ func (tx *Tx) validateReads() {
 		l := tx.rt.meta[re.idx].lock.Load()
 		if l&1 == 1 {
 			if !tx.ownsLock(re.idx) {
-				tx.rt.Stats.SelfAborts.Add(1)
+				tx.mx.Add(metrics.CounterSelfAborts, 1)
 				tx.abort(metrics.AbortValidation)
 			}
 			continue
 		}
 		if l>>1 != re.ver {
-			tx.rt.Stats.SelfAborts.Add(1)
+			tx.mx.Add(metrics.CounterSelfAborts, 1)
 			tx.abort(metrics.AbortValidation)
 		}
 	}
@@ -611,7 +596,7 @@ func (tx *Tx) commitEager() {
 	// commits have no lock-acquisition or write-back phase — both
 	// happened at encounter time — so only validation and the
 	// clock-advance/release pair are attributed.
-	sampled := tx.mx != nil && tx.mx.Sample()
+	sampled := tx.mx.Sample()
 	var t0 int64
 	if sampled {
 		t0 = time.Now().UnixNano()
@@ -667,7 +652,7 @@ func (tx *Tx) commitLazy() {
 	// Phase timers, 1-in-N sampled. A conflict abort mid-acquisition
 	// simply discards the sample — the histograms only ever describe
 	// commits that reached each phase.
-	sampled := tx.mx != nil && tx.mx.Sample()
+	sampled := tx.mx.Sample()
 	var t0 int64
 	if sampled {
 		t0 = time.Now().UnixNano()

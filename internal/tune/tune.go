@@ -1,5 +1,5 @@
-// Package tune closes the trace→policy loop online: it watches a
-// running stm.Runtime through its trace stream and retunes the
+// Package tune closes the measurement→policy loop online: it watches
+// a running stm.Runtime through its metrics plane and retunes the
 // runtime's stm.Policy while transactions keep flowing.
 //
 // The package is the control plane the paper's offline analysis
@@ -8,19 +8,19 @@
 // reduces the choice to a rule over the conflict-chain length k
 // (requestor-aborts for pair conflicts, requestor-wins for longer
 // chains). Those results assume the regime is known. tune estimates
-// the regime live — windowed commit/abort/kill rates, grace-wait
-// time, and the runtime's windowed k estimate — and walks the policy
-// toward the regime's winner with enough hysteresis that a noisy
-// boundary does not thrash the runtime.
+// the regime live — windowed commit and kill counts, grace-wait time,
+// commit-latency quantiles and the runtime's windowed k estimate —
+// and walks the policy toward the regime's winner with enough
+// hysteresis that a noisy boundary does not thrash the runtime.
 //
 // Three pieces, smallest first:
 //
-//   - Sampler (this file): an stm.Tracer that folds every completed
-//     transaction into cumulative atomic counters plus a commit-latency
-//     histogram, teeing to an optional downstream tracer
-//     (trace.Recorder keeps working behind it). Counters() snapshots;
-//     Counters.Sub turns two snapshots into a Window of rates, and the
-//     histogram delta gives the window its CommitP50Ns/CommitP99Ns.
+//   - Window (this file): one control interval of observed behaviour,
+//     the difference of two metrics.PlaneSnapshots of the tuned
+//     runtime — commits, kills, grace-wait and commit time, and the
+//     windowed commit-latency quantiles. The runtime's plane is always
+//     on, so the loop needs no tracer and adds nothing to the
+//     transaction path.
 //   - Controller (controller.go): pure decision logic. Given a
 //     Window, the current k estimate and the current Policy, Decide
 //     returns the next Policy plus human-readable reasons — or no
@@ -31,169 +31,57 @@
 //     with no throughput payoff means the batch is queueing, not
 //     amortizing.
 //   - Tuner (tuner.go): the loop. A goroutine (or an explicit Step
-//     call) snapshots the Sampler, asks the Controller, applies the
-//     result via Runtime.SetPolicy, and appends to a bounded decision
-//     log that /v1/policy renders.
+//     call) snapshots the runtime's plane, asks the Controller,
+//     applies the result via Runtime.SetPolicy, and appends to a
+//     bounded decision log that /v1/policy renders.
 package tune
 
 import (
-	"sync/atomic"
 	"time"
 
 	"txconflict/internal/metrics"
-	"txconflict/internal/stm"
 )
 
-// Sampler is an stm.Tracer that aggregates the trace stream into
-// cumulative counters cheap enough to leave on in production: one
-// atomic add per field per completed transaction, no allocation, no
-// locks. Install it as Config.Trace (optionally wrapping the tracer
-// you already had) and snapshot it from the control loop.
-//
-// Beyond the scalar counters, the Sampler folds every committed
-// block's duration into a log-bucketed latency histogram, so the
-// Tuner can difference two snapshots and read windowed commit
-// quantiles — the p99 signal the Controller's latency-backoff rule
-// steers by. Rates alone cannot see a tail collapse: a batching knob
-// can hold throughput flat while pushing p99 out an order of
-// magnitude, which is exactly the regression the histogram exists to
-// catch.
-type Sampler struct {
-	next stm.Tracer // optional downstream tracer (tee)
-
-	commits       atomic.Uint64
-	userAborts    atomic.Uint64
-	retries       atomic.Uint64
-	killsIssued   atomic.Uint64
-	killsSuffered atomic.Uint64
-	irrevocable   atomic.Uint64
-	graceWaitNs   atomic.Int64
-	durNs         atomic.Int64
-
-	commitLat metrics.Histogram
-}
-
-// NewSampler returns a Sampler teeing to next (nil for none).
-func NewSampler(next stm.Tracer) *Sampler { return &Sampler{next: next} }
-
-// TraceTx implements stm.Tracer.
-func (s *Sampler) TraceTx(t *stm.TxTrace) {
-	if t.Committed {
-		s.commits.Add(1)
-		s.commitLat.Observe(t.DurNs)
-	} else {
-		s.userAborts.Add(1)
-	}
-	if t.Retries > 0 {
-		s.retries.Add(uint64(t.Retries))
-	}
-	if t.KillsIssued > 0 {
-		s.killsIssued.Add(uint64(t.KillsIssued))
-	}
-	if t.KillsSuffered > 0 {
-		s.killsSuffered.Add(uint64(t.KillsSuffered))
-	}
-	if t.Irrevocable {
-		s.irrevocable.Add(1)
-	}
-	s.graceWaitNs.Add(t.GraceWaitNs)
-	s.durNs.Add(t.DurNs)
-	if s.next != nil {
-		s.next.TraceTx(t)
-	}
-}
-
-// AnnotateProgram implements scenario.ProgramAnnotator by forwarding
-// to the downstream tracer when it is one, so wrapping trace.Recorder
-// in a Sampler loses none of its program-context annotations.
-func (s *Sampler) AnnotateProgram(worker, ops int, compute, think float64) {
-	if a, ok := s.next.(interface {
-		AnnotateProgram(worker, ops int, compute, think float64)
-	}); ok {
-		a.AnnotateProgram(worker, ops, compute, think)
-	}
-}
-
-// Counters is a point-in-time snapshot of a Sampler's cumulative
-// totals.
-type Counters struct {
-	Commits       uint64
-	UserAborts    uint64
-	Retries       uint64
-	KillsIssued   uint64
-	KillsSuffered uint64
-	Irrevocable   uint64
-	GraceWaitNs   int64
-	DurNs         int64
-}
-
-// Counters snapshots the cumulative totals. Fields are read one by
-// one, so a snapshot taken under live traffic is approximate at the
-// margin — fine for rate estimation, which is all it feeds.
-func (s *Sampler) Counters() Counters {
-	return Counters{
-		Commits:       s.commits.Load(),
-		UserAborts:    s.userAborts.Load(),
-		Retries:       s.retries.Load(),
-		KillsIssued:   s.killsIssued.Load(),
-		KillsSuffered: s.killsSuffered.Load(),
-		Irrevocable:   s.irrevocable.Load(),
-		GraceWaitNs:   s.graceWaitNs.Load(),
-		DurNs:         s.durNs.Load(),
-	}
-}
-
-// Latency snapshots the cumulative commit-latency histogram. Like
-// Counters, two snapshots difference (HistSnapshot.Sub) into one
-// window's distribution.
-func (s *Sampler) Latency() metrics.HistSnapshot {
-	return s.commitLat.Snapshot()
-}
-
-// Window is the delta between two Counters snapshots — one control
-// interval of observed behaviour, plus the wall time it covers and
-// the commit-latency quantiles of the blocks that committed inside
-// it (0 when the window's histogram delta is empty, e.g. windows
-// built from bare counters).
+// Window is one control interval of observed behaviour — what the
+// runtime's metrics plane counted between two snapshots — plus the
+// wall time it covers. Rates alone cannot see a tail collapse: a
+// batching knob can hold throughput flat while pushing p99 out an
+// order of magnitude, which is the regression the windowed quantiles
+// exist to catch.
 type Window struct {
-	Counters
-	Elapsed time.Duration
+	// Commits is the number of blocks that committed in the window;
+	// DurNs is their total wall time, first attempt to commit.
+	Commits uint64
+	DurNs   int64
+	// GraceWaitNs is the time requestors spent in grace waits that
+	// ended in the window; KillsIssued the receivers they killed.
+	GraceWaitNs int64
+	KillsIssued uint64
+	Elapsed     time.Duration
 
-	// CommitP50Ns and CommitP99Ns are windowed commit-latency
-	// quantiles in nanoseconds, from the Sampler's histogram delta.
+	// CommitP50Ns and CommitP99Ns are the commit-latency quantiles of
+	// the window's commits in nanoseconds (0 when nothing committed).
 	CommitP50Ns, CommitP99Ns float64
 }
 
-// Sub returns the window from prev to c.
-func (c Counters) Sub(prev Counters, elapsed time.Duration) Window {
+// windowOf returns the window from prev to cur, two snapshots of one
+// plane taken elapsed apart.
+func windowOf(cur, prev *metrics.PlaneSnapshot, elapsed time.Duration) Window {
+	commit := cur.Commit.Sub(prev.Commit)
 	return Window{
-		Counters: Counters{
-			Commits:       c.Commits - prev.Commits,
-			UserAborts:    c.UserAborts - prev.UserAborts,
-			Retries:       c.Retries - prev.Retries,
-			KillsIssued:   c.KillsIssued - prev.KillsIssued,
-			KillsSuffered: c.KillsSuffered - prev.KillsSuffered,
-			Irrevocable:   c.Irrevocable - prev.Irrevocable,
-			GraceWaitNs:   c.GraceWaitNs - prev.GraceWaitNs,
-			DurNs:         c.DurNs - prev.DurNs,
-		},
-		Elapsed: elapsed,
+		Commits:     commit.Count,
+		DurNs:       int64(commit.Sum),
+		GraceWaitNs: int64(cur.Grace.Sum - prev.Grace.Sum),
+		KillsIssued: cur.Counters[metrics.CounterKills] - prev.Counters[metrics.CounterKills],
+		Elapsed:     elapsed,
+		CommitP50Ns: commit.Quantile(0.50),
+		CommitP99Ns: commit.Quantile(0.99),
 	}
 }
 
-// AbortRate is aborted attempts over all attempts in the window: the
-// probability an optimistic execution was wasted. 0 when idle.
-func (w Window) AbortRate() float64 {
-	attempts := w.Commits + w.UserAborts + w.Retries
-	if attempts == 0 {
-		return 0
-	}
-	return float64(w.Retries) / float64(attempts)
-}
-
-// GraceFrac is the fraction of in-transaction wall time spent waiting
-// in grace periods — the controller's proxy for lock contention at
-// and before commit. 0 when idle.
+// GraceFrac is grace-wait time over committed-block time in the
+// window — the controller's proxy for lock contention at and before
+// commit. 0 when idle.
 func (w Window) GraceFrac() float64 {
 	if w.DurNs <= 0 {
 		return 0

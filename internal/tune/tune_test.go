@@ -6,94 +6,56 @@ import (
 	"time"
 
 	"txconflict/internal/core"
+	"txconflict/internal/metrics"
+	"txconflict/internal/rng"
 	"txconflict/internal/stm"
 )
 
-// feed pushes n synthetic committed transactions into s, each with
-// the given grace-wait and total duration.
-func feed(s *Sampler, n int, graceNs, durNs int64) {
+// commit runs n uncontended single-word transactions on rt: real
+// traffic for the plane the tuner windows.
+func commit(rt *stm.Runtime, n int) {
+	r := rng.New(1)
 	for i := 0; i < n; i++ {
-		s.TraceTx(&stm.TxTrace{Committed: true, GraceWaitNs: graceNs, DurNs: durNs})
+		_ = rt.AtomicWorker(0, r, func(tx *stm.Tx) error { tx.Store(0, uint64(i)); return nil })
 	}
 }
 
-type recordingTracer struct {
-	n         int
-	annotated int
-}
+// TestWindowOf checks the window arithmetic: every field is the
+// difference of two snapshots of one plane, so traffic before the
+// first snapshot never leaks into the window.
+func TestWindowOf(t *testing.T) {
+	p := metrics.NewPlane(2, 0)
+	observe := func(n int, graceNs, durNs int64) {
+		for i := 0; i < n; i++ {
+			sh := p.Shard(i) // spread over both shards: windows read the merge
+			sh.ObserveGrace(graceNs)
+			sh.ObserveCommit(durNs)
+			sh.Add(metrics.CounterKills, 2)
+		}
+	}
+	observe(10, 100, 1000)
+	prev := p.Snapshot()
+	observe(4, 50, 8000)
+	cur := p.Snapshot()
 
-func (r *recordingTracer) TraceTx(*stm.TxTrace) { r.n++ }
-func (r *recordingTracer) AnnotateProgram(worker, ops int, compute, think float64) {
-	r.annotated++
-}
-
-func TestSamplerCountersAndTee(t *testing.T) {
-	next := &recordingTracer{}
-	s := NewSampler(next)
-	s.TraceTx(&stm.TxTrace{Committed: true, Retries: 2, KillsIssued: 1, GraceWaitNs: 100, DurNs: 1000})
-	s.TraceTx(&stm.TxTrace{Committed: false, KillsSuffered: 3, Irrevocable: true, DurNs: 500})
-	s.AnnotateProgram(0, 4, 1.5, 0)
-
-	c := s.Counters()
-	want := Counters{
-		Commits: 1, UserAborts: 1, Retries: 2,
-		KillsIssued: 1, KillsSuffered: 3, Irrevocable: 1,
-		GraceWaitNs: 100, DurNs: 1500,
+	w := windowOf(&cur, &prev, 2*time.Second)
+	if w.Commits != 4 || w.DurNs != 32000 || w.GraceWaitNs != 200 || w.KillsIssued != 8 {
+		t.Fatalf("window = %+v", w)
 	}
-	if c != want {
-		t.Fatalf("counters = %+v, want %+v", c, want)
+	if got := w.GraceFrac(); got != 200.0/32000 {
+		t.Fatalf("GraceFrac = %v, want %v", got, 200.0/32000)
 	}
-	if next.n != 2 || next.annotated != 1 {
-		t.Fatalf("tee saw %d traces / %d annotations, want 2 / 1", next.n, next.annotated)
+	if got := w.CommitsPerSec(); got != 2 {
+		t.Fatalf("CommitsPerSec = %v, want 2", got)
 	}
-
-	// Window math over a delta.
-	prev := c
-	feed(s, 3, 50, 100)
-	w := s.Counters().Sub(prev, time.Second)
-	if w.Commits != 3 || w.GraceWaitNs != 150 || w.DurNs != 300 {
-		t.Fatalf("window = %+v", w.Counters)
+	for _, q := range []float64{w.CommitP50Ns, w.CommitP99Ns} {
+		if q < 8000*(1-1.0/16) || q > 8000*(1+1.0/16) {
+			t.Fatalf("windowed quantiles = %v/%v, want ~8000 (the earlier 1000ns commits are outside the window)",
+				w.CommitP50Ns, w.CommitP99Ns)
+		}
 	}
-	if got := w.GraceFrac(); got != 0.5 {
-		t.Fatalf("GraceFrac = %v, want 0.5", got)
-	}
-	if got := w.CommitsPerSec(); got != 3 {
-		t.Fatalf("CommitsPerSec = %v, want 3", got)
-	}
-}
-
-// TestSamplerLatencyHistogram checks the commit-latency feed: only
-// commits are observed, and two snapshots difference into a windowed
-// distribution with quantiles near the fed durations.
-func TestSamplerLatencyHistogram(t *testing.T) {
-	s := NewSampler(nil)
-	feed(s, 10, 0, 1000)
-	s.TraceTx(&stm.TxTrace{Committed: false, DurNs: 1 << 40}) // abort: not a commit latency
-	lat := s.Latency()
-	if lat.Count != 10 {
-		t.Fatalf("latency count = %d, want 10 (aborts must not observe)", lat.Count)
-	}
-	if q := lat.Quantile(0.99); q < 1000*(1-1.0/16) || q > 1000*(1+1.0/16) {
-		t.Fatalf("p99 = %v, want ~1000 within bucket error", q)
-	}
-
-	prev := lat
-	feed(s, 5, 0, 8000)
-	d := s.Latency().Sub(prev)
-	if d.Count != 5 {
-		t.Fatalf("window delta count = %d, want 5", d.Count)
-	}
-	if q := d.Quantile(0.5); q < 8000*(1-1.0/16) || q > 8000*(1+1.0/16) {
-		t.Fatalf("windowed p50 = %v, want ~8000", q)
-	}
-}
-
-func TestSamplerWithoutTee(t *testing.T) {
-	s := NewSampler(nil)
-	s.TraceTx(&stm.TxTrace{Committed: true})
-	s.AnnotateProgram(0, 1, 0, 0) // must not panic with no downstream
-	if s.Counters().Commits != 1 {
-		t.Fatal("commit not counted")
+	if idle := windowOf(&cur, &cur, time.Second); idle != (Window{Elapsed: time.Second}) {
+		t.Fatalf("idle window = %+v, want zero", idle)
 	}
 }
 
@@ -102,13 +64,10 @@ func TestSamplerWithoutTee(t *testing.T) {
 func activeWindow(graceFrac float64) Window {
 	const dur = 1_000_000
 	return Window{
-		Counters: Counters{
-			Commits:     1000,
-			Retries:     100,
-			GraceWaitNs: int64(graceFrac * dur),
-			DurNs:       dur,
-		},
-		Elapsed: time.Second,
+		Commits:     1000,
+		GraceWaitNs: int64(graceFrac * dur),
+		DurNs:       dur,
+		Elapsed:     time.Second,
 	}
 }
 
@@ -331,31 +290,55 @@ func TestControllerP99Backoff(t *testing.T) {
 	}
 }
 
-// TestTunerStepP99Decision drives the loop end to end: the Tuner
-// differences the Sampler's histogram, the Controller sees the
-// windowed p99 collapse, and the runtime's policy lane is halved. A
-// huge flat tolerance removes the wall-clock-dependent throughput
-// veto so the test is deterministic.
-func TestTunerStepP99Decision(t *testing.T) {
-	s := NewSampler(nil)
+// adaptiveRuntime is a lazy runtime with no tracer installed — all a
+// Tuner needs.
+func adaptiveRuntime(adjust func(*stm.Config)) *stm.Runtime {
 	cfg := stm.DefaultConfig()
 	cfg.Lazy = true
-	cfg.Trace = s
-	cfg.KWindow = 64
-	cfg.CommitBatch = 8
-	rt := stm.New(64, cfg)
-	tn := New(rt, s, Limits{P99FlatTol: 1e9}, time.Hour)
+	if adjust != nil {
+		adjust(&cfg)
+	}
+	return stm.New(64, cfg)
+}
 
-	feed(s, 1000, 100, 1000) // gf=0.1: lane band holds; seeds p99 baseline
+// TestTunerStepWindowsThePlane drives Step end to end on real
+// traffic: the Tuner differences the runtime's own plane, so commits
+// made before the Tuner existed are outside its first window, a busy
+// window reaches the Controller (whose first move is to open the k
+// estimator), and an idle window decides nothing.
+func TestTunerStepWindowsThePlane(t *testing.T) {
+	rt := adaptiveRuntime(nil)
+	commit(rt, 1000) // before New: must not count
+	tn := New(rt, Limits{}, time.Hour)
 	if tn.Step() {
-		t.Fatal("baseline window produced a decision")
+		t.Fatal("Step decided on traffic older than the Tuner")
 	}
-	feed(s, 1000, 100, 1000)
-	if tn.Step() {
-		t.Fatal("steady window produced a decision")
-	}
-	feed(s, 1000, 1600, 16000) // 16x tail blowout, same grace fraction
+	commit(rt, 1000)
 	if !tn.Step() {
+		t.Fatal("Step made no decision on a busy window")
+	}
+	if got := rt.Policy().KWindow; got != DefaultLimits().KWindowMin {
+		t.Fatalf("KWindow = %d after bootstrap, want %d", got, DefaultLimits().KWindowMin)
+	}
+	if tn.Step() {
+		t.Fatal("Step decided on an idle window")
+	}
+}
+
+// TestTunerStepP99Decision replays a commit-p99 blowout through the
+// tuner: the Controller sees the windowed p99 collapse and the
+// runtime's policy lane is halved. A huge flat tolerance removes the
+// throughput veto.
+func TestTunerStepP99Decision(t *testing.T) {
+	rt := adaptiveRuntime(func(c *stm.Config) { c.KWindow, c.CommitBatch = 64, 8 })
+	tn := New(rt, Limits{P99FlatTol: 1e9}, time.Hour)
+
+	for i := 0; i < 2; i++ { // seeds the p99 baseline, then holds steady
+		if tn.StepWindow(latWindow(1000, 1000)) {
+			t.Fatalf("steady window %d produced a decision", i)
+		}
+	}
+	if !tn.StepWindow(latWindow(16000, 1000)) { // 16x tail blowout
 		t.Fatal("degraded window produced no decision")
 	}
 	if got := rt.Policy().CommitBatch; got != 4 {
@@ -368,19 +351,12 @@ func TestTunerStepP99Decision(t *testing.T) {
 }
 
 func TestTunerStepAppliesDecision(t *testing.T) {
-	s := NewSampler(nil)
-	cfg := stm.DefaultConfig()
-	cfg.Lazy = true
-	cfg.Trace = s
-	cfg.KWindow = 64
-	cfg.Policy = core.RequestorAborts
-	rt := stm.New(64, cfg)
+	rt := adaptiveRuntime(func(c *stm.Config) { c.KWindow, c.Policy = 64, core.RequestorAborts })
+	tn := New(rt, Limits{}, time.Hour)
 
-	tn := New(rt, s, Limits{}, time.Hour) // Step drives it, not the ticker
-	// Window 1: busy with heavy grace waiting — lane should open.
-	feed(s, 1000, 600, 1000)
-	if !tn.Step() {
-		t.Fatal("Step made no decision on a contended window")
+	// Busy with heavy grace waiting — lane should open.
+	if !tn.StepWindow(activeWindow(0.6)) {
+		t.Fatal("no decision on a contended window")
 	}
 	if got := rt.Policy().CommitBatch; got != DefaultLimits().BatchSize {
 		t.Fatalf("runtime CommitBatch = %d after step, want %d", got, DefaultLimits().BatchSize)
@@ -388,8 +364,8 @@ func TestTunerStepAppliesDecision(t *testing.T) {
 	if rt.PolicySwaps() == 0 {
 		t.Fatal("no policy swap recorded")
 	}
-
-	// Window 2: idle — below the commit gate, no decision.
+	// The runtime itself is idle: its own window is below the commit
+	// gate, no decision.
 	if tn.Step() {
 		t.Fatal("Step decided on an idle window")
 	}
@@ -404,12 +380,8 @@ func TestTunerStepAppliesDecision(t *testing.T) {
 }
 
 func TestTunerOverrideAndResume(t *testing.T) {
-	s := NewSampler(nil)
-	cfg := stm.DefaultConfig()
-	cfg.Lazy = true
-	cfg.Trace = s
-	rt := stm.New(64, cfg)
-	tn := New(rt, s, Limits{}, time.Hour)
+	rt := adaptiveRuntime(nil)
+	tn := New(rt, Limits{}, time.Hour)
 
 	p := rt.Policy()
 	p.Hybrid = true
@@ -421,10 +393,11 @@ func TestTunerOverrideAndResume(t *testing.T) {
 		t.Fatal("view still reports auto after override")
 	}
 
-	// While overridden, a contended window must not be acted on.
-	feed(s, 1000, 600, 1000)
-	if tn.Step() {
-		t.Fatal("Step decided while manually overridden")
+	// While overridden, a busy window must not be acted on — neither
+	// a replayed one nor the plane's own.
+	commit(rt, 1000)
+	if tn.StepWindow(activeWindow(0.6)) || tn.Step() {
+		t.Fatal("decided while manually overridden")
 	}
 
 	tn.Resume()
@@ -441,18 +414,14 @@ func TestTunerOverrideAndResume(t *testing.T) {
 }
 
 func TestTunerStartStop(t *testing.T) {
-	s := NewSampler(nil)
-	cfg := stm.DefaultConfig()
-	cfg.Lazy = true
-	cfg.Trace = s
-	rt := stm.New(64, cfg)
-	tn := New(rt, s, Limits{}, time.Millisecond)
+	rt := adaptiveRuntime(nil)
+	tn := New(rt, Limits{}, time.Millisecond)
 	tn.Start()
 	tn.Start() // idempotent
-	feed(s, 1000, 600, 1000)
-	deadline := time.Now().Add(2 * time.Second)
+	// Keep committing until a tick's window is busy enough to decide.
+	deadline := time.Now().Add(10 * time.Second)
 	for rt.PolicySwaps() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+		commit(rt, 1000)
 	}
 	tn.Stop()
 	tn.Stop() // idempotent

@@ -32,19 +32,18 @@ type PolicyView struct {
 }
 
 // Tuner drives the control loop: every interval it snapshots the
-// Sampler, asks the Controller for a decision over the resulting
-// Window, and applies any change through Runtime.SetPolicy. Step runs
-// one iteration synchronously for tests and harnesses that want
-// deterministic pacing; Start runs it on a goroutine until Stop.
+// runtime's metrics plane, asks the Controller for a decision over
+// the Window since the previous snapshot, and applies any change
+// through Runtime.SetPolicy. Step runs one iteration synchronously
+// for tests and harnesses that want deterministic pacing; Start runs
+// it on a goroutine until Stop.
 type Tuner struct {
-	rt      *stm.Runtime
-	sampler *Sampler
-	ctl     *Controller
-	lazy    bool
+	rt   *stm.Runtime
+	ctl  *Controller
+	lazy bool
 
 	mu        sync.Mutex
-	prev      Counters
-	prevLat   metrics.HistSnapshot
+	prev      metrics.PlaneSnapshot
 	prevAt    time.Time
 	decisions []Decision
 	seq       uint64
@@ -56,20 +55,16 @@ type Tuner struct {
 	started  bool
 }
 
-// New builds a Tuner over rt fed by s (which must be installed as
-// rt's tracer — the Tuner cannot verify that, it just reads the
-// counters). interval <= 0 defaults to 100ms.
-func New(rt *stm.Runtime, s *Sampler, lim Limits, interval time.Duration) *Tuner {
+// New builds a Tuner over rt. interval <= 0 defaults to 100ms.
+func New(rt *stm.Runtime, lim Limits, interval time.Duration) *Tuner {
 	if interval <= 0 {
 		interval = 100 * time.Millisecond
 	}
 	return &Tuner{
 		rt:       rt,
-		sampler:  s,
 		ctl:      NewController(lim),
 		lazy:     rt.Config().Lazy,
-		prev:     s.Counters(),
-		prevLat:  s.Latency(),
+		prev:     rt.Metrics().Snapshot(),
 		prevAt:   time.Now(),
 		interval: interval,
 	}
@@ -122,37 +117,28 @@ func (t *Tuner) Step() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	now := time.Now()
-	cur := t.sampler.Counters()
-	lat := t.sampler.Latency()
-	w := cur.Sub(t.prev, now.Sub(t.prevAt))
-	d := lat.Sub(t.prevLat)
-	w.CommitP50Ns = d.Quantile(0.50)
-	w.CommitP99Ns = d.Quantile(0.99)
-	t.prev = cur
-	t.prevLat = lat
-	t.prevAt = now
-	if t.manual {
-		return false
-	}
-	p, reasons := t.ctl.Decide(w, t.rt.KEstimate(), t.lazy, t.rt.Policy())
-	if len(reasons) == 0 {
-		return false
-	}
-	t.rt.SetPolicy(p)
-	t.record(p.String(), reasons)
-	return true
+	cur := t.rt.Metrics().Snapshot()
+	w := windowOf(&cur, &t.prev, now.Sub(t.prevAt))
+	t.prev, t.prevAt = cur, now
+	return t.decide(w)
 }
 
 // StepWindow runs one control iteration over a caller-supplied
-// window instead of differencing the sampler: deterministic replay.
+// window instead of differencing the plane: deterministic replay.
 // Harnesses use it to drive the controller through a canned sequence
 // (a latency-regression drill, a recorded production trace) with the
 // tuner's real policy application and decision log, free of wall
-// clock noise. It does not disturb the sampler snapshot the periodic
+// clock noise. It does not disturb the plane snapshot the periodic
 // Step differencing uses.
 func (t *Tuner) StepWindow(w Window) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.decide(w)
+}
+
+// decide asks the controller about one window and applies its answer.
+// Caller holds t.mu.
+func (t *Tuner) decide(w Window) bool {
 	if t.manual {
 		return false
 	}

@@ -1,9 +1,12 @@
 package txkv
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,31 +18,50 @@ import (
 	"txconflict/internal/stm"
 )
 
-// promFamilies is the exposition surface /metrics promises: the four
-// latency summaries, the abort taxonomy, the sampled phase timers,
-// and the runtime/control-plane gauges. smoke-txkvd and the churn
-// test both fail if any family goes missing.
-var promFamilies = []string{
-	"txstm_attempt_latency_seconds",
-	"txstm_commit_latency_seconds",
-	"txstm_grace_wait_seconds",
-	"txstm_combiner_drain_seconds",
-	"txstm_aborted_attempts_total",
-	"txstm_commit_phase_seconds_total",
-	"txstm_commit_phase_samples_total",
-	"txstm_phase_sample_interval",
-	"txstm_commits_total",
-	"txstm_aborts_total",
-	"txkv_store_keys",
-	"txstm_policy_swaps_total",
-	"txstm_k_estimate",
+// promFamilies is the exposition surface /metrics promises, name and
+// type: the four latency summaries, the abort taxonomy, the sampled
+// phase timers, the twelve stm.Stats counters and the
+// runtime/control-plane gauges. smoke-txkvd and the churn test both
+// fail if any family goes missing, is retyped, or gains an unlisted
+// sibling.
+var promFamilies = map[string]string{
+	"txstm_attempt_latency_seconds":    "summary",
+	"txstm_commit_latency_seconds":     "summary",
+	"txstm_grace_wait_seconds":         "summary",
+	"txstm_combiner_drain_seconds":     "summary",
+	"txstm_aborted_attempts_total":     "counter",
+	"txstm_commit_phase_seconds_total": "counter",
+	"txstm_commit_phase_samples_total": "counter",
+	"txstm_phase_sample_interval":      "gauge",
+	"txstm_aborts_total":               "counter",
+	"txstm_batch_commits_total":        "counter",
+	"txstm_batch_fails_total":          "counter",
+	"txstm_batches_total":              "counter",
+	"txstm_commits_total":              "counter",
+	"txstm_extensions_total":           "counter",
+	"txstm_folded_commits_total":       "counter",
+	"txstm_folded_words_total":         "counter",
+	"txstm_grace_waits_total":          "counter",
+	"txstm_irrevocable_total":          "counter",
+	"txstm_kills_total":                "counter",
+	"txstm_self_aborts_total":          "counter",
+	"txkv_store_keys":                  "gauge",
+	"txstm_policy_swaps_total":         "counter",
+	"txstm_k_estimate":                 "gauge",
+}
+
+// statsKeys are the keys of the /v1/stats "stm" object (and of
+// stm.Stats.Snapshot).
+var statsKeys = []string{
+	"aborts", "batchCommits", "batchFails", "batches", "commits", "extensions",
+	"foldedCommits", "foldedWords", "graceWaits", "irrevocable", "kills", "selfAborts",
 }
 
 // checkExposition parses a Prometheus text-format (0.0.4) body and
 // fails the test on any structural violation: a sample without a
 // preceding TYPE line for its family, an unparsable value, or a
-// missing required family. It returns the set of family names seen.
-func checkExposition(t *testing.T, body string) map[string]string {
+// family set other than promFamilies.
+func checkExposition(t *testing.T, body string) {
 	t.Helper()
 	families := map[string]string{} // name -> type
 	for ln, line := range strings.Split(body, "\n") {
@@ -78,12 +100,34 @@ func checkExposition(t *testing.T, body string) map[string]string {
 			t.Fatalf("line %d: bad sample value %q: %v", ln+1, val, err)
 		}
 	}
-	for _, f := range promFamilies {
-		if _, ok := families[f]; !ok {
-			t.Errorf("exposition missing family %q", f)
-		}
+	if !reflect.DeepEqual(families, promFamilies) {
+		t.Errorf("exposition families = %v, want %v", families, promFamilies)
 	}
-	return families
+}
+
+// checkStatsKeys fetches /v1/stats and holds its "stm" object to
+// exactly statsKeys.
+func checkStatsKeys(t *testing.T, url string) {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st struct {
+		STM map[string]uint64 `json:"stm"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(st.STM))
+	for k := range st.STM {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if !reflect.DeepEqual(keys, statsKeys) {
+		t.Errorf("/v1/stats stm keys = %v, want %v", keys, statsKeys)
+	}
 }
 
 // scrape fetches /metrics and returns the body, checking status and
@@ -108,11 +152,13 @@ func scrape(t *testing.T, url string) string {
 	return string(buf)
 }
 
-// TestMetricsExposition drives real traffic through a metrics-enabled
-// server and validates the full /metrics contract: parseable 0.0.4
-// exposition, every promised family, every abort-reason label, the
-// quantile ladder on the commit-latency summary, and agreement
-// between the exposed commit counter and the runtime's ground truth.
+// TestMetricsExposition validates the full /metrics and /v1/stats
+// contract on a fresh server — every series is present from the first
+// scrape — and again after real traffic: parseable 0.0.4 exposition,
+// exactly the promised families and stats keys, every abort-reason
+// label, the quantile ladder on the commit-latency summary, and
+// agreement between the exposed commit counter and the runtime's
+// ground truth.
 func TestMetricsExposition(t *testing.T) {
 	w, err := ByName("document", Options{})
 	if err != nil {
@@ -128,28 +174,33 @@ func TestMetricsExposition(t *testing.T) {
 	ts := httptest.NewServer(sv)
 	defer ts.Close()
 
+	check := func() string {
+		body := scrape(t, ts.URL)
+		checkExposition(t, body)
+		checkStatsKeys(t, ts.URL)
+		for r := 0; r < metrics.NumAbortReasons; r++ {
+			want := `reason="` + metrics.AbortReason(r).String() + `"`
+			if !strings.Contains(body, want) {
+				t.Errorf("exposition missing abort series %s", want)
+			}
+		}
+		for _, q := range []string{`quantile="0.5"`, `quantile="0.9"`, `quantile="0.99"`, `quantile="0.999"`} {
+			if !strings.Contains(body, "txstm_commit_latency_seconds{"+q+"}") {
+				t.Errorf("commit latency summary missing %s", q)
+			}
+		}
+		return body
+	}
+	check()
 	if _, err := w.RunLocal(store, GenConfig{
 		Users: 4, Batch: 16, Duration: 60 * time.Millisecond, Seed: 3,
 	}); err != nil {
 		t.Fatal(err)
 	}
-
-	body := scrape(t, ts.URL)
-	checkExposition(t, body)
-	for r := 0; r < metrics.NumAbortReasons; r++ {
-		want := `reason="` + metrics.AbortReason(r).String() + `"`
-		if !strings.Contains(body, want) {
-			t.Errorf("exposition missing abort series %s", want)
-		}
-	}
-	for _, q := range []string{`quantile="0.5"`, `quantile="0.9"`, `quantile="0.99"`, `quantile="0.999"`} {
-		if !strings.Contains(body, "txstm_commit_latency_seconds{"+q+"}") {
-			t.Errorf("commit latency summary missing %s", q)
-		}
-	}
+	body := check()
 	// The exposed histogram count matches the runtime counter (the
 	// store is quiesced between RunLocal and the scrape).
-	commits := store.Runtime().Stats.Commits.Load()
+	commits := store.Runtime().Stats.Snapshot()["commits"]
 	want := "txstm_commit_latency_seconds_count " + strconv.FormatUint(commits, 10)
 	if !strings.Contains(body, want) {
 		t.Errorf("exposition lacks %q (runtime commits = %d)", want, commits)

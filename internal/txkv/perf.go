@@ -130,23 +130,21 @@ func Perf(cfg PerfConfig) (*PerfReport, error) {
 					return nil, fmt.Errorf("txkv: perf cell %s/%s/p%d: %w",
 						wname, mode.name, procs, err)
 				}
-				snap := s.Runtime().Stats.Snapshot()
+				ps := s.Runtime().Metrics().Snapshot()
+				snap, q := ps.Counts(), ps.Commit.Summary()
 				cell := PerfCell{
-					Workload:   wname,
-					Mode:       mode.name,
-					GOMAXPROCS: procs,
-					Users:      procs,
-					OpsPerSec:  res.OpsPerSec(),
-					Ops:        res.Ops,
-					Commits:    snap["commits"],
-					Aborts:     snap["aborts"],
-					Batches:    snap["batches"],
-					Folded:     snap["foldedCommits"],
-				}
-				if p := s.Runtime().Metrics(); p != nil {
-					ps := p.Snapshot()
-					q := ps.Commit.Summary()
-					cell.CommitP50Ns, cell.CommitP99Ns = q.P50, q.P99
+					Workload:    wname,
+					Mode:        mode.name,
+					GOMAXPROCS:  procs,
+					Users:       procs,
+					OpsPerSec:   res.OpsPerSec(),
+					Ops:         res.Ops,
+					Commits:     snap["commits"],
+					Aborts:      snap["aborts"],
+					Batches:     snap["batches"],
+					Folded:      snap["foldedCommits"],
+					CommitP50Ns: q.P50,
+					CommitP99Ns: q.P99,
 				}
 				rep.Cells = append(rep.Cells, cell)
 			}

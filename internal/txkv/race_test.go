@@ -153,7 +153,7 @@ func TestEscrowAddFolds(t *testing.T) {
 	}
 	// Every post-insert Add records a delta, and the combiner folds
 	// deltas even in singleton batches — so the fold ledger must move.
-	if got := s.Runtime().Stats.FoldedCommits.Load(); got == 0 {
+	if got := s.Runtime().Stats.Snapshot()["foldedCommits"]; got == 0 {
 		t.Fatal("no folded commits on the escrow Add path")
 	}
 }

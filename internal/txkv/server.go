@@ -138,9 +138,9 @@ type batchResponse struct {
 // ServeHTTP implements the front-end API:
 //
 //	POST /v1/batch   {"ops":[{"op":"put","key":1,"val":2},...]}
-//	GET  /v1/stats   committed size + live runtime counters, policy,
-//	                 and (metrics plane attached) latency quantiles +
-//	                 abort taxonomy
+//	GET  /v1/stats   committed size, policy, and one snapshot of the
+//	                 runtime's metrics plane: event counters, latency
+//	                 quantiles, abort taxonomy
 //	GET  /v1/policy  current policy + tuner decision log
 //	POST /v1/policy  manual policy override (suspends the tuner) or
 //	                 {"resume":true} to hand control back
@@ -154,21 +154,18 @@ func (sv *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		sv.handleBatch(w, r)
 	case "/v1/stats":
 		rt := sv.store.Runtime()
-		st := map[string]any{
-			"len":         sv.store.Len(),
-			"stm":         rt.Stats.Snapshot(),
-			"config":      rt.Config().String(),
-			"policy":      rt.Policy().String(),
-			"kEstimate":   rt.KEstimate(),
-			"policySwaps": rt.PolicySwaps(),
-			"adaptive":    sv.tuner != nil,
-		}
-		if p := rt.Metrics(); p != nil {
-			snap := p.Snapshot()
-			st["latency"] = snap.LatencySummaries()
-			st["abortReasons"] = snap.AbortCounts()
-		}
-		writeJSON(w, st)
+		snap := rt.Metrics().Snapshot()
+		writeJSON(w, map[string]any{
+			"len":          sv.store.Len(),
+			"stm":          snap.Counts(),
+			"config":       rt.Config().String(),
+			"policy":       rt.Policy().String(),
+			"kEstimate":    rt.KEstimate(),
+			"policySwaps":  rt.PolicySwaps(),
+			"adaptive":     sv.tuner != nil,
+			"latency":      snap.LatencySummaries(),
+			"abortReasons": snap.AbortCounts(),
+		})
 	case "/metrics":
 		sv.handleMetrics(w, r)
 	case "/v1/policy":
@@ -186,9 +183,9 @@ func (sv *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleMetrics renders the Prometheus text exposition: the metrics
-// plane's summaries/taxonomy/phase timers when one is attached, the
-// reflection-generated stm.Stats counters always, plus store-level
+// handleMetrics renders the Prometheus text exposition from one
+// snapshot of the runtime's metrics plane — summaries, taxonomy and
+// phase timers, then the stm.Stats counters — plus store-level
 // gauges. Families are emitted in a fixed order so successive scrapes
 // diff cleanly.
 func (sv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -199,16 +196,13 @@ func (sv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	rt := sv.store.Runtime()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	var buf bytes.Buffer
-	if p := rt.Metrics(); p != nil {
-		snap := p.Snapshot()
-		if err := snap.WriteProm(&buf, "txstm"); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
+	snap := rt.Metrics().Snapshot()
+	if err := snap.WriteProm(&buf, "txstm"); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
-	// Every Stats counter rides along under its snake_case name; the
-	// reflection snapshot keeps this complete as Stats grows fields.
-	stats := rt.Stats.Snapshot()
+	// Every Stats counter rides along under its snake_case name.
+	stats := snap.Counts()
 	keys := make([]string, 0, len(stats))
 	for k := range stats {
 		keys = append(keys, k)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"txconflict/internal/core"
+	"txconflict/internal/metrics"
 	"txconflict/internal/rng"
 	"txconflict/internal/stm"
 	"txconflict/internal/tune"
@@ -227,11 +228,9 @@ func TestPolicyEndpoint(t *testing.T) {
 		}
 		cfg := stm.DefaultConfig()
 		cfg.Lazy = true
-		sampler := tune.NewSampler(cfg.Trace)
-		cfg.Trace = sampler
 		store := w.NewStore(Config{STM: cfg})
 		sv := NewServer(store, 2, 1)
-		sv.AttachTuner(tune.New(store.Runtime(), sampler, tune.Limits{}, time.Hour))
+		sv.AttachTuner(tune.New(store.Runtime(), tune.Limits{}, time.Hour))
 		defer sv.Close()
 		ts := httptest.NewServer(sv)
 		defer ts.Close()
@@ -262,4 +261,61 @@ func TestPolicyEndpoint(t *testing.T) {
 			t.Fatal("tuner not auto after resume")
 		}
 	})
+}
+
+// TestAdaptiveNeedsNoTracer builds a store the way `txkvd -adaptive`
+// does — lazy, k estimator open, a metrics plane, nothing in
+// Config.Trace — and checks the control loop still sees the traffic:
+// the tuner windows the runtime's plane, so a commit-latency blowout
+// served through the pool is a recorded decision with no tracer
+// installed.
+func TestAdaptiveNeedsNoTracer(t *testing.T) {
+	w, err := ByName("readmostly", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := stm.DefaultConfig()
+	cfg.Lazy = true
+	cfg.KWindow = 64
+	cfg.Metrics = metrics.NewPlane(2, 0)
+	store := w.NewStore(Config{STM: cfg})
+	if tr := store.Runtime().Config().Trace; tr != nil {
+		t.Fatalf("adaptive store has tracer %T installed", tr)
+	}
+	sv := NewServer(store, 2, 1)
+	defer sv.Close()
+	tn := tune.New(store.Runtime(), tune.Limits{}, time.Hour) // Step drives it, not the ticker
+	sv.AttachTuner(tn)
+
+	exec := func(n int, op Op) {
+		t.Helper()
+		ops := make([]Op, n)
+		for i := range ops {
+			ops[i] = op
+		}
+		res, err := sv.Exec(ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range res {
+			if r.Err != "" {
+				t.Fatal(r.Err)
+			}
+		}
+	}
+	// Window 1: point reads seed the controller's p99 baseline.
+	exec(2000, Op{Kind: KindGet, Key: 1})
+	if tn.Step() {
+		t.Fatalf("baseline window decided: %+v", tn.Decisions())
+	}
+	// Window 2: 256-field documents, orders of magnitude slower per
+	// commit at lower throughput — the p99 rule's regression.
+	exec(200, Op{Kind: KindUpdateDoc, Key: 1, Fields: 256, Val: 7})
+	if !tn.Step() {
+		t.Fatal("tuner saw no regression in the plane's window")
+	}
+	ds := tn.Decisions()
+	if len(ds) != 1 || !strings.Contains(strings.Join(ds[0].Reasons, " "), "p99") {
+		t.Fatalf("decision log = %+v, want one p99 reason", ds)
+	}
 }

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test bench-smoke race-short race-adaptive scenario-parity smoke-txkv smoke-txkvd bench bench-stm bench-adaptive bench-batch bench-fold bench-fleet bench-txkv bench-latency bench-trace trace-demo fuzz-trace tidy
+.PHONY: all build vet fmt-check test bench-smoke race-short race-adaptive scenario-parity smoke-txkv smoke-txkvd bench bench-stm bench-adaptive bench-batch bench-fold bench-fleet bench-txkv bench-latency bench-trace trace-demo fuzz-trace tidy
 
 all: build vet test
 
@@ -12,6 +12,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt -l prints the files it would rewrite; any name is a failure.
+# A blocking CI step next to Vet (bench/ included: gofmt walks
+# directories, not modules).
+fmt-check:
+	@test -z "$$(gofmt -l . | tee /dev/stderr)"
 
 test:
 	$(GO) test ./...

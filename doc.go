@@ -17,8 +17,11 @@
 //
 // Two execution backends run the same scenarios: a cycle-level HTM
 // multicore simulator with directory MSI coherence (internal/htm,
-// fed through the internal/workload compiler) standing in for the
-// paper's Graphite setup, and a hand-rolled software transactional
+// fed through the internal/workload compiler; its event kernel,
+// internal/sim, keeps events by value and its timers and coherence
+// messages are typed, recycled records, so a warm simulation
+// allocates nothing per event) standing in for the paper's Graphite
+// setup, and a hand-rolled software transactional
 // runtime for real-goroutine experiments (internal/stm: a sharded
 // lock arena with cache-line-padded word metadata, striped per-shard
 // commit clocks with TL2-style snapshot extension, an attempt-epoch

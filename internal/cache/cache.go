@@ -7,7 +7,10 @@
 // verify memory semantics, not just protocol bookkeeping.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // LineBytes is the cache line size in bytes.
 const LineBytes = 64
@@ -56,7 +59,8 @@ type Line struct {
 	State State
 	// Tx marks the line as transactional (read or written inside the
 	// current transaction). Evicting or invalidating a Tx line aborts
-	// the transaction.
+	// the transaction. Set it through Cache.MarkTx, which is what lets
+	// commit and abort find the line again without a sweep.
 	Tx bool
 	// TxDirty marks lines speculatively written by the current
 	// transaction; their data must be discarded on abort.
@@ -79,6 +83,14 @@ type Cache struct {
 	lines      []Line
 	tick       uint64
 
+	// txMarked has bit i set when lines[i] was marked transactional
+	// since the last ClearTxBits/DropTxLines: the footprint commit and
+	// abort visit instead of every line. A bit can outlive its line's
+	// Tx flag (the way was evicted or invalidated, perhaps refilled),
+	// so visitors re-check the flag; walking bits in index order is
+	// walking ForEach's order.
+	txMarked []uint64
+
 	// Stats counters.
 	Hits, Misses, Evictions uint64
 }
@@ -92,7 +104,8 @@ func New(sets, ways int) *Cache {
 	if sets&(sets-1) != 0 {
 		panic("cache: sets must be a power of two")
 	}
-	return &Cache{sets: sets, ways: ways, lines: make([]Line, sets*ways)}
+	n := sets * ways
+	return &Cache{sets: sets, ways: ways, lines: make([]Line, n), txMarked: make([]uint64, (n+63)/64)}
 }
 
 // Sets returns the number of sets.
@@ -101,9 +114,12 @@ func (c *Cache) Sets() int { return c.sets }
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
+// setBase returns the index in lines of the first way of la's set.
+func (c *Cache) setBase(la LineAddr) int { return int(uint64(la)&uint64(c.sets-1)) * c.ways }
+
 func (c *Cache) setOf(la LineAddr) []Line {
-	s := int(uint64(la) & uint64(c.sets-1))
-	return c.lines[s*c.ways : (s+1)*c.ways]
+	b := c.setBase(la)
+	return c.lines[b : b+c.ways]
 }
 
 // Lookup returns the valid line holding la, updating LRU and hit/miss
@@ -223,35 +239,63 @@ func (c *Cache) ForEach(fn func(*Line)) {
 	}
 }
 
+// MarkTx sets the transactional bit on l, a line of this cache, and
+// TxDirty too when the access is a speculative write.
+func (c *Cache) MarkTx(l *Line, dirty bool) {
+	if dirty {
+		l.TxDirty = true
+	}
+	if l.Tx {
+		return
+	}
+	l.Tx = true
+	b := c.setBase(l.Tag)
+	for i := b; i < b+c.ways; i++ {
+		if &c.lines[i] == l {
+			c.txMarked[i/64] |= 1 << uint(i%64)
+			return
+		}
+	}
+	panic("cache: MarkTx on a line of another cache")
+}
+
+// ForEachTx calls fn on every transactional line, in the order
+// ForEach would reach them.
+func (c *Cache) ForEachTx(fn func(*Line)) {
+	for w, word := range c.txMarked {
+		for ; word != 0; word &= word - 1 {
+			if l := &c.lines[w*64+bits.TrailingZeros64(word)]; l.Tx {
+				fn(l)
+			}
+		}
+	}
+}
+
 // TxLines returns the addresses of all transactional lines.
 func (c *Cache) TxLines() []LineAddr {
 	var out []LineAddr
-	c.ForEach(func(l *Line) {
-		if l.Tx {
-			out = append(out, l.Tag)
-		}
-	})
+	c.ForEachTx(func(l *Line) { out = append(out, l.Tag) })
 	return out
 }
 
 // ClearTxBits ends a transaction by clearing Tx/TxDirty on all lines
 // (the commit path of Algorithm 1).
 func (c *Cache) ClearTxBits() {
-	c.ForEach(func(l *Line) {
+	c.ForEachTx(func(l *Line) {
 		l.Tx = false
 		l.TxDirty = false
 	})
+	clear(c.txMarked)
 }
 
 // DropTxLines invalidates all transactional lines (the abort path of
-// Algorithm 1) and returns their addresses.
-func (c *Cache) DropTxLines() []LineAddr {
-	var dropped []LineAddr
-	c.ForEach(func(l *Line) {
-		if l.Tx {
-			dropped = append(dropped, l.Tag)
-			*l = Line{}
-		}
+// Algorithm 1) and returns how many there were.
+func (c *Cache) DropTxLines() int {
+	n := 0
+	c.ForEachTx(func(l *Line) {
+		*l = Line{}
+		n++
 	})
-	return dropped
+	clear(c.txMarked)
+	return n
 }

@@ -101,7 +101,7 @@ func TestEvictionAvoidsTxLines(t *testing.T) {
 	c := New(1, 2)
 	a, _, _ := c.Insert(1)
 	a.State = Modified
-	a.Tx = true
+	c.MarkTx(a, false)
 	b, _, _ := c.Insert(2)
 	b.State = Shared
 	c.Lookup(1) // 1 is MRU *and* Tx; 2 is LRU non-Tx
@@ -112,7 +112,7 @@ func TestEvictionAvoidsTxLines(t *testing.T) {
 	// Now both remaining lines (1 Tx, 3) — make 3 Tx too and force a
 	// Tx eviction.
 	l3.State = Shared
-	l3.Tx = true
+	c.MarkTx(l3, false)
 	_, victim, ev = c.Insert(4)
 	if !ev || !victim.Tx {
 		t.Fatal("forced eviction should surface a Tx victim")
@@ -141,10 +141,7 @@ func TestTxBitLifecycle(t *testing.T) {
 	for _, la := range []LineAddr{1, 2, 3} {
 		l, _, _ := c.Insert(la)
 		l.State = Modified
-		l.Tx = true
-		if la == 2 {
-			l.TxDirty = true
-		}
+		c.MarkTx(l, la == 2)
 	}
 	nl, _, _ := c.Insert(9)
 	nl.State = Shared // non-tx line
@@ -168,13 +165,12 @@ func TestDropTxLines(t *testing.T) {
 	for _, la := range []LineAddr{1, 2} {
 		l, _, _ := c.Insert(la)
 		l.State = Modified
-		l.Tx = true
+		c.MarkTx(l, false)
 	}
 	l, _, _ := c.Insert(3)
 	l.State = Shared
-	dropped := c.DropTxLines()
-	if len(dropped) != 2 {
-		t.Fatalf("dropped %v", dropped)
+	if dropped := c.DropTxLines(); dropped != 2 {
+		t.Fatalf("dropped %d", dropped)
 	}
 	if c.Peek(1) != nil || c.Peek(2) != nil {
 		t.Fatal("tx lines survived abort")
@@ -182,6 +178,151 @@ func TestDropTxLines(t *testing.T) {
 	if c.Peek(3) == nil {
 		t.Fatal("non-tx line dropped by abort")
 	}
+}
+
+// sweepTx is what the transactional footprint meant before the cache
+// remembered it: every valid line with Tx set, in ForEach order.
+func sweepTx(c *Cache) []LineAddr {
+	var out []LineAddr
+	c.ForEach(func(l *Line) {
+		if l.Tx {
+			out = append(out, l.Tag)
+		}
+	})
+	return out
+}
+
+func sameAddrs(a, b []LineAddr) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestTxSetOrderAndDuplicates marks lines out of index order, some
+// twice: ForEachTx and TxLines must list each once, in ForEach order.
+func TestTxSetOrderAndDuplicates(t *testing.T) {
+	c := New(4, 2)
+	for _, la := range []LineAddr{7, 2, 6, 1, 3} { // sets 3,2,2,1,3
+		l, _, _ := c.Insert(la)
+		l.State = Shared
+	}
+	for _, la := range []LineAddr{7, 6, 1, 7, 6} {
+		c.MarkTx(c.Peek(la), false)
+	}
+	c.MarkTx(c.Peek(1), true) // read then written: one entry, now dirty
+	want := []LineAddr{1, 6, 7}
+	if got := c.TxLines(); !sameAddrs(got, want) || !sameAddrs(got, sweepTx(c)) {
+		t.Fatalf("TxLines = %v, sweep = %v, want %v", got, sweepTx(c), want)
+	}
+	var visited []LineAddr
+	c.ForEachTx(func(l *Line) { visited = append(visited, l.Tag) })
+	if !sameAddrs(visited, want) {
+		t.Fatalf("ForEachTx visited %v, want %v", visited, want)
+	}
+	if !c.Peek(1).TxDirty || c.Peek(6).TxDirty {
+		t.Fatal("TxDirty not tracked per line")
+	}
+	if n := c.DropTxLines(); n != 3 {
+		t.Fatalf("dropped %d, want 3", n)
+	}
+	if got := c.TxLines(); len(got) != 0 {
+		t.Fatalf("TxLines after drop = %v", got)
+	}
+	if c.Peek(2) == nil || c.Peek(3) == nil {
+		t.Fatal("non-tx lines dropped")
+	}
+}
+
+// TestTxSetEvictedThenRefilled covers a marked way that loses its
+// line: refilled by a non-transactional line it must not be visited,
+// marked again it must be visited once, and a commit in between must
+// not leave a mark that leaks into the next transaction.
+func TestTxSetEvictedThenRefilled(t *testing.T) {
+	c := New(2, 1)
+	a, _, _ := c.Insert(4)
+	a.State = Modified
+	c.MarkTx(a, true)
+	// Forced eviction of the only (transactional) way, refilled by a
+	// plain line.
+	b, victim, ev := c.Insert(6)
+	if !ev || !victim.Tx || b != a {
+		t.Fatalf("expected the tx way to be evicted and reused (ev=%v victim=%+v)", ev, victim)
+	}
+	b.State = Shared
+	if got := c.TxLines(); len(got) != 0 || len(sweepTx(c)) != 0 {
+		t.Fatalf("stale mark visited: TxLines = %v", got)
+	}
+	// Marked again: visited once.
+	c.MarkTx(b, false)
+	if got := c.TxLines(); !sameAddrs(got, []LineAddr{6}) {
+		t.Fatalf("TxLines = %v, want [6]", got)
+	}
+	// Invalidated while marked, then refilled unmarked.
+	c.Invalidate(6)
+	d, _, _ := c.Insert(8)
+	d.State = Shared
+	if got := c.TxLines(); len(got) != 0 {
+		t.Fatalf("TxLines after invalidate+refill = %v", got)
+	}
+	c.ClearTxBits()
+	c.MarkTx(d, false)
+	c.ClearTxBits()
+	if d.Tx || len(c.TxLines()) != 0 {
+		t.Fatal("ClearTxBits left a transactional line")
+	}
+}
+
+// TestTxSetMatchesSweep drives random insert/mark/invalidate/commit/
+// abort traffic over a geometry wider than one mask word and checks
+// the remembered footprint against the full sweep after every step.
+func TestTxSetMatchesSweep(t *testing.T) {
+	r := rng.New(11)
+	c := New(32, 4)
+	for step := 0; step < 20000; step++ {
+		la := LineAddr(r.Intn(512))
+		switch r.Intn(8) {
+		case 0, 1, 2:
+			l, _, _ := c.Insert(la)
+			l.State = Shared
+		case 3, 4, 5:
+			if l := c.Peek(la); l != nil {
+				c.MarkTx(l, r.Intn(2) == 0)
+			}
+		case 6:
+			c.Invalidate(la)
+		case 7:
+			want := len(sweepTx(c))
+			if r.Intn(2) == 0 {
+				c.ClearTxBits()
+			} else if n := c.DropTxLines(); n != want {
+				t.Fatalf("step %d: dropped %d, sweep had %d", step, n, want)
+			}
+			if left := sweepTx(c); len(left) != 0 {
+				t.Fatalf("step %d: tx lines survived: %v", step, left)
+			}
+		}
+		if got, want := c.TxLines(), sweepTx(c); !sameAddrs(got, want) {
+			t.Fatalf("step %d: TxLines = %v, sweep = %v", step, got, want)
+		}
+	}
+}
+
+func TestMarkTxForeignLinePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("MarkTx accepted a line of another cache")
+		}
+	}()
+	a, b := New(2, 2), New(2, 2)
+	l, _, _ := a.Insert(1)
+	l.State = Shared
+	b.MarkTx(l, false)
 }
 
 func TestSetIsolation(t *testing.T) {

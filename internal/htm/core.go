@@ -35,9 +35,13 @@ type Core struct {
 	txStart  sim.Time
 	attempts int
 
-	// One outstanding memory request (blocking MSHR).
+	// One outstanding memory request (blocking MSHR), held in req: the
+	// directory and parking cores point at it until the grant or NACK
+	// is sent, and the core issues no other before that arrives — an
+	// abort with a request in flight waits for it (restartPending).
 	inflight       bool
 	restartPending bool
+	req            request
 
 	// committing marks the window between reaching the commit point
 	// and the commit completing. A transaction in this window has
@@ -67,15 +71,50 @@ func newCore(id int, m *Machine, r *rng.Rand) *Core {
 	}
 }
 
-// guard wraps a continuation so that it fires only if the transaction
-// epoch is unchanged (i.e. no commit/abort invalidated it).
-func (c *Core) guard(fn func()) func() {
-	e := c.epoch
-	return func() {
-		if c.epoch == e {
-			fn()
-		}
+// Fire implements sim.Handler: the core's own timers and the
+// directory's messages to it. The first three timers are guarded: they
+// carry the epoch they were armed in and fire only if no commit or
+// abort has moved the transaction past it since.
+func (c *Core) Fire(kind int, epoch uint64, msg any) {
+	if kind <= evGraceExpire && c.epoch != epoch {
+		return
 	}
+	switch kind {
+	case evStep:
+		c.step()
+	case evFinishCommit:
+		c.finishCommit()
+	case evGraceExpire:
+		c.graceExpire()
+	case evNextTx:
+		c.nextTx()
+	case evBeginTx:
+		c.beginTx()
+	default:
+		mg := msg.(*message)
+		switch kind {
+		case evGrant:
+			c.handleGrant(mg.la, &mg.data, mg.write)
+		case evNackAbort:
+			c.handleNackAbort(mg.la)
+		case evInv:
+			c.handleInv(mg.req, mg.chain)
+		case evFetch:
+			c.handleFetch(mg.req, mg.chain)
+		}
+		c.m.release(mg)
+	}
+}
+
+// timer arms one of the core's own events, stamped with its epoch.
+func (c *Core) timer(d sim.Time, kind int) { c.m.K.Post(d, c, kind, c.epoch, nil) }
+
+// toDir posts a message to the directory, one network hop away, and
+// returns it for the caller to fill in.
+func (c *Core) toDir(kind int) *message {
+	mg := c.m.post(c.m.coreDirLatency(c.id), c.m.Dir, kind)
+	mg.core = c.id
+	return mg
 }
 
 // start fetches the first transaction. Cores are staggered by their
@@ -112,14 +151,14 @@ func (c *Core) step() {
 	}
 	if c.pc >= len(c.ops) {
 		c.committing = true
-		c.m.K.After(c.m.P.CommitLatency, c.guard(c.finishCommit))
+		c.timer(c.m.P.CommitLatency, evFinishCommit)
 		return
 	}
 	op := c.ops[c.pc]
 	switch op.Kind {
 	case OpCompute:
 		c.pc++
-		c.m.K.After(op.Cycles, c.guard(c.step))
+		c.timer(op.Cycles, evStep)
 	case OpRead, OpWrite:
 		c.access(op)
 	}
@@ -139,14 +178,14 @@ func (c *Core) access(op Op) {
 	if line != nil && (!write || line.State == cache.Modified) {
 		c.applyOp(op, line)
 		c.pc++
-		c.m.K.After(c.m.P.L1Latency, c.guard(c.step))
+		c.timer(c.m.P.L1Latency, evStep)
 		return
 	}
 	if line == nil {
 		nl, victim, evicted := c.L1.Insert(la)
 		if evicted {
 			if victim.State == cache.Modified && !victim.Tx {
-				c.sendWriteback(victim.Tag, victim.Data)
+				c.sendWriteback(victim.Tag, &victim.Data)
 			}
 			if victim.Tx {
 				// Algorithm 1, line 4: evicting a transactional
@@ -170,7 +209,7 @@ func (c *Core) access(op Op) {
 // with sufficient permissions, marking it transactional.
 func (c *Core) applyOp(op Op, line *cache.Line) {
 	ea := op.EffectiveAddr(&c.regs)
-	line.Tx = true
+	c.L1.MarkTx(line, op.Kind == OpWrite)
 	w := cache.WordOf(ea)
 	if op.Kind == OpWrite {
 		val := op.Imm
@@ -178,7 +217,6 @@ func (c *Core) applyOp(op Op, line *cache.Line) {
 			val += c.regs[op.SrcReg&7]
 		}
 		line.Data[w] = val
-		line.TxDirty = true
 	} else {
 		c.regs[op.Dst&7] = line.Data[w]
 	}
@@ -187,7 +225,7 @@ func (c *Core) applyOp(op Op, line *cache.Line) {
 // sendRequest issues GetS/GetX to the directory.
 func (c *Core) sendRequest(la cache.LineAddr, write bool) {
 	c.inflight = true
-	req := &request{
+	c.req = request{
 		core:    c.id,
 		write:   write,
 		reqTx:   c.txActive,
@@ -196,11 +234,11 @@ func (c *Core) sendRequest(la cache.LineAddr, write bool) {
 		la:      la,
 	}
 	if write {
-		c.m.count("core.getx")
+		c.m.count(ctCoreGetX)
 	} else {
-		c.m.count("core.gets")
+		c.m.count(ctCoreGetS)
 	}
-	c.m.K.After(c.m.coreDirLatency(c.id), func() { c.m.Dir.Request(req) })
+	c.toDir(evRequest).req = &c.req
 }
 
 // dropEvictedTxVictim releases the directory-side state of a
@@ -213,18 +251,18 @@ func (c *Core) dropEvictedTxVictim(victim cache.Line) {
 	if victim.State != cache.Modified {
 		return // Shared drops stay silent; the sharer mask is a superset
 	}
-	la := victim.Tag
-	c.m.count("core.dropowned")
-	c.m.K.After(c.m.coreDirLatency(c.id), func() { c.m.Dir.DropOwned(c.id, la) })
+	c.m.count(ctCoreDropOwned)
+	c.toDir(evDropOwned).la = victim.Tag
 }
 
-func (c *Core) sendWriteback(la cache.LineAddr, data [cache.WordsPerLine]uint64) {
-	c.m.count("core.writeback")
-	c.m.K.After(c.m.coreDirLatency(c.id), func() { c.m.Dir.Writeback(c.id, la, data) })
+func (c *Core) sendWriteback(la cache.LineAddr, data *[cache.WordsPerLine]uint64) {
+	c.m.count(ctCoreWriteback)
+	mg := c.toDir(evWriteback)
+	mg.la, mg.data = la, *data
 }
 
 // handleGrant receives data and permissions from the directory.
-func (c *Core) handleGrant(la cache.LineAddr, data [cache.WordsPerLine]uint64, write bool) {
+func (c *Core) handleGrant(la cache.LineAddr, data *[cache.WordsPerLine]uint64, write bool) {
 	c.inflight = false
 	line := c.L1.FindPending(la)
 	if line == nil {
@@ -234,14 +272,14 @@ func (c *Core) handleGrant(la cache.LineAddr, data [cache.WordsPerLine]uint64, w
 		nl, victim, evicted := c.L1.Insert(la)
 		if evicted {
 			if victim.State == cache.Modified && !victim.Tx {
-				c.sendWriteback(victim.Tag, victim.Data)
+				c.sendWriteback(victim.Tag, &victim.Data)
 			}
 			if victim.Tx && c.txActive {
 				c.dropEvictedTxVictim(victim)
 				c.capAborts++
 				// Fill first so the grant is not lost, then abort.
 				nl.State = grantState(write)
-				nl.Data = data
+				nl.Data = *data
 				c.doAbort()
 				return
 			}
@@ -249,7 +287,7 @@ func (c *Core) handleGrant(la cache.LineAddr, data [cache.WordsPerLine]uint64, w
 		line = nl
 	}
 	line.Pending = false
-	line.Data = data
+	line.Data = *data
 	line.State = grantState(write)
 	if c.restartPending {
 		c.restartPending = false
@@ -263,7 +301,7 @@ func (c *Core) handleGrant(la cache.LineAddr, data [cache.WordsPerLine]uint64, w
 	// charge the access latency before the next op.
 	c.applyOp(c.ops[c.pc], line)
 	c.pc++
-	c.m.K.After(c.m.P.L1Latency, c.guard(c.step))
+	c.timer(c.m.P.L1Latency, evStep)
 }
 
 func grantState(write bool) cache.State {
@@ -297,7 +335,7 @@ func (c *Core) handleFetch(req *request, chain int) {
 	line := c.L1.Peek(req.la)
 	if line == nil || line.State != cache.Modified {
 		// Aborted (dropped) or evicted (writeback in flight).
-		c.m.K.After(c.m.coreDirLatency(c.id), func() { c.m.Dir.OwnerMiss(req, c.id) })
+		c.toDir(evOwnerMiss).req = req
 		return
 	}
 	if line.Tx && c.txActive {
@@ -309,14 +347,14 @@ func (c *Core) handleFetch(req *request, chain int) {
 
 // serveFetch replies with data, demoting or invalidating locally.
 func (c *Core) serveFetch(req *request, line *cache.Line) {
-	data := line.Data
+	c.m.count(ctCoreOwnerReply)
+	mg := c.toDir(evOwnerReply)
+	mg.req, mg.data = req, line.Data
 	if req.write {
 		c.L1.Invalidate(req.la)
 	} else {
 		line.State = cache.Shared
 	}
-	c.m.count("core.ownerreply")
-	c.m.K.After(c.m.coreDirLatency(c.id), func() { c.m.Dir.OwnerReply(req, c.id, data) })
 }
 
 // handleInv processes an invalidation of a Shared line.
@@ -335,13 +373,13 @@ func (c *Core) handleInv(req *request, chain int) {
 }
 
 func (c *Core) ackInv(req *request) {
-	c.m.count("core.invack")
-	c.m.K.After(c.m.coreDirLatency(c.id), func() { c.m.Dir.InvAck(req, c.id) })
+	c.m.count(ctCoreInvAck)
+	c.toDir(evInvAck).req = req
 }
 
 func (c *Core) nackInv(req *request) {
-	c.m.count("core.invnack")
-	c.m.K.After(c.m.coreDirLatency(c.id), func() { c.m.Dir.InvNack(req, c.id) })
+	c.m.count(ctCoreInvNack)
+	c.toDir(evInvNack).req = req
 }
 
 // conflict is the paper's decision point: a remote request has hit a
@@ -351,7 +389,7 @@ func (c *Core) nackInv(req *request) {
 // rather than starting a new one.
 func (c *Core) conflict(req *request, isFetch bool, chain int) {
 	c.conflicts++
-	c.m.count("core.conflict")
+	c.m.count(ctCoreConflict)
 	c.pending = append(c.pending, pendingConflict{req: req, isFetch: isFetch})
 	if c.committing || c.graceArmed {
 		return
@@ -370,7 +408,7 @@ func (c *Core) conflict(req *request, isFetch bool, chain int) {
 		c.graceExpire()
 		return
 	}
-	c.m.K.After(x, c.guard(c.graceExpire))
+	c.timer(x, evGraceExpire)
 }
 
 // policyFor returns the resolution policy for a conflict of chain
@@ -446,17 +484,15 @@ func (c *Core) graceExpire() {
 			return
 		}
 	}
-	pend := c.pending
-	c.pending = nil
-	for _, p := range pend {
+	for _, p := range c.pending {
 		if p.isFetch {
-			req := p.req
-			c.m.count("core.ownernack")
-			c.m.K.After(c.m.coreDirLatency(c.id), func() { c.m.Dir.OwnerNack(req, c.id) })
+			c.m.count(ctCoreOwnerNack)
+			c.toDir(evOwnerNack).req = p.req
 		} else {
 			c.nackInv(p.req)
 		}
 	}
+	c.pending = c.pending[:0]
 }
 
 // finishCommit completes the transaction: committed speculative data
@@ -468,11 +504,11 @@ func (c *Core) finishCommit() {
 		c.graceCommits++
 	}
 	c.m.profileUpdate(float64(c.m.K.Now() - c.txStart))
-	c.L1.ForEach(func(l *cache.Line) {
+	c.L1.ForEachTx(func(l *cache.Line) {
 		if l.TxDirty {
-			la, data := l.Tag, l.Data
-			c.m.count("core.commitdata")
-			c.m.K.After(c.m.coreDirLatency(c.id), func() { c.m.Dir.CommitData(c.id, la, data) })
+			c.m.count(ctCoreCommitData)
+			mg := c.toDir(evCommitData)
+			mg.la, mg.data = l.Tag, l.Data
 		}
 	})
 	c.L1.ClearTxBits()
@@ -481,7 +517,7 @@ func (c *Core) finishCommit() {
 	c.graceArmed = false
 	c.epoch++
 	c.servePending(true)
-	c.m.K.After(c.think, c.nextTx)
+	c.timer(c.think, evNextTx)
 }
 
 // doAbort aborts the running transaction: speculative lines are
@@ -494,7 +530,7 @@ func (c *Core) doAbort() {
 		return
 	}
 	c.aborts++
-	c.m.count("core.abort")
+	c.m.count(ctCoreAbort)
 	c.txActive = false
 	c.committing = false
 	c.epoch++
@@ -503,11 +539,10 @@ func (c *Core) doAbort() {
 	// Notify the directory about dropped Modified lines so ownership
 	// does not dangle (Shared drops stay silent; the sharer mask is a
 	// conservative superset).
-	c.L1.ForEach(func(l *cache.Line) {
-		if l.Tx && l.State == cache.Modified {
-			la := l.Tag
-			c.m.count("core.dropowned")
-			c.m.K.After(c.m.coreDirLatency(c.id), func() { c.m.Dir.DropOwned(c.id, la) })
+	c.L1.ForEachTx(func(l *cache.Line) {
+		if l.State == cache.Modified {
+			c.m.count(ctCoreDropOwned)
+			c.toDir(evDropOwned).la = l.Tag
 		}
 	})
 	c.L1.DropTxLines()
@@ -540,22 +575,20 @@ func (c *Core) scheduleRestart() {
 		}
 		delay += sim.Time(c.rng.Uint64n(uint64(limit)))
 	}
-	c.m.K.After(delay, c.beginTx)
+	c.timer(delay, evBeginTx)
 }
 
 // servePending releases parked requests after commit (with data) or
 // abort (with OwnerMiss, since the lines were dropped).
 func (c *Core) servePending(committed bool) {
-	pend := c.pending
-	c.pending = nil
-	for _, p := range pend {
+	for _, p := range c.pending {
 		req := p.req
 		if p.isFetch {
 			line := c.L1.Peek(req.la)
 			if committed && line != nil && line.State == cache.Modified {
 				c.serveFetch(req, line)
 			} else {
-				c.m.K.After(c.m.coreDirLatency(c.id), func() { c.m.Dir.OwnerMiss(req, c.id) })
+				c.toDir(evOwnerMiss).req = req
 			}
 		} else {
 			if committed {
@@ -564,4 +597,5 @@ func (c *Core) servePending(committed bool) {
 			c.ackInv(req)
 		}
 	}
+	c.pending = c.pending[:0]
 }

@@ -1,6 +1,8 @@
 package htm
 
 import (
+	"math/bits"
+
 	"txconflict/internal/cache"
 	"txconflict/internal/sim"
 )
@@ -65,22 +67,53 @@ func (d *Directory) entry(la cache.LineAddr) *dirEntry {
 }
 
 // ReadWord returns the directory's committed value of a word; tests
-// use it to check end-to-end memory semantics.
+// use it to check end-to-end memory semantics. Reading a line nobody
+// has requested creates no record of it.
 func (d *Directory) ReadWord(byteAddr uint64) uint64 {
-	e := d.entry(cache.LineOf(byteAddr))
-	return e.data[cache.WordOf(byteAddr)]
+	if e := d.entries[cache.LineOf(byteAddr)]; e != nil {
+		return e.data[cache.WordOf(byteAddr)]
+	}
+	return 0
 }
 
-// queueLen returns the number of requests waiting on the line,
-// including the one in flight. The conflict chain length presented to
-// strategies is 2 + (waiters behind the current request).
-func (d *Directory) queueLen(la cache.LineAddr) int {
-	return len(d.entry(la).queue)
+// Fire implements sim.Handler: the arrival of a core's message, or
+// the directory's own deferred re-dispatch of a request.
+func (d *Directory) Fire(kind int, _ uint64, msg any) {
+	mg := msg.(*message)
+	switch kind {
+	case evRequest:
+		d.Request(mg.req)
+	case evBegin:
+		d.begin(d.entry(mg.req.la), mg.req)
+	case evInvAck:
+		d.InvAck(mg.req, mg.core)
+	case evInvNack:
+		d.InvNack(mg.req, mg.core)
+	case evOwnerReply:
+		d.OwnerReply(mg.req, mg.core, &mg.data)
+	case evOwnerNack:
+		d.OwnerNack(mg.req, mg.core)
+	case evOwnerMiss:
+		d.OwnerMiss(mg.req, mg.core)
+	case evDropOwned:
+		d.DropOwned(mg.core, mg.la)
+	case evWriteback:
+		d.Writeback(mg.core, mg.la, &mg.data)
+	case evCommitData:
+		d.CommitData(mg.core, mg.la, &mg.data)
+	}
+	d.m.release(mg)
+}
+
+// toCore posts a message to a core, one network hop away, and returns
+// it for the caller to fill in.
+func (d *Directory) toCore(core, kind int) *message {
+	return d.m.post(d.m.coreDirLatency(core), d.m.Cores[core], kind)
 }
 
 // Request is the arrival point of GetS/GetX messages.
 func (d *Directory) Request(req *request) {
-	d.m.count("dir.request")
+	d.m.count(ctDirRequest)
 	e := d.entry(req.la)
 	if e.busy {
 		e.queue = append(e.queue, req)
@@ -119,39 +152,31 @@ func (d *Directory) begin(e *dirEntry, req *request) {
 			d.grant(e, req)
 			return
 		}
-		req.acksLeft = popcount(targets)
+		req.acksLeft = bits.OnesCount64(targets)
 		req.nacked = false
-		chain := 2 + len(e.queue)
-		for c := 0; c < d.m.P.Cores; c++ {
-			if targets&(1<<uint(c)) != 0 {
-				c := c
-				d.m.count("dir.inv")
-				d.m.K.After(d.m.coreDirLatency(c), func() {
-					d.m.Cores[c].handleInv(req, chain)
-				})
-			}
+		for ; targets != 0; targets &= targets - 1 {
+			d.m.count(ctDirInv)
+			mg := d.toCore(bits.TrailingZeros64(targets), evInv)
+			mg.req, mg.chain = req, 2+len(e.queue)
 		}
 	case dirM:
 		if e.owner == req.core {
 			// The owner's eviction writeback is still in flight;
 			// retry once it lands.
-			d.m.count("dir.retry")
-			d.m.K.After(2*d.m.coreDirLatency(req.core), func() { d.begin(e, req) })
+			d.m.count(ctDirRetry)
+			d.m.post(2*d.m.coreDirLatency(req.core), d, evBegin).req = req
 			return
 		}
-		owner := e.owner
-		chain := 2 + len(e.queue)
-		d.m.count("dir.fetch")
-		d.m.K.After(d.m.coreDirLatency(owner), func() {
-			d.m.Cores[owner].handleFetch(req, chain)
-		})
+		d.m.count(ctDirFetch)
+		mg := d.toCore(e.owner, evFetch)
+		mg.req, mg.chain = req, 2+len(e.queue)
 	}
 }
 
 // InvAck is a sharer's acknowledgment of an invalidation (possibly
 // after a grace period and a receiver abort).
 func (d *Directory) InvAck(req *request, from int) {
-	d.m.count("dir.invack")
+	d.m.count(ctDirInvAck)
 	e := d.entry(req.la)
 	e.sharers &^= 1 << uint(from)
 	req.acksLeft--
@@ -161,7 +186,7 @@ func (d *Directory) InvAck(req *request, from int) {
 // InvNack is a transactional sharer's refusal (requestor-aborts
 // policy): the sharer keeps its line and the requestor must abort.
 func (d *Directory) InvNack(req *request, from int) {
-	d.m.count("dir.invnack")
+	d.m.count(ctDirInvNack)
 	req.nacked = true
 	req.acksLeft--
 	d.maybeFinishInv(d.entry(req.la), req)
@@ -184,10 +209,10 @@ func (d *Directory) maybeFinishInv(e *dirEntry, req *request) {
 // OwnerReply carries the owner's current data for a fetched line. For
 // a write fetch the owner has invalidated its copy; for a read fetch
 // it demoted to Shared.
-func (d *Directory) OwnerReply(req *request, from int, data [cache.WordsPerLine]uint64) {
-	d.m.count("dir.ownerreply")
+func (d *Directory) OwnerReply(req *request, from int, data *[cache.WordsPerLine]uint64) {
+	d.m.count(ctDirOwnerReply)
 	e := d.entry(req.la)
-	e.data = data
+	e.data = *data
 	if req.write {
 		e.state = dirM
 		e.owner = req.core
@@ -202,7 +227,7 @@ func (d *Directory) OwnerReply(req *request, from int, data [cache.WordsPerLine]
 // OwnerNack is the owner's refusal under requestor-aborts: the owner
 // keeps the line and the requestor aborts.
 func (d *Directory) OwnerNack(req *request, from int) {
-	d.m.count("dir.ownernack")
+	d.m.count(ctDirOwnerNack)
 	d.fail(d.entry(req.la), req)
 }
 
@@ -211,7 +236,7 @@ func (d *Directory) OwnerNack(req *request, from int) {
 // has arrived, clearing dirM, or is about to). Ownership is cleared
 // and the request re-dispatched; the directory copy is authoritative.
 func (d *Directory) OwnerMiss(req *request, from int) {
-	d.m.count("dir.ownermiss")
+	d.m.count(ctDirOwnerMiss)
 	e := d.entry(req.la)
 	if e.state == dirM && e.owner == from {
 		e.state = dirI
@@ -226,7 +251,7 @@ func (d *Directory) OwnerMiss(req *request, from int) {
 // the core still owns the line and a re-request from the same core
 // would retry forever.
 func (d *Directory) DropOwned(from int, la cache.LineAddr) {
-	d.m.count("dir.dropowned")
+	d.m.count(ctDirDropOwned)
 	e := d.entry(la)
 	if e.state == dirM && e.owner == from {
 		e.state = dirI
@@ -237,11 +262,11 @@ func (d *Directory) DropOwned(from int, la cache.LineAddr) {
 // Writeback handles an eviction writeback of a Modified line. Stale
 // writebacks (ownership already moved) are ignored: the data traveled
 // with the intervening fetch reply instead.
-func (d *Directory) Writeback(from int, la cache.LineAddr, data [cache.WordsPerLine]uint64) {
-	d.m.count("dir.writeback")
+func (d *Directory) Writeback(from int, la cache.LineAddr, data *[cache.WordsPerLine]uint64) {
+	d.m.count(ctDirWriteback)
 	e := d.entry(la)
 	if e.state == dirM && e.owner == from {
-		e.data = data
+		e.data = *data
 		e.state = dirI
 		e.sharers = 0
 	}
@@ -251,37 +276,28 @@ func (d *Directory) Writeback(from int, la cache.LineAddr, data [cache.WordsPerL
 // speculative write; the core keeps the line in Modified state.
 // Stale updates (ownership moved between commit and arrival) are
 // dropped — the fetch that moved ownership carried the same data.
-func (d *Directory) CommitData(from int, la cache.LineAddr, data [cache.WordsPerLine]uint64) {
-	d.m.count("dir.commitdata")
+func (d *Directory) CommitData(from int, la cache.LineAddr, data *[cache.WordsPerLine]uint64) {
+	d.m.count(ctDirCommitData)
 	e := d.entry(la)
 	if e.state == dirM && e.owner == from {
-		e.data = data
+		e.data = *data
 	}
 }
 
 // grant completes a request successfully, shipping data and the new
 // state to the requestor.
 func (d *Directory) grant(e *dirEntry, req *request) {
-	d.m.count("dir.grant")
-	data := e.data
-	write := req.write
-	c := req.core
-	la := req.la
-	d.m.K.After(d.m.coreDirLatency(c), func() {
-		d.m.Cores[c].handleGrant(la, data, write)
-	})
+	d.m.count(ctDirGrant)
+	mg := d.toCore(req.core, evGrant)
+	mg.la, mg.data, mg.write = req.la, e.data, req.write
 	d.finish(e)
 }
 
 // fail completes a request with a NACK-abort: the requestor's
 // transaction must abort (requestor-aborts resolution).
 func (d *Directory) fail(e *dirEntry, req *request) {
-	d.m.count("dir.fail")
-	c := req.core
-	la := req.la
-	d.m.K.After(d.m.coreDirLatency(c), func() {
-		d.m.Cores[c].handleNackAbort(la)
-	})
+	d.m.count(ctDirFail)
+	d.toCore(req.core, evNackAbort).la = req.la
 	d.finish(e)
 }
 
@@ -292,19 +308,11 @@ func (d *Directory) finish(e *dirEntry) {
 		e.busy = false
 		return
 	}
+	// Shift down rather than reslice, so the backing array is reused
+	// instead of crawling forward into a reallocation.
 	next := e.queue[0]
-	e.queue = e.queue[1:]
-	d.m.K.After(d.m.P.DirLatency, func() { d.begin(e, next) })
-}
-
-// popcount counts set bits.
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
+	e.queue = e.queue[:copy(e.queue, e.queue[1:])]
+	d.m.post(d.m.P.DirLatency, d, evBegin).req = next
 }
 
 // CheckInvariants verifies directory/cache consistency: at most one

@@ -448,14 +448,3 @@ func TestParamsValidate(t *testing.T) {
 	p := DefaultParams(65)
 	NewMachine(p, counterWorkload(1, 1))
 }
-
-func BenchmarkSimulatedCycles(b *testing.B) {
-	p := DefaultParams(8)
-	p.Strategy = strategy.UniformRW{}
-	m := NewMachine(p, counterWorkload(30, 5))
-	for _, c := range m.Cores {
-		c.start()
-	}
-	b.ResetTimer()
-	m.K.RunUntil(sim.Time(b.N) * 100)
-}

@@ -17,10 +17,12 @@ type Machine struct {
 	Cores []*Core
 	W     Workload
 
-	msgs map[string]uint64
+	msgs [numCounters]uint64
+	free *message // recycled messages, linked through next
 
 	profMean float64
 	profInit bool
+	started  bool
 	stopping bool
 }
 
@@ -33,12 +35,7 @@ func NewMachine(p Params, w Workload) *Machine {
 	if ws, ok := w.(interface{ EnsureWorkers(n int) }); ok {
 		ws.EnsureWorkers(p.Cores)
 	}
-	m := &Machine{
-		K:    &sim.Kernel{},
-		P:    p,
-		W:    w,
-		msgs: make(map[string]uint64),
-	}
+	m := &Machine{K: &sim.Kernel{}, P: p, W: w}
 	m.Dir = newDirectory(m)
 	root := rng.New(p.Seed)
 	for i := 0; i < p.Cores; i++ {
@@ -47,7 +44,26 @@ func NewMachine(p Params, w Workload) *Machine {
 	return m
 }
 
-func (m *Machine) count(name string) { m.msgs[name]++ }
+func (m *Machine) count(c counter) { m.msgs[c]++ }
+
+// post schedules a typed event carrying a recycled message and
+// returns the message for the sender to fill in; the receiving handler
+// releases it. The pool grows to the most messages ever in flight.
+func (m *Machine) post(d sim.Time, h sim.Handler, kind int) *message {
+	mg := m.free
+	if mg == nil {
+		mg = new(message)
+	} else {
+		m.free = mg.next
+	}
+	m.K.Post(d, h, kind, 0, mg)
+	return mg
+}
+
+func (m *Machine) release(mg *message) {
+	mg.next = m.free
+	m.free = mg
+}
 
 // coreDirLatency returns the one-way message latency between a core
 // and the directory: uniform NetLatency, or distance-dependent when a
@@ -91,10 +107,15 @@ func (m *Machine) profileMean() float64 {
 	return m.profMean
 }
 
-// Run simulates for the given number of cycles and returns metrics.
+// Run simulates until the clock reads cycles and returns metrics. The
+// first call starts the cores; a later one only extends the window,
+// so Run(a) then Run(a+b) is Run(a+b).
 func (m *Machine) Run(cycles sim.Time) Metrics {
-	for _, c := range m.Cores {
-		c.start()
+	if !m.started {
+		m.started = true
+		for _, c := range m.Cores {
+			c.start()
+		}
 	}
 	m.K.RunUntil(cycles)
 	return m.Collect()
@@ -116,10 +137,12 @@ func (m *Machine) Drain() Metrics {
 func (m *Machine) Collect() Metrics {
 	met := Metrics{
 		Cycles:   m.K.Now(),
-		Messages: make(map[string]uint64, len(m.msgs)),
+		Messages: make(map[string]uint64, numCounters),
 	}
-	for k, v := range m.msgs {
-		met.Messages[k] = v
+	for c, n := range m.msgs {
+		if n != 0 {
+			met.Messages[counterNames[c]] = n
+		}
 	}
 	for _, c := range m.Cores {
 		met.Commits += c.commits

@@ -6,42 +6,53 @@
 // the same cycle fire in scheduling order (deterministic FIFO
 // tie-breaking), which makes every simulation reproducible from its
 // seed.
+//
+// An event takes one of two forms. At and After schedule a func():
+// convenient, and each closure is a heap object. Post schedules a
+// typed record — a Handler plus the kind, epoch and message it will be
+// handed back — which the kernel stores by value, so a caller that
+// recycles its messages schedules and fires without allocating. Both
+// forms live in the one queue under the one ordering rule, (time,
+// scheduling sequence); mixing them never reorders anything.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is a simulation timestamp in cycles.
 type Time = uint64
 
-// event is a scheduled callback.
+// Handler receives typed events. kind, epoch and msg are the values
+// given to Post, opaque to the kernel: kind selects what to do, epoch
+// lets the receiver drop an event its state has moved past, and msg
+// points at a payload the receiver owns (a pointer in an interface
+// does not allocate).
+type Handler interface {
+	Fire(kind int, epoch uint64, msg any)
+}
+
+// funcEvent is the func() form of an event: a handler that ignores
+// the typed fields. A func value is pointer-shaped, so wrapping one
+// in a Handler does not allocate.
+type funcEvent func()
+
+func (f funcEvent) Fire(int, uint64, any) { f() }
+
+// event is one scheduled firing, stored by value in the queue.
 type event struct {
-	at  Time
-	seq uint64 // tie-breaker: FIFO among same-cycle events
-	fn  func()
+	at    Time
+	seq   uint64 // tie-breaker: FIFO among same-cycle events
+	h     Handler
+	msg   any
+	epoch uint64
+	kind  int
 }
 
-// eventHeap is a min-heap ordered by (at, seq).
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the queue order: (at, seq).
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+	return e.seq < o.seq
 }
 
 // Kernel is a single-threaded discrete-event simulator. The zero
@@ -49,7 +60,7 @@ func (h *eventHeap) Pop() interface{} {
 type Kernel struct {
 	now     Time
 	seq     uint64
-	events  eventHeap
+	events  []event // binary min-heap by (at, seq)
 	stopped bool
 	fired   uint64
 }
@@ -65,16 +76,69 @@ func (k *Kernel) Pending() int { return len(k.events) }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: it would silently corrupt causality.
-func (k *Kernel) At(t Time, fn func()) {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, k.now))
-	}
-	k.seq++
-	heap.Push(&k.events, &event{at: t, seq: k.seq, fn: fn})
-}
+func (k *Kernel) At(t Time, fn func()) { k.push(event{at: t, h: funcEvent(fn)}) }
 
 // After schedules fn to run d cycles from now.
 func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
+
+// Post schedules h.Fire(kind, epoch, msg) d cycles from now.
+func (k *Kernel) Post(d Time, h Handler, kind int, epoch uint64, msg any) {
+	k.push(event{at: k.now + d, h: h, msg: msg, epoch: epoch, kind: kind})
+}
+
+// push stamps ev with the next sequence number and sifts it up from
+// the end of the heap, moving parents down into the hole.
+func (k *Kernel) push(ev event) {
+	if ev.at < k.now {
+		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", ev.at, k.now))
+	}
+	k.seq++
+	ev.seq = k.seq
+	h := append(k.events, ev)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = ev
+	k.events = h
+}
+
+// pop removes the earliest event: the last one is sifted down from
+// the root, and the vacated slot is zeroed so the queue's spare
+// capacity holds no handler or message alive.
+func (k *Kernel) pop() event {
+	h := k.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{}
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && h[c+1].before(&h[c]) {
+				c++
+			}
+			if !h[c].before(&last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	k.events = h
+	return top
+}
 
 // Stop makes Run return after the currently executing event.
 func (k *Kernel) Stop() { k.stopped = true }
@@ -85,10 +149,10 @@ func (k *Kernel) Step() bool {
 	if len(k.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&k.events).(*event)
+	ev := k.pop()
 	k.now = ev.at
 	k.fired++
-	ev.fn()
+	ev.h.Fire(ev.kind, ev.epoch, ev.msg)
 	return true
 }
 

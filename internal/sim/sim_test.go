@@ -204,3 +204,111 @@ func BenchmarkCascade(b *testing.B) {
 	k.At(0, step)
 	k.Run()
 }
+
+// recorder is a typed-event handler that logs what it was handed.
+type recorder struct {
+	k   *Kernel
+	log *[]firing
+}
+
+// firing identifies one fired event: the id it was scheduled with and
+// the clock when it fired.
+type firing struct {
+	id int
+	at Time
+}
+
+func (r recorder) Fire(kind int, epoch uint64, msg any) {
+	if msg.(*int) == nil || uint64(kind) != epoch {
+		panic("typed event lost its fields")
+	}
+	*r.log = append(*r.log, firing{kind, r.k.Now()})
+}
+
+// TestMixedFormsAgainstSortedReference interleaves scheduling (both
+// event forms, absolute and relative, many ties) with firing, and
+// checks the firing order against the rule the package states: by
+// time, then by scheduling order, whatever the form.
+func TestMixedFormsAgainstSortedReference(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		r := rng.New(seed)
+		var k Kernel
+		var got, want []firing
+		var pending []firing // scheduled, not yet fired, in scheduling order
+		payload := new(int)
+		rec := recorder{&k, &got}
+		for next := 0; next < 3000; {
+			// Schedule a burst; few distinct times, so ties dominate.
+			for n := r.Intn(6); n > 0; n-- {
+				d := Time(r.Intn(8))
+				id := next
+				next++
+				switch r.Intn(3) {
+				case 0:
+					k.After(d, func() { got = append(got, firing{id, k.Now()}) })
+				case 1:
+					k.At(k.Now()+d, func() { got = append(got, firing{id, k.Now()}) })
+				case 2:
+					k.Post(d, rec, id, uint64(id), payload)
+				}
+				pending = append(pending, firing{id, k.Now() + d})
+			}
+			// Fire a few. The reference pops the earliest time, first
+			// scheduled among equals.
+			for n := r.Intn(5); n > 0 && len(pending) > 0; n-- {
+				best := 0
+				for i, p := range pending {
+					if p.at < pending[best].at {
+						best = i
+					}
+				}
+				want = append(want, pending[best])
+				pending = append(pending[:best], pending[best+1:]...)
+				if !k.Step() {
+					t.Fatalf("seed %d: queue empty with %d events outstanding", seed, len(pending)+1)
+				}
+			}
+		}
+		if k.Pending() != len(pending) {
+			t.Fatalf("seed %d: Pending = %d, reference holds %d", seed, k.Pending(), len(pending))
+		}
+		if len(got) != len(want) || k.Fired() != uint64(len(want)) {
+			t.Fatalf("seed %d: fired %d (Fired()=%d), want %d", seed, len(got), k.Fired(), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: firing %d was %+v, want %+v", seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// nopHandler reschedules itself: the shape of a simulator's steady
+// state, one event scheduled per event fired.
+type nopHandler struct{ k *Kernel }
+
+func (h nopHandler) Fire(kind int, epoch uint64, msg any) {
+	h.k.Post(Time(kind%7), h, kind+1, epoch, msg)
+}
+
+// TestWarmKernelDoesNotAllocate gates the point of storing events by
+// value: once the queue has reached its working size, scheduling and
+// firing allocate nothing — in the typed form with a recycled message,
+// and in the func form when the func itself is not a fresh closure.
+func TestWarmKernelDoesNotAllocate(t *testing.T) {
+	var k Kernel
+	h := nopHandler{&k}
+	msg := new(int)
+	for i := 0; i < 64; i++ {
+		k.Post(Time(i), h, i, 0, msg)
+	}
+	var tick func()
+	tick = func() { k.After(3, tick) }
+	k.After(0, tick)
+	for i := 0; i < 1000; i++ {
+		k.Step()
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { k.Step() }); allocs != 0 {
+		t.Fatalf("%.2f allocs per schedule+fire on a warm kernel, want 0", allocs)
+	}
+}

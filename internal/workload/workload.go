@@ -66,7 +66,13 @@ func (w *HTM) EnsureWorkers(n int) { w.sc.EnsureWorkers(n) }
 // sequence can be longer than the program.
 func (w *HTM) NextTx(coreID int, r *rng.Rand) htm.Tx {
 	p := w.sc.Next(coreID, r)
-	ops := make([]htm.Op, 0, len(p.Ops))
+	n := len(p.Ops)
+	for _, op := range p.Ops {
+		if op.Kind == scenario.OpAdd {
+			n++
+		}
+	}
+	ops := make([]htm.Op, 0, n)
 	for _, op := range p.Ops {
 		ops = compileOp(ops, op)
 	}

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test bench-smoke race-short race-adaptive scenario-parity smoke-txkv smoke-txkvd bench bench-stm bench-adaptive bench-batch bench-fold bench-fleet bench-txkv bench-latency bench-trace trace-demo fuzz-trace tidy
+.PHONY: all build vet fmt-check test bench-smoke race-short race-adaptive scenario-parity smoke-txkv smoke-txkvd bench bench-stm bench-adaptive bench-batch bench-fold bench-fleet bench-txkv bench-latency bench-trace trace-demo fuzz-trace fuzz-batch tidy
 
 all: build vet test
 
@@ -166,6 +166,18 @@ fuzz-trace:
 	$(GO) run ./cmd/stmbench -scenario hotspot -duration 50ms -goroutines 2 -record internal/trace/testdata/fuzz-seed.trace
 	$(GO) test -run '^$$' -fuzz 'FuzzLoad$$' -fuzztime 20s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzLoadBinary -fuzztime 20s ./internal/trace/
+
+# Fuzz the /v1/batch codec against encoding/json: on arbitrary bytes
+# the fast-path decoders accept only what encoding/json accepts and
+# decode it to the same value, the fallback answers as the json.Decoder
+# did, and the append encoders write what json.Marshal writes. A
+# blocking CI step; the seed corpus (golden fixtures plus the
+# non-canonical cases) also runs in plain `go test`. The minimize
+# budget is cut from its 60 s default, which would otherwise swallow a
+# 10 s run the first time a kilobyte-sized input is interesting.
+fuzz-batch:
+	$(GO) test -run '^$$' -fuzz 'FuzzBatchDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/txkv/
+	$(GO) test -run '^$$' -fuzz 'FuzzBatchResponseDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/txkv/
 
 tidy:
 	$(GO) mod tidy

@@ -67,13 +67,24 @@ func (s *Store) Apply(worker int, r *rng.Rand, op Op) Result {
 	}
 }
 
-// ApplyBatch executes a batch in order, one transaction per op.
+// ApplyBatch executes a batch in order, one transaction per op, and
+// returns a slice the caller owns.
 func (s *Store) ApplyBatch(worker int, r *rng.Rand, ops []Op) []Result {
-	out := make([]Result, len(ops))
-	for i, op := range ops {
-		out[i] = s.Apply(worker, r, op)
+	return s.ApplyBatchInto(nil, worker, r, ops)
+}
+
+// ApplyBatchInto is ApplyBatch writing the results over dst's memory
+// when it has room for them (a nil or short dst is replaced), so a
+// serving loop can reuse one result slice per request.
+func (s *Store) ApplyBatchInto(dst []Result, worker int, r *rng.Rand, ops []Op) []Result {
+	if dst == nil || cap(dst) < len(ops) {
+		dst = make([]Result, len(ops))
 	}
-	return out
+	dst = dst[:len(ops)]
+	for i, op := range ops {
+		dst[i] = s.Apply(worker, r, op)
+	}
+	return dst
 }
 
 func result(res Result, err error) Result {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -23,8 +24,19 @@ import (
 
 // maxBatchOps bounds one request's batch so a single POST cannot
 // preallocate unbounded result buffers (the same hardening the trace
-// loader got after fuzzing).
-const maxBatchOps = 4096
+// loader got after fuzzing); maxBatchBody bounds the bytes read to
+// find that out.
+const (
+	maxBatchOps  = 4096
+	maxBatchBody = 8 << 20
+)
+
+// Exec's failures, typed so a front-end can tell a request that will
+// never succeed (413) from a server going away (503).
+var (
+	ErrBatchTooLarge = errors.New("txkv: batch too large")
+	ErrServerClosed  = errors.New("txkv: server closed")
+)
 
 // Server is the txkvd serving core: an http.Handler that executes
 // batch requests on a fixed pool of transaction workers, one
@@ -42,8 +54,11 @@ type Server struct {
 	closed atomic.Bool
 }
 
+// job is one dispatched batch; the worker fills dst (see
+// Store.ApplyBatchInto) and sends the results on reply.
 type job struct {
 	ops   []Op
+	dst   []Result
 	reply chan []Result
 }
 
@@ -73,7 +88,7 @@ func NewServer(store *Store, workers int, seed uint64) *Server {
 				case <-sv.quit:
 					return
 				case j := <-sv.jobs:
-					j.reply <- sv.store.ApplyBatch(w, r, j.ops)
+					j.reply <- sv.store.ApplyBatchInto(j.dst, w, r, j.ops)
 				}
 			}
 		})
@@ -96,8 +111,8 @@ func (sv *Server) AttachTuner(t *tune.Tuner) { sv.tuner = t }
 func (sv *Server) Tuner() *tune.Tuner { return sv.tuner }
 
 // Close drains the worker pool (stopping the attached tuner first, if
-// any). In-flight requests racing Close may fail with "server
-// closed"; callers should stop traffic first.
+// any). In-flight requests racing Close may fail with
+// ErrServerClosed; callers should stop traffic first.
 func (sv *Server) Close() {
 	if sv.closed.CompareAndSwap(false, true) {
 		if sv.tuner != nil {
@@ -109,30 +124,28 @@ func (sv *Server) Close() {
 }
 
 // Exec dispatches one batch to the worker pool and waits for its
-// results.
+// results. It fails with ErrBatchTooLarge above maxBatchOps ops and
+// with ErrServerClosed once Close has begun.
 func (sv *Server) Exec(ops []Op) ([]Result, error) {
+	return sv.exec(ops, nil, make(chan []Result, 1))
+}
+
+// exec is Exec with the caller's result memory and reply channel
+// (1-buffered and empty). After an error neither has been handed to a
+// worker.
+func (sv *Server) exec(ops []Op, dst []Result, reply chan []Result) ([]Result, error) {
 	if len(ops) > maxBatchOps {
-		return nil, fmt.Errorf("txkv: batch of %d ops exceeds the %d-op limit", len(ops), maxBatchOps)
+		return nil, fmt.Errorf("%w: %d ops exceed the %d-op limit", ErrBatchTooLarge, len(ops), maxBatchOps)
 	}
 	if sv.closed.Load() {
-		return nil, fmt.Errorf("txkv: server closed")
+		return nil, ErrServerClosed
 	}
-	j := job{ops: ops, reply: make(chan []Result, 1)}
 	select {
-	case sv.jobs <- j:
-		return <-j.reply, nil
+	case sv.jobs <- job{ops: ops, dst: dst, reply: reply}:
+		return <-reply, nil
 	case <-sv.quit:
-		return nil, fmt.Errorf("txkv: server closed")
+		return nil, ErrServerClosed
 	}
-}
-
-// batchRequest and batchResponse are the /v1/batch wire format.
-type batchRequest struct {
-	Ops []Op `json:"ops"`
-}
-
-type batchResponse struct {
-	Results []Result `json:"results"`
 }
 
 // ServeHTTP implements the front-end API:
@@ -235,19 +248,56 @@ func (sv *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	var req batchRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, 8<<20))
-	if err := dec.Decode(&req); err != nil {
-		http.Error(w, "bad batch: "+err.Error(), http.StatusBadRequest)
+	sc := getScratch()
+	if status, msg := sv.runBatch(sc, r); status != http.StatusOK {
+		// The scratch goes with the failed request instead of back to
+		// the pool: a refused batch's ops may be far past the limit,
+		// and a lost race with Close is too rare to be worth arguing
+		// that no worker holds sc.reply.
+		http.Error(w, msg, status)
 		return
 	}
-	results, err := sv.Exec(req.Ops)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	writeJSON(w, batchResponse{Results: results})
+	w.Header()["Content-Type"] = jsonContentType
+	w.Write(sc.out)
+	putScratch(sc)
 }
+
+// runBatch reads, decodes and executes one request out of sc and
+// leaves the encoded response in sc.out; any other status comes with
+// its error text.
+func (sv *Server) runBatch(sc *batchScratch, r *http.Request) (status int, msg string) {
+	const tooLarge = "bad batch: body exceeds the 8 MiB limit"
+	if r.ContentLength > maxBatchBody {
+		return http.StatusRequestEntityTooLarge, tooLarge
+	}
+	// One byte past the limit tells a cut-off body from one that fits.
+	sc.lr = io.LimitedReader{R: r.Body, N: maxBatchBody + 1}
+	sc.body.Reset()
+	if _, err := sc.body.ReadFrom(&sc.lr); err != nil {
+		return http.StatusBadRequest, "bad batch: " + err.Error()
+	}
+	if sc.body.Len() > maxBatchBody {
+		return http.StatusRequestEntityTooLarge, tooLarge
+	}
+	ops, err := decodeBatchRequest(sc.ops, sc.body.Bytes())
+	if err != nil {
+		return http.StatusBadRequest, "bad batch: " + err.Error()
+	}
+	results, err := sv.exec(ops, sc.res, sc.reply)
+	switch {
+	case errors.Is(err, ErrBatchTooLarge):
+		return http.StatusRequestEntityTooLarge, err.Error()
+	case err != nil:
+		return http.StatusServiceUnavailable, err.Error()
+	}
+	sc.ops, sc.res = ops, results
+	sc.out = appendBatchResponse(sc.out[:0], results)
+	return http.StatusOK, ""
+}
+
+// jsonContentType is shared by every /v1/batch response; net/http
+// reads a header's value slice and never writes to it.
+var jsonContentType = []string{"application/json"}
 
 // policyRequest is the POST /v1/policy wire format. Every field is
 // optional; absent fields keep their current value, so a request can
@@ -370,17 +420,19 @@ type HTTPClient struct {
 	C *http.Client
 }
 
-// Do implements Client.
+// Do implements Client. The returned results are the caller's own.
 func (h *HTTPClient) Do(ops []Op) ([]Result, error) {
-	body, err := json.Marshal(batchRequest{Ops: ops})
-	if err != nil {
-		return nil, err
-	}
 	c := h.C
 	if c == nil {
 		c = http.DefaultClient
 	}
-	resp, err := c.Post(h.Base+"/v1/batch", "application/json", bytes.NewReader(body))
+	// The scratch is recycled only after a decoded 200: the server
+	// answers 200 once it has read the whole request, so the transport
+	// is then done with sc.out. On any other path it may still be
+	// writing the body after Post returns, and the scratch is dropped.
+	sc := getScratch()
+	sc.out = AppendBatchRequest(sc.out[:0], ops)
+	resp, err := c.Post(h.Base+"/v1/batch", "application/json", bytes.NewReader(sc.out))
 	if err != nil {
 		return nil, err
 	}
@@ -389,9 +441,14 @@ func (h *HTTPClient) Do(ops []Op) ([]Result, error) {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return nil, fmt.Errorf("txkv: server returned %s: %s", resp.Status, bytes.TrimSpace(msg))
 	}
-	var br batchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+	sc.body.Reset()
+	if _, err := sc.body.ReadFrom(resp.Body); err != nil {
 		return nil, err
 	}
-	return br.Results, nil
+	results, err := ParseBatchResponse(make([]Result, 0, len(ops)), sc.body.Bytes())
+	if err != nil {
+		return nil, err
+	}
+	putScratch(sc)
+	return results, nil
 }

@@ -1,7 +1,10 @@
 package txkv
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -126,9 +129,57 @@ func TestServerEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad JSON = %s, want 400", resp.Status)
 	}
-	// Oversized batches are refused before allocation.
-	if _, err := sv.Exec(make([]Op, maxBatchOps+1)); err == nil {
-		t.Fatal("oversized batch accepted")
+	// Oversized batches are refused before allocation, with a typed
+	// error; over HTTP that is a 413 (a request no retry can fix), as
+	// is a body the 8 MiB read limit cuts off — announced or not.
+	if _, err := sv.Exec(make([]Op, maxBatchOps+1)); !errors.Is(err, ErrBatchTooLarge) {
+		t.Fatalf("oversized batch: %v, want ErrBatchTooLarge", err)
+	}
+	tooMany := make([]Op, maxBatchOps+1)
+	for i := range tooMany {
+		tooMany[i] = Op{Kind: KindGet, Key: 1}
+	}
+	if _, err := (&HTTPClient{Base: ts.URL}).Do(tooMany); err == nil ||
+		!strings.Contains(err.Error(), "413") || !strings.Contains(err.Error(), ErrBatchTooLarge.Error()) {
+		t.Fatalf("%d-op POST: %v, want a 413 naming the limit", len(tooMany), err)
+	}
+	huge := bytes.Repeat([]byte(" "), maxBatchBody+1)
+	copy(huge, `{"ops":[`)
+	for _, body := range []io.Reader{
+		bytes.NewReader(huge),                 // Content-Length says so
+		io.MultiReader(bytes.NewReader(huge)), // chunked: found out by reading
+	} {
+		resp, err = http.Post(ts.URL+"/v1/batch", "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%d-byte body = %s %q, want 413", len(huge), resp.Status, msg)
+		}
+	}
+	// A body of exactly the limit is read and judged as JSON.
+	resp, err = http.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(huge[:maxBatchBody]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("%d-byte truncated body = %s, want 400", maxBatchBody, resp.Status)
+	}
+	// A closed server is the one 503.
+	sv.Close()
+	if _, err := sv.Exec(nil); !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("Exec after Close: %v, want ErrServerClosed", err)
+	}
+	resp, err = http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(`{"ops":[]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("POST after Close = %s, want 503", resp.Status)
 	}
 }
 

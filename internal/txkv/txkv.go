@@ -49,6 +49,41 @@
 // aborting each other. The trade: the index no longer trips on a
 // torn value (only on torn structure), and a blind Add cannot report
 // the new value. See internal/stm for the folding semantics.
+//
+// # Wire contract (POST /v1/batch)
+//
+// A request is {"ops":[{"op":K,"key":N,"val":N,"fields":N},...]} and
+// the reply {"results":[{"val":N,"vals":[N,...],"found":true,
+// "err":S},...]} plus a newline: the JSON encoding/json writes for
+// batchRequest and batchResponse, members in that order, zero-valued
+// val/vals/found/err/fields left out, a nil slice as null. Both ends
+// write it with append encoders (wire.go) whose output is byte for
+// byte encoding/json's — the golden fixtures under testdata/ were
+// generated by encoding/json before the encoders existed — and a
+// string holding anything but printable ASCII outside `"\<>&` is
+// handed to encoding/json to escape.
+//
+// Reading has a fast path and a decline rule. The fast path is a
+// single pass that accepts only the canonical shape: the one top-level
+// member, exact lower-case keys, each at most once and nothing else,
+// strings of unescaped ASCII (an op kind must be one of the six Kind*
+// constants, and is interned), integers as unsigned decimals without
+// sign, leading zero, fraction or exponent that fit their field, true
+// or false, no null anywhere, at most maxBatchOps ops, and only
+// whitespace after the closing brace. For such a body it returns
+// exactly the value encoding/json would. For anything else it answers
+// "don't know" and the same bytes go through a json.Decoder as they
+// always did, so case-folded keys, unknown members, escapes, data
+// after the value and every error text remain encoding/json's
+// behaviour; the choice is made from the input bytes alone, and the
+// fuzz targets in fuzz_test.go hold the two paths to one answer.
+//
+// Status codes: 400 for a body encoding/json rejects, 413 for a body
+// over 8 MiB or a batch over maxBatchOps ops (ErrBatchTooLarge) —
+// requests no retry can fix — and 503 only for a server that is
+// closing (ErrServerClosed). Server.handleBatch and HTTPClient.Do work
+// out of one pooled scratch per request (body, ops, results, encoded
+// output, reply channel); nothing returned to a caller points into it.
 package txkv
 
 import (
@@ -240,6 +275,16 @@ func checkKey(key uint64) error {
 	return nil
 }
 
+// checkDoc rejects a document no store of this size can hold, before
+// anything is sized or looped by a field count from the wire, then the
+// document's last key as checkKey does.
+func (s *Store) checkDoc(base uint64, fields int) error {
+	if fields > s.cap {
+		return fmt.Errorf("txkv: document of %d fields exceeds the store's %d buckets", fields, s.cap)
+	}
+	return checkKey(base + uint64(fields) - 1)
+}
+
 // put is the in-transaction upsert shared by Put, Add and UpdateDoc.
 func (s *Store) put(tx *stm.Tx, key, val uint64) error {
 	b, found, free := s.probe(tx, key)
@@ -370,7 +415,7 @@ func (s *Store) Add(worker int, r *rng.Rand, key, delta uint64) (newVal uint64, 
 // keys base, base+1, ..., base+fields-1 — in one transaction, so a
 // reader can never observe a half-updated document.
 func (s *Store) UpdateDoc(worker int, r *rng.Rand, base uint64, fields int, val uint64) error {
-	if err := checkKey(base + uint64(fields) - 1); err != nil {
+	if err := s.checkDoc(base, fields); err != nil {
 		return err
 	}
 	return s.rt.AtomicWorker(worker, r, func(tx *stm.Tx) error {
@@ -387,7 +432,7 @@ func (s *Store) UpdateDoc(worker int, r *rng.Rand, base uint64, fields int, val 
 // as 0 — a document that was never written is all-zero, still
 // satisfying the all-fields-equal visibility invariant).
 func (s *Store) ReadDoc(worker int, r *rng.Rand, base uint64, fields int) ([]uint64, error) {
-	if err := checkKey(base + uint64(fields) - 1); err != nil {
+	if err := s.checkDoc(base, fields); err != nil {
 		return nil, err
 	}
 	vals := make([]uint64, fields)

@@ -1,9 +1,13 @@
-# Development targets. CI runs build/vet/test; race-short is the
-# concurrency smoke check for the two real-goroutine runtimes.
+# Development targets: build, vet, fmt-check, test, bench-smoke,
+# race-short, race-adaptive, scenario-parity, smoke-txkv, smoke-txkvd,
+# trace-demo, fuzz-trace, fuzz-batch, tidy. CI runs every one of them
+# except tidy as a blocking step. Recorded throughput and latency
+# numbers come from `bash bench/run.sh` (bench/README.md), not from a
+# make target.
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test bench-smoke race-short race-adaptive scenario-parity smoke-txkv smoke-txkvd bench bench-stm bench-adaptive bench-batch bench-fold bench-fleet bench-txkv bench-latency bench-trace trace-demo fuzz-trace fuzz-batch tidy
+.PHONY: all build vet fmt-check test bench-smoke race-short race-adaptive scenario-parity smoke-txkv smoke-txkvd trace-demo fuzz-trace fuzz-batch tidy
 
 all: build vet test
 
@@ -73,69 +77,6 @@ smoke-txkv:
 # SetPolicy swaps.
 smoke-txkvd:
 	$(GO) test -race -count=1 -run 'TestMetricsExposition|TestMetricsScrapeChurn' ./internal/txkv/
-
-bench:
-	$(GO) test -bench=. -benchmem -run=^$$ .
-
-# Machine-readable STM perf trajectory: commits/sec and aborts on the
-# write-heavy transactional application at 1/4/8 goroutines. CI runs
-# this as a non-blocking step so the perf history starts recording.
-bench-stm:
-	$(GO) run ./cmd/stmbench -perf -out BENCH_stm.json
-
-# Same snapshot plus the adaptiveSweep section: the phase-shift
-# convergence experiment (internal/tune loop vs the best static
-# policy per phase) folded into BENCH_stm.json. CI runs this as a
-# non-blocking step and uploads the snapshot.
-bench-adaptive:
-	$(GO) run ./cmd/stmbench -perf -adaptive -out BENCH_stm.json
-
-# Batched group commit vs the unbatched lazy baseline: the
-# CommitBatch sweep on the contended scenarios at 8 procs. CI runs
-# this as a non-blocking smoke step; the speedup needs real hardware
-# parallelism (see BenchmarkSTMCommitBatch's doc comment).
-bench-batch:
-	$(GO) test -run '^$$' -bench STMCommitBatch -cpu 8 -benchtime 300ms .
-
-# Commutative folding A/B: the perf snapshot plus the foldSweep
-# section — hotspot commits/sec with the combiner folding blind
-# increments (fold on) vs writing them back in roster order (fold
-# off), at batch 4 and 8. CI runs this as a non-blocking step and
-# uploads the snapshot; on a single-CPU runner expect parity, not
-# speedup (see experiments.STMFoldPerf).
-bench-fold:
-	$(GO) run ./cmd/stmbench -perf -fold -batch 4 -out BENCH_stm.json
-
-# The full fleet matrix: scenario x shards {0,1} x batch {0,4,8}
-# (x fold where the batch lane is open, with -fold) at 1/4/8
-# goroutines, each cell a trimmed perf snapshot. Entries APPEND to
-# BENCH_stm.json with a machine stamp (GOMAXPROCS, NumCPU, go
-# version, timestamp), so the file accumulates a cross-machine
-# history instead of being overwritten.
-bench-fleet:
-	$(GO) run ./cmd/stmbench -scenario all -fleet -fold -out BENCH_stm.json
-
-# Machine-readable keyed-store perf trajectory: verified keyed
-# ops/sec for every txkv workload on all three commit paths (eager /
-# lazy / lazy+batch4) at GOMAXPROCS 1/4/8. CI runs this as a
-# non-blocking step and uploads the snapshot.
-bench-txkv:
-	$(GO) run ./cmd/txkvd -perf -out BENCH_txkv.json
-
-# Latency-focused snapshots: the same two perf trajectories, which
-# now carry commit-latency p50/p99 columns (p50Ns/p99Ns) in every
-# cell, read from each cell's own metrics plane. CI runs this as a
-# non-blocking step so the tail history records alongside throughput.
-bench-latency:
-	$(GO) run ./cmd/stmbench -perf -out BENCH_stm.json
-	$(GO) run ./cmd/txkvd -perf -out BENCH_txkv.json
-
-# Trace encode/decode perf: the traceSweep section (bytes/record and
-# ns/record for JSONL vs the binary container on a 10k-record hotspot
-# capture, plus the compression ratio) folded into BENCH_stm.json. CI
-# runs this as a non-blocking step and uploads the snapshot.
-bench-trace:
-	$(GO) run ./cmd/stmbench -perf -tracesweep -out BENCH_stm.json
 
 # The Section 1 profile-to-simulation loop, end to end, on the binary
 # container: record a short contended hotspot run on the STM runtime

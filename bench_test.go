@@ -7,10 +7,8 @@
 package txconflict_test
 
 import (
-	"fmt"
 	"os"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -168,131 +166,6 @@ func BenchmarkCompetitiveRatios(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := synth.RatioValidation(1000, 10000, 1)
 		printOnce(b, "ratios", t)
-	}
-}
-
-// BenchmarkSTMArenaSharding — E14: flat single-clock arena vs
-// striped per-shard clocks under disjoint writers (pure commit-clock
-// and metadata traffic, no transactional conflicts). Run with
-// -cpu 8 (or higher) to see the striped clocks pull ahead. Same
-// workload shape as internal/stm's benchDisjointWriters — keep them
-// in sync.
-func BenchmarkSTMArenaSharding(b *testing.B) {
-	const words = 1024
-	for _, v := range []struct {
-		name   string
-		shards int
-	}{
-		{"flat", 1},
-		{"sharded", 0},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			cfg := stm.DefaultConfig()
-			cfg.Strategy = nil
-			cfg.Shards = v.shards
-			rt := stm.New(words, cfg)
-			var gid int32
-			var mu sync.Mutex
-			b.RunParallel(func(pb *testing.PB) {
-				mu.Lock()
-				g := gid
-				gid++
-				mu.Unlock()
-				r := rng.New(uint64(g) + 1)
-				base := (int(g) * 16) % words
-				i := 0
-				for pb.Next() {
-					idx := base + (i & 15)
-					i++
-					_ = rt.Atomic(r, func(tx *stm.Tx) error {
-						tx.Store(idx, tx.Load(idx)+1)
-						return nil
-					})
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkSTMCommitBatch — E18: batched group commit vs the
-// unbatched lazy baseline. Eight workers hammer the contended
-// scenarios through lazy (TL2) commits while Config.CommitBatch
-// sweeps 0 (the ablation baseline) and three batch bounds; ns/op is
-// per committed transaction, so the batch=0 / batch=N ratio is the
-// group-commit speedup. Think time is zeroed to keep the workload
-// commit-bound (the regime batching targets — with long think times
-// batches never fill and the combiner handshake is pure overhead).
-// Run with -cpu 8; every cell verifies its scenario invariant.
-//
-// Reading the numbers: batches only form when commits genuinely
-// overlap, so the speedup needs real hardware parallelism. On a
-// machine with >= 8 physical cores the batched cells amortize the
-// hot-word lock handoffs and stripe-clock CAS traffic that serialize
-// the unbatched committers; on a single-CPU box (where the OS
-// serializes commits anyway and there is nothing to amortize) the
-// sweep measures the combiner handshake overhead instead, and batched
-// cells sit at parity with the baseline.
-//
-// The hotspot /fold cells re-run the batched cells with commutative
-// delta folding on (stm.Config.FoldCommutative): the scenario's blind
-// increments commit as one summed store per hot word instead of a
-// roster-order write-back chain. Select just those cells with
-// -bench 'STMCommitBatch/.*fold'.
-func BenchmarkSTMCommitBatch(b *testing.B) {
-	const workers = 8
-	for _, bench := range []string{"hotspot", "txapp"} {
-		for _, batch := range []int{0, 2, 4, 8} {
-			// Commutative folding only has cells where it can act: the
-			// blind-increment scenario, inside the combiner. The /fold
-			// suffix keeps the cells selectable with -bench '/fold'.
-			folds := []bool{false}
-			if bench == "hotspot" && batch > 0 {
-				folds = append(folds, true)
-			}
-			for _, fold := range folds {
-				name := fmt.Sprintf("%s/batch=%d", bench, batch)
-				if fold {
-					name += "/fold"
-				}
-				b.Run(name, func(b *testing.B) {
-					sc, err := scenario.ByName(bench, scenario.Options{
-						Workers: workers,
-						Think:   dist.Constant{V: 0},
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					cfg := stm.DefaultConfig()
-					cfg.Lazy = true
-					cfg.CommitBatch = batch
-					cfg.FoldCommutative = fold
-					cfg.MaxRetries = 256
-					rn := scenario.NewSTMRunner(sc, cfg)
-					root := rng.New(1)
-					counts := make([]uint64, workers)
-					var remaining atomic.Int64
-					remaining.Store(int64(b.N))
-					var wg sync.WaitGroup
-					b.ResetTimer()
-					for w := 0; w < workers; w++ {
-						w, r := w, root.Split()
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							for remaining.Add(-1) >= 0 {
-								rn.RunOne(w, r)
-								counts[w]++
-							}
-						}()
-					}
-					wg.Wait()
-					b.StopTimer()
-					if err := rn.Check(counts); err != nil {
-						b.Fatal(err)
-					}
-				})
-			}
-		}
 	}
 }
 

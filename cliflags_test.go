@@ -92,6 +92,17 @@ func TestCmdFlagValidation(t *testing.T) {
 			"txkvd: -pprof requires serve mode", ""},
 		{"txsim zero delta", "txsim", []string{"-scenario", "hotspot", "-delta", "0"},
 			"txsim: -delta must be > 0 (got 0)", ""},
+		// Retired flags (the pre-ledger perf snapshots, the -bench alias
+		// for -scenario): rejected by the flag package, never silently
+		// ignored.
+		{"stmbench perf removed", "stmbench", []string{"-perf"},
+			"flag provided but not defined: -perf", ""},
+		{"stmbench fleet removed", "stmbench", []string{"-fleet"},
+			"flag provided but not defined: -fleet", ""},
+		{"txkvd perf removed", "txkvd", []string{"-perf"},
+			"flag provided but not defined: -perf", ""},
+		{"txsim bench alias removed", "txsim", []string{"-bench", "stack"},
+			"flag provided but not defined: -bench", ""},
 	}
 	for _, c := range cases {
 		c := c

@@ -17,8 +17,7 @@
 //	stmbench -scenario hotspot -batch 8      # lazy batched group commit
 //	stmbench -scenario hotspot -batch 4 -fold  # commutative delta folding
 //	stmbench -ablate -scenario txapp         # runtime design ablations
-//	stmbench -perf -out BENCH_stm.json       # CI perf snapshot
-//	stmbench -scenario all -fleet -fold -out BENCH_stm.json  # append the fleet matrix
+//	stmbench -adaptive                       # phase-shift convergence under internal/tune
 //
 // Trace capture and replay (internal/trace — the Section 1
 // profile-to-simulation loop):
@@ -28,16 +27,16 @@
 //	stmbench -fidelity run.btrace                  # recorded vs sim vs replayed
 //	stmbench -convert run.btrace -out run.trace    # binary <-> JSONL, streaming
 //	stmbench -synth 1000000 -record big.btrace     # stream a synthetic trace to disk
-//	stmbench -perf -tracesweep -out BENCH_stm.json # format size/codec sweep section
 //
 // Both trace formats load everywhere (-replay/-fidelity/-convert
 // auto-detect by content); the .btrace extension selects the binary
 // container on the writing side.
+//
+// Recorded throughput and latency numbers come from `bash bench/run.sh`
+// (see bench/README.md); this command prints tables and records none.
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -58,8 +57,7 @@ import (
 
 func main() {
 	var (
-		scen     = flag.String("scenario", "", "scenario from the shared registry (or 'all', 'list'); see internal/scenario")
-		bench    = flag.String("bench", "all", "deprecated alias for -scenario")
+		scen     = flag.String("scenario", "all", "scenario from the shared registry (or 'all', 'list'); see internal/scenario")
 		distName = flag.String("dist", "", "override the transaction-length distribution (see internal/dist; '' = scenario default)")
 		mu       = flag.Float64("mu", 60, "mean of the -dist override, in busy-work iterations (0 replays a registered trace:<key> distribution raw)")
 		levels   = flag.String("goroutines", "", "comma-separated goroutine counts (default: powers of two up to GOMAXPROCS)")
@@ -67,7 +65,7 @@ func main() {
 		policy   = flag.String("policy", "rw", "conflict policy: rw or ra")
 		lazy     = flag.Bool("lazy", false, "use lazy (commit-time) locking instead of eager")
 		batch    = flag.Int("batch", 0, "lazy group-commit batch bound (0 = unbatched; > 0 implies -lazy)")
-		fold     = flag.Bool("fold", false, "fold commutative deltas in the batched combiner (requires -batch > 0); with -perf, adds the foldSweep section")
+		fold     = flag.Bool("fold", false, "fold commutative deltas in the batched combiner (requires -batch > 0)")
 		delta    = flag.Int("delta", 1, "Add increment magnitude for the commutative scenarios (hotspot, kvcounter)")
 		shards   = flag.Int("shards", 0, "clock stripes per arena (0 = default, 1 = flat single-clock)")
 		kwindow  = flag.Int("kwindow", 0, "windowed conflict-chain estimator size (0 = instantaneous 2+waiters)")
@@ -76,16 +74,13 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "random seed")
 		csv      = flag.Bool("csv", false, "emit CSV instead of text")
 		ablate   = flag.Bool("ablate", false, "run the STM design ablations instead of the strategy sweep (baseline pinned: -policy/-lazy/-shards/-kwindow ignored)")
-		adaptive = flag.Bool("adaptive", false, "run the adaptive-control convergence experiment (phase-shifted workload under the internal/tune loop); with -perf, adds the adaptiveSweep section")
-		perf     = flag.Bool("perf", false, "emit the JSON perf snapshot (commits/sec at 1/4/8 procs plus the per-scenario sweep)")
-		fleet    = flag.Bool("fleet", false, "run the scenario x shards x batch perf matrix and append machine-stamped entries to -out (instead of overwriting)")
-		out      = flag.String("out", "", "write output to this file instead of stdout (perf mode)")
+		adaptive = flag.Bool("adaptive", false, "run the adaptive-control convergence experiment (phase-shifted workload under the internal/tune loop)")
+		out      = flag.String("out", "", "destination trace file for -convert (its extension selects the format)")
 		record   = flag.String("record", "", "record a trace of the scenario run to this file (.btrace = binary container; see internal/trace)")
 		replay   = flag.String("replay", "", "replay a recorded trace file as the benchmark scenario (either format; large traces are index-sampled)")
 		fidelity = flag.String("fidelity", "", "emit the sim-vs-real fidelity report for a recorded trace file")
 		convert  = flag.String("convert", "", "convert the trace file to the format of -out (JSONL <-> binary, streaming) and exit")
 		synth    = flag.Int("synth", 0, "stream this many synthetic records to the -record path and exit (streaming-writer soak)")
-		traceswp = flag.Bool("tracesweep", false, "with -perf, add the trace-format size/codec sweep section (traceSweep)")
 	)
 	flag.Parse()
 
@@ -104,16 +99,11 @@ func main() {
 		cliutil.Fatal("stmbench", err)
 	}
 	// Folding only exists inside the group-commit combiner, so a
-	// -fold without a batch bound would silently measure nothing —
-	// except under -fleet, which sweeps the batch bound itself and
-	// folds only in the batched cells.
-	if err := cliutil.CheckRequires("fold", *fold, *batch > 0 || *fleet, "-batch > 0 (folding happens in the group-commit combiner)"); err != nil {
+	// -fold without a batch bound would silently measure nothing.
+	if err := cliutil.CheckRequires("fold", *fold, *batch > 0, "-batch > 0 (folding happens in the group-commit combiner)"); err != nil {
 		cliutil.Fatal("stmbench", err)
 	}
 	if err := cliutil.CheckNonNegative("synth", *synth); err != nil {
-		cliutil.Fatal("stmbench", err)
-	}
-	if err := cliutil.CheckRequires("tracesweep", *traceswp, *perf, "-perf (the sweep is a section of the perf snapshot)"); err != nil {
 		cliutil.Fatal("stmbench", err)
 	}
 	if err := cliutil.CheckRequires("synth", *synth > 0, *record != "", "-record <path> (the synthetic stream needs a destination)"); err != nil {
@@ -129,9 +119,6 @@ func main() {
 	}
 
 	sel := *scen
-	if sel == "" {
-		sel = *bench
-	}
 	if sel == "list" {
 		for _, line := range scenario.Describe() {
 			fmt.Println(line)
@@ -196,16 +183,6 @@ func main() {
 	}
 	if *record != "" {
 		runRecord(sel, *record, cfg)
-		return
-	}
-	if *fleet {
-		runFleet(sel, cfg, *levels != "", *out)
-		return
-	}
-	if *perf {
-		cfg.Adaptive = *adaptive
-		cfg.TraceSweep = *traceswp
-		runPerf(sel, cfg, *levels != "", *out)
 		return
 	}
 	if *adaptive {
@@ -433,122 +410,4 @@ func runFidelity(path string, cfg experiments.STMConfig) {
 		fmt.Fprintln(os.Stderr, "stmbench:", err)
 		os.Exit(1)
 	}
-}
-
-// runFleet runs the scenario x shards x batch perf matrix and
-// *appends* the machine-stamped reports to -out, so one
-// BENCH_stm.json accumulates entries across runs, machines and
-// configurations instead of keeping only the last snapshot
-// (make bench-fleet). Each cell is a Quick STMPerf report — main
-// points only; the matrix supplies the coverage the single-report
-// sweeps would duplicate.
-func runFleet(bench string, cfg experiments.STMConfig, explicitLevels bool, out string) {
-	benches := []string{bench}
-	if bench == "all" {
-		// The write-heavy application plus the foldable counter shape:
-		// the two trajectories the batch and fold work moves.
-		benches = []string{"txapp", "hotspot"}
-	}
-	if !explicitLevels {
-		cfg.Goroutines = []int{1, 4, 8}
-	}
-	cfg.Quick = true
-	var reports []*experiments.STMPerfReport
-	for _, b := range benches {
-		for _, shards := range []int{0, 1} {
-			for _, batch := range []int{0, 4, 8} {
-				c := cfg
-				c.Shards = shards
-				c.CommitBatch = batch
-				c.Lazy = cfg.Lazy || batch > 0
-				c.Fold = cfg.Fold && batch > 0
-				rep, err := experiments.STMPerf(b, c)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "stmbench:", err)
-					os.Exit(1)
-				}
-				reports = append(reports, rep)
-			}
-		}
-	}
-	if out == "" {
-		buf, err := json.MarshalIndent(reports, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "stmbench:", err)
-			os.Exit(1)
-		}
-		os.Stdout.Write(append(buf, '\n'))
-		return
-	}
-	n, err := appendBench(out, reports)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "stmbench:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("appended %d fleet entries to %s (%d total)\n", len(reports), out, n)
-}
-
-// appendBench merges the new reports into the JSON file at path:
-// an existing array gains the new entries, an existing single-report
-// object (the runPerf format) is wrapped into an array first, and a
-// missing or empty file starts one. It returns the resulting entry
-// count.
-func appendBench(path string, reports []*experiments.STMPerfReport) (int, error) {
-	var entries []json.RawMessage
-	if buf, err := os.ReadFile(path); err == nil && len(bytes.TrimSpace(buf)) > 0 {
-		trimmed := bytes.TrimSpace(buf)
-		if trimmed[0] == '[' {
-			if err := json.Unmarshal(trimmed, &entries); err != nil {
-				return 0, fmt.Errorf("existing %s: %w", path, err)
-			}
-		} else {
-			entries = append(entries, json.RawMessage(trimmed))
-		}
-	} else if err != nil && !os.IsNotExist(err) {
-		return 0, err
-	}
-	for _, rep := range reports {
-		raw, err := json.Marshal(rep)
-		if err != nil {
-			return 0, err
-		}
-		entries = append(entries, raw)
-	}
-	buf, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return 0, err
-	}
-	return len(entries), os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-// runPerf emits the machine-readable perf snapshot for CI
-// (make bench-stm). Unless -goroutines was given explicitly it pins
-// the 1/4/8 ladder so trajectories stay comparable across machines.
-func runPerf(bench string, cfg experiments.STMConfig, explicitLevels bool, out string) {
-	if bench == "all" {
-		bench = "txapp" // the write-heavy 2-of-64-objects application
-	}
-	if !explicitLevels {
-		cfg.Goroutines = []int{1, 4, 8}
-	}
-	rep, err := experiments.STMPerf(bench, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "stmbench:", err)
-		os.Exit(1)
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "stmbench:", err)
-		os.Exit(1)
-	}
-	buf = append(buf, '\n')
-	if out == "" {
-		os.Stdout.Write(buf)
-		return
-	}
-	if err := os.WriteFile(out, buf, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "stmbench:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s (%s, shards=%d, %d scenarios)\n", out, rep.Bench, rep.Shards, len(rep.Scenarios))
 }

@@ -13,16 +13,17 @@
 //	txkvd -bench -workload hotspot-counter   # in-process closed loop
 //	txkvd -bench -record run.btrace          # capture the run's transaction trace
 //	txkvd -load http://127.0.0.1:7070 -users 8 -workload document
-//	txkvd -perf -out BENCH_txkv.json         # CI perf snapshot
 //
 // Endpoints: POST /v1/batch, GET /v1/stats, GET|POST /v1/policy,
 // GET /v1/check, GET /metrics (Prometheus text exposition),
 // GET /healthz, and with -pprof the net/http/pprof suite under
 // /debug/pprof/.
+//
+// Recorded throughput and latency numbers come from `bash bench/run.sh`
+// (see bench/README.md), which drives this same store and server.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -52,17 +53,15 @@ func main() {
 		batch    = flag.Int("batch", 0, "lazy group-commit batch bound (0 = unbatched; > 0 implies -mode lazy)")
 		fold     = flag.Bool("fold", false, "escrow-counter mode: key-classed index + commutative delta folding in the combiner (requires -batch > 0)")
 		shards   = flag.Int("shards", 0, "clock stripes per arena (0 = default, 1 = flat single-clock)")
-		workload = flag.String("workload", "", "keyed workload from internal/txkv (or 'list'); drives -bench/-load/-perf and sizes the served store")
+		workload = flag.String("workload", "", "keyed workload from internal/txkv (or 'list'); drives -bench/-load and sizes the served store")
 		distName = flag.String("dist", "", "override the workload's key-rank sampler (see internal/dist; '' = workload zipf default)")
 		mu       = flag.Float64("mu", 0, "mean of the -dist override, in key ranks (0 = half the keyspace)")
 		users    = flag.Uint("users", 4, "closed-loop users (-bench/-load)")
 		bsize    = flag.Int("batchsize", 16, "ops per batch request (-bench/-load)")
-		dur      = flag.Duration("duration", 300*time.Millisecond, "load run duration (-bench/-load; per cell in -perf)")
+		dur      = flag.Duration("duration", 300*time.Millisecond, "load run duration (-bench/-load)")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		load     = flag.String("load", "", "drive a running txkvd at this base URL instead of serving")
 		bench    = flag.Bool("bench", false, "run the workload closed-loop against an in-process store and exit")
-		perf     = flag.Bool("perf", false, "emit the JSON perf snapshot (keyed ops/sec at 1/4/8 procs)")
-		out      = flag.String("out", "", "write output to this file instead of stdout (perf mode)")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the serve mux (serve mode; exposes goroutine/heap/CPU profiles — keep off on untrusted networks)")
 		msample  = flag.Int("metrics-sample", metrics.DefaultSampleN, "1-in-N sampling interval for the commit-phase timers (rounded up to a power of two)")
 		record   = flag.String("record", "", "with -bench: record the run's transaction trace to this file (.btrace = binary container; see internal/trace)")
@@ -109,7 +108,7 @@ func main() {
 	}
 	// The pprof mux only exists in serve mode; in the one-shot modes
 	// the flag would silently do nothing.
-	serving := !*bench && !*perf && *load == ""
+	serving := !*bench && *load == ""
 	if err := cliutil.CheckRequires("pprof", *pprofOn, serving, "serve mode (-pprof mounts on the HTTP mux)"); err != nil {
 		cliutil.Fatal("txkvd", err)
 	}
@@ -136,13 +135,6 @@ func main() {
 		planeWorkers = int(*users)
 	}
 	cfg.Metrics = metrics.NewPlane(planeWorkers, *msample)
-
-	if *perf {
-		// The perf matrix sweeps all three commit modes itself; only
-		// the lazy+batch bound carries over from the flags.
-		runPerf(*workload, *batch, *dur, *seed, *out)
-		return
-	}
 
 	// Everything below needs a concrete workload; default to the
 	// read-dominated shape for serving and ad-hoc runs.
@@ -320,38 +312,4 @@ func runRemote(w *txkv.Workload, base string, g txkv.GenConfig) {
 		os.Exit(1)
 	}
 	fmt.Println("server invariants ok")
-}
-
-// runPerf emits the machine-readable keyed-throughput snapshot for CI
-// (make bench-txkv): workload x commit mode x GOMAXPROCS, every cell
-// verified against the structural and semantic invariants.
-func runPerf(workload string, commitBatch int, dur time.Duration, seed uint64, out string) {
-	pc := txkv.PerfConfig{
-		CommitBatch: commitBatch,
-		Duration:    dur,
-		Seed:        seed,
-	}
-	if workload != "" {
-		pc.Workloads = []string{workload}
-	}
-	rep, err := txkv.Perf(pc)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "txkvd:", err)
-		os.Exit(1)
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "txkvd:", err)
-		os.Exit(1)
-	}
-	buf = append(buf, '\n')
-	if out == "" {
-		os.Stdout.Write(buf)
-		return
-	}
-	if err := os.WriteFile(out, buf, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "txkvd:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s (%d cells)\n", out, len(rep.Cells))
 }

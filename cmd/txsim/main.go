@@ -51,8 +51,7 @@ func parseThreads(s string) ([]int, error) {
 
 func main() {
 	var (
-		scen     = flag.String("scenario", "", "scenario from the shared registry (or 'all', 'list'); see internal/scenario")
-		bench    = flag.String("bench", "all", "deprecated alias for -scenario")
+		scen     = flag.String("scenario", "all", "scenario from the shared registry (or 'all', 'list'); see internal/scenario")
 		distName = flag.String("dist", "", "override the transaction-length distribution (see internal/dist; '' = scenario default)")
 		mu       = flag.Float64("mu", 60, "mean of the -dist override, in cycles (0 replays a registered trace:<key> distribution raw)")
 		threads  = flag.String("threads", "1,2,4,8,12,16", "comma-separated core counts")
@@ -80,9 +79,6 @@ func main() {
 	}
 
 	sel := *scen
-	if sel == "" {
-		sel = *bench
-	}
 	if sel == "list" {
 		for _, line := range scenario.Describe() {
 			fmt.Println(line)

@@ -60,7 +60,8 @@
 // document) with structural and semantic invariant checks, a
 // closed-loop load generator, and the cmd/txkvd HTTP front-end
 // (batch requests on a fixed pool of stm.AtomicWorker identities;
-// -perf emits the BENCH_txkv.json keyed-throughput matrix). The same
+// its recorded throughput and latency rows come from `bash
+// bench/run.sh`, see bench/README.md). The same
 // traffic shapes are registered in the scenario catalog as
 // kvcounter/kvread/kvdoc, so both backends exercise keyed conflict
 // patterns in the parity suites.

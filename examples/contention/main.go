@@ -10,50 +10,15 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	"txconflict/internal/core"
+	"txconflict/internal/dist"
 	"txconflict/internal/report"
-	"txconflict/internal/rng"
+	"txconflict/internal/scenario"
 	"txconflict/internal/stm"
 	"txconflict/internal/strategy"
-	"txconflict/internal/txds"
 )
-
-func run(app *txds.App, goroutines int, d time.Duration, seed uint64) (opsPerSec float64, stats map[string]uint64) {
-	root := rng.New(seed)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	counts := make([]uint64, goroutines)
-	for g := 0; g < goroutines; g++ {
-		r := root.Split()
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				app.Op(r)
-				counts[g]++
-			}
-		}()
-	}
-	start := time.Now()
-	time.Sleep(d)
-	close(stop)
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	return float64(total) / elapsed, app.Runtime().Stats.Snapshot()
-}
 
 func main() {
 	goroutines := runtime.GOMAXPROCS(0)
@@ -78,28 +43,32 @@ func main() {
 		{"RA / DELAY_RAND", mk(core.RequestorAborts, strategy.ExpRA{})},
 	}
 
-	for _, bimodal := range []bool{false, true} {
-		title := "uniform transactional application (2 of 64 objects)"
-		if bimodal {
-			title = "bimodal transactional application (short/very long mix)"
-		}
+	apps := []struct {
+		scenario, title string
+		length          dist.Sampler
+	}{
+		{"txapp", "uniform transactional application (2 of 64 objects)", dist.Constant{V: 400}},
+		{"bimodal", "bimodal transactional application (short/very long mix)", dist.Bimodal{Short: 100, Long: 30000, PShort: 0.5}},
+	}
+	for _, app := range apps {
 		t := &report.Table{
-			Title:   fmt.Sprintf("%s, %d goroutines", title, goroutines),
+			Title:   fmt.Sprintf("%s, %d goroutines", app.title, goroutines),
 			Columns: []string{"variant", "ops/s", "commits", "aborts", "kills", "graceWaits"},
 		}
 		for _, v := range variants {
-			var app *txds.App
-			if bimodal {
-				app = txds.NewBimodalApp(100, 30000, 0.5, v.cfg)
-			} else {
-				app = txds.NewApp(400, v.cfg)
+			sc, err := scenario.ByName(app.scenario, scenario.Options{Workers: goroutines, Length: app.length})
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
 			}
-			ops, st := run(app, goroutines, dur, 11)
-			t.AddRow(v.name, ops, st["commits"], st["aborts"], st["kills"], st["graceWaits"])
-			// Serializability spot check: every commit bumped two
-			// objects.
-			if got, want := app.ObjectSum(), 2*st["commits"]; got != want {
-				fmt.Fprintf(os.Stderr, "INVARIANT VIOLATION: object sum %d != 2*commits %d\n", got, want)
+			rn := scenario.NewSTMRunner(sc, v.cfg)
+			res := rn.Drive(goroutines, dur, 11)
+			st := rn.Runtime().Stats.Snapshot()
+			t.AddRow(v.name, res.OpsPerSec(), st["commits"], st["aborts"], st["kills"], st["graceWaits"])
+			// Serializability check: every commit bumped two objects,
+			// so the committed object sum is twice the commit count.
+			if err := rn.Check(res.PerWorker); err != nil {
+				fmt.Fprintln(os.Stderr, "INVARIANT VIOLATION:", err)
 				os.Exit(1)
 			}
 		}

@@ -12,7 +12,8 @@ import (
 // the controller rightly does nothing), so the test verifies the
 // harness's plumbing — every phase measured, oracle picked, ratios
 // computed, first-phase invariant checked inside the harness — and
-// leaves the ratio threshold to `make bench-adaptive` trend review.
+// asserts no ratio threshold; recorded numbers come from the ledger
+// (`bash bench/run.sh`, bench/README.md).
 func TestAdaptiveConvergenceSmoke(t *testing.T) {
 	dur := 160 * time.Millisecond
 	if testing.Short() {

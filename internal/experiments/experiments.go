@@ -151,25 +151,12 @@ type STMConfig struct {
 	// Length overrides the scenario's default transaction-length
 	// sampler (the -dist flag); nil keeps the scenario default.
 	Length dist.Sampler
-	// Adaptive adds the phase-shift convergence trajectory
-	// (AdaptiveConvergence) to the STMPerf report's adaptiveSweep
-	// section — the stmbench -perf -adaptive path.
-	Adaptive bool
 	// Fold enables commutative delta folding in the batched combiner
-	// (stm.Config.FoldCommutative) and adds the foldSweep section to
-	// the STMPerf report — the stmbench -fold path.
+	// (stm.Config.FoldCommutative) — the stmbench -fold path.
 	Fold bool
 	// Delta is the Add magnitude for the commutative-counter
 	// scenarios (scenario.Options.Delta; 0 = 1).
 	Delta uint64
-	// TraceSweep adds the trace-format encode/decode/size section to
-	// the STMPerf report (traceSweep in BENCH_stm.json) — the
-	// stmbench -tracesweep / make bench-trace path.
-	TraceSweep bool
-	// Quick trims STMPerf to the main points (no per-scenario, batch,
-	// fold or adaptive sweeps) — the bench-fleet path, where the
-	// matrix itself supplies the coverage.
-	Quick bool
 	// MetricsSample is the 1-in-N commit-phase timer sampling interval
 	// for the per-cell metrics plane (0 = metrics.DefaultSampleN).
 	// Every cell gets a fresh plane either way — latency quantiles and
@@ -178,7 +165,7 @@ type STMConfig struct {
 	// ReportEvery enables the periodic stderr reporter: every interval
 	// during a measured drive, one structured line with the window's
 	// commit count, p50/p99 commit latency, and abort taxonomy. 0
-	// disables (the default; perf snapshots stay quiet).
+	// disables (the default).
 	ReportEvery time.Duration
 	// Seed feeds the per-goroutine streams.
 	Seed uint64

@@ -124,33 +124,6 @@ func TestSTMAblations(t *testing.T) {
 	}
 }
 
-func TestSTMPerf(t *testing.T) {
-	cfg := STMConfig{
-		Goroutines: []int{1, 2},
-		Duration:   15 * time.Millisecond,
-		Policy:     core.RequestorWins,
-		Seed:       1,
-	}
-	rep, err := STMPerf("txapp", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Points) != 2 {
-		t.Fatalf("points = %d", len(rep.Points))
-	}
-	if rep.Shards < 1 {
-		t.Fatalf("shards = %d", rep.Shards)
-	}
-	for _, p := range rep.Points {
-		if p.CommitsPerSec <= 0 {
-			t.Fatalf("non-positive commits/sec at %d goroutines", p.Goroutines)
-		}
-	}
-	if _, err := STMPerf("nope", cfg); err == nil {
-		t.Fatal("unknown bench accepted")
-	}
-}
-
 func TestSTMUnknownBench(t *testing.T) {
 	if _, err := STMThroughput("nope", STMConfig{Goroutines: []int{1}, Duration: time.Millisecond}); err == nil {
 		t.Fatal("unknown STM bench accepted")

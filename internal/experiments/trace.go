@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"time"
@@ -169,114 +168,4 @@ func TraceFidelity(tr *trace.Trace, cfg FidelityConfig) (*report.Table, error) {
 	t.AddNote("trace: %d records, %d committed, mean len %.1f, mean footprint %.1fr/%.1fw",
 		prof.Records, prof.Commits, prof.MeanLength, prof.MeanReads, prof.MeanWrites)
 	return t, nil
-}
-
-// TraceFormatPerf is one cell of the trace-format sweep: one on-disk
-// format encoding a recorded hotspot trace, with the size and codec
-// throughput a capacity plan reads (the traceSweep section of
-// BENCH_stm.json). RatioVsJSONL is jsonl-bytes / this-format-bytes,
-// so the binary cell's value is its compression factor.
-type TraceFormatPerf struct {
-	Format         string  `json:"format"`
-	Records        int     `json:"records"`
-	Bytes          int     `json:"bytes"`
-	BytesPerRecord float64 `json:"bytesPerRecord"`
-	EncodeNsPerRec float64 `json:"encodeNsPerRecord"`
-	DecodeNsPerRec float64 `json:"decodeNsPerRecord"`
-	RatioVsJSONL   float64 `json:"ratioVsJsonl,omitempty"`
-}
-
-// traceSweepRecords is the sweep's working-set size: a real recorded
-// hotspot trace tiled out to at least this many records, large enough
-// that per-file overheads (header, index footer) vanish from the
-// bytes/record quotient.
-const traceSweepRecords = 10_000
-
-// TraceFormatSweep records a short hotspot run on the STM runtime,
-// tiles the capture to traceSweepRecords records, and measures both
-// trace formats encoding and decoding it in memory.
-func TraceFormatSweep(cfg STMConfig) ([]TraceFormatPerf, error) {
-	d := cfg.Duration
-	if d <= 0 || d > 200*time.Millisecond {
-		d = 200 * time.Millisecond
-	}
-	tr, err := RecordTrace("hotspot", cfg, 0, d)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: trace sweep: %w", err)
-	}
-	tiled := TileTrace(tr, traceSweepRecords)
-	cells := make([]TraceFormatPerf, 0, 2)
-	var jsonlBytes int
-	for _, format := range []string{"jsonl", "binary"} {
-		encode := trace.Write
-		decode := func(b []byte) (*trace.Trace, error) { return trace.Read(bytes.NewReader(b)) }
-		if format == "binary" {
-			encode = trace.WriteBinary
-			decode = func(b []byte) (*trace.Trace, error) { return trace.ReadBinary(bytes.NewReader(b)) }
-		}
-		var buf bytes.Buffer
-		// Warm-up + sizing pass, then timed passes over the same bytes.
-		if err := encode(&buf, tiled); err != nil {
-			return nil, fmt.Errorf("experiments: trace sweep %s encode: %w", format, err)
-		}
-		raw := append([]byte(nil), buf.Bytes()...)
-		const passes = 3
-		start := time.Now()
-		for i := 0; i < passes; i++ {
-			buf.Reset()
-			if err := encode(&buf, tiled); err != nil {
-				return nil, fmt.Errorf("experiments: trace sweep %s encode: %w", format, err)
-			}
-		}
-		encNs := float64(time.Since(start).Nanoseconds()) / float64(passes*len(tiled.Records))
-		start = time.Now()
-		for i := 0; i < passes; i++ {
-			if _, err := decode(raw); err != nil {
-				return nil, fmt.Errorf("experiments: trace sweep %s decode: %w", format, err)
-			}
-		}
-		decNs := float64(time.Since(start).Nanoseconds()) / float64(passes*len(tiled.Records))
-		cell := TraceFormatPerf{
-			Format:         format,
-			Records:        len(tiled.Records),
-			Bytes:          len(raw),
-			BytesPerRecord: float64(len(raw)) / float64(len(tiled.Records)),
-			EncodeNsPerRec: encNs,
-			DecodeNsPerRec: decNs,
-		}
-		if format == "jsonl" {
-			jsonlBytes = len(raw)
-		} else if len(raw) > 0 {
-			cell.RatioVsJSONL = float64(jsonlBytes) / float64(len(raw))
-		}
-		cells = append(cells, cell)
-	}
-	return cells, nil
-}
-
-// TileTrace repeats a trace's records until it holds at least n,
-// shifting each copy's start times past the previous copy's span so
-// the tiled trace still looks like one long monotone capture (what
-// the format sweep and the size-regression test encode). The records
-// share footprint slices with the source; treat the result as
-// read-only.
-func TileTrace(tr *trace.Trace, n int) *trace.Trace {
-	if len(tr.Records) == 0 || len(tr.Records) >= n {
-		return tr
-	}
-	span := tr.SpanNs() + 1
-	out := &trace.Trace{Header: tr.Header}
-	out.Records = make([]trace.Record, 0, n)
-	for shift := int64(0); len(out.Records) < n; shift += span {
-		for i := range tr.Records {
-			r := tr.Records[i]
-			r.StartNs += shift
-			out.Records = append(out.Records, r)
-			if len(out.Records) >= n {
-				break
-			}
-		}
-	}
-	out.Header.Count = len(out.Records)
-	return out
 }

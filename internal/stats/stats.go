@@ -1,12 +1,12 @@
 // Package stats provides the summary statistics used when aggregating
-// experiment results: online mean/variance (Welford), percentiles,
-// histograms and normal-approximation confidence intervals.
+// experiment results: online mean/variance (Welford) with
+// normal-approximation confidence intervals, and a zero-safe ratio.
+// Histograms and quantiles live in internal/metrics.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Welford accumulates mean and variance in a single numerically
@@ -100,107 +100,6 @@ func (w *Welford) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g", w.n, w.Mean(), w.StdDev(), w.min, w.max)
 }
 
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using
-// linear interpolation between order statistics. It returns 0 for
-// empty input and does not modify xs.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	pos := p / 100 * float64(len(sorted)-1)
-	i := int(pos)
-	frac := pos - float64(i)
-	if i+1 >= len(sorted) {
-		return sorted[len(sorted)-1]
-	}
-	return sorted[i] + frac*(sorted[i+1]-sorted[i])
-}
-
-// Median returns the 50th percentile.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
-// Histogram is a fixed-width bucket histogram over [Lo, Hi); values
-// outside the range land in the under/overflow counters.
-type Histogram struct {
-	Lo, Hi    float64
-	Buckets   []int64
-	Underflow int64
-	Overflow  int64
-	total     int64
-}
-
-// NewHistogram creates a histogram with n buckets over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	if x < h.Lo {
-		h.Underflow++
-		return
-	}
-	if x >= h.Hi {
-		h.Overflow++
-		return
-	}
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Buckets)))
-	if i >= len(h.Buckets) { // float rounding at the top edge
-		i = len(h.Buckets) - 1
-	}
-	h.Buckets[i]++
-}
-
-// Total returns the number of observations, including out-of-range.
-func (h *Histogram) Total() int64 { return h.total }
-
-// BucketCenter returns the midpoint of bucket i.
-func (h *Histogram) BucketCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Fraction returns the fraction of in-range observations in bucket i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Buckets[i]) / float64(h.total)
-}
-
 // Ratio computes a/b, returning 0 when b is 0. Used for throughput
 // and competitive-ratio reporting where empty cells are legitimate.
 func Ratio(a, b float64) float64 {
@@ -208,12 +107,4 @@ func Ratio(a, b float64) float64 {
 		return 0
 	}
 	return a / b
-}
-
-// RelErr returns |got-want|/|want|, or |got| when want == 0.
-func RelErr(got, want float64) float64 {
-	if want == 0 {
-		return math.Abs(got)
-	}
-	return math.Abs(got-want) / math.Abs(want)
 }

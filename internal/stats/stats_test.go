@@ -17,7 +17,11 @@ func TestWelfordAgainstDirect(t *testing.T) {
 		xs = append(xs, x)
 		w.Add(x)
 	}
-	mean := Mean(xs)
+	mean := 0.0
+	for _, x := range xs {
+		mean += x
+	}
+	mean /= float64(len(xs))
 	variance := 0.0
 	for _, x := range xs {
 		variance += (x - mean) * (x - mean)
@@ -100,109 +104,9 @@ func TestWelfordMergeEmpty(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {25, 2}, {50, 3}, {75, 4}, {100, 5}, {-5, 1}, {110, 5},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("P%v = %v, want %v", c.p, got, c.want)
-		}
-	}
-	// Interpolation between order statistics.
-	if got := Percentile([]float64{0, 10}, 50); got != 5 {
-		t.Errorf("P50 of {0,10} = %v, want 5", got)
-	}
-}
-
-func TestPercentileDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Percentile(xs, 50)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatal("Percentile mutated its input")
-	}
-}
-
-func TestPercentileEmpty(t *testing.T) {
-	if Percentile(nil, 50) != 0 {
-		t.Fatal("empty percentile should be 0")
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if Median([]float64{5, 1, 3}) != 3 {
-		t.Fatal("median of {5,1,3} wrong")
-	}
-}
-
-func TestMeanSum(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("Mean(nil)")
-	}
-	if Mean([]float64{2, 4}) != 3 {
-		t.Fatal("Mean{2,4}")
-	}
-	if Sum([]float64{1, 2, 3}) != 6 {
-		t.Fatal("Sum{1,2,3}")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)
-	h.Add(11)
-	for i := 0; i < 10; i++ {
-		if h.Buckets[i] != 1 {
-			t.Fatalf("bucket %d = %d", i, h.Buckets[i])
-		}
-	}
-	if h.Underflow != 1 || h.Overflow != 1 {
-		t.Fatalf("under/over = %d/%d", h.Underflow, h.Overflow)
-	}
-	if h.Total() != 12 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if h.BucketCenter(0) != 0.5 {
-		t.Fatalf("center(0) = %v", h.BucketCenter(0))
-	}
-	if f := h.Fraction(3); math.Abs(f-1.0/12) > 1e-12 {
-		t.Fatalf("fraction(3) = %v", f)
-	}
-}
-
-func TestHistogramTopEdge(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	h.Add(math.Nextafter(1, 0)) // just below Hi
-	if h.Buckets[3] != 1 {
-		t.Fatalf("top-edge value fell into %v", h.Buckets)
-	}
-}
-
-func TestHistogramPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad histogram shape did not panic")
-		}
-	}()
-	NewHistogram(1, 0, 10)
-}
-
 func TestRatio(t *testing.T) {
 	if Ratio(6, 3) != 2 || Ratio(1, 0) != 0 {
 		t.Fatal("Ratio broken")
-	}
-}
-
-func TestRelErr(t *testing.T) {
-	if RelErr(11, 10) != 0.1 {
-		t.Fatalf("RelErr(11,10) = %v", RelErr(11, 10))
-	}
-	if RelErr(0.5, 0) != 0.5 {
-		t.Fatalf("RelErr(0.5,0) = %v", RelErr(0.5, 0))
 	}
 }
 
@@ -225,18 +129,4 @@ func BenchmarkWelfordAdd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w.Add(float64(i))
 	}
-}
-
-func BenchmarkPercentile(b *testing.B) {
-	r := rng.New(1)
-	xs := make([]float64, 10000)
-	for i := range xs {
-		xs[i] = r.Float64()
-	}
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += Percentile(xs, 99)
-	}
-	_ = sink
 }

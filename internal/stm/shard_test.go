@@ -152,9 +152,7 @@ func TestShardedObjectSumInvariant(t *testing.T) {
 // benchDisjointWriters is the shared disjoint-writer load: each
 // parallel worker increments its own 16-word slice of the arena, so
 // the only shared traffic is commit-clock and metadata lines — the
-// contention the striped clocks exist to remove. (bench_test.go's
-// BenchmarkSTMArenaSharding is the cross-package E-series entry of
-// the same load; keep the workload shapes in sync.)
+// contention the striped clocks exist to remove.
 func benchDisjointWriters(b *testing.B, shards int) {
 	const words = 1024
 	cfg := DefaultConfig()

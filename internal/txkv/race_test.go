@@ -12,7 +12,9 @@ import (
 // TestWorkloadInvariants is the txkv cross-mode invariant matrix,
 // the keyed-traffic extension of the scenario parity suite: every
 // registered workload, under real concurrency, on all three commit
-// paths (eager / lazy / lazy+CommitBatch=4). After each run the
+// paths (eager / lazy / lazy+CommitBatch=4) plus the fold lane —
+// lazy+batch4 with commutative folding over an escrow-counter store,
+// so Add traffic commits as summed deltas. After each run the
 // store must pass its structural checks — occupancy vs live-key
 // count, index-chain reachability and class consistency, probe
 // integrity — plus the workload's semantic check (counter sums,
@@ -24,14 +26,19 @@ func TestWorkloadInvariants(t *testing.T) {
 	if testing.Short() {
 		d = 25 * time.Millisecond
 	}
+	cells := modes()
+	folded := cells[len(cells)-1] // lazy+batch4
+	folded.name += "+fold"
+	folded.cfg.FoldCommutative = true
+	cells = append(cells, folded)
 	for _, wname := range Names() {
-		for _, m := range modes() {
+		for _, m := range cells {
 			t.Run(fmt.Sprintf("%s/%s", wname, m.name), func(t *testing.T) {
 				w, err := ByName(wname, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				s := w.NewStore(Config{STM: m.cfg})
+				s := w.NewStore(Config{STM: m.cfg, EscrowCounters: m.cfg.FoldCommutative})
 				res, err := w.RunLocal(s, GenConfig{
 					Users:    users,
 					Batch:    8,
@@ -219,45 +226,5 @@ func TestEscrowMixedOps(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-// TestPerfSmoke keeps the BENCH_txkv.json emitter honest: a minimal
-// matrix must produce verified cells for every workload x mode pair.
-func TestPerfSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("perf matrix is slow; covered by make bench-txkv in CI")
-	}
-	rep, err := Perf(PerfConfig{
-		Procs:    []int{1, 2},
-		Duration: 25 * time.Millisecond,
-		Seed:     11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := len(Names()) * 4 * 2 // workloads x modes x procs
-	if len(rep.Cells) != want {
-		t.Fatalf("perf matrix has %d cells, want %d", len(rep.Cells), want)
-	}
-	for _, c := range rep.Cells {
-		if c.OpsPerSec <= 0 || c.Commits == 0 {
-			t.Fatalf("dead cell: %+v", c)
-		}
-	}
-}
-
-// stmConfigString pins the mode labels used by BENCH_txkv.json cells
-// against the runtime's own Config.String rendering.
-func TestPerfModeLabels(t *testing.T) {
-	ms := perfModes(4)
-	if ms[0].name != "eager" || ms[1].name != "lazy" || ms[2].name != "lazy+batch4" {
-		t.Fatalf("mode labels: %q/%q/%q", ms[0].name, ms[1].name, ms[2].name)
-	}
-	if !ms[2].cfg.Lazy || ms[2].cfg.CommitBatch != 4 {
-		t.Fatalf("lazy+batch4 config: %+v", ms[2].cfg)
-	}
-	if ms[3].name != "lazy+batch4+fold" || !ms[3].cfg.FoldCommutative || !ms[3].escrow {
-		t.Fatalf("folded mode: %q %+v escrow=%v", ms[3].name, ms[3].cfg, ms[3].escrow)
 	}
 }

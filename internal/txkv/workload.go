@@ -53,7 +53,7 @@ type Workload struct {
 	keyDist dist.Sampler // nil = per-workload zipf default
 }
 
-// Name identifies the workload in flags and BENCH_txkv.json cells.
+// Name identifies the workload in flags and test cell names.
 func (w *Workload) Name() string { return w.name }
 
 // Description is the one-line summary for CLI listings.
@@ -89,7 +89,7 @@ func defaultZipf(keys uint64, s float64) dist.Sampler {
 }
 
 // workloadDefs is the keyed-traffic catalog. Names are stable CLI
-// identifiers (cmd/txkvd -workload) and BENCH_txkv.json cell labels.
+// identifiers (cmd/txkvd -workload).
 var workloadDefs = []struct {
 	name, desc string
 	build      func(opt Options) *Workload

@@ -31,8 +31,15 @@
 // merged commit locks once and writes back a bounded queue of write
 // sets with a single clock advance per written stripe, stamping each
 // queued descriptor's outcome into its packed state word so kills
-// landed while queued still resolve correctly), driven by
-// scenario.STMRunner. cmd/txsim and cmd/stmbench select workloads
+// landed while queued still resolve correctly; every stamp it takes —
+// the paper's abort cost B is "time the receiver has already run +
+// cleanup" — is a reading of one monotonic clock, and stm.Worker, a
+// per-goroutine handle for back-to-back blocks, keeps its descriptor
+// and starts each block's first attempt at the stamp the previous one
+// ended at, so a committed block costs one clock read while retries
+// and a handle's first block always read afresh), driven by
+// scenario.STMRunner (one-shot stm.AtomicWorker blocks: its think
+// time sits between blocks and must not be chained over). cmd/txsim and cmd/stmbench select workloads
 // from the one registry via -scenario/-dist (stmbench -batch for the
 // group commit), and every run is checked against its scenario's
 // invariant end to end — including the cross-mode equivalence suite
@@ -59,7 +66,8 @@
 // catalog of zipf-skewed workloads (readmostly, hotspot-counter,
 // document) with structural and semantic invariant checks, a
 // closed-loop load generator, and the cmd/txkvd HTTP front-end
-// (batch requests on a fixed pool of stm.AtomicWorker identities;
+// (batch requests on a fixed pool of worker identities, each batch's
+// ops run back to back on one stm.Worker handle;
 // its recorded throughput and latency rows come from `bash
 // bench/run.sh`, see bench/README.md). The same
 // traffic shapes are registered in the scenario catalog as

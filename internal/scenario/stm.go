@@ -72,6 +72,9 @@ func (rn *STMRunner) Runtime() *stm.Runtime { return rn.rt }
 // RunOne generates and commits one transaction for the given worker,
 // then burns the program's think time outside the transaction.
 // Workers must each run on their own goroutine with their own stream.
+// Each block is a one-shot AtomicWorker, not a block of a long-lived
+// stm.Worker handle: a handle chains a block's start to the previous
+// block's end, which would count the think time as transaction time.
 func (rn *STMRunner) RunOne(worker int, r *rng.Rand) {
 	p := rn.sc.Next(worker, r)
 	_ = rn.rt.AtomicWorker(worker, r, func(tx *stm.Tx) error {

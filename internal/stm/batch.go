@@ -213,7 +213,7 @@ const maxHelpRounds = 2
 // abort unwinding out of lock acquisition. Returns tx's own outcome.
 func (tx *Tx) combine(sh *batchShard) uint64 {
 	defer sh.busy.Store(0)
-	t0 := time.Now().UnixNano()
+	t0 := nanos()
 	out := tx.combineRound(sh, true)
 	for r := 0; r < maxHelpRounds && sh.head.Load() != nil; r++ {
 		if !tx.helpRound(sh) {
@@ -223,7 +223,7 @@ func (tx *Tx) combine(sh *batchShard) uint64 {
 	// Drain time: the whole lane occupancy, own round plus altruistic
 	// rounds (a combiner abort unwinds past this and the round goes
 	// unobserved, like any other dead attempt).
-	tx.mx.ObserveDrain(time.Now().UnixNano() - t0)
+	tx.mx.ObserveDrain(nanos() - t0)
 	return out
 }
 
@@ -343,7 +343,7 @@ func (tx *Tx) combineRound(sh *batchShard, includeSelf bool) uint64 {
 	sampled := tx.mx.Sample()
 	var t0 int64
 	if sampled {
-		t0 = time.Now().UnixNano()
+		t0 = nanos()
 	}
 	for i, idx := range locks {
 		m := &rt.meta[idx]
@@ -364,7 +364,7 @@ func (tx *Tx) combineRound(sh *batchShard, includeSelf bool) uint64 {
 	}
 	tx.batchVers = vers
 	if sampled {
-		t1 := time.Now().UnixNano()
+		t1 := nanos()
 		tx.mx.Phase(metrics.PhaseLock, t1-t0)
 		t0 = t1
 	}
@@ -428,7 +428,7 @@ func (tx *Tx) combineRound(sh *batchShard, includeSelf bool) uint64 {
 	tx.batchOuts = outs
 	tx.batchAdmitted = admittedWrites
 	if sampled {
-		t1 := time.Now().UnixNano()
+		t1 := nanos()
 		tx.mx.Phase(metrics.PhaseValidate, t1-t0)
 		t0 = t1
 	}
@@ -490,7 +490,7 @@ func (tx *Tx) combineRound(sh *batchShard, includeSelf bool) uint64 {
 	tx.batchFolds = folds
 	tx.batchSums = sums
 	if sampled {
-		t1 := time.Now().UnixNano()
+		t1 := nanos()
 		tx.mx.Phase(metrics.PhaseWriteBack, t1-t0)
 		t0 = t1
 	}
@@ -521,7 +521,7 @@ func (tx *Tx) combineRound(sh *batchShard, includeSelf bool) uint64 {
 	}
 	clear(tx.wvs)
 	if sampled {
-		tx.mx.Phase(metrics.PhaseClock, time.Now().UnixNano()-t0)
+		tx.mx.Phase(metrics.PhaseClock, nanos()-t0)
 	}
 
 	// Stamp outcomes (after release, so failed members re-fight for

@@ -49,11 +49,14 @@ func (tx *Tx) onLocked(idx int) {
 		runtime.Gosched()
 		return
 	}
-	// The deferred observation also runs when the wait ends in an
-	// abort panic, so no grace time is lost on killed waiters.
-	waitStart := time.Now()
+	// One clock read opens the wait: it is the start of the grace
+	// observation, the instant the abort cost B is priced at, and the
+	// base of the deadline. The deferred observation also runs when
+	// the wait ends in an abort panic, so no grace time is lost on
+	// killed waiters.
+	waitStart := nanos()
 	defer func() {
-		ns := time.Since(waitStart).Nanoseconds()
+		ns := nanos() - waitStart
 		if tx.traced {
 			tx.tr.GraceWaitNs += ns
 		}
@@ -85,8 +88,7 @@ func (tx *Tx) onLocked(idx int) {
 	}
 
 	pol := tx.pol.resolutionFor(k)
-	grace := tx.graceFor(owner, k, pol)
-	deadline := time.Now().Add(grace)
+	deadline := waitStart + int64(tx.graceFor(owner, k, pol, waitStart))
 	for {
 		if gone() {
 			return
@@ -94,7 +96,7 @@ func (tx *Tx) onLocked(idx int) {
 		if tx.killed() {
 			tx.abort(metrics.AbortKilled)
 		}
-		if !time.Now().Before(deadline) {
+		if nanos() >= deadline {
 			break
 		}
 		runtime.Gosched()
@@ -142,13 +144,13 @@ func (tx *Tx) onLocked(idx int) {
 const maxGrace = time.Minute
 
 // graceFor evaluates the strategy for a conflict with the given
-// receiver, chain length estimate and per-conflict policy.
-func (tx *Tx) graceFor(owner *Tx, k int, pol core.Policy) time.Duration {
+// receiver, chain length estimate and per-conflict policy, pricing the
+// abort cost B at the stamp now.
+func (tx *Tx) graceFor(owner *Tx, k int, pol core.Policy, now int64) time.Duration {
 	s := tx.pol.Strategy
 	if s == nil {
 		return 0
 	}
-	now := time.Now().UnixNano()
 	var b float64
 	var attempts int
 	if pol == core.RequestorWins {

@@ -114,35 +114,71 @@ func TestEpochKillSkipsLaterAttempt(t *testing.T) {
 	}
 }
 
+type block = func(tx *Tx) error
+
+// panicEntries are the two ways a block can be entered when user code
+// panics out of it: the one-shot Atomic, and a later block of a Worker
+// handle that has already committed one (so a chained stamp is live).
+// Each runs body, checks that the panic reached the caller, and
+// returns the way to run one more block through the same entry.
+var panicEntries = []struct {
+	name string
+	run  func(t *testing.T, rt *Runtime, r *rng.Rand, body block) (again func(block) error)
+}{
+	{"oneshot", func(t *testing.T, rt *Runtime, r *rng.Rand, body block) func(block) error {
+		again := func(fn block) error { return rt.Atomic(r, fn) }
+		expectPanic(t, func() { _ = again(body) })
+		return again
+	}},
+	{"handle", func(t *testing.T, rt *Runtime, r *rng.Rand, body block) func(block) error {
+		w := rt.Worker(0, r)
+		t.Cleanup(w.Release)
+		if err := w.Atomic(func(tx *Tx) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		expectPanic(t, func() { _ = w.Atomic(body) })
+		if w.chained {
+			t.Fatal("a panicked block left its handle chained")
+		}
+		return w.Atomic
+	}},
+}
+
+func expectPanic(t *testing.T, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("user panic was swallowed")
+		}
+	}()
+	f()
+}
+
 // TestForeignPanicReleasesEncounterLocks: a panic out of user code
 // (not the internal txAbort) must roll back in-place writes and drop
 // encounter locks before unwinding — otherwise the word stays locked
 // forever and every later transaction wedges on it.
 func TestForeignPanicReleasesEncounterLocks(t *testing.T) {
-	rt := New(4, DefaultConfig())
-	r := rng.New(1)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("user panic was swallowed")
+	for _, e := range panicEntries {
+		t.Run(e.name, func(t *testing.T) {
+			rt := New(4, DefaultConfig())
+			again := e.run(t, rt, rng.New(1), func(tx *Tx) error {
+				tx.Store(0, 9)
+				panic("user bug")
+			})
+			if rt.meta[0].lock.Load()&1 != 0 {
+				t.Fatal("panic leaked the encounter lock")
 			}
-		}()
-		_ = rt.Atomic(r, func(tx *Tx) error {
-			tx.Store(0, 9)
-			panic("user bug")
+			if got := rt.ReadCommitted(0); got != 0 {
+				t.Fatalf("panic leaked a dirty write: %d", got)
+			}
+			if err := again(func(tx *Tx) error { tx.Store(0, 1); return nil }); err != nil {
+				t.Fatalf("runtime unusable after panic: %v", err)
+			}
+			if got := rt.ReadCommitted(0); got != 1 {
+				t.Fatalf("post-panic commit lost: %d", got)
+			}
 		})
-	}()
-	if rt.meta[0].lock.Load()&1 != 0 {
-		t.Fatal("panic leaked the encounter lock")
-	}
-	if got := rt.ReadCommitted(0); got != 0 {
-		t.Fatalf("panic leaked a dirty write: %d", got)
-	}
-	if err := rt.Atomic(r, func(tx *Tx) error { tx.Store(0, 1); return nil }); err != nil {
-		t.Fatalf("runtime unusable after panic: %v", err)
-	}
-	if got := rt.ReadCommitted(0); got != 1 {
-		t.Fatalf("post-panic commit lost: %d", got)
 	}
 }
 
@@ -150,30 +186,26 @@ func TestForeignPanicReleasesEncounterLocks(t *testing.T) {
 // irrevocable transaction must release the fallback token, or every
 // future slow-path transaction deadlocks.
 func TestForeignPanicReleasesIrrevocableToken(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxRetries = 1 // first abort escalates to the slow path
-	rt := New(2, cfg)
-	r := rng.New(1)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("user panic was swallowed")
+	for _, e := range panicEntries {
+		t.Run(e.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.MaxRetries = 1 // first abort escalates to the slow path
+			rt := New(2, cfg)
+			e.run(t, rt, rng.New(1), func(tx *Tx) error {
+				if tx.Attempts() == 0 {
+					panic(txAbort{reason: metrics.AbortValidation}) // force escalation
+				}
+				panic("user bug on the irrevocable path")
+			})
+			if rt.Stats.Snapshot()["irrevocable"] == 0 {
+				t.Fatal("staging failed: transaction never went irrevocable")
 			}
-		}()
-		_ = rt.Atomic(r, func(tx *Tx) error {
-			if tx.Attempts() == 0 {
-				panic(txAbort{reason: metrics.AbortValidation}) // force escalation
+			if !rt.fallback.TryLock() {
+				t.Fatal("panic leaked the irrevocable fallback token")
 			}
-			panic("user bug on the irrevocable path")
+			rt.fallback.Unlock()
 		})
-	}()
-	if rt.Stats.Snapshot()["irrevocable"] == 0 {
-		t.Fatal("staging failed: transaction never went irrevocable")
 	}
-	if !rt.fallback.TryLock() {
-		t.Fatal("panic leaked the irrevocable fallback token")
-	}
-	rt.fallback.Unlock()
 }
 
 // TestChainEstimateDistinct: concurrent requestors registering on the
@@ -238,13 +270,13 @@ func TestGraceForClampsOverflow(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Strategy = unclampedGrace(c.delay)
 			rt := New(1, cfg)
-			now := time.Now().UnixNano()
+			now := nanos()
 			owner := &Tx{rt: rt}
 			owner.startNanos.Store(now)
 			tx := &Tx{rt: rt, pol: rt.pol.Load()}
 			tx.startNanos.Store(now)
 			for _, pol := range []core.Policy{core.RequestorWins, core.RequestorAborts} {
-				got := tx.graceFor(owner, 2, pol)
+				got := tx.graceFor(owner, 2, pol, now)
 				if got < 0 {
 					t.Fatalf("policy %v: grace %v is negative (overflow leaked through)", pol, got)
 				}

@@ -1,10 +1,6 @@
 package stm
 
-import (
-	"time"
-
-	"txconflict/internal/metrics"
-)
+import "txconflict/internal/metrics"
 
 // TxTrace summarizes one completed Atomic call — every attempt of one
 // atomic block, from the first optimistic execution to the final
@@ -17,9 +13,13 @@ type TxTrace struct {
 	// Worker is the caller-supplied worker id (AtomicWorker), or -1
 	// for plain Atomic calls.
 	Worker int
-	// StartUnixNs is the wall-clock start of the first attempt.
+	// StartUnixNs is the wall-clock start of the first attempt, Unix
+	// nanoseconds. For a block chained on a Worker handle that is the
+	// instant the handle's previous block ended.
 	StartUnixNs int64
-	// DurNs is the wall-clock duration of the whole atomic block.
+	// DurNs is the duration of the whole atomic block on the runtime's
+	// monotonic clock — exactly what the metrics plane's commit
+	// histogram observed for a committed block.
 	DurNs int64
 	// GraceWaitNs is the total time this transaction spent waiting in
 	// grace periods (as a requestor), across all attempts.
@@ -122,9 +122,9 @@ func (tx *Tx) noteAbort(reason metrics.AbortReason) {
 func (tx *Tx) emitTrace(committed bool) {
 	tx.tr.Committed = committed
 	tx.tr.Retries = int(tx.attempts.Load())
-	// The first attempt's start is the block's: one clock read serves
-	// the trace and the plane's commit-latency observation.
-	tx.tr.StartUnixNs = tx.blockStart
-	tx.tr.DurNs = time.Now().UnixNano() - tx.blockStart
+	// The block's two stamps are the ones the plane just observed, so
+	// DurNs is exactly the commit-latency observation.
+	tx.tr.StartUnixNs = wallNanos(tx.blockStart)
+	tx.tr.DurNs = tx.blockEnd - tx.blockStart
 	tx.rt.tracer.TraceTx(&tx.tr)
 }

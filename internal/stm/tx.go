@@ -2,7 +2,6 @@ package stm
 
 import (
 	"sort"
-	"time"
 
 	"sync/atomic"
 
@@ -82,17 +81,20 @@ type Tx struct {
 	reads []readEntry
 
 	// traced gates all instrumentation below it (Config.Trace != nil,
-	// latched per Atomic call); tr accumulates the block's trace and
+	// latched per Worker handle); tr accumulates the block's trace and
 	// reuses its footprint buffers across pooled descriptors.
 	traced bool
 	tr     TxTrace
 
-	// mx is this worker's metrics shard, latched per Atomic call;
-	// blockStart is the first attempt's start (ns), the base of the
-	// committed-block latency observation; lastAbort is the taxonomy
-	// reason of the most recent aborted attempt.
+	// mx is this worker's metrics shard, latched per Worker handle.
+	// blockStart is the first attempt's start stamp, the base of the
+	// committed-block latency observation; blockEnd is the stamp the
+	// latest attempt ended at (where the handle's next block starts,
+	// see Worker); lastAbort is the taxonomy reason of the most recent
+	// aborted attempt.
 	mx         *metrics.Shard
 	blockStart int64
+	blockEnd   int64
 	lastAbort  metrics.AbortReason
 
 	// Lazy mode: buffered write set.
@@ -161,59 +163,124 @@ func (rt *Runtime) Atomic(r *rng.Rand, fn func(tx *Tx) error) error {
 // in the block's TxTrace when tracing is enabled (Config.Trace). The
 // id has no semantic effect on execution; scenario.STMRunner passes
 // its worker index so per-worker trace buffers stay contention-free.
+// It is the one-shot form of a Worker handle: two clock reads, one
+// descriptor-pool round trip.
 func (rt *Runtime) AtomicWorker(worker int, r *rng.Rand, fn func(tx *Tx) error) error {
+	w := rt.Worker(worker, r)
+	err := w.Atomic(fn)
+	w.Release()
+	return err
+}
+
+// Worker is a handle for running atomic blocks back to back on one
+// goroutine (a batch of keyed ops, say). It owns one pooled descriptor
+// for its whole life, and it chains stamps: block i+1's first attempt
+// starts at the stamp block i ended at, so a block that commits first
+// time reads the clock once, at its end. The attempt and commit
+// observations of a chained block therefore include the few
+// nanoseconds the caller spent between the two blocks — which is why
+// a handle must not be held across think time, I/O or any other wait:
+// open it, run the blocks, Release it.
+//
+// What is never chained: the first block of a handle and every retry
+// read the clock afresh, so a stale stamp cannot outlive Release, and
+// rollback or the wait for the irrevocable token never inflates an
+// attempt's duration or the abort cost B a requestor prices against
+// this descriptor's startNanos. A panic out of a block breaks the
+// chain too.
+//
+// A Worker is not safe for concurrent use, and its blocks must not
+// nest.
+type Worker struct {
+	tx *Tx
+	id int
+	// chained reports that the previous block on this handle ran to
+	// its end, so tx.blockEnd is the stamp the next block starts at.
+	chained bool
+}
+
+// Worker opens a handle tagged with a worker id (see AtomicWorker); r
+// must be the calling goroutine's own stream.
+func (rt *Runtime) Worker(id int, r *rng.Rand) Worker {
 	tx, _ := rt.txPool.Get().(*Tx)
 	if tx == nil {
-		tx = &Tx{
-			rt:  rt,
-			rv:  make([]uint64, len(rt.stripes)),
-			wvs: make([]uint64, len(rt.stripes)),
-		}
-		if rt.lazy {
-			tx.writeVals = make(map[int]uint64, 8)
-		}
+		tx = rt.newTx()
 	}
 	tx.rng = r
-	tx.attempts.Store(0)
-	tx.blockStart = 0
-	tx.mx = rt.metrics.Shard(worker)
-	if tx.traced = rt.tracer != nil; tx.traced {
-		tx.beginTrace(worker)
+	tx.mx = rt.metrics.Shard(id)
+	tx.traced = rt.tracer != nil
+	return Worker{tx: tx, id: id}
+}
+
+func (rt *Runtime) newTx() *Tx {
+	tx := &Tx{
+		rt:  rt,
+		rv:  make([]uint64, len(rt.stripes)),
+		wvs: make([]uint64, len(rt.stripes)),
 	}
+	if rt.lazy {
+		tx.writeVals = make(map[int]uint64, 8)
+	}
+	return tx
+}
+
+// Release returns the handle's descriptor to the pool. The handle
+// must not be used afterwards.
+func (w *Worker) Release() {
+	tx := w.tx
+	w.tx = nil
+	tx.rng = nil
+	tx.rt.txPool.Put(tx)
+}
+
+// Atomic runs fn as one atomic block on the handle's descriptor, with
+// Runtime.Atomic's contract.
+func (w *Worker) Atomic(fn func(tx *Tx) error) error {
+	tx := w.tx
+	tx.attempts.Store(0)
+	if tx.traced {
+		tx.beginTrace(w.id)
+	}
+	// The chain holds only from a block that ran to its end to the
+	// first attempt of the next: it is broken here and re-made on
+	// return, so a panic out of fn leaves it broken.
+	start := tx.blockEnd
+	if !w.chained {
+		start = nanos()
+	}
+	w.chained = false
+	tx.blockStart = start
 	for {
-		tx.reset()
+		tx.reset(start)
 		err, aborted := tx.attempt(fn)
 		if !aborted {
 			if tx.traced {
 				tx.emitTrace(err == nil)
 			}
-			tx.rng = nil
-			rt.txPool.Put(tx)
+			w.chained = true
 			return err
 		}
 		tx.attempts.Add(1)
 		if mr := tx.pol.MaxRetries; mr > 0 && int(tx.attempts.Load()) >= mr && !tx.irrevocable.Load() {
-			rt.fallback.Lock()
+			tx.rt.fallback.Lock()
 			tx.irrevocable.Store(true)
 			tx.mx.Abort(metrics.AbortMaxRetries)
 			if tx.traced {
 				tx.tr.Irrevocable = true
 			}
 		}
+		start = nanos()
 	}
 }
 
-// reset opens a fresh attempt: a new epoch (so stale requestors from
-// the previous attempt can neither kill us nor keep waiting on us),
-// the current conflict policy, and cleared speculative state.
-func (tx *Tx) reset() {
+// reset opens a fresh attempt starting at the stamp now: a new epoch
+// (so stale requestors from the previous attempt can neither kill us
+// nor keep waiting on us), the current conflict policy, and cleared
+// speculative state.
+func (tx *Tx) reset(now int64) {
 	tx.pol = tx.rt.pol.Load()
 	tx.state.Store((tx.epoch() + 1) << stateEpochShift) // status = active
-	now := time.Now().UnixNano()
 	tx.startNanos.Store(now)
-	if tx.blockStart == 0 {
-		tx.blockStart = now
-	}
 	clear(tx.rv)
 	clear(tx.wvs)
 	tx.reads = tx.reads[:0]
@@ -228,6 +295,15 @@ func (tx *Tx) reset() {
 	tx.foldedN = 0
 	tx.undo = tx.undo[:0]
 	tx.lockedUpTo = 0
+}
+
+// endAttempt reads the clock once at an attempt's end, observes the
+// attempt's duration and returns the stamp.
+func (tx *Tx) endAttempt() int64 {
+	now := nanos()
+	tx.blockEnd = now
+	tx.mx.ObserveAttempt(now - tx.startNanos.Load())
+	return now
 }
 
 // attempt executes fn once; aborted reports whether it must be
@@ -248,7 +324,7 @@ func (tx *Tx) attempt(fn func(tx *Tx) error) (err error, aborted bool) {
 			if tx.traced {
 				tx.noteAbort(ab.reason)
 			}
-			tx.mx.ObserveAttempt(time.Now().UnixNano() - tx.startNanos.Load())
+			tx.endAttempt()
 			tx.mx.Abort(ab.reason)
 			tx.rollback()
 			aborted = true
@@ -262,7 +338,7 @@ func (tx *Tx) attempt(fn func(tx *Tx) error) (err error, aborted bool) {
 		}
 		tx.rollback()
 		tx.releaseToken()
-		tx.mx.ObserveAttempt(time.Now().UnixNano() - tx.startNanos.Load())
+		tx.endAttempt()
 		tx.mx.Abort(metrics.AbortExplicit)
 		return err, false
 	}
@@ -271,9 +347,8 @@ func (tx *Tx) attempt(fn func(tx *Tx) error) (err error, aborted bool) {
 	}
 	tx.commit()
 	tx.releaseToken()
-	now := time.Now().UnixNano()
+	now := tx.endAttempt()
 	tx.rt.profileUpdate(float64(now - tx.startNanos.Load()))
-	tx.mx.ObserveAttempt(now - tx.startNanos.Load())
 	tx.mx.ObserveCommit(now - tx.blockStart)
 	return nil, false
 }
@@ -599,11 +674,11 @@ func (tx *Tx) commitEager() {
 	sampled := tx.mx.Sample()
 	var t0 int64
 	if sampled {
-		t0 = time.Now().UnixNano()
+		t0 = nanos()
 	}
 	tx.validateReads()
 	if sampled {
-		t1 := time.Now().UnixNano()
+		t1 := nanos()
 		tx.mx.Phase(metrics.PhaseValidate, t1-t0)
 		t0 = t1
 	}
@@ -614,7 +689,7 @@ func (tx *Tx) commitEager() {
 		m.lock.Store(tx.wvs[tx.rt.stripeOf(u.idx)] << 1)
 	}
 	if sampled {
-		tx.mx.Phase(metrics.PhaseClock, time.Now().UnixNano()-t0)
+		tx.mx.Phase(metrics.PhaseClock, nanos()-t0)
 	}
 	tx.undo = tx.undo[:0]
 	clear(tx.wvs)
@@ -655,27 +730,27 @@ func (tx *Tx) commitLazy() {
 	sampled := tx.mx.Sample()
 	var t0 int64
 	if sampled {
-		t0 = time.Now().UnixNano()
+		t0 = nanos()
 	}
 	for i, idx := range tx.writeIdx {
 		tx.lockCommit(idx)
 		tx.lockedUpTo = i + 1
 	}
 	if sampled {
-		t1 := time.Now().UnixNano()
+		t1 := nanos()
 		tx.mx.Phase(metrics.PhaseLock, t1-t0)
 		t0 = t1
 	}
 	tx.enterNoReturn()
 	tx.validateReads()
 	if sampled {
-		t1 := time.Now().UnixNano()
+		t1 := nanos()
 		tx.mx.Phase(metrics.PhaseValidate, t1-t0)
 		t0 = t1
 	}
 	tx.stampStripes(func(i int) int { return tx.writeIdx[i] }, len(tx.writeIdx))
 	if sampled {
-		t1 := time.Now().UnixNano()
+		t1 := nanos()
 		tx.mx.Phase(metrics.PhaseClock, t1-t0)
 		t0 = t1
 	}
@@ -688,7 +763,7 @@ func (tx *Tx) commitLazy() {
 		m.lock.Store(tx.wvs[tx.rt.stripeOf(idx)] << 1)
 	}
 	if sampled {
-		tx.mx.Phase(metrics.PhaseWriteBack, time.Now().UnixNano()-t0)
+		tx.mx.Phase(metrics.PhaseWriteBack, nanos()-t0)
 	}
 	tx.lockedUpTo = 0
 	clear(tx.wvs)

@@ -1,0 +1,169 @@
+package stm
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"strings"
+	"testing"
+
+	"txconflict/internal/core"
+	"txconflict/internal/rng"
+)
+
+// TestWorkerChainTiles: n blocks through one handle are n attempts and
+// n commits, and their attempt intervals tile — block i+1 starts at
+// the very stamp block i ended at, so the observed attempt time sums
+// to exactly last end − first start (no second clock read per block),
+// which in turn fits inside the loop's own elapsed time (intervals
+// never overlap or reach back before the handle was opened).
+func TestWorkerChainTiles(t *testing.T) {
+	var first, last int64
+	cfg := DefaultConfig()
+	cfg.Trace = tracerFunc(func(tr *TxTrace) {
+		if first == 0 {
+			first = tr.StartUnixNs
+		}
+		last = tr.StartUnixNs + tr.DurNs
+	})
+	rt := New(8, cfg)
+	const n = 100
+	t0 := nanos()
+	w := rt.Worker(0, rng.New(1))
+	for i := 0; i < n; i++ {
+		_ = w.Atomic(func(tx *Tx) error { tx.Store(i%8, tx.Load(i%8)+1); return nil })
+	}
+	w.Release()
+	outer := nanos() - t0
+
+	snap := rt.Metrics().Snapshot()
+	if snap.Attempt.Count != n || snap.Commit.Count != n {
+		t.Fatalf("attempts = %d, commits = %d, want %d each", snap.Attempt.Count, snap.Commit.Count, n)
+	}
+	if got := int64(snap.Attempt.Sum); got != last-first || got > outer {
+		t.Fatalf("Σ attempt = %d ns, want exactly last end − first start = %d and ≤ the loop's %d",
+			got, last-first, outer)
+	}
+}
+
+// captureB is a Strategy that records the abort cost it was asked to
+// price and requests no delay.
+type captureB struct{ b *float64 }
+
+func (c captureB) Delay(conf core.Conflict, _ *rng.Rand) float64 { *c.b = conf.B; return 0 }
+func (c captureB) Name() string                                  { return "capture-B" }
+
+// TestGraceForPricesElapsedPlusCleanup: the abort cost handed to the
+// strategy is the time the paying side has run — the stamp the wait
+// opened at minus that side's startNanos — plus Policy.CleanupCost,
+// whichever clock the stamps come from.
+func TestGraceForPricesElapsedPlusCleanup(t *testing.T) {
+	var b float64
+	cfg := DefaultConfig()
+	cfg.Strategy = captureB{&b}
+	cfg.BackoffFactor = 0
+	rt := New(1, cfg)
+	const ownerRan, selfRan = 40_000, 7_000
+	now := nanos()
+	owner := &Tx{rt: rt}
+	owner.startNanos.Store(now - ownerRan)
+	tx := &Tx{rt: rt, pol: rt.pol.Load()}
+	tx.startNanos.Store(now - selfRan)
+	cleanup := float64(cfg.CleanupCost.Nanoseconds())
+	for pol, want := range map[core.Policy]float64{
+		core.RequestorWins:   ownerRan + cleanup, // the receiver would be killed
+		core.RequestorAborts: selfRan + cleanup,  // the requestor would abort itself
+	} {
+		tx.graceFor(owner, 2, pol, now)
+		if b != want {
+			t.Errorf("policy %v: B = %v, want %v", pol, b, want)
+		}
+	}
+}
+
+// TestOneClock is the source guard for the package's time source:
+// outside clock.go's clockBase and nanos, no non-test file may read a
+// clock (time.Now, time.Since, time.Until), so a second time source —
+// or a second read where one stamp would do — cannot drift back in
+// unnoticed.
+func TestOneClock(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := 0
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				allowed := false
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					allowed = d.Recv == nil && d.Name.Name == "nanos"
+				case *ast.GenDecl:
+					if len(d.Specs) == 1 {
+						vs, ok := d.Specs[0].(*ast.ValueSpec)
+						allowed = ok && len(vs.Names) == 1 && vs.Names[0].Name == "clockBase"
+					}
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					sel, ok := n.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "time" {
+						return true
+					}
+					switch sel.Sel.Name {
+					case "Now", "Since", "Until":
+						reads++
+						if !allowed {
+							t.Errorf("%s: time.%s outside the one clock (use nanos)",
+								fset.Position(sel.Pos()), sel.Sel.Name)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	if reads != 2 {
+		t.Errorf("found %d clock reads in the package, want exactly clockBase's time.Now and nanos's time.Since", reads)
+	}
+}
+
+// BenchmarkAtomicBlock is the fixed cost of one committed single-store
+// block through the two entries, one block per b.N so ns/op is
+// ns/block (reported under that name too): oneshot is AtomicWorker (a
+// descriptor-pool round trip and two clock reads per block), handle16
+// runs sixteen blocks per Worker handle (one pool round trip and
+// seventeen reads per sixteen blocks) — the shape of a txkv batch.
+func BenchmarkAtomicBlock(b *testing.B) {
+	body := func(tx *Tx) error { tx.Store(3, 4); return nil }
+	for _, perHandle := range []int{1, 16} {
+		name := "oneshot"
+		if perHandle > 1 {
+			name = "handle16"
+		}
+		b.Run(name, func(b *testing.B) {
+			rt := New(64, DefaultConfig())
+			r := rng.New(1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i += perHandle {
+				if perHandle == 1 {
+					_ = rt.AtomicWorker(0, r, body)
+					continue
+				}
+				w := rt.Worker(0, r)
+				for j := 0; j < perHandle && i+j < b.N; j++ {
+					_ = w.Atomic(body)
+				}
+				w.Release()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/block")
+		})
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"txconflict/internal/rng"
+	"txconflict/internal/stm"
 )
 
 // Op is one keyed operation in a batch request — the wire unit of
@@ -39,28 +40,36 @@ type Result struct {
 
 // Apply executes one op as a transaction on the store.
 func (s *Store) Apply(worker int, r *rng.Rand, op Op) Result {
+	w := s.rt.Worker(worker, r)
+	res := s.apply(&w, op)
+	w.Release()
+	return res
+}
+
+// apply runs one op as one atomic block on the handle.
+func (s *Store) apply(w *stm.Worker, op Op) Result {
 	switch op.Kind {
 	case KindGet:
-		v, ok, err := s.Get(worker, r, op.Key)
+		v, ok, err := s.runGet(w, op.Key)
 		return result(Result{Val: v, Found: ok}, err)
 	case KindPut:
-		return result(Result{}, s.Put(worker, r, op.Key, op.Val))
+		return result(Result{}, s.runPut(w, op.Key, op.Val))
 	case KindDelete:
-		ok, err := s.Delete(worker, r, op.Key)
+		ok, err := s.runDelete(w, op.Key)
 		return result(Result{Found: ok}, err)
 	case KindAdd:
-		v, err := s.Add(worker, r, op.Key, op.Val)
+		v, err := s.runAdd(w, op.Key, op.Val)
 		return result(Result{Val: v}, err)
 	case KindUpdateDoc:
 		if op.Fields <= 0 {
 			return Result{Err: "txkv: updatedoc with no fields"}
 		}
-		return result(Result{}, s.UpdateDoc(worker, r, op.Key, op.Fields, op.Val))
+		return result(Result{}, s.runUpdateDoc(w, op.Key, op.Fields, op.Val))
 	case KindReadDoc:
 		if op.Fields <= 0 {
 			return Result{Err: "txkv: readdoc with no fields"}
 		}
-		vals, err := s.ReadDoc(worker, r, op.Key, op.Fields)
+		vals, err := s.runReadDoc(w, op.Key, op.Fields)
 		return result(Result{Vals: vals}, err)
 	default:
 		return Result{Err: fmt.Sprintf("txkv: unknown op kind %q", op.Kind)}
@@ -75,15 +84,21 @@ func (s *Store) ApplyBatch(worker int, r *rng.Rand, ops []Op) []Result {
 
 // ApplyBatchInto is ApplyBatch writing the results over dst's memory
 // when it has room for them (a nil or short dst is replaced), so a
-// serving loop can reuse one result slice per request.
+// serving loop can reuse one result slice per request. The ops run
+// back to back on one stm.Worker handle opened for this batch: one
+// descriptor for all of them, and each op's transaction starts at the
+// stamp the previous one ended at, so its attempt and commit latencies
+// include the few nanoseconds of dispatch between the two.
 func (s *Store) ApplyBatchInto(dst []Result, worker int, r *rng.Rand, ops []Op) []Result {
 	if dst == nil || cap(dst) < len(ops) {
 		dst = make([]Result, len(ops))
 	}
 	dst = dst[:len(ops)]
+	w := s.rt.Worker(worker, r)
 	for i, op := range ops {
-		dst[i] = s.Apply(worker, r, op)
+		dst[i] = s.apply(&w, op)
 	}
+	w.Release()
 	return dst
 }
 

@@ -331,24 +331,43 @@ func (s *Store) del(tx *stm.Tx, key uint64) bool {
 	return true
 }
 
+// The public single-op entry points below are one-shot wrappers: each
+// opens an stm.Worker handle, runs the op's one transactional body
+// (the run* method) on it and releases it. Store.ApplyBatchInto runs a
+// whole batch of the same bodies on one handle.
+
 // Put inserts or updates key. worker tags the transaction's trace
 // records (pass -1 outside a worker pool); r must be the caller
 // goroutine's own stream.
 func (s *Store) Put(worker int, r *rng.Rand, key, val uint64) error {
+	w := s.rt.Worker(worker, r)
+	err := s.runPut(&w, key, val)
+	w.Release()
+	return err
+}
+
+func (s *Store) runPut(w *stm.Worker, key, val uint64) error {
 	if err := checkKey(key); err != nil {
 		return err
 	}
-	return s.rt.AtomicWorker(worker, r, func(tx *stm.Tx) error {
+	return w.Atomic(func(tx *stm.Tx) error {
 		return s.put(tx, key, val)
 	})
 }
 
 // Get returns key's value (ok=false when absent).
 func (s *Store) Get(worker int, r *rng.Rand, key uint64) (val uint64, ok bool, err error) {
+	w := s.rt.Worker(worker, r)
+	val, ok, err = s.runGet(&w, key)
+	w.Release()
+	return val, ok, err
+}
+
+func (s *Store) runGet(w *stm.Worker, key uint64) (val uint64, ok bool, err error) {
 	if err := checkKey(key); err != nil {
 		return 0, false, err
 	}
-	err = s.rt.AtomicWorker(worker, r, func(tx *stm.Tx) error {
+	err = w.Atomic(func(tx *stm.Tx) error {
 		val, ok = s.get(tx, key)
 		return nil
 	})
@@ -357,10 +376,17 @@ func (s *Store) Get(worker int, r *rng.Rand, key uint64) (val uint64, ok bool, e
 
 // Delete removes key, reporting whether it was present.
 func (s *Store) Delete(worker int, r *rng.Rand, key uint64) (deleted bool, err error) {
+	w := s.rt.Worker(worker, r)
+	deleted, err = s.runDelete(&w, key)
+	w.Release()
+	return deleted, err
+}
+
+func (s *Store) runDelete(w *stm.Worker, key uint64) (deleted bool, err error) {
 	if err := checkKey(key); err != nil {
 		return false, err
 	}
-	err = s.rt.AtomicWorker(worker, r, func(tx *stm.Tx) error {
+	err = w.Atomic(func(tx *stm.Tx) error {
 		deleted = s.del(tx, key)
 		return nil
 	})
@@ -376,18 +402,25 @@ func (s *Store) Delete(worker int, r *rng.Rand, key uint64) (deleted bool, err e
 // fold it: the transaction never learns the value, and Add returns 0
 // (inserts still return delta).
 func (s *Store) Add(worker int, r *rng.Rand, key, delta uint64) (newVal uint64, err error) {
+	w := s.rt.Worker(worker, r)
+	newVal, err = s.runAdd(&w, key, delta)
+	w.Release()
+	return newVal, err
+}
+
+func (s *Store) runAdd(w *stm.Worker, key, delta uint64) (newVal uint64, err error) {
 	if err := checkKey(key); err != nil {
 		return 0, err
 	}
 	if !s.escrow {
-		err = s.rt.AtomicWorker(worker, r, func(tx *stm.Tx) error {
+		err = w.Atomic(func(tx *stm.Tx) error {
 			old, _ := s.get(tx, key)
 			newVal = old + delta
 			return s.put(tx, key, newVal)
 		})
 		return newVal, err
 	}
-	err = s.rt.AtomicWorker(worker, r, func(tx *stm.Tx) error {
+	err = w.Atomic(func(tx *stm.Tx) error {
 		newVal = 0 // the closure re-runs on abort
 		b, found, free := s.probe(tx, key)
 		if found {
@@ -415,10 +448,17 @@ func (s *Store) Add(worker int, r *rng.Rand, key, delta uint64) (newVal uint64, 
 // keys base, base+1, ..., base+fields-1 — in one transaction, so a
 // reader can never observe a half-updated document.
 func (s *Store) UpdateDoc(worker int, r *rng.Rand, base uint64, fields int, val uint64) error {
+	w := s.rt.Worker(worker, r)
+	err := s.runUpdateDoc(&w, base, fields, val)
+	w.Release()
+	return err
+}
+
+func (s *Store) runUpdateDoc(w *stm.Worker, base uint64, fields int, val uint64) error {
 	if err := s.checkDoc(base, fields); err != nil {
 		return err
 	}
-	return s.rt.AtomicWorker(worker, r, func(tx *stm.Tx) error {
+	return w.Atomic(func(tx *stm.Tx) error {
 		for f := 0; f < fields; f++ {
 			if err := s.put(tx, base+uint64(f), val); err != nil {
 				return err
@@ -432,11 +472,18 @@ func (s *Store) UpdateDoc(worker int, r *rng.Rand, base uint64, fields int, val 
 // as 0 — a document that was never written is all-zero, still
 // satisfying the all-fields-equal visibility invariant).
 func (s *Store) ReadDoc(worker int, r *rng.Rand, base uint64, fields int) ([]uint64, error) {
+	w := s.rt.Worker(worker, r)
+	vals, err := s.runReadDoc(&w, base, fields)
+	w.Release()
+	return vals, err
+}
+
+func (s *Store) runReadDoc(w *stm.Worker, base uint64, fields int) ([]uint64, error) {
 	if err := s.checkDoc(base, fields); err != nil {
 		return nil, err
 	}
 	vals := make([]uint64, fields)
-	err := s.rt.AtomicWorker(worker, r, func(tx *stm.Tx) error {
+	err := w.Atomic(func(tx *stm.Tx) error {
 		for f := 0; f < fields; f++ {
 			vals[f], _ = s.get(tx, base+uint64(f))
 		}

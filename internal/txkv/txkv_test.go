@@ -3,6 +3,7 @@ package txkv
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"txconflict/internal/rng"
 	"txconflict/internal/stm"
@@ -267,6 +268,27 @@ func TestApplyBatch(t *testing.T) {
 	}
 	if res[5].Err == "" {
 		t.Fatal("unknown op kind did not error")
+	}
+}
+
+// TestBatchStampDoesNotOutliveBatch: a batch chains its ops' start
+// stamps on one stm.Worker handle, and the handle ends with the batch.
+// Two batches 20 ms apart must therefore leave no commit latency
+// anywhere near 20 ms — the second batch's first op reads the clock
+// afresh instead of starting where the first batch ended.
+func TestBatchStampDoesNotOutliveBatch(t *testing.T) {
+	s := newTestStore(t, stm.DefaultConfig(), 64)
+	r := rng.New(9)
+	ops := []Op{{Kind: KindPut, Key: 1, Val: 1}, {Kind: KindGet, Key: 1}, {Kind: KindAdd, Key: 1, Val: 2}}
+	s.ApplyBatch(0, r, ops)
+	time.Sleep(20 * time.Millisecond)
+	s.ApplyBatch(0, r, ops)
+	commit := s.Runtime().Metrics().Snapshot().Commit
+	if n := int(commit.Count); n != 2*len(ops) {
+		t.Fatalf("commits = %d, want %d", n, 2*len(ops))
+	}
+	if max := time.Duration(commit.Quantile(1)); max > 10*time.Millisecond {
+		t.Fatalf("slowest commit %v: a stamp crossed the 20 ms gap between two batches", max)
 	}
 }
 

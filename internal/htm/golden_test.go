@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	ccore "txconflict/internal/core"
+	"txconflict/internal/dist"
 	"txconflict/internal/htm"
 	"txconflict/internal/rng"
 	"txconflict/internal/scenario"
@@ -37,9 +38,9 @@ type goldenCell struct {
 	check  func(m *htm.Machine, fin htm.Metrics) error
 }
 
-func hotspot(t *testing.T) (*workload.HTM, func(*htm.Machine, htm.Metrics) error) {
+func hotspot(t *testing.T, opt scenario.Options) (*workload.HTM, func(*htm.Machine, htm.Metrics) error) {
 	t.Helper()
-	w, err := workload.ByName("hotspot", scenario.Options{})
+	w, err := workload.ByName("hotspot", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,14 +80,17 @@ func capacityWorkload() htm.Workload {
 
 func goldenCells(t *testing.T) []goldenCell {
 	t.Helper()
-	probe, _ := hotspot(t)
+	probe, _ := hotspot(t, scenario.Options{})
 	tuned := workload.TunedDelay(probe, htm.DefaultParams(1), 512)
 	var cells []goldenCell
-	add := func(name string, cycles sim.Time, mod func(p *htm.Params)) {
-		w, check := hotspot(t)
-		p := htm.DefaultParams(16)
+	addOn := func(name string, cores int, opt scenario.Options, cycles sim.Time, mod func(p *htm.Params)) {
+		w, check := hotspot(t, opt)
+		p := htm.DefaultParams(cores)
 		mod(&p)
 		cells = append(cells, goldenCell{name, p, w, cycles, check})
+	}
+	add := func(name string, cycles sim.Time, mod func(p *htm.Params)) {
+		addOn(name, 16, scenario.Options{}, cycles, mod)
 	}
 
 	// The benchmark's sim-hot-16 cells, seed 1: Fig3Set x {1,2}.
@@ -140,6 +144,22 @@ func goldenCells(t *testing.T) []goldenCell {
 			}
 			return nil
 		}})
+
+	// Beyond the paper's grid: 32 and 64 cores reach queue depths and
+	// same-cycle ties the 16-core cells never do, and a think time
+	// longer than any restart backoff's first step puts the next
+	// transaction's timer, not only restarts, far ahead of the clock.
+	for i, cores := range []int{32, 64} {
+		seed := uint64(8 + i)
+		addOn(fmt.Sprintf("hotspot-%d", cores), cores, scenario.Options{}, 300000, func(p *htm.Params) {
+			p.Strategy = strategy.UniformRW{}
+			p.Seed = seed
+		})
+	}
+	addOn("long-think", 16, scenario.Options{Think: dist.Constant{V: 5000}}, 300000, func(p *htm.Params) {
+		p.Strategy = strategy.UniformRW{}
+		p.Seed = 10
+	})
 	return cells
 }
 
@@ -161,7 +181,7 @@ func renderMetrics(b *strings.Builder, label string, met htm.Metrics, fired uint
 	}
 }
 
-// TestGoldenCells pins every simulated count of thirteen cells: a
+// TestGoldenCells pins every simulated count of sixteen cells: a
 // change to sim, cache or htm that moves one has changed the model,
 // not just its cost.
 func TestGoldenCells(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"txconflict/internal/htm"
-	"txconflict/internal/rng"
 	"txconflict/internal/scenario"
 	"txconflict/internal/strategy"
 	"txconflict/internal/workload"
@@ -45,49 +44,21 @@ func BenchmarkFig3Cell(b *testing.B) {
 	b.ReportMetric(float64(commits)/float64(b.N), "commits/op")
 }
 
-// predrawn replays transactions drawn ahead of time, so NextTx — the
-// workload's cost, not the simulator's — allocates nothing while the
-// machine runs.
-type predrawn struct {
-	txs  [][]htm.Tx
-	next []int
-}
-
-func predraw(t *testing.T, cores, perCore int) *predrawn {
-	w, err := workload.ByName("hotspot", scenario.Options{Workers: cores})
+// TestSteadyStateAllocs is the simulator's allocation gate: once a
+// 16-core hotspot machine is warm (directory entries exist, the
+// message pool, the event slab, the per-core op buffers and every
+// parked-request list have reached their working size), extending the
+// run allocates at most 0.01 objects per fired event — Collect's
+// metrics snapshot and an occasional slice growing, nothing per event,
+// per transaction drawn or per commit.
+func TestSteadyStateAllocs(t *testing.T) {
+	w, err := workload.ByName("hotspot", scenario.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rng.New(99)
-	p := &predrawn{txs: make([][]htm.Tx, cores), next: make([]int, cores)}
-	for c := range p.txs {
-		for i := 0; i < perCore; i++ {
-			tx := w.NextTx(c, r)
-			tx.Ops = append([]htm.Op(nil), tx.Ops...)
-			p.txs[c] = append(p.txs[c], tx)
-		}
-	}
-	return p
-}
-
-func (p *predrawn) Name() string { return "predrawn-hotspot" }
-
-func (p *predrawn) NextTx(core int, _ *rng.Rand) htm.Tx {
-	tx := p.txs[core][p.next[core]%len(p.txs[core])]
-	p.next[core]++
-	return tx
-}
-
-// TestSteadyStateAllocs is the simulator's allocation gate: once a
-// 16-core hotspot machine is warm (directory entries exist, the
-// message pool, the event heap and every parked-request list have
-// reached their working size), extending the run allocates at most
-// 0.05 objects per fired event — Collect's metrics snapshot and an
-// occasional slice growing, nothing per event or per commit.
-func TestSteadyStateAllocs(t *testing.T) {
 	p := htm.DefaultParams(16)
 	p.Strategy = strategy.UniformRW{}
-	m := htm.NewMachine(p, predraw(t, 16, 512))
+	m := htm.NewMachine(p, w)
 	limit := uint64(300000)
 	m.Run(limit)
 	const window = 50000
@@ -102,8 +73,8 @@ func TestSteadyStateAllocs(t *testing.T) {
 	if perRun < 1000 {
 		t.Fatalf("only %.0f events per window: the machine is not running", perRun)
 	}
-	if got := allocs / perRun; got > 0.05 {
-		t.Fatalf("%.4f allocs per fired event (%.1f allocs, %.0f events a window), want <= 0.05", got, allocs, perRun)
+	if got := allocs / perRun; got > 0.01 {
+		t.Fatalf("%.4f allocs per fired event (%.1f allocs, %.0f events a window), want <= 0.01", got, allocs, perRun)
 	} else {
 		t.Logf("%.5f allocs per fired event (%.1f allocs, %.0f events a window)", got, allocs, perRun)
 	}

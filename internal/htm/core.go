@@ -1,6 +1,8 @@
 package htm
 
 import (
+	"math"
+
 	"txconflict/internal/cache"
 	ccore "txconflict/internal/core"
 	"txconflict/internal/rng"
@@ -455,11 +457,21 @@ func (c *Core) graceDelay(req *request, k int, pol ccore.Policy) sim.Time {
 		conf.Mean = c.m.profileMean()
 	}
 	x := s.Delay(conf, c.rng)
-	if x < 0 {
-		x = 0
+	// A strategy may hand back anything (a backed-off B overflows to
+	// +Inf under the default MaxBackoffB): NaN or a non-positive delay
+	// is no grace at all, and the cap keeps both the conversion defined
+	// and now+grace from wrapping.
+	if !(x > 0) {
+		return 0
+	}
+	if x > maxGrace {
+		return maxGrace
 	}
 	return sim.Time(x)
 }
+
+// maxGrace is the longest grace period a core arms, in cycles.
+const maxGrace = math.MaxInt64 / 2
 
 // graceExpire resolves all parked conflicts at the deadline:
 // requestor-wins aborts the receiver; requestor-aborts NACKs every

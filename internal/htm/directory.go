@@ -25,6 +25,9 @@ type request struct {
 	attempt int      // requestor's abort count (for RA backoff)
 	la      cache.LineAddr
 
+	// e is the line's directory record, looked up once when the request
+	// arrives (records are never deleted, so it stays valid).
+	e        *dirEntry
 	acksLeft int
 	nacked   bool
 }
@@ -84,7 +87,7 @@ func (d *Directory) Fire(kind int, _ uint64, msg any) {
 	case evRequest:
 		d.Request(mg.req)
 	case evBegin:
-		d.begin(d.entry(mg.req.la), mg.req)
+		d.begin(mg.req)
 	case evInvAck:
 		d.InvAck(mg.req, mg.core)
 	case evInvNack:
@@ -115,17 +118,19 @@ func (d *Directory) toCore(core, kind int) *message {
 func (d *Directory) Request(req *request) {
 	d.m.count(ctDirRequest)
 	e := d.entry(req.la)
+	req.e = e
 	if e.busy {
 		e.queue = append(e.queue, req)
 		return
 	}
 	e.busy = true
-	d.begin(e, req)
+	d.begin(req)
 }
 
-// begin dispatches a request against the current entry state. Called
-// with e.busy held by req.
-func (d *Directory) begin(e *dirEntry, req *request) {
+// begin dispatches a request against its line's current state. Called
+// with the record's busy flag held by req.
+func (d *Directory) begin(req *request) {
+	e := req.e
 	switch e.state {
 	case dirI:
 		if req.write {
@@ -136,11 +141,11 @@ func (d *Directory) begin(e *dirEntry, req *request) {
 			e.state = dirS
 			e.sharers |= 1 << uint(req.core)
 		}
-		d.grant(e, req)
+		d.grant(req)
 	case dirS:
 		if !req.write {
 			e.sharers |= 1 << uint(req.core)
-			d.grant(e, req)
+			d.grant(req)
 			return
 		}
 		// Invalidate all sharers except the requestor.
@@ -149,7 +154,7 @@ func (d *Directory) begin(e *dirEntry, req *request) {
 			e.state = dirM
 			e.owner = req.core
 			e.sharers = 0
-			d.grant(e, req)
+			d.grant(req)
 			return
 		}
 		req.acksLeft = bits.OnesCount64(targets)
@@ -177,10 +182,9 @@ func (d *Directory) begin(e *dirEntry, req *request) {
 // after a grace period and a receiver abort).
 func (d *Directory) InvAck(req *request, from int) {
 	d.m.count(ctDirInvAck)
-	e := d.entry(req.la)
-	e.sharers &^= 1 << uint(from)
+	req.e.sharers &^= 1 << uint(from)
 	req.acksLeft--
-	d.maybeFinishInv(e, req)
+	d.maybeFinishInv(req)
 }
 
 // InvNack is a transactional sharer's refusal (requestor-aborts
@@ -189,21 +193,22 @@ func (d *Directory) InvNack(req *request, from int) {
 	d.m.count(ctDirInvNack)
 	req.nacked = true
 	req.acksLeft--
-	d.maybeFinishInv(d.entry(req.la), req)
+	d.maybeFinishInv(req)
 }
 
-func (d *Directory) maybeFinishInv(e *dirEntry, req *request) {
+func (d *Directory) maybeFinishInv(req *request) {
 	if req.acksLeft > 0 {
 		return
 	}
+	e := req.e
 	if req.nacked {
-		d.fail(e, req)
+		d.fail(req)
 		return
 	}
 	e.state = dirM
 	e.owner = req.core
 	e.sharers = 0
-	d.grant(e, req)
+	d.grant(req)
 }
 
 // OwnerReply carries the owner's current data for a fetched line. For
@@ -211,7 +216,7 @@ func (d *Directory) maybeFinishInv(e *dirEntry, req *request) {
 // it demoted to Shared.
 func (d *Directory) OwnerReply(req *request, from int, data *[cache.WordsPerLine]uint64) {
 	d.m.count(ctDirOwnerReply)
-	e := d.entry(req.la)
+	e := req.e
 	e.data = *data
 	if req.write {
 		e.state = dirM
@@ -221,14 +226,14 @@ func (d *Directory) OwnerReply(req *request, from int, data *[cache.WordsPerLine
 		e.state = dirS
 		e.sharers = 1<<uint(from) | 1<<uint(req.core)
 	}
-	d.grant(e, req)
+	d.grant(req)
 }
 
 // OwnerNack is the owner's refusal under requestor-aborts: the owner
 // keeps the line and the requestor aborts.
 func (d *Directory) OwnerNack(req *request, from int) {
 	d.m.count(ctDirOwnerNack)
-	d.fail(d.entry(req.la), req)
+	d.fail(req)
 }
 
 // OwnerMiss reports that the believed owner no longer holds the line
@@ -237,12 +242,12 @@ func (d *Directory) OwnerNack(req *request, from int) {
 // and the request re-dispatched; the directory copy is authoritative.
 func (d *Directory) OwnerMiss(req *request, from int) {
 	d.m.count(ctDirOwnerMiss)
-	e := d.entry(req.la)
+	e := req.e
 	if e.state == dirM && e.owner == from {
 		e.state = dirI
 		e.sharers = 0
 	}
-	d.begin(e, req)
+	d.begin(req)
 }
 
 // DropOwned is an aborting core's notification that it discarded a
@@ -286,19 +291,19 @@ func (d *Directory) CommitData(from int, la cache.LineAddr, data *[cache.WordsPe
 
 // grant completes a request successfully, shipping data and the new
 // state to the requestor.
-func (d *Directory) grant(e *dirEntry, req *request) {
+func (d *Directory) grant(req *request) {
 	d.m.count(ctDirGrant)
 	mg := d.toCore(req.core, evGrant)
-	mg.la, mg.data, mg.write = req.la, e.data, req.write
-	d.finish(e)
+	mg.la, mg.data, mg.write = req.la, req.e.data, req.write
+	d.finish(req.e)
 }
 
 // fail completes a request with a NACK-abort: the requestor's
 // transaction must abort (requestor-aborts resolution).
-func (d *Directory) fail(e *dirEntry, req *request) {
+func (d *Directory) fail(req *request) {
 	d.m.count(ctDirFail)
 	d.toCore(req.core, evNackAbort).la = req.la
-	d.finish(e)
+	d.finish(req.e)
 }
 
 // finish releases the per-line serialization and starts the next

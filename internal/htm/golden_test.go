@@ -20,10 +20,12 @@ import (
 )
 
 // updateGolden regenerates testdata/golden_cells.txt from the tree
-// under test. The checked-in file was generated on the commit before
-// the simulator went allocation-free (value-heap kernel, typed
-// messages, tx-line set); a refactor of sim/cache/htm must leave it
-// byte-identical, so only a deliberate model change may pass -update.
+// under test. The checked-in file's first thirteen cells were generated
+// on the commit before the simulator went allocation-free (value-heap
+// kernel, typed messages, tx-line set), its last three on the commit
+// before the kernel's heap became a calendar wheel; a refactor of
+// sim/cache/htm must leave it byte-identical, so only a deliberate
+// model change may pass -update.
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_cells.txt")
 
 const goldenFile = "testdata/golden_cells.txt"

@@ -1,9 +1,12 @@
 package htm
 
 import (
+	"math"
 	"testing"
 
 	ccore "txconflict/internal/core"
+	"txconflict/internal/rng"
+	"txconflict/internal/sim"
 	"txconflict/internal/strategy"
 )
 
@@ -58,6 +61,37 @@ func TestPolicyForRule(t *testing.T) {
 	m2 := NewMachine(p2, counterWorkload(1, 1))
 	if m2.Cores[0].policyFor(5) != ccore.RequestorAborts {
 		t.Fatal("non-hybrid must keep the configured policy")
+	}
+}
+
+// stubStrategy answers every conflict with one fixed delay.
+type stubStrategy float64
+
+func (s stubStrategy) Delay(ccore.Conflict, *rng.Rand) float64 { return float64(s) }
+func (s stubStrategy) Name() string                            { return "STUB" }
+
+// TestGraceDelayClamps: whatever float a strategy returns, the grace a
+// core arms is a cycle count the kernel can schedule.
+func TestGraceDelayClamps(t *testing.T) {
+	for _, c := range []struct {
+		x    float64
+		want sim.Time
+	}{
+		{math.NaN(), 0},
+		{math.Inf(-1), 0},
+		{-1, 0},
+		{0, 0},
+		{0.5, 0},
+		{37.9, 37},
+		{math.Inf(1), maxGrace},
+		{1e300, maxGrace},
+	} {
+		p := DefaultParams(2)
+		p.Strategy = stubStrategy(c.x)
+		core := NewMachine(p, counterWorkload(1, 1)).Cores[0]
+		if got := core.graceDelay(&request{}, 2, ccore.RequestorWins); got != c.want {
+			t.Errorf("strategy delay %v: grace %d, want %d", c.x, got, c.want)
+		}
 	}
 }
 

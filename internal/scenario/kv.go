@@ -56,11 +56,12 @@ func newKVCounter(opt Options) *Scenario {
 		func(workers int) int { return kvKeys + workers })
 	s.next = func(worker int, r *rng.Rand) Program {
 		key := int(z.Sample(r)) - 1
-		return Program{Ops: []Op{
-			Work(s.sampleLen(r)),
+		l := s.sampleLen(r)
+		return s.program(worker, s.sampleThink(r),
+			Work(l),
 			Add(key, s.delta),
 			Add(kvKeys+worker, s.delta),
-		}, Think: s.sampleThink(r)}
+		)
 	}
 	s.check = kvTallyCheck(s)
 	return s
@@ -88,7 +89,7 @@ func newKVRead(opt Options) *Scenario {
 			}
 			keys[k] = key
 		}
-		ops := make([]Op, 0, reads+4)
+		ops := s.scratch(worker)
 		for k, key := range keys {
 			ops = append(ops, Load(key, k))
 		}
@@ -100,7 +101,7 @@ func newKVRead(opt Options) *Scenario {
 				Store(kvKeys+worker, 5, 1),
 			)
 		}
-		return Program{Ops: ops, Think: s.sampleThink(r)}
+		return s.program(worker, s.sampleThink(r), ops...)
 	}
 	s.check = kvTallyCheck(s)
 	return s
@@ -119,12 +120,11 @@ func newKVDoc(opt Options) *Scenario {
 	s.next = func(worker int, r *rng.Rand) Program {
 		doc := int(z.Sample(r)) - 1
 		base := doc * kvDocFields
-		ops := make([]Op, 0, kvDocFields+2)
-		ops = append(ops, Load(base, 0), Work(s.sampleLen(r)))
+		ops := append(s.scratch(worker), Load(base, 0), Work(s.sampleLen(r)))
 		for f := 0; f < kvDocFields; f++ {
 			ops = append(ops, Store(base+f, 0, 1))
 		}
-		return Program{Ops: ops, Think: s.sampleThink(r)}
+		return s.program(worker, s.sampleThink(r), ops...)
 	}
 	s.check = func(st *State) error {
 		var sum uint64

@@ -159,6 +159,7 @@ func newBase(opt Options, defLen dist.Sampler, wordsFn func(workers int) int) *S
 		think:   think,
 		delta:   delta,
 		counts:  make([]uint64, workers),
+		bufs:    make([]opBuf, workers),
 	}
 }
 
@@ -177,20 +178,20 @@ func newStack(opt Options) *Scenario {
 		think := s.sampleThink(r)
 		if n%2 == 0 {
 			// push: r0 = depth; elem[1+r0] = tag; depth = r0 + 1
-			return Program{Ops: []Op{
+			return s.program(worker, think,
 				Load(0, 0),
 				Work(l),
 				StoreAt(1, 0, maskAll, -1, uint64(worker)+1),
 				Store(0, 0, 1),
-			}, Think: think}
+			)
 		}
 		// pop: r0 = depth; r1 = elem[1+(r0-1)] = word r0; depth = r0 - 1
-		return Program{Ops: []Op{
+		return s.program(worker, think,
 			Load(0, 0),
 			Work(l),
 			LoadAt(0, 0, maskAll, 1),
 			Store(0, 0, ^uint64(0)),
-		}, Think: think}
+		)
 	}
 	s.check = func(st *State) error {
 		var want uint64
@@ -220,20 +221,20 @@ func newQueue(opt Options) *Scenario {
 		think := s.sampleThink(r)
 		if n%2 == 0 {
 			// enqueue: r0 = tail; slot[r0 & mask] = tag; tail = r0 + 1
-			return Program{Ops: []Op{
+			return s.program(worker, think,
 				Load(1, 0),
 				Work(l),
 				StoreAt(2, 0, queueRing-1, -1, uint64(worker)+1),
 				Store(1, 0, 1),
-			}, Think: think}
+			)
 		}
 		// dequeue: r0 = head; r1 = slot[r0 & mask]; head = r0 + 1
-		return Program{Ops: []Op{
+		return s.program(worker, think,
 			Load(0, 0),
 			Work(l),
 			LoadAt(2, 0, queueRing-1, 1),
 			Store(0, 0, 1),
-		}, Think: think}
+		)
 	}
 	s.check = func(st *State) error {
 		var wantTail, wantHead uint64
@@ -255,16 +256,16 @@ func newQueue(opt Options) *Scenario {
 }
 
 // appProgram is the 2-objects transactional-application body shared
-// by txapp, bimodal and hotspot: read both objects, compute, add one
-// to each. Committed invariant: Σ objects = 2 · commits.
-func appProgram(i, j int, l, think float64) Program {
-	return Program{Ops: []Op{
+// by txapp and bimodal: read both objects, compute, add one to each.
+// Committed invariant: Σ objects = 2 · commits.
+func (s *Scenario) appProgram(worker, i, j int, l, think float64) Program {
+	return s.program(worker, think,
 		Load(i, 0),
 		Load(j, 1),
 		Work(l),
 		Store(i, 0, 1),
 		Store(j, 1, 1),
-	}, Think: think}
+	)
 }
 
 func appCheck(st *State) error {
@@ -283,7 +284,7 @@ func newApp(opt Options, defLen dist.Sampler, pick func(r *rng.Rand) (int, int))
 	s := newBase(opt, defLen, func(int) int { return objects })
 	s.next = func(worker int, r *rng.Rand) Program {
 		i, j := pick(r)
-		return appProgram(i, j, s.sampleLen(r), s.sampleThink(r))
+		return s.appProgram(worker, i, j, s.sampleLen(r), s.sampleThink(r))
 	}
 	s.check = appCheck
 	return s
@@ -328,11 +329,12 @@ func newHotspot(opt Options) *Scenario {
 	s := newBase(opt, dist.ParetoMean(60, 2.5), func(int) int { return objects })
 	s.next = func(worker int, r *rng.Rand) Program {
 		i, j := pick(r)
-		return Program{Ops: []Op{
-			Work(s.sampleLen(r)),
+		l := s.sampleLen(r)
+		return s.program(worker, s.sampleThink(r),
+			Work(l),
 			Add(i, s.delta),
 			Add(j, s.delta),
-		}, Think: s.sampleThink(r)}
+		)
 	}
 	s.check = func(st *State) error {
 		var sum uint64
@@ -369,7 +371,7 @@ func newReadMostly(opt Options) *Scenario {
 			}
 			objs[k] = o
 		}
-		ops := make([]Op, 0, reads+4)
+		ops := s.scratch(worker)
 		for k, o := range objs {
 			ops = append(ops, Load(o, k))
 		}
@@ -381,7 +383,7 @@ func newReadMostly(opt Options) *Scenario {
 				Store(tallyBase+worker, 7, 1),
 			)
 		}
-		return Program{Ops: ops, Think: s.sampleThink(r)}
+		return s.program(worker, s.sampleThink(r), ops...)
 	}
 	s.check = tallyCheck(s)
 	return s
@@ -399,7 +401,7 @@ func newLongReader(opt Options) *Scenario {
 		func(workers int) int { return tallyBase + workers })
 	s.next = func(worker int, r *rng.Rand) Program {
 		if worker == 0 && s.workers > 1 {
-			ops := make([]Op, 0, objects+1)
+			ops := s.scratch(worker)
 			for w := 0; w < objects; w++ {
 				ops = append(ops, Load(w, w&3))
 			}
@@ -410,16 +412,17 @@ func newLongReader(opt Options) *Scenario {
 				scan = lenCap
 			}
 			ops = append(ops, Work(scan))
-			return Program{Ops: ops, Think: s.sampleThink(r)}
+			return s.program(worker, s.sampleThink(r), ops...)
 		}
 		obj := r.Intn(objects)
-		return Program{Ops: []Op{
+		l := s.sampleLen(r)
+		return s.program(worker, s.sampleThink(r),
 			Load(obj, 0),
 			Load(tallyBase+worker, 1),
-			Work(s.sampleLen(r)),
+			Work(l),
 			Store(obj, 0, 1),
 			Store(tallyBase+worker, 1, 1),
-		}, Think: s.sampleThink(r)}
+		)
 	}
 	s.check = tallyCheck(s)
 	return s

@@ -132,7 +132,9 @@ func (op Op) Value(regs *[8]uint64) uint64 {
 }
 
 // Program is one transaction instance plus the non-transactional
-// think time that follows it.
+// think time that follows it. Ops is the worker's own buffer, rewritten
+// by that worker's next call to Next: run or copy it before drawing
+// again.
 type Program struct {
 	Ops []Op
 	// Think is the non-transactional compute after the transaction
@@ -198,6 +200,14 @@ type Scenario struct {
 	delta   uint64 // Add magnitude for the commutative scenarios
 
 	counts []uint64 // per-worker transaction parity/sequence state
+	bufs   []opBuf  // per-worker backing array of the last Program
+}
+
+// opBuf is one worker's op buffer, padded to a cache line so workers
+// on different CPUs rewriting adjacent slice headers do not share one.
+type opBuf struct {
+	ops []Op
+	_   [64 - 24]byte
 }
 
 // Name identifies the scenario in tables and CLI flags.
@@ -213,7 +223,8 @@ func (s *Scenario) Workers() int { return s.workers }
 // current worker count.
 func (s *Scenario) Words() int { return s.wordsFn(s.workers) }
 
-// Next returns the next transaction program for the given worker.
+// Next returns the next transaction program for the given worker,
+// valid until the same worker's next call (see Program).
 // It panics with a descriptive message when worker is outside the
 // configured range — per-worker state cannot be grown safely while
 // other workers are running.
@@ -240,8 +251,26 @@ func (s *Scenario) EnsureWorkers(n int) {
 	grown := make([]uint64, n)
 	copy(grown, s.counts)
 	s.counts = grown
+	bufs := make([]opBuf, n)
+	copy(bufs, s.bufs)
+	s.bufs = bufs
 	s.workers = n
 }
+
+// program assembles a worker's next Program in its buffer, so a warm
+// scenario hands out transactions without allocating. ops may be that
+// buffer itself, filled through scratch. Arguments are evaluated left
+// to right: a generator that draws its length before its think time
+// draws the length into a local first, or the random stream shifts.
+func (s *Scenario) program(worker int, think float64, ops ...Op) Program {
+	b := &s.bufs[worker]
+	b.ops = append(b.ops[:0], ops...)
+	return Program{Ops: b.ops, Think: think}
+}
+
+// scratch returns the worker's buffer, emptied, for programs built by
+// appending; the result goes back through program.
+func (s *Scenario) scratch(worker int) []Op { return s.bufs[worker].ops[:0] }
 
 // seq returns the worker's transaction sequence number and advances
 // it. Only the worker's own goroutine touches its slot.

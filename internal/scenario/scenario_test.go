@@ -10,9 +10,12 @@ import (
 	"txconflict/internal/stm"
 )
 
+// builtins is the catalog before any test registers a replay.
+var builtins = []string{"bimodal", "hotspot", "kvcounter", "kvdoc", "kvread", "longreader", "queue", "readmostly", "stack", "txapp"}
+
 func TestNamesAndByName(t *testing.T) {
 	names := Names()
-	want := []string{"bimodal", "hotspot", "kvcounter", "kvdoc", "kvread", "longreader", "queue", "readmostly", "stack", "txapp"}
+	want := builtins
 	if len(names) != len(want) {
 		t.Fatalf("Names() = %v, want %v", names, want)
 	}
@@ -54,17 +57,50 @@ func TestDescribeCoversCatalog(t *testing.T) {
 func TestStackProgramAlternation(t *testing.T) {
 	sc, _ := ByName("stack", Options{Workers: 2})
 	r := rng.New(1)
-	push := sc.Next(0, r)
-	pop := sc.Next(0, r)
-	if push.Ops[3].Imm != 1 || push.Ops[3].Src != 0 {
+	// A program's ops last until the worker's next draw: look first.
+	if push := sc.Next(0, r); push.Ops[3].Imm != 1 || push.Ops[3].Src != 0 {
 		t.Fatalf("first program is not a push: %+v", push.Ops[3])
 	}
-	if pop.Ops[3].Imm != ^uint64(0) {
+	if pop := sc.Next(0, r); pop.Ops[3].Imm != ^uint64(0) {
 		t.Fatalf("second program is not a pop: %+v", pop.Ops[3])
 	}
 	// Independent parity per worker.
 	if p := sc.Next(1, r); p.Ops[3].Imm != 1 {
 		t.Fatal("worker 1 first program is not a push")
+	}
+}
+
+// TestNextReusesPerWorkerBuffer: a worker's successive programs share
+// one backing array, two workers never do (also after EnsureWorkers
+// regrows the table), and a warm built-in scenario draws without
+// allocating.
+func TestNextReusesPerWorkerBuffer(t *testing.T) {
+	for _, name := range builtins {
+		sc, err := ByName(name, Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.EnsureWorkers(3)
+		r := rng.New(5)
+		for i := 0; i < 300; i++ { // warm: longreader's scan, readmostly's write tail
+			sc.Next(i%3, r)
+		}
+		a, b := sc.Next(0, r), sc.Next(2, r)
+		if &a.Ops[0] == &b.Ops[0] {
+			t.Fatalf("%s: workers 0 and 2 share a backing array", name)
+		}
+		kept := append([]Op(nil), b.Ops...)
+		if again := sc.Next(0, r); &again.Ops[0] != &a.Ops[0] {
+			t.Fatalf("%s: worker 0's next program did not reuse its buffer", name)
+		}
+		for i, op := range kept {
+			if b.Ops[i] != op {
+				t.Fatalf("%s: worker 0's draw rewrote worker 2's op %d", name, i)
+			}
+		}
+		if allocs := testing.AllocsPerRun(200, func() { sc.Next(1, r) }); allocs != 0 {
+			t.Errorf("%s: %.2f allocs per warm Next, want 0", name, allocs)
+		}
 	}
 }
 

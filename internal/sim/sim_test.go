@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"container/heap"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -124,6 +126,39 @@ func TestRunUntilBoundaryInclusive(t *testing.T) {
 	}
 }
 
+// TestRunUntilAfterStop: a Stop inside RunUntil leaves the clock at
+// the stopping event, not at the limit beyond events still pending, so
+// resuming never steps the clock back.
+func TestRunUntilAfterStop(t *testing.T) {
+	var k Kernel
+	var stamps []Time
+	stamp := func() { stamps = append(stamps, k.Now()) }
+	k.At(5, func() { stamp(); k.Stop() })
+	k.At(10, stamp)
+	k.At(5+wheelSize, stamp) // waits in the far heap while the run is stopped
+	k.RunUntil(3000)
+	if k.Now() != 5 || k.Pending() != 2 {
+		t.Fatalf("stopped at %d with %d pending, want the stopping event's time 5 and 2 pending", k.Now(), k.Pending())
+	}
+	k.Run()
+	want := []Time{5, 10, 5 + wheelSize}
+	if fmt.Sprint(stamps) != fmt.Sprint(want) {
+		t.Fatalf("stamps %v, want %v", stamps, want)
+	}
+	k.RunUntil(3000)
+	if k.Now() != 3000 {
+		t.Fatalf("clock %d after RunUntil(3000) with nothing pending, want 3000", k.Now())
+	}
+	// A Stop on the last event inside the limit leaves nothing to jump
+	// over: the clock still ends at the limit.
+	k.At(3005, k.Stop)
+	k.At(3500, stamp)
+	k.RunUntil(3100)
+	if k.Now() != 3100 || k.Pending() != 1 {
+		t.Fatalf("clock %d with %d pending, want 3100 and 1", k.Now(), k.Pending())
+	}
+}
+
 func TestStepOnEmpty(t *testing.T) {
 	var k Kernel
 	if k.Step() {
@@ -161,7 +196,7 @@ func TestMonotoneClockProperty(t *testing.T) {
 
 func TestCascadingEvents(t *testing.T) {
 	// An event chain where each event schedules the next; ensures the
-	// heap handles interleaved push/pop during Run.
+	// queue handles interleaved push/pop during Run.
 	var k Kernel
 	count := 0
 	var step func()
@@ -283,32 +318,284 @@ func TestMixedFormsAgainstSortedReference(t *testing.T) {
 	}
 }
 
-// nopHandler reschedules itself: the shape of a simulator's steady
-// state, one event scheduled per event fired.
-type nopHandler struct{ k *Kernel }
-
-func (h nopHandler) Fire(kind int, epoch uint64, msg any) {
-	h.k.Post(Time(kind%7), h, kind+1, epoch, msg)
+// nopHandler reschedules itself stride+kind%7 cycles on: the shape of
+// a simulator's steady state, one event scheduled per event fired. A
+// stride of wheelSize sends every rescheduling through the far heap.
+type nopHandler struct {
+	k      *Kernel
+	stride Time
 }
 
-// TestWarmKernelDoesNotAllocate gates the point of storing events by
-// value: once the queue has reached its working size, scheduling and
-// firing allocate nothing — in the typed form with a recycled message,
-// and in the func form when the func itself is not a fresh closure.
-func TestWarmKernelDoesNotAllocate(t *testing.T) {
-	var k Kernel
-	h := nopHandler{&k}
+func (h *nopHandler) Fire(kind int, epoch uint64, msg any) {
+	h.k.Post(h.stride+Time(kind%7), h, kind+1, epoch, msg)
+}
+
+// selfScheduling fills a kernel with near and far self-rescheduling
+// events.
+func selfScheduling(k *Kernel, near, far int) {
 	msg := new(int)
-	for i := 0; i < 64; i++ {
+	for i := 0; i < near+far; i++ {
+		h := &nopHandler{k: k}
+		if i >= near {
+			h.stride = wheelSize
+		}
 		k.Post(Time(i), h, i, 0, msg)
 	}
+}
+
+// TestWarmKernelDoesNotAllocate gates the point of the slab: once it
+// and the far heap have reached their working size, scheduling and
+// firing allocate nothing — in the typed form with a recycled message,
+// in the func form when the func itself is not a fresh closure, and
+// whether an event is bucketed directly or waits in the far heap
+// first.
+func TestWarmKernelDoesNotAllocate(t *testing.T) {
+	var k Kernel
+	selfScheduling(&k, 8, 8)
 	var tick func()
 	tick = func() { k.After(3, tick) }
 	k.After(0, tick)
-	for i := 0; i < 1000; i++ {
-		k.Step()
+	window := func() {
+		for i := 0; i < 8192; i++ {
+			k.Step()
+		}
 	}
-	if allocs := testing.AllocsPerRun(1000, func() { k.Step() }); allocs != 0 {
-		t.Fatalf("%.2f allocs per schedule+fire on a warm kernel, want 0", allocs)
+	window()
+	start := k.Now()
+	if allocs := testing.AllocsPerRun(10, window); allocs != 0 {
+		t.Fatalf("%.2f allocs per 8192 schedule+fire pairs on a warm kernel, want 0", allocs)
 	}
+	// Two turns of the clock: every far handler came round in there.
+	if k.Now()-start < 2*wheelSize {
+		t.Fatalf("the measured windows covered %d cycles: no far-heap event is sure to have fired", k.Now()-start)
+	}
+}
+
+// BenchmarkKernel is the queue's unit cost, one event scheduled per
+// event fired (ns/op and allocs/op are per event): near keeps every
+// event inside the wheel's window, far sends every one through the far
+// heap, mixed is one far event in eight.
+func BenchmarkKernel(b *testing.B) {
+	for _, c := range []struct {
+		name      string
+		near, far int
+	}{{"near", 64, 0}, {"far", 0, 64}, {"mixed", 56, 8}} {
+		b.Run(c.name, func(b *testing.B) {
+			var k Kernel
+			selfScheduling(&k, c.near, c.far)
+			for i := 0; i < 4096; i++ {
+				k.Step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.Step()
+			}
+		})
+	}
+}
+
+// refEvent and refHeap are the reference model of the queue: a
+// container/heap ordered by (time, scheduling sequence), the rule the
+// package states.
+type refEvent struct {
+	at  Time
+	seq uint64
+	id  int
+}
+
+type refHeap []refEvent
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(refEvent)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	n := len(old) - 1
+	x := old[n]
+	*h = old[:n]
+	return x
+}
+
+// diffRun drives a Kernel and the reference model with one seeded
+// script. Every scheduling call goes to both; every firing pops the
+// reference and must be the same event at the same clock.
+type diffRun struct {
+	k       Kernel
+	ref     refHeap
+	r       *rng.Rand
+	seq     uint64
+	nextID  int
+	budget  int // events still to schedule
+	payload *int
+	err     error
+
+	stopAt  Time // clock of the event that last called Stop
+	stopReq bool
+}
+
+// delay draws from the classes that matter to the wheel: the same
+// cycle, a few cycles, either side of the window's edge, whole turns,
+// and far beyond it.
+func (d *diffRun) delay() Time {
+	switch d.r.Intn(8) {
+	case 0:
+		return 0
+	case 1:
+		return Time(d.r.Intn(8))
+	case 2:
+		return wheelSize - 1
+	case 3:
+		return wheelSize
+	case 4:
+		return wheelSize + 1
+	case 5:
+		return Time(d.r.Intn(3 * wheelSize))
+	case 6:
+		return wheelSize*Time(1+d.r.Intn(4)) - 1 + Time(d.r.Intn(3))
+	default:
+		return Time(d.r.Intn(20 * wheelSize))
+	}
+}
+
+func (d *diffRun) failf(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(format, args...)
+	}
+	d.k.Stop()
+}
+
+// schedule adds one event to both queues, through a random form.
+func (d *diffRun) schedule() {
+	if d.budget == 0 {
+		return
+	}
+	d.budget--
+	id := d.nextID
+	d.nextID++
+	dl := d.delay()
+	d.seq++
+	heap.Push(&d.ref, refEvent{d.k.Now() + dl, d.seq, id})
+	switch d.r.Intn(3) {
+	case 0:
+		d.k.At(d.k.Now()+dl, func() { d.fired(id) })
+	case 1:
+		d.k.After(dl, func() { d.fired(id) })
+	case 2:
+		d.k.Post(dl, d, id, uint64(id), d.payload)
+	}
+}
+
+func (d *diffRun) Fire(kind int, epoch uint64, msg any) {
+	if uint64(kind) != epoch || msg.(*int) != d.payload {
+		d.failf("typed event %d lost its fields", kind)
+	}
+	d.fired(kind)
+}
+
+// fired checks one firing against the reference, then schedules from
+// inside the handler — same-cycle bursts included — and now and then
+// stops the run.
+func (d *diffRun) fired(id int) {
+	if d.err != nil {
+		return
+	}
+	if len(d.ref) == 0 {
+		d.failf("event %d fired at %d with the reference empty", id, d.k.Now())
+		return
+	}
+	want := heap.Pop(&d.ref).(refEvent)
+	if want.id != id || want.at != d.k.Now() {
+		d.failf("fired event %d at %d, reference says event %d at %d", id, d.k.Now(), want.id, want.at)
+		return
+	}
+	for n := d.r.Intn(4); n > 0; n-- {
+		d.schedule()
+	}
+	if d.r.Intn(16) == 0 {
+		d.k.Stop()
+		d.stopAt, d.stopReq = d.k.Now(), true
+	}
+}
+
+// kernelMatchesReference runs one script: bursts scheduled from
+// outside, then a few Steps, a Run, or a RunUntil over a stretch that
+// may be empty, with the clock and Pending checked after each.
+func kernelMatchesReference(seed uint64, events int) error {
+	d := &diffRun{r: rng.New(seed), budget: events, payload: new(int)}
+	for d.err == nil && (d.budget > 0 || d.k.Pending() > 0) {
+		for n := d.r.Intn(6); n > 0; n-- {
+			d.schedule()
+		}
+		before := d.k.Now()
+		d.stopReq = false
+		switch d.r.Intn(4) {
+		case 0:
+			for n := d.r.Intn(5); n > 0; n-- {
+				d.k.Step()
+			}
+		case 1:
+			d.k.Run()
+			if d.stopReq && d.k.Now() != d.stopAt {
+				d.failf("Run stopped at %d, returned with the clock at %d", d.stopAt, d.k.Now())
+			}
+			if !d.stopReq && d.k.Pending() != 0 {
+				d.failf("Run returned unstopped with %d pending", d.k.Pending())
+			}
+		default:
+			limit := d.k.Now() + d.delay()
+			d.k.RunUntil(limit)
+			want := limit
+			if left := len(d.ref) > 0 && d.ref[0].at <= limit; left {
+				if !d.stopReq {
+					d.failf("RunUntil(%d) returned unstopped with an event at %d pending", limit, d.ref[0].at)
+				}
+				want = d.stopAt
+			}
+			if d.k.Now() != want {
+				d.failf("RunUntil(%d) ended at %d, want %d (stopped: %v)", limit, d.k.Now(), want, d.stopReq)
+			}
+		}
+		if d.k.Now() < before {
+			d.failf("clock went back from %d to %d", before, d.k.Now())
+		}
+		if d.k.Pending() != len(d.ref) {
+			d.failf("Pending = %d, reference holds %d", d.k.Pending(), len(d.ref))
+		}
+	}
+	if d.err != nil {
+		return fmt.Errorf("seed %d, %d events: %w", seed, events, d.err)
+	}
+	return nil
+}
+
+// TestKernelMatchesHeapReference is the queue's differential test:
+// fired order and the clock at every firing are those of a binary heap
+// ordered by (time, scheduling sequence).
+func TestKernelMatchesHeapReference(t *testing.T) {
+	for seed := uint64(1); seed <= 200; seed++ {
+		if err := kernelMatchesReference(seed, 2000); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// FuzzKernelOrder runs the differential script from fuzzed seeds. The
+// checked-in corpus (testdata/fuzz/FuzzKernelOrder) holds seeds that
+// fail when far events are migrated late, out of order, or when
+// RunUntil jumps over a pending event.
+func FuzzKernelOrder(f *testing.F) {
+	f.Add(uint64(1), uint16(500))
+	f.Add(uint64(0xC0FFEE), uint16(4000))
+	f.Fuzz(func(t *testing.T, seed uint64, events uint16) {
+		if err := kernelMatchesReference(seed, int(events)); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -36,7 +36,8 @@ const wordShift = 6
 // configured worker range panics with a descriptive message instead
 // of silently wrapping.
 type HTM struct {
-	sc *scenario.Scenario
+	sc  *scenario.Scenario
+	ops [][]htm.Op // per core: the backing array of its last Tx
 }
 
 // FromScenario wraps a scenario instance for the simulator.
@@ -62,20 +63,18 @@ func (w *HTM) Name() string { return w.sc.Name() }
 func (w *HTM) EnsureWorkers(n int) { w.sc.EnsureWorkers(n) }
 
 // NextTx implements htm.Workload: one scenario program compiled to
-// simulator ops. OpAdd expands to two simulator ops, so the compiled
-// sequence can be longer than the program.
+// simulator ops, in the core's own buffer — like the program, the ops
+// are valid until the same core's next NextTx.
 func (w *HTM) NextTx(coreID int, r *rng.Rand) htm.Tx {
-	p := w.sc.Next(coreID, r)
-	n := len(p.Ops)
-	for _, op := range p.Ops {
-		if op.Kind == scenario.OpAdd {
-			n++
-		}
+	p := w.sc.Next(coreID, r) // panics on a core the scenario is not sized for
+	if coreID >= len(w.ops) {
+		w.ops = append(w.ops, make([][]htm.Op, w.sc.Workers()-len(w.ops))...)
 	}
-	ops := make([]htm.Op, 0, n)
+	ops := w.ops[coreID][:0]
 	for _, op := range p.Ops {
 		ops = compileOp(ops, op)
 	}
+	w.ops[coreID] = ops
 	return htm.Tx{Ops: ops, ThinkTime: sim.Time(p.Think)}
 }
 

@@ -47,13 +47,12 @@ func TestStackPushPopAlternation(t *testing.T) {
 	w := NewStack(5, 5)
 	r := rng.New(1)
 	// Core 0's stream must alternate push (ending in a +1 write to the
-	// depth word) and pop (ending in a -1 write).
-	tx1 := w.NextTx(0, r)
-	tx2 := w.NextTx(0, r)
-	if tx1.Ops[3].Imm != 1 {
+	// depth word) and pop (ending in a -1 write). A Tx's ops last until
+	// the core's next draw, so each is inspected before the next.
+	if tx1 := w.NextTx(0, r); tx1.Ops[3].Imm != 1 {
 		t.Fatal("first tx is not a push")
 	}
-	if tx2.Ops[3].Imm != ^uint64(0) {
+	if tx2 := w.NextTx(0, r); tx2.Ops[3].Imm != ^uint64(0) {
 		t.Fatal("second tx is not a pop")
 	}
 	// Other cores have independent parity.
@@ -188,6 +187,42 @@ func TestEnsureWorkersFromMachine(t *testing.T) {
 		}
 	}()
 	w.NextTx(8, r)
+}
+
+// TestNextTxReusesPerCoreBuffer pins the ops-lifetime contract and
+// what it buys: a core's successive transactions are compiled into one
+// backing array, two cores never share one, and once every core has
+// drawn its longest transaction NextTx allocates nothing. Growing the
+// scenario behind the adapter's back still finds a buffer per core.
+func TestNextTxReusesPerCoreBuffer(t *testing.T) {
+	for _, name := range []string{"stack", "txapp", "hotspot", "readmostly", "longreader", "kvdoc"} {
+		sc, err := scenario.ByName(name, scenario.Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := FromScenario(sc)
+		sc.EnsureWorkers(3)
+		r := rng.New(5)
+		for i := 0; i < 300; i++ { // warm: longreader's scan, readmostly's write tail
+			w.NextTx(i%3, r)
+		}
+		a, b := w.NextTx(0, r), w.NextTx(2, r)
+		if &a.Ops[0] == &b.Ops[0] {
+			t.Fatalf("%s: cores 0 and 2 share a backing array", name)
+		}
+		kept := append([]htm.Op(nil), b.Ops...)
+		if again := w.NextTx(0, r); &again.Ops[0] != &a.Ops[0] {
+			t.Fatalf("%s: core 0's next transaction did not reuse its buffer", name)
+		}
+		for i, op := range kept {
+			if b.Ops[i] != op {
+				t.Fatalf("%s: core 0's draw rewrote core 2's op %d", name, i)
+			}
+		}
+		if allocs := testing.AllocsPerRun(200, func() { w.NextTx(1, r) }); allocs != 0 {
+			t.Errorf("%s: %.2f allocs per warm NextTx, want 0", name, allocs)
+		}
+	}
 }
 
 // TestDistOverride checks that the -dist plumbing reaches the

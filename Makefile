@@ -38,9 +38,13 @@ bench-smoke:
 # suite; internal/trace + internal/experiments: recorded runs and the
 # trace-fidelity loop; internal/txkv: the keyed store's workload
 # invariant matrix and serving pool). -short keeps it inside CI
-# budgets.
+# budgets. internal/stm runs at -cpu 1,4: on one P a requestor can only
+# yield to an owner that shares its P (the hand-off the conflict path
+# must survive), on four the descriptor free lists and the lock word
+# see real interleavings.
 race-short:
-	$(GO) test -race -short ./internal/stm/ ./internal/htm/ ./internal/scenario/ ./internal/trace/ ./internal/experiments/ ./internal/txkv/
+	$(GO) test -race -short -cpu 1,4 ./internal/stm/
+	$(GO) test -race -short ./internal/htm/ ./internal/scenario/ ./internal/trace/ ./internal/experiments/ ./internal/txkv/
 
 # Adaptive control-plane race cell: SetPolicy churn against live
 # traffic on all three commit modes (internal/stm) — including the

@@ -23,7 +23,10 @@
 // allocates nothing per event) standing in for the paper's Graphite
 // setup, and a hand-rolled software transactional
 // runtime for real-goroutine experiments (internal/stm: a sharded
-// lock arena with cache-line-padded word metadata, striped per-shard
+// lock arena of one-cache-line words whose lock word carries lock
+// bit, stripe version and owner descriptor id — one line and one
+// atomic per word touched, ids drawn from a runtime-owned descriptor
+// table — striped per-shard
 // commit clocks with TL2-style snapshot extension, an attempt-epoch
 // kill protocol, a windowed conflict-chain estimator behind
 // Config.KWindow, and a flat-combining group commit for the lazy TL2

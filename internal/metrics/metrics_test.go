@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"txconflict/internal/rng"
 )
@@ -273,4 +274,39 @@ func parseExposition(t *testing.T, text string) (map[string]string, map[string]f
 		samples[key] = f
 	}
 	return families, samples
+}
+
+// TestProfileMean: each shard keeps its own EWMA of committed-attempt
+// durations — the first sample seeds it, later ones move it by a
+// twentieth of the gap — and the plane's mean averages the shards that
+// have data, so it is populated from a runtime's first commit and idle
+// shards do not drag it to zero.
+func TestProfileMean(t *testing.T) {
+	p := NewPlane(4, 0)
+	if got := p.ProfileMean(); got != 0 {
+		t.Fatalf("empty plane: mean %v", got)
+	}
+	p.Shard(0).ProfileCommit(1000)
+	if got := p.ProfileMean(); got != 1000 {
+		t.Fatalf("one sample on one of four shards: mean %v, want 1000", got)
+	}
+	p.Shard(0).ProfileCommit(3000) // 1000 + 0.05*2000
+	p.Shard(2).ProfileCommit(500)
+	if got, want := p.ProfileMean(), (1100.0+500)/2; math.Abs(got-want) > 1e-9 {
+		t.Fatalf("mean %v, want %v", got, want)
+	}
+}
+
+// TestShardProfileLayout: the EWMA word is written on every commit, so
+// it sits with the shard's other owner-written words (next to tick) and
+// at least a cache line before the neighbour shard's first byte.
+func TestShardProfileLayout(t *testing.T) {
+	var s Shard
+	profile, tick := unsafe.Offsetof(s.profile), unsafe.Offsetof(s.tick)
+	if profile-tick != 8 {
+		t.Errorf("profile at %d is not beside tick at %d", profile, tick)
+	}
+	if tail := unsafe.Sizeof(s) - (profile + 8); tail < cacheLine {
+		t.Errorf("profile ends %d bytes before the next shard, want at least %d", tail, cacheLine)
+	}
 }

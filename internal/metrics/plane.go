@@ -1,6 +1,9 @@
 package metrics
 
-import "sync/atomic"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // AbortReason is the abort taxonomy: every aborted attempt (and the
 // two non-abort escalation events, MaxRetries and explicit user
@@ -139,7 +142,12 @@ type Shard struct {
 	phaseNs  [NumCommitPhases]atomic.Uint64
 	phaseN   [NumCommitPhases]atomic.Uint64
 
-	tick       atomic.Uint64
+	tick atomic.Uint64
+	// profile is the float64 bits of the EWMA of this shard's committed
+	// attempt durations (ns; 0 = no data yet): written by the shard's
+	// worker on every commit, like tick beside it, and a line of tail
+	// padding away from the neighbour shard.
+	profile    atomic.Uint64
 	sampleMask uint64
 
 	_ [cacheLine]byte
@@ -163,6 +171,19 @@ func (s *Shard) Abort(r AbortReason) { s.aborts[r].Add(1) }
 
 // Add bumps one event counter by n.
 func (s *Shard) Add(c Counter, n uint64) { s.counters[c].Add(n) }
+
+// ProfileCommit folds one committed attempt's duration (ns) into the
+// shard's EWMA. A load and a store, no CAS loop: a shard has one
+// writer unless more workers than shards fold onto it, and then a lost
+// sample costs a smoothing heuristic nothing.
+func (s *Shard) ProfileCommit(ns int64) {
+	const alpha = 0.05
+	next := float64(ns)
+	if cur := math.Float64frombits(s.profile.Load()); cur != 0 {
+		next = cur + alpha*(next-cur)
+	}
+	s.profile.Store(math.Float64bits(next))
+}
 
 // Sample reports whether this commit should run the phase timers:
 // true once every SampleN calls on this shard.
@@ -217,6 +238,24 @@ func (p *Plane) Shard(worker int) *Shard {
 		worker = 0
 	}
 	return &p.shards[worker&p.mask]
+}
+
+// ProfileMean is the mean committed-attempt duration in nanoseconds:
+// the average of the shards' EWMAs over the shards that have data
+// (0 = none yet).
+func (p *Plane) ProfileMean() float64 {
+	var sum float64
+	n := 0
+	for i := range p.shards {
+		if v := math.Float64frombits(p.shards[i].profile.Load()); v != 0 {
+			sum += v
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
 }
 
 // SampleN returns the effective phase-timer sampling interval.

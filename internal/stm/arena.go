@@ -6,24 +6,46 @@
 //
 // # Arena layout
 //
-// Words live in a flat data array, but their transactional metadata —
-// the versioned lock (version<<1 | lockedBit) and the owner slot — is
-// packed per word into a cache-line-padded record, so that
-// neighbouring words never false-share a metadata line. The global
-// commit clock of classic TL2 is replaced by striped per-shard
-// clocks: word idx belongs to stripe idx&(shards-1), and a committing
-// writer advances only the clocks of the stripes it wrote. At high
-// core counts this removes the single contended CAS line that
+// A word is one cache-line-padded record holding its data and its
+// lock word, so touching it costs one line and neighbouring words
+// never false-share. The lock word packs three fields (encoded and
+// decoded only by the helpers below wordMeta):
+//
+//	bit 0      locked
+//	bits 1-47  version, drawn from the word's stripe clock; kept
+//	           intact while locked (batch admission relies on it)
+//	bits 48-63 the owner's descriptor id while locked, else 0
+//
+// Acquiring is therefore one CAS, releasing is the one store that
+// publishes the new version, and "do I own this word" is a compare on
+// a lock word already loaded. Both fields have hard limits: a stripe
+// clock that would pass maxVersion (2^47-1: over two years of 2M
+// commits/s on one stripe) panics with errVersionOverflow rather than
+// truncate — a truncated version reads as old and would skip an
+// extension — and at most maxDescs (65535) Worker handles are open at
+// once; one more blocks until a Release.
+//
+// The global commit clock of classic TL2 is replaced by striped
+// per-shard clocks: word idx belongs to stripe idx&(shards-1), and a
+// committing writer advances only the clocks of the stripes it wrote.
+// At high core counts this removes the single contended CAS line that
 // otherwise serializes every commit.
 //
-// Striped clocks need a striped notion of snapshot. A transaction
-// holds one read version per stripe, taken lazily: the first time a
-// read (or write-lock acquisition) in stripe s observes a word
-// version newer than the stripe snapshot, the transaction *extends* —
-// it reads the latest stripe clock, revalidates its entire read set,
-// and on success adopts the newer snapshot (TL2/TinySTM-style
-// extension). Extension failure aborts, so opacity is preserved:
-// no transaction, even a doomed one, observes a torn snapshot.
+// Striped clocks need a striped notion of snapshot. A descriptor
+// holds one read version per stripe: when a read (or write-lock
+// acquisition) in stripe s observes a word version newer than the
+// stripe snapshot, the transaction *extends* — it reads the latest
+// stripe clock, revalidates its entire read set, and on success
+// adopts the newer snapshot (TL2/TinySTM-style extension). Extension
+// failure aborts, so opacity is preserved: no transaction, even a
+// doomed one, observes a torn snapshot. The snapshot is carried from
+// one attempt (and block, and handle) to the next and picks up the
+// descriptor's own commit stamps: any value a stripe clock once held
+// is a valid snapshot for an empty read set — a writer stamped at or
+// below it locked its words before the clock got there, so its words
+// read as locked or already new, and a later writer stamps above it —
+// and it only moves inside an attempt through extend. So only words
+// committed by someone else since then cost an extension.
 //
 // # Locking modes
 //
@@ -51,18 +73,23 @@
 //     instrumentation point) and waits for the locks to drop;
 //   - requestor aborts: at the deadline the requestor aborts itself.
 //
-// Descriptors are reused across retries of the same atomic block, so
-// "the receiver" must mean one *attempt*, not one descriptor. Each
-// descriptor therefore packs an attempt epoch and a status into a
-// single atomic state word (epoch << stateEpochShift | status, with
-// stateEpochShift = 3: the status field is three bits wide since the
-// group commit added its three terminal outcomes — batchDone,
-// batchFail, batchKilled — to active/killed/noReturn); every retry
-// bumps the epoch. A requestor captures the receiver's (epoch, status) when
-// its wait begins, kills with a CAS against exactly that state, and
-// treats any epoch change as "the lock moved on". A stale requestor
-// can thus never kill a later attempt, and never mistakes a later
-// attempt of the same descriptor for the one it started waiting on.
+// The lock word names the receiver by descriptor id, resolved through
+// the runtime's descriptor table (one atomic slice load). An id is
+// bound to one descriptor for the life of the runtime, and descriptors
+// are reused — across retries, blocks and, through the free list,
+// Worker handles — so "the receiver" must mean one *attempt*, not one
+// descriptor. Each descriptor therefore packs an attempt epoch and a
+// status into a single atomic state word (epoch << stateEpochShift |
+// status, with stateEpochShift = 3: the status field is three bits
+// wide since the group commit added its three terminal outcomes —
+// batchDone, batchFail, batchKilled — to active/killed/noReturn);
+// every retry bumps the epoch. A requestor captures the receiver's
+// (epoch, status) when its wait begins, kills with a CAS against
+// exactly that state, and treats any change of the lock word or the
+// epoch as "the lock moved on". A stale requestor can thus never kill
+// a later attempt, and never mistakes a later attempt of the same
+// descriptor — or another handle's use of its id — for the one it
+// started waiting on.
 //
 // A receiver that reaches its commit write-back phase can no longer
 // be killed (commit is locally atomic, as in the HTM model).
@@ -96,8 +123,8 @@
 package stm
 
 import (
+	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -110,14 +137,48 @@ import (
 
 const cacheLine = 64
 
-// wordMeta is the per-word transactional metadata, padded so two
-// words never share a cache line: the versioned lock
-// (version<<1 | lockedBit, version drawn from the word's stripe
-// clock) and the owner descriptor slot.
+// wordMeta is one arena word: its lock word and its data on one cache
+// line, padded so two words never share one.
 type wordMeta struct {
-	lock  atomic.Uint64
-	owner atomic.Pointer[Tx]
-	_     [cacheLine - 16]byte
+	lock atomic.Uint64
+	val  atomic.Uint64
+	_    [cacheLine - 16]byte
+}
+
+// The lock word's fields (see "Arena layout") and their limits.
+const (
+	lockBit    uint64 = 1
+	idShift           = 48
+	maxVersion uint64 = 1<<(idShift-1) - 1
+	maxDescs          = 1<<(64-idShift) - 1 // ids 1..maxDescs; 0 = no owner
+)
+
+var errVersionOverflow = errors.New("stm: stripe clock passed the lock word's 47-bit version field")
+
+func isLocked(l uint64) bool { return l&lockBit != 0 }
+
+// lockVersion is the word's version, locked or not.
+func lockVersion(l uint64) uint64 { return l >> 1 & maxVersion }
+
+// lockOwner is the holder's descriptor id (0 when unlocked).
+func lockOwner(l uint64) uint64 { return l >> idShift }
+
+// lockedBy is the unlocked word l taken by descriptor id, version kept.
+func lockedBy(l, id uint64) uint64 { return l | lockBit | id<<idShift }
+
+// unlockedAt is the released word publishing version ver.
+func unlockedAt(ver uint64) uint64 { return ver << 1 }
+
+// unlockedKeep releases l with the version it was taken at.
+func unlockedKeep(l uint64) uint64 { return l & (maxVersion << 1) }
+
+// freeList is one stack of idle descriptors, its head — (pops+pushes)
+// <<16 | top id, the count defeating ABA — alone on a line: handles
+// opened under different worker ids (modulo the list count) never
+// contend, as they never contend on a metrics shard.
+type freeList struct {
+	head atomic.Uint64
+	_    [cacheLine - 8]byte
 }
 
 // stripe is one clock shard, padded onto its own line so commits in
@@ -313,13 +374,19 @@ type Runtime struct {
 	stripeMask int
 	stripes    []stripe
 	meta       []wordMeta
-	words      []atomic.Uint64
 
 	pol      atomic.Pointer[Policy]
 	polSwaps atomic.Uint64
 
 	fallback sync.Mutex // serializes irrevocable transactions
-	txPool   sync.Pool  // reusable Tx descriptors (see Atomic)
+
+	// The descriptor table: descs maps an id to its descriptor (index 0
+	// unused), grown under descMu and never shrunk; free holds the idle
+	// ones (see Worker). descLimit is maxDescs, lower in tests.
+	descs     atomic.Pointer[[]*Tx]
+	descMu    sync.Mutex
+	descLimit int
+	free      []freeList
 
 	// Group-commit combiner lanes (nil unless Lazy); whether commits
 	// actually route through them is the current Policy.CommitBatch.
@@ -330,8 +397,6 @@ type Runtime struct {
 	// kEst is the windowed chain estimator (nil while KWindow = 0);
 	// SetPolicy swaps in a fresh window on resize.
 	kEst atomic.Pointer[kEstimator]
-
-	profBits atomic.Uint64 // float64 bits of the EWMA duration (ns)
 
 	Stats Stats
 }
@@ -358,8 +423,10 @@ func New(n int, cfg Config) *Runtime {
 		stripeMask: sh - 1,
 		stripes:    make([]stripe, sh),
 		meta:       make([]wordMeta, n),
-		words:      make([]atomic.Uint64, n),
+		descLimit:  maxDescs,
+		free:       make([]freeList, ceilPow2(min(runtime.GOMAXPROCS(0), 16))),
 	}
+	rt.descs.Store(&[]*Tx{nil})
 	if cfg.Lazy {
 		// Lanes exist on every lazy runtime — a few cache lines — so
 		// SetPolicy can open the combiner later without reallocating
@@ -419,7 +486,7 @@ func ceilPow2(n int) int {
 func (rt *Runtime) stripeOf(idx int) int { return idx & rt.stripeMask }
 
 // Size returns the arena size in words.
-func (rt *Runtime) Size() int { return len(rt.words) }
+func (rt *Runtime) Size() int { return len(rt.meta) }
 
 // Shards returns the number of clock stripes (a power of two).
 func (rt *Runtime) Shards() int { return len(rt.stripes) }
@@ -457,8 +524,8 @@ func (rt *Runtime) ReadCommitted(idx int) uint64 {
 	m := &rt.meta[idx]
 	for {
 		l := m.lock.Load()
-		if l&1 == 0 {
-			v := rt.words[idx].Load()
+		if !isLocked(l) {
+			v := m.val.Load()
 			if m.lock.Load() == l {
 				return v
 			}
@@ -467,23 +534,11 @@ func (rt *Runtime) ReadCommitted(idx int) uint64 {
 	}
 }
 
-// profileMean returns the EWMA of committed transaction durations in
-// nanoseconds (0 = no data yet).
-func (rt *Runtime) profileMean() float64 {
-	return math.Float64frombits(rt.profBits.Load())
-}
-
-func (rt *Runtime) profileUpdate(ns float64) {
-	const alpha = 0.05
-	for {
-		old := rt.profBits.Load()
-		cur := math.Float64frombits(old)
-		next := ns
-		if cur != 0 {
-			next = cur + alpha*(ns-cur)
-		}
-		if rt.profBits.CompareAndSwap(old, math.Float64bits(next)) {
-			return
-		}
+// bumpClock advances stripe s's clock and returns the new version.
+func (rt *Runtime) bumpClock(s int) uint64 {
+	v := rt.stripes[s].clock.Add(1)
+	if v > maxVersion {
+		panic(errVersionOverflow)
 	}
+	return v
 }

@@ -282,7 +282,7 @@ func (tx *Tx) combineRound(sh *batchShard, includeSelf bool) uint64 {
 	// in address order (orderly acquisition keeps combiners in
 	// different lanes deadlock-free among themselves and with the
 	// irrevocable path, which locks in the same order). Each word's
-	// owner slot is attributed to the first roster member writing it,
+	// owner field is attributed to the first roster member writing it,
 	// so requestors conflict with — and can kill — a real queued
 	// transaction, not an opaque combiner.
 	locks := tx.batchLocks[:0]
@@ -325,16 +325,13 @@ func (tx *Tx) combineRound(sh *batchShard, includeSelf bool) uint64 {
 		// fail the drained roster (their goroutines retry) before the
 		// panic resumes.
 		for i := 0; i < acquired; i++ {
-			m := &rt.meta[locks[i]]
-			m.owner.Store(nil)
-			m.lock.Store(vers[i])
+			rt.meta[locks[i]].lock.Store(vers[i])
 		}
 		for _, m := range members {
 			if m != tx {
 				stampOutcome(m, statusBatchFail)
 			}
 		}
-		tx.dropBatchRefs()
 	}()
 
 	// Phase timers, 1-in-N sampled on the combiner's shard; the whole
@@ -350,12 +347,11 @@ func (tx *Tx) combineRound(sh *batchShard, includeSelf bool) uint64 {
 		for {
 			tx.checkKilled()
 			l := m.lock.Load()
-			if l&1 == 1 {
-				tx.onLocked(idx)
+			if isLocked(l) {
+				tx.onLocked(m, l)
 				continue
 			}
-			if m.lock.CompareAndSwap(l, l|1) {
-				m.owner.Store(owners[i])
+			if m.lock.CompareAndSwap(l, lockedBy(l, owners[i].id)) {
 				vers = append(vers, l)
 				acquired++
 				break
@@ -397,7 +393,7 @@ func (tx *Tx) combineRound(sh *batchShard, includeSelf bool) uint64 {
 		ok := true
 		for _, re := range m.reads {
 			l := rt.meta[re.idx].lock.Load()
-			if l>>1 != re.ver || (l&1 == 1 && !containsWord(locks, re.idx)) {
+			if lockVersion(l) != re.ver || (isLocked(l) && !containsWord(locks, re.idx)) {
 				ok = false
 				break
 			}
@@ -461,13 +457,13 @@ func (tx *Tx) combineRound(sh *batchShard, includeSelf bool) uint64 {
 			continue
 		}
 		for _, idx := range m.writeIdx {
-			rt.words[idx].Store(m.writeVals[idx])
+			rt.meta[idx].val.Store(m.writeVals[idx])
 		}
 		m.foldedN = 0
 		for _, idx := range m.addIdx {
 			j := wordPos(locks, idx)
 			if folds[j] < 0 {
-				w := &rt.words[idx]
+				w := &rt.meta[idx].val
 				w.Store(w.Load() + m.addVals[idx])
 				continue
 			}
@@ -482,7 +478,7 @@ func (tx *Tx) combineRound(sh *batchShard, includeSelf bool) uint64 {
 	var foldedWords uint64
 	for j, idx := range locks {
 		if folds[j] > 0 {
-			w := &rt.words[idx]
+			w := &rt.meta[idx].val
 			w.Store(w.Load() + sums[j])
 			foldedWords++
 		}
@@ -508,18 +504,17 @@ func (tx *Tx) combineRound(sh *batchShard, includeSelf bool) uint64 {
 			}
 		}
 		m := &rt.meta[idx]
-		m.owner.Store(nil)
 		if written {
 			s := rt.stripeOf(idx)
 			if tx.wvs[s] == 0 {
-				tx.wvs[s] = rt.stripes[s].clock.Add(1)
+				tx.wvs[s] = rt.bumpClock(s)
 			}
-			m.lock.Store(tx.wvs[s] << 1)
+			m.lock.Store(unlockedAt(tx.wvs[s]))
 		} else {
 			m.lock.Store(vers[i])
 		}
 	}
-	clear(tx.wvs)
+	tx.adoptStamps()
 	if sampled {
 		tx.mx.Phase(metrics.PhaseClock, nanos()-t0)
 	}
@@ -551,7 +546,6 @@ func (tx *Tx) combineRound(sh *batchShard, includeSelf bool) uint64 {
 		tx.mx.Add(metrics.CounterFoldedWords, foldedWords)
 	}
 	completed = true
-	tx.dropBatchRefs()
 	return selfOut
 }
 
@@ -592,16 +586,6 @@ func stampOutcome(m *Tx, out uint64) {
 			panic("stm: descriptor stamped twice in a batch")
 		}
 	}
-}
-
-// dropBatchRefs clears the pointer-holding combiner scratch so pooled
-// descriptors from this batch are not retained past the round (the
-// int/uint64 scratch keeps its capacity harmlessly).
-func (tx *Tx) dropBatchRefs() {
-	clear(tx.batchMembers)
-	tx.batchMembers = tx.batchMembers[:0]
-	clear(tx.batchOwners)
-	tx.batchOwners = tx.batchOwners[:0]
 }
 
 // writesWord reports whether m's (sorted) write set contains idx.

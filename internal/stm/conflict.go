@@ -23,29 +23,33 @@ func (owner *Tx) leaveChain() {
 	owner.waiters.Add(-1)
 }
 
-// onLocked is the conflict decision point: word idx is locked by
-// another transaction. It returns once the lock has been observed to
-// move on (so the caller may retry), and aborts the appropriate side
-// per policy when the grace period expires.
+// onLocked is the conflict decision point: the caller loaded word m's
+// lock word l and found it locked by another transaction. It returns
+// once the lock has been observed to move on (so the caller may
+// retry), and aborts the appropriate side per policy when the grace
+// period expires.
 //
-// The receiver's identity is one *attempt*, captured as its full
-// (epoch, status) state at wait start: the kill is a CAS against
-// exactly that state, and any epoch change means the attempt we were
-// waiting on is gone — a reused descriptor re-acquiring the same word
-// can neither be killed by us nor absorb the rest of our grace
-// period.
-func (tx *Tx) onLocked(idx int) {
+// l names the receiver's descriptor; its identity is one *attempt*,
+// captured as that descriptor's full (epoch, status) state at wait
+// start: the kill is a CAS against exactly that state, and a changed
+// lock word or epoch means the attempt we were waiting on is gone — a
+// reused descriptor (or id) re-acquiring the same word can neither be
+// killed by us nor absorb the rest of our grace period.
+func (tx *Tx) onLocked(m *wordMeta, l uint64) {
 	rt := tx.rt
-	m := &rt.meta[idx]
-	owner := m.owner.Load()
-	if owner == nil || owner == tx {
-		runtime.Gosched()
-		return
-	}
+	owner := (*rt.descs.Load())[lockOwner(l)]
 	st0 := owner.state.Load()
-	if st0&stateStatusMask != statusActive {
-		// The owning attempt is already dying or committing; its
-		// locks drop shortly, so just let the caller retry.
+	// gone reports that the attempt we are waiting on released the
+	// lock, lost it, or ended (epoch moved past st0's). A release always
+	// changes the word; only the same descriptor re-taking it at an
+	// unchanged version restores it, and that is a later epoch.
+	gone := func() bool {
+		return m.lock.Load() != l || owner.state.Load()>>stateEpochShift != st0>>stateEpochShift
+	}
+	if st0&stateStatusMask != statusActive || gone() {
+		// The owning attempt is already dying, committing or gone (st0
+		// may then belong to a later holder of the id); its locks drop
+		// shortly if they have not yet, so just let the caller retry.
 		runtime.Gosched()
 		return
 	}
@@ -77,14 +81,6 @@ func (tx *Tx) onLocked(idx int) {
 		if e := est.estimate(); e > float64(k) {
 			k = int(math.Round(e))
 		}
-	}
-
-	// gone reports that the attempt we are waiting on released the
-	// lock, lost it, or ended (epoch moved past st0's).
-	gone := func() bool {
-		return m.lock.Load()&1 == 0 ||
-			m.owner.Load() != owner ||
-			owner.state.Load()>>stateEpochShift != st0>>stateEpochShift
 	}
 
 	pol := tx.pol.resolutionFor(k)
@@ -168,7 +164,9 @@ func (tx *Tx) graceFor(owner *Tx, k int, pol core.Policy, now int64) time.Durati
 	}
 	conf := core.Conflict{Policy: pol, K: k, B: b}
 	if tx.pol.UseMeanProfile {
-		conf.Mean = tx.rt.profileMean()
+		// The workers' EWMAs, each in its own metrics shard: a commit
+		// touches no shared profile word.
+		conf.Mean = tx.rt.metrics.ProfileMean()
 	}
 	x := s.Delay(conf, tx.rng)
 	if x < 0 || math.IsNaN(x) {

@@ -86,8 +86,8 @@ func TestEpochKillSkipsLaterAttempt(t *testing.T) {
 	// parked reports a requestor inside a grace wait on word 0's owner
 	// (graceWaits only counts a wait once it has ended).
 	parked := func() bool {
-		owner := rt.meta[0].owner.Load()
-		return owner != nil && owner.waiters.Load() >= 1
+		l := rt.meta[0].lock.Load()
+		return isLocked(l) && (*rt.descs.Load())[lockOwner(l)].waiters.Load() >= 1
 	}
 	// Park the requestor against attempt 1, then retire attempt 1.
 	waitFor(parked, "requestor grace wait")
@@ -166,7 +166,7 @@ func TestForeignPanicReleasesEncounterLocks(t *testing.T) {
 				tx.Store(0, 9)
 				panic("user bug")
 			})
-			if rt.meta[0].lock.Load()&1 != 0 {
+			if isLocked(rt.meta[0].lock.Load()) {
 				t.Fatal("panic leaked the encounter lock")
 			}
 			if got := rt.ReadCommitted(0); got != 0 {

@@ -267,7 +267,7 @@ func TestFoldPolicyChurn(t *testing.T) {
 					}
 				}()
 			}
-			time.Sleep(dur)
+			runUnderChurn(rt, dur)
 			close(stop)
 			wg.Wait()
 
@@ -375,7 +375,7 @@ func TestSetPolicyChurn(t *testing.T) {
 					}
 				}()
 			}
-			time.Sleep(dur)
+			runUnderChurn(rt, dur)
 			close(stop)
 			wg.Wait()
 
@@ -397,5 +397,16 @@ func TestSetPolicyChurn(t *testing.T) {
 			}
 			t.Logf("%s: %d commits under %d policy swaps", mode.name, total, rt.PolicySwaps())
 		})
+	}
+}
+
+// runUnderChurn lets a churn cell's traffic run for dur, and then for
+// as long as it takes the churner to land its first swap: on one P the
+// spinning workers can keep it off the processor for the whole of a
+// -short window, and the cell is about traffic *under* swaps.
+func runUnderChurn(rt *Runtime, dur time.Duration) {
+	time.Sleep(dur)
+	for rt.PolicySwaps() == 0 {
+		time.Sleep(time.Millisecond)
 	}
 }

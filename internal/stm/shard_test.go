@@ -1,9 +1,12 @@
 package stm
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"txconflict/internal/core"
 	"txconflict/internal/rng"
@@ -54,39 +57,154 @@ func TestStripedClockAdvancesPerStripe(t *testing.T) {
 	}
 }
 
-// TestSnapshotExtension: a reader whose lazily taken stripe snapshot
-// trails committed history must extend (not abort) when the read set
-// is still valid.
+// TestSnapshotExtension pins the invariant behind the carried
+// snapshot: a transaction extends exactly when it meets a word someone
+// else committed after its descriptor last looked at that stripe — not
+// on first contact, and not for its own commits.
 func TestSnapshotExtension(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Shards = 4
 	rt := New(8, cfg)
-	r := rng.New(1)
-	for i := 0; i < 4; i++ {
-		i := i
-		_ = rt.Atomic(r, func(tx *Tx) error {
-			tx.Store(i, uint64(100+i))
+	mine := rt.Worker(0, rng.New(1))
+	defer mine.Release()
+	other := rt.Worker(1, rng.New(2))
+	defer other.Release()
+	store := func(w *Worker, idxs ...int) {
+		t.Helper()
+		if err := w.Atomic(func(tx *Tx) error {
+			for _, idx := range idxs {
+				tx.Store(idx, tx.Load(idx)+1)
+			}
 			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// extensions runs one read-only block over idxs on mine and returns
+	// how many times it extended.
+	extensions := func(idxs ...int) uint64 {
+		t.Helper()
+		before := rt.Stats.Snapshot()["extensions"]
+		if err := mine.Atomic(func(tx *Tx) error {
+			for _, idx := range idxs {
+				tx.Load(idx)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return rt.Stats.Snapshot()["extensions"] - before
+	}
+
+	store(&mine, 0, 1, 2, 3) // one word in each stripe
+	if n := extensions(0, 1, 2, 3); n != 0 {
+		t.Errorf("reading back its own commit, the descriptor extended %d times", n)
+	}
+	store(&other, 4, 5, 6, 7) // the same four stripes, by someone else
+	if n := extensions(4, 5, 6, 7); n != 4 {
+		t.Errorf("four stripes committed by another descriptor: %d extensions, want one each", n)
+	}
+	if n := extensions(0, 1, 2, 3, 4, 5, 6, 7); n != 0 {
+		t.Errorf("nobody wrote since the last block, yet %d extensions", n)
+	}
+	store(&other, 1)
+	if n := extensions(0, 1, 2, 3, 5); n != 1 {
+		t.Errorf("one word committed in between (stripe 1): %d extensions, want exactly 1", n)
+	}
+	if st := rt.Stats.Snapshot(); st["aborts"] != 0 {
+		t.Fatalf("extension path aborted: %v", st)
+	}
+}
+
+// TestSnapshotCarried: the per-stripe snapshot survives reset and ends
+// a commit — eager or lazy — and an eager rollback at the stamp the
+// descriptor itself drew.
+func TestSnapshotCarried(t *testing.T) {
+	fail := errors.New("roll back")
+	for _, lazy := range []bool{false, true} {
+		t.Run(fmt.Sprintf("lazy=%v", lazy), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Shards, cfg.Lazy = 4, lazy
+			rt := New(8, cfg)
+			w := rt.Worker(0, rng.New(1))
+			defer w.Release()
+			check := func(what string, want ...uint64) {
+				t.Helper()
+				for s, v := range want {
+					if w.tx.rv[s] != v || w.tx.wvs[s] != 0 {
+						t.Fatalf("%s: rv = %v, wvs = %v; want rv = %v and no stamp left", what, w.tx.rv, w.tx.wvs, want)
+					}
+				}
+			}
+			_ = w.Atomic(func(tx *Tx) error { tx.Store(2, 1); tx.Store(6, 1); return nil })
+			check("after a commit to stripe 2", 0, 0, 1, 0)
+			w.tx.reset(nanos())
+			check("after reset", 0, 0, 1, 0)
+			_ = w.Atomic(func(tx *Tx) error { tx.Store(2, 2); tx.Store(3, 2); return nil })
+			check("after a commit to stripes 2 and 3", 0, 0, 2, 1)
+			if err := w.Atomic(func(tx *Tx) error { tx.Store(3, 9); return fail }); err != fail {
+				t.Fatal(err)
+			}
+			if lazy { // nothing was locked, nothing stamped
+				check("after a lazy user abort", 0, 0, 2, 1)
+			} else {
+				check("after an eager rollback of stripe 3", 0, 0, 2, 2)
+			}
 		})
 	}
-	before := rt.Stats.Snapshot()["extensions"]
-	err := rt.Atomic(r, func(tx *Tx) error {
-		for i := 0; i < 4; i++ {
-			if got := tx.Load(i); got != uint64(100+i) {
-				t.Fatalf("word %d = %d", i, got)
+}
+
+// TestCarriedSnapshotOpacity: a reader that keeps one descriptor — and
+// so one carried snapshot — across all its blocks never sees a torn
+// pair, doomed attempts included, whether the pair shares a stripe or
+// not. The yield between a block's first two loads invites the writer
+// in; the retry runs straight through, or on one P the writer would
+// commit inside every attempt and the reader never finish a block.
+func TestCarriedSnapshotOpacity(t *testing.T) {
+	for _, pair := range [][2]int{{0, 1}, {0, 4}} {
+		t.Run(fmt.Sprintf("words=%v", pair), func(t *testing.T) {
+			t.Parallel()
+			cfg := DefaultConfig()
+			cfg.Shards = 4
+			rt := New(8, cfg)
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				w := rt.Worker(0, rng.New(1))
+				defer w.Release()
+				for i := uint64(1); ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					_ = w.Atomic(func(tx *Tx) error {
+						tx.Store(pair[0], i)
+						tx.Store(pair[1], i)
+						return nil
+					})
+					runtime.Gosched()
+				}
+			}()
+			r := rt.Worker(1, rng.New(2))
+			defer r.Release()
+			for deadline := time.Now().Add(100 * time.Millisecond); time.Now().Before(deadline); {
+				_ = r.Atomic(func(tx *Tx) error {
+					a := tx.Load(pair[0])
+					if tx.Attempts() == 0 {
+						runtime.Gosched()
+					}
+					if b := tx.Load(pair[1]); a != b {
+						t.Errorf("torn pair: %d, %d", a, b)
+					}
+					return nil
+				})
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := rt.Stats.Snapshot()
-	if st["extensions"] == before {
-		t.Fatal("multi-stripe read-only transaction never extended its snapshot")
-	}
-	if st["aborts"] != 0 {
-		t.Fatalf("extension path aborted: %v", st)
+			close(stop)
+			wg.Wait()
+		})
 	}
 }
 
@@ -151,7 +269,8 @@ func TestShardedObjectSumInvariant(t *testing.T) {
 
 // benchDisjointWriters is the shared disjoint-writer load: each
 // parallel worker increments its own 16-word slice of the arena, so
-// the only shared traffic is commit-clock and metadata lines — the
+// and commits under its own worker id (own metrics shard, own free
+// list), so the only shared traffic is commit-clock lines — the
 // contention the striped clocks exist to remove.
 func benchDisjointWriters(b *testing.B, shards int) {
 	const words = 1024
@@ -172,7 +291,7 @@ func benchDisjointWriters(b *testing.B, shards int) {
 		for pb.Next() {
 			idx := base + (i & 15)
 			i++
-			_ = rt.Atomic(r, func(tx *Tx) error {
+			_ = rt.AtomicWorker(int(g), r, func(tx *Tx) error {
 				tx.Store(idx, tx.Load(idx)+1)
 				return nil
 			})

@@ -104,7 +104,7 @@ func TestLazyBuffering(t *testing.T) {
 	_ = rt.Atomic(r, func(tx *Tx) error {
 		tx.Store(0, 7)
 		// In lazy mode the word must not be globally visible yet.
-		if rt.words[0].Load() != 0 {
+		if rt.meta[0].val.Load() != 0 {
 			t.Error("lazy write hit memory before commit")
 		}
 		if tx.Load(0) != 7 {
@@ -125,10 +125,10 @@ func TestEagerInPlaceAndRollback(t *testing.T) {
 	_ = rt.Atomic(r, func(tx *Tx) error {
 		tx.Store(0, 7)
 		// Eager mode writes in place while holding the lock.
-		if rt.words[0].Load() != 7 {
+		if rt.meta[0].val.Load() != 7 {
 			t.Error("eager write not in place")
 		}
-		if rt.meta[0].lock.Load()&1 != 1 {
+		if l := rt.meta[0].lock.Load(); !isLocked(l) || lockOwner(l) != tx.id {
 			t.Error("eager write did not lock the word")
 		}
 		return fail
@@ -136,7 +136,7 @@ func TestEagerInPlaceAndRollback(t *testing.T) {
 	if rt.ReadCommitted(0) != 0 {
 		t.Fatal("rollback did not restore the pre-image")
 	}
-	if rt.meta[0].lock.Load()&1 != 0 {
+	if isLocked(rt.meta[0].lock.Load()) {
 		t.Fatal("rollback left the word locked")
 	}
 }
@@ -443,7 +443,7 @@ func TestProfilerMean(t *testing.T) {
 			return nil
 		})
 	}
-	if rt.profileMean() <= 0 {
+	if rt.metrics.ProfileMean() <= 0 {
 		t.Fatal("profiler mean not populated")
 	}
 }

@@ -117,7 +117,7 @@ func (tx *Tx) noteAbort(reason metrics.AbortReason) {
 
 // emitTrace finalizes the block's trace and hands it to the
 // configured Tracer. The pointer (and its slices) are valid only for
-// the duration of the call — the descriptor returns to the pool right
+// the duration of the call — the descriptor returns to the free list right
 // after.
 func (tx *Tx) emitTrace(committed bool) {
 	tx.tr.Committed = committed

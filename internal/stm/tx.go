@@ -1,8 +1,8 @@
 package stm
 
 import (
+	"runtime"
 	"sort"
-
 	"sync/atomic"
 
 	"txconflict/internal/metrics"
@@ -52,6 +52,11 @@ type readEntry struct {
 type Tx struct {
 	rt  *Runtime
 	rng *rng.Rand
+	// id is this descriptor's index in rt.descs, fixed for the life of
+	// the runtime: what its locks carry in their owner field. freeNext
+	// links it into the free list while no handle holds it.
+	id       uint64
+	freeNext atomic.Uint32
 
 	// pol is the conflict policy this attempt runs under, latched
 	// from the runtime's atomic policy slot once per attempt (reset):
@@ -62,8 +67,7 @@ type Tx struct {
 	// state packs the attempt epoch and the status; see the const
 	// block above. Read and CASed by requestors resolving conflicts
 	// against this descriptor.
-	state   atomic.Uint64
-	waiters atomic.Int32 // requestors currently waiting on me
+	state atomic.Uint64
 	// irrevocable, startNanos and attempts are read by *other*
 	// goroutines (requestors inspecting their receiver in graceFor),
 	// hence atomic.
@@ -71,10 +75,12 @@ type Tx struct {
 	startNanos  atomic.Int64
 	attempts    atomic.Int32
 
-	// rv holds the per-stripe read snapshot, taken lazily: 0 means
-	// "stripe not snapshotted yet", and any nonzero word version
-	// forces an extension on first contact. wvs is the per-stripe
-	// commit-version scratch (0 = stripe not written this commit).
+	// rv holds the per-stripe read snapshot: a value the stripe clock
+	// held at or before the current attempt's first read, carried
+	// across attempts, blocks and handles (0 on a fresh descriptor, so
+	// any committed word extends on first contact). wvs is the
+	// per-stripe commit-version scratch (0 = stripe not written this
+	// commit), folded into rv by adoptStamps.
 	rv  []uint64
 	wvs []uint64
 
@@ -82,7 +88,7 @@ type Tx struct {
 
 	// traced gates all instrumentation below it (Config.Trace != nil,
 	// latched per Worker handle); tr accumulates the block's trace and
-	// reuses its footprint buffers across pooled descriptors.
+	// reuses its footprint buffers across reused descriptors.
 	traced bool
 	tr     TxTrace
 
@@ -104,7 +110,7 @@ type Tx struct {
 	// with the combiner lane open): blind `word += delta` intents with
 	// no read entry, kept apart from the plain write set so the
 	// combiner can fold them. addVals is allocated on first use and
-	// reused across pooled descriptors. foldedN is written by the
+	// reused with the descriptor. foldedN is written by the
 	// combiner (before the outcome stamp, which orders it) with the
 	// number of this member's deltas that were folded.
 	addIdx  []int
@@ -119,7 +125,7 @@ type Tx struct {
 	// shard's queue while it waits for a combiner; the remaining slices
 	// are the combiner-side scratch (roster, merged lock plan, per-lock
 	// owners and pre-acquisition versions, per-member outcomes,
-	// admitted write words), reused across pooled descriptors so a
+	// admitted write words), reused with the descriptor so a
 	// steady-state batched commit allocates nothing.
 	batchNext     atomic.Pointer[Tx]
 	batchMembers  []*Tx
@@ -130,6 +136,13 @@ type Tx struct {
 	batchAdmitted []int
 	batchFolds    []int    // per lock word: -1 plain-written, else delta count
 	batchSums     []uint64 // per lock word: folded delta sum
+
+	// waiters counts the requestors currently waiting on me. They write
+	// it, so it sits a full line away from everything an owner — this
+	// descriptor's or the next one's in memory — reads on its hot path.
+	_       [cacheLine]byte
+	waiters atomic.Int32
+	_       [cacheLine - 4]byte
 }
 
 // epoch returns the current attempt epoch.
@@ -149,10 +162,10 @@ func (tx *Tx) Attempts() int { return int(tx.attempts.Load()) }
 // fn's error for user-level aborts. fn must confine all shared access
 // to tx.Load/tx.Store and must be safe to re-execute.
 //
-// Descriptors are pooled across Atomic calls. This is safe *because*
-// of the epoch protocol: a requestor that still holds a pointer to a
-// recycled descriptor can only act on it through a full-state CAS
-// against the (epoch, status) it captured, and that epoch is gone
+// Descriptors are reused across Atomic calls. This is safe *because*
+// of the epoch protocol: a requestor that resolved a lock word's id to
+// a since-recycled descriptor can only act on it through a full-state
+// CAS against the (epoch, status) it captured, and that epoch is gone
 // forever once the descriptor is reset — the state word survives
 // recycling and its epoch only grows.
 func (rt *Runtime) Atomic(r *rng.Rand, fn func(tx *Tx) error) error {
@@ -164,7 +177,7 @@ func (rt *Runtime) Atomic(r *rng.Rand, fn func(tx *Tx) error) error {
 // id has no semantic effect on execution; scenario.STMRunner passes
 // its worker index so per-worker trace buffers stay contention-free.
 // It is the one-shot form of a Worker handle: two clock reads, one
-// descriptor-pool round trip.
+// free-list round trip.
 func (rt *Runtime) AtomicWorker(worker int, r *rng.Rand, fn func(tx *Tx) error) error {
 	w := rt.Worker(worker, r)
 	err := w.Atomic(fn)
@@ -173,8 +186,8 @@ func (rt *Runtime) AtomicWorker(worker int, r *rng.Rand, fn func(tx *Tx) error) 
 }
 
 // Worker is a handle for running atomic blocks back to back on one
-// goroutine (a batch of keyed ops, say). It owns one pooled descriptor
-// for its whole life, and it chains stamps: block i+1's first attempt
+// goroutine (a batch of keyed ops, say). It owns one descriptor for
+// its whole life, and it chains stamps: block i+1's first attempt
 // starts at the stamp block i ended at, so a block that commits first
 // time reads the clock once, at its end. The attempt and commit
 // observations of a chained block therefore include the few
@@ -200,11 +213,23 @@ type Worker struct {
 }
 
 // Worker opens a handle tagged with a worker id (see AtomicWorker); r
-// must be the calling goroutine's own stream.
+// must be the calling goroutine's own stream. The descriptor comes off
+// the id's free list or, when that is empty, is made and given the next
+// descriptor id; with all maxDescs ids taken the call yields until its
+// list gets one back. So the table grows to the most handles ever open
+// at once (per list), and a steady state allocates nothing.
 func (rt *Runtime) Worker(id int, r *rng.Rand) Worker {
-	tx, _ := rt.txPool.Get().(*Tx)
-	if tx == nil {
-		tx = rt.newTx()
+	free := &rt.free[id&(len(rt.free)-1)].head
+	var tx *Tx
+	for tx == nil {
+		h := free.Load()
+		if top := h & maxDescs; top == 0 {
+			if tx = rt.newTx(); tx == nil {
+				runtime.Gosched()
+			}
+		} else if d := (*rt.descs.Load())[top]; free.CompareAndSwap(h, (h>>16+1)<<16|uint64(d.freeNext.Load())) {
+			tx = d
+		}
 	}
 	tx.rng = r
 	tx.mx = rt.metrics.Shard(id)
@@ -212,25 +237,43 @@ func (rt *Runtime) Worker(id int, r *rng.Rand) Worker {
 	return Worker{tx: tx, id: id}
 }
 
+// newTx makes a descriptor and publishes it in the table under the
+// next id, or returns nil when the id space is used up. Appending in
+// place is safe: a reader indexes only below the length it loaded.
 func (rt *Runtime) newTx() *Tx {
+	rt.descMu.Lock()
+	defer rt.descMu.Unlock()
+	descs := *rt.descs.Load()
+	if len(descs) > rt.descLimit {
+		return nil
+	}
 	tx := &Tx{
 		rt:  rt,
+		id:  uint64(len(descs)),
 		rv:  make([]uint64, len(rt.stripes)),
 		wvs: make([]uint64, len(rt.stripes)),
 	}
 	if rt.lazy {
 		tx.writeVals = make(map[int]uint64, 8)
 	}
+	descs = append(descs, tx)
+	rt.descs.Store(&descs)
 	return tx
 }
 
-// Release returns the handle's descriptor to the pool. The handle
+// Release returns the handle's descriptor to its free list. The handle
 // must not be used afterwards.
 func (w *Worker) Release() {
 	tx := w.tx
 	w.tx = nil
 	tx.rng = nil
-	tx.rt.txPool.Put(tx)
+	for free := &tx.rt.free[w.id&(len(tx.rt.free)-1)].head; ; {
+		h := free.Load()
+		tx.freeNext.Store(uint32(h & maxDescs))
+		if free.CompareAndSwap(h, (h>>16+1)<<16|tx.id) {
+			return
+		}
+	}
 }
 
 // Atomic runs fn as one atomic block on the handle's descriptor, with
@@ -276,13 +319,11 @@ func (w *Worker) Atomic(fn func(tx *Tx) error) error {
 // reset opens a fresh attempt starting at the stamp now: a new epoch
 // (so stale requestors from the previous attempt can neither kill us
 // nor keep waiting on us), the current conflict policy, and cleared
-// speculative state.
+// speculative state. The snapshot rv is kept (see "Arena layout").
 func (tx *Tx) reset(now int64) {
 	tx.pol = tx.rt.pol.Load()
 	tx.state.Store((tx.epoch() + 1) << stateEpochShift) // status = active
 	tx.startNanos.Store(now)
-	clear(tx.rv)
-	clear(tx.wvs)
 	tx.reads = tx.reads[:0]
 	tx.writeIdx = tx.writeIdx[:0]
 	if tx.writeVals != nil {
@@ -348,7 +389,7 @@ func (tx *Tx) attempt(fn func(tx *Tx) error) (err error, aborted bool) {
 	tx.commit()
 	tx.releaseToken()
 	now := tx.endAttempt()
-	tx.rt.profileUpdate(float64(now - tx.startNanos.Load()))
+	tx.mx.ProfileCommit(now - tx.startNanos.Load())
 	tx.mx.ObserveCommit(now - tx.blockStart)
 	return nil, false
 }
@@ -373,37 +414,29 @@ func (tx *Tx) rollback() {
 	// identical pre-image, the standard undo-log STM trade).
 	for i := len(tx.undo) - 1; i >= 0; i-- {
 		u := tx.undo[i]
-		tx.rt.words[u.idx].Store(u.oldVal)
-	}
-	for i := len(tx.undo) - 1; i >= 0; i-- {
-		u := tx.undo[i]
-		s := tx.rt.stripeOf(u.idx)
-		if tx.wvs[s] == 0 {
-			tx.wvs[s] = tx.rt.stripes[s].clock.Add(1)
-		}
-		m := &tx.rt.meta[u.idx]
-		m.owner.Store(nil)
-		m.lock.Store(tx.wvs[s] << 1)
+		tx.rt.meta[u.idx].val.Store(u.oldVal)
 	}
 	if len(tx.undo) > 0 {
+		tx.stampStripes(func(i int) int { return tx.undo[i].idx }, len(tx.undo))
+		for _, u := range tx.undo {
+			tx.rt.meta[u.idx].lock.Store(unlockedAt(tx.wvs[tx.rt.stripeOf(u.idx)]))
+		}
 		tx.undo = tx.undo[:0]
-		clear(tx.wvs)
+		tx.adoptStamps()
 	}
 	// Lazy: release partially acquired commit locks. No write-back
 	// happened yet (that is after the no-return point), so the
 	// original versions are still truthful.
 	for i := 0; i < tx.lockedUpTo; i++ {
 		m := &tx.rt.meta[tx.writeIdx[i]]
-		m.owner.Store(nil)
-		l := m.lock.Load()
-		m.lock.Store(l &^ 1)
+		m.lock.Store(unlockedKeep(m.lock.Load()))
 	}
 	tx.lockedUpTo = 0
 	// Retire this attempt's epoch: the locks are gone, so any
 	// requestor still holding our captured (epoch, status) must see
 	// the attempt as over — its kill CAS has to miss, keeping the
-	// kills counter honest even while the descriptor idles in the
-	// pool (the next reset bumps the epoch again).
+	// kills counter honest even while the descriptor idles on the
+	// free list (the next reset bumps the epoch again).
 	tx.state.Add(1 << stateEpochShift)
 }
 
@@ -420,35 +453,20 @@ func (tx *Tx) checkKilled() {
 	}
 }
 
-// ownsLock reports whether tx holds the encounter/commit lock on idx.
-func (tx *Tx) ownsLock(idx int) bool {
-	return tx.rt.meta[idx].owner.Load() == tx
-}
+// holds reports whether the loaded lock word l is tx's own encounter
+// or commit lock.
+func (tx *Tx) holds(l uint64) bool { return isLocked(l) && lockOwner(l) == tx.id }
 
 // extend adopts the latest snapshot of stripe s after revalidating
 // the whole read set (TL2/TinySTM-style snapshot extension). The
 // stripe clock is read *before* validation: any commit that races
 // past the loaded value either touches a read word (validation
 // fails) or leaves versions above the adopted snapshot (a later
-// extension catches it). Called on every validation miss, including
-// the first contact with a stripe whose words have committed
-// history.
+// extension catches it). Called on every validation miss: a word
+// someone committed after the snapshot was taken.
 func (tx *Tx) extend(s int) {
 	c := tx.rt.stripes[s].clock.Load()
-	for _, re := range tx.reads {
-		l := tx.rt.meta[re.idx].lock.Load()
-		if l&1 == 1 {
-			if !tx.ownsLock(re.idx) {
-				tx.mx.Add(metrics.CounterSelfAborts, 1)
-				tx.abort(metrics.AbortValidation)
-			}
-			continue
-		}
-		if l>>1 != re.ver {
-			tx.mx.Add(metrics.CounterSelfAborts, 1)
-			tx.abort(metrics.AbortValidation)
-		}
-	}
+	tx.validateReads()
 	tx.rv[s] = c
 	tx.mx.Add(metrics.CounterExtensions, 1)
 }
@@ -456,32 +474,33 @@ func (tx *Tx) extend(s int) {
 // Load reads word idx transactionally.
 func (tx *Tx) Load(idx int) uint64 {
 	tx.checkKilled()
-	if !tx.rt.lazy {
-		if tx.ownsLock(idx) {
-			return tx.rt.words[idx].Load()
+	if tx.rt.lazy {
+		if v, ok := tx.writeVals[idx]; ok {
+			return v
 		}
-	} else if v, ok := tx.writeVals[idx]; ok {
-		return v
 	}
 	m := &tx.rt.meta[idx]
 	for {
 		l1 := m.lock.Load()
-		if l1&1 == 1 {
-			tx.onLocked(idx)
+		if isLocked(l1) {
+			if tx.holds(l1) {
+				return m.val.Load() // eager: our own in-place write
+			}
+			tx.onLocked(m, l1)
 			tx.checkKilled()
 			continue
 		}
-		if s := tx.rt.stripeOf(idx); l1>>1 > tx.rv[s] {
-			// The word changed after our stripe snapshot (or the
-			// stripe has no snapshot yet); extend or die.
+		if s := tx.rt.stripeOf(idx); lockVersion(l1) > tx.rv[s] {
+			// The word changed after our stripe snapshot; extend or
+			// die.
 			tx.extend(s)
 			continue
 		}
-		v := tx.rt.words[idx].Load()
+		v := m.val.Load()
 		if m.lock.Load() != l1 {
 			continue // raced with a writer; retry the read
 		}
-		tx.reads = append(tx.reads, readEntry{idx: idx, ver: l1 >> 1})
+		tx.reads = append(tx.reads, readEntry{idx: idx, ver: lockVersion(l1)})
 		if len(tx.addIdx) > 0 {
 			v = tx.foldPendingDelta(idx, v)
 		}
@@ -541,10 +560,11 @@ func (tx *Tx) Store(idx int, val uint64) {
 	}
 	// Eager: acquire the encounter lock on first touch, then write
 	// in place.
-	if !tx.ownsLock(idx) {
+	m := &tx.rt.meta[idx]
+	if !tx.holds(m.lock.Load()) {
 		tx.acquire(idx)
 	}
-	tx.rt.words[idx].Store(val)
+	m.val.Store(val)
 }
 
 // Add applies `word idx += delta` transactionally. Its contract is
@@ -588,20 +608,16 @@ func (tx *Tx) acquire(idx int) {
 	for {
 		tx.checkKilled()
 		l := m.lock.Load()
-		if l&1 == 1 {
-			tx.onLocked(idx)
+		if isLocked(l) {
+			tx.onLocked(m, l)
 			continue
 		}
-		if s := tx.rt.stripeOf(idx); l>>1 > tx.rv[s] {
+		if s := tx.rt.stripeOf(idx); lockVersion(l) > tx.rv[s] {
 			tx.extend(s)
 			continue
 		}
-		if m.lock.CompareAndSwap(l, l|1) {
-			m.owner.Store(tx)
-			tx.undo = append(tx.undo, undoEntry{
-				idx:    idx,
-				oldVal: tx.rt.words[idx].Load(),
-			})
+		if m.lock.CompareAndSwap(l, lockedBy(l, tx.id)) {
+			tx.undo = append(tx.undo, undoEntry{idx: idx, oldVal: m.val.Load()})
 			return
 		}
 	}
@@ -631,18 +647,13 @@ func (tx *Tx) enterNoReturn() {
 	}
 }
 
-// validateReads re-checks the read set at commit time.
+// validateReads re-checks the read set (at commit time and on every
+// extension): each word is still at the version it was read at, or is
+// locked by this attempt.
 func (tx *Tx) validateReads() {
 	for _, re := range tx.reads {
 		l := tx.rt.meta[re.idx].lock.Load()
-		if l&1 == 1 {
-			if !tx.ownsLock(re.idx) {
-				tx.mx.Add(metrics.CounterSelfAborts, 1)
-				tx.abort(metrics.AbortValidation)
-			}
-			continue
-		}
-		if l>>1 != re.ver {
+		if !tx.holds(l) && (isLocked(l) || lockVersion(l) != re.ver) {
 			tx.mx.Add(metrics.CounterSelfAborts, 1)
 			tx.abort(metrics.AbortValidation)
 		}
@@ -655,7 +666,19 @@ func (tx *Tx) stampStripes(idxOf func(i int) int, n int) {
 	for i := 0; i < n; i++ {
 		s := tx.rt.stripeOf(idxOf(i))
 		if tx.wvs[s] == 0 {
-			tx.wvs[s] = tx.rt.stripes[s].clock.Add(1)
+			tx.wvs[s] = tx.rt.bumpClock(s)
+		}
+	}
+}
+
+// adoptStamps ends a commit or rollback: the attempt's read set is
+// dead, so each stripe stamp it drew — a value that clock held — is a
+// valid, and the newest possible, snapshot to start the next attempt
+// from.
+func (tx *Tx) adoptStamps() {
+	for s, v := range tx.wvs {
+		if v != 0 {
+			tx.rv[s], tx.wvs[s] = v, 0
 		}
 	}
 }
@@ -684,15 +707,13 @@ func (tx *Tx) commitEager() {
 	}
 	tx.stampStripes(func(i int) int { return tx.undo[i].idx }, len(tx.undo))
 	for _, u := range tx.undo {
-		m := &tx.rt.meta[u.idx]
-		m.owner.Store(nil)
-		m.lock.Store(tx.wvs[tx.rt.stripeOf(u.idx)] << 1)
+		tx.rt.meta[u.idx].lock.Store(unlockedAt(tx.wvs[tx.rt.stripeOf(u.idx)]))
 	}
 	if sampled {
 		tx.mx.Phase(metrics.PhaseClock, nanos()-t0)
 	}
 	tx.undo = tx.undo[:0]
-	clear(tx.wvs)
+	tx.adoptStamps()
 }
 
 func (tx *Tx) commitLazy() {
@@ -755,18 +776,16 @@ func (tx *Tx) commitLazy() {
 		t0 = t1
 	}
 	for _, idx := range tx.writeIdx {
-		tx.rt.words[idx].Store(tx.writeVals[idx])
+		tx.rt.meta[idx].val.Store(tx.writeVals[idx])
 	}
 	for _, idx := range tx.writeIdx {
-		m := &tx.rt.meta[idx]
-		m.owner.Store(nil)
-		m.lock.Store(tx.wvs[tx.rt.stripeOf(idx)] << 1)
+		tx.rt.meta[idx].lock.Store(unlockedAt(tx.wvs[tx.rt.stripeOf(idx)]))
 	}
 	if sampled {
 		tx.mx.Phase(metrics.PhaseWriteBack, nanos()-t0)
 	}
 	tx.lockedUpTo = 0
-	clear(tx.wvs)
+	tx.adoptStamps()
 }
 
 // lowerDeltas demotes every pending delta to the ordinary read+store
@@ -786,17 +805,16 @@ func (tx *Tx) lockCommit(idx int) {
 	for {
 		tx.checkKilled()
 		l := m.lock.Load()
-		if l&1 == 0 {
-			if s := tx.rt.stripeOf(idx); l>>1 > tx.rv[s] {
-				tx.extend(s)
-				continue
-			}
-			if m.lock.CompareAndSwap(l, l|1) {
-				m.owner.Store(tx)
-				return
-			}
+		if isLocked(l) {
+			tx.onLocked(m, l)
 			continue
 		}
-		tx.onLocked(idx)
+		if s := tx.rt.stripeOf(idx); lockVersion(l) > tx.rv[s] {
+			tx.extend(s)
+			continue
+		}
+		if m.lock.CompareAndSwap(l, lockedBy(l, tx.id)) {
+			return
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"strings"
+	"sync"
 	"testing"
 
 	"txconflict/internal/core"
@@ -166,4 +167,40 @@ func BenchmarkAtomicBlock(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/block")
 		})
 	}
+}
+
+// BenchmarkHotPair is the conflict-path unit cost, for -cpu 2: two
+// goroutines, one Worker handle each, every block a read-modify-write
+// of one of four shared words drawn from the goroutine's own stream.
+// Beside BenchmarkAtomicBlock (no second core) it prices what sharing
+// costs per committed block: the lines two cores pass back and forth
+// plus the conflicts themselves (aborts/block).
+func BenchmarkHotPair(b *testing.B) {
+	rt := New(64, DefaultConfig())
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := rng.New(uint64(g) + 1)
+			w := rt.Worker(g, r)
+			defer w.Release()
+			for i := g; i < b.N; i += 2 {
+				idx := int(r.Uint64() & 3)
+				_ = w.Atomic(func(tx *Tx) error { tx.Store(idx, tx.Load(idx)+1); return nil })
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	var sum uint64
+	for idx := 0; idx < 4; idx++ {
+		sum += rt.ReadCommitted(idx)
+	}
+	if sum != uint64(b.N) {
+		b.Fatalf("%d blocks committed %d increments", b.N, sum)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/block")
+	b.ReportMetric(float64(rt.Stats.Snapshot()["aborts"])/float64(b.N), "aborts/block")
 }

@@ -3,7 +3,8 @@
 # trace-demo, fuzz-trace, fuzz-batch, tidy. CI runs every one of them
 # except tidy as a blocking step. Recorded throughput and latency
 # numbers come from `bash bench/run.sh` (bench/README.md), not from a
-# make target.
+# make target: bench-smoke only checks that the benchmark module and
+# internal/stm's AtomicBlock and HotPair microbenchmarks build and run.
 
 GO ?= go
 
@@ -28,9 +29,14 @@ test:
 
 # bench/ is its own module (replace txconflict => ../), so build, vet
 # and test above never compile it; this does, against the working
-# tree's stm/metrics/txkv surface. A blocking CI step after Test.
+# tree's stm/metrics/txkv surface. Then the two fixed-cost
+# microbenchmarks of internal/stm run for 2000 blocks each on two
+# processors — not to time anything, but so they keep compiling and
+# BenchmarkHotPair's committed-sum check runs. A blocking CI step after
+# Test.
 bench-smoke:
 	cd bench && $(GO) vet . && $(GO) test -count=1 .
+	$(GO) test -run '^$$' -bench 'AtomicBlock|HotPair' -benchtime 2000x -cpu 2 ./internal/stm/
 
 # Race-detector pass over the runtimes with real concurrency
 # (internal/stm: goroutine STM; internal/htm: simulator driven from

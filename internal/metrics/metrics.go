@@ -3,8 +3,13 @@
 // Plane, stm.Stats is a view of it, and the tuner steers by the
 // difference of two of its snapshots. It answers the questions bare
 // counters cannot ("what is commit p99 right now?") at a cost the
-// per-transaction traces of internal/trace cannot match (a handful of
-// uncontended atomic adds per transaction, zero allocations).
+// per-transaction traces of internal/trace cannot match: zero
+// allocations, and for a block that commits no shared counter written at
+// all — the runtime notes its two durations in a ledger private to the
+// descriptor and hands the plane up to sixteen blocks at a time
+// (Shard.ObserveCommits), a handful of uncontended atomic adds per
+// ledger. Only the rarer events (an aborted attempt, a grace wait, a
+// combiner round, a sampled phase) cost their few adds each.
 //
 // Three pieces:
 //
@@ -78,12 +83,47 @@ type Histogram struct {
 // Observe records one value (negative values clamp to zero, so
 // clock-skewed durations cannot corrupt the layout).
 func (h *Histogram) Observe(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	h.counts[bucketIndex(uint64(v))].Add(1)
+	u := clampNs(v)
+	h.counts[bucketIndex(u)].Add(1)
 	h.count.Add(1)
-	h.sum.Add(uint64(v))
+	h.sum.Add(u)
+}
+
+func clampNs(v int64) uint64 {
+	if v < 0 {
+		return 0
+	}
+	return uint64(v)
+}
+
+// bucketRun is one pass of observations into one histogram with the
+// adds coalesced: consecutive values landing in one bucket cost a single
+// bucket add, and the pass one count add and one sum add (flush). The
+// histogram ends exactly as after an Observe per value.
+type bucketRun struct {
+	bkt int    // bucket of the open run
+	n   uint64 // its length so far (0 = none open)
+	sum uint64 // every value of the pass
+}
+
+// add records the clamped value v, which lies in bucket bkt.
+func (r *bucketRun) add(h *Histogram, bkt int, v uint64) {
+	if bkt != r.bkt && r.n > 0 {
+		h.counts[r.bkt].Add(r.n)
+		r.n = 0
+	}
+	r.bkt = bkt
+	r.n++
+	r.sum += v
+}
+
+// flush closes a pass of n values.
+func (r *bucketRun) flush(h *Histogram, n int) {
+	if r.n > 0 {
+		h.counts[r.bkt].Add(r.n)
+	}
+	h.count.Add(uint64(n))
+	h.sum.Add(r.sum)
 }
 
 // Snapshot copies the histogram into a mergeable value.

@@ -160,18 +160,92 @@ func TestPlaneShards(t *testing.T) {
 	}
 }
 
-// TestSampleInterval pins the 1-in-N contract.
-func TestSampleInterval(t *testing.T) {
-	p := NewPlane(1, 8)
-	sh := p.Shard(0)
-	hits := 0
-	for i := 0; i < 8*10; i++ {
-		if sh.Sample() {
-			hits++
+// refShard is what ObserveCommits replaced, kept as the reference it is
+// held to: per committed block one Observe on each histogram and one
+// step of the EWMA (first sample seeds it, 0 = no data yet).
+type refShard struct {
+	attempt, commit Histogram
+	profile         float64
+}
+
+func (s *refShard) observe(attemptNs, blockNs int64) {
+	s.attempt.Observe(attemptNs)
+	const alpha = 0.05
+	next := float64(attemptNs)
+	if s.profile != 0 {
+		next = s.profile + alpha*(next-s.profile)
+	}
+	s.profile = next
+	s.commit.Observe(blockNs)
+}
+
+// TestObserveCommitsMatchesSequential: folding a ledger in bulk leaves
+// the attempt and commit histograms (fingerprint, count, sum) and the
+// shard's EWMA bit-identical to observing its blocks one at a time, for
+// ledgers of every length up to a full one and durations that are
+// negative (clamped by the histograms, not by the EWMA), on a bucket
+// boundary or one below it, runs inside one bucket, neighbouring
+// buckets, and blocks whose
+// attempt and block durations differ.
+func TestObserveCommitsMatchesSequential(t *testing.T) {
+	r := rng.New(23)
+	draw := func(prev int64) int64 {
+		switch r.Uint64n(8) {
+		case 0:
+			return -int64(r.Uint64n(1000)) - 1
+		case 6, 7: // within an octave of the last one: a neighbouring bucket
+			return max(prev, 8)/2 + int64(r.Uint64n(uint64(max(prev, 8))))
+		case 1:
+			return int64(BucketLower(int(r.Uint64n(200))))
+		case 2:
+			return int64(BucketLower(1+int(r.Uint64n(200)))) - 1
+		case 3, 4:
+			return prev // a run of one bucket
+		default:
+			return int64(r.Uint64n(5_000_000))
 		}
 	}
-	if hits != 10 {
-		t.Fatalf("sampled %d of 80 at 1-in-8, want 10", hits)
+	p := NewPlane(1, 0)
+	sh := p.Shard(0)
+	var ref refShard
+	check := func(round int, attemptNs, blockNs []int64) {
+		t.Helper()
+		sh.ObserveCommits(attemptNs, blockNs)
+		for i := range attemptNs {
+			ref.observe(attemptNs[i], blockNs[i])
+		}
+		snap := p.Snapshot()
+		for _, h := range []struct {
+			name string
+			got  HistSnapshot
+			want HistSnapshot
+		}{
+			{"attempt", snap.Attempt, ref.attempt.Snapshot()},
+			{"commit", snap.Commit, ref.commit.Snapshot()},
+		} {
+			if h.got.Fingerprint() != h.want.Fingerprint() || h.got.Count != h.want.Count || h.got.Sum != h.want.Sum {
+				t.Fatalf("round %d (%v / %v): %s histogram count %d sum %d fingerprint %#x, want %d %d %#x",
+					round, attemptNs, blockNs, h.name, h.got.Count, h.got.Sum, h.got.Fingerprint(),
+					h.want.Count, h.want.Sum, h.want.Fingerprint())
+			}
+		}
+		if got := math.Float64frombits(sh.profile.Load()); math.Float64bits(got) != math.Float64bits(ref.profile) {
+			t.Fatalf("round %d (%v): EWMA %v, want %v", round, attemptNs, got, ref.profile)
+		}
+	}
+	check(-1, nil, nil) // an empty ledger is no observation, not a zero one
+	for round := 0; round < 400; round++ {
+		n := 1 + round%16
+		attemptNs, blockNs := make([]int64, n), make([]int64, n)
+		var prev int64
+		for i := range attemptNs {
+			prev = draw(prev)
+			attemptNs[i], blockNs[i] = prev, prev
+			if r.Bool(0.3) { // a retried block: longer than its last attempt
+				blockNs[i] = draw(prev)
+			}
+		}
+		check(round, attemptNs, blockNs)
 	}
 }
 
@@ -182,8 +256,7 @@ func TestPromExposition(t *testing.T) {
 	p := NewPlane(2, 0)
 	r := rng.New(3)
 	for i := 0; i < 1000; i++ {
-		p.Shard(i % 2).ObserveAttempt(int64(r.Uint64n(100_000)))
-		p.Shard(i % 2).ObserveCommit(int64(r.Uint64n(200_000)))
+		p.Shard(i%2).ObserveCommits([]int64{int64(r.Uint64n(100_000))}, []int64{int64(r.Uint64n(200_000))})
 	}
 	p.Shard(0).Abort(AbortValidation)
 	p.Shard(0).Phase(PhaseLock, 1234)
@@ -286,25 +359,27 @@ func TestProfileMean(t *testing.T) {
 	if got := p.ProfileMean(); got != 0 {
 		t.Fatalf("empty plane: mean %v", got)
 	}
-	p.Shard(0).ProfileCommit(1000)
+	commit := func(shard int, ns int64) { p.Shard(shard).ObserveCommits([]int64{ns}, []int64{ns}) }
+	commit(0, 1000)
 	if got := p.ProfileMean(); got != 1000 {
 		t.Fatalf("one sample on one of four shards: mean %v, want 1000", got)
 	}
-	p.Shard(0).ProfileCommit(3000) // 1000 + 0.05*2000
-	p.Shard(2).ProfileCommit(500)
+	commit(0, 3000) // 1000 + 0.05*2000
+	commit(2, 500)
 	if got, want := p.ProfileMean(), (1100.0+500)/2; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("mean %v, want %v", got, want)
 	}
 }
 
-// TestShardProfileLayout: the EWMA word is written on every commit, so
-// it sits with the shard's other owner-written words (next to tick) and
-// at least a cache line before the neighbour shard's first byte.
+// TestShardProfileLayout: the EWMA word is written on every fold, so it
+// sits with the shard's other owner-written words (right behind the
+// phase counters, the shard's last) and at least a cache line before
+// the neighbour shard's first byte.
 func TestShardProfileLayout(t *testing.T) {
 	var s Shard
-	profile, tick := unsafe.Offsetof(s.profile), unsafe.Offsetof(s.tick)
-	if profile-tick != 8 {
-		t.Errorf("profile at %d is not beside tick at %d", profile, tick)
+	profile, phaseEnd := unsafe.Offsetof(s.profile), unsafe.Offsetof(s.phaseN)+unsafe.Sizeof(s.phaseN)
+	if profile != phaseEnd {
+		t.Errorf("profile at %d is not right behind phaseN ending at %d", profile, phaseEnd)
 	}
 	if tail := unsafe.Sizeof(s) - (profile + 8); tail < cacheLine {
 		t.Errorf("profile ends %d bytes before the next shard, want at least %d", tail, cacheLine)

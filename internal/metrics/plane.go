@@ -127,10 +127,11 @@ const cacheLine = 64
 // transaction is observed).
 const DefaultSampleN = 64
 
-// Shard is one worker's slice of the plane. All methods are lock-free
-// single-atomic-op updates; a worker hammering its own shard never
-// contends with scrapes or with other workers (modulo shard-count
-// folding when workers exceed shards).
+// Shard is one worker's slice of the plane. Its methods are lock-free
+// — uncontended atomic adds, and for ObserveCommits a batch of them per
+// ledger of committed blocks rather than per block — so a worker
+// hammering its own shard never contends with scrapes or with other
+// workers (modulo shard-count folding when workers exceed shards).
 type Shard struct {
 	attempt Histogram // per-attempt wall time, committed and aborted
 	commit  Histogram // whole-block wall time of committed blocks
@@ -142,23 +143,18 @@ type Shard struct {
 	phaseNs  [NumCommitPhases]atomic.Uint64
 	phaseN   [NumCommitPhases]atomic.Uint64
 
-	tick atomic.Uint64
 	// profile is the float64 bits of the EWMA of this shard's committed
 	// attempt durations (ns; 0 = no data yet): written by the shard's
-	// worker on every commit, like tick beside it, and a line of tail
-	// padding away from the neighbour shard.
-	profile    atomic.Uint64
-	sampleMask uint64
+	// worker once per ObserveCommits, behind the other owner-written
+	// words and a line of tail padding away from the neighbour shard.
+	profile atomic.Uint64
 
 	_ [cacheLine]byte
 }
 
-// ObserveAttempt records one attempt's wall time (ns).
+// ObserveAttempt records one attempt's wall time (ns). Committed
+// attempts arrive through ObserveCommits; this is the aborted ones.
 func (s *Shard) ObserveAttempt(ns int64) { s.attempt.Observe(ns) }
-
-// ObserveCommit records a committed block's total wall time (ns),
-// first attempt to final commit.
-func (s *Shard) ObserveCommit(ns int64) { s.commit.Observe(ns) }
 
 // ObserveGrace records one grace-period wait (ns).
 func (s *Shard) ObserveGrace(ns int64) { s.grace.Observe(ns) }
@@ -172,23 +168,42 @@ func (s *Shard) Abort(r AbortReason) { s.aborts[r].Add(1) }
 // Add bumps one event counter by n.
 func (s *Shard) Add(c Counter, n uint64) { s.counters[c].Add(n) }
 
-// ProfileCommit folds one committed attempt's duration (ns) into the
-// shard's EWMA. A load and a store, no CAS loop: a shard has one
-// writer unless more workers than shards fold onto it, and then a lost
-// sample costs a smoothing heuristic nothing.
-func (s *Shard) ProfileCommit(ns int64) {
-	const alpha = 0.05
-	next := float64(ns)
-	if cur := math.Float64frombits(s.profile.Load()); cur != 0 {
-		next = cur + alpha*(next-cur)
+// ObserveCommits folds a ledger of committed blocks into the shard in
+// one pass: block i's committing attempt took attemptNs[i] and the
+// whole block, first attempt to commit, blockNs[i] (equal when it
+// committed first time; the slices have one length). It leaves the
+// attempt and commit histograms and the EWMA of committed-attempt
+// durations exactly as one Observe pair and one EWMA step per block, in
+// order, would — with one add per run of equal buckets and one count
+// and one sum add per histogram, and the EWMA advanced in registers and
+// stored once. A load and a store, no CAS loop: a shard has one writer
+// unless more workers than shards fold onto it, and then a lost sample
+// costs a smoothing heuristic nothing.
+func (s *Shard) ObserveCommits(attemptNs, blockNs []int64) {
+	if len(attemptNs) == 0 {
+		return
 	}
-	s.profile.Store(math.Float64bits(next))
-}
-
-// Sample reports whether this commit should run the phase timers:
-// true once every SampleN calls on this shard.
-func (s *Shard) Sample() bool {
-	return s.tick.Add(1)&s.sampleMask == 0
+	const alpha = 0.05
+	ewma := math.Float64frombits(s.profile.Load())
+	var att, blk bucketRun
+	for i, a := range attemptNs {
+		next := float64(a)
+		if ewma != 0 {
+			next = ewma + alpha*(next-ewma)
+		}
+		ewma = next
+		v := clampNs(a)
+		bkt := bucketIndex(v)
+		att.add(&s.attempt, bkt, v)
+		if b := blockNs[i]; b != a {
+			v = clampNs(b)
+			bkt = bucketIndex(v)
+		}
+		blk.add(&s.commit, bkt, v)
+	}
+	att.flush(&s.attempt, len(attemptNs))
+	blk.flush(&s.commit, len(attemptNs))
+	s.profile.Store(math.Float64bits(ewma))
 }
 
 // Phase accumulates one sampled phase timing (ns).
@@ -224,11 +239,7 @@ func NewPlane(workers, sampleN int) *Plane {
 	for sn < sampleN {
 		sn <<= 1
 	}
-	p := &Plane{shards: make([]Shard, n), mask: n - 1, sampleN: sn}
-	for i := range p.shards {
-		p.shards[i].sampleMask = uint64(sn - 1)
-	}
-	return p
+	return &Plane{shards: make([]Shard, n), mask: n - 1, sampleN: sn}
 }
 
 // Shard returns the shard for a worker id (any id, including the -1

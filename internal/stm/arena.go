@@ -266,8 +266,9 @@ type Config struct {
 	// runtime is counted in: per-worker latency histograms for attempt,
 	// commit, grace-wait and combiner-drain time, the abort-reason
 	// taxonomy, the event counters behind Stats, and 1-in-N sampled
-	// commit-phase timers. Unlike Trace it is always on — the
-	// per-transaction cost is a few uncontended atomic adds and no
+	// commit-phase timers. Unlike Trace it is always on — a committed
+	// block costs two plain stores into its descriptor's ledger, its
+	// share of one bulk fold per sixteen blocks (see Worker) and no
 	// allocations (pinned by TestTraceGateOverhead) — so nil only
 	// leaves the sizing to New; supply a plane to choose the shard
 	// count and the phase-sample interval. A plane passed to two
@@ -371,6 +372,7 @@ type Runtime struct {
 	lazy       bool
 	tracer     Tracer
 	metrics    *metrics.Plane
+	phaseMask  uint64 // metrics.SampleN()-1: see Tx.samplePhases
 	stripeMask int
 	stripes    []stripe
 	meta       []wordMeta
@@ -419,6 +421,7 @@ func New(n int, cfg Config) *Runtime {
 		lazy:       cfg.Lazy,
 		tracer:     cfg.Trace,
 		metrics:    plane,
+		phaseMask:  uint64(plane.SampleN() - 1),
 		Stats:      Stats{plane: plane},
 		stripeMask: sh - 1,
 		stripes:    make([]stripe, sh),

@@ -108,6 +108,7 @@ func (rt *Runtime) setBatchShards(n int) {
 // only delta-writes).
 func (tx *Tx) commitLazyBatched() {
 	rt := tx.rt
+	tx.flush() // the queue is a wait
 	first := 0
 	switch {
 	case len(tx.writeIdx) == 0:
@@ -334,10 +335,10 @@ func (tx *Tx) combineRound(sh *batchShard, includeSelf bool) uint64 {
 		}
 	}()
 
-	// Phase timers, 1-in-N sampled on the combiner's shard; the whole
+	// Phase timers, 1-in-N sampled on the combiner's descriptor; the whole
 	// batch's phase work is attributed to one sample, matching the
 	// amortization story (one acquisition/advance for many commits).
-	sampled := tx.mx.Sample()
+	sampled := tx.samplePhases()
 	var t0 int64
 	if sampled {
 		t0 = nanos()

@@ -37,6 +37,7 @@ func (owner *Tx) leaveChain() {
 // killed by us nor absorb the rest of our grace period.
 func (tx *Tx) onLocked(m *wordMeta, l uint64) {
 	rt := tx.rt
+	tx.flush() // every way out of here yields, waits or aborts
 	owner := (*rt.descs.Load())[lockOwner(l)]
 	st0 := owner.state.Load()
 	// gone reports that the attempt we are waiting on released the

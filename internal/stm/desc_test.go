@@ -13,10 +13,11 @@ import (
 
 // TestLayout pins what the arena's cost model rests on: a word is one
 // cache line with its lock word and its data in it, a stripe clock and
-// a free-list head have a line each, and the word requestors write on
-// a descriptor sits a full line away from the ones its owner reads on
-// every attempt (a distance, so it holds wherever the allocator puts
-// the descriptor).
+// a free-list head have a line each, the word requestors write on a
+// descriptor sits a full line away from the ones its owner reads on
+// every attempt, and what the owner writes on every commit (ledger,
+// phase sampler) a full line away from every word a requestor touches
+// (distances, so they hold wherever the allocator puts the descriptor).
 func TestLayout(t *testing.T) {
 	var m wordMeta
 	if unsafe.Sizeof(m) != cacheLine || unsafe.Offsetof(m.lock)+8 > cacheLine || unsafe.Offsetof(m.val)+8 > cacheLine {
@@ -46,6 +47,33 @@ func TestLayout(t *testing.T) {
 	}
 	if end := unsafe.Sizeof(tx); end < waiters+cacheLine {
 		t.Errorf("Tx.waiters at %d can share a line with whatever follows the descriptor at %d", waiters, end)
+	}
+	// The ledger and the phase sampler are written by the owner on every
+	// commit: none of their bytes may share a line with a word a
+	// requestor polls or writes, or each append would take that line away
+	// from a waiter.
+	type span struct {
+		name        string
+		start, size uintptr
+	}
+	for _, o := range []span{
+		{"ledN", unsafe.Offsetof(tx.ledN), unsafe.Sizeof(tx.ledN)},
+		{"phaseTick", unsafe.Offsetof(tx.phaseTick), unsafe.Sizeof(tx.phaseTick)},
+		{"ledAttempt", unsafe.Offsetof(tx.ledAttempt), unsafe.Sizeof(tx.ledAttempt)},
+		{"ledBlock", unsafe.Offsetof(tx.ledBlock), unsafe.Sizeof(tx.ledBlock)},
+	} {
+		for _, f := range []span{
+			{"state", unsafe.Offsetof(tx.state), unsafe.Sizeof(tx.state)},
+			{"irrevocable", unsafe.Offsetof(tx.irrevocable), unsafe.Sizeof(tx.irrevocable)},
+			{"startNanos", unsafe.Offsetof(tx.startNanos), unsafe.Sizeof(tx.startNanos)},
+			{"attempts", unsafe.Offsetof(tx.attempts), unsafe.Sizeof(tx.attempts)},
+			{"waiters", waiters, unsafe.Sizeof(tx.waiters)},
+		} {
+			if o.start < f.start+f.size+cacheLine && f.start < o.start+o.size+cacheLine {
+				t.Errorf("Tx.%s at %d (%d bytes) can share a line with Tx.%s at %d (%d bytes)",
+					o.name, o.start, o.size, f.name, f.start, f.size)
+			}
+		}
 	}
 }
 

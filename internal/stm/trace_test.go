@@ -2,6 +2,7 @@ package stm
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -201,8 +202,10 @@ func TestTraceKillAccounting(t *testing.T) {
 //     installed and never when absent;
 //  2. the tracing-off path allocates nothing per transaction (all
 //     instrumentation state lives behind the gate), through the
-//     one-shot AtomicWorker and through a 16-block run on one Worker
-//     handle alike;
+//     one-shot AtomicWorker and through a run of blocks on one Worker
+//     handle alike — sixteen, the observation ledger filled exactly
+//     and folded into the plane when full, and twenty-one, a full fold
+//     mid-handle and a partial one at Release;
 //  3. that survives the batched group-commit path
 //     (Config.CommitBatch > 0): the combiner reuses its scratch with
 //     the descriptor, so a steady-state batched commit with tracing
@@ -258,19 +261,24 @@ func TestTraceGateOverhead(t *testing.T) {
 		{"policy-swapped", rtSwapped},
 	}
 	body := func(tx *Tx) error { tx.Store(1, 2); return nil }
+	type entry struct {
+		name string
+		run  func()
+	}
 	for _, v := range variants {
-		entries := []struct {
-			name string
-			run  func()
-		}{
-			{"one-shot", func() { _ = v.rt.AtomicWorker(0, r, body) }},
-			{"16-block handle", func() {
+		handleOf := func(blocks int) entry {
+			return entry{fmt.Sprintf("%d-block handle", blocks), func() {
 				w := v.rt.Worker(0, r)
-				for i := 0; i < 16; i++ {
+				for i := 0; i < blocks; i++ {
 					_ = w.Atomic(body)
 				}
 				w.Release()
-			}},
+			}}
+		}
+		entries := []entry{
+			{"one-shot", func() { _ = v.rt.AtomicWorker(0, r, body) }},
+			handleOf(16), // fills the ledger exactly: folded when full, Release finds it empty
+			handleOf(21), // one full fold mid-handle, the rest at Release
 		}
 		for _, e := range entries {
 			e.run() // the descriptor's first use makes it

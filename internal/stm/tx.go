@@ -103,6 +103,17 @@ type Tx struct {
 	blockEnd   int64
 	lastAbort  metrics.AbortReason
 
+	// The observation ledger: the committed blocks mx has not been told
+	// about yet, block i's committing attempt having taken ledAttempt[i]
+	// ns and the whole block ledBlock[i]. Owner-private plain words — a
+	// commit appends and returns — folded into mx by flush (see Worker
+	// for when). phaseTick counts this descriptor's write commits for
+	// the 1-in-N phase-timer sampler.
+	ledN       int
+	phaseTick  uint64
+	ledAttempt [ledgerCap]int64
+	ledBlock   [ledgerCap]int64
+
 	// Lazy mode: buffered write set.
 	writeIdx  []int
 	writeVals map[int]uint64
@@ -143,6 +154,27 @@ type Tx struct {
 	_       [cacheLine]byte
 	waiters atomic.Int32
 	_       [cacheLine - 4]byte
+}
+
+// ledgerCap is how many committed blocks a descriptor holds back from
+// the metrics plane at most: a txkv batch.
+const ledgerCap = 16
+
+// flush folds the ledger into the metrics shard. Called wherever the
+// owner is about to wait or unwind, so what a snapshot misses is only
+// blocks of a handle that is running right now.
+func (tx *Tx) flush() {
+	if tx.ledN > 0 {
+		tx.mx.ObserveCommits(tx.ledAttempt[:tx.ledN], tx.ledBlock[:tx.ledN])
+		tx.ledN = 0
+	}
+}
+
+// samplePhases reports whether this commit runs the phase timers: true
+// on every SampleN-th call on this descriptor.
+func (tx *Tx) samplePhases() bool {
+	tx.phaseTick++
+	return tx.phaseTick&tx.rt.phaseMask == 0
 }
 
 // epoch returns the current attempt epoch.
@@ -201,6 +233,19 @@ func (rt *Runtime) AtomicWorker(worker int, r *rng.Rand, fn func(tx *Tx) error) 
 // attempt's duration or the abort cost B a requestor prices against
 // this descriptor's startNanos. A panic out of a block breaks the
 // chain too.
+//
+// A live handle also holds observations back: a block that commits
+// writes no shared counter, it notes its attempt and block durations in
+// the descriptor's ledger, and the ledger reaches the metrics plane
+// sixteen blocks at a time. It is let go of at Release, when full, and
+// before the owner can wait or unwind: ahead of a grace wait, the
+// combiner queue and the irrevocable token, on an aborted attempt, on a
+// block that returns an error, and on a panic out of fn (so a handle
+// leaked by a panic loses nothing). A snapshot therefore trails each
+// running handle by at most sixteen committed blocks — in Commit and
+// Attempt and so in the commits count, never in the arena — and by
+// nothing across a wait, a retry or a Release; every block is still
+// observed, with the stamps it ran at.
 //
 // A Worker is not safe for concurrent use, and its blocks must not
 // nest.
@@ -261,11 +306,13 @@ func (rt *Runtime) newTx() *Tx {
 	return tx
 }
 
-// Release returns the handle's descriptor to its free list. The handle
-// must not be used afterwards.
+// Release hands the metrics plane what the handle still held back and
+// returns its descriptor to its free list. The handle must not be used
+// afterwards.
 func (w *Worker) Release() {
 	tx := w.tx
 	w.tx = nil
+	tx.flush()
 	tx.rng = nil
 	for free := &tx.rt.free[w.id&(len(tx.rt.free)-1)].head; ; {
 		h := free.Load()
@@ -280,7 +327,9 @@ func (w *Worker) Release() {
 // Runtime.Atomic's contract.
 func (w *Worker) Atomic(fn func(tx *Tx) error) error {
 	tx := w.tx
-	tx.attempts.Store(0)
+	if tx.attempts.Load() != 0 {
+		tx.attempts.Store(0) // the previous block retried
+	}
 	if tx.traced {
 		tx.beginTrace(w.id)
 	}
@@ -305,6 +354,7 @@ func (w *Worker) Atomic(fn func(tx *Tx) error) error {
 		}
 		tx.attempts.Add(1)
 		if mr := tx.pol.MaxRetries; mr > 0 && int(tx.attempts.Load()) >= mr && !tx.irrevocable.Load() {
+			// A wait, with the ledger empty: the aborted attempt flushed.
 			tx.rt.fallback.Lock()
 			tx.irrevocable.Store(true)
 			tx.mx.Abort(metrics.AbortMaxRetries)
@@ -338,13 +388,13 @@ func (tx *Tx) reset(now int64) {
 	tx.lockedUpTo = 0
 }
 
-// endAttempt reads the clock once at an attempt's end, observes the
-// attempt's duration and returns the stamp.
-func (tx *Tx) endAttempt() int64 {
+// endAttempt closes an attempt that did not commit: it reads the clock
+// once, lets go of the ledger and observes the attempt's duration.
+func (tx *Tx) endAttempt() {
 	now := nanos()
 	tx.blockEnd = now
+	tx.flush()
 	tx.mx.ObserveAttempt(now - tx.startNanos.Load())
-	return now
 }
 
 // attempt executes fn once; aborted reports whether it must be
@@ -355,10 +405,12 @@ func (tx *Tx) attempt(fn func(tx *Tx) error) (err error, aborted bool) {
 			ab, ok := r.(txAbort)
 			if !ok {
 				// A panic out of user code must not leak encounter
-				// locks or the irrevocable token — release both
+				// locks, the irrevocable token or — the handle may
+				// never be released — the ledger: let go of all three
 				// before letting it unwind.
 				tx.rollback()
 				tx.releaseToken()
+				tx.flush()
 				panic(r)
 			}
 			tx.lastAbort = ab.reason
@@ -388,9 +440,14 @@ func (tx *Tx) attempt(fn func(tx *Tx) error) (err error, aborted bool) {
 	}
 	tx.commit()
 	tx.releaseToken()
-	now := tx.endAttempt()
-	tx.mx.ProfileCommit(now - tx.startNanos.Load())
-	tx.mx.ObserveCommit(now - tx.blockStart)
+	// Committed: one clock read, two plain stores into the ledger.
+	now := nanos()
+	tx.blockEnd = now
+	tx.ledAttempt[tx.ledN] = now - tx.startNanos.Load()
+	tx.ledBlock[tx.ledN] = now - tx.blockStart
+	if tx.ledN++; tx.ledN == ledgerCap {
+		tx.flush()
+	}
 	return nil, false
 }
 
@@ -694,7 +751,7 @@ func (tx *Tx) commitEager() {
 	// commits have no lock-acquisition or write-back phase — both
 	// happened at encounter time — so only validation and the
 	// clock-advance/release pair are attributed.
-	sampled := tx.mx.Sample()
+	sampled := tx.samplePhases()
 	var t0 int64
 	if sampled {
 		t0 = nanos()
@@ -748,7 +805,7 @@ func (tx *Tx) commitLazy() {
 	// Phase timers, 1-in-N sampled. A conflict abort mid-acquisition
 	// simply discards the sample — the histograms only ever describe
 	// commits that reached each phase.
-	sampled := tx.mx.Sample()
+	sampled := tx.samplePhases()
 	var t0 int64
 	if sampled {
 		t0 = nanos()

@@ -29,7 +29,7 @@ func TestWindowOf(t *testing.T) {
 		for i := 0; i < n; i++ {
 			sh := p.Shard(i) // spread over both shards: windows read the merge
 			sh.ObserveGrace(graceNs)
-			sh.ObserveCommit(durNs)
+			sh.ObserveCommits([]int64{durNs}, []int64{durNs})
 			sh.Add(metrics.CounterKills, 2)
 		}
 	}

@@ -39,40 +39,47 @@ type Result struct {
 }
 
 // Apply executes one op as a transaction on the store.
-func (s *Store) Apply(worker int, r *rng.Rand, op Op) Result {
+func (s *Store) Apply(worker int, r *rng.Rand, op Op) (res Result) {
 	w := s.rt.Worker(worker, r)
-	res := s.apply(&w, op)
+	s.applyInto(&res, &w, op)
 	w.Release()
 	return res
 }
 
-// apply runs one op as one atomic block on the handle.
-func (s *Store) apply(w *stm.Worker, op Op) Result {
+// applyInto runs one op as one atomic block on the handle and writes
+// its outcome straight into the caller's slot. The slot is overwritten
+// whole before anything else: a serving loop recycles its result slice,
+// and no Vals or Err of the previous request may survive into this one.
+func (s *Store) applyInto(res *Result, w *stm.Worker, op Op) {
+	*res = Result{}
+	var err error
 	switch op.Kind {
 	case KindGet:
-		v, ok, err := s.runGet(w, op.Key)
-		return result(Result{Val: v, Found: ok}, err)
+		res.Val, res.Found, err = s.runGet(w, op.Key)
 	case KindPut:
-		return result(Result{}, s.runPut(w, op.Key, op.Val))
+		err = s.runPut(w, op.Key, op.Val)
 	case KindDelete:
-		ok, err := s.runDelete(w, op.Key)
-		return result(Result{Found: ok}, err)
+		res.Found, err = s.runDelete(w, op.Key)
 	case KindAdd:
-		v, err := s.runAdd(w, op.Key, op.Val)
-		return result(Result{Val: v}, err)
+		res.Val, err = s.runAdd(w, op.Key, op.Val)
 	case KindUpdateDoc:
 		if op.Fields <= 0 {
-			return Result{Err: "txkv: updatedoc with no fields"}
+			res.Err = "txkv: updatedoc with no fields"
+			return
 		}
-		return result(Result{}, s.runUpdateDoc(w, op.Key, op.Fields, op.Val))
+		err = s.runUpdateDoc(w, op.Key, op.Fields, op.Val)
 	case KindReadDoc:
 		if op.Fields <= 0 {
-			return Result{Err: "txkv: readdoc with no fields"}
+			res.Err = "txkv: readdoc with no fields"
+			return
 		}
-		vals, err := s.runReadDoc(w, op.Key, op.Fields)
-		return result(Result{Vals: vals}, err)
+		res.Vals, err = s.runReadDoc(w, op.Key, op.Fields)
 	default:
-		return Result{Err: fmt.Sprintf("txkv: unknown op kind %q", op.Kind)}
+		res.Err = fmt.Sprintf("txkv: unknown op kind %q", op.Kind)
+		return
+	}
+	if err != nil {
+		res.Err = err.Error()
 	}
 }
 
@@ -95,16 +102,9 @@ func (s *Store) ApplyBatchInto(dst []Result, worker int, r *rng.Rand, ops []Op) 
 	}
 	dst = dst[:len(ops)]
 	w := s.rt.Worker(worker, r)
-	for i, op := range ops {
-		dst[i] = s.apply(&w, op)
+	for i := range ops {
+		s.applyInto(&dst[i], &w, ops[i])
 	}
 	w.Release()
 	return dst
-}
-
-func result(res Result, err error) Result {
-	if err != nil {
-		res.Err = err.Error()
-	}
-	return res
 }

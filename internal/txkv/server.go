@@ -163,6 +163,15 @@ func (sv *Server) exec(ops []Op, dst []Result, reply chan []Result) ([]Result, e
 //	GET  /healthz    liveness
 func (sv *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
+	case "/v1/stats", "/v1/check", "/metrics", "/healthz":
+		// Read-only, and /v1/check walks the whole store: not for a
+		// stray POST to reach.
+		if r.Method != http.MethodGet {
+			http.Error(w, "GET required", http.StatusMethodNotAllowed)
+			return
+		}
+	}
+	switch r.URL.Path {
 	case "/v1/batch":
 		sv.handleBatch(w, r)
 	case "/v1/stats":
@@ -180,7 +189,7 @@ func (sv *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			"abortReasons": snap.AbortCounts(),
 		})
 	case "/metrics":
-		sv.handleMetrics(w, r)
+		sv.handleMetrics(w)
 	case "/v1/policy":
 		sv.handlePolicy(w, r)
 	case "/v1/check":
@@ -201,11 +210,7 @@ func (sv *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // phase timers, then the stm.Stats counters — plus store-level
 // gauges. Families are emitted in a fixed order so successive scrapes
 // diff cleanly.
-func (sv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
+func (sv *Server) handleMetrics(w http.ResponseWriter) {
 	rt := sv.store.Runtime()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	var buf bytes.Buffer

@@ -103,6 +103,17 @@ func TestServerEndpoints(t *testing.T) {
 			t.Fatalf("GET %s = %s", path, resp.Status)
 		}
 	}
+	// The read-only endpoints take GET only (/v1/check walks the store).
+	for _, path := range []string{"/healthz", "/v1/stats", "/v1/check", "/metrics"} {
+		resp, err := http.Post(ts.URL+path, "text/plain", strings.NewReader(""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Fatalf("POST %s = %s, want 405", path, resp.Status)
+		}
+	}
 	resp, err := http.Get(ts.URL + "/nope")
 	if err != nil {
 		t.Fatal(err)

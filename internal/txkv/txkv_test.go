@@ -2,6 +2,7 @@ package txkv
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -268,6 +269,82 @@ func TestApplyBatch(t *testing.T) {
 	}
 	if res[5].Err == "" {
 		t.Fatal("unknown op kind did not error")
+	}
+}
+
+// TestApplyBatchIntoOverwritesSlots: a serving loop hands ApplyBatchInto
+// the result slice of its previous request, so every slot must come
+// back as if freshly made. Over a dst whose slots all carry a stale
+// Val, Vals, Found and Err, a batch of all six kinds — hits, misses and
+// every user-level error — returns exactly what ApplyBatch returns on a
+// twin store, in dst's own memory.
+func TestApplyBatchIntoOverwritesSlots(t *testing.T) {
+	const badKey = ^uint64(0) - 1
+	ops := []Op{
+		{Kind: KindGet, Key: 1},
+		{Kind: KindGet, Key: 100},                  // miss
+		{Kind: KindPut, Key: 99, Val: 1},           // map full
+		{Kind: KindAdd, Key: 98, Val: 5},           // map full, Val still set
+		{Kind: KindUpdateDoc, Key: 200, Fields: 2}, // map full
+		{Kind: KindPut, Key: 1, Val: 7},            // update in place
+		{Kind: KindAdd, Key: 1, Val: 3},            // Val 10
+		{Kind: KindDelete, Key: 2},                 // Found
+		{Kind: KindDelete, Key: 2},                 // miss
+		{Kind: KindReadDoc, Key: 0, Fields: 3},     // Vals
+		{Kind: KindUpdateDoc, Key: 0, Fields: 2, Val: 4},
+		{Kind: KindPut, Key: badKey, Val: 1},
+		{Kind: KindGet, Key: badKey},
+		{Kind: KindDelete, Key: badKey},
+		{Kind: KindAdd, Key: badKey, Val: 1},
+		{Kind: KindUpdateDoc, Key: badKey, Fields: 1},
+		{Kind: KindReadDoc, Key: badKey - 1, Fields: 2}, // the last field is the bad key
+		{Kind: KindReadDoc, Key: 0},                     // fields <= 0
+		{Kind: KindUpdateDoc, Key: 0, Fields: -1},
+		{Kind: KindReadDoc, Key: 0, Fields: 9}, // more fields than buckets
+		{Kind: "bogus", Key: 1, Val: 1},
+		{Kind: ""},
+		{Kind: KindReadDoc, Key: 0, Fields: 2},
+		{Kind: KindGet, Key: 1},
+	}
+	for _, m := range modes() {
+		t.Run(m.name, func(t *testing.T) {
+			twin := func() *Store {
+				s := newTestStore(t, m.cfg, 8)
+				r := rng.New(2)
+				for k := uint64(0); k < 8; k++ {
+					if err := s.Put(-1, r, k, k*10); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return s
+			}
+			want := twin().ApplyBatch(-1, rng.New(3), ops)
+			errs := 0
+			for _, res := range want {
+				if res.Err != "" {
+					errs++
+				}
+			}
+			if errs != 14 || want[6].Val != 10 || !want[7].Found || len(want[9].Vals) != 3 {
+				t.Fatalf("staging: %d of the ops errored (want 14), results %+v", errs, want)
+			}
+
+			dst := make([]Result, len(ops)+3)
+			for i := range dst {
+				dst[i] = Result{Val: 0xdead, Vals: []uint64{9, 9, 9}, Found: true, Err: "stale"}
+			}
+			got := twin().ApplyBatchInto(dst, -1, rng.New(3), ops)
+			if &got[0] != &dst[0] {
+				t.Fatal("a dst with room was not reused")
+			}
+			if !reflect.DeepEqual(got, want) {
+				for i := range want {
+					if !reflect.DeepEqual(got[i], want[i]) {
+						t.Errorf("op %d %+v over a stale slot: %+v, want %+v", i, ops[i], got[i], want[i])
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -4,7 +4,8 @@
 # except tidy as a blocking step. Recorded throughput and latency
 # numbers come from `bash bench/run.sh` (bench/README.md), not from a
 # make target: bench-smoke only checks that the benchmark module and
-# internal/stm's AtomicBlock and HotPair microbenchmarks build and run.
+# internal/stm's AtomicBlock and HotPair microbenchmarks build and run,
+# each on its commit-mode axis (eager, lazy, lazyb4).
 
 GO ?= go
 
@@ -31,9 +32,10 @@ test:
 # and test above never compile it; this does, against the working
 # tree's stm/metrics/txkv surface. Then the two fixed-cost
 # microbenchmarks of internal/stm run for 2000 blocks each on two
-# processors — not to time anything, but so they keep compiling and
-# BenchmarkHotPair's committed-sum check runs. A blocking CI step after
-# Test.
+# processors, in every commit mode (eager, lazy, and lazyb4: lazy with a
+# four-member combiner lane) — not to time anything, but so they keep
+# compiling and BenchmarkHotPair's committed-sum check runs. A blocking
+# CI step after Test.
 bench-smoke:
 	cd bench && $(GO) vet . && $(GO) test -count=1 .
 	$(GO) test -run '^$$' -bench 'AtomicBlock|HotPair' -benchtime 2000x -cpu 2 ./internal/stm/

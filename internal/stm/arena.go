@@ -13,7 +13,8 @@
 //
 //	bit 0      locked
 //	bits 1-47  version, drawn from the word's stripe clock; kept
-//	           intact while locked (batch admission relies on it)
+//	           intact while locked (batch admission, and releasing
+//	           a word nobody wrote at its pre-lock version, rely on it)
 //	bits 48-63 the owner's descriptor id while locked, else 0
 //
 // Acquiring is therefore one CAS, releasing is the one store that
@@ -41,11 +42,12 @@
 // doomed one, observes a torn snapshot. The snapshot is carried from
 // one attempt (and block, and handle) to the next and picks up the
 // descriptor's own commit stamps: any value a stripe clock once held
-// is a valid snapshot for an empty read set — a writer stamped at or
-// below it locked its words before the clock got there, so its words
-// read as locked or already new, and a later writer stamps above it —
-// and it only moves inside an attempt through extend. So only words
-// committed by someone else since then cost an extension.
+// is a valid snapshot for an empty read set — the commit pipeline
+// (commit.go) stamps only once every word of its plan is locked, so a
+// writer stamped at or below it locked its words before the clock got
+// there and its words read as locked or already new, and a later writer
+// stamps above it — and it only moves inside an attempt through extend.
+// So only words committed by someone else since then cost an extension.
 //
 // # Locking modes
 //
@@ -58,6 +60,10 @@
 //     are taken in address order only inside commit. Lock hold times
 //     are short, so grace periods matter less — this mode doubles as
 //     the "lazy versioning" ablation.
+//
+// Both modes, and the lazy mode's group-commit combiner, commit through
+// one staged pipeline (commit.go); eager only skips its lock and
+// write-back stages, done at Store time.
 //
 // # Conflicts and the epoch scheme
 //
@@ -434,9 +440,7 @@ func New(n int, cfg Config) *Runtime {
 		// Lanes exist on every lazy runtime — a few cache lines — so
 		// SetPolicy can open the combiner later without reallocating
 		// under live transactions.
-		lanes := defaultBatchShards()
-		rt.batch = make([]batchShard, lanes)
-		rt.batchMask = lanes - 1
+		rt.setBatchShards(defaultBatchShards())
 	}
 	p := cfg.policy()
 	p.normalize()

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"txconflict/internal/metrics"
 	"txconflict/internal/rng"
 )
 
@@ -251,5 +252,167 @@ func TestBatchQueueBound(t *testing.T) {
 		if got := rt.ReadCommitted(w); got != per {
 			t.Fatalf("word %d = %d, want %d", w, got, per)
 		}
+	}
+}
+
+// stagedBatchRuntime is the runtime the staged combiner tests share:
+// four words, one per stripe, one lane, two members a round, each word
+// committed once so its pre-batch version (1) and value (10+idx) are
+// told apart from a fresh word's.
+func stagedBatchRuntime(t *testing.T, cfg Config) *Runtime {
+	t.Helper()
+	cfg.Shards = 4
+	rt := New(4, cfg)
+	rt.setBatchShards(1)
+	for idx := 0; idx < 4; idx++ {
+		if err := rt.Atomic(rng.New(1), func(tx *Tx) error { tx.Store(idx, uint64(10+idx)); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for idx := 0; idx < 4; idx++ {
+		if l, c := rt.meta[idx].lock.Load(), rt.stripes[idx].clock.Load(); l != unlockedAt(1) || c != 1 {
+			t.Fatalf("staging: word %d lock %#x, stripe clock %d; want version 1 on both", idx, l, c)
+		}
+	}
+	return rt
+}
+
+// enqueueByHand links w's descriptor into the lane as a waiter that
+// read word r at version ver and buffered word w = val, as a member
+// parked in the queue would have.
+func enqueueByHand(rt *Runtime, w *Worker, r int, ver uint64, idx int, val uint64) {
+	m := w.tx
+	m.reset(nanos())
+	m.reads = append(m.reads, readEntry{idx: r, ver: ver})
+	m.writeIdx = append(m.writeIdx, idx)
+	m.writeVals[idx] = val
+	sh := &rt.batch[0]
+	sh.queued.Add(1)
+	m.batchNext.Store(sh.head.Load())
+	sh.head.Store(m)
+}
+
+// TestBatchFailedOnlyWriterKeepsVersion stages a two-member batch on
+// one lane: the combiner writes word 0, and the queued member read word
+// 0 and writes word 2. The combiner is admitted first, so the member
+// fails the lost-update check — and word 2, which only it writes, is
+// released at its pre-batch version with its stripe clock untouched.
+func TestBatchFailedOnlyWriterKeepsVersion(t *testing.T) {
+	rt := stagedBatchRuntime(t, batchedConfig(2))
+	wB := rt.Worker(1, rng.New(2))
+	defer wB.Release()
+	wA := rt.Worker(0, rng.New(3))
+	defer wA.Release()
+	if err := wA.Atomic(func(tx *Tx) error {
+		enqueueByHand(rt, &wB, 0, 1, 2, 99)
+		tx.Store(0, 20)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if st := wB.tx.state.Load() & stateStatusMask; st != statusBatchFail {
+		t.Fatalf("queued member stamped %d, want statusBatchFail", st)
+	}
+	if l, v := rt.meta[0].lock.Load(), rt.meta[0].val.Load(); l != unlockedAt(2) || v != 20 {
+		t.Fatalf("word 0: lock %#x, value %d; want version 2, value 20", l, v)
+	}
+	if l, v, c := rt.meta[2].lock.Load(), rt.meta[2].val.Load(), rt.stripes[2].clock.Load(); l != unlockedAt(1) || v != 12 || c != 1 {
+		t.Fatalf("word 2: lock %#x, value %d, stripe clock %d; want version 1, value 12, clock 1", l, v, c)
+	}
+	if s := rt.Stats.Snapshot(); s["batches"] != 5 || s["batchCommits"] != 5 || s["batchFails"] != 1 {
+		t.Fatalf("stats %v: want 5 batches, 5 batch commits, 1 batch fail", s)
+	}
+}
+
+// TestBatchCombinerAbortReleasesAtPreBatchVersion stages a combiner
+// that dies mid-acquisition: it holds word 0 (its own) and word 1 (the
+// queued member's) when it meets word 3 locked by another descriptor,
+// and either yields to it (the holder is irrevocable) or is killed while
+// it waits. Either way every word it acquired is released at its
+// pre-batch version with no clock advance, the drained member is
+// stamped statusBatchFail, and the member's retry lands exactly once.
+func TestBatchCombinerAbortReleasesAtPreBatchVersion(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		irrevocable bool
+		strategy    unclampedGrace
+		want        metrics.AbortReason
+	}{
+		{"yields to irrevocable", true, 0, metrics.AbortLockTimeout},
+		{"killed", false, unclampedGrace(10 * time.Second), metrics.AbortKilled},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := batchedConfig(2)
+			cfg.Strategy = c.strategy
+			rt := stagedBatchRuntime(t, cfg)
+			sh := &rt.batch[0]
+
+			// The member queues behind a lane the test holds.
+			sh.busy.Store(1)
+			memberDone := make(chan error)
+			go func() {
+				memberDone <- rt.Atomic(rng.New(4), func(tx *Tx) error { tx.Store(1, tx.Load(1)+1); return nil })
+			}()
+			for sh.head.Load() == nil {
+				time.Sleep(time.Millisecond)
+			}
+
+			wH := rt.Worker(2, rng.New(5))
+			defer wH.Release()
+			wH.tx.reset(nanos())
+			wH.tx.irrevocable.Store(c.irrevocable)
+			rt.meta[3].lock.Store(lockedBy(unlockedAt(1), wH.tx.id))
+
+			wA := rt.Worker(0, rng.New(6))
+			defer wA.Release()
+			a := wA.tx
+			a.reset(nanos())
+			a.writeIdx = append(a.writeIdx, 0, 3)
+			a.writeVals[0], a.writeVals[3] = 20, 23
+			killed := make(chan struct{})
+			if c.irrevocable {
+				close(killed)
+			} else {
+				go func() {
+					defer close(killed)
+					for !isLocked(rt.meta[1].lock.Load()) {
+						time.Sleep(100 * time.Microsecond)
+					}
+					st := a.state.Load()
+					a.state.CompareAndSwap(st, st&^stateStatusMask|statusKilled)
+				}()
+			}
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				a.combine(sh)
+			}()
+			<-killed
+			if ab, ok := got.(txAbort); !ok || ab.reason != c.want {
+				t.Fatalf("combiner ended with %v, want txAbort{%v}", got, c.want)
+			}
+			if busy := sh.busy.Load(); busy != 0 {
+				t.Fatal("aborted combiner kept the lane")
+			}
+			if l, v, clk := rt.meta[0].lock.Load(), rt.meta[0].val.Load(), rt.stripes[0].clock.Load(); l != unlockedAt(1) || v != 10 || clk != 1 {
+				t.Fatalf("word 0: lock %#x, value %d, stripe clock %d; want version 1, value 10, clock 1", l, v, clk)
+			}
+			if err := <-memberDone; err != nil {
+				t.Fatal(err)
+			}
+			// Released at version 1 with its clock untouched, word 1 takes
+			// the member's retry at version 2; one stray clock advance and
+			// it would be 3.
+			if l, v := rt.meta[1].lock.Load(), rt.meta[1].val.Load(); l != unlockedAt(2) || v != 12 {
+				t.Fatalf("word 1: lock %#x, value %d; want version 2, value 12", l, v)
+			}
+			if n := rt.Metrics().Snapshot().Aborts[metrics.AbortBatchAdmission]; n != 1 {
+				t.Fatalf("member retried %d times on a batch-admission abort, want 1", n)
+			}
+			rt.meta[3].lock.Store(unlockedAt(1))
+			if err := rt.Atomic(rng.New(7), func(tx *Tx) error { tx.Store(3, tx.Load(3)+1); return nil }); err != nil || rt.ReadCommitted(3) != 14 {
+				t.Fatalf("word 3 after the holder let go: %d (%v), want 14", rt.ReadCommitted(3), err)
+			}
+		})
 	}
 }

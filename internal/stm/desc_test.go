@@ -12,12 +12,13 @@ import (
 )
 
 // TestLayout pins what the arena's cost model rests on: a word is one
-// cache line with its lock word and its data in it, a stripe clock and
-// a free-list head have a line each, the word requestors write on a
-// descriptor sits a full line away from the ones its owner reads on
-// every attempt, and what the owner writes on every commit (ledger,
-// phase sampler) a full line away from every word a requestor touches
-// (distances, so they hold wherever the allocator puts the descriptor).
+// cache line with its lock word and its data in it, a stripe clock, a
+// free-list head and a combiner lane have a line each, the word
+// requestors write on a descriptor sits a full line away from the ones
+// its owner reads on every attempt, and what the owner writes on every
+// commit (ledger, phase sampler) a full line away from every word a
+// requestor touches (distances, so they hold wherever the allocator
+// puts the descriptor).
 func TestLayout(t *testing.T) {
 	var m wordMeta
 	if unsafe.Sizeof(m) != cacheLine || unsafe.Offsetof(m.lock)+8 > cacheLine || unsafe.Offsetof(m.val)+8 > cacheLine {
@@ -29,6 +30,9 @@ func TestLayout(t *testing.T) {
 	}
 	if sz := unsafe.Sizeof(freeList{}); sz != cacheLine {
 		t.Errorf("freeList is %d bytes, want %d", sz, cacheLine)
+	}
+	if sz := unsafe.Sizeof(batchShard{}); sz != cacheLine {
+		t.Errorf("batchShard is %d bytes, want %d", sz, cacheLine)
 	}
 	var tx Tx
 	waiters := unsafe.Offsetof(tx.waiters)

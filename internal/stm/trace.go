@@ -72,19 +72,13 @@ func (tx *Tx) beginTrace(worker int) {
 func (tx *Tx) captureFootprint() {
 	tx.tr.Reads = tx.tr.Reads[:0]
 	tx.tr.Writes = tx.tr.Writes[:0]
-	if tx.rt.lazy {
-		for _, idx := range tx.writeIdx {
-			tx.tr.Writes = append(tx.tr.Writes, uint32(idx))
-		}
-		// Pending delta-writes are writes too (blind ones: they never
-		// appear in the read log, so the dedup below is unaffected).
-		for _, idx := range tx.addIdx {
-			tx.tr.Writes = append(tx.tr.Writes, uint32(idx))
-		}
-	} else {
-		for _, u := range tx.undo {
-			tx.tr.Writes = append(tx.tr.Writes, uint32(u.idx))
-		}
+	for _, idx := range tx.writeIdx {
+		tx.tr.Writes = append(tx.tr.Writes, uint32(idx))
+	}
+	// Pending delta-writes are writes too (blind ones: they never
+	// appear in the read log, so the dedup below is unaffected).
+	for _, idx := range tx.addIdx {
+		tx.tr.Writes = append(tx.tr.Writes, uint32(idx))
 	}
 	// The read set logs one entry per Load, and a read-before-write
 	// word appears there too (the Load ran before the lock was owned

@@ -2,7 +2,6 @@ package stm
 
 import (
 	"runtime"
-	"sort"
 	"sync/atomic"
 
 	"txconflict/internal/metrics"
@@ -35,12 +34,6 @@ const (
 // plane and the trace layer attribute aborts without string parsing.
 type txAbort struct{ reason metrics.AbortReason }
 
-// undoEntry records a pre-image for eager in-place writes.
-type undoEntry struct {
-	idx    int
-	oldVal uint64
-}
-
 type readEntry struct {
 	idx int
 	ver uint64
@@ -61,8 +54,12 @@ type Tx struct {
 	// pol is the conflict policy this attempt runs under, latched
 	// from the runtime's atomic policy slot once per attempt (reset):
 	// a SetPolicy racing a running attempt never tears its view, and
-	// every retry picks up the newest policy.
-	pol *Policy
+	// every retry picks up the newest policy. batched, latched with it,
+	// says the attempt's commit is headed for the group-commit combiner:
+	// a lazy runtime with the lane open and an attempt that is not
+	// irrevocable (irrevocable is only set between attempts).
+	pol     *Policy
+	batched bool
 
 	// state packs the attempt epoch and the status; see the const
 	// block above. Read and CASed by requestors resolving conflicts
@@ -114,9 +111,13 @@ type Tx struct {
 	ledAttempt [ledgerCap]int64
 	ledBlock   [ledgerCap]int64
 
-	// Lazy mode: buffered write set.
+	// writeIdx is the attempt's write set, the commit pipeline's plan:
+	// lazy buffers the values in writeVals; eager locked each word at its
+	// first Store and wrote in place, undo[i] holding writeIdx[i]'s
+	// pre-image.
 	writeIdx  []int
 	writeVals map[int]uint64
+	undo      []uint64
 	// Commutative delta-writes (tx.Add under Policy.FoldCommutative
 	// with the combiner lane open): blind `word += delta` intents with
 	// no read entry, kept apart from the plain write set so the
@@ -127,26 +128,12 @@ type Tx struct {
 	addIdx  []int
 	addVals map[int]uint64
 	foldedN int
-	// Eager mode: in-place writes with undo log.
-	undo []undoEntry
 
-	lockedUpTo int // lazy commit locks acquired (rollback bound)
-
-	// Group commit (batch.go). batchNext links the descriptor into its
-	// shard's queue while it waits for a combiner; the remaining slices
-	// are the combiner-side scratch (roster, merged lock plan, per-lock
-	// owners and pre-acquisition versions, per-member outcomes,
-	// admitted write words), reused with the descriptor so a
-	// steady-state batched commit allocates nothing.
-	batchNext     atomic.Pointer[Tx]
-	batchMembers  []*Tx
-	batchLocks    []int
-	batchOwners   []*Tx
-	batchVers     []uint64
-	batchOuts     []uint64
-	batchAdmitted []int
-	batchFolds    []int    // per lock word: -1 plain-written, else delta count
-	batchSums     []uint64 // per lock word: folded delta sum
+	// batchNext links the descriptor into its lane's queue while it
+	// waits for a combiner (batch.go); r is its roster when it combines,
+	// allocated at its first lane round.
+	batchNext atomic.Pointer[Tx]
+	r         *roster
 
 	// waiters counts the requestors currently waiting on me. They write
 	// it, so it sits a full line away from everything an owner — this
@@ -372,6 +359,7 @@ func (w *Worker) Atomic(fn func(tx *Tx) error) error {
 // speculative state. The snapshot rv is kept (see "Arena layout").
 func (tx *Tx) reset(now int64) {
 	tx.pol = tx.rt.pol.Load()
+	tx.batched = tx.rt.batch != nil && tx.pol.CommitBatch > 0 && !tx.irrevocable.Load()
 	tx.state.Store((tx.epoch() + 1) << stateEpochShift) // status = active
 	tx.startNanos.Store(now)
 	tx.reads = tx.reads[:0]
@@ -385,7 +373,6 @@ func (tx *Tx) reset(now int64) {
 	}
 	tx.foldedN = 0
 	tx.undo = tx.undo[:0]
-	tx.lockedUpTo = 0
 }
 
 // endAttempt closes an attempt that did not commit: it reads the clock
@@ -458,37 +445,27 @@ func (tx *Tx) releaseToken() {
 	}
 }
 
-// rollback undoes all speculative effects of the current attempt.
+// rollback undoes all speculative effects of the current attempt. Lazy
+// has none left by now: it writes nothing before its no-return point,
+// and the pipeline let go of any commit lock it took (abandon).
 func (tx *Tx) rollback() {
-	// Eager: restore pre-images in reverse order, then release the
-	// encounter locks with *fresh* stripe versions. Restoring the
-	// original version would be an ABA hazard: a reader that loaded
-	// the lock word before we acquired, the value while our dirty
-	// in-place write was visible, and the lock word again after this
-	// rollback would see an unchanged version and accept the
-	// uncommitted value. Bumping the stripe clock makes its recheck
-	// fail instead (at the cost of spurious validation aborts on the
+	// Eager: restore the pre-images, then release the encounter locks
+	// through the pipeline's stamp stage, at *fresh* stripe versions.
+	// Restoring the original version would be an ABA hazard: a reader
+	// that loaded the lock word before we acquired, the value while our
+	// dirty in-place write was visible, and the lock word again after
+	// this rollback would see an unchanged version and accept the
+	// uncommitted value. Bumping the stripe clock makes its recheck fail
+	// instead (at the cost of spurious validation aborts on the
 	// identical pre-image, the standard undo-log STM trade).
-	for i := len(tx.undo) - 1; i >= 0; i-- {
-		u := tx.undo[i]
-		tx.rt.meta[u.idx].val.Store(u.oldVal)
-	}
 	if len(tx.undo) > 0 {
-		tx.stampStripes(func(i int) int { return tx.undo[i].idx }, len(tx.undo))
-		for _, u := range tx.undo {
-			tx.rt.meta[u.idx].lock.Store(unlockedAt(tx.wvs[tx.rt.stripeOf(u.idx)]))
+		for i, idx := range tx.writeIdx {
+			tx.rt.meta[idx].val.Store(tx.undo[i])
 		}
+		tx.stampRelease(tx.writeIdx, nil)
 		tx.undo = tx.undo[:0]
 		tx.adoptStamps()
 	}
-	// Lazy: release partially acquired commit locks. No write-back
-	// happened yet (that is after the no-return point), so the
-	// original versions are still truthful.
-	for i := 0; i < tx.lockedUpTo; i++ {
-		m := &tx.rt.meta[tx.writeIdx[i]]
-		m.lock.Store(unlockedKeep(m.lock.Load()))
-	}
-	tx.lockedUpTo = 0
 	// Retire this attempt's epoch: the locks are gone, so any
 	// requestor still holding our captured (epoch, status) must see
 	// the attempt as over — its kill CAS has to miss, keeping the
@@ -615,11 +592,13 @@ func (tx *Tx) Store(idx int, val uint64) {
 		tx.writeVals[idx] = val
 		return
 	}
-	// Eager: acquire the encounter lock on first touch, then write
-	// in place.
+	// Eager: acquire the encounter lock on first touch, logging the
+	// pre-image, then write in place.
 	m := &tx.rt.meta[idx]
 	if !tx.holds(m.lock.Load()) {
-		tx.acquire(idx)
+		tx.acquire(idx, tx.id, true)
+		tx.writeIdx = append(tx.writeIdx, idx)
+		tx.undo = append(tx.undo, m.val.Load())
 	}
 	m.val.Store(val)
 }
@@ -638,8 +617,7 @@ func (tx *Tx) Store(idx int, val uint64) {
 // keeps plain sequential semantics.
 func (tx *Tx) Add(idx int, delta uint64) {
 	tx.checkKilled()
-	if !tx.rt.lazy || tx.rt.batch == nil || tx.pol.CommitBatch == 0 ||
-		!tx.pol.FoldCommutative || tx.irrevocable.Load() {
+	if !tx.batched || !tx.pol.FoldCommutative {
 		tx.Store(idx, tx.Load(idx)+delta)
 		return
 	}
@@ -656,222 +634,4 @@ func (tx *Tx) Add(idx int, delta uint64) {
 		tx.addIdx = append(tx.addIdx, idx)
 	}
 	tx.addVals[idx] += delta
-}
-
-// acquire takes the encounter lock on idx (eager mode), logging the
-// pre-image.
-func (tx *Tx) acquire(idx int) {
-	m := &tx.rt.meta[idx]
-	for {
-		tx.checkKilled()
-		l := m.lock.Load()
-		if isLocked(l) {
-			tx.onLocked(m, l)
-			continue
-		}
-		if s := tx.rt.stripeOf(idx); lockVersion(l) > tx.rv[s] {
-			tx.extend(s)
-			continue
-		}
-		if m.lock.CompareAndSwap(l, lockedBy(l, tx.id)) {
-			tx.undo = append(tx.undo, undoEntry{idx: idx, oldVal: m.val.Load()})
-			return
-		}
-	}
-}
-
-// commit finalizes the transaction.
-func (tx *Tx) commit() {
-	if tx.rt.lazy {
-		tx.commitLazy()
-	} else {
-		tx.commitEager()
-	}
-}
-
-// enterNoReturn transitions to the unkillable commit phase. A kill
-// that lands first wins: the transaction obeys it and aborts.
-func (tx *Tx) enterNoReturn() {
-	st := tx.state.Load()
-	if tx.irrevocable.Load() {
-		tx.state.Store(st&^stateStatusMask | statusNoReturn)
-		return
-	}
-	if st&stateStatusMask != statusActive ||
-		!tx.state.CompareAndSwap(st, st&^stateStatusMask|statusNoReturn) {
-		tx.mx.Add(metrics.CounterSelfAborts, 1)
-		tx.abort(metrics.AbortKilled)
-	}
-}
-
-// validateReads re-checks the read set (at commit time and on every
-// extension): each word is still at the version it was read at, or is
-// locked by this attempt.
-func (tx *Tx) validateReads() {
-	for _, re := range tx.reads {
-		l := tx.rt.meta[re.idx].lock.Load()
-		if !tx.holds(l) && (isLocked(l) || lockVersion(l) != re.ver) {
-			tx.mx.Add(metrics.CounterSelfAborts, 1)
-			tx.abort(metrics.AbortValidation)
-		}
-	}
-}
-
-// stampStripes advances the clock of every stripe in the write set
-// once and records the new versions in tx.wvs.
-func (tx *Tx) stampStripes(idxOf func(i int) int, n int) {
-	for i := 0; i < n; i++ {
-		s := tx.rt.stripeOf(idxOf(i))
-		if tx.wvs[s] == 0 {
-			tx.wvs[s] = tx.rt.bumpClock(s)
-		}
-	}
-}
-
-// adoptStamps ends a commit or rollback: the attempt's read set is
-// dead, so each stripe stamp it drew — a value that clock held — is a
-// valid, and the newest possible, snapshot to start the next attempt
-// from.
-func (tx *Tx) adoptStamps() {
-	for s, v := range tx.wvs {
-		if v != 0 {
-			tx.rv[s], tx.wvs[s] = v, 0
-		}
-	}
-}
-
-func (tx *Tx) commitEager() {
-	if len(tx.undo) == 0 {
-		// Read-only: per-read validation against rv suffices.
-		tx.checkKilled()
-		return
-	}
-	tx.enterNoReturn()
-	// Phase timers, 1-in-N sampled (metrics.Plane.SampleN): eager
-	// commits have no lock-acquisition or write-back phase — both
-	// happened at encounter time — so only validation and the
-	// clock-advance/release pair are attributed.
-	sampled := tx.samplePhases()
-	var t0 int64
-	if sampled {
-		t0 = nanos()
-	}
-	tx.validateReads()
-	if sampled {
-		t1 := nanos()
-		tx.mx.Phase(metrics.PhaseValidate, t1-t0)
-		t0 = t1
-	}
-	tx.stampStripes(func(i int) int { return tx.undo[i].idx }, len(tx.undo))
-	for _, u := range tx.undo {
-		tx.rt.meta[u.idx].lock.Store(unlockedAt(tx.wvs[tx.rt.stripeOf(u.idx)]))
-	}
-	if sampled {
-		tx.mx.Phase(metrics.PhaseClock, nanos()-t0)
-	}
-	tx.undo = tx.undo[:0]
-	tx.adoptStamps()
-}
-
-func (tx *Tx) commitLazy() {
-	batched := tx.pol.CommitBatch > 0 && tx.rt.batch != nil && !tx.irrevocable.Load()
-	if len(tx.addIdx) > 0 && !batched {
-		// Deltas are only recorded when the attempt was headed for
-		// the combiner under the same latched policy, so this lowering
-		// is defensive; it keeps the direct path correct if that
-		// invariant ever loosens. Load/Store may abort here, which is
-		// fine — no locks are held yet.
-		tx.lowerDeltas()
-	}
-	if len(tx.writeIdx) == 0 && len(tx.addIdx) == 0 {
-		tx.checkKilled()
-		return
-	}
-	sort.Ints(tx.writeIdx)
-	// Group commit (Policy.CommitBatch): hand the sorted write set to
-	// the shard combiner instead of fighting for the commit locks
-	// individually. The gate is the attempt's latched policy, so a
-	// live SetPolicy opens or closes the combiner lane for the *next*
-	// attempts without disturbing commits already in flight (queued
-	// waiters always self-serve, see batch.go). Irrevocable
-	// transactions stay on the direct path — they are already
-	// serialized by the fallback token and must not wait on (or be
-	// failed by) a combiner.
-	if batched {
-		sort.Ints(tx.addIdx)
-		tx.commitLazyBatched()
-		return
-	}
-	// Phase timers, 1-in-N sampled. A conflict abort mid-acquisition
-	// simply discards the sample — the histograms only ever describe
-	// commits that reached each phase.
-	sampled := tx.samplePhases()
-	var t0 int64
-	if sampled {
-		t0 = nanos()
-	}
-	for i, idx := range tx.writeIdx {
-		tx.lockCommit(idx)
-		tx.lockedUpTo = i + 1
-	}
-	if sampled {
-		t1 := nanos()
-		tx.mx.Phase(metrics.PhaseLock, t1-t0)
-		t0 = t1
-	}
-	tx.enterNoReturn()
-	tx.validateReads()
-	if sampled {
-		t1 := nanos()
-		tx.mx.Phase(metrics.PhaseValidate, t1-t0)
-		t0 = t1
-	}
-	tx.stampStripes(func(i int) int { return tx.writeIdx[i] }, len(tx.writeIdx))
-	if sampled {
-		t1 := nanos()
-		tx.mx.Phase(metrics.PhaseClock, t1-t0)
-		t0 = t1
-	}
-	for _, idx := range tx.writeIdx {
-		tx.rt.meta[idx].val.Store(tx.writeVals[idx])
-	}
-	for _, idx := range tx.writeIdx {
-		tx.rt.meta[idx].lock.Store(unlockedAt(tx.wvs[tx.rt.stripeOf(idx)]))
-	}
-	if sampled {
-		tx.mx.Phase(metrics.PhaseWriteBack, nanos()-t0)
-	}
-	tx.lockedUpTo = 0
-	tx.adoptStamps()
-}
-
-// lowerDeltas demotes every pending delta to the ordinary read+store
-// footprint. Load folds the pending delta on the word it reads (see
-// foldPendingDelta) and removes it from addIdx, so draining the list
-// head converges; each fold records a real read entry, restoring
-// exactly the unbatched semantics of tx.Add.
-func (tx *Tx) lowerDeltas() {
-	for len(tx.addIdx) > 0 {
-		tx.Load(tx.addIdx[0])
-	}
-}
-
-// lockCommit acquires a commit lock (lazy mode).
-func (tx *Tx) lockCommit(idx int) {
-	m := &tx.rt.meta[idx]
-	for {
-		tx.checkKilled()
-		l := m.lock.Load()
-		if isLocked(l) {
-			tx.onLocked(m, l)
-			continue
-		}
-		if s := tx.rt.stripeOf(idx); lockVersion(l) > tx.rv[s] {
-			tx.extend(s)
-			continue
-		}
-		if m.lock.CompareAndSwap(l, lockedBy(l, tx.id)) {
-			return
-		}
-	}
 }

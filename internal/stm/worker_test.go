@@ -136,12 +136,29 @@ func TestOneClock(t *testing.T) {
 	}
 }
 
+// benchModes is the commit-mode axis of the microbenchmarks: eager
+// encounter-time locking (the default, and the only mode a gated bench/
+// workload runs), unbatched lazy, and lazy through the group-commit
+// combiner with a four-member lane.
+func benchModes() []struct {
+	name string
+	cfg  Config
+} {
+	lazy := DefaultConfig()
+	lazy.Lazy = true
+	return []struct {
+		name string
+		cfg  Config
+	}{{"eager", DefaultConfig()}, {"lazy", lazy}, {"lazyb4", batchedConfig(4)}}
+}
+
 // BenchmarkAtomicBlock is the fixed cost of one committed single-store
 // block through the two entries, one block per b.N so ns/op is
 // ns/block (reported under that name too): oneshot is AtomicWorker (a
 // descriptor-pool round trip and two clock reads per block), handle16
 // runs sixteen blocks per Worker handle (one pool round trip and
 // seventeen reads per sixteen blocks) — the shape of a txkv batch.
+// Each runs in every commit mode (benchModes).
 func BenchmarkAtomicBlock(b *testing.B) {
 	body := func(tx *Tx) error { tx.Store(3, 4); return nil }
 	for _, perHandle := range []int{1, 16} {
@@ -149,23 +166,25 @@ func BenchmarkAtomicBlock(b *testing.B) {
 		if perHandle > 1 {
 			name = "handle16"
 		}
-		b.Run(name, func(b *testing.B) {
-			rt := New(64, DefaultConfig())
-			r := rng.New(1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i += perHandle {
-				if perHandle == 1 {
-					_ = rt.AtomicWorker(0, r, body)
-					continue
+		for _, mode := range benchModes() {
+			b.Run(name+"/"+mode.name, func(b *testing.B) {
+				rt := New(64, mode.cfg)
+				r := rng.New(1)
+				b.ResetTimer()
+				for i := 0; i < b.N; i += perHandle {
+					if perHandle == 1 {
+						_ = rt.AtomicWorker(0, r, body)
+						continue
+					}
+					w := rt.Worker(0, r)
+					for j := 0; j < perHandle && i+j < b.N; j++ {
+						_ = w.Atomic(body)
+					}
+					w.Release()
 				}
-				w := rt.Worker(0, r)
-				for j := 0; j < perHandle && i+j < b.N; j++ {
-					_ = w.Atomic(body)
-				}
-				w.Release()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/block")
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/block")
+			})
+		}
 	}
 }
 
@@ -174,33 +193,38 @@ func BenchmarkAtomicBlock(b *testing.B) {
 // of one of four shared words drawn from the goroutine's own stream.
 // Beside BenchmarkAtomicBlock (no second core) it prices what sharing
 // costs per committed block: the lines two cores pass back and forth
-// plus the conflicts themselves (aborts/block).
+// plus the conflicts themselves (aborts/block). Each commit mode
+// (benchModes) is a sub-benchmark.
 func BenchmarkHotPair(b *testing.B) {
-	rt := New(64, DefaultConfig())
-	var wg sync.WaitGroup
-	b.ResetTimer()
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r := rng.New(uint64(g) + 1)
-			w := rt.Worker(g, r)
-			defer w.Release()
-			for i := g; i < b.N; i += 2 {
-				idx := int(r.Uint64() & 3)
-				_ = w.Atomic(func(tx *Tx) error { tx.Store(idx, tx.Load(idx)+1); return nil })
+	for _, mode := range benchModes() {
+		b.Run(mode.name, func(b *testing.B) {
+			rt := New(64, mode.cfg)
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for g := 0; g < 2; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					r := rng.New(uint64(g) + 1)
+					w := rt.Worker(g, r)
+					defer w.Release()
+					for i := g; i < b.N; i += 2 {
+						idx := int(r.Uint64() & 3)
+						_ = w.Atomic(func(tx *Tx) error { tx.Store(idx, tx.Load(idx)+1); return nil })
+					}
+				}()
 			}
-		}()
+			wg.Wait()
+			b.StopTimer()
+			var sum uint64
+			for idx := 0; idx < 4; idx++ {
+				sum += rt.ReadCommitted(idx)
+			}
+			if sum != uint64(b.N) {
+				b.Fatalf("%d blocks committed %d increments", b.N, sum)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/block")
+			b.ReportMetric(float64(rt.Stats.Snapshot()["aborts"])/float64(b.N), "aborts/block")
+		})
 	}
-	wg.Wait()
-	b.StopTimer()
-	var sum uint64
-	for idx := 0; idx < 4; idx++ {
-		sum += rt.ReadCommitted(idx)
-	}
-	if sum != uint64(b.N) {
-		b.Fatalf("%d blocks committed %d increments", b.N, sum)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/block")
-	b.ReportMetric(float64(rt.Stats.Snapshot()["aborts"])/float64(b.N), "aborts/block")
 }

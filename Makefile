@@ -1,5 +1,5 @@
 # Development targets: build, vet, fmt-check, test, bench-smoke,
-# race-short, race-adaptive, scenario-parity, smoke-txkv, smoke-txkvd,
+# race-short, race-churn, scenario-parity, smoke-txkv, smoke-txkvd,
 # trace-demo, fuzz-trace, fuzz-batch, tidy. CI runs every one of them
 # except tidy as a blocking step. Recorded throughput and latency
 # numbers come from `bash bench/run.sh` (bench/README.md), not from a
@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test bench-smoke race-short race-adaptive scenario-parity smoke-txkv smoke-txkvd trace-demo fuzz-trace fuzz-batch tidy
+.PHONY: all build vet fmt-check test bench-smoke race-short race-churn scenario-parity smoke-txkv smoke-txkvd trace-demo fuzz-trace fuzz-batch tidy
 
 all: build vet test
 
@@ -54,17 +54,15 @@ race-short:
 	$(GO) test -race -short -cpu 1,4 ./internal/stm/
 	$(GO) test -race -short ./internal/htm/ ./internal/scenario/ ./internal/trace/ ./internal/experiments/ ./internal/txkv/
 
-# Adaptive control-plane race cell: SetPolicy churn against live
-# traffic on all three commit modes (internal/stm) — including the
-# kill-heavy commutative-fold churn, which flips FoldCommutative
-# mid-run against mixed Add/Store traffic on the same hot words — the
-# cross-mode equivalence suite under mid-run policy flips
-# (internal/scenario), and the tune loop itself (internal/tune), all
-# under the race detector. CI runs this in the GOMAXPROCS=4 matrix
-# cell.
-race-adaptive:
-	$(GO) test -race -count=1 ./internal/tune/
-	$(GO) test -race -count=1 -run 'TestSetPolicyChurn|TestFoldPolicyChurn' ./internal/stm/
+# Control-plane race cell: SetPolicy churn against live traffic on all
+# three commit modes plus concurrent SetPolicy writers (internal/stm) —
+# including the kill-heavy commutative-fold churn, which flips
+# FoldCommutative mid-run against mixed Add/Store traffic on the same
+# hot words — and the cross-mode equivalence suite under mid-run policy
+# flips (internal/scenario), all under the race detector. CI runs this
+# in the GOMAXPROCS=4 matrix cell.
+race-churn:
+	$(GO) test -race -count=1 -run 'TestSetPolicyChurn|TestFoldPolicyChurn|TestSetPolicyConcurrentWriters' ./internal/stm/
 	$(GO) test -race -count=1 -run 'TestCrossModePolicyChurn' ./internal/scenario/
 
 # Cross-backend scenario parity plus the cross-mode (eager vs lazy vs

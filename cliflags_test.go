@@ -29,13 +29,14 @@ func TestCmdFlagValidation(t *testing.T) {
 		bins[cmd] = bin
 	}
 
-	cases := []struct {
+	type flagCase struct {
 		name string
 		cmd  string
 		args []string
 		want string // substring of stderr
 		list string // when set, the suggestion list after this prefix must be sorted
-	}{
+	}
+	cases := []flagCase{
 		{"stmbench scenario", "stmbench", []string{"-scenario", "nope"},
 			`stmbench: unknown scenario "nope"`, "registered scenarios: "},
 		{"txsim scenario", "txsim", []string{"-scenario", "nope"},
@@ -92,17 +93,18 @@ func TestCmdFlagValidation(t *testing.T) {
 			"txkvd: -pprof requires serve mode", ""},
 		{"txsim zero delta", "txsim", []string{"-scenario", "hotspot", "-delta", "0"},
 			"txsim: -delta must be > 0 (got 0)", ""},
-		// Retired flags (the pre-ledger perf snapshots, the -bench alias
-		// for -scenario): rejected by the flag package, never silently
-		// ignored.
-		{"stmbench perf removed", "stmbench", []string{"-perf"},
-			"flag provided but not defined: -perf", ""},
-		{"stmbench fleet removed", "stmbench", []string{"-fleet"},
-			"flag provided but not defined: -fleet", ""},
-		{"txkvd perf removed", "txkvd", []string{"-perf"},
-			"flag provided but not defined: -perf", ""},
 		{"txsim bench alias removed", "txsim", []string{"-bench", "stack"},
 			"flag provided but not defined: -bench", ""},
+	}
+	// Retired flags — the pre-ledger perf snapshots, the fleet sweep and
+	// the self-tuning control loop here, the -bench alias for -scenario
+	// above — are rejected by the flag package, never silently ignored.
+	for _, r := range []struct{ cmd, flag string }{
+		{"stmbench", "perf"}, {"stmbench", "fleet"}, {"txkvd", "perf"},
+		{"stmbench", "adaptive"}, {"txkvd", "adaptive"},
+	} {
+		cases = append(cases, flagCase{r.cmd + " " + r.flag + " removed", r.cmd,
+			[]string{"-" + r.flag}, "flag provided but not defined: -" + r.flag, ""})
 	}
 	for _, c := range cases {
 		c := c

@@ -17,7 +17,6 @@
 //	stmbench -scenario hotspot -batch 8      # lazy batched group commit
 //	stmbench -scenario hotspot -batch 4 -fold  # commutative delta folding
 //	stmbench -ablate -scenario txapp         # runtime design ablations
-//	stmbench -adaptive                       # phase-shift convergence under internal/tune
 //
 // Trace capture and replay (internal/trace — the Section 1
 // profile-to-simulation loop):
@@ -74,7 +73,6 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "random seed")
 		csv      = flag.Bool("csv", false, "emit CSV instead of text")
 		ablate   = flag.Bool("ablate", false, "run the STM design ablations instead of the strategy sweep (baseline pinned: -policy/-lazy/-shards/-kwindow ignored)")
-		adaptive = flag.Bool("adaptive", false, "run the adaptive-control convergence experiment (phase-shifted workload under the internal/tune loop)")
 		out      = flag.String("out", "", "destination trace file for -convert (its extension selects the format)")
 		record   = flag.String("record", "", "record a trace of the scenario run to this file (.btrace = binary container; see internal/trace)")
 		replay   = flag.String("replay", "", "replay a recorded trace file as the benchmark scenario (either format; large traces are index-sampled)")
@@ -185,10 +183,6 @@ func main() {
 		runRecord(sel, *record, cfg)
 		return
 	}
-	if *adaptive {
-		runAdaptive(cfg, *dur, *seed, *csv)
-		return
-	}
 
 	benches := []string{sel}
 	if sel == "all" {
@@ -217,32 +211,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "stmbench:", err)
 			os.Exit(1)
 		}
-	}
-}
-
-// runAdaptive runs the phase-shift convergence experiment: the
-// internal/tune control loop over one live runtime, read against the
-// best static policy per phase.
-func runAdaptive(cfg experiments.STMConfig, dur time.Duration, seed uint64, csv bool) {
-	rep, err := experiments.AdaptiveConvergence(experiments.AdaptiveConfig{
-		Goroutines:    maxLevel(cfg.Goroutines),
-		PhaseDuration: dur,
-		Length:        cfg.Length,
-		Seed:          seed,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "stmbench:", err)
-		os.Exit(1)
-	}
-	tab := rep.Table()
-	if csv {
-		err = tab.WriteCSV(os.Stdout)
-	} else {
-		err = tab.WriteText(os.Stdout)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "stmbench:", err)
-		os.Exit(1)
 	}
 }
 

@@ -39,7 +39,6 @@ import (
 	"txconflict/internal/scenario"
 	"txconflict/internal/stm"
 	"txconflict/internal/trace"
-	"txconflict/internal/tune"
 	"txconflict/internal/txkv"
 )
 
@@ -49,7 +48,6 @@ func main() {
 		capacity = flag.Int("capacity", 0, "store bucket count (0 = sized for -workload, else 2048)")
 		workers  = flag.Int("workers", 4, "transaction worker pool size (one stm.AtomicWorker each)")
 		mode     = flag.String("mode", "eager", "locking mode: eager or lazy")
-		adaptive = flag.Bool("adaptive", false, "run the internal/tune control loop over the served runtime (serve/-bench modes; implies -mode lazy)")
 		batch    = flag.Int("batch", 0, "lazy group-commit batch bound (0 = unbatched; > 0 implies -mode lazy)")
 		fold     = flag.Bool("fold", false, "escrow-counter mode: key-classed index + commutative delta folding in the combiner (requires -batch > 0)")
 		shards   = flag.Int("shards", 0, "clock stripes per arena (0 = default, 1 = flat single-clock)")
@@ -117,17 +115,13 @@ func main() {
 	}
 
 	cfg := stm.DefaultConfig()
-	// The combiner only exists in lazy mode; adaptive runs lazy too so
-	// the controller may open it.
-	cfg.Lazy = *mode == "lazy" || *batch > 0 || *adaptive
+	// The combiner only exists in lazy mode.
+	cfg.Lazy = *mode == "lazy" || *batch > 0
 	cfg.CommitBatch = *batch
 	cfg.FoldCommutative = *fold
 	cfg.Shards = *shards
-	if *adaptive && cfg.KWindow == 0 {
-		cfg.KWindow = 64 // the controller's k rules read the windowed estimator
-	}
-	// The metrics plane feeds /metrics, /v1/stats and the -adaptive
-	// control loop; -metrics-sample paces the commit-phase timers.
+	// The metrics plane feeds /metrics and /v1/stats; -metrics-sample
+	// paces the commit-phase timers.
 	// Sharded per worker — size for whichever pool identity (serve
 	// workers or bench users) is larger.
 	planeWorkers := *workers
@@ -180,15 +174,7 @@ func main() {
 			cfg.Trace = rec
 		}
 		s := w.NewStore(txkv.Config{Capacity: *capacity, EscrowCounters: *fold, STM: cfg})
-		var tn *tune.Tuner
-		if *adaptive {
-			tn = tune.New(s.Runtime(), tune.Limits{}, 0)
-			tn.Start()
-		}
 		res, err := w.RunLocal(s, g)
-		if tn != nil {
-			tn.Stop()
-		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "txkvd:", err)
 			os.Exit(1)
@@ -198,20 +184,11 @@ func main() {
 		}
 		snap := s.Runtime().Stats.Snapshot()
 		fmt.Printf("%s: %.0f ops/sec (%d ops, %d users, %d commits, %d aborts, mode %s)\n",
-			w.Name(), res.OpsPerSec(), res.Ops, g.Users, snap["commits"], snap["aborts"], modeLabel(cfg, *adaptive))
-		if tn != nil {
-			fmt.Printf("adaptive: policy %s after %d swaps\n",
-				s.Runtime().Policy(), s.Runtime().PolicySwaps())
-			for _, d := range tn.Decisions() {
-				for _, reason := range d.Reasons {
-					fmt.Printf("  decision %d -> %s: %s\n", d.Seq, d.Policy, reason)
-				}
-			}
-		}
+			w.Name(), res.OpsPerSec(), res.Ops, g.Users, snap["commits"], snap["aborts"], modeLabel(cfg))
 	case *load != "":
 		runRemote(w, *load, g)
 	default:
-		serve(w, *addr, *capacity, *workers, *seed, cfg, *adaptive, *fold, *pprofOn)
+		serve(w, *addr, *capacity, *workers, *seed, cfg, *fold, *pprofOn)
 	}
 }
 
@@ -237,7 +214,7 @@ func saveRecording(rec *trace.Recorder, path string) {
 	fmt.Printf("recorded %d transactions to %s\n", n, path)
 }
 
-func modeLabel(cfg stm.Config, adaptive bool) string {
+func modeLabel(cfg stm.Config) string {
 	label := "eager"
 	switch {
 	case cfg.Lazy && cfg.CommitBatch > 0:
@@ -248,27 +225,17 @@ func modeLabel(cfg stm.Config, adaptive bool) string {
 	if cfg.FoldCommutative {
 		label += "+fold"
 	}
-	if adaptive {
-		label += "+adaptive"
-	}
 	return label
 }
 
 // serve runs the HTTP front-end until the process is killed. The
 // store is sized for the selected workload unless -capacity is set.
-// With -adaptive, the internal/tune control loop runs over the served
-// runtime and /v1/policy exposes (and overrides) its decisions. With
-// -pprof, net/http/pprof mounts under /debug/pprof/ on the same mux
+// With -pprof, net/http/pprof mounts under /debug/pprof/ on the same mux
 // — guarded behind the flag because the profile endpoints leak
 // goroutine stacks and heap contents to anyone who can reach them.
-func serve(w *txkv.Workload, addr string, capacity, workers int, seed uint64, cfg stm.Config, adaptive, escrow, pprofOn bool) {
+func serve(w *txkv.Workload, addr string, capacity, workers int, seed uint64, cfg stm.Config, escrow, pprofOn bool) {
 	s := w.NewStore(txkv.Config{Capacity: capacity, EscrowCounters: escrow, STM: cfg})
 	sv := txkv.NewServer(s, workers, seed)
-	if adaptive {
-		tn := tune.New(s.Runtime(), tune.Limits{}, 0)
-		sv.AttachTuner(tn)
-		tn.Start() // sv.Close stops it
-	}
 	defer sv.Close()
 	mux := http.NewServeMux()
 	mux.Handle("/", sv)
@@ -280,7 +247,7 @@ func serve(w *txkv.Workload, addr string, capacity, workers int, seed uint64, cf
 		mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
 	}
 	fmt.Printf("txkvd: serving on %s (workload %s, capacity %d, %d workers, mode %s, pprof %v)\n",
-		addr, w.Name(), w.Capacity(), workers, modeLabel(cfg, adaptive), pprofOn)
+		addr, w.Name(), w.Capacity(), workers, modeLabel(cfg), pprofOn)
 	if err := http.ListenAndServe(addr, mux); err != nil {
 		fmt.Fprintln(os.Stderr, "txkvd:", err)
 		os.Exit(1)

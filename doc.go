@@ -83,17 +83,10 @@
 // KWindow, CommitBatch, retry bounds — lives in an stm.Policy behind
 // one atomic pointer, swappable mid-run via Runtime.SetPolicy (each
 // attempt latches the policy once, so swaps never tear a running
-// transaction). internal/tune closes the measurement→policy loop
-// online — a Window is the difference of two snapshots of the
-// runtime's always-on metrics plane (internal/metrics, the one place
-// an event is counted), a hysteresis Controller maps windows to
-// policy moves
-// (group-commit lane on grace fraction, KWindow from k variance,
-// requestor-wins↔aborts at the paper's k≈2.5 boundary), and a Tuner
-// goroutine applies them with a decision log. stmbench -adaptive
-// runs the phase-shift convergence experiment against per-phase
-// static oracles; txkvd -adaptive serves under the loop with
-// GET/POST /v1/policy for inspection and manual override.
+// transaction). SetPolicy is the only way policy changes at run time:
+// txkvd serves GET/POST /v1/policy to inspect and override it, and
+// the runtime's always-on metrics plane (internal/metrics, the one
+// place an event is counted) shows what a change did.
 //
 // Harnesses regenerating every figure of the paper's evaluation live
 // in internal/synth, internal/adversary and internal/experiments;

@@ -44,25 +44,6 @@ func NewSTMRunner(sc *Scenario, cfg stm.Config) *STMRunner {
 	return rn
 }
 
-// NewSTMRunnerOn wraps an existing runtime instead of building a
-// fresh one, so successive scenarios (workload phases) can run over
-// the same live arena — the shape an adaptive controller tunes
-// against, where the workload shifts under a runtime that keeps its
-// estimator history, policy, and committed state. The runtime must be
-// at least as large as the scenario's arena; the annotator is wired
-// from the tracer the runtime was constructed with.
-func NewSTMRunnerOn(sc *Scenario, rt *stm.Runtime) *STMRunner {
-	if rt.Size() < sc.Words() {
-		panic(fmt.Sprintf("scenario %s: runtime arena has %d words, scenario needs %d",
-			sc.Name(), rt.Size(), sc.Words()))
-	}
-	rn := &STMRunner{sc: sc, rt: rt}
-	if a, ok := rt.Config().Trace.(ProgramAnnotator); ok {
-		rn.annotate = a
-	}
-	return rn
-}
-
 // Scenario returns the underlying scenario.
 func (rn *STMRunner) Scenario() *Scenario { return rn.sc }
 
@@ -151,7 +132,7 @@ func (rn *STMRunner) Drive(workers int, d time.Duration, seed uint64) DriveResul
 	stop := make(chan struct{})
 	// Profiler labels carry the experiment context into pprof output:
 	// CPU and block profiles split by scenario and commit mode, so a
-	// mixed run (adaptive phases, perf sweeps) stays attributable.
+	// mixed run (a sweep over scenarios or modes) stays attributable.
 	mode := "eager"
 	if rn.rt.Config().Lazy {
 		mode = "lazy"

@@ -200,8 +200,7 @@ type stripe struct {
 // layout and instrumentation for the life of the Runtime, while the
 // remaining fields are only the *initial* Policy — the dynamic
 // tuning surface that Runtime.SetPolicy can replace atomically at
-// any point (see policy.go and internal/tune for the controller
-// that does so online). Runtime.Config reconstructs a Config that
+// any point (see policy.go). Runtime.Config reconstructs a Config that
 // reflects the current policy, so reports always label what actually
 // ran.
 type Config struct {
@@ -403,8 +402,11 @@ type Runtime struct {
 	batchMask int
 
 	// kEst is the windowed chain estimator (nil while KWindow = 0);
-	// SetPolicy swaps in a fresh window on resize.
-	kEst atomic.Pointer[kEstimator]
+	// SetPolicy swaps in a fresh window on resize. polMu serializes
+	// SetPolicy's writers so kEst and pol are stored as one step;
+	// readers take neither.
+	kEst  atomic.Pointer[kEstimator]
+	polMu sync.Mutex
 
 	Stats Stats
 }
@@ -491,9 +493,6 @@ func ceilPow2(n int) int {
 // stripeOf maps a word index to its clock stripe. Adjacent words land
 // in different stripes, spreading hot neighbourhoods across clocks.
 func (rt *Runtime) stripeOf(idx int) int { return idx & rt.stripeMask }
-
-// Size returns the arena size in words.
-func (rt *Runtime) Size() int { return len(rt.meta) }
 
 // Shards returns the number of clock stripes (a power of two).
 func (rt *Runtime) Shards() int { return len(rt.stripes) }

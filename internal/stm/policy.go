@@ -12,9 +12,9 @@ import (
 // how the arena is laid out. Config carries the *initial* Policy
 // into New; after that, Runtime.SetPolicy is the only mutation point
 // and the commit/abort paths read the current Policy through one
-// atomic pointer load per attempt — so a controller (internal/tune)
-// can retune a running system without stopping it, and a runtime
-// whose policy never changes pays nothing but that load.
+// atomic pointer load per attempt — so an operator (txkvd's POST
+// /v1/policy) can retune a running system without stopping it, and a
+// runtime whose policy never changes pays nothing but that load.
 //
 // The structural half — arena size, Shards, Lazy vs eager locking,
 // the Trace hook — stays frozen in Config: those decide memory
@@ -46,8 +46,8 @@ type Policy struct {
 	// as a single summed update. Off, tx.Add lowers to the ordinary
 	// load/store pair. Only meaningful while the combiner lane is
 	// open (CommitBatch > 0 on a lazy runtime); inert otherwise, but
-	// kept latched so a tuner can open the lane later without losing
-	// the setting.
+	// kept latched so a later SetPolicy can open the lane without
+	// losing the setting.
 	FoldCommutative bool
 	// UseMeanProfile feeds the profiled mean committed-transaction
 	// duration to the strategy.
@@ -136,7 +136,9 @@ func (c Config) policy() Policy {
 // every later attempt reads the new one. Resizing KWindow swaps in a
 // fresh estimator window; flipping CommitBatch to 0 lets queued
 // combiner waiters drain themselves (a queued descriptor can always
-// self-serve), so no commit is stranded by a swap.
+// self-serve), so no commit is stranded by a swap. Concurrent calls
+// serialize, so the installed estimator ring always matches the stored
+// policy's KWindow.
 func (rt *Runtime) SetPolicy(p Policy) {
 	p.normalize()
 	if !rt.lazy {
@@ -144,6 +146,8 @@ func (rt *Runtime) SetPolicy(p Policy) {
 		// reported policy truthful on eager runtimes.
 		p.CommitBatch = 0
 	}
+	rt.polMu.Lock()
+	defer rt.polMu.Unlock()
 	cur := rt.kEst.Load()
 	curWindow := 0
 	if cur != nil {
@@ -166,5 +170,5 @@ func (rt *Runtime) Policy() Policy { return *rt.pol.Load() }
 
 // PolicySwaps counts SetPolicy calls since construction — the
 // control plane's own odometer, exposed so remote observers
-// (/v1/stats) can tell a tuned runtime from a static one.
+// (/v1/stats) can tell an overridden runtime from a static one.
 func (rt *Runtime) PolicySwaps() uint64 { return rt.polSwaps.Load() }

@@ -118,6 +118,36 @@ func TestSetPolicyKWindowResize(t *testing.T) {
 	}
 }
 
+// TestSetPolicyConcurrentWriters races SetPolicy calls that resize the
+// chain estimator: whichever write lands last, the installed ring must
+// match the stored policy's KWindow. Unserialized, one writer's ring
+// can end up under another writer's policy.
+func TestSetPolicyConcurrentWriters(t *testing.T) {
+	rt := New(8, DefaultConfig())
+	windows := []int{0, 64, 128}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		r := rng.New(uint64(g) + 1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				p := rt.Policy()
+				p.KWindow = windows[r.Intn(len(windows))]
+				rt.SetPolicy(p)
+			}
+		}()
+	}
+	wg.Wait()
+	ring := 0
+	if e := rt.kEst.Load(); e != nil {
+		ring = len(e.ring)
+	}
+	if kw := rt.Policy().KWindow; ring != kw {
+		t.Fatalf("estimator ring has %d slots under Policy().KWindow = %d", ring, kw)
+	}
+}
+
 // TestLazyRuntimeOpensLaneLater pins the structural guarantee behind
 // the control plane: every lazy runtime allocates its combiner lanes
 // up front, so a SetPolicy can open group commit on a runtime built

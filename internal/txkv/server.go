@@ -19,7 +19,6 @@ import (
 	"txconflict/internal/metrics"
 	"txconflict/internal/rng"
 	"txconflict/internal/strategy"
-	"txconflict/internal/tune"
 )
 
 // maxBatchOps bounds one request's batch so a single POST cannot
@@ -46,7 +45,6 @@ var (
 // httptest.
 type Server struct {
 	store *Store
-	tuner *tune.Tuner
 
 	jobs   chan job
 	quit   chan struct{}
@@ -99,25 +97,10 @@ func NewServer(store *Store, workers int, seed uint64) *Server {
 // Store returns the served store (for post-shutdown verification).
 func (sv *Server) Store() *Store { return sv.store }
 
-// AttachTuner hands the server an adaptive control loop over the
-// store's runtime; /v1/policy then renders its decision log and POST
-// overrides route through it (suspending automatic decisions until a
-// {"resume":true} POST). Attach before serving traffic — the field is
-// not synchronized against concurrent requests. The server stops the
-// tuner on Close.
-func (sv *Server) AttachTuner(t *tune.Tuner) { sv.tuner = t }
-
-// Tuner returns the attached control loop, nil when static.
-func (sv *Server) Tuner() *tune.Tuner { return sv.tuner }
-
-// Close drains the worker pool (stopping the attached tuner first, if
-// any). In-flight requests racing Close may fail with
-// ErrServerClosed; callers should stop traffic first.
+// Close drains the worker pool. In-flight requests racing Close may
+// fail with ErrServerClosed; callers should stop traffic first.
 func (sv *Server) Close() {
 	if sv.closed.CompareAndSwap(false, true) {
-		if sv.tuner != nil {
-			sv.tuner.Stop()
-		}
 		close(sv.quit)
 		sv.wg.Wait()
 	}
@@ -154,9 +137,8 @@ func (sv *Server) exec(ops []Op, dst []Result, reply chan []Result) ([]Result, e
 //	GET  /v1/stats   committed size, policy, and one snapshot of the
 //	                 runtime's metrics plane: event counters, latency
 //	                 quantiles, abort taxonomy
-//	GET  /v1/policy  current policy + tuner decision log
-//	POST /v1/policy  manual policy override (suspends the tuner) or
-//	                 {"resume":true} to hand control back
+//	GET  /v1/policy  current policy, swap count and k estimate
+//	POST /v1/policy  partial policy override, applied via SetPolicy
 //	GET  /v1/check   structural invariants (quiescent stores only)
 //	GET  /metrics    Prometheus text exposition (histogram summaries,
 //	                 abort taxonomy, commit-phase timers, stm counters)
@@ -184,7 +166,6 @@ func (sv *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			"policy":       rt.Policy().String(),
 			"kEstimate":    rt.KEstimate(),
 			"policySwaps":  rt.PolicySwaps(),
-			"adaptive":     sv.tuner != nil,
 			"latency":      snap.LatencySummaries(),
 			"abortReasons": snap.AbortCounts(),
 		})
@@ -306,8 +287,8 @@ var jsonContentType = []string{"application/json"}
 
 // policyRequest is the POST /v1/policy wire format. Every field is
 // optional; absent fields keep their current value, so a request can
-// flip one knob without restating the rest. {"resume":true} instead
-// lifts a manual override and hands control back to the tuner.
+// flip one knob without restating the rest. An unknown field is an
+// error, not a no-op.
 type policyRequest struct {
 	Resolution  *string `json:"resolution"` // "rw" | "ra"
 	Hybrid      *bool   `json:"hybrid"`
@@ -318,19 +299,20 @@ type policyRequest struct {
 	// FoldCommutative flips the combiner's commutative-delta folding
 	// (effective on the batched lazy path; see stm.Policy).
 	FoldCommutative *bool `json:"foldCommutative"`
-	Resume          bool  `json:"resume"`
 }
 
-// policyView renders the control plane: the tuner's view when one is
-// attached (decision log included), a static snapshot otherwise.
-func (sv *Server) policyView() tune.PolicyView {
-	if sv.tuner != nil {
-		return sv.tuner.View()
-	}
+// policyView is the GET /v1/policy body: the live policy, the
+// runtime's SetPolicy count and its windowed k estimate.
+type policyView struct {
+	Policy    string  `json:"policy"`
+	Swaps     uint64  `json:"swaps"`
+	KEstimate float64 `json:"kEstimate"`
+}
+
+func (sv *Server) policyView() policyView {
 	rt := sv.store.Runtime()
-	return tune.PolicyView{
+	return policyView{
 		Policy:    rt.Policy().String(),
-		Auto:      false,
 		Swaps:     rt.PolicySwaps(),
 		KEstimate: rt.KEstimate(),
 	}
@@ -344,17 +326,13 @@ func (sv *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPost:
 		var req policyRequest
 		dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
+		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
 			http.Error(w, "bad policy: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		if req.Resume {
-			if sv.tuner == nil {
-				http.Error(w, "no tuner attached (start with -adaptive)", http.StatusConflict)
-				return
-			}
-			sv.tuner.Resume()
-			writeJSON(w, sv.policyView())
+		if err := dec.Decode(&struct{}{}); err != io.EOF {
+			http.Error(w, "bad policy: data after the JSON object", http.StatusBadRequest)
 			return
 		}
 		p := rt.Policy()
@@ -397,11 +375,7 @@ func (sv *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
 		if req.FoldCommutative != nil {
 			p.FoldCommutative = *req.FoldCommutative
 		}
-		if sv.tuner != nil {
-			sv.tuner.Override(p)
-		} else {
-			rt.SetPolicy(p)
-		}
+		rt.SetPolicy(p)
 		writeJSON(w, sv.policyView())
 	default:
 		http.Error(w, "GET or POST required", http.StatusMethodNotAllowed)

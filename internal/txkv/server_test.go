@@ -11,11 +11,8 @@ import (
 	"testing"
 	"time"
 
-	"txconflict/internal/core"
-	"txconflict/internal/metrics"
 	"txconflict/internal/rng"
 	"txconflict/internal/stm"
-	"txconflict/internal/tune"
 )
 
 // TestTxkvdSmoke is the CI smoke test for the serving stack (make
@@ -195,10 +192,11 @@ func TestServerEndpoints(t *testing.T) {
 }
 
 // TestPolicyEndpoint covers the control-plane surface: reading the
-// live policy, manual overrides (with and without an attached tuner),
-// resume, and rejection of malformed overrides.
+// live policy, partial overrides applied through SetPolicy, and strict
+// rejection of malformed overrides, which must leave the policy and its
+// swap count alone.
 func TestPolicyEndpoint(t *testing.T) {
-	getView := func(ts *httptest.Server) tune.PolicyView {
+	getView := func(ts *httptest.Server) policyView {
 		t.Helper()
 		resp, err := http.Get(ts.URL + "/v1/policy")
 		if err != nil {
@@ -208,8 +206,10 @@ func TestPolicyEndpoint(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET /v1/policy = %s", resp.Status)
 		}
-		var v tune.PolicyView
-		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+		var v policyView
+		dec := json.NewDecoder(resp.Body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&v); err != nil {
 			t.Fatal(err)
 		}
 		return v
@@ -236,7 +236,7 @@ func TestPolicyEndpoint(t *testing.T) {
 		ts := httptest.NewServer(sv)
 		defer ts.Close()
 
-		if v := getView(ts); v.Auto || v.Policy != store.Runtime().Policy().String() {
+		if v := getView(ts); v.Swaps != 0 || v.Policy != store.Runtime().Policy().String() {
 			t.Fatalf("static view = %+v", v)
 		}
 		// Partial override applies directly to the runtime.
@@ -249,19 +249,29 @@ func TestPolicyEndpoint(t *testing.T) {
 		if p.CommitBatch != 8 || p.Strategy == nil || p.Strategy.Name() != "RRW" {
 			t.Fatalf("policy after override = %s", p)
 		}
-		// Resume without a tuner is a conflict.
-		resp = post(ts, `{"resume":true}`)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusConflict {
-			t.Fatalf("resume without tuner = %s, want 409", resp.Status)
+		if v := getView(ts); v.Swaps != 1 || v.Policy != p.String() {
+			t.Fatalf("view after override = %+v", v)
 		}
-		// Unknown resolution and unknown strategy are 400s.
-		for _, bad := range []string{`{"resolution":"sideways"}`, `{"strategy":"nope"}`, `{`} {
+		// Unknown values, unknown fields (a stale resume, a snake_case
+		// typo), trailing data and a cut-off body are 400s that apply
+		// nothing.
+		for _, bad := range []string{
+			`{"resolution":"sideways"}`,
+			`{"strategy":"nope"}`,
+			`{`,
+			`{"resume":true}`,
+			`{"commit_batch":4}`,
+			`{"hybrid":true} {"hybrid":false}`,
+			`{"hybrid":true} x`,
+		} {
 			resp = post(ts, bad)
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("POST %s = %s, want 400", bad, resp.Status)
 			}
+		}
+		if got := store.Runtime().PolicySwaps(); got != 1 {
+			t.Fatalf("rejected overrides left %d swaps, want 1", got)
 		}
 		// Stats carries the control-plane fields.
 		resp, err = http.Get(ts.URL + "/v1/stats")
@@ -273,111 +283,10 @@ func TestPolicyEndpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		for _, key := range []string{"policy", "kEstimate", "policySwaps", "adaptive", "stm", "len"} {
+		for _, key := range []string{"policy", "kEstimate", "policySwaps", "stm", "len"} {
 			if _, ok := st[key]; !ok {
 				t.Fatalf("/v1/stats missing %q: %v", key, st)
 			}
 		}
-		if st["adaptive"] != false {
-			t.Fatal("static server reports adaptive=true")
-		}
 	})
-
-	t.Run("tuned", func(t *testing.T) {
-		w, err := ByName("readmostly", Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := stm.DefaultConfig()
-		cfg.Lazy = true
-		store := w.NewStore(Config{STM: cfg})
-		sv := NewServer(store, 2, 1)
-		sv.AttachTuner(tune.New(store.Runtime(), tune.Limits{}, time.Hour))
-		defer sv.Close()
-		ts := httptest.NewServer(sv)
-		defer ts.Close()
-
-		if v := getView(ts); !v.Auto {
-			t.Fatalf("tuned view = %+v, want auto", v)
-		}
-		// Override suspends the tuner and logs the decision.
-		resp := post(ts, `{"resolution":"rw","hybrid":false}`)
-		resp.Body.Close()
-		v := getView(ts)
-		if v.Auto {
-			t.Fatal("tuner still auto after override")
-		}
-		if len(v.Decisions) == 0 {
-			t.Fatal("override not logged")
-		}
-		if store.Runtime().Policy().Resolution != core.RequestorWins {
-			t.Fatal("override not applied")
-		}
-		// Resume hands control back.
-		resp = post(ts, `{"resume":true}`)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("resume = %s", resp.Status)
-		}
-		if v := getView(ts); !v.Auto {
-			t.Fatal("tuner not auto after resume")
-		}
-	})
-}
-
-// TestAdaptiveNeedsNoTracer builds a store the way `txkvd -adaptive`
-// does — lazy, k estimator open, a metrics plane, nothing in
-// Config.Trace — and checks the control loop still sees the traffic:
-// the tuner windows the runtime's plane, so a commit-latency blowout
-// served through the pool is a recorded decision with no tracer
-// installed.
-func TestAdaptiveNeedsNoTracer(t *testing.T) {
-	w, err := ByName("readmostly", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := stm.DefaultConfig()
-	cfg.Lazy = true
-	cfg.KWindow = 64
-	cfg.Metrics = metrics.NewPlane(2, 0)
-	store := w.NewStore(Config{STM: cfg})
-	if tr := store.Runtime().Config().Trace; tr != nil {
-		t.Fatalf("adaptive store has tracer %T installed", tr)
-	}
-	sv := NewServer(store, 2, 1)
-	defer sv.Close()
-	tn := tune.New(store.Runtime(), tune.Limits{}, time.Hour) // Step drives it, not the ticker
-	sv.AttachTuner(tn)
-
-	exec := func(n int, op Op) {
-		t.Helper()
-		ops := make([]Op, n)
-		for i := range ops {
-			ops[i] = op
-		}
-		res, err := sv.Exec(ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range res {
-			if r.Err != "" {
-				t.Fatal(r.Err)
-			}
-		}
-	}
-	// Window 1: point reads seed the controller's p99 baseline.
-	exec(2000, Op{Kind: KindGet, Key: 1})
-	if tn.Step() {
-		t.Fatalf("baseline window decided: %+v", tn.Decisions())
-	}
-	// Window 2: 256-field documents, orders of magnitude slower per
-	// commit at lower throughput — the p99 rule's regression.
-	exec(200, Op{Kind: KindUpdateDoc, Key: 1, Fields: 256, Val: 7})
-	if !tn.Step() {
-		t.Fatal("tuner saw no regression in the plane's window")
-	}
-	ds := tn.Decisions()
-	if len(ds) != 1 || !strings.Contains(strings.Join(ds[0].Reasons, " "), "p99") {
-		t.Fatalf("decision log = %+v, want one p99 reason", ds)
-	}
 }

@@ -212,12 +212,9 @@ func BenchmarkScenarioSTM(b *testing.B) {
 // BenchmarkSTMThroughput — E13: the real-goroutine STM counterpart
 // of Figure 3 (transactional application).
 func BenchmarkSTMThroughput(b *testing.B) {
-	cfg := experiments.STMConfig{
-		Goroutines: []int{1, 2, 4},
-		Duration:   50 * time.Millisecond,
-		Policy:     core.RequestorWins,
-		Seed:       1,
-	}
+	cfg := experiments.DefaultSTMConfig()
+	cfg.Goroutines = []int{1, 2, 4}
+	cfg.Duration = 50 * time.Millisecond
 	for i := 0; i < b.N; i++ {
 		t, err := experiments.STMThroughput("txapp", cfg)
 		if err != nil {

@@ -56,8 +56,6 @@ func TestCmdFlagValidation(t *testing.T) {
 			"stmbench: -batch must be >= 0 (got -1)", ""},
 		{"stmbench negative shards", "stmbench", []string{"-scenario", "hotspot", "-shards", "-4"},
 			"stmbench: -shards must be >= 0", ""},
-		{"stmbench negative kwindow", "stmbench", []string{"-scenario", "hotspot", "-kwindow", "-64"},
-			"stmbench: -kwindow must be >= 0", ""},
 		{"txsim negative detail", "txsim", []string{"-scenario", "stack", "-detail", "-8"},
 			"txsim: -detail must be >= 0", ""},
 		{"txsim negative ablate", "txsim", []string{"-scenario", "stack", "-ablate", "-8"},
@@ -96,12 +94,13 @@ func TestCmdFlagValidation(t *testing.T) {
 		{"txsim bench alias removed", "txsim", []string{"-bench", "stack"},
 			"flag provided but not defined: -bench", ""},
 	}
-	// Retired flags — the pre-ledger perf snapshots, the fleet sweep and
-	// the self-tuning control loop here, the -bench alias for -scenario
-	// above — are rejected by the flag package, never silently ignored.
+	// Retired flags — the pre-ledger perf snapshots, the fleet sweep,
+	// the self-tuning control loop and the windowed k estimator here,
+	// the -bench alias for -scenario above — are rejected by the flag
+	// package, never silently ignored.
 	for _, r := range []struct{ cmd, flag string }{
 		{"stmbench", "perf"}, {"stmbench", "fleet"}, {"txkvd", "perf"},
-		{"stmbench", "adaptive"}, {"txkvd", "adaptive"},
+		{"stmbench", "adaptive"}, {"txkvd", "adaptive"}, {"stmbench", "kwindow"},
 	} {
 		cases = append(cases, flagCase{r.cmd + " " + r.flag + " removed", r.cmd,
 			[]string{"-" + r.flag}, "flag provided but not defined: -" + r.flag, ""})

@@ -124,7 +124,7 @@ func main() {
 	save("stm.txt", stmTabs...)
 
 	// E18: STM runtime design ablations — arena sharding, locking
-	// mode, batched group commit, policies, chain estimator — each
+	// mode, batched group commit, policies, backoff, NO_DELAY — each
 	// varied alone against the pinned eager requestor-wins baseline.
 	stmAbl, err := experiments.STMAblations("txapp", 8, stmCfg)
 	if err != nil {

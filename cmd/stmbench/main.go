@@ -13,7 +13,6 @@
 //	stmbench -scenario txapp -policy ra -lazy
 //	stmbench -scenario hotspot -dist zipf -mu 100  # skewed lengths too
 //	stmbench -scenario txapp -shards 1       # flat single-clock arena
-//	stmbench -scenario txapp -kwindow 64     # windowed chain estimator
 //	stmbench -scenario hotspot -batch 8      # lazy batched group commit
 //	stmbench -scenario hotspot -batch 4 -fold  # commutative delta folding
 //	stmbench -ablate -scenario txapp         # runtime design ablations
@@ -67,12 +66,11 @@ func main() {
 		fold     = flag.Bool("fold", false, "fold commutative deltas in the batched combiner (requires -batch > 0)")
 		delta    = flag.Int("delta", 1, "Add increment magnitude for the commutative scenarios (hotspot, kvcounter)")
 		shards   = flag.Int("shards", 0, "clock stripes per arena (0 = default, 1 = flat single-clock)")
-		kwindow  = flag.Int("kwindow", 0, "windowed conflict-chain estimator size (0 = instantaneous 2+waiters)")
 		reportIv = flag.Duration("report", 0, "periodic stderr progress reporter interval during measured cells: commits, p50/p99 commit latency, abort taxonomy (0 = off)")
 		msample  = flag.Int("metrics-sample", metrics.DefaultSampleN, "1-in-N sampling interval for the commit-phase timers (rounded up to a power of two)")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		csv      = flag.Bool("csv", false, "emit CSV instead of text")
-		ablate   = flag.Bool("ablate", false, "run the STM design ablations instead of the strategy sweep (baseline pinned: -policy/-lazy/-shards/-kwindow ignored)")
+		ablate   = flag.Bool("ablate", false, "run the STM design ablations instead of the strategy sweep (baseline pinned: -policy/-lazy/-batch/-fold/-shards ignored)")
 		out      = flag.String("out", "", "destination trace file for -convert (its extension selects the format)")
 		record   = flag.String("record", "", "record a trace of the scenario run to this file (.btrace = binary container; see internal/trace)")
 		replay   = flag.String("replay", "", "replay a recorded trace file as the benchmark scenario (either format; large traces are index-sampled)")
@@ -85,7 +83,7 @@ func main() {
 	for _, c := range []struct {
 		name string
 		v    int
-	}{{"batch", *batch}, {"shards", *shards}, {"kwindow", *kwindow}} {
+	}{{"batch", *batch}, {"shards", *shards}} {
 		if err := cliutil.CheckNonNegative(c.name, c.v); err != nil {
 			cliutil.Fatal("stmbench", err)
 		}
@@ -136,14 +134,13 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Lazy = *lazy || *batch > 0 // the combiner only exists in lazy mode
 	cfg.CommitBatch = *batch
-	cfg.Fold = *fold
+	cfg.FoldCommutative = *fold
 	cfg.Delta = uint64(*delta)
 	cfg.Shards = *shards
-	cfg.KWindow = *kwindow
 	cfg.MetricsSample = *msample
 	cfg.ReportEvery = *reportIv
 	if strings.EqualFold(*policy, "ra") {
-		cfg.Policy = core.RequestorAborts
+		cfg.Resolution = core.RequestorAborts
 	}
 	if *distName != "" {
 		smp, err := dist.ByName(*distName, *mu)
@@ -368,7 +365,7 @@ func runFidelity(path string, cfg experiments.STMConfig) {
 	tab, err := experiments.TraceFidelity(tr, experiments.FidelityConfig{
 		Duration: cfg.Duration,
 		Seed:     cfg.Seed,
-		STM:      cfg, // honor -policy/-lazy/-shards/-kwindow on the replay runtime
+		STM:      cfg, // honor -policy/-lazy/-batch/-fold/-shards on the replay runtime
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stmbench:", err)

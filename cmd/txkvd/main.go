@@ -183,8 +183,8 @@ func main() {
 			saveRecording(rec, *record)
 		}
 		snap := s.Runtime().Stats.Snapshot()
-		fmt.Printf("%s: %.0f ops/sec (%d ops, %d users, %d commits, %d aborts, mode %s)\n",
-			w.Name(), res.OpsPerSec(), res.Ops, g.Users, snap["commits"], snap["aborts"], modeLabel(cfg))
+		fmt.Printf("%s: %.0f ops/sec (%d ops, %d users, %d commits, %d aborts, config %s)\n",
+			w.Name(), res.OpsPerSec(), res.Ops, g.Users, snap["commits"], snap["aborts"], cfg)
 	case *load != "":
 		runRemote(w, *load, g)
 	default:
@@ -214,20 +214,6 @@ func saveRecording(rec *trace.Recorder, path string) {
 	fmt.Printf("recorded %d transactions to %s\n", n, path)
 }
 
-func modeLabel(cfg stm.Config) string {
-	label := "eager"
-	switch {
-	case cfg.Lazy && cfg.CommitBatch > 0:
-		label = fmt.Sprintf("lazy+batch%d", cfg.CommitBatch)
-	case cfg.Lazy:
-		label = "lazy"
-	}
-	if cfg.FoldCommutative {
-		label += "+fold"
-	}
-	return label
-}
-
 // serve runs the HTTP front-end until the process is killed. The
 // store is sized for the selected workload unless -capacity is set.
 // With -pprof, net/http/pprof mounts under /debug/pprof/ on the same mux
@@ -246,8 +232,8 @@ func serve(w *txkv.Workload, addr string, capacity, workers int, seed uint64, cf
 		mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
 	}
-	fmt.Printf("txkvd: serving on %s (workload %s, capacity %d, %d workers, mode %s, pprof %v)\n",
-		addr, w.Name(), w.Capacity(), workers, modeLabel(cfg), pprofOn)
+	fmt.Printf("txkvd: serving on %s (workload %s, capacity %d, %d workers, config %s, pprof %v)\n",
+		addr, w.Name(), w.Capacity(), workers, cfg, pprofOn)
 	if err := http.ListenAndServe(addr, mux); err != nil {
 		fmt.Fprintln(os.Stderr, "txkvd:", err)
 		os.Exit(1)

@@ -28,9 +28,8 @@
 // atomic per word touched, ids drawn from a runtime-owned descriptor
 // table — striped per-shard
 // commit clocks with TL2-style snapshot extension, an attempt-epoch
-// kill protocol, a windowed conflict-chain estimator behind
-// Config.KWindow, and a flat-combining group commit for the lazy TL2
-// mode behind Config.CommitBatch — a per-shard combiner acquires the
+// kill protocol, and a flat-combining group commit for the lazy TL2
+// mode behind Policy.CommitBatch — a per-shard combiner acquires the
 // merged commit locks once and writes back a bounded queue of write
 // sets with a single clock advance per written stripe, stamping each
 // queued descriptor's outcome into its packed state word so kills
@@ -77,11 +76,11 @@
 // kvcounter/kvread/kvdoc, so both backends exercise keyed conflict
 // patterns in the parity suites.
 //
-// The runtime's knobs form a live control plane: stm.Config keeps
-// only construction-time structure, while the dynamic half —
-// resolution policy, grace strategy, the Section 9 hybrid rule,
-// KWindow, CommitBatch, retry bounds — lives in an stm.Policy behind
-// one atomic pointer, swappable mid-run via Runtime.SetPolicy (each
+// The runtime's knobs form a live control plane: stm.Config embeds the
+// initial stm.Policy next to the construction-time structure, and the
+// runtime keeps the policy — resolution, grace strategy, the Section 9
+// hybrid rule, CommitBatch, retry bounds — behind one atomic pointer,
+// swappable mid-run via Runtime.SetPolicy (each
 // attempt latches the policy once, so swaps never tear a running
 // transaction). SetPolicy is the only way policy changes at run time:
 // txkvd serves GET/POST /v1/policy to inspect and override it, and

@@ -29,7 +29,7 @@ func main() {
 		cfg  stm.Config
 	}
 	mk := func(pol core.Policy, s core.Strategy) stm.Config {
-		return stm.Config{Policy: pol, Strategy: s, CleanupCost: 2 * time.Microsecond, MaxRetries: 256}
+		return stm.Config{Policy: stm.Policy{Resolution: pol, Strategy: s, CleanupCost: 2 * time.Microsecond, MaxRetries: 256}}
 	}
 	variants := []variant{
 		{"RW / NO_DELAY", mk(core.RequestorWins, nil)},

@@ -61,6 +61,7 @@ func main() {
 		Cycles:   300_000,
 		Duration: 100 * time.Millisecond,
 		Seed:     1,
+		STM:      cfg, // same runtime as the recorded run
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -44,7 +44,7 @@ func CheckPositive(flagName string, v int) error {
 
 // CheckNonNegative validates an integer flag where zero means "off"
 // or "default" but negative values are nonsense (-batch, -shards,
-// -kwindow, -capacity).
+// -capacity).
 func CheckNonNegative(flagName string, v int) error {
 	if v < 0 {
 		return fmt.Errorf("-%s must be >= 0 (got %d)", flagName, v)

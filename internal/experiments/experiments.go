@@ -131,29 +131,17 @@ func Fig3Metrics(bench string, threads int, s core.Strategy, cfg Fig3Config) (ht
 // STMConfig tunes the real-goroutine throughput benchmarks (the
 // Graphite-experiment analogue on actual parallel hardware).
 type STMConfig struct {
+	// Config is the runtime every cell is built on: its policy and its
+	// structural fields (Lazy, Shards). Each harness fills in its own
+	// Strategy and a fresh metrics plane per cell (stmRuntimeConfig).
+	stm.Config
 	// Goroutines lists the concurrency levels.
 	Goroutines []int
 	// Duration per cell.
 	Duration time.Duration
-	// Policy and Lazy select the runtime mode.
-	Policy core.Policy
-	Lazy   bool
-	// CommitBatch routes lazy commits through the group-commit
-	// combiner with the given batch bound (stm.Config.CommitBatch);
-	// 0 keeps the unbatched commit path.
-	CommitBatch int
-	// Shards is the stm arena stripe count (0 = runtime default,
-	// 1 = flat single-clock arena).
-	Shards int
-	// KWindow enables the windowed conflict-chain estimator
-	// (stm.Config.KWindow); 0 keeps the instantaneous estimate.
-	KWindow int
 	// Length overrides the scenario's default transaction-length
 	// sampler (the -dist flag); nil keeps the scenario default.
 	Length dist.Sampler
-	// Fold enables commutative delta folding in the batched combiner
-	// (stm.Config.FoldCommutative) — the stmbench -fold path.
-	Fold bool
 	// Delta is the Add magnitude for the commutative-counter
 	// scenarios (scenario.Options.Delta; 0 = 1).
 	Delta uint64
@@ -171,7 +159,9 @@ type STMConfig struct {
 	Seed uint64
 }
 
-// DefaultSTMConfig sweeps up to the machine's parallelism.
+// DefaultSTMConfig sweeps up to the machine's parallelism on an eager
+// requestor-wins runtime with a 2 µs cleanup cost and 256 optimistic
+// retries.
 func DefaultSTMConfig() STMConfig {
 	max := runtime.GOMAXPROCS(0)
 	levels := []int{1}
@@ -182,9 +172,13 @@ func DefaultSTMConfig() STMConfig {
 		levels = append(levels, max)
 	}
 	return STMConfig{
+		Config: stm.Config{Policy: stm.Policy{
+			Resolution:  core.RequestorWins,
+			CleanupCost: 2 * time.Microsecond,
+			MaxRetries:  256,
+		}},
 		Goroutines: levels,
 		Duration:   200 * time.Millisecond,
-		Policy:     core.RequestorWins,
 		Seed:       1,
 	}
 }
@@ -199,23 +193,15 @@ func stmScenario(bench string, length dist.Sampler, delta uint64, workers int, c
 	return scenario.NewSTMRunner(sc, cfg), nil
 }
 
-// stmRuntimeConfig assembles the stm.Config shared by the STM
-// harnesses from the experiment-level knobs. Every runtime gets its
-// own metrics plane, so each measured cell reads its own latency
-// quantiles and abort taxonomy without cross-cell bleed.
+// stmRuntimeConfig is the stm.Config of one cell: cfg's runtime with
+// strategy s and a metrics plane of its own, so each measured cell
+// reads its own latency quantiles and abort taxonomy without
+// cross-cell bleed.
 func stmRuntimeConfig(cfg STMConfig, s core.Strategy) stm.Config {
-	return stm.Config{
-		Policy:          cfg.Policy,
-		Strategy:        s,
-		Lazy:            cfg.Lazy,
-		CommitBatch:     cfg.CommitBatch,
-		FoldCommutative: cfg.Fold,
-		Shards:          cfg.Shards,
-		KWindow:         cfg.KWindow,
-		CleanupCost:     2 * time.Microsecond,
-		MaxRetries:      256,
-		Metrics:         metrics.NewPlane(16, cfg.MetricsSample),
-	}
+	c := cfg.Config
+	c.Strategy = s
+	c.Metrics = metrics.NewPlane(16, cfg.MetricsSample)
+	return c
 }
 
 // stmStrategies returns the Figure 3 strategy set for the STM, with
@@ -262,7 +248,7 @@ func STMThroughput(bench string, cfg STMConfig) (*report.Table, error) {
 	}
 	stratNames := []string{"NO_DELAY", "DELAY_TUNED", "DELAY_DET", "DELAY_RAND"}
 	t := &report.Table{
-		Title:   fmt.Sprintf("STM throughput (%s): ops/s, %v", bench, cfg.Policy),
+		Title:   fmt.Sprintf("STM throughput (%s): ops/s, %v", bench, cfg.Resolution),
 		Columns: append([]string{"goroutines"}, stratNames...),
 	}
 	for _, n := range cfg.Goroutines {

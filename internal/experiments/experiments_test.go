@@ -60,12 +60,9 @@ func TestFig3Metrics(t *testing.T) {
 }
 
 func TestSTMThroughputSmoke(t *testing.T) {
-	cfg := STMConfig{
-		Goroutines: []int{1, 2},
-		Duration:   30 * time.Millisecond,
-		Policy:     core.RequestorWins,
-		Seed:       1,
-	}
+	cfg := DefaultSTMConfig()
+	cfg.Goroutines = []int{1, 2}
+	cfg.Duration = 30 * time.Millisecond
 	tab, err := STMThroughput("txapp", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -84,13 +81,10 @@ func TestSTMThroughputSmoke(t *testing.T) {
 }
 
 func TestSTMThroughputFlatArena(t *testing.T) {
-	cfg := STMConfig{
-		Goroutines: []int{2},
-		Duration:   20 * time.Millisecond,
-		Policy:     core.RequestorWins,
-		Shards:     1,
-		Seed:       1,
-	}
+	cfg := DefaultSTMConfig()
+	cfg.Goroutines = []int{2}
+	cfg.Duration = 20 * time.Millisecond
+	cfg.Shards = 1
 	tab, err := STMThroughput("txapp", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -101,16 +95,13 @@ func TestSTMThroughputFlatArena(t *testing.T) {
 }
 
 func TestSTMAblations(t *testing.T) {
-	cfg := STMConfig{
-		Duration: 15 * time.Millisecond,
-		Policy:   core.RequestorWins,
-		Seed:     1,
-	}
+	cfg := DefaultSTMConfig()
+	cfg.Duration = 15 * time.Millisecond
 	tab, err := STMAblations("txapp", 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 9 { // baseline + 8 single-knob variants (incl. batched commit)
+	if len(tab.Rows) != 8 { // baseline + 7 single-knob variants (incl. batched commit)
 		t.Fatalf("ablation rows = %d", len(tab.Rows))
 	}
 	for _, row := range tab.Rows {

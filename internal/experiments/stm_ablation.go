@@ -44,11 +44,11 @@ func measureSTM(rn *scenario.STMRunner, n int, d time.Duration, seed uint64) (st
 // STMAblations runs the runtime-level design ablations on one
 // benchmark at one goroutine count on the real STM: arena sharding
 // (striped clocks vs the flat single-clock layout), locking mode,
-// policy, the Section 9 hybrid switch, the windowed conflict-chain
-// estimator, Corollary 2 backoff, and the NO_DELAY baseline. The base
-// configuration is pinned (eager requestor-wins, RRW, default shards)
-// so every row varies exactly one design choice against the same
-// baseline; cfg supplies only Duration, Seed and Length.
+// batched commit, policy, the Section 9 hybrid switch, Corollary 2
+// backoff, and the NO_DELAY baseline. The base configuration is pinned
+// (eager requestor-wins, RRW, default shards) so every row varies
+// exactly one design choice against the same baseline; cfg supplies
+// only Duration, Seed, Length and Delta.
 func STMAblations(bench string, goroutines int, cfg STMConfig) (*report.Table, error) {
 	if goroutines <= 0 {
 		goroutines = runtime.GOMAXPROCS(0)
@@ -69,14 +69,13 @@ func STMAblations(bench string, goroutines int, cfg STMConfig) (*report.Table, e
 			c.CommitBatch = 8
 		}},
 		{"policy RA + RRA", func(c *stm.Config) {
-			c.Policy = core.RequestorAborts
+			c.Resolution = core.RequestorAborts
 			c.Strategy = strategy.ExpRA{}
 		}},
 		{"hybrid policy (Sec 9)", func(c *stm.Config) {
-			c.HybridPolicy = true
+			c.Hybrid = true
 			c.Strategy = strategy.Hybrid{}
 		}},
-		{"windowed k estimator (KWindow=64)", func(c *stm.Config) { c.KWindow = 64 }},
 		{"Cor2 backoff x2", func(c *stm.Config) { c.BackoffFactor = 2 }},
 		{"NO_DELAY", func(c *stm.Config) { c.Strategy = nil }},
 	}
@@ -85,13 +84,13 @@ func STMAblations(bench string, goroutines int, cfg STMConfig) (*report.Table, e
 		Columns: []string{"variant", "commits/s", "aborts/commit", "kills", "extensions"},
 	}
 	for _, v := range variants {
-		sCfg := stm.Config{
-			Policy:        core.RequestorWins,
+		sCfg := stm.Config{Policy: stm.Policy{
+			Resolution:    core.RequestorWins,
 			Strategy:      strategy.UniformRW{},
 			CleanupCost:   2 * time.Microsecond,
 			BackoffFactor: 1,
 			MaxRetries:    256,
-		}
+		}}
 		v.adjust(&sCfg)
 		rn, err := stmScenario(bench, cfg.Length, cfg.Delta, goroutines, sCfg)
 		if err != nil {

@@ -64,10 +64,10 @@ type FidelityConfig struct {
 	Duration time.Duration
 	// Seed feeds both backends' random streams.
 	Seed uint64
-	// STM carries the replay runtime's mode knobs (Policy, Lazy,
-	// Shards, KWindow) — set them to the recorded run's configuration
-	// or the comparison measures a config mismatch, not fidelity. The
-	// zero value is the eager requestor-wins default.
+	// STM carries the replay runtime's policy and mode (Resolution,
+	// Lazy, Shards, ...) — start from DefaultSTMConfig and set them to
+	// the recorded run's configuration, or the comparison measures a
+	// config mismatch, not fidelity.
 	STM STMConfig
 }
 
@@ -108,7 +108,7 @@ func TraceFidelity(tr *trace.Trace, cfg FidelityConfig) (*report.Table, error) {
 	}
 	w := workload.FromScenario(simSc)
 	p := htm.DefaultParams(workers)
-	p.Policy = cfg.STM.Policy
+	p.Policy = cfg.STM.Resolution
 	p.Strategy = strategy.UniformRW{}
 	p.Seed = cfg.Seed
 	m := htm.NewMachine(p, w)

@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"txconflict/internal/core"
 )
 
 // TestTraceFidelity exercises the full measure-model-validate loop on
@@ -14,7 +12,8 @@ import (
 // runtime, and check the three-row comparison table. CI runs this
 // under the race detector (make race-short).
 func TestTraceFidelity(t *testing.T) {
-	cfg := STMConfig{Policy: core.RequestorWins, Seed: 5}
+	cfg := DefaultSTMConfig()
+	cfg.Seed = 5
 	d := 40 * time.Millisecond
 	if testing.Short() {
 		d = 20 * time.Millisecond

@@ -199,12 +199,7 @@ func (s *HistSnapshot) Quantile(q float64) float64 {
 }
 
 // Mean returns the exact mean of the observed values (0 when empty).
-func (s *HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
+func (s *HistSnapshot) Mean() float64 { return ratio(s.Sum, s.Count) }
 
 // Fingerprint hashes the bucket counts (FNV-1a), pinning the bucket
 // layout and the determinism of a seeded run in golden tests: any

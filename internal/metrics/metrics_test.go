@@ -161,32 +161,21 @@ func TestPlaneShards(t *testing.T) {
 }
 
 // refShard is what ObserveCommits replaced, kept as the reference it is
-// held to: per committed block one Observe on each histogram and one
-// step of the EWMA (first sample seeds it, 0 = no data yet).
-type refShard struct {
-	attempt, commit Histogram
-	profile         float64
-}
+// held to: per committed block one Observe on each histogram.
+type refShard struct{ attempt, commit Histogram }
 
 func (s *refShard) observe(attemptNs, blockNs int64) {
 	s.attempt.Observe(attemptNs)
-	const alpha = 0.05
-	next := float64(attemptNs)
-	if s.profile != 0 {
-		next = s.profile + alpha*(next-s.profile)
-	}
-	s.profile = next
 	s.commit.Observe(blockNs)
 }
 
 // TestObserveCommitsMatchesSequential: folding a ledger in bulk leaves
-// the attempt and commit histograms (fingerprint, count, sum) and the
-// shard's EWMA bit-identical to observing its blocks one at a time, for
-// ledgers of every length up to a full one and durations that are
-// negative (clamped by the histograms, not by the EWMA), on a bucket
-// boundary or one below it, runs inside one bucket, neighbouring
-// buckets, and blocks whose
-// attempt and block durations differ.
+// the attempt and commit histograms (fingerprint, count, sum)
+// bit-identical to observing its blocks one at a time, for ledgers of
+// every length up to a full one and durations that are negative
+// (clamped), on a bucket boundary or one below it, runs inside one
+// bucket, neighbouring buckets, and blocks whose attempt and block
+// durations differ.
 func TestObserveCommitsMatchesSequential(t *testing.T) {
 	r := rng.New(23)
 	draw := func(prev int64) int64 {
@@ -228,9 +217,6 @@ func TestObserveCommitsMatchesSequential(t *testing.T) {
 					round, attemptNs, blockNs, h.name, h.got.Count, h.got.Sum, h.got.Fingerprint(),
 					h.want.Count, h.want.Sum, h.want.Fingerprint())
 			}
-		}
-		if got := math.Float64frombits(sh.profile.Load()); math.Float64bits(got) != math.Float64bits(ref.profile) {
-			t.Fatalf("round %d (%v): EWMA %v, want %v", round, attemptNs, got, ref.profile)
 		}
 	}
 	check(-1, nil, nil) // an empty ledger is no observation, not a zero one
@@ -349,39 +335,55 @@ func parseExposition(t *testing.T, text string) (map[string]string, map[string]f
 	return families, samples
 }
 
-// TestProfileMean: each shard keeps its own EWMA of committed-attempt
-// durations — the first sample seeds it, later ones move it by a
-// twentieth of the gap — and the plane's mean averages the shards that
-// have data, so it is populated from a runtime's first commit and idle
-// shards do not drag it to zero.
+// TestProfileMean: µ is Σ Sum ÷ Σ Count over the shards' commit
+// histograms — the mean committed-block duration, whole blocks and not
+// their last attempts — so it is populated from a runtime's first
+// commit and idle shards do not drag it down.
 func TestProfileMean(t *testing.T) {
 	p := NewPlane(4, 0)
 	if got := p.ProfileMean(); got != 0 {
 		t.Fatalf("empty plane: mean %v", got)
 	}
-	commit := func(shard int, ns int64) { p.Shard(shard).ObserveCommits([]int64{ns}, []int64{ns}) }
-	commit(0, 1000)
+	p.Shard(0).ObserveCommits([]int64{1000}, []int64{1000})
 	if got := p.ProfileMean(); got != 1000 {
-		t.Fatalf("one sample on one of four shards: mean %v, want 1000", got)
+		t.Fatalf("one block on one of four shards: mean %v, want 1000", got)
 	}
-	commit(0, 3000) // 1000 + 0.05*2000
-	commit(2, 500)
-	if got, want := p.ProfileMean(), (1100.0+500)/2; math.Abs(got-want) > 1e-9 {
+	p.Shard(0).ObserveCommits([]int64{3000, 200}, []int64{3000, 700}) // a retried block
+	p.Shard(2).ObserveCommits([]int64{500}, []int64{500})
+	if got, want := p.ProfileMean(), (1000.0+3000+700+500)/4; got != want {
 		t.Fatalf("mean %v, want %v", got, want)
 	}
 }
 
-// TestShardProfileLayout: the EWMA word is written on every fold, so it
-// sits with the shard's other owner-written words (right behind the
+// TestKEstimate: k is Σk ÷ Σ Count over the shards' grace histograms,
+// one k per grace wait, whichever shard observed it.
+func TestKEstimate(t *testing.T) {
+	p := NewPlane(4, 0)
+	if got := p.KEstimate(); got != 0 {
+		t.Fatalf("empty plane: k %v", got)
+	}
+	p.Shard(0).ObserveGrace(100, 2)
+	p.Shard(0).ObserveGrace(-5, 3) // a clamped duration still counts its k
+	p.Shard(3).ObserveGrace(4000, 5)
+	if got, want := p.KEstimate(), (2.0+3+5)/3; got != want {
+		t.Fatalf("k %v, want %v", got, want)
+	}
+	if n := p.Snapshot().Grace.Count; n != 3 {
+		t.Fatalf("grace count %d, want 3", n)
+	}
+}
+
+// TestShardProfileLayout: the Σk word is written on every grace wait, so
+// it sits with the shard's other owner-written words (right behind the
 // phase counters, the shard's last) and at least a cache line before
 // the neighbour shard's first byte.
 func TestShardProfileLayout(t *testing.T) {
 	var s Shard
-	profile, phaseEnd := unsafe.Offsetof(s.profile), unsafe.Offsetof(s.phaseN)+unsafe.Sizeof(s.phaseN)
-	if profile != phaseEnd {
-		t.Errorf("profile at %d is not right behind phaseN ending at %d", profile, phaseEnd)
+	kSum, phaseEnd := unsafe.Offsetof(s.kSum), unsafe.Offsetof(s.phaseN)+unsafe.Sizeof(s.phaseN)
+	if kSum != phaseEnd {
+		t.Errorf("kSum at %d is not right behind phaseN ending at %d", kSum, phaseEnd)
 	}
-	if tail := unsafe.Sizeof(s) - (profile + 8); tail < cacheLine {
-		t.Errorf("profile ends %d bytes before the next shard, want at least %d", tail, cacheLine)
+	if tail := unsafe.Sizeof(s) - (kSum + 8); tail < cacheLine {
+		t.Errorf("kSum ends %d bytes before the next shard, want at least %d", tail, cacheLine)
 	}
 }

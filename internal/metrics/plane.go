@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // AbortReason is the abort taxonomy: every aborted attempt (and the
 // two non-abort escalation events, MaxRetries and explicit user
@@ -143,11 +140,11 @@ type Shard struct {
 	phaseNs  [NumCommitPhases]atomic.Uint64
 	phaseN   [NumCommitPhases]atomic.Uint64
 
-	// profile is the float64 bits of the EWMA of this shard's committed
-	// attempt durations (ns; 0 = no data yet): written by the shard's
-	// worker once per ObserveCommits, behind the other owner-written
-	// words and a line of tail padding away from the neighbour shard.
-	profile atomic.Uint64
+	// kSum is the sum of the conflict-chain lengths k of the grace
+	// waits in grace (Plane.KEstimate's numerator): written by the
+	// shard's worker once per wait, behind the other owner-written words
+	// and a line of tail padding away from the neighbour shard.
+	kSum atomic.Uint64
 
 	_ [cacheLine]byte
 }
@@ -156,8 +153,12 @@ type Shard struct {
 // attempts arrive through ObserveCommits; this is the aborted ones.
 func (s *Shard) ObserveAttempt(ns int64) { s.attempt.Observe(ns) }
 
-// ObserveGrace records one grace-period wait (ns).
-func (s *Shard) ObserveGrace(ns int64) { s.grace.Observe(ns) }
+// ObserveGrace records one grace-period wait (ns) on a conflict chain
+// of length k.
+func (s *Shard) ObserveGrace(ns int64, k int) {
+	s.grace.Observe(ns)
+	s.kSum.Add(uint64(k))
+}
 
 // ObserveDrain records one combiner round's duration (ns).
 func (s *Shard) ObserveDrain(ns int64) { s.drain.Observe(ns) }
@@ -172,26 +173,15 @@ func (s *Shard) Add(c Counter, n uint64) { s.counters[c].Add(n) }
 // one pass: block i's committing attempt took attemptNs[i] and the
 // whole block, first attempt to commit, blockNs[i] (equal when it
 // committed first time; the slices have one length). It leaves the
-// attempt and commit histograms and the EWMA of committed-attempt
-// durations exactly as one Observe pair and one EWMA step per block, in
-// order, would — with one add per run of equal buckets and one count
-// and one sum add per histogram, and the EWMA advanced in registers and
-// stored once. A load and a store, no CAS loop: a shard has one writer
-// unless more workers than shards fold onto it, and then a lost sample
-// costs a smoothing heuristic nothing.
+// attempt and commit histograms exactly as one Observe pair per block
+// would — with one add per run of equal buckets and one count and one
+// sum add per histogram.
 func (s *Shard) ObserveCommits(attemptNs, blockNs []int64) {
 	if len(attemptNs) == 0 {
 		return
 	}
-	const alpha = 0.05
-	ewma := math.Float64frombits(s.profile.Load())
 	var att, blk bucketRun
 	for i, a := range attemptNs {
-		next := float64(a)
-		if ewma != 0 {
-			next = ewma + alpha*(next-ewma)
-		}
-		ewma = next
 		v := clampNs(a)
 		bkt := bucketIndex(v)
 		att.add(&s.attempt, bkt, v)
@@ -203,7 +193,6 @@ func (s *Shard) ObserveCommits(attemptNs, blockNs []int64) {
 	}
 	att.flush(&s.attempt, len(attemptNs))
 	blk.flush(&s.commit, len(attemptNs))
-	s.profile.Store(math.Float64bits(ewma))
 }
 
 // Phase accumulates one sampled phase timing (ns).
@@ -251,22 +240,37 @@ func (p *Plane) Shard(worker int) *Shard {
 	return &p.shards[worker&p.mask]
 }
 
-// ProfileMean is the mean committed-attempt duration in nanoseconds:
-// the average of the shards' EWMAs over the shards that have data
-// (0 = none yet).
+// ProfileMean is the mean committed-block duration µ in nanoseconds:
+// Σ Sum ÷ Σ Count over the shards' commit histograms (0 = no commit
+// yet). It is read at a conflict, so a commit pays nothing for it.
 func (p *Plane) ProfileMean() float64 {
-	var sum float64
-	n := 0
+	var sum, n uint64
 	for i := range p.shards {
-		if v := math.Float64frombits(p.shards[i].profile.Load()); v != 0 {
-			sum += v
-			n++
-		}
+		h := &p.shards[i].commit
+		sum += h.sum.Load()
+		n += h.count.Load()
 	}
-	if n == 0 {
+	return ratio(sum, n)
+}
+
+// KEstimate is the mean conflict-chain length k over every grace wait
+// observed: Σk ÷ Σ Count over the shards' grace histograms (0 = no
+// wait yet).
+func (p *Plane) KEstimate() float64 {
+	var sum, n uint64
+	for i := range p.shards {
+		sum += p.shards[i].kSum.Load()
+		n += p.shards[i].grace.count.Load()
+	}
+	return ratio(sum, n)
+}
+
+// ratio is a ÷ b, 0 for b = 0.
+func ratio(a, b uint64) float64 {
+	if b == 0 {
 		return 0
 	}
-	return sum / float64(n)
+	return float64(a) / float64(b)
 }
 
 // SampleN returns the effective phase-timer sampling interval.

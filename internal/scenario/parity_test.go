@@ -113,28 +113,6 @@ func TestScenarioParity(t *testing.T) {
 	}
 }
 
-// TestScenarioParityKWindow exercises the windowed conflict-chain
-// estimator end to end on a contended scenario: the invariant must
-// hold and the estimator must have observed real chains.
-func TestScenarioParityKWindow(t *testing.T) {
-	cfg := stm.DefaultConfig()
-	cfg.KWindow = 32
-	sc, err := scenario.ByName("hotspot", scenario.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rn := scenario.NewSTMRunner(sc, cfg)
-	res := rn.Drive(4, 50*time.Millisecond, 7)
-	if err := rn.Check(res.PerWorker); err != nil {
-		t.Fatal(err)
-	}
-	if waits := rn.Runtime().Stats.Snapshot()["graceWaits"]; waits > 0 {
-		if est := rn.Runtime().KEstimate(); est < 2 {
-			t.Fatalf("KEstimate = %v after %d grace waits, want >= 2", est, waits)
-		}
-	}
-}
-
 // stmModes are the runtime configurations the equivalence suite
 // compares: eager encounter-time locking, lazy (TL2) commit locking,
 // lazy with the group-commit combiner, and the combiner with
@@ -259,8 +237,8 @@ func TestCrossModeEquivalenceContended(t *testing.T) {
 // TestCrossModePolicyChurn holds the equivalence suite's invariant
 // under a live control plane: every scenario runs contended on all
 // three commit modes while a churner goroutine flips the runtime
-// policy mid-run — resolution, strategy, hybrid rule, estimator
-// window, combiner lane — as fast as it can. Whatever mix of policies
+// policy mid-run — resolution, strategy, hybrid rule, combiner lane —
+// as fast as it can. Whatever mix of policies
 // individual transactions latched, the committed state must still
 // satisfy the scenario's invariant: policy swaps steer contention,
 // they never change what a committed transaction wrote.
@@ -272,8 +250,8 @@ func TestCrossModePolicyChurn(t *testing.T) {
 	}
 	churn := []stm.Policy{
 		{Resolution: core.RequestorWins, Strategy: strategy.UniformRW{}, BackoffFactor: 1, MaxRetries: 128},
-		{Resolution: core.RequestorAborts, Strategy: strategy.ExpRA{}, KWindow: 16, BackoffFactor: 1, MaxRetries: 128},
-		{Resolution: core.RequestorWins, Hybrid: true, Strategy: strategy.Hybrid{}, KWindow: 64, CommitBatch: 4, FoldCommutative: true, BackoffFactor: 1, MaxRetries: 128},
+		{Resolution: core.RequestorAborts, Strategy: strategy.ExpRA{}, BackoffFactor: 1, MaxRetries: 128},
+		{Resolution: core.RequestorWins, Hybrid: true, Strategy: strategy.Hybrid{}, CommitBatch: 4, FoldCommutative: true, BackoffFactor: 1, MaxRetries: 128},
 		{Resolution: core.RequestorWins, CommitBatch: 2, BackoffFactor: 2, MaxRetries: 128},
 		{Resolution: core.RequestorWins, CommitBatch: 4, FoldCommutative: true, BackoffFactor: 1, MaxRetries: 128},
 	}

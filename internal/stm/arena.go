@@ -130,7 +130,6 @@ package stm
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -194,74 +193,25 @@ type stripe struct {
 	_     [cacheLine - 8]byte
 }
 
-// Config assembles a runtime at construction time. It is two halves
-// glued together for convenience: the *structural* fields (Shards,
-// Lazy, Trace — plus the arena size passed to New) freeze the memory
-// layout and instrumentation for the life of the Runtime, while the
-// remaining fields are only the *initial* Policy — the dynamic
-// tuning surface that Runtime.SetPolicy can replace atomically at
-// any point (see policy.go). Runtime.Config reconstructs a Config that
-// reflects the current policy, so reports always label what actually
-// ran.
+// Config assembles a runtime at construction time: the *initial*
+// Policy, embedded — the dynamic half Runtime.SetPolicy can replace
+// atomically at any point (see policy.go) — and the *structural*
+// fields below, which with the arena size passed to New freeze the
+// memory layout and instrumentation for the life of the Runtime.
+// Runtime.Config reconstructs a Config with the current policy, so
+// reports always label what actually ran.
 type Config struct {
-	// Policy selects requestor-wins or requestor-aborts resolution.
-	Policy core.Policy
-	// HybridPolicy overrides Policy per conflict with the paper's
-	// Section 9 rule: requestor-aborts for pair conflicts (k = 2),
-	// requestor-wins for longer chains. Pairs naturally with
-	// strategy.Hybrid, which dispatches the matching optimal
-	// strategy.
-	HybridPolicy bool
-	// Strategy picks grace periods; nil means no grace (immediate
-	// resolution, the NO_DELAY baseline).
-	Strategy core.Strategy
+	Policy
 	// Lazy switches to commit-time locking (TL2); the default is
-	// eager encounter-time locking, matching the paper's HTM.
+	// eager encounter-time locking, matching the paper's HTM. Only a
+	// lazy runtime has the group-commit combiner lanes that
+	// Policy.CommitBatch opens.
 	Lazy bool
-	// CommitBatch, when > 0 in Lazy mode, routes commits through the
-	// per-shard group-commit combiner (batch.go): a committing
-	// transaction either becomes its shard's combiner — acquiring the
-	// merged commit locks once, validating and writing back up to
-	// CommitBatch queued write sets with a single clock advance per
-	// written stripe — or enqueues its descriptor and waits for the
-	// combiner to stamp its outcome into the packed state word. 0
-	// keeps the unbatched commit path (the ablation baseline). The
-	// setting is ignored in eager mode, whose encounter-time locks
-	// cannot be handed off at commit.
-	CommitBatch int
-	// FoldCommutative (initial Policy.FoldCommutative) lets tx.Add
-	// record blind delta-writes the group-commit combiner folds into
-	// one summed application per hot word (escrow-style counters).
-	// Requires the combiner lane (Lazy, CommitBatch > 0) to have any
-	// effect; tx.Add lowers to load+store otherwise.
-	FoldCommutative bool
 	// Shards is the number of clock stripes. 0 picks a default sized
 	// to GOMAXPROCS; 1 degenerates to the flat single-clock arena
 	// (the pre-sharding layout, kept as the ablation baseline).
 	// Other values are rounded up to a power of two.
 	Shards int
-	// UseMeanProfile feeds the profiled mean committed-transaction
-	// duration to the strategy.
-	UseMeanProfile bool
-	// KWindow, when > 0, enables the windowed conflict-chain
-	// estimator: the instantaneous per-conflict estimate (2 + waiters
-	// on the receiver) is fed into a ring of the last KWindow
-	// observations, and the chain length handed to the policy switch
-	// and the strategy is raised to the window's running mean when
-	// recent history shows longer chains than the instantaneous
-	// waiter count (which undercounts chains formed by transitive
-	// waiting). 0 keeps the plain 2 + waiters estimate.
-	KWindow int
-	// CleanupCost is the fixed component of the abort cost B in
-	// nanoseconds; the elapsed execution time is added per the
-	// paper's footnote 1.
-	CleanupCost time.Duration
-	// BackoffFactor multiplies B per abort of the same transaction
-	// (Corollary 2); <= 1 disables.
-	BackoffFactor float64
-	// MaxRetries bounds optimistic retries before the transaction
-	// falls back to the irrevocable slow path; 0 means never.
-	MaxRetries int
 	// Trace, when non-nil, receives one TxTrace per completed atomic
 	// block (see internal/trace for the production recorder). All
 	// instrumentation is gated behind this nil check, so the hot path
@@ -284,71 +234,26 @@ type Config struct {
 // DefaultConfig returns an eager requestor-wins configuration with
 // the 2-competitive uniform strategy.
 func DefaultConfig() Config {
-	return Config{
-		Policy:        core.RequestorWins,
+	return Config{Policy: Policy{
+		Resolution:    core.RequestorWins,
 		Strategy:      strategy.UniformRW{},
 		CleanupCost:   2 * time.Microsecond,
 		BackoffFactor: 1,
 		MaxRetries:    64,
-	}
+	}}
 }
 
-// String renders the config for reports.
+// String renders the config for reports: the policy's label with the
+// locking mode (and "/flat" for a one-stripe arena) after its strategy.
 func (c Config) String() string {
-	name := "NO_DELAY"
-	if c.Strategy != nil {
-		name = c.Strategy.Name()
-	}
-	mode := "eager"
-	if c.Lazy {
-		mode = "lazy"
+	p, mode := c.Policy, "lazy"
+	if !c.Lazy {
+		p.CommitBatch, mode = 0, "eager" // as New does: no lanes to open
 	}
 	if c.Shards == 1 {
 		mode += "/flat"
 	}
-	if c.KWindow > 0 {
-		mode += fmt.Sprintf("/kw%d", c.KWindow)
-	}
-	if c.Lazy && c.CommitBatch > 0 {
-		mode += fmt.Sprintf("/b%d", c.CommitBatch)
-		if c.FoldCommutative {
-			mode += "/fold"
-		}
-	}
-	return fmt.Sprintf("%v/%s/%s", c.Policy, name, mode)
-}
-
-// kEstimator is a lock-free ring of recent conflict-chain
-// observations. observe and estimate race benignly: the estimate is a
-// smoothing heuristic, not a correctness input, so a torn window
-// costs at most a slightly stale mean.
-type kEstimator struct {
-	ring []atomic.Int64
-	pos  atomic.Uint64
-	sum  atomic.Int64
-}
-
-func newKEstimator(window int) *kEstimator {
-	return &kEstimator{ring: make([]atomic.Int64, window)}
-}
-
-// observe records one instantaneous chain-length estimate.
-func (e *kEstimator) observe(k int) {
-	i := e.pos.Add(1) - 1
-	old := e.ring[i%uint64(len(e.ring))].Swap(int64(k))
-	e.sum.Add(int64(k) - old)
-}
-
-// estimate returns the running mean over the window (0 = no data).
-func (e *kEstimator) estimate() float64 {
-	n := e.pos.Load()
-	if n == 0 {
-		return 0
-	}
-	if n > uint64(len(e.ring)) {
-		n = uint64(len(e.ring))
-	}
-	return float64(e.sum.Load()) / float64(n)
+	return p.label(mode)
 }
 
 // Stats is the runtime's event counts: a read-only view of its
@@ -401,13 +306,6 @@ type Runtime struct {
 	batch     []batchShard
 	batchMask int
 
-	// kEst is the windowed chain estimator (nil while KWindow = 0);
-	// SetPolicy swaps in a fresh window on resize. polMu serializes
-	// SetPolicy's writers so kEst and pol are stored as one step;
-	// readers take neither.
-	kEst  atomic.Pointer[kEstimator]
-	polMu sync.Mutex
-
 	Stats Stats
 }
 
@@ -444,28 +342,19 @@ func New(n int, cfg Config) *Runtime {
 		// under live transactions.
 		rt.setBatchShards(defaultBatchShards())
 	}
-	p := cfg.policy()
+	p := cfg.Policy
 	p.normalize()
 	if !rt.lazy {
 		p.CommitBatch = 0
-	}
-	if p.KWindow > 0 {
-		rt.kEst.Store(newKEstimator(p.KWindow))
 	}
 	rt.pol.Store(&p)
 	return rt
 }
 
-// KEstimate returns the windowed conflict-chain estimate (the mean of
-// the last KWindow instantaneous observations); 0 when the estimator
-// is disabled or has seen no conflicts yet.
-func (rt *Runtime) KEstimate() float64 {
-	est := rt.kEst.Load()
-	if est == nil {
-		return 0
-	}
-	return est.estimate()
-}
+// KEstimate returns the mean conflict-chain length k over every grace
+// wait this runtime's plane has seen (metrics.Plane.KEstimate); 0
+// before the first.
+func (rt *Runtime) KEstimate() float64 { return rt.metrics.KEstimate() }
 
 // defaultShards sizes the stripe count to the machine: enough stripes
 // that concurrent committers rarely collide on a clock line, capped
@@ -502,22 +391,12 @@ func (rt *Runtime) Shards() int { return len(rt.stripes) }
 // truth, the dynamic half reflects the latest SetPolicy — so
 // Config().String() labels reports with what is actually running.
 func (rt *Runtime) Config() Config {
-	p := rt.Policy()
 	return Config{
-		Policy:          p.Resolution,
-		HybridPolicy:    p.Hybrid,
-		Strategy:        p.Strategy,
-		Lazy:            rt.lazy,
-		CommitBatch:     p.CommitBatch,
-		FoldCommutative: p.FoldCommutative,
-		Shards:          len(rt.stripes),
-		UseMeanProfile:  p.UseMeanProfile,
-		KWindow:         p.KWindow,
-		CleanupCost:     p.CleanupCost,
-		BackoffFactor:   p.BackoffFactor,
-		MaxRetries:      p.MaxRetries,
-		Trace:           rt.tracer,
-		Metrics:         rt.metrics,
+		Policy:  rt.Policy(),
+		Lazy:    rt.lazy,
+		Shards:  len(rt.stripes),
+		Trace:   rt.tracer,
+		Metrics: rt.metrics,
 	}
 }
 

@@ -30,12 +30,14 @@ import (
 
 func TestBatchKillStress(t *testing.T) {
 	cfg := Config{
-		Policy:      core.RequestorWins,
-		Strategy:    nil, // NO_DELAY: every conflict kills immediately
-		Lazy:        true,
-		CommitBatch: 4,
-		CleanupCost: time.Microsecond,
-		MaxRetries:  3, // frequent irrevocable fallbacks kill queued members too
+		Policy: Policy{
+			Resolution:  core.RequestorWins,
+			Strategy:    nil, // NO_DELAY: every conflict kills immediately
+			CommitBatch: 4,
+			CleanupCost: time.Microsecond,
+			MaxRetries:  3, // frequent irrevocable fallbacks kill queued members too
+		},
+		Lazy: true,
 	}
 	const (
 		workers = 8

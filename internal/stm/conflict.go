@@ -58,31 +58,17 @@ func (tx *Tx) onLocked(m *wordMeta, l uint64) {
 	// observation, the instant the abort cost B is priced at, and the
 	// base of the deadline. The deferred observation also runs when
 	// the wait ends in an abort panic, so no grace time is lost on
-	// killed waiters.
+	// killed waiters, and every wait's k reaches the plane's KEstimate.
 	waitStart := nanos()
+	k := owner.chainK()
 	defer func() {
+		owner.leaveChain()
 		ns := nanos() - waitStart
 		if tx.traced {
 			tx.tr.GraceWaitNs += ns
 		}
-		tx.mx.ObserveGrace(ns)
+		tx.mx.ObserveGrace(ns, k)
 	}()
-	k := owner.chainK()
-	defer owner.leaveChain()
-	if est := rt.kEst.Load(); est != nil {
-		// Windowed estimator (Policy.KWindow): feed the instantaneous
-		// observation and raise k to the recent running mean when
-		// history shows longer chains than this receiver's waiter
-		// count alone — transitive waiters (A waits on B waits on C)
-		// never appear in C's count, so the instantaneous estimate is
-		// a lower bound. The estimator is loaded per conflict because
-		// SetPolicy swaps it on KWindow resizes; observing into a
-		// just-retired window is benign (it is garbage either way).
-		est.observe(k)
-		if e := est.estimate(); e > float64(k) {
-			k = int(math.Round(e))
-		}
-	}
 
 	pol := tx.pol.resolutionFor(k)
 	deadline := waitStart + int64(tx.graceFor(owner, k, pol, waitStart))
@@ -165,8 +151,8 @@ func (tx *Tx) graceFor(owner *Tx, k int, pol core.Policy, now int64) time.Durati
 	}
 	conf := core.Conflict{Policy: pol, K: k, B: b}
 	if tx.pol.UseMeanProfile {
-		// The workers' EWMAs, each in its own metrics shard: a commit
-		// touches no shared profile word.
+		// The commit histograms' Σ Sum ÷ Σ Count: read here, at the
+		// conflict, so a commit touches no profile word.
 		conf.Mean = tx.rt.metrics.ProfileMean()
 	}
 	x := s.Delay(conf, tx.rng)

@@ -12,17 +12,17 @@ import (
 )
 
 func TestPolicyStringAndNormalize(t *testing.T) {
-	p := Policy{Resolution: core.RequestorWins, Strategy: strategy.UniformRW{}, KWindow: 64, CommitBatch: 4}
-	if got := p.String(); got != "requestor-wins/RRW/kw64/b4" {
+	p := Policy{Resolution: core.RequestorWins, Strategy: strategy.UniformRW{}, CommitBatch: 4}
+	if got := p.String(); got != "requestor-wins/RRW/b4" {
 		t.Fatalf("String() = %q", got)
 	}
 	p = Policy{Resolution: core.RequestorAborts, Hybrid: true}
 	if got := p.String(); got != "Hybrid/NO_DELAY" {
 		t.Fatalf("String() = %q", got)
 	}
-	n := Policy{BackoffFactor: -1, CommitBatch: -2, KWindow: -3, MaxRetries: -4}
+	n := Policy{BackoffFactor: -1, CommitBatch: -2, MaxRetries: -4}
 	n.normalize()
-	if n.BackoffFactor != 1 || n.CommitBatch != 0 || n.KWindow != 0 || n.MaxRetries != 0 {
+	if n.BackoffFactor != 1 || n.CommitBatch != 0 || n.MaxRetries != 0 {
 		t.Fatalf("normalize left %+v", n)
 	}
 }
@@ -42,9 +42,7 @@ func TestResolutionForHybrid(t *testing.T) {
 }
 
 func TestSetPolicySemantics(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.KWindow = 8
-	rt := New(8, cfg)
+	rt := New(8, DefaultConfig())
 	if rt.PolicySwaps() != 0 {
 		t.Fatal("fresh runtime reports swaps")
 	}
@@ -64,7 +62,7 @@ func TestSetPolicySemantics(t *testing.T) {
 	}
 	// Config() folds the live policy in, so report labels stay
 	// truthful after a swap.
-	if c := rt.Config(); c.Policy != core.RequestorAborts || c.MaxRetries != 7 {
+	if c := rt.Config(); c.Resolution != core.RequestorAborts || c.MaxRetries != 7 {
 		t.Fatalf("Config() = %+v did not track the swap", c)
 	}
 
@@ -77,74 +75,9 @@ func TestSetPolicySemantics(t *testing.T) {
 	}
 
 	// Nonsense values are clamped like New clamps them.
-	rt.SetPolicy(Policy{BackoffFactor: -2, KWindow: -1, MaxRetries: -1})
-	if got := rt.Policy(); got.BackoffFactor != 1 || got.KWindow != 0 || got.MaxRetries != 0 {
+	rt.SetPolicy(Policy{BackoffFactor: -2, MaxRetries: -1})
+	if got := rt.Policy(); got.BackoffFactor != 1 || got.MaxRetries != 0 {
 		t.Fatalf("SetPolicy skipped normalization: %+v", got)
-	}
-}
-
-func TestSetPolicyKWindowResize(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.KWindow = 4
-	rt := New(8, cfg)
-	rt.kEst.Load().observe(5)
-	if rt.KEstimate() == 0 {
-		t.Fatal("estimator ignored the observation")
-	}
-	// Same window: the estimator (and its history) must survive.
-	p := rt.Policy()
-	p.MaxRetries = 3
-	rt.SetPolicy(p)
-	if rt.KEstimate() == 0 {
-		t.Fatal("same-size swap discarded the estimator history")
-	}
-	// Resize: fresh, empty window.
-	p.KWindow = 16
-	rt.SetPolicy(p)
-	if rt.KEstimate() != 0 {
-		t.Fatal("resize kept stale history")
-	}
-	if got := len(rt.kEst.Load().ring); got != 16 {
-		t.Fatalf("ring sized %d, want 16", got)
-	}
-	// Disable: estimator goes away entirely.
-	p.KWindow = 0
-	rt.SetPolicy(p)
-	if rt.kEst.Load() != nil {
-		t.Fatal("KWindow=0 left an estimator installed")
-	}
-	if rt.KEstimate() != 0 {
-		t.Fatal("KEstimate nonzero with no estimator")
-	}
-}
-
-// TestSetPolicyConcurrentWriters races SetPolicy calls that resize the
-// chain estimator: whichever write lands last, the installed ring must
-// match the stored policy's KWindow. Unserialized, one writer's ring
-// can end up under another writer's policy.
-func TestSetPolicyConcurrentWriters(t *testing.T) {
-	rt := New(8, DefaultConfig())
-	windows := []int{0, 64, 128}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		r := rng.New(uint64(g) + 1)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				p := rt.Policy()
-				p.KWindow = windows[r.Intn(len(windows))]
-				rt.SetPolicy(p)
-			}
-		}()
-	}
-	wg.Wait()
-	ring := 0
-	if e := rt.kEst.Load(); e != nil {
-		ring = len(e.ring)
-	}
-	if kw := rt.Policy().KWindow; ring != kw {
-		t.Fatalf("estimator ring has %d slots under Policy().KWindow = %d", ring, kw)
 	}
 }
 
@@ -181,16 +114,15 @@ func TestLazyRuntimeOpensLaneLater(t *testing.T) {
 }
 
 // churnPolicies is the cycle of policies the churn tests rotate
-// through: resolution flips, strategy changes, hybrid, estimator
-// resizes, lane open/close — every dynamic knob the control plane can
-// touch.
+// through: resolution flips, strategy changes, hybrid, lane
+// open/close — every dynamic knob the control plane can touch.
 func churnPolicies() []Policy {
 	return []Policy{
 		{Resolution: core.RequestorWins, Strategy: strategy.UniformRW{}, BackoffFactor: 1, MaxRetries: 64},
-		{Resolution: core.RequestorAborts, Strategy: strategy.ExpRA{}, KWindow: 16, BackoffFactor: 2, MaxRetries: 64},
-		{Resolution: core.RequestorWins, Hybrid: true, Strategy: strategy.Hybrid{}, KWindow: 64, CommitBatch: 4, BackoffFactor: 1, MaxRetries: 64},
+		{Resolution: core.RequestorAborts, Strategy: strategy.ExpRA{}, BackoffFactor: 2, MaxRetries: 64},
+		{Resolution: core.RequestorWins, Hybrid: true, Strategy: strategy.Hybrid{}, CommitBatch: 4, BackoffFactor: 1, MaxRetries: 64},
 		{Resolution: core.RequestorWins, CommitBatch: 2, BackoffFactor: 1, MaxRetries: 64},
-		{Resolution: core.RequestorAborts, Strategy: strategy.ExpRA{}, KWindow: 16, CommitBatch: 8, BackoffFactor: 1},
+		{Resolution: core.RequestorAborts, Strategy: strategy.ExpRA{}, CommitBatch: 8, BackoffFactor: 1},
 	}
 }
 
@@ -202,7 +134,7 @@ func foldChurnPolicies() []Policy {
 	return []Policy{
 		{Resolution: core.RequestorWins, CommitBatch: 4, FoldCommutative: true, BackoffFactor: 1, MaxRetries: 64},
 		{Resolution: core.RequestorAborts, Strategy: strategy.ExpRA{}, CommitBatch: 4, BackoffFactor: 1, MaxRetries: 64},
-		{Resolution: core.RequestorAborts, Strategy: strategy.ExpRA{}, CommitBatch: 8, FoldCommutative: true, KWindow: 16, BackoffFactor: 1, MaxRetries: 64},
+		{Resolution: core.RequestorAborts, Strategy: strategy.ExpRA{}, CommitBatch: 8, FoldCommutative: true, BackoffFactor: 1, MaxRetries: 64},
 		{Resolution: core.RequestorWins, Strategy: strategy.UniformRW{}, BackoffFactor: 1, MaxRetries: 64},
 		{Resolution: core.RequestorWins, CommitBatch: 2, FoldCommutative: true, BackoffFactor: 1, MaxRetries: 64},
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -22,12 +23,14 @@ func configs() []Config {
 		for _, pol := range []core.Policy{core.RequestorWins, core.RequestorAborts} {
 			for _, s := range []core.Strategy{nil, strategy.UniformRW{}, strategy.ExpRA{}} {
 				out = append(out, Config{
-					Policy:        pol,
-					Strategy:      s,
-					Lazy:          lazy,
-					CleanupCost:   time.Microsecond,
-					MaxRetries:    128,
-					BackoffFactor: 1,
+					Policy: Policy{
+						Resolution:    pol,
+						Strategy:      s,
+						CleanupCost:   time.Microsecond,
+						MaxRetries:    128,
+						BackoffFactor: 1,
+					},
+					Lazy: lazy,
 				})
 			}
 		}
@@ -36,13 +39,15 @@ func configs() []Config {
 	// coverage for both locking modes.
 	for _, lazy := range []bool{false, true} {
 		out = append(out, Config{
-			Policy:        core.RequestorWins,
-			Strategy:      strategy.UniformRW{},
-			Lazy:          lazy,
-			Shards:        1,
-			CleanupCost:   time.Microsecond,
-			MaxRetries:    128,
-			BackoffFactor: 1,
+			Policy: Policy{
+				Resolution:    core.RequestorWins,
+				Strategy:      strategy.UniformRW{},
+				CleanupCost:   time.Microsecond,
+				MaxRetries:    128,
+				BackoffFactor: 1,
+			},
+			Lazy:   lazy,
+			Shards: 1,
 		})
 	}
 	return out
@@ -337,7 +342,7 @@ func TestIrrevocableFallback(t *testing.T) {
 func stageConflict(t *testing.T, pol core.Policy) *Runtime {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.Policy = pol
+	cfg.Resolution = pol
 	cfg.MaxRetries = 0 // never escalate to irrevocable (which kills)
 	rt := New(2, cfg)
 	root := rng.New(3)
@@ -431,6 +436,66 @@ func busySpin(n int) {
 	}
 }
 
+// TestKEstimateDisabledByDefault: the chain-length gauge needs no knob
+// — it is the plane's mean k over grace waits, so a fresh runtime under
+// DefaultConfig reads 0 and its label carries no estimator segment.
+func TestKEstimateDisabledByDefault(t *testing.T) {
+	rt := New(8, DefaultConfig())
+	if k := rt.KEstimate(); k != 0 {
+		t.Fatalf("fresh runtime: KEstimate = %v, want 0", k)
+	}
+	if strings.Contains(rt.Config().String(), "kw") {
+		t.Fatalf("config string %q must not mention kw", rt.Config().String())
+	}
+}
+
+// TestKWindowObservesConflicts drives a contended counter: the
+// invariant must hold and, once grace waits occurred, the estimate must
+// be a plausible chain length (>= 2: a receiver and one requestor). A
+// staged conflict makes the grace wait certain.
+func TestKWindowObservesConflicts(t *testing.T) {
+	cfg := Config{Policy: Policy{
+		Resolution:  core.RequestorWins,
+		Strategy:    strategy.UniformRW{},
+		CleanupCost: time.Microsecond,
+		MaxRetries:  256,
+	}}
+	rt := New(1, cfg)
+	const workers = 4
+	const opsPer = 300
+	var wg sync.WaitGroup
+	root := rng.New(3)
+	for w := 0; w < workers; w++ {
+		r := root.Split()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < opsPer; i++ {
+				_ = rt.Atomic(r, func(tx *Tx) error {
+					tx.Store(0, tx.Load(0)+1)
+					return nil
+				})
+			}
+		}()
+	}
+	wg.Wait()
+	if got := rt.ReadCommitted(0); got != workers*opsPer {
+		t.Fatalf("counter = %d, want %d", got, workers*opsPer)
+	}
+	if rt.Stats.Snapshot()["graceWaits"] > 0 {
+		if k := rt.KEstimate(); k < 2 {
+			t.Fatalf("KEstimate = %v after conflicts, want >= 2", k)
+		}
+	}
+	staged := stageConflict(t, core.RequestorWins)
+	if staged.Stats.Snapshot()["graceWaits"] == 0 {
+		t.Fatal("staged conflict recorded no grace wait")
+	}
+	if k := staged.KEstimate(); k < 2 {
+		t.Fatalf("KEstimate = %v after a grace wait, want >= 2", k)
+	}
+}
+
 func TestProfilerMean(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.UseMeanProfile = true
@@ -475,8 +540,16 @@ func TestConfigString(t *testing.T) {
 	}
 	c.Strategy = nil
 	c.Lazy = true
-	c.Policy = core.RequestorAborts
+	c.Resolution = core.RequestorAborts
 	if c.String() != "requestor-aborts/NO_DELAY/lazy" {
+		t.Fatalf("String = %q", c.String())
+	}
+	// The Section 9 rule overrides Resolution per conflict, so the label
+	// names it instead.
+	c = DefaultConfig()
+	c.Hybrid = true
+	c.Strategy = strategy.Hybrid{}
+	if c.String() != "Hybrid/HYBRID/eager" {
 		t.Fatalf("String = %q", c.String())
 	}
 }

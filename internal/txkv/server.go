@@ -220,7 +220,7 @@ func (sv *Server) handleMetrics(w http.ResponseWriter) {
 	pw.Uint("txkv_store_keys", nil, uint64(sv.store.Len()))
 	pw.Family("txstm_policy_swaps_total", "counter", "SetPolicy applications on the served runtime.")
 	pw.Uint("txstm_policy_swaps_total", nil, rt.PolicySwaps())
-	pw.Family("txstm_k_estimate", "gauge", "Windowed conflict chain-length estimate.")
+	pw.Family("txstm_k_estimate", "gauge", "Mean conflict chain length k over grace waits.")
 	pw.Sample("txstm_k_estimate", nil, rt.KEstimate())
 	if err := pw.Err(); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -293,7 +293,6 @@ type policyRequest struct {
 	Resolution  *string `json:"resolution"` // "rw" | "ra"
 	Hybrid      *bool   `json:"hybrid"`
 	Strategy    *string `json:"strategy"` // registry name; "" = NO_DELAY
-	KWindow     *int    `json:"kWindow"`
 	CommitBatch *int    `json:"commitBatch"`
 	MaxRetries  *int    `json:"maxRetries"`
 	// FoldCommutative flips the combiner's commutative-delta folding
@@ -302,7 +301,7 @@ type policyRequest struct {
 }
 
 // policyView is the GET /v1/policy body: the live policy, the
-// runtime's SetPolicy count and its windowed k estimate.
+// runtime's SetPolicy count and its mean conflict-chain length.
 type policyView struct {
 	Policy    string  `json:"policy"`
 	Swaps     uint64  `json:"swaps"`
@@ -362,9 +361,6 @@ func (sv *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
 				}
 				p.Strategy = s
 			}
-		}
-		if req.KWindow != nil {
-			p.KWindow = *req.KWindow
 		}
 		if req.CommitBatch != nil {
 			p.CommitBatch = *req.CommitBatch

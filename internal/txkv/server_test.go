@@ -252,14 +252,15 @@ func TestPolicyEndpoint(t *testing.T) {
 		if v := getView(ts); v.Swaps != 1 || v.Policy != p.String() {
 			t.Fatalf("view after override = %+v", v)
 		}
-		// Unknown values, unknown fields (a stale resume, a snake_case
-		// typo), trailing data and a cut-off body are 400s that apply
-		// nothing.
+		// Unknown values, unknown fields (a stale resume, the retired
+		// kWindow, a snake_case typo), trailing data and a cut-off body
+		// are 400s that apply nothing.
 		for _, bad := range []string{
 			`{"resolution":"sideways"}`,
 			`{"strategy":"nope"}`,
 			`{`,
 			`{"resume":true}`,
+			`{"kWindow":64}`,
 			`{"commit_batch":4}`,
 			`{"hybrid":true} {"hybrid":false}`,
 			`{"hybrid":true} x`,

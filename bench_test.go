@@ -12,15 +12,12 @@ import (
 	"testing"
 	"time"
 
-	"txconflict/internal/adversary"
 	"txconflict/internal/core"
-	"txconflict/internal/dist"
 	"txconflict/internal/experiments"
 	"txconflict/internal/htm"
 	"txconflict/internal/report"
 	"txconflict/internal/rng"
 	"txconflict/internal/scenario"
-	"txconflict/internal/stats"
 	"txconflict/internal/stm"
 	"txconflict/internal/strategy"
 	"txconflict/internal/synth"
@@ -102,42 +99,16 @@ func BenchmarkFigure3Bimodal(b *testing.B) { benchFigure3(b, "bimodal") }
 // BenchmarkCorollary1 — E8: adversarial sum-of-running-times ratio vs
 // the (r·w+1)/(w+1) bound.
 func BenchmarkCorollary1(b *testing.B) {
-	r := rng.New(1)
 	for i := 0; i < b.N; i++ {
-		t := &report.Table{
-			Title:   "Corollary 1: adversarial throughput competitiveness",
-			Columns: []string{"adversary", "strategy", "waste w", "ratio", "bound"},
-		}
-		gens := []adversary.Generator{
-			adversary.Random{NTx: 10000, Lengths: dist.Exponential{Mu: 200}, ConflictFrac: 0.5, K: 2, Cleanup: 50},
-			adversary.AntiDeterministic{NTx: 10000, K: 2, Cleanup: 25},
-		}
-		for _, g := range gens {
-			sched := g.Generate(r)
-			w := adversary.Waste(core.RequestorWins, sched)
-			on := adversary.Run(core.RequestorWins, strategy.UniformRW{}, sched, r)
-			opt := adversary.RunOpt(core.RequestorWins, sched)
-			t.AddRow(g.Name(), "RRW", w, stats.Ratio(on.SumRunning, opt.SumRunning), adversary.CorollaryBound(2, w))
-		}
+		t := experiments.Corollary1(10000, 1)
 		printOnce(b, "cor1", t)
 	}
 }
 
 // BenchmarkCorollary2 — E9: progress under multiplicative backoff.
 func BenchmarkCorollary2(b *testing.B) {
-	r := rng.New(1)
 	for i := 0; i < b.N; i++ {
-		t := &report.Table{
-			Title:   "Corollary 2: attempts to commit under backoff",
-			Columns: []string{"y", "gamma", "bound", "P[within]"},
-		}
-		for _, p := range []adversary.ProgressParams{
-			{Y: 1000, Gamma: 3, K: 2, B0: 64},
-			{Y: 5000, Gamma: 5, K: 2, B0: 32},
-		} {
-			res := adversary.RunProgress(p, 2000, r)
-			t.AddRow(p.Y, p.Gamma, res.Bound, res.PWithinBound)
-		}
+		t := experiments.Corollary2(2000, 1)
 		printOnce(b, "cor2", t)
 	}
 }

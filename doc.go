@@ -87,7 +87,8 @@
 // the runtime's always-on metrics plane (internal/metrics, the one
 // place an event is counted) shows what a change did.
 //
-// Harnesses regenerating every figure of the paper's evaluation live
-// in internal/synth, internal/adversary and internal/experiments;
-// see bench_test.go, cmd/, internal/README.md and EXPERIMENTS.md.
+// Every table of the paper's evaluation is built once, by a function
+// in internal/synth or internal/experiments; cmd/paper is the one
+// front-end that writes them all (its deterministic sections are
+// byte-pinned under cmd/paper/testdata). See internal/README.md.
 package txconflict

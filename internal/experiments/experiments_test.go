@@ -101,7 +101,7 @@ func TestSTMAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 8 { // baseline + 7 single-knob variants (incl. batched commit)
+	if len(tab.Rows) != 9 { // baseline + 8 single-knob variants (incl. batched commit, mean profile)
 		t.Fatalf("ablation rows = %d", len(tab.Rows))
 	}
 	for _, row := range tab.Rows {

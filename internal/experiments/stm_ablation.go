@@ -44,9 +44,10 @@ func measureSTM(rn *scenario.STMRunner, n int, d time.Duration, seed uint64) (st
 // STMAblations runs the runtime-level design ablations on one
 // benchmark at one goroutine count on the real STM: arena sharding
 // (striped clocks vs the flat single-clock layout), locking mode,
-// batched commit, policy, the Section 9 hybrid switch, Corollary 2
-// backoff, and the NO_DELAY baseline. The base configuration is pinned
-// (eager requestor-wins, RRW, default shards) so every row varies
+// batched commit, policy, the Section 9 hybrid switch, the
+// mean-profiled strategy, Corollary 2 backoff, and the NO_DELAY
+// baseline. The base configuration is pinned (eager requestor-wins,
+// RRW, default shards) so every row varies
 // exactly one design choice against the same baseline; cfg supplies
 // only Duration, Seed, Length and Delta.
 func STMAblations(bench string, goroutines int, cfg STMConfig) (*report.Table, error) {
@@ -75,6 +76,10 @@ func STMAblations(bench string, goroutines int, cfg STMConfig) (*report.Table, e
 		{"hybrid policy (Sec 9)", func(c *stm.Config) {
 			c.Hybrid = true
 			c.Strategy = strategy.Hybrid{}
+		}},
+		{"mean-profiled strategy", func(c *stm.Config) {
+			c.UseMeanProfile = true
+			c.Strategy = strategy.MeanRW{}
 		}},
 		{"Cor2 backoff x2", func(c *stm.Config) { c.BackoffFactor = 2 }},
 		{"NO_DELAY", func(c *stm.Config) { c.Strategy = nil }},

@@ -9,10 +9,10 @@ import (
 
 // Sweep runs the Figure 2 cell protocol over an arbitrary set of
 // length distributions and chain length k: the scenario-diversity
-// extension of Figure 2, used by synthbench to evaluate the
-// strategies on heavy-tailed (pareto, lognormal), rank-skewed (zipf)
-// and trace-replay (empirical) workloads the paper's figure does not
-// cover.
+// extension of Figure 2, which ExtendedSweep (paper's distsweep.txt)
+// uses to evaluate the strategies on heavy-tailed (pareto, lognormal),
+// rank-skewed (zipf) and trace-replay (empirical) workloads the
+// paper's figure does not cover.
 func Sweep(dists []dist.Sampler, b float64, k, trials int, seed uint64) *report.Table {
 	r := rng.New(seed)
 	strategies := strategy.Fig2Set()

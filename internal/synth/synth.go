@@ -14,9 +14,20 @@ import (
 	"txconflict/internal/dist"
 	"txconflict/internal/report"
 	"txconflict/internal/rng"
-	"txconflict/internal/stats"
 	"txconflict/internal/strategy"
 )
+
+// mean is a running mean with Welford's update, m += (x-m)/n. The zero
+// value is ready to use.
+type mean struct {
+	n int64
+	m float64
+}
+
+func (a *mean) add(x float64) {
+	a.n++
+	a.m += (x - a.m) / float64(a.n)
+}
 
 // policyFor returns the cost-model policy a Figure 2 strategy is
 // evaluated under (RRA variants use requestor aborts, the rest
@@ -35,7 +46,6 @@ type Cell struct {
 	Strategy string
 	Dist     string
 	MeanCost float64
-	CI95     float64
 	OptCost  float64
 	// Ratio is MeanCost / OptCost.
 	Ratio float64
@@ -45,7 +55,7 @@ type Cell struct {
 // with the Section 8.1 protocol.
 func RunCell(s core.Strategy, d dist.Sampler, b float64, k int, feedMean bool, trials int, r *rng.Rand) Cell {
 	pol := policyFor(s)
-	var cost, opt stats.Welford
+	var cost, opt mean
 	for i := 0; i < trials; i++ {
 		length := d.Sample(r)
 		if length <= 0 {
@@ -58,17 +68,18 @@ func RunCell(s core.Strategy, d dist.Sampler, b float64, k int, feedMean bool, t
 			conf.Mean = d.Mean()
 		}
 		x := s.Delay(conf, r)
-		cost.Add(core.Cost(conf, x, remaining))
-		opt.Add(math.Min(remaining*float64(k-1), b))
+		cost.add(core.Cost(conf, x, remaining))
+		opt.add(math.Min(remaining*float64(k-1), b))
 	}
 	c := Cell{
 		Strategy: s.Name(),
 		Dist:     d.Name(),
-		MeanCost: cost.Mean(),
-		CI95:     cost.CI95(),
-		OptCost:  opt.Mean(),
+		MeanCost: cost.m,
+		OptCost:  opt.m,
 	}
-	c.Ratio = stats.Ratio(c.MeanCost, c.OptCost)
+	if c.OptCost != 0 {
+		c.Ratio = c.MeanCost / c.OptCost
+	}
 	return c
 }
 
@@ -113,17 +124,17 @@ func Figure2c(b float64, trials int, seed uint64) *report.Table {
 	remaining := b + 1e-9 // just above DET's k=2 abort point x=B
 	for _, s := range strategies {
 		pol := policyFor(s)
-		var cost stats.Welford
+		var cost mean
 		for i := 0; i < trials; i++ {
 			conf := core.Conflict{Policy: pol, K: 2, B: b}
 			if usesMean(s) {
 				conf.Mean = remaining / 2 // uniform interrupt over 2B
 			}
 			x := s.Delay(conf, r)
-			cost.Add(core.Cost(conf, x, remaining))
+			cost.add(core.Cost(conf, x, remaining))
 		}
 		opt := math.Min(remaining, b)
-		t.AddRow(s.Name(), cost.Mean(), opt, cost.Mean()/opt)
+		t.AddRow(s.Name(), cost.m, opt, cost.m/opt)
 	}
 	t.AddNote("adversary sets remaining time D = B+ε; DET waits B and still aborts, paying 3B")
 	return t

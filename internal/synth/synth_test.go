@@ -26,6 +26,23 @@ func TestPolicyFor(t *testing.T) {
 	}
 }
 
+func TestWelfordAgainstDirect(t *testing.T) {
+	r := rng.New(1)
+	var m mean
+	sum := 0.0
+	for i := 0; i < 1000; i++ {
+		x := r.NormFloat64()*3 + 10
+		sum += x
+		m.add(x)
+	}
+	if direct := sum / 1000; math.Abs(m.m-direct) > 1e-9 {
+		t.Fatalf("welford mean %v vs direct %v", m.m, direct)
+	}
+	if m.n != 1000 {
+		t.Fatalf("n = %d", m.n)
+	}
+}
+
 func TestRunCellBasics(t *testing.T) {
 	r := rng.New(1)
 	c := RunCell(strategy.UniformRW{}, dist.Exponential{Mu: 500}, 2000, 2, false, 20000, r)

@@ -93,6 +93,12 @@ func TestCmdFlagValidation(t *testing.T) {
 			"txsim: -delta must be > 0 (got 0)", ""},
 		{"txsim bench alias removed", "txsim", []string{"-bench", "stack"},
 			"flag provided but not defined: -bench", ""},
+		// Resolution names go through core.ParsePolicy: anything but rw
+		// or ra (or their long forms) is an error, not requestor-wins.
+		{"stmbench policy", "stmbench", []string{"-scenario", "hotspot", "-policy", "nope"},
+			`stmbench: -policy: unknown resolution "nope" (want rw, ra, requestorwins or requestoraborts)`, ""},
+		{"txsim policy", "txsim", []string{"-scenario", "stack", "-policy", "nope"},
+			`txsim: -policy: unknown resolution "nope" (want rw, ra, requestorwins or requestoraborts)`, ""},
 	}
 	// Retired flags — the pre-ledger perf snapshots, the fleet sweep,
 	// the self-tuning control loop and the windowed k estimator here,

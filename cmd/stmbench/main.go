@@ -91,6 +91,10 @@ func main() {
 	if err := cliutil.CheckPositive("delta", *delta); err != nil {
 		cliutil.Fatal("stmbench", err)
 	}
+	pol, err := core.ParsePolicy(*policy)
+	if err != nil {
+		cliutil.Fatal("stmbench", fmt.Errorf("-policy: %w", err))
+	}
 	if err := cliutil.CheckPositive("metrics-sample", *msample); err != nil {
 		cliutil.Fatal("stmbench", err)
 	}
@@ -139,9 +143,7 @@ func main() {
 	cfg.Shards = *shards
 	cfg.MetricsSample = *msample
 	cfg.ReportEvery = *reportIv
-	if strings.EqualFold(*policy, "ra") {
-		cfg.Resolution = core.RequestorAborts
-	}
+	cfg.Rule.Policy = pol
 	if *distName != "" {
 		smp, err := dist.ByName(*distName, *mu)
 		if err != nil {

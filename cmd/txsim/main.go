@@ -77,6 +77,10 @@ func main() {
 	if err := cliutil.CheckPositive("delta", *delta); err != nil {
 		cliutil.Fatal("txsim", err)
 	}
+	pol, err := core.ParsePolicy(*policy)
+	if err != nil {
+		cliutil.Fatal("txsim", fmt.Errorf("-policy: %w", err))
+	}
 
 	sel := *scen
 	if sel == "list" {
@@ -114,10 +118,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "txsim:", err)
 		os.Exit(2)
-	}
-	pol := core.RequestorWins
-	if strings.EqualFold(*policy, "ra") {
-		pol = core.RequestorAborts
 	}
 	cfg := experiments.Fig3Config{Threads: ths, Cycles: *cycles, Policy: pol, Delta: uint64(*delta), Seed: *seed, GHz: 1}
 	if *distName != "" {

@@ -58,5 +58,5 @@ func main() {
 	ra := core.Conflict{Policy: core.RequestorAborts, K: 2, B: 1000}
 	fmt.Printf("requestor-aborts optimum: %s\n", strategy.Describe(strategy.ExpRA{}, ra))
 	fmt.Printf("hybrid policy picks: k=2 -> %v, k=4 -> %v\n",
-		strategy.Hybrid{}.PreferredPolicy(2), strategy.Hybrid{}.PreferredPolicy(4))
+		core.HybridPolicy(2), core.HybridPolicy(4))
 }

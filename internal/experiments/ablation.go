@@ -38,7 +38,7 @@ func Ablations(bench string, threads int, cfg Fig3Config) (*report.Table, error)
 			p.Strategy = strategy.ExpRA{}
 		}},
 		{"hybrid policy (Sec 9)", func(p *htm.Params) {
-			p.HybridPolicy = true
+			p.Hybrid = true
 			p.Strategy = strategy.Hybrid{}
 		}},
 		{"mean-profiled strategy", func(p *htm.Params) {

@@ -150,7 +150,7 @@ func Hybrid(ntx int, seed uint64) *report.Table {
 	h := strategy.Hybrid{}
 	for _, c := range sched.Conflicts {
 		sub := adversary.Schedule{Cleanup: sched.Cleanup, Conflicts: []adversary.Conflict{c}}
-		hybridWaste += adversary.Run(h.PreferredPolicy(c.K), h, sub, r).Waste
+		hybridWaste += adversary.Run(core.HybridPolicy(c.K), h, sub, r).Waste
 	}
 	t.AddRow("hybrid (Section 9)", hybridWaste, hybridWaste/optRW.Waste)
 	return t

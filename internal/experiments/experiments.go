@@ -173,7 +173,7 @@ func DefaultSTMConfig() STMConfig {
 	}
 	return STMConfig{
 		Config: stm.Config{Policy: stm.Policy{
-			Resolution:  core.RequestorWins,
+			Rule:        core.Rule{Policy: core.RequestorWins},
 			CleanupCost: 2 * time.Microsecond,
 			MaxRetries:  256,
 		}},
@@ -248,7 +248,7 @@ func STMThroughput(bench string, cfg STMConfig) (*report.Table, error) {
 	}
 	stratNames := []string{"NO_DELAY", "DELAY_TUNED", "DELAY_DET", "DELAY_RAND"}
 	t := &report.Table{
-		Title:   fmt.Sprintf("STM throughput (%s): ops/s, %v", bench, cfg.Resolution),
+		Title:   fmt.Sprintf("STM throughput (%s): ops/s, %v", bench, cfg.Rule.Policy),
 		Columns: append([]string{"goroutines"}, stratNames...),
 	}
 	for _, n := range cfg.Goroutines {

@@ -70,7 +70,7 @@ func STMAblations(bench string, goroutines int, cfg STMConfig) (*report.Table, e
 			c.CommitBatch = 8
 		}},
 		{"policy RA + RRA", func(c *stm.Config) {
-			c.Resolution = core.RequestorAborts
+			c.Rule.Policy = core.RequestorAborts
 			c.Strategy = strategy.ExpRA{}
 		}},
 		{"hybrid policy (Sec 9)", func(c *stm.Config) {
@@ -90,11 +90,9 @@ func STMAblations(bench string, goroutines int, cfg STMConfig) (*report.Table, e
 	}
 	for _, v := range variants {
 		sCfg := stm.Config{Policy: stm.Policy{
-			Resolution:    core.RequestorWins,
-			Strategy:      strategy.UniformRW{},
-			CleanupCost:   2 * time.Microsecond,
-			BackoffFactor: 1,
-			MaxRetries:    256,
+			Rule:        core.Rule{Policy: core.RequestorWins, Strategy: strategy.UniformRW{}, BackoffFactor: 1},
+			CleanupCost: 2 * time.Microsecond,
+			MaxRetries:  256,
 		}}
 		v.adjust(&sCfg)
 		rn, err := stmScenario(bench, cfg.Length, cfg.Delta, goroutines, sCfg)

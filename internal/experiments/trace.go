@@ -108,7 +108,7 @@ func TraceFidelity(tr *trace.Trace, cfg FidelityConfig) (*report.Table, error) {
 	}
 	w := workload.FromScenario(simSc)
 	p := htm.DefaultParams(workers)
-	p.Policy = cfg.STM.Resolution
+	p.Policy = cfg.STM.Rule.Policy
 	p.Strategy = strategy.UniformRW{}
 	p.Seed = cfg.Seed
 	m := htm.NewMachine(p, w)

@@ -1,13 +1,10 @@
 package htm
 
 import (
-	"math"
-
 	"txconflict/internal/cache"
 	ccore "txconflict/internal/core"
 	"txconflict/internal/rng"
 	"txconflict/internal/sim"
-	"txconflict/internal/strategy"
 )
 
 // pendingConflict is a coherence request parked at a receiving core
@@ -53,8 +50,8 @@ type Core struct {
 	committing bool
 
 	// Receiver-side grace state. gracePolicy is the policy chosen
-	// when the grace was armed (relevant with HybridPolicy, which
-	// picks per conflict by chain length).
+	// when the grace was armed (relevant with Hybrid, which picks per
+	// conflict by chain length).
 	graceArmed  bool
 	gracePolicy ccore.Policy
 	pending     []pendingConflict
@@ -396,82 +393,28 @@ func (c *Core) conflict(req *request, isFetch bool, chain int) {
 	if c.committing || c.graceArmed {
 		return
 	}
+	// The FixedChainK and FixedB ablations replace the rule's inputs:
+	// the directory's queue length, and each side's elapsed cycles plus
+	// the abort penalty (footnote 1).
 	k := chain
 	if c.m.P.FixedChainK > 0 {
 		k = c.m.P.FixedChainK
 	}
-	if k < 2 {
-		k = 2
+	receiver := ccore.Side{B: float64(c.m.K.Now()-c.txStart) + float64(c.m.P.AbortPenalty), Attempts: c.attempts}
+	requestor := ccore.Side{B: float64(req.elapsed) + float64(c.m.P.AbortPenalty), Attempts: req.attempt}
+	if b := c.m.P.FixedB; b > 0 {
+		receiver.B, requestor.B = b, b
 	}
+	d := c.m.P.Decide(k, receiver, requestor, c.m, c.rng)
 	c.graceArmed = true
-	c.gracePolicy = c.policyFor(k)
-	x := c.graceDelay(req, k, c.gracePolicy)
+	c.gracePolicy = d.Policy
+	x := sim.Time(d.Grace)
 	if x <= 0 {
 		c.graceExpire()
 		return
 	}
 	c.timer(x, evGraceExpire)
 }
-
-// policyFor returns the resolution policy for a conflict of chain
-// length k: the configured one, or — under HybridPolicy — the paper's
-// Section 9 rule (requestor aborts for pair conflicts, requestor wins
-// for chains, matching the better competitive ratio).
-func (c *Core) policyFor(k int) ccore.Policy {
-	if !c.m.P.HybridPolicy {
-		return c.m.P.Policy
-	}
-	if k <= 2 {
-		return ccore.RequestorAborts
-	}
-	return ccore.RequestorWins
-}
-
-// graceDelay evaluates the strategy on the conflict parameters.
-func (c *Core) graceDelay(req *request, k int, pol ccore.Policy) sim.Time {
-	s := c.m.P.Strategy
-	if s == nil {
-		return 0
-	}
-	// B is the doomed transaction's abort cost: elapsed time plus
-	// cleanup (paper footnote 1) — the receiver's under requestor
-	// wins, the requestor's under requestor aborts. The FixedB
-	// ablation replaces it with a constant.
-	var b float64
-	var attempts int
-	if pol == ccore.RequestorWins {
-		b = float64(c.m.K.Now()-c.txStart) + float64(c.m.P.AbortPenalty)
-		attempts = c.attempts
-	} else {
-		b = float64(req.elapsed) + float64(c.m.P.AbortPenalty)
-		attempts = req.attempt
-	}
-	if c.m.P.FixedB > 0 {
-		b = c.m.P.FixedB
-	}
-	if c.m.P.BackoffFactor > 1 {
-		b = strategy.BackoffB(b, attempts, c.m.P.BackoffFactor, c.m.P.MaxBackoffB)
-	}
-	conf := ccore.Conflict{Policy: pol, K: k, B: b}
-	if c.m.P.UseMeanProfile {
-		conf.Mean = c.m.profileMean()
-	}
-	x := s.Delay(conf, c.rng)
-	// A strategy may hand back anything (a backed-off B overflows to
-	// +Inf under the default MaxBackoffB): NaN or a non-positive delay
-	// is no grace at all, and the cap keeps both the conversion defined
-	// and now+grace from wrapping.
-	if !(x > 0) {
-		return 0
-	}
-	if x > maxGrace {
-		return maxGrace
-	}
-	return sim.Time(x)
-}
-
-// maxGrace is the longest grace period a core arms, in cycles.
-const maxGrace = math.MaxInt64 / 2
 
 // graceExpire resolves all parked conflicts at the deadline:
 // requestor-wins aborts the receiver; requestor-aborts NACKs every

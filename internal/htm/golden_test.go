@@ -114,7 +114,7 @@ func goldenCells(t *testing.T) []goldenCell {
 		p.Seed = 3
 	})
 	add("hybrid", 300000, func(p *htm.Params) {
-		p.HybridPolicy = true
+		p.Hybrid = true
 		p.Strategy = strategy.UniformRW{}
 		p.Seed = 4
 	})

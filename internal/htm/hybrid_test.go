@@ -12,7 +12,7 @@ import (
 
 func TestHybridPolicySerializability(t *testing.T) {
 	p := DefaultParams(8)
-	p.HybridPolicy = true
+	p.Hybrid = true
 	p.Strategy = strategy.Hybrid{}
 	m := NewMachine(p, counterWorkload(40, 5))
 	m.Run(300000)
@@ -33,7 +33,7 @@ func TestHybridUsesBothResolutions(t *testing.T) {
 	// NACK aborts) and chains (k>2 -> RW -> receiver aborts), so a
 	// hybrid run should show NACK aborts and other aborts.
 	p := DefaultParams(12)
-	p.HybridPolicy = true
+	p.Hybrid = true
 	p.Strategy = strategy.Hybrid{}
 	m := NewMachine(p, counterWorkload(60, 0))
 	met := m.Run(500000)
@@ -45,21 +45,25 @@ func TestHybridUsesBothResolutions(t *testing.T) {
 	}
 }
 
+// TestPolicyForRule: the resolution a core arms comes from the rule
+// Params embeds — the Section 9 switch under Hybrid, the configured
+// policy otherwise.
 func TestPolicyForRule(t *testing.T) {
+	policy := func(p Params, k int) ccore.Policy {
+		m := NewMachine(p, counterWorkload(1, 1))
+		return m.P.Decide(k, ccore.Side{B: 1}, ccore.Side{B: 1}, m, m.Cores[0].rng).Policy
+	}
 	p := DefaultParams(2)
-	p.HybridPolicy = true
-	m := NewMachine(p, counterWorkload(1, 1))
-	c := m.Cores[0]
-	if c.policyFor(2) != ccore.RequestorAborts {
+	p.Hybrid = true
+	if policy(p, 2) != ccore.RequestorAborts {
 		t.Fatal("k=2 should be requestor aborts")
 	}
-	if c.policyFor(3) != ccore.RequestorWins {
+	if policy(p, 3) != ccore.RequestorWins {
 		t.Fatal("k=3 should be requestor wins")
 	}
 	p2 := DefaultParams(2)
 	p2.Policy = ccore.RequestorAborts
-	m2 := NewMachine(p2, counterWorkload(1, 1))
-	if m2.Cores[0].policyFor(5) != ccore.RequestorAborts {
+	if policy(p2, 5) != ccore.RequestorAborts {
 		t.Fatal("non-hybrid must keep the configured policy")
 	}
 }
@@ -73,6 +77,7 @@ func (s stubStrategy) Name() string                            { return "STUB" }
 // TestGraceDelayClamps: whatever float a strategy returns, the grace a
 // core arms is a cycle count the kernel can schedule.
 func TestGraceDelayClamps(t *testing.T) {
+	maxGrace := sim.Time(ccore.MaxGrace)
 	for _, c := range []struct {
 		x    float64
 		want sim.Time
@@ -88,8 +93,9 @@ func TestGraceDelayClamps(t *testing.T) {
 	} {
 		p := DefaultParams(2)
 		p.Strategy = stubStrategy(c.x)
-		core := NewMachine(p, counterWorkload(1, 1)).Cores[0]
-		if got := core.graceDelay(&request{}, 2, ccore.RequestorWins); got != c.want {
+		m := NewMachine(p, counterWorkload(1, 1))
+		d := m.P.Decide(2, ccore.Side{B: 1}, ccore.Side{B: 1}, m, m.Cores[0].rng)
+		if got := sim.Time(d.Grace); got != c.want {
 			t.Errorf("strategy delay %v: grace %d, want %d", c.x, got, c.want)
 		}
 	}

@@ -99,8 +99,10 @@ func (m *Machine) profileUpdate(execLen float64) {
 	m.profMean += alpha * (execLen - m.profMean)
 }
 
-// profileMean returns the profiler's mean estimate (0 = unknown).
-func (m *Machine) profileMean() float64 {
+// ProfileMean returns the profiler's mean estimate of committed
+// transaction length in cycles (0 = unknown); it is the µ source of
+// the conflict rule.
+func (m *Machine) ProfileMean() float64 {
 	if !m.profInit {
 		return 0
 	}
@@ -153,7 +155,7 @@ func (m *Machine) Collect() Metrics {
 		met.CapacityAborts += c.capAborts
 		met.PerCoreCommits = append(met.PerCoreCommits, c.commits)
 	}
-	met.MeanTxCycles = m.profileMean()
+	met.MeanTxCycles = m.ProfileMean()
 	return met
 }
 

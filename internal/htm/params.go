@@ -14,8 +14,6 @@
 package htm
 
 import (
-	"math"
-
 	"txconflict/internal/core"
 	"txconflict/internal/sim"
 )
@@ -38,27 +36,12 @@ type Params struct {
 	// AbortPenalty is the fixed cleanup cost of an abort in cycles
 	// (the fixed part of the paper's abort cost B, footnote 1).
 	AbortPenalty sim.Time
-	// Policy selects requestor-wins or requestor-aborts conflict
-	// resolution.
-	Policy core.Policy
-	// HybridPolicy, when true, overrides Policy per conflict with the
-	// paper's Section 9 suggestion: requestor-aborts for k = 2
-	// conflicts, requestor-wins for longer chains (where the RW
-	// strategies have the better ratio).
-	HybridPolicy bool
-	// Strategy decides grace periods. nil means Immediate (NO_DELAY).
-	Strategy core.Strategy
-	// UseMeanProfile feeds the running mean of committed transaction
-	// lengths to the strategy (the profiler of Section 1,
-	// "Extensions").
-	UseMeanProfile bool
-	// BackoffFactor multiplies the effective abort cost B per abort
-	// of the same transaction (Corollary 2). Values <= 1 disable
-	// backoff.
-	BackoffFactor float64
-	// MaxBackoffB caps the backoff growth of B, in cycles. Zero means
-	// no cap.
-	MaxBackoffB float64
+	// Rule is the conflict decision (core.Rule): resolution, the
+	// Section 9 switch, strategy, mean profile and Corollary 2's
+	// backoff, its B and MaxBackoffB in cycles. Its µ source is the
+	// machine's profiler of committed transaction lengths (the profiler
+	// of Section 1, "Extensions"). A nil Strategy is NO_DELAY.
+	core.Rule
 	// FixedChainK, when > 0, reports every conflict as a chain of
 	// this length instead of using the directory's queue length
 	// (ablation: "chain-length estimate").
@@ -100,9 +83,7 @@ func DefaultParams(cores int) Params {
 		DirLatency:         5,
 		CommitLatency:      10,
 		AbortPenalty:       60,
-		Policy:             core.RequestorWins,
-		Strategy:           nil,
-		BackoffFactor:      1,
+		Rule:               core.Rule{Policy: core.RequestorWins, BackoffFactor: 1},
 		RestartBackoffBase: 64,
 		MaxRestartBackoff:  16384,
 		Seed:               1,
@@ -119,12 +100,6 @@ func (p *Params) validate() {
 	}
 	if p.L1Ways == 0 {
 		p.L1Ways = 4
-	}
-	if p.BackoffFactor == 0 {
-		p.BackoffFactor = 1
-	}
-	if p.MaxBackoffB == 0 {
-		p.MaxBackoffB = math.Inf(1)
 	}
 	if p.MeshDim > 0 && p.MeshDim*p.MeshDim < p.Cores {
 		panic("htm: mesh too small for core count")

@@ -249,11 +249,11 @@ func TestCrossModePolicyChurn(t *testing.T) {
 		d = 15 * time.Millisecond
 	}
 	churn := []stm.Policy{
-		{Resolution: core.RequestorWins, Strategy: strategy.UniformRW{}, BackoffFactor: 1, MaxRetries: 128},
-		{Resolution: core.RequestorAborts, Strategy: strategy.ExpRA{}, BackoffFactor: 1, MaxRetries: 128},
-		{Resolution: core.RequestorWins, Hybrid: true, Strategy: strategy.Hybrid{}, CommitBatch: 4, FoldCommutative: true, BackoffFactor: 1, MaxRetries: 128},
-		{Resolution: core.RequestorWins, CommitBatch: 2, BackoffFactor: 2, MaxRetries: 128},
-		{Resolution: core.RequestorWins, CommitBatch: 4, FoldCommutative: true, BackoffFactor: 1, MaxRetries: 128},
+		{Rule: core.Rule{Policy: core.RequestorWins, Strategy: strategy.UniformRW{}, BackoffFactor: 1}, MaxRetries: 128},
+		{Rule: core.Rule{Policy: core.RequestorAborts, Strategy: strategy.ExpRA{}, BackoffFactor: 1}, MaxRetries: 128},
+		{Rule: core.Rule{Policy: core.RequestorWins, Hybrid: true, Strategy: strategy.Hybrid{}, BackoffFactor: 1}, CommitBatch: 4, FoldCommutative: true, MaxRetries: 128},
+		{Rule: core.Rule{Policy: core.RequestorWins, BackoffFactor: 2}, CommitBatch: 2, MaxRetries: 128},
+		{Rule: core.Rule{Policy: core.RequestorWins, BackoffFactor: 1}, CommitBatch: 4, FoldCommutative: true, MaxRetries: 128},
 	}
 	for _, name := range scenario.Names() {
 		name := name

@@ -235,11 +235,9 @@ type Config struct {
 // the 2-competitive uniform strategy.
 func DefaultConfig() Config {
 	return Config{Policy: Policy{
-		Resolution:    core.RequestorWins,
-		Strategy:      strategy.UniformRW{},
-		CleanupCost:   2 * time.Microsecond,
-		BackoffFactor: 1,
-		MaxRetries:    64,
+		Rule:        core.Rule{Policy: core.RequestorWins, Strategy: strategy.UniformRW{}, BackoffFactor: 1},
+		CleanupCost: 2 * time.Microsecond,
+		MaxRetries:  64,
 	}}
 }
 

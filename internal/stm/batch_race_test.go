@@ -31,8 +31,7 @@ import (
 func TestBatchKillStress(t *testing.T) {
 	cfg := Config{
 		Policy: Policy{
-			Resolution:  core.RequestorWins,
-			Strategy:    nil, // NO_DELAY: every conflict kills immediately
+			Rule:        core.Rule{Policy: core.RequestorWins}, // no Strategy, NO_DELAY: every conflict kills immediately
 			CommitBatch: 4,
 			CleanupCost: time.Microsecond,
 			MaxRetries:  3, // frequent irrevocable fallbacks kill queued members too

@@ -1,13 +1,10 @@
 package stm
 
 import (
-	"math"
 	"runtime"
-	"time"
 
 	"txconflict/internal/core"
 	"txconflict/internal/metrics"
-	"txconflict/internal/strategy"
 )
 
 // chainK registers tx as a waiter on owner and returns the conflict
@@ -70,8 +67,8 @@ func (tx *Tx) onLocked(m *wordMeta, l uint64) {
 		tx.mx.ObserveGrace(ns, k)
 	}()
 
-	pol := tx.pol.resolutionFor(k)
-	deadline := waitStart + int64(tx.graceFor(owner, k, pol, waitStart))
+	d := tx.decide(owner, k, waitStart)
+	deadline := waitStart + int64(d.Grace)
 	for {
 		if gone() {
 			return
@@ -90,7 +87,7 @@ func (tx *Tx) onLocked(m *wordMeta, l uint64) {
 		tx.mx.Add(metrics.CounterSelfAborts, 1)
 		tx.abort(metrics.AbortLockTimeout)
 	}
-	if pol == core.RequestorWins || tx.irrevocable.Load() {
+	if d.Policy == core.RequestorWins || tx.irrevocable.Load() {
 		if owner.state.CompareAndSwap(st0, st0&^stateStatusMask|statusKilled) {
 			tx.mx.Add(metrics.CounterKills, 1)
 			if tx.traced {
@@ -114,53 +111,12 @@ func (tx *Tx) onLocked(m *wordMeta, l uint64) {
 	tx.abort(metrics.AbortLockTimeout)
 }
 
-// maxGrace caps the grace period a strategy can request. Strategies
-// price delays against the abort cost B (microseconds to
-// milliseconds), so a minute is far beyond any useful grace — but it
-// keeps a misbehaving strategy finite: +Inf, NaN-adjacent, or any
-// value above MaxInt64 nanoseconds would otherwise survive the
-// negative/NaN guard below and hit the float64→time.Duration
-// conversion, whose overflow behaviour is implementation-defined —
-// on amd64 it produces math.MinInt64, i.e. a *negative* duration
-// that silently collapses the grace period to zero and turns the
-// configured strategy into NO_DELAY.
-const maxGrace = time.Minute
-
-// graceFor evaluates the strategy for a conflict with the given
-// receiver, chain length estimate and per-conflict policy, pricing the
-// abort cost B at the stamp now.
-func (tx *Tx) graceFor(owner *Tx, k int, pol core.Policy, now int64) time.Duration {
-	s := tx.pol.Strategy
-	if s == nil {
-		return 0
-	}
-	var b float64
-	var attempts int
-	if pol == core.RequestorWins {
-		b = float64(now-owner.startNanos.Load()) + float64(tx.pol.CleanupCost.Nanoseconds())
-		attempts = int(owner.attempts.Load())
-	} else {
-		b = float64(now-tx.startNanos.Load()) + float64(tx.pol.CleanupCost.Nanoseconds())
-		attempts = int(tx.attempts.Load())
-	}
-	if b <= 0 {
-		b = 1
-	}
-	if f := tx.pol.BackoffFactor; f > 1 {
-		b = strategy.BackoffB(b, attempts, f, math.Inf(1))
-	}
-	conf := core.Conflict{Policy: pol, K: k, B: b}
-	if tx.pol.UseMeanProfile {
-		// The commit histograms' Σ Sum ÷ Σ Count: read here, at the
-		// conflict, so a commit touches no profile word.
-		conf.Mean = tx.rt.metrics.ProfileMean()
-	}
-	x := s.Delay(conf, tx.rng)
-	if x < 0 || math.IsNaN(x) {
-		x = 0
-	}
-	if x > float64(maxGrace) {
-		x = float64(maxGrace)
-	}
-	return time.Duration(x)
+// decide prices the conflict with owner at the stamp now through the
+// policy's rule: each side's B base is the time it has run plus
+// CleanupCost (footnote 1), and µ comes from the metrics plane.
+func (tx *Tx) decide(owner *Tx, k int, now int64) core.Decision {
+	cleanup := float64(tx.pol.CleanupCost.Nanoseconds())
+	receiver := core.Side{B: float64(now-owner.startNanos.Load()) + cleanup, Attempts: int(owner.attempts.Load())}
+	requestor := core.Side{B: float64(now-tx.startNanos.Load()) + cleanup, Attempts: int(tx.attempts.Load())}
+	return tx.pol.Decide(k, receiver, requestor, tx.rt.metrics, tx.rng)
 }

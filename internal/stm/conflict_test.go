@@ -243,40 +243,45 @@ func TestChainEstimateDistinct(t *testing.T) {
 }
 
 // TestGraceForClampsOverflow is the regression test for the
-// float64→time.Duration overflow in graceFor: a strategy returning
-// +Inf (or any nanosecond value above MaxInt64) passed the
-// `x < 0 || NaN` guard and converted to an implementation-defined —
-// on amd64, negative — duration, silently collapsing the configured
-// grace period to zero. Non-finite and overflowing delays must now
-// clamp to the finite maxGrace; negative and NaN delays still floor
-// to zero, and sane delays pass through untouched.
+// float64→time.Duration overflow on the grace path: a strategy
+// returning +Inf (or any nanosecond value above MaxInt64) once
+// converted to an implementation-defined — on amd64, negative —
+// duration, silently collapsing the configured grace period to zero.
+// The rule's clamp (core.TestRule holds its rows) caps the grace at
+// core.MaxGrace, one minute in the STM's nanoseconds; this is the
+// backend check that the deadline onLocked builds from the decision is
+// that clamped value, for either doomed side.
 func TestGraceForClampsOverflow(t *testing.T) {
+	if time.Duration(core.MaxGrace) != time.Minute {
+		t.Fatalf("core.MaxGrace = %v ns, want one minute", core.MaxGrace)
+	}
 	cases := []struct {
 		name  string
 		delay float64
 		want  time.Duration
 	}{
-		{"+Inf", math.Inf(1), maxGrace},
-		{"above MaxInt64 ns", 2 * float64(math.MaxInt64), maxGrace},
-		{"just above cap", float64(maxGrace) * 1.5, maxGrace},
+		{"+Inf", math.Inf(1), time.Minute},
+		{"above MaxInt64 ns", 2 * float64(math.MaxInt64), time.Minute},
+		{"just above cap", float64(time.Minute) * 1.5, time.Minute},
 		{"NaN", math.NaN(), 0},
 		{"negative", -5, 0},
 		{"-Inf", math.Inf(-1), 0},
 		{"sane", 1500, 1500 * time.Nanosecond},
-		{"at cap", float64(maxGrace), maxGrace},
+		{"at cap", float64(time.Minute), time.Minute},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Strategy = unclampedGrace(c.delay)
-			rt := New(1, cfg)
-			now := nanos()
-			owner := &Tx{rt: rt}
-			owner.startNanos.Store(now)
-			tx := &Tx{rt: rt, pol: rt.pol.Load()}
-			tx.startNanos.Store(now)
 			for _, pol := range []core.Policy{core.RequestorWins, core.RequestorAborts} {
-				got := tx.graceFor(owner, 2, pol, now)
+				cfg.Rule.Policy = pol
+				rt := New(1, cfg)
+				now := nanos()
+				owner := &Tx{rt: rt}
+				owner.startNanos.Store(now)
+				tx := &Tx{rt: rt, pol: rt.pol.Load()}
+				tx.startNanos.Store(now)
+				got := time.Duration(tx.decide(owner, 2, now).Grace)
 				if got < 0 {
 					t.Fatalf("policy %v: grace %v is negative (overflow leaked through)", pol, got)
 				}

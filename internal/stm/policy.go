@@ -21,18 +21,12 @@ import (
 // decide memory layout and descriptor shape and cannot be swapped under
 // live transactions.
 type Policy struct {
-	// Resolution selects requestor-wins or requestor-aborts
-	// resolution.
-	Resolution core.Policy
-	// Hybrid overrides Resolution per conflict with the paper's
-	// Section 9 rule: requestor-aborts for pair conflicts (k = 2),
-	// requestor-wins for longer chains, k being the per-conflict
-	// 2 + waiters estimate. Pairs naturally with strategy.Hybrid, which
-	// dispatches the matching optimal strategy.
-	Hybrid bool
-	// Strategy picks grace periods; nil means no grace (immediate
-	// resolution, the NO_DELAY baseline).
-	Strategy core.Strategy
+	// Rule is the conflict decision (core.Rule): resolution, the
+	// Section 9 switch, strategy, mean profile and Corollary 2's
+	// backoff, its B in nanoseconds. Its µ source is the metrics
+	// plane's mean committed-block duration (metrics.Plane.ProfileMean),
+	// read at the conflict.
+	core.Rule
 	// CommitBatch opens the lazy group-commit combiner lane (batch.go)
 	// with the given batch bound: a committing transaction either
 	// becomes its lane's combiner — acquiring the merged commit locks
@@ -52,16 +46,9 @@ type Policy struct {
 	// kept latched so a later SetPolicy can open the lane without
 	// losing the setting.
 	FoldCommutative bool
-	// UseMeanProfile feeds the strategy the mean committed-block
-	// duration µ, read at each conflict from the metrics plane's commit
-	// histograms (metrics.Plane.ProfileMean).
-	UseMeanProfile bool
 	// CleanupCost is the fixed component of the abort cost B; the
 	// elapsed execution time is added per the paper's footnote 1.
 	CleanupCost time.Duration
-	// BackoffFactor multiplies B per abort of the same transaction
-	// (Corollary 2); <= 1 disables.
-	BackoffFactor float64
 	// MaxRetries bounds optimistic retries before the irrevocable
 	// slow path; 0 means never.
 	MaxRetries int
@@ -81,18 +68,6 @@ func (p *Policy) normalize() {
 	}
 }
 
-// resolutionFor returns the per-conflict resolution (Section 9
-// hybrid rule when enabled).
-func (p *Policy) resolutionFor(k int) core.Policy {
-	if !p.Hybrid {
-		return p.Resolution
-	}
-	if k <= 2 {
-		return core.RequestorAborts
-	}
-	return core.RequestorWins
-}
-
 // String renders the policy for reports and the decision log.
 func (p Policy) String() string { return p.label("") }
 
@@ -104,7 +79,7 @@ func (p Policy) label(mode string) string {
 	if p.Strategy != nil {
 		name = p.Strategy.Name()
 	}
-	s := p.Resolution.String()
+	s := p.Policy.String()
 	if p.Hybrid {
 		s = "Hybrid"
 	}

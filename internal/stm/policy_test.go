@@ -12,31 +12,37 @@ import (
 )
 
 func TestPolicyStringAndNormalize(t *testing.T) {
-	p := Policy{Resolution: core.RequestorWins, Strategy: strategy.UniformRW{}, CommitBatch: 4}
+	p := Policy{Rule: core.Rule{Policy: core.RequestorWins, Strategy: strategy.UniformRW{}}, CommitBatch: 4}
 	if got := p.String(); got != "requestor-wins/RRW/b4" {
 		t.Fatalf("String() = %q", got)
 	}
-	p = Policy{Resolution: core.RequestorAborts, Hybrid: true}
+	p = Policy{Rule: core.Rule{Policy: core.RequestorAborts, Hybrid: true}}
 	if got := p.String(); got != "Hybrid/NO_DELAY" {
 		t.Fatalf("String() = %q", got)
 	}
-	n := Policy{BackoffFactor: -1, CommitBatch: -2, MaxRetries: -4}
+	n := Policy{Rule: core.Rule{BackoffFactor: -1}, CommitBatch: -2, MaxRetries: -4}
 	n.normalize()
 	if n.BackoffFactor != 1 || n.CommitBatch != 0 || n.MaxRetries != 0 {
 		t.Fatalf("normalize left %+v", n)
 	}
 }
 
+// TestResolutionForHybrid: the resolution a conflict applies comes
+// from the rule Policy embeds — the Section 9 switch under Hybrid, the
+// configured resolution otherwise.
 func TestResolutionForHybrid(t *testing.T) {
-	p := Policy{Resolution: core.RequestorWins, Hybrid: true}
-	if p.resolutionFor(2) != core.RequestorAborts {
+	resolution := func(p Policy, k int) core.Policy {
+		return p.Decide(k, core.Side{B: 1}, core.Side{B: 1}, nil, rng.New(1)).Policy
+	}
+	p := Policy{Rule: core.Rule{Policy: core.RequestorWins, Hybrid: true}}
+	if resolution(p, 2) != core.RequestorAborts {
 		t.Fatal("hybrid k=2 is not requestor-aborts")
 	}
-	if p.resolutionFor(3) != core.RequestorWins {
+	if resolution(p, 3) != core.RequestorWins {
 		t.Fatal("hybrid k=3 is not requestor-wins")
 	}
 	p.Hybrid = false
-	if p.resolutionFor(2) != core.RequestorWins {
+	if resolution(p, 2) != core.RequestorWins {
 		t.Fatal("non-hybrid ignored Resolution")
 	}
 }
@@ -50,11 +56,11 @@ func TestSetPolicySemantics(t *testing.T) {
 	// Swap in a different policy; the runtime must serve it back and
 	// count the swap.
 	p := rt.Policy()
-	p.Resolution = core.RequestorAborts
+	p.Policy = core.RequestorAborts
 	p.Strategy = strategy.ExpRA{}
 	p.MaxRetries = 7
 	rt.SetPolicy(p)
-	if got := rt.Policy(); got.Resolution != core.RequestorAborts || got.MaxRetries != 7 {
+	if got := rt.Policy(); got.Policy != core.RequestorAborts || got.MaxRetries != 7 {
 		t.Fatalf("Policy() = %+v after swap", got)
 	}
 	if rt.PolicySwaps() != 1 {
@@ -62,7 +68,7 @@ func TestSetPolicySemantics(t *testing.T) {
 	}
 	// Config() folds the live policy in, so report labels stay
 	// truthful after a swap.
-	if c := rt.Config(); c.Resolution != core.RequestorAborts || c.MaxRetries != 7 {
+	if c := rt.Config(); c.Rule.Policy != core.RequestorAborts || c.MaxRetries != 7 {
 		t.Fatalf("Config() = %+v did not track the swap", c)
 	}
 
@@ -75,7 +81,7 @@ func TestSetPolicySemantics(t *testing.T) {
 	}
 
 	// Nonsense values are clamped like New clamps them.
-	rt.SetPolicy(Policy{BackoffFactor: -2, MaxRetries: -1})
+	rt.SetPolicy(Policy{Rule: core.Rule{BackoffFactor: -2}, MaxRetries: -1})
 	if got := rt.Policy(); got.BackoffFactor != 1 || got.MaxRetries != 0 {
 		t.Fatalf("SetPolicy skipped normalization: %+v", got)
 	}
@@ -118,11 +124,11 @@ func TestLazyRuntimeOpensLaneLater(t *testing.T) {
 // open/close — every dynamic knob the control plane can touch.
 func churnPolicies() []Policy {
 	return []Policy{
-		{Resolution: core.RequestorWins, Strategy: strategy.UniformRW{}, BackoffFactor: 1, MaxRetries: 64},
-		{Resolution: core.RequestorAborts, Strategy: strategy.ExpRA{}, BackoffFactor: 2, MaxRetries: 64},
-		{Resolution: core.RequestorWins, Hybrid: true, Strategy: strategy.Hybrid{}, CommitBatch: 4, BackoffFactor: 1, MaxRetries: 64},
-		{Resolution: core.RequestorWins, CommitBatch: 2, BackoffFactor: 1, MaxRetries: 64},
-		{Resolution: core.RequestorAborts, Strategy: strategy.ExpRA{}, CommitBatch: 8, BackoffFactor: 1},
+		{Rule: core.Rule{Policy: core.RequestorWins, Strategy: strategy.UniformRW{}, BackoffFactor: 1}, MaxRetries: 64},
+		{Rule: core.Rule{Policy: core.RequestorAborts, Strategy: strategy.ExpRA{}, BackoffFactor: 2}, MaxRetries: 64},
+		{Rule: core.Rule{Policy: core.RequestorWins, Hybrid: true, Strategy: strategy.Hybrid{}, BackoffFactor: 1}, CommitBatch: 4, MaxRetries: 64},
+		{Rule: core.Rule{Policy: core.RequestorWins, BackoffFactor: 1}, CommitBatch: 2, MaxRetries: 64},
+		{Rule: core.Rule{Policy: core.RequestorAborts, Strategy: strategy.ExpRA{}, BackoffFactor: 1}, CommitBatch: 8},
 	}
 }
 
@@ -132,11 +138,11 @@ func churnPolicies() []Policy {
 // one policy regularly commit (or die) under another.
 func foldChurnPolicies() []Policy {
 	return []Policy{
-		{Resolution: core.RequestorWins, CommitBatch: 4, FoldCommutative: true, BackoffFactor: 1, MaxRetries: 64},
-		{Resolution: core.RequestorAborts, Strategy: strategy.ExpRA{}, CommitBatch: 4, BackoffFactor: 1, MaxRetries: 64},
-		{Resolution: core.RequestorAborts, Strategy: strategy.ExpRA{}, CommitBatch: 8, FoldCommutative: true, BackoffFactor: 1, MaxRetries: 64},
-		{Resolution: core.RequestorWins, Strategy: strategy.UniformRW{}, BackoffFactor: 1, MaxRetries: 64},
-		{Resolution: core.RequestorWins, CommitBatch: 2, FoldCommutative: true, BackoffFactor: 1, MaxRetries: 64},
+		{Rule: core.Rule{Policy: core.RequestorWins, BackoffFactor: 1}, CommitBatch: 4, FoldCommutative: true, MaxRetries: 64},
+		{Rule: core.Rule{Policy: core.RequestorAborts, Strategy: strategy.ExpRA{}, BackoffFactor: 1}, CommitBatch: 4, MaxRetries: 64},
+		{Rule: core.Rule{Policy: core.RequestorAborts, Strategy: strategy.ExpRA{}, BackoffFactor: 1}, CommitBatch: 8, FoldCommutative: true, MaxRetries: 64},
+		{Rule: core.Rule{Policy: core.RequestorWins, Strategy: strategy.UniformRW{}, BackoffFactor: 1}, MaxRetries: 64},
+		{Rule: core.Rule{Policy: core.RequestorWins, BackoffFactor: 1}, CommitBatch: 2, FoldCommutative: true, MaxRetries: 64},
 	}
 }
 

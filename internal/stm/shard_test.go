@@ -226,9 +226,9 @@ func TestShardedObjectSumInvariant(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"eager-sharded", Config{Policy: Policy{Resolution: core.RequestorWins, MaxRetries: 128}}},
-		{"lazy-sharded", Config{Policy: Policy{Resolution: core.RequestorWins, MaxRetries: 128}, Lazy: true}},
-		{"eager-flat", Config{Policy: Policy{Resolution: core.RequestorWins, MaxRetries: 128}, Shards: 1}},
+		{"eager-sharded", Config{Policy: Policy{Rule: core.Rule{Policy: core.RequestorWins}, MaxRetries: 128}}},
+		{"lazy-sharded", Config{Policy: Policy{Rule: core.Rule{Policy: core.RequestorWins}, MaxRetries: 128}, Lazy: true}},
+		{"eager-flat", Config{Policy: Policy{Rule: core.Rule{Policy: core.RequestorWins}, MaxRetries: 128}, Shards: 1}},
 	} {
 		variant := variant
 		t.Run(variant.name, func(t *testing.T) {

@@ -24,11 +24,9 @@ func configs() []Config {
 			for _, s := range []core.Strategy{nil, strategy.UniformRW{}, strategy.ExpRA{}} {
 				out = append(out, Config{
 					Policy: Policy{
-						Resolution:    pol,
-						Strategy:      s,
-						CleanupCost:   time.Microsecond,
-						MaxRetries:    128,
-						BackoffFactor: 1,
+						Rule:        core.Rule{Policy: pol, Strategy: s, BackoffFactor: 1},
+						CleanupCost: time.Microsecond,
+						MaxRetries:  128,
 					},
 					Lazy: lazy,
 				})
@@ -40,11 +38,9 @@ func configs() []Config {
 	for _, lazy := range []bool{false, true} {
 		out = append(out, Config{
 			Policy: Policy{
-				Resolution:    core.RequestorWins,
-				Strategy:      strategy.UniformRW{},
-				CleanupCost:   time.Microsecond,
-				MaxRetries:    128,
-				BackoffFactor: 1,
+				Rule:        core.Rule{Policy: core.RequestorWins, Strategy: strategy.UniformRW{}, BackoffFactor: 1},
+				CleanupCost: time.Microsecond,
+				MaxRetries:  128,
 			},
 			Lazy:   lazy,
 			Shards: 1,
@@ -342,7 +338,7 @@ func TestIrrevocableFallback(t *testing.T) {
 func stageConflict(t *testing.T, pol core.Policy) *Runtime {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.Resolution = pol
+	cfg.Rule.Policy = pol
 	cfg.MaxRetries = 0 // never escalate to irrevocable (which kills)
 	rt := New(2, cfg)
 	root := rng.New(3)
@@ -455,8 +451,7 @@ func TestKEstimateDisabledByDefault(t *testing.T) {
 // staged conflict makes the grace wait certain.
 func TestKWindowObservesConflicts(t *testing.T) {
 	cfg := Config{Policy: Policy{
-		Resolution:  core.RequestorWins,
-		Strategy:    strategy.UniformRW{},
+		Rule:        core.Rule{Policy: core.RequestorWins, Strategy: strategy.UniformRW{}},
 		CleanupCost: time.Microsecond,
 		MaxRetries:  256,
 	}}
@@ -540,11 +535,11 @@ func TestConfigString(t *testing.T) {
 	}
 	c.Strategy = nil
 	c.Lazy = true
-	c.Resolution = core.RequestorAborts
+	c.Rule.Policy = core.RequestorAborts
 	if c.String() != "requestor-aborts/NO_DELAY/lazy" {
 		t.Fatalf("String = %q", c.String())
 	}
-	// The Section 9 rule overrides Resolution per conflict, so the label
+	// The Section 9 rule overrides the resolution per conflict, so the label
 	// names it instead.
 	c = DefaultConfig()
 	c.Hybrid = true

@@ -66,7 +66,7 @@ type Tx struct {
 	// against this descriptor.
 	state atomic.Uint64
 	// irrevocable, startNanos and attempts are read by *other*
-	// goroutines (requestors inspecting their receiver in graceFor),
+	// goroutines (requestors inspecting their receiver in decide),
 	// hence atomic.
 	irrevocable atomic.Bool
 	startNanos  atomic.Int64

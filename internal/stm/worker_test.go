@@ -58,7 +58,7 @@ func (c captureB) Name() string                                  { return "captu
 // TestGraceForPricesElapsedPlusCleanup: the abort cost handed to the
 // strategy is the time the paying side has run — the stamp the wait
 // opened at minus that side's startNanos — plus Policy.CleanupCost,
-// whichever clock the stamps come from.
+// whichever clock the stamps come from, and the decision records it.
 func TestGraceForPricesElapsedPlusCleanup(t *testing.T) {
 	var b float64
 	cfg := DefaultConfig()
@@ -76,9 +76,12 @@ func TestGraceForPricesElapsedPlusCleanup(t *testing.T) {
 		core.RequestorWins:   ownerRan + cleanup, // the receiver would be killed
 		core.RequestorAborts: selfRan + cleanup,  // the requestor would abort itself
 	} {
-		tx.graceFor(owner, 2, pol, now)
-		if b != want {
-			t.Errorf("policy %v: B = %v, want %v", pol, b, want)
+		p := *tx.pol
+		p.Policy = pol
+		tx.pol = &p
+		d := tx.decide(owner, 2, now)
+		if b != want || d.B != want || d.Policy != pol {
+			t.Errorf("policy %v: strategy saw B = %v, decision %+v, want B = %v", pol, b, d, want)
 		}
 	}
 }

@@ -11,67 +11,24 @@ import (
 // (Sections 5.3 and 9): requestor-aborts is more efficient for
 // two-transaction conflicts, requestor-wins for longer chains, so a
 // system that can choose per conflict should alternate between the
-// two. PreferredPolicy picks the policy; Delay then dispatches to the
-// matching optimal strategy (mean-constrained when µ is known).
+// two. The choice of policy is the conflict rule's (core.HybridPolicy
+// under core.Rule.Hybrid); Hybrid prices the grace for whichever
+// policy the conflict carries with that policy's optimal strategy
+// (mean-constrained when µ is known), so the grace always matches the
+// resolution actually applied.
 type Hybrid struct{}
 
 // Name implements core.Strategy.
 func (Hybrid) Name() string { return "HYBRID" }
 
-// PreferredPolicy returns the policy whose optimal strategy has the
-// smaller analytic competitive ratio for chain length k: requestor
-// aborts at k = 2 (e/(e-1) < 2), requestor wins for k >= 3 (where
-// k^{k-1}/S < e^{1/(k-1)}/(e^{1/(k-1)}-1)).
-func (Hybrid) PreferredPolicy(k int) core.Policy {
-	if k <= 2 {
-		return core.RequestorAborts
-	}
-	return core.RequestorWins
-}
-
-// Delay dispatches to the optimal strategy for the preferred policy,
-// overriding the conflict's own policy field.
-func (h Hybrid) Delay(c core.Conflict, r *rng.Rand) float64 {
-	c.Policy = h.PreferredPolicy(chainK(c))
-	return h.delegate(c).Delay(c, r)
+// Delay dispatches to the optimal strategy for the conflict's policy.
+func (Hybrid) Delay(c core.Conflict, r *rng.Rand) float64 {
+	return ForPolicy(c.Policy, c.Mean > 0).Delay(c, r)
 }
 
 // Ratio returns the analytic ratio of the dispatched strategy.
-func (h Hybrid) Ratio(c core.Conflict) float64 {
-	c.Policy = h.PreferredPolicy(chainK(c))
-	return h.delegate(c).(Analytic).Ratio(c)
-}
-
-func (Hybrid) delegate(c core.Conflict) core.Strategy {
-	if c.Policy == core.RequestorAborts {
-		if c.Mean > 0 {
-			return MeanRA{}
-		}
-		return ExpRA{}
-	}
-	if c.Mean > 0 {
-		return MeanRW{}
-	}
-	return GeneralRW{}
-}
-
-// BackoffB implements the multiplicative progress mechanism of
-// Corollary 2: after `attempts` aborts the effective abort cost grows
-// to base·factor^attempts, making the transaction ever less likely to
-// be sacrificed. factor <= 1 disables backoff. The result saturates
-// at maxB (pass +Inf for no cap).
-func BackoffB(base float64, attempts int, factor, maxB float64) float64 {
-	if factor <= 1 || attempts <= 0 {
-		return math.Min(base, maxB)
-	}
-	b := base
-	for i := 0; i < attempts; i++ {
-		b *= factor
-		if b >= maxB {
-			return maxB
-		}
-	}
-	return b
+func (Hybrid) Ratio(c core.Conflict) float64 {
+	return ForPolicy(c.Policy, c.Mean > 0).(Analytic).Ratio(c)
 }
 
 // AttemptBound returns Corollary 2's attempt bound

@@ -11,7 +11,6 @@ import (
 	"runtime/pprof"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -290,7 +289,7 @@ var jsonContentType = []string{"application/json"}
 // flip one knob without restating the rest. An unknown field is an
 // error, not a no-op.
 type policyRequest struct {
-	Resolution  *string `json:"resolution"` // "rw" | "ra"
+	Resolution  *string `json:"resolution"` // core.ParsePolicy: "rw" | "ra"
 	Hybrid      *bool   `json:"hybrid"`
 	Strategy    *string `json:"strategy"` // registry name; "" = NO_DELAY
 	CommitBatch *int    `json:"commitBatch"`
@@ -336,16 +335,12 @@ func (sv *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
 		}
 		p := rt.Policy()
 		if req.Resolution != nil {
-			switch strings.ToLower(*req.Resolution) {
-			case "rw", "requestorwins":
-				p.Resolution = core.RequestorWins
-			case "ra", "requestoraborts":
-				p.Resolution = core.RequestorAborts
-			default:
-				http.Error(w, fmt.Sprintf("bad policy: unknown resolution %q (want rw or ra)", *req.Resolution),
-					http.StatusBadRequest)
+			pol, err := core.ParsePolicy(*req.Resolution)
+			if err != nil {
+				http.Error(w, "bad policy: "+err.Error(), http.StatusBadRequest)
 				return
 			}
+			p.Policy = pol
 		}
 		if req.Hybrid != nil {
 			p.Hybrid = *req.Hybrid

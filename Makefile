@@ -6,6 +6,7 @@
 # make target: bench-smoke only checks that the benchmark module and
 # internal/stm's AtomicBlock and HotPair microbenchmarks build and run,
 # each on its commit-mode axis (eager, lazy, lazyb4).
+# race-short repeats TestMetricsPlaneWiring 200x at -cpu 2: a kill landing on an attempt failing for another reason is rare, and a miscounted one must fail CI, not flake.
 
 GO ?= go
 
@@ -52,6 +53,7 @@ bench-smoke:
 # see real interleavings.
 race-short:
 	$(GO) test -race -short -cpu 1,4 ./internal/stm/
+	$(GO) test -count=200 -cpu 2 -run 'TestMetricsPlaneWiring' ./internal/stm/
 	$(GO) test -race -short ./internal/htm/ ./internal/scenario/ ./internal/trace/ ./internal/experiments/ ./internal/txkv/
 
 # Control-plane race cell: SetPolicy churn against live traffic on all

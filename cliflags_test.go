@@ -54,8 +54,6 @@ func TestCmdFlagValidation(t *testing.T) {
 		// flag named in the message.
 		{"stmbench negative batch", "stmbench", []string{"-scenario", "hotspot", "-batch", "-1"},
 			"stmbench: -batch must be >= 0 (got -1)", ""},
-		{"stmbench negative shards", "stmbench", []string{"-scenario", "hotspot", "-shards", "-4"},
-			"stmbench: -shards must be >= 0", ""},
 		{"txsim negative detail", "txsim", []string{"-scenario", "stack", "-detail", "-8"},
 			"txsim: -detail must be >= 0", ""},
 		{"txsim negative ablate", "txsim", []string{"-scenario", "stack", "-ablate", "-8"},
@@ -101,12 +99,13 @@ func TestCmdFlagValidation(t *testing.T) {
 			`txsim: -policy: unknown resolution "nope" (want rw, ra, requestorwins or requestoraborts)`, ""},
 	}
 	// Retired flags — the pre-ledger perf snapshots, the fleet sweep,
-	// the self-tuning control loop and the windowed k estimator here,
-	// the -bench alias for -scenario above — are rejected by the flag
-	// package, never silently ignored.
+	// the self-tuning control loop, the windowed k estimator and the
+	// clock-stripe count here, the -bench alias for -scenario above —
+	// are rejected by the flag package, never silently ignored.
 	for _, r := range []struct{ cmd, flag string }{
 		{"stmbench", "perf"}, {"stmbench", "fleet"}, {"txkvd", "perf"},
 		{"stmbench", "adaptive"}, {"txkvd", "adaptive"}, {"stmbench", "kwindow"},
+		{"stmbench", "shards"}, {"txkvd", "shards"},
 	} {
 		cases = append(cases, flagCase{r.cmd + " " + r.flag + " removed", r.cmd,
 			[]string{"-" + r.flag}, "flag provided but not defined: -" + r.flag, ""})

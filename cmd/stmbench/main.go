@@ -12,7 +12,6 @@
 //	stmbench -scenario stack -goroutines 1,2,4,8
 //	stmbench -scenario txapp -policy ra -lazy
 //	stmbench -scenario hotspot -dist zipf -mu 100  # skewed lengths too
-//	stmbench -scenario txapp -shards 1       # flat single-clock arena
 //	stmbench -scenario hotspot -batch 8      # lazy batched group commit
 //	stmbench -scenario hotspot -batch 4 -fold  # commutative delta folding
 //	stmbench -ablate -scenario txapp         # runtime design ablations
@@ -65,12 +64,11 @@ func main() {
 		batch    = flag.Int("batch", 0, "lazy group-commit batch bound (0 = unbatched; > 0 implies -lazy)")
 		fold     = flag.Bool("fold", false, "fold commutative deltas in the batched combiner (requires -batch > 0)")
 		delta    = flag.Int("delta", 1, "Add increment magnitude for the commutative scenarios (hotspot, kvcounter)")
-		shards   = flag.Int("shards", 0, "clock stripes per arena (0 = default, 1 = flat single-clock)")
 		reportIv = flag.Duration("report", 0, "periodic stderr progress reporter interval during measured cells: commits, p50/p99 commit latency, abort taxonomy (0 = off)")
 		msample  = flag.Int("metrics-sample", metrics.DefaultSampleN, "1-in-N sampling interval for the commit-phase timers (rounded up to a power of two)")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		csv      = flag.Bool("csv", false, "emit CSV instead of text")
-		ablate   = flag.Bool("ablate", false, "run the STM design ablations instead of the strategy sweep (baseline pinned: -policy/-lazy/-batch/-fold/-shards ignored)")
+		ablate   = flag.Bool("ablate", false, "run the STM design ablations instead of the strategy sweep (baseline pinned: -policy/-lazy/-batch/-fold ignored)")
 		out      = flag.String("out", "", "destination trace file for -convert (its extension selects the format)")
 		record   = flag.String("record", "", "record a trace of the scenario run to this file (.btrace = binary container; see internal/trace)")
 		replay   = flag.String("replay", "", "replay a recorded trace file as the benchmark scenario (either format; large traces are index-sampled)")
@@ -80,13 +78,8 @@ func main() {
 	)
 	flag.Parse()
 
-	for _, c := range []struct {
-		name string
-		v    int
-	}{{"batch", *batch}, {"shards", *shards}} {
-		if err := cliutil.CheckNonNegative(c.name, c.v); err != nil {
-			cliutil.Fatal("stmbench", err)
-		}
+	if err := cliutil.CheckNonNegative("batch", *batch); err != nil {
+		cliutil.Fatal("stmbench", err)
 	}
 	if err := cliutil.CheckPositive("delta", *delta); err != nil {
 		cliutil.Fatal("stmbench", err)
@@ -140,7 +133,6 @@ func main() {
 	cfg.CommitBatch = *batch
 	cfg.FoldCommutative = *fold
 	cfg.Delta = uint64(*delta)
-	cfg.Shards = *shards
 	cfg.MetricsSample = *msample
 	cfg.ReportEvery = *reportIv
 	cfg.Rule.Policy = pol
@@ -367,7 +359,7 @@ func runFidelity(path string, cfg experiments.STMConfig) {
 	tab, err := experiments.TraceFidelity(tr, experiments.FidelityConfig{
 		Duration: cfg.Duration,
 		Seed:     cfg.Seed,
-		STM:      cfg, // honor -policy/-lazy/-batch/-fold/-shards on the replay runtime
+		STM:      cfg, // honor -policy/-lazy/-batch/-fold on the replay runtime
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stmbench:", err)

@@ -50,7 +50,6 @@ func main() {
 		mode     = flag.String("mode", "eager", "locking mode: eager or lazy")
 		batch    = flag.Int("batch", 0, "lazy group-commit batch bound (0 = unbatched; > 0 implies -mode lazy)")
 		fold     = flag.Bool("fold", false, "escrow-counter mode: key-classed index + commutative delta folding in the combiner (requires -batch > 0)")
-		shards   = flag.Int("shards", 0, "clock stripes per arena (0 = default, 1 = flat single-clock)")
 		workload = flag.String("workload", "", "keyed workload from internal/txkv (or 'list'); drives -bench/-load and sizes the served store")
 		distName = flag.String("dist", "", "override the workload's key-rank sampler (see internal/dist; '' = workload zipf default)")
 		mu       = flag.Float64("mu", 0, "mean of the -dist override, in key ranks (0 = half the keyspace)")
@@ -91,7 +90,7 @@ func main() {
 	for _, c := range []struct {
 		name string
 		v    int
-	}{{"batch", *batch}, {"shards", *shards}, {"capacity", *capacity}} {
+	}{{"batch", *batch}, {"capacity", *capacity}} {
 		if err := cliutil.CheckNonNegative(c.name, c.v); err != nil {
 			cliutil.Fatal("txkvd", err)
 		}
@@ -119,7 +118,6 @@ func main() {
 	cfg.Lazy = *mode == "lazy" || *batch > 0
 	cfg.CommitBatch = *batch
 	cfg.FoldCommutative = *fold
-	cfg.Shards = *shards
 	// The metrics plane feeds /metrics and /v1/stats; -metrics-sample
 	// paces the commit-phase timers.
 	// Sharded per worker — size for whichever pool identity (serve

@@ -22,16 +22,15 @@
 // messages are typed, recycled records, so a warm simulation
 // allocates nothing per event) standing in for the paper's Graphite
 // setup, and a hand-rolled software transactional
-// runtime for real-goroutine experiments (internal/stm: a sharded
-// lock arena of one-cache-line words whose lock word carries lock
-// bit, stripe version and owner descriptor id — one line and one
-// atomic per word touched, ids drawn from a runtime-owned descriptor
-// table — striped per-shard
-// commit clocks with TL2-style snapshot extension, an attempt-epoch
-// kill protocol, and a flat-combining group commit for the lazy TL2
-// mode behind Policy.CommitBatch — a per-shard combiner acquires the
-// merged commit locks once and writes back a bounded queue of write
-// sets with a single clock advance per written stripe, stamping each
+// runtime for real-goroutine experiments (internal/stm: a lock arena
+// of one-cache-line words whose lock word carries lock bit, version
+// and owner descriptor id — one line and one atomic per word touched,
+// ids drawn from a runtime-owned descriptor table — one TL2 commit
+// clock, alone on its cache line, with snapshot extension, an
+// attempt-epoch kill protocol, and a flat-combining group commit for
+// the lazy TL2 mode behind Policy.CommitBatch — a per-lane combiner
+// acquires the merged commit locks once and writes back a bounded
+// queue of write sets with a single clock advance, stamping each
 // queued descriptor's outcome into its packed state word so kills
 // landed while queued still resolve correctly; every stamp it takes —
 // the paper's abort cost B is "time the receiver has already run +

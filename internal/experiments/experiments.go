@@ -132,8 +132,8 @@ func Fig3Metrics(bench string, threads int, s core.Strategy, cfg Fig3Config) (ht
 // Graphite-experiment analogue on actual parallel hardware).
 type STMConfig struct {
 	// Config is the runtime every cell is built on: its policy and its
-	// structural fields (Lazy, Shards). Each harness fills in its own
-	// Strategy and a fresh metrics plane per cell (stmRuntimeConfig).
+	// structural field Lazy. Each harness fills in its own Strategy and
+	// a fresh metrics plane per cell (stmRuntimeConfig).
 	stm.Config
 	// Goroutines lists the concurrency levels.
 	Goroutines []int

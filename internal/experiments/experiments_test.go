@@ -80,20 +80,6 @@ func TestSTMThroughputSmoke(t *testing.T) {
 	}
 }
 
-func TestSTMThroughputFlatArena(t *testing.T) {
-	cfg := DefaultSTMConfig()
-	cfg.Goroutines = []int{2}
-	cfg.Duration = 20 * time.Millisecond
-	cfg.Shards = 1
-	tab, err := STMThroughput("txapp", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 1 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-}
-
 func TestSTMAblations(t *testing.T) {
 	cfg := DefaultSTMConfig()
 	cfg.Duration = 15 * time.Millisecond
@@ -101,7 +87,7 @@ func TestSTMAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 9 { // baseline + 8 single-knob variants (incl. batched commit, mean profile)
+	if len(tab.Rows) != 8 { // baseline + 7 single-knob variants (incl. batched commit, mean profile)
 		t.Fatalf("ablation rows = %d", len(tab.Rows))
 	}
 	for _, row := range tab.Rows {

@@ -42,14 +42,12 @@ func measureSTM(rn *scenario.STMRunner, n int, d time.Duration, seed uint64) (st
 }
 
 // STMAblations runs the runtime-level design ablations on one
-// benchmark at one goroutine count on the real STM: arena sharding
-// (striped clocks vs the flat single-clock layout), locking mode,
+// benchmark at one goroutine count on the real STM: locking mode,
 // batched commit, policy, the Section 9 hybrid switch, the
 // mean-profiled strategy, Corollary 2 backoff, and the NO_DELAY
 // baseline. The base configuration is pinned (eager requestor-wins,
-// RRW, default shards) so every row varies
-// exactly one design choice against the same baseline; cfg supplies
-// only Duration, Seed, Length and Delta.
+// RRW) so every row varies exactly one design choice against the same
+// baseline; cfg supplies only Duration, Seed, Length and Delta.
 func STMAblations(bench string, goroutines int, cfg STMConfig) (*report.Table, error) {
 	if goroutines <= 0 {
 		goroutines = runtime.GOMAXPROCS(0)
@@ -62,8 +60,7 @@ func STMAblations(bench string, goroutines int, cfg STMConfig) (*report.Table, e
 		adjust func(c *stm.Config)
 	}
 	variants := []variant{
-		{"baseline RW + RRW (striped clocks)", func(c *stm.Config) {}},
-		{"flat arena (1 shard)", func(c *stm.Config) { c.Shards = 1 }},
+		{"baseline RW + RRW", func(c *stm.Config) {}},
 		{"lazy (TL2 commit locking)", func(c *stm.Config) { c.Lazy = true }},
 		{"lazy batched commit (CommitBatch=8)", func(c *stm.Config) {
 			c.Lazy = true

@@ -65,9 +65,9 @@ type FidelityConfig struct {
 	// Seed feeds both backends' random streams.
 	Seed uint64
 	// STM carries the replay runtime's policy and mode (Resolution,
-	// Lazy, Shards, ...) — start from DefaultSTMConfig and set them to
-	// the recorded run's configuration, or the comparison measures a
-	// config mismatch, not fidelity.
+	// Lazy, ...) — start from DefaultSTMConfig and set them to the
+	// recorded run's configuration, or the comparison measures a config
+	// mismatch, not fidelity.
 	STM STMConfig
 }
 

@@ -23,7 +23,7 @@
 //     that replaces a single aborts counter, the index of the plain
 //     event counters (kills, extensions, combiner rounds, folds), and
 //     the commit-phase timer labels (validation, lock acquisition,
-//     write-back, stripe-clock advance) sampled 1-in-N on the commit
+//     write-back, commit-clock advance) sampled 1-in-N on the commit
 //     path.
 //   - Plane: per-worker cache-line-padded shards of the above, plus a
 //     merged PlaneSnapshot and a Prometheus text-exposition writer

@@ -65,7 +65,7 @@ const (
 	// PhaseWriteBack: applying the buffered write set (including
 	// folded delta sums) to the arena words.
 	PhaseWriteBack
-	// PhaseClock: stripe-clock advance and lock release.
+	// PhaseClock: commit-clock advance and lock release.
 	PhaseClock
 
 	NumCommitPhases = int(PhaseClock) + 1
@@ -94,7 +94,7 @@ type Counter uint8
 const (
 	CounterKills         Counter = iota // receiver aborts forced by requestors
 	CounterSelfAborts                   // requestor-side and validation aborts
-	CounterExtensions                   // successful stripe-snapshot extensions
+	CounterExtensions                   // successful snapshot extensions
 	CounterBatches                      // combiner rounds
 	CounterBatchCommits                 // write sets committed by a combiner
 	CounterBatchFails                   // admissions failed inside a batch

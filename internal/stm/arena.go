@@ -12,42 +12,43 @@
 // decoded only by the helpers below wordMeta):
 //
 //	bit 0      locked
-//	bits 1-47  version, drawn from the word's stripe clock; kept
-//	           intact while locked (batch admission, and releasing
-//	           a word nobody wrote at its pre-lock version, rely on it)
+//	bits 1-47  version, drawn from the commit clock; kept intact
+//	           while locked (batch admission, and releasing a word
+//	           nobody wrote at its pre-lock version, rely on it)
 //	bits 48-63 the owner's descriptor id while locked, else 0
 //
 // Acquiring is therefore one CAS, releasing is the one store that
 // publishes the new version, and "do I own this word" is a compare on
-// a lock word already loaded. Both fields have hard limits: a stripe
+// a lock word already loaded. Both fields have hard limits: a commit
 // clock that would pass maxVersion (2^47-1: over two years of 2M
-// commits/s on one stripe) panics with errVersionOverflow rather than
-// truncate — a truncated version reads as old and would skip an
-// extension — and at most maxDescs (65535) Worker handles are open at
-// once; one more blocks until a Release.
+// commits/s) panics with errVersionOverflow rather than truncate — a
+// truncated version reads as old and would skip an extension — and at
+// most maxDescs (65535) Worker handles are open at once; one more
+// blocks until a Release.
 //
-// The global commit clock of classic TL2 is replaced by striped
-// per-shard clocks: word idx belongs to stripe idx&(shards-1), and a
-// committing writer advances only the clocks of the stripes it wrote.
-// At high core counts this removes the single contended CAS line that
-// otherwise serializes every commit.
+// Versions come from one TL2 commit clock, alone on its cache line: a
+// commit that writes anything advances it once (bumpClock) and
+// releases every word it wrote at the new value. Striping the clock by
+// word index would spare disjoint writers that one shared line, but a
+// commit would pay an add per stripe it wrote and a reader an extension
+// per stripe it met, which is the wrong trade for a few hot words.
 //
-// Striped clocks need a striped notion of snapshot. A descriptor
-// holds one read version per stripe: when a read (or write-lock
-// acquisition) in stripe s observes a word version newer than the
-// stripe snapshot, the transaction *extends* — it reads the latest
-// stripe clock, revalidates its entire read set, and on success
-// adopts the newer snapshot (TL2/TinySTM-style extension). Extension
-// failure aborts, so opacity is preserved: no transaction, even a
-// doomed one, observes a torn snapshot. The snapshot is carried from
-// one attempt (and block, and handle) to the next and picks up the
-// descriptor's own commit stamps: any value a stripe clock once held
-// is a valid snapshot for an empty read set — the commit pipeline
-// (commit.go) stamps only once every word of its plan is locked, so a
-// writer stamped at or below it locked its words before the clock got
-// there and its words read as locked or already new, and a later writer
-// stamps above it — and it only moves inside an attempt through extend.
-// So only words committed by someone else since then cost an extension.
+// A descriptor's snapshot rv is one clock value. When a read (or
+// write-lock acquisition) observes a word version newer than rv, the
+// transaction *extends* — it reads the clock, revalidates its entire
+// read set, and on success adopts the newer snapshot (TL2/TinySTM-style
+// extension). Extension failure aborts, so opacity is preserved: no
+// transaction, even a doomed one, observes a torn snapshot. The
+// snapshot is carried from one attempt (and block, and handle) to the
+// next and picks up the descriptor's own commit stamps: any value the
+// clock once held is a valid snapshot for an empty read set — the
+// commit pipeline (commit.go) stamps only once every word of its plan
+// is locked, so a writer stamped at or below it locked its words
+// before the clock got there and its words read as locked or already
+// new, and a later writer stamps above it — and it only moves inside
+// an attempt through extend. So only words committed by someone else
+// since then cost an extension, and one extension covers every such
+// word committed before it read the clock.
 //
 // # Locking modes
 //
@@ -115,7 +116,7 @@
 // dependency), and the group-commit combiner (batch.go, gated by
 // Policy.FoldCommutative) exploits them: when every access to a
 // contended word within a drained batch is a tagged delta, the
-// combiner applies ONE summed store and advances the stripe clock
+// combiner applies ONE summed store and advances the commit clock
 // once, collapsing the k-length conflict chain into a single commit
 // event. Any plain write to the same word in the same batch falls
 // back to roster-order write-back, so mixed traffic keeps exact
@@ -158,7 +159,7 @@ const (
 	maxDescs          = 1<<(64-idShift) - 1 // ids 1..maxDescs; 0 = no owner
 )
 
-var errVersionOverflow = errors.New("stm: stripe clock passed the lock word's 47-bit version field")
+var errVersionOverflow = errors.New("stm: commit clock passed the lock word's 47-bit version field")
 
 func isLocked(l uint64) bool { return l&lockBit != 0 }
 
@@ -186,13 +187,6 @@ type freeList struct {
 	_    [cacheLine - 8]byte
 }
 
-// stripe is one clock shard, padded onto its own line so commits in
-// different stripes never contend on clock cache lines.
-type stripe struct {
-	clock atomic.Uint64
-	_     [cacheLine - 8]byte
-}
-
 // Config assembles a runtime at construction time: the *initial*
 // Policy, embedded — the dynamic half Runtime.SetPolicy can replace
 // atomically at any point (see policy.go) — and the *structural*
@@ -207,11 +201,6 @@ type Config struct {
 	// lazy runtime has the group-commit combiner lanes that
 	// Policy.CommitBatch opens.
 	Lazy bool
-	// Shards is the number of clock stripes. 0 picks a default sized
-	// to GOMAXPROCS; 1 degenerates to the flat single-clock arena
-	// (the pre-sharding layout, kept as the ablation baseline).
-	// Other values are rounded up to a power of two.
-	Shards int
 	// Trace, when non-nil, receives one TxTrace per completed atomic
 	// block (see internal/trace for the production recorder). All
 	// instrumentation is gated behind this nil check, so the hot path
@@ -242,14 +231,11 @@ func DefaultConfig() Config {
 }
 
 // String renders the config for reports: the policy's label with the
-// locking mode (and "/flat" for a one-stripe arena) after its strategy.
+// locking mode after its strategy.
 func (c Config) String() string {
 	p, mode := c.Policy, "lazy"
 	if !c.Lazy {
 		p.CommitBatch, mode = 0, "eager" // as New does: no lanes to open
-	}
-	if c.Shards == 1 {
-		mode += "/flat"
 	}
 	return p.label(mode)
 }
@@ -271,19 +257,17 @@ func (s *Stats) Snapshot() map[string]uint64 {
 }
 
 // Runtime is a transactional memory arena plus its conflict policy.
-// The structural fields (lazy, stripes, tracer, the arena itself) are
+// The structural fields (lazy, tracer, the arena itself) are
 // frozen at New; the conflict policy lives behind one atomic pointer
 // and is swappable at runtime (SetPolicy) — each transaction attempt
 // latches the current *Policy once, so a swap never tears a running
 // attempt and an unswapped runtime pays only the pointer load.
 type Runtime struct {
-	lazy       bool
-	tracer     Tracer
-	metrics    *metrics.Plane
-	phaseMask  uint64 // metrics.SampleN()-1: see Tx.samplePhases
-	stripeMask int
-	stripes    []stripe
-	meta       []wordMeta
+	lazy      bool
+	tracer    Tracer
+	metrics   *metrics.Plane
+	phaseMask uint64 // metrics.SampleN()-1: see Tx.samplePhases
+	meta      []wordMeta
 
 	pol      atomic.Pointer[Policy]
 	polSwaps atomic.Uint64
@@ -305,6 +289,13 @@ type Runtime struct {
 	batchMask int
 
 	Stats Stats
+
+	// clock is the commit clock (see "Arena layout"). Every commit adds
+	// to it, so it sits a full line away from the header above, which
+	// every Load and Store reads, and from whatever follows the Runtime.
+	_     [cacheLine]byte
+	clock atomic.Uint64
+	_     [cacheLine - 8]byte
 }
 
 // New creates a runtime with n words, all zero.
@@ -312,26 +303,19 @@ func New(n int, cfg Config) *Runtime {
 	if n <= 0 {
 		panic("stm: non-positive arena size")
 	}
-	sh := cfg.Shards
-	if sh <= 0 {
-		sh = defaultShards()
-	}
-	sh = ceilPow2(sh)
 	plane := cfg.Metrics
 	if plane == nil {
 		plane = metrics.NewPlane(runtime.GOMAXPROCS(0), 0)
 	}
 	rt := &Runtime{
-		lazy:       cfg.Lazy,
-		tracer:     cfg.Trace,
-		metrics:    plane,
-		phaseMask:  uint64(plane.SampleN() - 1),
-		Stats:      Stats{plane: plane},
-		stripeMask: sh - 1,
-		stripes:    make([]stripe, sh),
-		meta:       make([]wordMeta, n),
-		descLimit:  maxDescs,
-		free:       make([]freeList, ceilPow2(min(runtime.GOMAXPROCS(0), 16))),
+		lazy:      cfg.Lazy,
+		tracer:    cfg.Trace,
+		metrics:   plane,
+		phaseMask: uint64(plane.SampleN() - 1),
+		Stats:     Stats{plane: plane},
+		meta:      make([]wordMeta, n),
+		descLimit: maxDescs,
+		free:      make([]freeList, ceilPow2(min(runtime.GOMAXPROCS(0), 16))),
 	}
 	rt.descs.Store(&[]*Tx{nil})
 	if cfg.Lazy {
@@ -354,20 +338,6 @@ func New(n int, cfg Config) *Runtime {
 // before the first.
 func (rt *Runtime) KEstimate() float64 { return rt.metrics.KEstimate() }
 
-// defaultShards sizes the stripe count to the machine: enough stripes
-// that concurrent committers rarely collide on a clock line, capped
-// so per-transaction snapshot state stays small.
-func defaultShards() int {
-	s := 4 * runtime.GOMAXPROCS(0)
-	if s > 64 {
-		s = 64
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
-}
-
 // ceilPow2 rounds n up to the next power of two (n >= 1).
 func ceilPow2(n int) int {
 	p := 1
@@ -377,13 +347,6 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// stripeOf maps a word index to its clock stripe. Adjacent words land
-// in different stripes, spreading hot neighbourhoods across clocks.
-func (rt *Runtime) stripeOf(idx int) int { return idx & rt.stripeMask }
-
-// Shards returns the number of clock stripes (a power of two).
-func (rt *Runtime) Shards() int { return len(rt.stripes) }
-
 // Config returns the runtime's configuration with the *current*
 // policy folded in: the structural half is the construction-time
 // truth, the dynamic half reflects the latest SetPolicy — so
@@ -392,7 +355,6 @@ func (rt *Runtime) Config() Config {
 	return Config{
 		Policy:  rt.Policy(),
 		Lazy:    rt.lazy,
-		Shards:  len(rt.stripes),
 		Trace:   rt.tracer,
 		Metrics: rt.metrics,
 	}
@@ -417,9 +379,9 @@ func (rt *Runtime) ReadCommitted(idx int) uint64 {
 	}
 }
 
-// bumpClock advances stripe s's clock and returns the new version.
-func (rt *Runtime) bumpClock(s int) uint64 {
-	v := rt.stripes[s].clock.Add(1)
+// bumpClock advances the commit clock and returns the new version.
+func (rt *Runtime) bumpClock() uint64 {
+	v := rt.clock.Add(1)
 	if v > maxVersion {
 		panic(errVersionOverflow)
 	}

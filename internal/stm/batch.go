@@ -6,15 +6,15 @@
 // serialized commit-time work on hot words. An unbatched lazy commit
 // pays that serialization per transaction: every committer fights for
 // the same commit locks, burns a grace period per conflict, and
-// advances the stripe clocks with its own CAS. Batching amortizes all
+// advances the commit clock with its own add. Batching amortizes all
 // three. Committing write sets map onto a small set of combiner lanes;
 // the first transaction to claim a lane becomes its *combiner*, drains
 // the lane's queue into a roster (drain: the commit pipeline's plan
 // stage for a lane) and runs the commit pipeline (commit.go) over it
 // once for the whole roster: each commit lock acquired once in address
-// order, members admitted in roster order, one clock advance per
-// written stripe, every drained descriptor's outcome stamped into its
-// packed state word.
+// order, members admitted in roster order, one commit-clock advance for
+// the round, every drained descriptor's outcome stamped into its packed
+// state word.
 //
 // Commutative folding (Policy.FoldCommutative) rides on admission and
 // write-back: delta-writes recorded by tx.Add are blind — no read entry
@@ -64,9 +64,10 @@ type batchShard struct {
 }
 
 // defaultBatchShards sizes the combiner lanes to the machine: one
-// lane per ~8 processors so batches actually form (a lane per stripe
-// would almost never see two committers), capped so lane state stays
-// small. More lanes means less combining but less lane contention.
+// lane per ~8 processors so batches actually form (a lane per
+// processor would almost never see two committers), capped so lane
+// state stays small. More lanes means less combining but less lane
+// contention.
 func defaultBatchShards() int {
 	s := runtime.GOMAXPROCS(0) / 8
 	if s < 1 {

@@ -256,22 +256,27 @@ func TestBatchQueueBound(t *testing.T) {
 }
 
 // stagedBatchRuntime is the runtime the staged combiner tests share:
-// four words, one per stripe, one lane, two members a round, each word
-// committed once so its pre-batch version (1) and value (10+idx) are
-// told apart from a fresh word's.
+// four words, one lane, two members a round, all four committed by one
+// block so their pre-batch version (1) and value (10+idx) are told
+// apart from a fresh word's, and the commit clock stands at 1.
 func stagedBatchRuntime(t *testing.T, cfg Config) *Runtime {
 	t.Helper()
-	cfg.Shards = 4
 	rt := New(4, cfg)
 	rt.setBatchShards(1)
-	for idx := 0; idx < 4; idx++ {
-		if err := rt.Atomic(rng.New(1), func(tx *Tx) error { tx.Store(idx, uint64(10+idx)); return nil }); err != nil {
-			t.Fatal(err)
+	if err := rt.Atomic(rng.New(1), func(tx *Tx) error {
+		for idx := 0; idx < 4; idx++ {
+			tx.Store(idx, uint64(10+idx))
 		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if c := rt.clock.Load(); c != 1 {
+		t.Fatalf("staging: commit clock %d, want 1", c)
 	}
 	for idx := 0; idx < 4; idx++ {
-		if l, c := rt.meta[idx].lock.Load(), rt.stripes[idx].clock.Load(); l != unlockedAt(1) || c != 1 {
-			t.Fatalf("staging: word %d lock %#x, stripe clock %d; want version 1 on both", idx, l, c)
+		if l := rt.meta[idx].lock.Load(); l != unlockedAt(1) {
+			t.Fatalf("staging: word %d lock %#x, want version 1", idx, l)
 		}
 	}
 	return rt
@@ -296,7 +301,8 @@ func enqueueByHand(rt *Runtime, w *Worker, r int, ver uint64, idx int, val uint6
 // one lane: the combiner writes word 0, and the queued member read word
 // 0 and writes word 2. The combiner is admitted first, so the member
 // fails the lost-update check — and word 2, which only it writes, is
-// released at its pre-batch version with its stripe clock untouched.
+// released at its pre-batch version, the round advancing the commit
+// clock once, for word 0.
 func TestBatchFailedOnlyWriterKeepsVersion(t *testing.T) {
 	rt := stagedBatchRuntime(t, batchedConfig(2))
 	wB := rt.Worker(1, rng.New(2))
@@ -316,11 +322,11 @@ func TestBatchFailedOnlyWriterKeepsVersion(t *testing.T) {
 	if l, v := rt.meta[0].lock.Load(), rt.meta[0].val.Load(); l != unlockedAt(2) || v != 20 {
 		t.Fatalf("word 0: lock %#x, value %d; want version 2, value 20", l, v)
 	}
-	if l, v, c := rt.meta[2].lock.Load(), rt.meta[2].val.Load(), rt.stripes[2].clock.Load(); l != unlockedAt(1) || v != 12 || c != 1 {
-		t.Fatalf("word 2: lock %#x, value %d, stripe clock %d; want version 1, value 12, clock 1", l, v, c)
+	if l, v, c := rt.meta[2].lock.Load(), rt.meta[2].val.Load(), rt.clock.Load(); l != unlockedAt(1) || v != 12 || c != 2 {
+		t.Fatalf("word 2: lock %#x, value %d, commit clock %d; want version 1, value 12, clock 2", l, v, c)
 	}
-	if s := rt.Stats.Snapshot(); s["batches"] != 5 || s["batchCommits"] != 5 || s["batchFails"] != 1 {
-		t.Fatalf("stats %v: want 5 batches, 5 batch commits, 1 batch fail", s)
+	if s := rt.Stats.Snapshot(); s["batches"] != 2 || s["batchCommits"] != 2 || s["batchFails"] != 1 {
+		t.Fatalf("stats %v: want 2 batches, 2 batch commits, 1 batch fail", s)
 	}
 }
 
@@ -394,8 +400,8 @@ func TestBatchCombinerAbortReleasesAtPreBatchVersion(t *testing.T) {
 			if busy := sh.busy.Load(); busy != 0 {
 				t.Fatal("aborted combiner kept the lane")
 			}
-			if l, v, clk := rt.meta[0].lock.Load(), rt.meta[0].val.Load(), rt.stripes[0].clock.Load(); l != unlockedAt(1) || v != 10 || clk != 1 {
-				t.Fatalf("word 0: lock %#x, value %d, stripe clock %d; want version 1, value 10, clock 1", l, v, clk)
+			if l, v, clk := rt.meta[0].lock.Load(), rt.meta[0].val.Load(), rt.clock.Load(); l != unlockedAt(1) || v != 10 || clk != 1 {
+				t.Fatalf("word 0: lock %#x, value %d, commit clock %d; want version 1, value 10, clock 1", l, v, clk)
 			}
 			if err := <-memberDone; err != nil {
 				t.Fatal(err)

@@ -28,8 +28,8 @@ import (
 //  4. write back: store the admitted buffered values in roster order,
 //     commutative deltas folded into one sum per word (writeBack);
 //     eager wrote in place.
-//  5. stamp and release: one clock advance per written stripe for the
-//     whole roster, each word released at its stripe's new version or,
+//  5. stamp and release: one commit-clock advance for the whole roster
+//     if it writes anything, each word released at the new version or,
 //     written by nobody admitted, at the version it was taken at
 //     (stampRelease). Eager rollback releases through this stage too.
 //  6. publish: adopt the stamps as the committer's snapshot, then stamp
@@ -40,9 +40,9 @@ import (
 // 2 took, at the versions it was taken at, and fail the drained members
 // (abandon); eager's locks, taken at Store, go with its undo log
 // (rollback). Stamping after every lock of the plan is held is what
-// keeps a stripe clock a sound snapshot: a writer stamped at or below a
-// value the clock once held had locked all its words before the clock
-// got there (see "Arena layout").
+// keeps any value the commit clock once held a sound snapshot: a writer
+// stamped at or below it had locked all its words before the clock got
+// there (see "Arena layout").
 
 // roster is a lane round's commit: who commits and what it locks. It
 // belongs to the combiner (Tx.r) and is reused round after round, so a
@@ -156,8 +156,8 @@ func (tx *Tx) acquire(idx int, owner uint64, extend bool) {
 			tx.onLocked(m, l)
 			continue
 		}
-		if s := tx.rt.stripeOf(idx); extend && lockVersion(l) > tx.rv[s] {
-			tx.extend(s)
+		if extend && lockVersion(l) > tx.rv {
+			tx.extend()
 			continue
 		}
 		if m.lock.CompareAndSwap(l, lockedBy(l, owner)) {
@@ -266,10 +266,10 @@ func (tx *Tx) writeBack(r *roster) {
 }
 
 // stampRelease is stage 5, and eager rollback's release: it advances
-// each written stripe's clock once (wvs keeps the stamp for the plan's
-// other words in that stripe) and releases every plan word, at its
-// stripe's new version when it was written (marks nil: all were), else
-// at the version it was taken at.
+// the commit clock once, at the first written word (wv keeps the stamp
+// for the rest), and releases every plan word, at the new version when
+// it was written (marks nil: all were), else at the version it was
+// taken at.
 func (tx *Tx) stampRelease(plan []int, marks []int) {
 	rt := tx.rt
 	for j, idx := range plan {
@@ -278,11 +278,10 @@ func (tx *Tx) stampRelease(plan []int, marks []int) {
 			m.lock.Store(unlockedKeep(m.lock.Load()))
 			continue
 		}
-		s := rt.stripeOf(idx)
-		if tx.wvs[s] == 0 {
-			tx.wvs[s] = rt.bumpClock(s)
+		if tx.wv == 0 {
+			tx.wv = rt.bumpClock()
 		}
-		m.lock.Store(unlockedAt(tx.wvs[s]))
+		m.lock.Store(unlockedAt(tx.wv))
 	}
 }
 
@@ -377,13 +376,11 @@ func (tx *Tx) validateReads() {
 }
 
 // adoptStamps ends a commit or rollback: the attempt's read set is
-// dead, so each stripe stamp it drew — a value that clock held — is a
+// dead, so the stamp it drew, if any — a value the clock held — is a
 // valid, and the newest possible, snapshot to start the next attempt
 // from.
 func (tx *Tx) adoptStamps() {
-	for s, v := range tx.wvs {
-		if v != 0 {
-			tx.rv[s], tx.wvs[s] = v, 0
-		}
+	if tx.wv != 0 {
+		tx.rv, tx.wv = tx.wv, 0
 	}
 }

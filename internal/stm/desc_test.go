@@ -2,6 +2,7 @@ package stm
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -12,21 +13,34 @@ import (
 )
 
 // TestLayout pins what the arena's cost model rests on: a word is one
-// cache line with its lock word and its data in it, a stripe clock, a
-// free-list head and a combiner lane have a line each, the word
-// requestors write on a descriptor sits a full line away from the ones
-// its owner reads on every attempt, and what the owner writes on every
-// commit (ledger, phase sampler) a full line away from every word a
-// requestor touches (distances, so they hold wherever the allocator
-// puts the descriptor).
+// cache line with its lock word and its data in it, the commit clock
+// sits a full line away from every other Runtime field (every Load and
+// Store reads the header, every commit adds to the clock), a free-list
+// head and a combiner lane have a line each, the word requestors write
+// on a descriptor sits a full line away from the ones its owner reads
+// on every attempt, and what the owner writes on every commit (ledger,
+// phase sampler) a full line away from every word a requestor touches
+// (distances, so they hold wherever the allocator puts the runtime and
+// the descriptor).
 func TestLayout(t *testing.T) {
 	var m wordMeta
 	if unsafe.Sizeof(m) != cacheLine || unsafe.Offsetof(m.lock)+8 > cacheLine || unsafe.Offsetof(m.val)+8 > cacheLine {
 		t.Errorf("wordMeta: size %d, lock at %d, val at %d; want one %d-byte line holding both",
 			unsafe.Sizeof(m), unsafe.Offsetof(m.lock), unsafe.Offsetof(m.val), cacheLine)
 	}
-	if sz := unsafe.Sizeof(stripe{}); sz != cacheLine {
-		t.Errorf("stripe is %d bytes, want %d", sz, cacheLine)
+	var rt Runtime
+	clock := unsafe.Offsetof(rt.clock)
+	for i, rtt := 0, reflect.TypeOf((*Runtime)(nil)).Elem(); i < rtt.NumField(); i++ {
+		f := rtt.Field(i)
+		if f.Name == "_" || f.Name == "clock" {
+			continue
+		}
+		if end := f.Offset + f.Type.Size(); f.Offset < clock+8+cacheLine && clock < end+cacheLine {
+			t.Errorf("Runtime.clock at %d can share a line with Runtime.%s at %d (%d bytes)", clock, f.Name, f.Offset, f.Type.Size())
+		}
+	}
+	if end := unsafe.Sizeof(rt); end < clock+cacheLine {
+		t.Errorf("Runtime.clock at %d can share a line with whatever follows the Runtime at %d", clock, end)
 	}
 	if sz := unsafe.Sizeof(freeList{}); sz != cacheLine {
 		t.Errorf("freeList is %d bytes, want %d", sz, cacheLine)
@@ -102,7 +116,7 @@ func TestLockWordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestVersionOverflowPanics: a stripe clock at the version field's
+// TestVersionOverflowPanics: the commit clock at the version field's
 // limit refuses the next stamp with errVersionOverflow on every path
 // that draws one — commit in each mode and the eager rollback —
 // instead of publishing a truncated version, which would read as old
@@ -127,7 +141,7 @@ func TestVersionOverflowPanics(t *testing.T) {
 			cfg.Lazy, cfg.CommitBatch = c.lazy, c.batch
 			rt := New(2, cfg)
 			r := rng.New(1)
-			rt.stripes[0].clock.Store(maxVersion - 1)
+			rt.clock.Store(maxVersion - 1)
 			if err := rt.Atomic(r, c.body); err != nil && err != fail {
 				t.Fatal(err)
 			}

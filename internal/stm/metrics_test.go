@@ -101,3 +101,41 @@ func TestMetricsPlaneWiring(t *testing.T) {
 		})
 	}
 }
+
+// TestLandedKillCountsAsKilled: an attempt a kill landed on is counted
+// as AbortKilled whatever reason its unwind raised first — a combiner
+// failing its own admission after a requestor killed it, say — so the
+// killed reason accounts for every landed kill. The retry commits.
+func TestLandedKillCountsAsKilled(t *testing.T) {
+	for _, kill := range []struct {
+		name   string
+		status uint64
+	}{{"killed", statusKilled}, {"batch-killed", statusBatchKilled}} {
+		for _, raised := range []metrics.AbortReason{metrics.AbortBatchAdmission, metrics.AbortValidation, metrics.AbortLockTimeout} {
+			t.Run(kill.name+"/"+raised.String(), func(t *testing.T) {
+				plane := metrics.NewPlane(1, 0)
+				cfg := DefaultConfig()
+				cfg.Metrics = plane
+				rt := New(1, cfg)
+				if err := rt.Atomic(rng.New(1), func(tx *Tx) error {
+					if tx.Attempts() == 0 {
+						st := tx.state.Load()
+						tx.state.Store(st&^stateStatusMask | kill.status)
+						tx.abort(raised)
+					}
+					tx.Store(0, 1)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				s := plane.Snapshot()
+				if s.Aborts[metrics.AbortKilled] != 1 || s.Aborts[raised] != 0 {
+					t.Errorf("aborts %v: want one %v and no %v", s.AbortCounts(), metrics.AbortKilled, raised)
+				}
+				if rt.ReadCommitted(0) != 1 {
+					t.Error("the retry did not commit")
+				}
+			})
+		}
+	}
+}

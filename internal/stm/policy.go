@@ -16,7 +16,7 @@ import (
 // can retune a running system without stopping it, and a runtime whose
 // policy never changes pays nothing but that load.
 //
-// The structural half — arena size, Shards, Lazy vs eager locking,
+// The structural half — arena size, Lazy vs eager locking,
 // the Trace hook and the metrics plane — stays frozen in Config: those
 // decide memory layout and descriptor shape and cannot be swapped under
 // live transactions.
@@ -31,7 +31,7 @@ type Policy struct {
 	// with the given batch bound: a committing transaction either
 	// becomes its lane's combiner — acquiring the merged commit locks
 	// once, validating and writing back up to CommitBatch queued write
-	// sets with a single clock advance per written stripe — or enqueues
+	// sets with a single clock advance — or enqueues
 	// its descriptor and waits for the combiner to stamp its outcome
 	// into the packed state word. 0 closes it (direct commit path, the
 	// ablation baseline). Ignored on eager runtimes, whose

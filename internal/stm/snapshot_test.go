@@ -3,68 +3,28 @@ package stm
 import (
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"txconflict/internal/core"
+	"txconflict/internal/metrics"
 	"txconflict/internal/rng"
 )
 
-func TestShardDefaults(t *testing.T) {
-	rt := New(8, DefaultConfig())
-	if s := rt.Shards(); s < 1 || s&(s-1) != 0 {
-		t.Fatalf("default shard count %d is not a positive power of two", s)
-	}
-	cfg := DefaultConfig()
-	cfg.Shards = 5
-	if got := New(8, cfg).Shards(); got != 8 {
-		t.Fatalf("Shards=5 rounded to %d, want 8", got)
-	}
-	cfg.Shards = 1
-	rtFlat := New(8, cfg)
-	if got := rtFlat.Shards(); got != 1 {
-		t.Fatalf("flat arena has %d stripes", got)
-	}
-	for idx := 0; idx < 8; idx++ {
-		if s := rtFlat.stripeOf(idx); s != 0 {
-			t.Fatalf("flat arena maps word %d to stripe %d", idx, s)
-		}
-	}
-}
-
-// TestStripedClockAdvancesPerStripe checks that commits only touch
-// the clocks of the stripes they wrote.
-func TestStripedClockAdvancesPerStripe(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Shards = 4
-	rt := New(8, cfg)
-	r := rng.New(1)
-	// Words 1 and 5 both live in stripe 1 (idx & 3).
-	_ = rt.Atomic(r, func(tx *Tx) error {
-		tx.Store(1, 10)
-		tx.Store(5, 11)
-		return nil
-	})
-	if got := rt.stripes[1].clock.Load(); got != 1 {
-		t.Fatalf("written stripe clock = %d, want 1 (one bump per commit)", got)
-	}
-	for _, s := range []int{0, 2, 3} {
-		if got := rt.stripes[s].clock.Load(); got != 0 {
-			t.Fatalf("untouched stripe %d clock = %d", s, got)
-		}
-	}
-}
-
 // TestSnapshotExtension pins the invariant behind the carried
-// snapshot: a transaction extends exactly when it meets a word someone
-// else committed after its descriptor last looked at that stripe — not
-// on first contact, and not for its own commits.
+// snapshot: an attempt extends exactly once when it meets words someone
+// else committed after its descriptor's snapshot, however many of them
+// it reads — not on first contact, and not for its own commits, which
+// also cover everything committed before them.
 func TestSnapshotExtension(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Shards = 4
-	rt := New(8, cfg)
+	rt := New(8, DefaultConfig())
 	mine := rt.Worker(0, rng.New(1))
 	defer mine.Release()
 	other := rt.Worker(1, rng.New(2))
@@ -96,59 +56,66 @@ func TestSnapshotExtension(t *testing.T) {
 		return rt.Stats.Snapshot()["extensions"] - before
 	}
 
-	store(&mine, 0, 1, 2, 3) // one word in each stripe
+	store(&mine, 0, 1, 2, 3)
 	if n := extensions(0, 1, 2, 3); n != 0 {
 		t.Errorf("reading back its own commit, the descriptor extended %d times", n)
 	}
-	store(&other, 4, 5, 6, 7) // the same four stripes, by someone else
-	if n := extensions(4, 5, 6, 7); n != 4 {
-		t.Errorf("four stripes committed by another descriptor: %d extensions, want one each", n)
+	store(&other, 4, 5, 6, 7)
+	if n := extensions(4, 5, 6, 7); n != 1 {
+		t.Errorf("four words committed by another descriptor: %d extensions, want 1", n)
 	}
 	if n := extensions(0, 1, 2, 3, 4, 5, 6, 7); n != 0 {
 		t.Errorf("nobody wrote since the last block, yet %d extensions", n)
 	}
 	store(&other, 1)
+	store(&other, 5)
 	if n := extensions(0, 1, 2, 3, 5); n != 1 {
-		t.Errorf("one word committed in between (stripe 1): %d extensions, want exactly 1", n)
+		t.Errorf("two words committed in between, by two blocks: %d extensions, want 1", n)
+	}
+	store(&other, 6)
+	store(&mine, 0)
+	if n := extensions(0, 6); n != 0 {
+		t.Errorf("a word committed before the descriptor's own commit: %d extensions, want 0", n)
 	}
 	if st := rt.Stats.Snapshot(); st["aborts"] != 0 {
 		t.Fatalf("extension path aborted: %v", st)
 	}
 }
 
-// TestSnapshotCarried: the per-stripe snapshot survives reset and ends
-// a commit — eager or lazy — and an eager rollback at the stamp the
-// descriptor itself drew.
+// TestSnapshotCarried: the snapshot survives reset and ends a commit —
+// eager or lazy — and an eager rollback at the stamp the descriptor
+// itself drew.
 func TestSnapshotCarried(t *testing.T) {
 	fail := errors.New("roll back")
 	for _, lazy := range []bool{false, true} {
 		t.Run(fmt.Sprintf("lazy=%v", lazy), func(t *testing.T) {
 			cfg := DefaultConfig()
-			cfg.Shards, cfg.Lazy = 4, lazy
+			cfg.Lazy = lazy
 			rt := New(8, cfg)
 			w := rt.Worker(0, rng.New(1))
 			defer w.Release()
-			check := func(what string, want ...uint64) {
+			check := func(what string, want uint64) {
 				t.Helper()
-				for s, v := range want {
-					if w.tx.rv[s] != v || w.tx.wvs[s] != 0 {
-						t.Fatalf("%s: rv = %v, wvs = %v; want rv = %v and no stamp left", what, w.tx.rv, w.tx.wvs, want)
-					}
+				if w.tx.rv != want || w.tx.wv != 0 {
+					t.Fatalf("%s: rv = %d, wv = %d; want rv = %d and no stamp left", what, w.tx.rv, w.tx.wv, want)
 				}
 			}
 			_ = w.Atomic(func(tx *Tx) error { tx.Store(2, 1); tx.Store(6, 1); return nil })
-			check("after a commit to stripe 2", 0, 0, 1, 0)
+			check("after a commit of two words", 1)
 			w.tx.reset(nanos())
-			check("after reset", 0, 0, 1, 0)
+			check("after reset", 1)
 			_ = w.Atomic(func(tx *Tx) error { tx.Store(2, 2); tx.Store(3, 2); return nil })
-			check("after a commit to stripes 2 and 3", 0, 0, 2, 1)
+			check("after a second commit", 2)
 			if err := w.Atomic(func(tx *Tx) error { tx.Store(3, 9); return fail }); err != fail {
 				t.Fatal(err)
 			}
 			if lazy { // nothing was locked, nothing stamped
-				check("after a lazy user abort", 0, 0, 2, 1)
+				check("after a lazy user abort", 2)
 			} else {
-				check("after an eager rollback of stripe 3", 0, 0, 2, 2)
+				check("after an eager rollback", 3)
+			}
+			if c := rt.clock.Load(); c != w.tx.rv {
+				t.Fatalf("commit clock %d, want the descriptor's last stamp %d", c, w.tx.rv)
 			}
 		})
 	}
@@ -156,17 +123,14 @@ func TestSnapshotCarried(t *testing.T) {
 
 // TestCarriedSnapshotOpacity: a reader that keeps one descriptor — and
 // so one carried snapshot — across all its blocks never sees a torn
-// pair, doomed attempts included, whether the pair shares a stripe or
-// not. The yield between a block's first two loads invites the writer
+// pair, doomed attempts included, adjacent words or not. The yield between a block's first two loads invites the writer
 // in; the retry runs straight through, or on one P the writer would
 // commit inside every attempt and the reader never finish a block.
 func TestCarriedSnapshotOpacity(t *testing.T) {
 	for _, pair := range [][2]int{{0, 1}, {0, 4}} {
 		t.Run(fmt.Sprintf("words=%v", pair), func(t *testing.T) {
 			t.Parallel()
-			cfg := DefaultConfig()
-			cfg.Shards = 4
-			rt := New(8, cfg)
+			rt := New(8, DefaultConfig())
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
 			wg.Add(1)
@@ -210,12 +174,13 @@ func TestCarriedSnapshotOpacity(t *testing.T) {
 
 // TestShardedObjectSumInvariant drives the TxApp-style object-sum
 // invariant (each transaction increments two distinct objects, per
-// internal/workload) through the sharded runtime under a kill-heavy
+// internal/workload) through the runtime under a kill-heavy
 // requestor-wins configuration: NO_DELAY grace means every conflict
 // kills the receiver immediately. Serializability requires
-// Σ objects = 2 × committed ops exactly. Run under -race this doubles
-// as the data-race audit of the sharded arena and epoch-kill
-// protocol.
+// Σ objects = 2 × committed ops exactly. The "flat" variant counts into
+// a one-shard metrics plane; the "sharded" ones into New's default.
+// Run under -race this doubles as the data-race audit of the arena and
+// the epoch-kill protocol.
 func TestShardedObjectSumInvariant(t *testing.T) {
 	const objects = 64
 	goroutines, perG := 8, 400
@@ -226,9 +191,9 @@ func TestShardedObjectSumInvariant(t *testing.T) {
 		name string
 		cfg  Config
 	}{
+		{"eager-flat", Config{Policy: Policy{Rule: core.Rule{Policy: core.RequestorWins}, MaxRetries: 128}, Metrics: metrics.NewPlane(1, 0)}},
 		{"eager-sharded", Config{Policy: Policy{Rule: core.Rule{Policy: core.RequestorWins}, MaxRetries: 128}}},
 		{"lazy-sharded", Config{Policy: Policy{Rule: core.Rule{Policy: core.RequestorWins}, MaxRetries: 128}, Lazy: true}},
-		{"eager-flat", Config{Policy: Policy{Rule: core.Rule{Policy: core.RequestorWins}, MaxRetries: 128}, Shards: 1}},
 	} {
 		variant := variant
 		t.Run(variant.name, func(t *testing.T) {
@@ -267,52 +232,46 @@ func TestShardedObjectSumInvariant(t *testing.T) {
 	}
 }
 
-// benchDisjointWriters is the shared disjoint-writer load: each
-// parallel worker increments its own 16-word slice of the arena, so
-// and commits under its own worker id (own metrics shard, own free
-// list), so the only shared traffic is commit-clock lines — the
-// contention the striped clocks exist to remove.
-func benchDisjointWriters(b *testing.B, shards int) {
-	const words = 1024
-	cfg := DefaultConfig()
-	cfg.Strategy = nil
-	cfg.Shards = shards
-	rt := New(words, cfg)
-	var gid int32
-	var mu sync.Mutex
-	b.RunParallel(func(pb *testing.PB) {
-		mu.Lock()
-		g := gid
-		gid++
-		mu.Unlock()
-		r := rng.New(uint64(g) + 1)
-		base := (int(g) * 16) % words
-		i := 0
-		for pb.Next() {
-			idx := base + (i & 15)
-			i++
-			_ = rt.AtomicWorker(int(g), r, func(tx *Tx) error {
-				tx.Store(idx, tx.Load(idx)+1)
-				return nil
-			})
+// TestOneCommitClock fails if a non-test file of the package writes a
+// version clock — any call on a `clock` field but Load — outside
+// bumpClock, the one stamp site: a second would skip its overflow
+// check, or advance the clock more than once for one commit.
+func TestOneCommitClock(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	advances := 0
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				allowed := ok && fd.Recv != nil && fd.Name.Name == "bumpClock"
+				ast.Inspect(decl, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					method, ok := call.Fun.(*ast.SelectorExpr)
+					if !ok || method.Sel.Name == "Load" {
+						return true
+					}
+					if field, ok := method.X.(*ast.SelectorExpr); !ok || field.Sel.Name != "clock" {
+						return true
+					}
+					advances++
+					if !allowed {
+						t.Errorf("%s: clock.%s outside bumpClock", fset.Position(call.Pos()), method.Sel.Name)
+					}
+					return true
+				})
+			}
 		}
-	})
-	b.ReportMetric(float64(rt.Stats.Snapshot()["aborts"]), "aborts")
-}
-
-// BenchmarkClockSharding measures commit throughput of disjoint
-// writers on the flat single-clock arena vs the striped one.
-func BenchmarkClockSharding(b *testing.B) {
-	b.Run("flat", func(b *testing.B) { benchDisjointWriters(b, 1) })
-	b.Run("sharded", func(b *testing.B) { benchDisjointWriters(b, 0) })
-}
-
-// BenchmarkShardCounts sweeps explicit shard counts on the disjoint
-// writer load, for `go test -bench ShardCounts -cpu 8`.
-func BenchmarkShardCounts(b *testing.B) {
-	for _, shards := range []int{1, 2, 8, 32} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchDisjointWriters(b, shards)
-		})
+	}
+	if advances != 1 {
+		t.Errorf("found %d clock writes in the package, want exactly bumpClock's", advances)
 	}
 }

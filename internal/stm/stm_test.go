@@ -10,41 +10,50 @@ import (
 	"time"
 
 	"txconflict/internal/core"
+	"txconflict/internal/metrics"
 	"txconflict/internal/rng"
 	"txconflict/internal/strategy"
 )
 
+// namedConfig is one entry of the concurrency tests' matrix.
+type namedConfig struct {
+	name string
+	cfg  Config
+}
+
 // configs returns the configuration matrix exercised by the
 // concurrency tests: both policies, both locking modes, with and
-// without delay strategies.
-func configs() []Config {
-	var out []Config
+// without delay strategies — plus a "flat" RRW pair in both locking
+// modes whose runtime counts into a one-shard metrics plane, so every
+// worker's ledger folds land on one line beside the one commit clock.
+func configs() []namedConfig {
+	var out []namedConfig
 	for _, lazy := range []bool{false, true} {
 		for _, pol := range []core.Policy{core.RequestorWins, core.RequestorAborts} {
 			for _, s := range []core.Strategy{nil, strategy.UniformRW{}, strategy.ExpRA{}} {
-				out = append(out, Config{
+				cfg := Config{
 					Policy: Policy{
 						Rule:        core.Rule{Policy: pol, Strategy: s, BackoffFactor: 1},
 						CleanupCost: time.Microsecond,
 						MaxRetries:  128,
 					},
 					Lazy: lazy,
-				})
+				}
+				out = append(out, namedConfig{cfg.String(), cfg})
 			}
 		}
 	}
-	// Flat single-clock arena (Shards=1, the pre-sharding layout)
-	// coverage for both locking modes.
 	for _, lazy := range []bool{false, true} {
-		out = append(out, Config{
+		cfg := Config{
 			Policy: Policy{
 				Rule:        core.Rule{Policy: core.RequestorWins, Strategy: strategy.UniformRW{}, BackoffFactor: 1},
 				CleanupCost: time.Microsecond,
 				MaxRetries:  128,
 			},
-			Lazy:   lazy,
-			Shards: 1,
-		})
+			Lazy:    lazy,
+			Metrics: metrics.NewPlane(1, 0),
+		}
+		out = append(out, namedConfig{cfg.String() + "/flat", cfg})
 	}
 	return out
 }
@@ -147,9 +156,9 @@ func TestEagerInPlaceAndRollback(t *testing.T) {
 // must be exactly G*N for every configuration.
 func TestCounterConcurrent(t *testing.T) {
 	const goroutines, perG = 8, 2000
-	for _, cfg := range configs() {
-		cfg := cfg
-		t.Run(cfg.String(), func(t *testing.T) {
+	for _, nc := range configs() {
+		cfg := nc.cfg
+		t.Run(nc.name, func(t *testing.T) {
 			t.Parallel()
 			rt := New(8, cfg)
 			root := rng.New(99)
@@ -184,9 +193,9 @@ func TestCounterConcurrent(t *testing.T) {
 func TestTransfersConserveBalance(t *testing.T) {
 	const accounts, goroutines, perG = 16, 8, 1500
 	const initial = 1000
-	for _, cfg := range configs() {
-		cfg := cfg
-		t.Run(cfg.String(), func(t *testing.T) {
+	for _, nc := range configs() {
+		cfg := nc.cfg
+		t.Run(nc.name, func(t *testing.T) {
 			t.Parallel()
 			rt := New(accounts, cfg)
 			seed := rng.New(7)

@@ -72,14 +72,13 @@ type Tx struct {
 	startNanos  atomic.Int64
 	attempts    atomic.Int32
 
-	// rv holds the per-stripe read snapshot: a value the stripe clock
-	// held at or before the current attempt's first read, carried
-	// across attempts, blocks and handles (0 on a fresh descriptor, so
-	// any committed word extends on first contact). wvs is the
-	// per-stripe commit-version scratch (0 = stripe not written this
-	// commit), folded into rv by adoptStamps.
-	rv  []uint64
-	wvs []uint64
+	// rv is the read snapshot: a value the commit clock held at or
+	// before the current attempt's first read, carried across attempts,
+	// blocks and handles (0 on a fresh descriptor, so any committed
+	// word extends on first contact). wv is the stamp this commit or
+	// rollback drew (0 = none yet), folded into rv by adoptStamps.
+	rv uint64
+	wv uint64
 
 	reads []readEntry
 
@@ -279,12 +278,7 @@ func (rt *Runtime) newTx() *Tx {
 	if len(descs) > rt.descLimit {
 		return nil
 	}
-	tx := &Tx{
-		rt:  rt,
-		id:  uint64(len(descs)),
-		rv:  make([]uint64, len(rt.stripes)),
-		wvs: make([]uint64, len(rt.stripes)),
-	}
+	tx := &Tx{rt: rt, id: uint64(len(descs))}
 	if rt.lazy {
 		tx.writeVals = make(map[int]uint64, 8)
 	}
@@ -400,6 +394,13 @@ func (tx *Tx) attempt(fn func(tx *Tx) error) (err error, aborted bool) {
 				tx.flush()
 				panic(r)
 			}
+			// A kill that landed is what ended this attempt, whatever
+			// the unwind site saw first (a combiner failing its own
+			// admission, say): count every landed kill as AbortKilled.
+			// Read before rollback retires the epoch.
+			if st := tx.state.Load() & stateStatusMask; st == statusKilled || st == statusBatchKilled {
+				ab.reason = metrics.AbortKilled
+			}
 			tx.lastAbort = ab.reason
 			if tx.traced {
 				tx.noteAbort(ab.reason)
@@ -450,12 +451,12 @@ func (tx *Tx) releaseToken() {
 // and the pipeline let go of any commit lock it took (abandon).
 func (tx *Tx) rollback() {
 	// Eager: restore the pre-images, then release the encounter locks
-	// through the pipeline's stamp stage, at *fresh* stripe versions.
+	// through the pipeline's stamp stage, at a *fresh* version.
 	// Restoring the original version would be an ABA hazard: a reader
 	// that loaded the lock word before we acquired, the value while our
 	// dirty in-place write was visible, and the lock word again after
 	// this rollback would see an unchanged version and accept the
-	// uncommitted value. Bumping the stripe clock makes its recheck fail
+	// uncommitted value. Bumping the commit clock makes its recheck fail
 	// instead (at the cost of spurious validation aborts on the
 	// identical pre-image, the standard undo-log STM trade).
 	if len(tx.undo) > 0 {
@@ -491,17 +492,17 @@ func (tx *Tx) checkKilled() {
 // or commit lock.
 func (tx *Tx) holds(l uint64) bool { return isLocked(l) && lockOwner(l) == tx.id }
 
-// extend adopts the latest snapshot of stripe s after revalidating
-// the whole read set (TL2/TinySTM-style snapshot extension). The
-// stripe clock is read *before* validation: any commit that races
-// past the loaded value either touches a read word (validation
-// fails) or leaves versions above the adopted snapshot (a later
-// extension catches it). Called on every validation miss: a word
-// someone committed after the snapshot was taken.
-func (tx *Tx) extend(s int) {
-	c := tx.rt.stripes[s].clock.Load()
+// extend adopts the latest snapshot after revalidating the whole read
+// set (TL2/TinySTM-style snapshot extension). The commit clock is read
+// *before* validation: any commit that races past the loaded value
+// either touches a read word (validation fails) or leaves versions
+// above the adopted snapshot (a later extension catches it). Called on
+// every validation miss: a word someone committed after the snapshot
+// was taken.
+func (tx *Tx) extend() {
+	c := tx.rt.clock.Load()
 	tx.validateReads()
-	tx.rv[s] = c
+	tx.rv = c
 	tx.mx.Add(metrics.CounterExtensions, 1)
 }
 
@@ -524,10 +525,9 @@ func (tx *Tx) Load(idx int) uint64 {
 			tx.checkKilled()
 			continue
 		}
-		if s := tx.rt.stripeOf(idx); lockVersion(l1) > tx.rv[s] {
-			// The word changed after our stripe snapshot; extend or
-			// die.
-			tx.extend(s)
+		if lockVersion(l1) > tx.rv {
+			// The word changed after our snapshot; extend or die.
+			tx.extend()
 			continue
 		}
 		v := m.val.Load()

@@ -5,7 +5,7 @@
 // word-indexed arena into something an end user could send traffic
 // to: keys, multi-key documents, counters, and a contended secondary
 // index, all executed as ordinary stm transactions so the conflict
-// policy, grace periods, sharded clocks and group-commit batching
+// policy, grace periods, commit clock and group-commit batching
 // apply unchanged.
 //
 // # Word layout

@@ -92,31 +92,34 @@ smoke-txkvd:
 
 # The Section 1 profile-to-simulation loop, end to end, on the binary
 # container: record a short contended hotspot run on the STM runtime
-# as a .btrace, convert it to JSONL (exercising the cross-format
-# streaming path), replay the identical footprints on the HTM
-# simulator and on a fresh STM arena from the binary file, diff
-# recorded vs simulated vs re-measured behaviour, then stream a 10⁶-
+# as a .btrace, convert the checked-in JSONL golden fixture to a
+# .btrace (the read-only format's streaming way out; the result must
+# equal the binary golden byte for byte), replay the recording on a
+# fresh STM arena, replay it on the HTM simulator and diff recorded vs
+# simulated vs re-measured behaviour (-fidelity), then stream a 10⁶-
 # record synthetic trace through the block writer and replay an
-# index-spaced sample of it — all under the race detector. CI runs
-# this and uploads both trace artifacts.
+# index-spaced sample of it (LoadSample) — all under the race
+# detector. CI runs this and uploads the recorded trace.
 TRACE_FILE ?= demo.btrace
-TRACE_JSONL ?= demo.trace
+TRACE_CONV ?= demo-golden.btrace
 TRACE_BIG ?= demo-big.btrace
 trace-demo:
 	$(GO) run -race ./cmd/stmbench -scenario hotspot -duration 200ms -record $(TRACE_FILE)
-	$(GO) run -race ./cmd/stmbench -convert $(TRACE_FILE) -out $(TRACE_JSONL)
-	$(GO) run -race ./cmd/txsim -replay $(TRACE_FILE) -threads 1,2,4 -cycles 300000
+	$(GO) run -race ./cmd/stmbench -convert internal/trace/testdata/golden-v1.trace -out $(TRACE_CONV)
+	cmp $(TRACE_CONV) internal/trace/testdata/golden-v1.btrace
 	$(GO) run -race ./cmd/stmbench -replay $(TRACE_FILE) -goroutines 1,2 -duration 100ms
 	$(GO) run -race ./cmd/stmbench -fidelity $(TRACE_FILE) -duration 100ms
 	$(GO) run -race ./cmd/stmbench -synth 1000000 -record $(TRACE_BIG)
-	$(GO) run -race ./cmd/txsim -replay $(TRACE_BIG) -threads 2 -cycles 200000
+	$(GO) run -race ./cmd/stmbench -replay $(TRACE_BIG) -goroutines 2 -duration 100ms
 
-# Fuzz both trace persistence formats: refresh the recorded seed under
-# internal/trace/testdata, then fuzz Load on JSONL and on the binary
-# container — corrupt or truncated inputs must error, never panic,
-# never over-allocate, never silently drop records.
+# Fuzz both trace formats' readers: record a fresh binary seed
+# (internal/trace/testdata/fuzz-seed.btrace, gitignored; the JSONL
+# seed fuzz-seed.trace beside it is frozen), then fuzz Load on JSONL
+# and on the binary container — corrupt or truncated inputs must
+# error, never panic, never over-allocate, never silently drop
+# records.
 fuzz-trace:
-	$(GO) run ./cmd/stmbench -scenario hotspot -duration 50ms -goroutines 2 -record internal/trace/testdata/fuzz-seed.trace
+	$(GO) run ./cmd/stmbench -scenario hotspot -duration 50ms -goroutines 2 -record internal/trace/testdata/fuzz-seed.btrace
 	$(GO) test -run '^$$' -fuzz 'FuzzLoad$$' -fuzztime 20s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzLoadBinary -fuzztime 20s ./internal/trace/
 

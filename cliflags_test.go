@@ -20,7 +20,7 @@ func TestCmdFlagValidation(t *testing.T) {
 	}
 	bindir := t.TempDir()
 	bins := map[string]string{}
-	for _, cmd := range []string{"stmbench", "txsim", "txkvd"} {
+	for _, cmd := range []string{"stmbench", "txkvd"} {
 		bin := filepath.Join(bindir, cmd)
 		out, err := exec.Command("go", "build", "-o", bin, "./cmd/"+cmd).CombinedOutput()
 		if err != nil {
@@ -39,33 +39,30 @@ func TestCmdFlagValidation(t *testing.T) {
 	cases := []flagCase{
 		{"stmbench scenario", "stmbench", []string{"-scenario", "nope"},
 			`stmbench: unknown scenario "nope"`, "registered scenarios: "},
-		{"txsim scenario", "txsim", []string{"-scenario", "nope"},
-			`txsim: unknown scenario "nope"`, "registered scenarios: "},
 		{"txkvd workload", "txkvd", []string{"-workload", "nope"},
 			`txkvd: unknown workload "nope"; registered workloads: document, hotspot-counter, readmostly`, ""},
 		{"txkvd mode", "txkvd", []string{"-mode", "weird"},
 			`txkvd: unknown mode "weird"`, ""},
 		{"stmbench dist", "stmbench", []string{"-scenario", "hotspot", "-dist", "nope"},
 			"nope", ""},
-		{"txkvd dist", "txkvd", []string{"-bench", "-dist", "nope"},
-			"nope", ""},
+		// txkvd only serves: its load-shaping flags are retired (the
+		// loop below has the rest of them).
+		{"txkvd dist", "txkvd", []string{"-dist", "nope"},
+			"flag provided but not defined: -dist", ""},
 		// Integer knobs: zero/negative values that would wedge or
 		// silently misconfigure a run are rejected up front with the
 		// flag named in the message.
 		{"stmbench negative batch", "stmbench", []string{"-scenario", "hotspot", "-batch", "-1"},
 			"stmbench: -batch must be >= 0 (got -1)", ""},
-		{"txsim negative detail", "txsim", []string{"-scenario", "stack", "-detail", "-8"},
-			"txsim: -detail must be >= 0", ""},
-		{"txsim negative ablate", "txsim", []string{"-scenario", "stack", "-ablate", "-8"},
-			"txsim: -ablate must be >= 0", ""},
 		{"txkvd zero workers", "txkvd", []string{"-workers", "0"},
 			"txkvd: -workers must be > 0 (got 0)", ""},
 		{"txkvd negative workers", "txkvd", []string{"-workers", "-2"},
 			"txkvd: -workers must be > 0 (got -2)", ""},
-		{"txkvd zero users", "txkvd", []string{"-bench", "-users", "0"},
-			"txkvd: -users must be > 0 (got 0)", ""},
-		{"txkvd zero batchsize", "txkvd", []string{"-bench", "-batchsize", "0"},
-			"txkvd: -batchsize must be > 0 (got 0)", ""},
+		// Retired with txkvd's load modes.
+		{"txkvd zero users", "txkvd", []string{"-users", "0"},
+			"flag provided but not defined: -users", ""},
+		{"txkvd zero batchsize", "txkvd", []string{"-batchsize", "0"},
+			"flag provided but not defined: -batchsize", ""},
 		{"txkvd negative batch", "txkvd", []string{"-batch", "-1"},
 			"txkvd: -batch must be >= 0 (got -1)", ""},
 		{"txkvd negative capacity", "txkvd", []string{"-capacity", "-1"},
@@ -74,38 +71,33 @@ func TestCmdFlagValidation(t *testing.T) {
 		// group-commit combiner, so it must name its prerequisite.
 		{"stmbench fold without batch", "stmbench", []string{"-scenario", "hotspot", "-fold"},
 			"stmbench: -fold requires -batch > 0", ""},
-		{"txkvd fold without batch", "txkvd", []string{"-bench", "-fold"},
+		{"txkvd fold without batch", "txkvd", []string{"-fold"},
 			"txkvd: -fold requires -batch > 0", ""},
 		{"stmbench zero delta", "stmbench", []string{"-scenario", "hotspot", "-delta", "0"},
 			"stmbench: -delta must be > 0 (got 0)", ""},
-		// Observability knobs: the phase-timer sampling interval must be
-		// positive, and -pprof only means anything when there is an HTTP
-		// mux to mount the handlers on.
+		// Observability knob: the phase-timer sampling interval must be
+		// positive.
 		{"txkvd zero metrics-sample", "txkvd", []string{"-metrics-sample", "0"},
 			"txkvd: -metrics-sample must be > 0 (got 0)", ""},
 		{"stmbench zero metrics-sample", "stmbench", []string{"-scenario", "hotspot", "-metrics-sample", "0"},
 			"stmbench: -metrics-sample must be > 0 (got 0)", ""},
-		{"txkvd pprof without serve", "txkvd", []string{"-bench", "-pprof"},
-			"txkvd: -pprof requires serve mode", ""},
-		{"txsim zero delta", "txsim", []string{"-scenario", "hotspot", "-delta", "0"},
-			"txsim: -delta must be > 0 (got 0)", ""},
-		{"txsim bench alias removed", "txsim", []string{"-bench", "stack"},
-			"flag provided but not defined: -bench", ""},
 		// Resolution names go through core.ParsePolicy: anything but rw
 		// or ra (or their long forms) is an error, not requestor-wins.
 		{"stmbench policy", "stmbench", []string{"-scenario", "hotspot", "-policy", "nope"},
 			`stmbench: -policy: unknown resolution "nope" (want rw, ra, requestorwins or requestoraborts)`, ""},
-		{"txsim policy", "txsim", []string{"-scenario", "stack", "-policy", "nope"},
-			`txsim: -policy: unknown resolution "nope" (want rw, ra, requestorwins or requestoraborts)`, ""},
 	}
 	// Retired flags — the pre-ledger perf snapshots, the fleet sweep,
-	// the self-tuning control loop, the windowed k estimator and the
-	// clock-stripe count here, the -bench alias for -scenario above —
-	// are rejected by the flag package, never silently ignored.
+	// the self-tuning control loop, the windowed k estimator, the
+	// clock-stripe count, and txkvd's closed-loop load modes (it only
+	// serves; bench/ drives the served store; -dist, -users and
+	// -batchsize are pinned above) — are rejected by the flag package,
+	// never silently ignored.
 	for _, r := range []struct{ cmd, flag string }{
 		{"stmbench", "perf"}, {"stmbench", "fleet"}, {"txkvd", "perf"},
 		{"stmbench", "adaptive"}, {"txkvd", "adaptive"}, {"stmbench", "kwindow"},
 		{"stmbench", "shards"}, {"txkvd", "shards"},
+		{"txkvd", "bench"}, {"txkvd", "load"}, {"txkvd", "duration"},
+		{"txkvd", "record"}, {"txkvd", "mu"},
 	} {
 		cases = append(cases, flagCase{r.cmd + " " + r.flag + " removed", r.cmd,
 			[]string{"-" + r.flag}, "flag provided but not defined: -" + r.flag, ""})

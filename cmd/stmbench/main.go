@@ -2,9 +2,9 @@
 // — the Figure 3 analogue on actual parallel hardware, with the same
 // strategy set (NO_DELAY, DELAY_TUNED, DELAY_DET, DELAY_RAND).
 // Workloads come from the shared scenario registry
-// (internal/scenario), the same engine cmd/txsim drives on the HTM
-// simulator, and every cell is verified against the scenario's
-// committed-state invariant.
+// (internal/scenario), the same engine cmd/paper's figure3.txt drives
+// on the HTM simulator, and every cell is verified against the
+// scenario's committed-state invariant.
 //
 // Usage:
 //
@@ -19,15 +19,16 @@
 // Trace capture and replay (internal/trace — the Section 1
 // profile-to-simulation loop):
 //
-//	stmbench -scenario hotspot -record run.btrace  # record a real run (binary container)
+//	stmbench -scenario hotspot -record run.btrace  # record a real run
 //	stmbench -replay run.btrace                    # replay it as a scenario
 //	stmbench -fidelity run.btrace                  # recorded vs sim vs replayed
-//	stmbench -convert run.btrace -out run.trace    # binary <-> JSONL, streaming
+//	stmbench -convert old.trace -out old.btrace    # JSONL -> binary, streaming
 //	stmbench -synth 1000000 -record big.btrace     # stream a synthetic trace to disk
 //
-// Both trace formats load everywhere (-replay/-fidelity/-convert
-// auto-detect by content); the .btrace extension selects the binary
-// container on the writing side.
+// Traces are written only in the binary container, so -record and
+// -out must end in .btrace. -replay/-fidelity/-convert also read the
+// JSONL format of earlier builds (auto-detected by content); -replay
+// samples only an indexed .btrace, so convert a large JSONL first.
 //
 // Recorded throughput and latency numbers come from `bash bench/run.sh`
 // (see bench/README.md); this command prints tables and records none.
@@ -69,11 +70,11 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "random seed")
 		csv      = flag.Bool("csv", false, "emit CSV instead of text")
 		ablate   = flag.Bool("ablate", false, "run the STM design ablations instead of the strategy sweep (baseline pinned: -policy/-lazy/-batch/-fold ignored)")
-		out      = flag.String("out", "", "destination trace file for -convert (its extension selects the format)")
-		record   = flag.String("record", "", "record a trace of the scenario run to this file (.btrace = binary container; see internal/trace)")
-		replay   = flag.String("replay", "", "replay a recorded trace file as the benchmark scenario (either format; large traces are index-sampled)")
+		out      = flag.String("out", "", "destination .btrace file for -convert")
+		record   = flag.String("record", "", "record a trace of the scenario run to this .btrace file (binary container; see internal/trace)")
+		replay   = flag.String("replay", "", "replay a recorded trace file as the benchmark scenario (large .btrace traces are index-sampled)")
 		fidelity = flag.String("fidelity", "", "emit the sim-vs-real fidelity report for a recorded trace file")
-		convert  = flag.String("convert", "", "convert the trace file to the format of -out (JSONL <-> binary, streaming) and exit")
+		convert  = flag.String("convert", "", "convert the trace file (JSONL or binary) to the .btrace file -out, streaming, and exit")
 		synth    = flag.Int("synth", 0, "stream this many synthetic records to the -record path and exit (streaming-writer soak)")
 	)
 	flag.Parse()
@@ -102,7 +103,7 @@ func main() {
 	if err := cliutil.CheckRequires("synth", *synth > 0, *record != "", "-record <path> (the synthetic stream needs a destination)"); err != nil {
 		cliutil.Fatal("stmbench", err)
 	}
-	if err := cliutil.CheckRequires("convert", *convert != "", *out != "", "-out <path> (the destination format comes from its extension)"); err != nil {
+	if err := cliutil.CheckRequires("convert", *convert != "", *out != "", "-out <path>.btrace"); err != nil {
 		cliutil.Fatal("stmbench", err)
 	}
 
@@ -216,9 +217,9 @@ func maxLevel(levels []int) int {
 }
 
 // replayBudget caps how many records -replay materializes: beyond
-// it, trace.LoadSample keeps an evenly spaced subset (via the binary
-// index where available), so replaying a 10⁸-record capture stays
-// bounded in memory.
+// it, trace.LoadSample keeps an evenly spaced subset via the binary
+// index (and refuses an unindexed JSONL file), so replaying a
+// 10⁸-record capture stays bounded in memory.
 const replayBudget = 65536
 
 // loadReplay loads a recorded trace (sampling past replayBudget),
@@ -250,9 +251,8 @@ func loadReplay(path string) string {
 	return name
 }
 
-// runConvert streams a trace from one on-disk format to the other
-// (destination format from -out's extension) without materializing
-// it.
+// runConvert streams a trace (either format) into the binary
+// container at dst without materializing it.
 func runConvert(src, dst string) {
 	n, err := trace.Convert(src, dst)
 	if err != nil {

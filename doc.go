@@ -40,9 +40,9 @@
 // ended at, so a committed block costs one clock read while retries
 // and a handle's first block always read afresh), driven by
 // scenario.STMRunner (one-shot stm.AtomicWorker blocks: its think
-// time sits between blocks and must not be chained over). cmd/txsim and cmd/stmbench select workloads
-// from the one registry via -scenario/-dist (stmbench -batch for the
-// group commit), and every run is checked against its scenario's
+// time sits between blocks and must not be chained over). cmd/stmbench
+// selects workloads from the one registry via -scenario/-dist (-batch
+// for the group commit), and every run is checked against its scenario's
 // invariant end to end — including the cross-mode equivalence suite
 // holding eager, lazy and lazy+batched commits to identical
 // committed state on seeded schedules.
@@ -51,11 +51,11 @@
 // simulation loop: a per-worker recorder hooks into the STM runtime
 // (stm.Config.Trace) and captures one record per atomic block —
 // footprints, retries, kills, grace waits, timings — into a
-// versioned on-disk format; profiles convert to dist.Empirical
-// samplers in the catalog (trace:<key>), and replays re-issue the
-// recorded footprints as first-class scenarios on both backends
-// (stmbench -record/-replay/-fidelity, txsim -replay,
-// experiments.TraceFidelity).
+// versioned binary container (.btrace; the JSONL format of earlier
+// builds is read-only); profiles convert to dist.Empirical samplers
+// in the catalog (trace:<key>), and replays re-issue the recorded
+// footprints as first-class scenarios on both backends
+// (stmbench -record/-replay/-fidelity, experiments.TraceFidelity).
 //
 // internal/txkv takes the runtime end-to-end: a transactional
 // key-value store built entirely on the STM word arena — an

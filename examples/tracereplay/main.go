@@ -43,8 +43,8 @@ func main() {
 	fmt.Printf("profiled length distribution %q: mean %.1f units, %.2f aborts/commit\n",
 		lname, smp.Mean(), prof.AbortsPerCommit)
 
-	// 3. Persist: the versioned on-disk format round-trips the trace.
-	path := filepath.Join(os.TempDir(), "tracereplay-example.trace")
+	// 3. Persist: the versioned binary container round-trips the trace.
+	path := filepath.Join(os.TempDir(), "tracereplay-example"+trace.BinaryExt)
 	if err := trace.Save(path, tr); err != nil {
 		log.Fatal(err)
 	}

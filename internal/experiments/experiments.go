@@ -102,32 +102,6 @@ func Figure3(bench string, cfg Fig3Config) (*report.Table, error) {
 	return t, nil
 }
 
-// TunedDelayFor returns the DELAY_TUNED grace period for a
-// benchmark: the average isolated fast-path length in cycles, under
-// the same length-sampler override the measured cells run with.
-func TunedDelayFor(bench string, length dist.Sampler) (float64, error) {
-	w, err := workload.ByName(bench, scenario.Options{Length: length})
-	if err != nil {
-		return 0, err
-	}
-	return workload.TunedDelay(w, htm.DefaultParams(1), 512), nil
-}
-
-// Fig3Metrics returns the raw metrics for one cell, for detailed
-// inspection (abort rates, conflicts, grace commits).
-func Fig3Metrics(bench string, threads int, s core.Strategy, cfg Fig3Config) (htm.Metrics, error) {
-	w, err := workload.ByName(bench, scenario.Options{Length: cfg.Length, Delta: cfg.Delta})
-	if err != nil {
-		return htm.Metrics{}, err
-	}
-	p := htm.DefaultParams(threads)
-	p.Policy = cfg.Policy
-	p.Strategy = s
-	p.Seed = cfg.Seed
-	m := htm.NewMachine(p, w)
-	return m.Run(cfg.Cycles), nil
-}
-
 // STMConfig tunes the real-goroutine throughput benchmarks (the
 // Graphite-experiment analogue on actual parallel hardware).
 type STMConfig struct {

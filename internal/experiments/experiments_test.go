@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"txconflict/internal/core"
-	"txconflict/internal/strategy"
 )
 
 func smallFig3() Fig3Config {
@@ -46,16 +45,6 @@ func TestFigure3AllBenches(t *testing.T) {
 func TestFigure3UnknownBench(t *testing.T) {
 	if _, err := Figure3("nope", smallFig3()); err == nil {
 		t.Fatal("unknown bench accepted")
-	}
-}
-
-func TestFig3Metrics(t *testing.T) {
-	met, err := Fig3Metrics("stack", 4, strategy.UniformRW{}, smallFig3())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if met.Commits == 0 {
-		t.Fatal("no commits in metrics probe")
 	}
 }
 
@@ -137,15 +126,5 @@ func TestAblations(t *testing.T) {
 		if err != nil || v <= 0 {
 			t.Fatalf("ablation %q throughput cell %q invalid", row[0], row[1])
 		}
-	}
-}
-
-func TestTunedDelayFor(t *testing.T) {
-	d, err := TunedDelayFor("stack", nil)
-	if err != nil || d <= 0 {
-		t.Fatalf("TunedDelayFor: %v, %v", d, err)
-	}
-	if _, err := TunedDelayFor("nope", nil); err == nil {
-		t.Fatal("unknown bench accepted")
 	}
 }

@@ -20,7 +20,7 @@
 // an end-to-end serializability check.
 //
 // Scenarios are selected by name through ByName — the single registry
-// behind the -scenario flags of cmd/txsim and cmd/stmbench and the
+// behind cmd/stmbench's -scenario flag, cmd/paper's sections and the
 // root benchmark suite.
 package scenario
 

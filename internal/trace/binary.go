@@ -1,7 +1,7 @@
 package trace
 
-// The block-framed binary trace container (.btrace) — the compact
-// sibling of the JSONL format for production-scale captures. JSONL
+// The block-framed binary trace container (.btrace) — the one format
+// traces are written in. The read-only JSONL format of earlier builds
 // costs ~100 bytes/record; this format encodes the same Record
 // stream at ~10-25 bytes/record (varint + delta coding, optional
 // per-block DEFLATE), which is what makes 10⁶–10⁸-transaction traces
@@ -16,7 +16,7 @@ package trace
 //	entry   := count offsetΔ minStartΔ(zigzag) spanNs
 //	trailer := footerOffset(8, LE) tailMagic(8 bytes, "txcbtrEN")
 //
-// Header JSON is the same Header struct the JSONL format writes
+// Header JSON is the same Header struct a JSONL header line holds
 // (format name, version, scenario provenance, the calibrated UnitNs
 // cycle conversion); the footer's totalRecords is authoritative for
 // the record count, so the stream can be written without knowing it

@@ -267,20 +267,26 @@ func TestBinaryStreamingReader(t *testing.T) {
 	}
 }
 
-// TestConvertBothDirections round-trips a trace JSONL → binary →
-// JSONL via the streaming Convert path and checks semantic identity
-// plus binary re-encode byte stability.
+// writeJSONL writes tr as a JSONL file at path (the read-only format,
+// rendered by encodeJSONL).
+func writeJSONL(t *testing.T, path string, tr *Trace) {
+	t.Helper()
+	if err := os.WriteFile(path, encodeJSONL(tr), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConvertBothDirections converts a trace JSONL → binary via the
+// streaming Convert path, then binary → binary, and checks semantic
+// identity plus binary re-encode byte stability.
 func TestConvertBothDirections(t *testing.T) {
 	tr := synthTrace(300)
 	dir := t.TempDir()
 	jsonl := filepath.Join(dir, "a.trace")
 	btr := filepath.Join(dir, "b.btrace")
-	jsonl2 := filepath.Join(dir, "c.trace")
-	btr2 := filepath.Join(dir, "d.btrace")
-	if err := Save(jsonl, tr); err != nil {
-		t.Fatal(err)
-	}
-	for _, hop := range [][2]string{{jsonl, btr}, {btr, jsonl2}, {jsonl2, btr2}} {
+	btr2 := filepath.Join(dir, "c.btrace")
+	writeJSONL(t, jsonl, tr)
+	for _, hop := range [][2]string{{jsonl, btr}, {btr, btr2}} {
 		n, err := Convert(hop[0], hop[1])
 		if err != nil {
 			t.Fatalf("%s -> %s: %v", hop[0], hop[1], err)
@@ -289,12 +295,12 @@ func TestConvertBothDirections(t *testing.T) {
 			t.Fatalf("%s -> %s converted %d records", hop[0], hop[1], n)
 		}
 	}
-	back, err := Load(jsonl2)
+	back, err := Load(btr2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(normalizeTrace(tr), normalizeTrace(back)) {
-		t.Fatal("JSONL -> binary -> JSONL diverged")
+		t.Fatal("JSONL -> binary -> binary diverged")
 	}
 	// Re-encoding the same record stream must be byte-stable.
 	b1, err := os.ReadFile(btr)
@@ -307,6 +313,60 @@ func TestConvertBothDirections(t *testing.T) {
 	}
 	if !bytes.Equal(b1, b2) {
 		t.Fatalf("binary re-encode not byte-stable: %d vs %d bytes", len(b1), len(b2))
+	}
+}
+
+// TestConvertTruncatedLeavesNoFile pins Convert's failure contract: a
+// JSONL source whose header promises more records than it holds fails
+// as truncated, and the destination is removed — never sealed into a
+// shorter trace that loads as valid.
+func TestConvertTruncatedLeavesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join(dir, "short.trace")
+	dst := filepath.Join(dir, "short.btrace")
+	raw := bytes.Replace(encodeJSONL(synthTrace(10)), []byte(`"records":10`), []byte(`"records":12`), 1)
+	if err := os.WriteFile(src, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Convert(src, dst); err == nil || !strings.Contains(err.Error(), "truncated stream") {
+		t.Fatalf("Convert of a truncated source: err = %v, want truncated stream", err)
+	}
+	if _, err := os.Stat(dst); !os.IsNotExist(err) {
+		t.Fatalf("failed Convert left %s behind (stat err %v)", dst, err)
+	}
+	if tr, err := Load(dst); err == nil {
+		t.Fatalf("failed Convert's destination loads with %d records", len(tr.Records))
+	}
+}
+
+// TestWriteOnlyBinary pins the write contract: Create, Save and
+// Convert write only the binary container, and a destination without
+// BinaryExt is an error naming it, with no file created.
+func TestWriteOnlyBinary(t *testing.T) {
+	tr := synthTrace(5)
+	dir := t.TempDir()
+	src := filepath.Join(dir, "src.btrace")
+	if err := Save(src, tr); err != nil {
+		t.Fatal(err)
+	}
+	for name, write := range map[string]func(string) error{
+		"Create": func(p string) error {
+			w, err := Create(p, tr.Header)
+			if err == nil {
+				w.Close()
+			}
+			return err
+		},
+		"Save":    func(p string) error { return Save(p, tr) },
+		"Convert": func(p string) error { _, err := Convert(src, p); return err },
+	} {
+		path := filepath.Join(dir, strings.ToLower(name)+".trace")
+		if err := write(path); err == nil || !strings.Contains(err.Error(), BinaryExt) {
+			t.Errorf("%s(%s): err = %v, want one naming %s", name, path, err, BinaryExt)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s(%s) created a file (stat err %v)", name, path, err)
+		}
 	}
 }
 
@@ -326,13 +386,7 @@ func TestLoadAutoDetect(t *testing.T) {
 	}
 	f.Close()
 	lying2 := filepath.Join(dir, "jsonl-inside.btrace")
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(lying2, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeJSONL(t, lying2, tr)
 	for _, p := range []string{lying1, lying2} {
 		got, err := Load(p)
 		if err != nil {
@@ -344,38 +398,36 @@ func TestLoadAutoDetect(t *testing.T) {
 	}
 }
 
-// TestCreateStreamsBothFormats drives the extension-dispatched Create
-// path: the JSONL writer back-patches its header count, the binary
-// writer's footer carries it, and both files load identically.
+// TestCreateStreamsBothFormats drives the streaming Create path: the
+// binary writer's footer carries the count the header left at zero,
+// and the file loads identically. TestWriteOnlyBinary pins Create's
+// refusal of any other extension.
 func TestCreateStreamsBothFormats(t *testing.T) {
 	tr := synthTrace(40)
-	dir := t.TempDir()
-	for _, name := range []string{"s.trace", "s.btrace"} {
-		path := filepath.Join(dir, name)
-		h := tr.Header
-		h.Count = 0 // streaming writers must not need the count up front
-		w, err := Create(path, h)
-		if err != nil {
+	path := filepath.Join(t.TempDir(), "s.btrace")
+	h := tr.Header
+	h.Count = 0 // streaming writers must not need the count up front
+	w, err := Create(path, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range tr.Records {
+		if err := w.WriteRecord(&tr.Records[i]); err != nil {
 			t.Fatal(err)
 		}
-		for i := range tr.Records {
-			if err := w.WriteRecord(&tr.Records[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		got, err := Load(path)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got.Count != 40 {
-			t.Fatalf("%s: loaded count = %d", name, got.Count)
-		}
-		if !reflect.DeepEqual(normalizeTrace(tr), normalizeTrace(got)) {
-			t.Fatalf("%s: streamed write diverged", name)
-		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Count != 40 {
+		t.Fatalf("loaded count = %d", got.Count)
+	}
+	if !reflect.DeepEqual(normalizeTrace(tr), normalizeTrace(got)) {
+		t.Fatal("streamed write diverged")
 	}
 }
 
@@ -437,28 +489,22 @@ func TestLoadSampleBinary(t *testing.T) {
 	}
 }
 
-// TestLoadSampleJSONL checks the strided fallback on the unindexed
-// format.
+// TestLoadSampleJSONL checks LoadSample on the unindexed format: a
+// JSONL trace within budget loads whole, and one over budget is an
+// error that points at stmbench -convert instead of a full-file scan.
 func TestLoadSampleJSONL(t *testing.T) {
 	tr := synthTrace(200)
 	path := filepath.Join(t.TempDir(), "s.trace")
-	if err := Save(path, tr); err != nil {
-		t.Fatal(err)
+	writeJSONL(t, path, tr)
+	if _, err := LoadSample(path, 50); err == nil || !strings.Contains(err.Error(), "stmbench -convert") {
+		t.Fatalf("over-budget JSONL sample: err = %v, want one naming stmbench -convert", err)
 	}
-	got, err := LoadSample(path, 50)
+	got, err := LoadSample(path, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Sampled != 200 {
-		t.Fatalf("Sampled = %d, want 200", got.Sampled)
-	}
-	if len(got.Records) != 50 {
-		t.Fatalf("strided sample = %d records, want 50", len(got.Records))
-	}
-	for i, r := range got.Records {
-		if want := tr.Records[i*4]; r.StartNs != want.StartNs {
-			t.Fatalf("sample record %d start = %d, want %d (stride 4)", i, r.StartNs, want.StartNs)
-		}
+	if got.Sampled != 0 || !reflect.DeepEqual(normalizeTrace(tr), normalizeTrace(got)) {
+		t.Fatalf("within-budget JSONL sample = %d records, Sampled %d", len(got.Records), got.Sampled)
 	}
 }
 
@@ -529,11 +575,10 @@ func TestBinaryCorruptionRejected(t *testing.T) {
 	reject("oversized block", huge, "exceeds")
 }
 
-// TestRecorderWriteToStreams checks the Recorder's streaming drain:
-// WriteTo merges the per-worker buffers in start order into a
-// RecordWriter, matching Snapshot record for record, without the
-// materialized intermediate.
-func TestRecorderWriteToStreams(t *testing.T) {
+// TestRecorderSnapshotSavesCalibration checks a recording's path to
+// disk: Snapshot → Save(.btrace) → Load keeps every record and the
+// UnitNs calibration stamped on the recorder.
+func TestRecorderSnapshotSavesCalibration(t *testing.T) {
 	sc, err := scenario.ByName("hotspot", scenario.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -548,29 +593,18 @@ func TestRecorderWriteToStreams(t *testing.T) {
 	}
 	want := rec.Snapshot()
 
-	path := filepath.Join(t.TempDir(), "stream.btrace")
-	w, err := Create(path, rec.Header())
-	if err != nil {
+	path := filepath.Join(t.TempDir(), "rec.btrace")
+	if err := Save(path, want); err != nil {
 		t.Fatal(err)
-	}
-	n, err := rec.WriteTo(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n != len(want.Records) {
-		t.Fatalf("WriteTo streamed %d records, Snapshot has %d", n, len(want.Records))
 	}
 	got, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.UnitNs != 3 {
-		t.Fatalf("calibration lost in streaming path: UnitNs = %v", got.UnitNs)
+		t.Fatalf("calibration lost on the way to disk: UnitNs = %v", got.UnitNs)
 	}
 	if !reflect.DeepEqual(normalizeTrace(want), normalizeTrace(got)) {
-		t.Fatal("streamed recording diverged from Snapshot")
+		t.Fatal("saved recording diverged from Snapshot")
 	}
 }

@@ -9,9 +9,9 @@ import (
 
 // fuzzSeedTrace builds a small but structurally complete trace — a
 // couple of workers, mixed outcomes, footprints, annotations — and
-// returns its serialized bytes. It stands in for `make trace-demo`
-// output so the seed corpus always exists; the real demo trace joins
-// it via testdata/fuzz-seed.trace (written by `make fuzz-trace`).
+// returns its JSONL bytes. It keeps the seed corpus non-empty on its
+// own; a real recorded run joins it via the frozen
+// testdata/fuzz-seed.trace.
 func fuzzSeedTrace() []byte {
 	tr := &Trace{
 		Header: Header{
@@ -30,11 +30,7 @@ func fuzzSeedTrace() []byte {
 			{Worker: -1, StartNs: 95, DurNs: 50, Committed: false, Irrevocable: true},
 		},
 	}
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
+	return encodeJSONL(tr)
 }
 
 // FuzzLoad is the persistence-format fuzz harness: whatever bytes land
@@ -67,7 +63,7 @@ func FuzzLoad(f *testing.F) {
 	// Pathological inputs: no newline, huge count, raw JSON array.
 	f.Add([]byte(`{"format":"txconflict-trace","version":1,"records":1000000}`))
 	f.Add([]byte(`[1,2,3]`))
-	// The trace-demo artifact, when `make fuzz-trace` has run.
+	// A real recorded run, frozen in JSONL.
 	if demo, err := os.ReadFile(filepath.Join("testdata", "fuzz-seed.trace")); err == nil {
 		f.Add(demo)
 	}
@@ -100,11 +96,7 @@ func fuzzLoadBody(t *testing.T, data []byte) {
 	if tr.Header.Version < 1 || tr.Header.Version > FormatVersion {
 		t.Fatalf("accepted trace with version %d", tr.Header.Version)
 	}
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		t.Fatalf("re-serializing an accepted trace: %v", err)
-	}
-	rt, err := Read(&buf)
+	rt, err := Read(bytes.NewReader(encodeJSONL(tr)))
 	if err != nil {
 		t.Fatalf("round trip of an accepted trace: %v", err)
 	}
@@ -184,9 +176,12 @@ func FuzzLoadBinary(f *testing.F) {
 	f.Add(frame('B', 0, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40, 1))
 	f.Add(frame('I', 0xff, 0xff, 0xff, 0xff, 0x0f))
 	f.Add(frame('?', 0))
-	// The golden fixture keeps the corpus anchored to a real v1 file.
-	if g, err := os.ReadFile(filepath.Join("testdata", "golden-v1.btrace")); err == nil {
-		f.Add(g)
+	// The golden fixture keeps the corpus anchored to a real v1 file,
+	// and `make fuzz-trace` records a fresh run as fuzz-seed.btrace.
+	for _, name := range []string{"golden-v1.btrace", "fuzz-seed.btrace"} {
+		if g, err := os.ReadFile(filepath.Join("testdata", name)); err == nil {
+			f.Add(g)
+		}
 	}
 
 	f.Fuzz(fuzzLoadBody)

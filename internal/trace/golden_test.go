@@ -60,6 +60,27 @@ func TestGoldenFixtures(t *testing.T) {
 	}
 }
 
+// TestGoldenConvert pins Convert against both fixtures at once:
+// streaming the JSONL golden into the binary container reproduces the
+// binary golden byte for byte.
+func TestGoldenConvert(t *testing.T) {
+	dst := filepath.Join(t.TempDir(), "golden.btrace")
+	if n, err := Convert(filepath.Join("testdata", "golden-v1.trace"), dst); err != nil || n != 5 {
+		t.Fatalf("Convert(golden-v1.trace) = %d records, %v", n, err)
+	}
+	got, err := os.ReadFile(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "golden-v1.btrace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("converted JSONL golden (%d bytes) differs from golden-v1.btrace (%d bytes)", len(got), len(want))
+	}
+}
+
 // TestGoldenRejections pins the rejection behaviour for future and
 // hostile files, derived from the goldens so the corruptions stay
 // realistic.

@@ -1,20 +1,18 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 )
 
 // FormatName and FormatVersion identify the on-disk trace formats.
-// JSONL is a single JSON header line followed by one JSON record per
-// line; the binary container (binary.go) frames the same records
-// into CRC'd blocks behind an 8-byte magic. Version bumps whenever a
-// Record or Header field changes meaning; readers of both formats
-// reject files written by a newer version instead of silently
-// misreading them.
+// Traces are written only in the binary container (binary.go), which
+// frames records into CRC'd blocks behind an 8-byte magic. JSONL — a
+// single JSON header line followed by one JSON record per line — is
+// read-only: earlier builds wrote it, and Load, Read and Convert still
+// accept it. Version bumps whenever a Record or Header field changes
+// meaning; readers of both formats reject files written by a newer
+// version instead of silently misreading them.
 const (
 	FormatName    = "txconflict-trace"
 	FormatVersion = 1
@@ -24,28 +22,6 @@ const (
 // whole-arena footprint is a few KiB; 4 MiB leaves two orders of
 // magnitude of headroom.
 const maxLineBytes = 4 << 20
-
-// Write streams the trace to w in the JSONL format: header line,
-// then one record per line. The header's format, version and record
-// count are stamped from the actual data. (WriteBinary is the
-// block-framed sibling; Save picks by extension.)
-func Write(w io.Writer, tr *Trace) error {
-	bw := bufio.NewWriter(w)
-	h := tr.Header
-	h.Format = FormatName
-	h.Version = FormatVersion
-	h.Count = len(tr.Records)
-	enc := json.NewEncoder(bw) // Encode appends the newline
-	if err := enc.Encode(&h); err != nil {
-		return fmt.Errorf("trace: encode header: %w", err)
-	}
-	for i := range tr.Records {
-		if err := enc.Encode(&tr.Records[i]); err != nil {
-			return fmt.Errorf("trace: encode record %d: %w", i, err)
-		}
-	}
-	return bw.Flush()
-}
 
 // Read parses a JSONL trace from r, validating format name, version
 // and record count (a short stream means a truncated file). It is
@@ -59,26 +35,11 @@ func Read(r io.Reader) (*Trace, error) {
 	return materialize(jr)
 }
 
-// Save writes the trace to path, in the binary container when the
-// path carries the BinaryExt extension and JSONL otherwise
-// (atomically enough for CLI use: a failed write leaves a partial
-// file that Load rejects via the record count or the missing
-// footer).
+// Save writes the trace to path in the binary container; path must
+// carry BinaryExt. A failed write removes the file, so no partial
+// trace is left behind.
 func Save(path string, tr *Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	if IsBinaryPath(path) {
-		err = WriteBinary(f, tr)
-	} else {
-		err = Write(f, tr)
-	}
-	if err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeFile(path, func(f *os.File) error { return WriteBinary(f, tr) })
 }
 
 // Load reads and validates the trace at path, auto-detecting the

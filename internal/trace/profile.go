@@ -287,21 +287,9 @@ func replayScenario(tr *Trace, opt scenario.Options, scale float64) (*scenario.S
 // catalog under the given name, making it selectable wherever a
 // registry scenario is (-scenario flags, the parity suite, the
 // figure harnesses). Units replay raw (the STM-backend convention);
-// RegisterScenarioCycles is the calibrated simulator form.
+// ReplayScenarioCycles is the calibrated simulator form.
 func RegisterScenario(name string, tr *Trace) error {
-	return registerScenario(name, tr, 1)
-}
-
-// RegisterScenarioCycles registers the replay with compute and think
-// converted to simulated cycles via the calibration header — what
-// txsim -replay uses, so a trace recorded on a fast box simulates
-// with that box's real per-unit cost.
-func RegisterScenarioCycles(name string, tr *Trace) error {
-	return registerScenario(name, tr, tr.CycleScale())
-}
-
-func registerScenario(name string, tr *Trace, scale float64) error {
-	recs := replayRecords(tr, scale)
+	recs := replayRecords(tr, 1)
 	if len(recs) == 0 {
 		return fmt.Errorf("trace: no committed records to replay (scenario %q, %d records)",
 			tr.Scenario, len(tr.Records))

@@ -140,20 +140,6 @@ func (rec *Recorder) Len() int {
 	return n
 }
 
-// Header returns the recorder's provenance header (count 0 — the
-// streaming WriteTo path stamps counts via the writer's footer).
-func (rec *Recorder) Header() Header {
-	return Header{
-		Format:         FormatName,
-		Version:        FormatVersion,
-		Scenario:       rec.scenario,
-		Workers:        len(rec.bufs),
-		Config:         rec.config,
-		CapturedUnixNs: rec.epochNs,
-		UnitNs:         rec.unitNs,
-	}
-}
-
 // Snapshot merges the per-worker buffers into a Trace, ordered by
 // start time (ties broken by worker). It must only be called after
 // the recorded workers have stopped; the records are copied, so the
@@ -172,57 +158,16 @@ func (rec *Recorder) Snapshot() *Trace {
 		}
 		return merged[a].Worker < merged[b].Worker
 	})
-	h := rec.Header()
-	h.Count = len(merged)
-	return &Trace{Header: h, Records: merged}
-}
-
-// WriteTo drains the recorder into a streaming writer in Snapshot's
-// order — a k-way merge over the per-worker buffers (each naturally
-// start-ordered: a worker's blocks are sequential) plus the sorted
-// overflow buffer — without ever building the merged []Record. Like
-// Snapshot it must only run after the recorded workers have stopped.
-// Returns the number of records written; the caller owns the
-// writer's Close.
-func (rec *Recorder) WriteTo(w RecordWriter) (int, error) {
-	rec.overMu.Lock()
-	over := append([]Record(nil), rec.over...)
-	rec.overMu.Unlock()
-	sort.SliceStable(over, func(a, b int) bool {
-		if over[a].StartNs != over[b].StartNs {
-			return over[a].StartNs < over[b].StartNs
-		}
-		return over[a].Worker < over[b].Worker
-	})
-	// Merge heads: one per worker buffer, one for the overflow.
-	lanes := make([][]Record, 0, len(rec.bufs)+1)
-	for i := range rec.bufs {
-		if len(rec.bufs[i].recs) > 0 {
-			lanes = append(lanes, rec.bufs[i].recs)
-		}
-	}
-	if len(over) > 0 {
-		lanes = append(lanes, over)
-	}
-	n := 0
-	for len(lanes) > 0 {
-		best := 0
-		for i := 1; i < len(lanes); i++ {
-			a, b := &lanes[i][0], &lanes[best][0]
-			if a.StartNs < b.StartNs || (a.StartNs == b.StartNs && a.Worker < b.Worker) {
-				best = i
-			}
-		}
-		if err := w.WriteRecord(&lanes[best][0]); err != nil {
-			return n, err
-		}
-		n++
-		lanes[best] = lanes[best][1:]
-		if len(lanes[best]) == 0 {
-			lanes = append(lanes[:best], lanes[best+1:]...)
-		}
-	}
-	return n, nil
+	return &Trace{Header: Header{
+		Format:         FormatName,
+		Version:        FormatVersion,
+		Scenario:       rec.scenario,
+		Workers:        len(rec.bufs),
+		Config:         rec.config,
+		CapturedUnixNs: rec.epochNs,
+		UnitNs:         rec.unitNs,
+		Count:          len(merged),
+	}, Records: merged}
 }
 
 // sortU32 orders a small footprint slice in place (insertion sort —

@@ -10,8 +10,9 @@ import (
 	"strings"
 )
 
-// BinaryExt is the file extension selecting the block-framed binary
-// container in Create/Save/Convert; anything else writes JSONL.
+// BinaryExt is the extension every written trace carries: Create,
+// Save and Convert write only the block-framed binary container, and
+// refuse any other destination before creating a file.
 const BinaryExt = ".btrace"
 
 // RecordReader streams records out of a persisted trace without
@@ -28,9 +29,8 @@ type RecordReader interface {
 }
 
 // RecordWriter streams records into a persisted trace. Close seals
-// the file (JSONL back-patches the header's record count; binary
-// writes the index footer); dropping a writer without Close leaves a
-// file every reader rejects.
+// the file (the binary index footer); dropping a writer without Close
+// leaves a file every reader rejects.
 type RecordWriter interface {
 	WriteRecord(rec *Record) error
 	Close() error
@@ -100,88 +100,6 @@ func (r *jsonlReader) Next(rec *Record) error {
 
 func (r *jsonlReader) Close() error { return nil }
 
-// countPad is the slack reserved after the JSONL stream writer's
-// provisional header line, so the final header (with the real record
-// count) can be patched in place without moving the record lines.
-const countPad = 20
-
-// jsonlWriter streams records as JSONL. The header goes out first
-// with a zero count and countPad trailing spaces; Close re-marshals
-// it with the final count and rewrites the line in place — which is
-// why this writer needs an io.WriteSeeker. A crash before Close
-// leaves count 0 with records following, which Read rejects as
-// truncated-or-lying, same as the materialized Write path.
-type jsonlWriter struct {
-	ws      io.WriteSeeker
-	bw      *bufio.Writer
-	h       Header
-	lineLen int
-	count   int
-	closed  bool
-}
-
-func newJSONLWriter(ws io.WriteSeeker, h Header) (*jsonlWriter, error) {
-	h.Format = FormatName
-	h.Version = FormatVersion
-	h.Count = 0
-	hj, err := json.Marshal(&h)
-	if err != nil {
-		return nil, fmt.Errorf("trace: encode header: %w", err)
-	}
-	line := append(hj, strings.Repeat(" ", countPad)...)
-	line = append(line, '\n')
-	w := &jsonlWriter{ws: ws, bw: bufio.NewWriterSize(ws, 1<<16), h: h, lineLen: len(line) - 1}
-	if _, err := w.bw.Write(line); err != nil {
-		return nil, fmt.Errorf("trace: write header: %w", err)
-	}
-	return w, nil
-}
-
-func (w *jsonlWriter) WriteRecord(rec *Record) error {
-	if w.closed {
-		return fmt.Errorf("trace: WriteRecord after Close")
-	}
-	buf, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("trace: encode record %d: %w", w.count, err)
-	}
-	buf = append(buf, '\n')
-	if _, err := w.bw.Write(buf); err != nil {
-		return fmt.Errorf("trace: write record %d: %w", w.count, err)
-	}
-	w.count++
-	return nil
-}
-
-func (w *jsonlWriter) Close() error {
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	if err := w.bw.Flush(); err != nil {
-		return fmt.Errorf("trace: flush: %w", err)
-	}
-	w.h.Count = w.count
-	hj, err := json.Marshal(&w.h)
-	if err != nil {
-		return fmt.Errorf("trace: encode final header: %w", err)
-	}
-	if len(hj) > w.lineLen {
-		return fmt.Errorf("trace: final header (%d bytes) outgrew its reserved line (%d)", len(hj), w.lineLen)
-	}
-	line := append(hj, strings.Repeat(" ", w.lineLen-len(hj))...)
-	if _, err := w.ws.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("trace: patch header: %w", err)
-	}
-	if _, err := w.ws.Write(line); err != nil {
-		return fmt.Errorf("trace: patch header: %w", err)
-	}
-	if _, err := w.ws.Seek(0, io.SeekEnd); err != nil {
-		return fmt.Errorf("trace: patch header: %w", err)
-	}
-	return nil
-}
-
 // fileReader bundles a RecordReader with the file it reads.
 type fileReader struct {
 	RecordReader
@@ -196,15 +114,15 @@ func (fr *fileReader) Close() error {
 	return err
 }
 
-// fileWriter bundles a RecordWriter with the file it writes; Close
+// fileWriter bundles a binary Writer with the file it writes; Close
 // seals the trace then the file.
 type fileWriter struct {
-	RecordWriter
+	*Writer
 	f *os.File
 }
 
 func (fw *fileWriter) Close() error {
-	err := fw.RecordWriter.Close()
+	err := fw.Writer.Close()
 	if cerr := fw.f.Close(); err == nil {
 		err = cerr
 	}
@@ -249,67 +167,87 @@ func Open(path string) (RecordReader, error) {
 	return &fileReader{RecordReader: rr, f: f}, nil
 }
 
-// Create starts a streaming trace writer at path. The extension picks
-// the format: BinaryExt (".btrace") writes the block-framed binary
-// container, anything else JSONL. The header's Count is ignored —
-// Close stamps the real count (JSONL) or index footer (binary).
+// Create starts a streaming trace writer at path, which must carry
+// BinaryExt. The header's Count is ignored — Close writes the index
+// footer, which carries the real count.
 func Create(path string, h Header) (RecordWriter, error) {
+	f, err := createBinary(path)
+	if err != nil {
+		return nil, err
+	}
+	w, err := NewWriter(f, h, BinaryWriterOptions{})
+	if err != nil {
+		f.Close()
+		os.Remove(path)
+		return nil, err
+	}
+	return &fileWriter{Writer: w, f: f}, nil
+}
+
+// createBinary creates the file at path after checking that it names
+// a binary trace; any other path is refused without touching the
+// filesystem.
+func createBinary(path string) (*os.File, error) {
+	if !strings.EqualFold(filepath.Ext(path), BinaryExt) {
+		return nil, fmt.Errorf("trace: %s: traces are written only as %s (the binary container)", path, BinaryExt)
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
-	var rw RecordWriter
-	if IsBinaryPath(path) {
-		rw, err = NewWriter(f, h, BinaryWriterOptions{})
-	} else {
-		rw, err = newJSONLWriter(f, h)
+	return f, nil
+}
+
+// writeFile creates the binary trace at path and fills it with write.
+// On any error the file is closed and removed, so a failed write never
+// leaves a loadable trace behind.
+func writeFile(path string, write func(*os.File) error) error {
+	f, err := createBinary(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
 	if err != nil {
-		f.Close()
-		return nil, err
+		os.Remove(path)
 	}
-	return &fileWriter{RecordWriter: rw, f: f}, nil
+	return err
 }
 
-// IsBinaryPath reports whether path selects the binary container by
-// extension.
-func IsBinaryPath(path string) bool {
-	return strings.EqualFold(filepath.Ext(path), BinaryExt)
-}
-
-// Convert streams the trace at src into dst, re-encoding in the
-// format dst's extension selects (JSONL ↔ binary in either
-// direction, or a re-encode within one format). Provenance — header
-// fields including the UnitNs calibration — carries over. Returns
-// the number of records converted; memory stays bounded regardless
-// of trace size.
+// Convert streams the trace at src (either format) into the binary
+// container at dst, which must carry BinaryExt. Provenance — header
+// fields including the UnitNs calibration — carries over. Returns the
+// number of records converted; memory stays bounded regardless of
+// trace size. On any error, a truncated source included, dst is
+// removed rather than sealed as a shorter valid trace.
 func Convert(src, dst string) (int, error) {
 	rr, err := Open(src)
 	if err != nil {
 		return 0, err
 	}
 	defer rr.Close()
-	w, err := Create(dst, *rr.Header())
-	if err != nil {
-		return 0, err
-	}
 	n := 0
-	var rec Record
-	for {
-		if err := rr.Next(&rec); err != nil {
-			if err == io.EOF {
-				break
+	err = writeFile(dst, func(f *os.File) error {
+		w, err := NewWriter(f, *rr.Header(), BinaryWriterOptions{})
+		if err != nil {
+			return err
+		}
+		var rec Record
+		for {
+			if err := rr.Next(&rec); err == io.EOF {
+				return w.Close()
+			} else if err != nil {
+				return err
 			}
-			w.Close()
-			return n, err
+			if err := w.WriteRecord(&rec); err != nil {
+				return err
+			}
+			n++
 		}
-		if err := w.WriteRecord(&rec); err != nil {
-			w.Close()
-			return n, err
-		}
-		n++
-	}
-	return n, w.Close()
+	})
+	return n, err
 }
 
 // materialize drains a streaming reader into a Trace. The
@@ -345,9 +283,9 @@ func materialize(rr RecordReader) (*Trace, error) {
 // evenly spaced across the whole capture. On the binary format it
 // uses the block index: only the selected blocks are read and
 // decoded, so sampling a 10⁸-record trace touches a handful of
-// blocks. On JSONL (no index) it falls back to a strided streaming
-// pass — still bounded memory, but a full-file scan. max <= 0, or a
-// trace within budget, loads everything.
+// blocks. JSONL has no index: a JSONL trace within budget loads
+// whole, and one over budget is an error — convert it to the binary
+// container first (stmbench -convert). max <= 0 loads everything.
 func LoadSample(path string, max int) (*Trace, error) {
 	if max <= 0 {
 		return Load(path)
@@ -356,14 +294,21 @@ func LoadSample(path string, max int) (*Trace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
+	defer f.Close()
 	var sniff [len(BinaryMagic)]byte
 	n, _ := f.ReadAt(sniff[:], 0)
 	if n == len(sniff) && string(sniff[:]) == BinaryMagic {
-		defer f.Close()
 		return sampleBinary(f, max)
 	}
-	f.Close()
-	return sampleJSONL(path, max)
+	rr, err := NewReader(f)
+	if err != nil {
+		return nil, err
+	}
+	if c := rr.Header().Count; c > max {
+		return nil, fmt.Errorf("trace: %s: %d JSONL records exceed the %d-record sample budget and JSONL has no index to sample; convert it first: stmbench -convert %s -out <file>%s",
+			path, c, max, path, BinaryExt)
+	}
+	return materialize(rr)
 }
 
 // sampleBinary picks evenly spaced blocks off the index until the
@@ -395,37 +340,6 @@ func sampleBinary(f *os.File, max int) (*Trace, error) {
 		e := idx[i*len(idx)/want]
 		if tr.Records, err = decodeBlockAt(f, e, tr.Records); err != nil {
 			return nil, err
-		}
-	}
-	tr.Header.Count = len(tr.Records)
-	tr.Header.Sampled = total
-	return tr, nil
-}
-
-// sampleJSONL strides a full streaming pass, keeping every k-th
-// record.
-func sampleJSONL(path string, max int) (*Trace, error) {
-	rr, err := Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer rr.Close()
-	total := rr.Header().Count
-	if total <= max {
-		return materialize(rr)
-	}
-	stride := (total + max - 1) / max
-	tr := &Trace{Header: *rr.Header()}
-	var rec Record
-	for i := 0; ; i++ {
-		if err := rr.Next(&rec); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, err
-		}
-		if i%stride == 0 {
-			tr.Records = append(tr.Records, rec)
 		}
 	}
 	tr.Header.Count = len(tr.Records)

@@ -11,14 +11,13 @@
 //     buffers (installed via stm.Config.Trace, annotated with
 //     program-level context by scenario.STMRunner). One Record per
 //     atomic block: footprints, retries, kills, grace waits, timings.
-//   - Save/Load: two versioned on-disk formats behind one API. JSONL
-//     (one JSON header line, one JSON record per line, ~100
-//     bytes/record) is the human-greppable form; the block-framed
-//     binary container (BinaryExt ".btrace", see binary.go: varint +
-//     delta coding, per-block CRC and optional DEFLATE, an index
-//     footer for seek/sample) is the production-capture form at
-//     ~4-10x smaller. Load auto-detects by content; Save/Create pick
-//     by extension; Convert streams between them.
+//   - Save/Load: one written format, the block-framed binary
+//     container (BinaryExt ".btrace", see binary.go: varint + delta
+//     coding, per-block CRC and optional DEFLATE, an index footer
+//     for seek/sample). Save/Create refuse any other extension. Load
+//     auto-detects by content and still reads the read-only JSONL
+//     format of earlier builds (one JSON header line, one JSON record
+//     per line, ~4-10x larger); Convert streams JSONL into .btrace.
 //   - Writer/RecordWriter and RecordReader: the streaming pair —
 //     record and replay paths never hold a full trace in memory, so
 //     10⁶–10⁸-transaction captures stream through a bounded block
@@ -31,7 +30,7 @@
 //   - ReplayScenario/RegisterScenario: the bridge to
 //     scenario.NewReplay, so a recorded trace runs as a first-class
 //     scenario on the HTM simulator and the STM runtime alike
-//     (txsim/stmbench -replay), with a verifiable invariant.
+//     (stmbench -replay/-fidelity), with a verifiable invariant.
 //
 // experiments.TraceFidelity stacks these into the measure-model-
 // validate report: record a real run, replay the identical footprints
@@ -77,7 +76,7 @@ type Record struct {
 	Writes []uint32 `json:"ws,omitempty"`
 	// FoldedWrites counts the block's delta-writes (stm.Tx.Add) that
 	// the group-commit combiner folded into summed stores instead of
-	// writing back individually. Zero (and absent from the JSONL) for
+	// writing back individually. Zero (and absent from JSONL) for
 	// blocks committed outside the fold path, and in every file
 	// written before the field existed.
 	FoldedWrites uint32 `json:"fw,omitempty"`

@@ -74,12 +74,12 @@ func TestRecorderCapture(t *testing.T) {
 	}
 }
 
-// TestSaveLoadRoundTrip pins the on-disk format: a saved trace loads
-// back identical, and corrupted variants are rejected with telling
-// errors.
+// TestSaveLoadRoundTrip pins the on-disk formats: a saved trace loads
+// back identical, and corrupted JSONL variants of it are rejected
+// with telling errors.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	tr := recordRun(t, "hotspot", 2, 20*time.Millisecond)
-	path := filepath.Join(t.TempDir(), "run.trace")
+	path := filepath.Join(t.TempDir(), "run.btrace")
 	if err := Save(path, tr); err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +91,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("round trip diverged:\nsaved  %+v\nloaded %+v", tr.Header, got.Header)
 	}
 
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := encodeJSONL(tr)
 	corrupt := func(name, content, wantErr string) {
 		p := filepath.Join(t.TempDir(), name)
 		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {

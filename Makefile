@@ -1,6 +1,6 @@
 # Development targets: build, vet, fmt-check, test, bench-smoke,
 # race-short, race-churn, scenario-parity, smoke-txkv, smoke-txkvd,
-# trace-demo, fuzz-trace, fuzz-batch, tidy. CI runs every one of them
+# trace-demo, paper-smoke, fuzz-trace, fuzz-batch, tidy. CI runs every one of them
 # except tidy as a blocking step. Recorded throughput and latency
 # numbers come from `bash bench/run.sh` (bench/README.md), not from a
 # make target: bench-smoke only checks that the benchmark module and
@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test bench-smoke race-short race-churn scenario-parity smoke-txkv smoke-txkvd trace-demo fuzz-trace fuzz-batch tidy
+.PHONY: all build vet fmt-check test bench-smoke race-short race-churn scenario-parity smoke-txkv smoke-txkvd trace-demo paper-smoke fuzz-trace fuzz-batch tidy
 
 all: build vet test
 
@@ -111,6 +111,16 @@ trace-demo:
 	$(GO) run -race ./cmd/stmbench -fidelity $(TRACE_FILE) -duration 100ms
 	$(GO) run -race ./cmd/stmbench -synth 1000000 -record $(TRACE_BIG)
 	$(GO) run -race ./cmd/stmbench -replay $(TRACE_BIG) -goroutines 2 -duration 100ms
+
+# The whole paper reproduction at -quick sizes, end to end, into a
+# throwaway directory. go test ./cmd/paper byte-compares the
+# deterministic sections but skips the three timed ones (stm,
+# stm_ablations, tracefidelity); this runs them, and every cell checks
+# its scenario invariant. Seed 2, off the goldens' seed 1, so the
+# -seed path runs too (TestSeedReachesTimedSections pins that it
+# reaches the timed sections). A blocking CI step after Test.
+paper-smoke:
+	d=$$(mktemp -d) && $(GO) run ./cmd/paper -quick -seed 2 -out "$$d"; s=$$?; rm -rf "$$d"; exit $$s
 
 # Fuzz both trace formats' readers: record a fresh binary seed
 # (internal/trace/testdata/fuzz-seed.btrace, gitignored; the JSONL

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"txconflict/internal/core"
 	"txconflict/internal/experiments"
 	"txconflict/internal/htm"
 	"txconflict/internal/report"
@@ -68,9 +67,7 @@ func benchFigure3(b *testing.B, bench string) {
 	cfg := experiments.Fig3Config{
 		Threads: []int{1, 2, 4, 8, 16},
 		Cycles:  500_000,
-		Policy:  core.RequestorWins,
 		Seed:    1,
-		GHz:     1,
 	}
 	for i := 0; i < b.N; i++ {
 		t, err := experiments.Figure3(bench, cfg)

@@ -73,14 +73,34 @@ func TestCmdFlagValidation(t *testing.T) {
 			"stmbench: -fold requires -batch > 0", ""},
 		{"txkvd fold without batch", "txkvd", []string{"-fold"},
 			"txkvd: -fold requires -batch > 0", ""},
+		// The ablations pin their baseline: a runtime flag next to
+		// -ablate would be silently ignored, so it is rejected.
+		{"stmbench ablate with lazy and policy", "stmbench", []string{"-ablate", "-scenario", "txapp", "-lazy", "-policy", "ra"},
+			"stmbench: -policy requires the strategy sweep", ""},
+		{"stmbench ablate with policy", "stmbench", []string{"-ablate", "-scenario", "txapp", "-policy", "rw"},
+			"stmbench: -policy requires the strategy sweep", ""},
+		{"stmbench ablate with lazy", "stmbench", []string{"-ablate", "-scenario", "txapp", "-lazy"},
+			"stmbench: -lazy requires the strategy sweep", ""},
+		{"stmbench ablate with batch", "stmbench", []string{"-ablate", "-scenario", "txapp", "-batch", "4"},
+			"stmbench: -batch requires the strategy sweep", ""},
+		{"stmbench ablate with fold", "stmbench", []string{"-ablate", "-scenario", "txapp", "-fold"},
+			"stmbench: -fold requires the strategy sweep", ""},
+		// -mu is the mean of a -dist override: negative is nonsense and
+		// without -dist it would be dropped.
+		{"stmbench negative mu", "stmbench", []string{"-scenario", "hotspot", "-dist", "pareto", "-mu", "-5"},
+			"stmbench: -mu must be >= 0 (got -5)", ""},
+		{"stmbench mu without dist", "stmbench", []string{"-scenario", "hotspot", "-mu", "100"},
+			"stmbench: -mu requires -dist", ""},
+		// Retired with stmbench's one-value knobs (the loop below has
+		// -report and -csv).
 		{"stmbench zero delta", "stmbench", []string{"-scenario", "hotspot", "-delta", "0"},
-			"stmbench: -delta must be > 0 (got 0)", ""},
+			"flag provided but not defined: -delta", ""},
 		// Observability knob: the phase-timer sampling interval must be
 		// positive.
 		{"txkvd zero metrics-sample", "txkvd", []string{"-metrics-sample", "0"},
 			"txkvd: -metrics-sample must be > 0 (got 0)", ""},
 		{"stmbench zero metrics-sample", "stmbench", []string{"-scenario", "hotspot", "-metrics-sample", "0"},
-			"stmbench: -metrics-sample must be > 0 (got 0)", ""},
+			"flag provided but not defined: -metrics-sample", ""},
 		// Resolution names go through core.ParsePolicy: anything but rw
 		// or ra (or their long forms) is an error, not requestor-wins.
 		{"stmbench policy", "stmbench", []string{"-scenario", "hotspot", "-policy", "nope"},
@@ -88,16 +108,20 @@ func TestCmdFlagValidation(t *testing.T) {
 	}
 	// Retired flags — the pre-ledger perf snapshots, the fleet sweep,
 	// the self-tuning control loop, the windowed k estimator, the
-	// clock-stripe count, and txkvd's closed-loop load modes (it only
+	// clock-stripe count, txkvd's closed-loop load modes (it only
 	// serves; bench/ drives the served store; -dist, -users and
-	// -batchsize are pinned above) — are rejected by the flag package,
-	// never silently ignored.
+	// -batchsize are pinned above), and stmbench's knobs that nothing
+	// set to a second value (Add magnitude, progress reporter, phase
+	// sampling, CSV) — are rejected by the flag package, never silently
+	// ignored.
 	for _, r := range []struct{ cmd, flag string }{
 		{"stmbench", "perf"}, {"stmbench", "fleet"}, {"txkvd", "perf"},
 		{"stmbench", "adaptive"}, {"txkvd", "adaptive"}, {"stmbench", "kwindow"},
 		{"stmbench", "shards"}, {"txkvd", "shards"},
 		{"txkvd", "bench"}, {"txkvd", "load"}, {"txkvd", "duration"},
 		{"txkvd", "record"}, {"txkvd", "mu"},
+		{"stmbench", "delta"}, {"stmbench", "report"}, {"stmbench", "metrics-sample"},
+		{"stmbench", "csv"},
 	} {
 		cases = append(cases, flagCase{r.cmd + " " + r.flag + " removed", r.cmd,
 			[]string{"-" + r.flag}, "flag provided but not defined: -" + r.flag, ""})

@@ -133,15 +133,15 @@ var sections = []section{
 	// hotspot run on the STM runtime, replay its exact footprints on
 	// the HTM simulator and a fresh STM arena, compare.
 	{file: "tracefidelity.txt", timed: true, build: func(s sizes) ([]*report.Table, error) {
-		tr, err := experiments.RecordTrace("hotspot", stmConfig(s), 4, s.record)
+		cfg := stmConfig(s)
+		cfg.Duration = s.record
+		tr, err := experiments.RecordTrace("hotspot", cfg, 4)
 		if err != nil {
 			return nil, err
 		}
 		return one(experiments.TraceFidelity(tr, experiments.FidelityConfig{
-			Cycles:   s.fidCycles,
-			Duration: s.record,
-			Seed:     s.seed,
-			STM:      stmConfig(s), // same runtime mode as the recorded run
+			Cycles: s.fidCycles,
+			STM:    cfg, // same runtime mode, length and seed as the recorded run
 		}))
 	}},
 }
@@ -156,6 +156,7 @@ func fig3Config(s sizes) experiments.Fig3Config {
 func stmConfig(s sizes) experiments.STMConfig {
 	cfg := experiments.DefaultSTMConfig()
 	cfg.Duration = s.stm
+	cfg.Seed = s.seed
 	return cfg
 }
 

@@ -37,3 +37,23 @@ func TestDeterministicSectionsGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestSeedReachesTimedSections pins that -seed reaches the runs behind
+// stm.txt, stm_ablations.txt and tracefidelity.txt: all three build
+// their STM config with stmConfig, so it must carry the run's seed
+// (and the simulator sections' fig3Config likewise), not the
+// DefaultSTMConfig seed of 1.
+func TestSeedReachesTimedSections(t *testing.T) {
+	for _, quick := range []bool{true, false} {
+		for _, seed := range []uint64{1, 2, 7} {
+			s := sizesFor(quick, seed)
+			if got := stmConfig(s); got.Seed != seed || got.Duration != s.stm {
+				t.Errorf("quick=%v seed=%d: stmConfig has seed %d, duration %v; want %d, %v",
+					quick, seed, got.Seed, got.Duration, seed, s.stm)
+			}
+			if got := fig3Config(s).Seed; got != seed {
+				t.Errorf("quick=%v seed=%d: fig3Config has seed %d", quick, seed, got)
+			}
+		}
+	}
+}

@@ -16,6 +16,10 @@
 //	stmbench -scenario hotspot -batch 4 -fold  # commutative delta folding
 //	stmbench -ablate -scenario txapp         # runtime design ablations
 //
+// -ablate varies one design choice at a time against a pinned eager
+// requestor-wins baseline, so it rejects -policy, -lazy, -batch and
+// -fold; -mu is the mean of a -dist override and needs -dist.
+//
 // Trace capture and replay (internal/trace — the Section 1
 // profile-to-simulation loop):
 //
@@ -47,7 +51,6 @@ import (
 	"txconflict/internal/core"
 	"txconflict/internal/dist"
 	"txconflict/internal/experiments"
-	"txconflict/internal/metrics"
 	"txconflict/internal/report"
 	"txconflict/internal/scenario"
 	"txconflict/internal/trace"
@@ -57,19 +60,15 @@ func main() {
 	var (
 		scen     = flag.String("scenario", "all", "scenario from the shared registry (or 'all', 'list'); see internal/scenario")
 		distName = flag.String("dist", "", "override the transaction-length distribution (see internal/dist; '' = scenario default)")
-		mu       = flag.Float64("mu", 60, "mean of the -dist override, in busy-work iterations (0 replays a registered trace:<key> distribution raw)")
+		mu       = flag.Float64("mu", 60, "mean of the -dist override, in busy-work iterations (requires -dist; 0 replays a registered trace:<key> distribution raw)")
 		levels   = flag.String("goroutines", "", "comma-separated goroutine counts (default: powers of two up to GOMAXPROCS)")
 		dur      = flag.Duration("duration", 300*time.Millisecond, "measurement duration per cell")
 		policy   = flag.String("policy", "rw", "conflict policy: rw or ra")
 		lazy     = flag.Bool("lazy", false, "use lazy (commit-time) locking instead of eager")
 		batch    = flag.Int("batch", 0, "lazy group-commit batch bound (0 = unbatched; > 0 implies -lazy)")
 		fold     = flag.Bool("fold", false, "fold commutative deltas in the batched combiner (requires -batch > 0)")
-		delta    = flag.Int("delta", 1, "Add increment magnitude for the commutative scenarios (hotspot, kvcounter)")
-		reportIv = flag.Duration("report", 0, "periodic stderr progress reporter interval during measured cells: commits, p50/p99 commit latency, abort taxonomy (0 = off)")
-		msample  = flag.Int("metrics-sample", metrics.DefaultSampleN, "1-in-N sampling interval for the commit-phase timers (rounded up to a power of two)")
 		seed     = flag.Uint64("seed", 1, "random seed")
-		csv      = flag.Bool("csv", false, "emit CSV instead of text")
-		ablate   = flag.Bool("ablate", false, "run the STM design ablations instead of the strategy sweep (baseline pinned: -policy/-lazy/-batch/-fold ignored)")
+		ablate   = flag.Bool("ablate", false, "run the STM design ablations instead of the strategy sweep (baseline pinned: rejects -policy/-lazy/-batch/-fold)")
 		out      = flag.String("out", "", "destination .btrace file for -convert")
 		record   = flag.String("record", "", "record a trace of the scenario run to this .btrace file (binary container; see internal/trace)")
 		replay   = flag.String("replay", "", "replay a recorded trace file as the benchmark scenario (large .btrace traces are index-sampled)")
@@ -78,18 +77,27 @@ func main() {
 		synth    = flag.Int("synth", 0, "stream this many synthetic records to the -record path and exit (streaming-writer soak)")
 	)
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	if err := cliutil.CheckNonNegative("batch", *batch); err != nil {
-		cliutil.Fatal("stmbench", err)
-	}
-	if err := cliutil.CheckPositive("delta", *delta); err != nil {
 		cliutil.Fatal("stmbench", err)
 	}
 	pol, err := core.ParsePolicy(*policy)
 	if err != nil {
 		cliutil.Fatal("stmbench", fmt.Errorf("-policy: %w", err))
 	}
-	if err := cliutil.CheckPositive("metrics-sample", *msample); err != nil {
+	// The ablations pin their baseline, so a runtime flag would
+	// silently measure nothing.
+	for _, name := range []string{"policy", "lazy", "batch", "fold"} {
+		if err := cliutil.CheckRequires(name, set[name], !*ablate, "the strategy sweep (-ablate pins the eager requestor-wins baseline)"); err != nil {
+			cliutil.Fatal("stmbench", err)
+		}
+	}
+	if err := cliutil.CheckNonNegative("mu", *mu); err != nil {
+		cliutil.Fatal("stmbench", err)
+	}
+	if err := cliutil.CheckRequires("mu", set["mu"], *distName != "", "-dist <name> (it is the mean of the -dist override)"); err != nil {
 		cliutil.Fatal("stmbench", err)
 	}
 	// Folding only exists inside the group-commit combiner, so a
@@ -133,9 +141,6 @@ func main() {
 	cfg.Lazy = *lazy || *batch > 0 // the combiner only exists in lazy mode
 	cfg.CommitBatch = *batch
 	cfg.FoldCommutative = *fold
-	cfg.Delta = uint64(*delta)
-	cfg.MetricsSample = *msample
-	cfg.ReportEvery = *reportIv
 	cfg.Rule.Policy = pol
 	if *distName != "" {
 		smp, err := dist.ByName(*distName, *mu)
@@ -190,13 +195,7 @@ func main() {
 		} else {
 			tab, err = experiments.STMThroughput(b, cfg)
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "stmbench:", err)
-			os.Exit(1)
-		}
-		if *csv {
-			err = tab.WriteCSV(os.Stdout)
-		} else {
+		if err == nil {
 			err = tab.WriteText(os.Stdout)
 		}
 		if err != nil {
@@ -331,7 +330,7 @@ func runRecord(bench, path string, cfg experiments.STMConfig) {
 		bench = "hotspot" // the contended default worth profiling
 	}
 	workers := maxLevel(cfg.Goroutines)
-	tr, err := experiments.RecordTrace(bench, cfg, workers, cfg.Duration)
+	tr, err := experiments.RecordTrace(bench, cfg, workers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stmbench:", err)
 		os.Exit(1)
@@ -357,9 +356,7 @@ func runFidelity(path string, cfg experiments.STMConfig) {
 		os.Exit(2)
 	}
 	tab, err := experiments.TraceFidelity(tr, experiments.FidelityConfig{
-		Duration: cfg.Duration,
-		Seed:     cfg.Seed,
-		STM:      cfg, // honor -policy/-lazy/-batch/-fold on the replay runtime
+		STM: cfg, // honor -duration/-seed/-policy/-lazy/-batch/-fold on the replay
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stmbench:", err)

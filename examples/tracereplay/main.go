@@ -22,7 +22,8 @@ func main() {
 	// a trace.Recorder installed (experiments.RecordTrace wires
 	// stm.Config.Trace and verifies the scenario invariant).
 	cfg := experiments.DefaultSTMConfig()
-	tr, err := experiments.RecordTrace("hotspot", cfg, 2, 100*time.Millisecond)
+	cfg.Duration = 100 * time.Millisecond
+	tr, err := experiments.RecordTrace("hotspot", cfg, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,10 +59,8 @@ func main() {
 	// 4. Replay and compare: the same footprints on the HTM simulator
 	// and a fresh STM arena, next to the recorded originals.
 	tab, err := experiments.TraceFidelity(loaded, experiments.FidelityConfig{
-		Cycles:   300_000,
-		Duration: 100 * time.Millisecond,
-		Seed:     1,
-		STM:      cfg, // same runtime as the recorded run
+		Cycles: 300_000,
+		STM:    cfg, // same runtime, length and seed as the recorded run
 	})
 	if err != nil {
 		log.Fatal(err)

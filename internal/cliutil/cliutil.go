@@ -42,11 +42,12 @@ func CheckPositive(flagName string, v int) error {
 	return nil
 }
 
-// CheckNonNegative validates an integer flag where zero means "off"
-// or "default" but negative values are nonsense (-batch, -capacity).
-func CheckNonNegative(flagName string, v int) error {
+// CheckNonNegative validates a numeric flag where zero means "off"
+// or "default" but negative values are nonsense (-batch, -capacity,
+// -mu).
+func CheckNonNegative[T int | float64](flagName string, v T) error {
 	if v < 0 {
-		return fmt.Errorf("-%s must be >= 0 (got %d)", flagName, v)
+		return fmt.Errorf("-%s must be >= 0 (got %v)", flagName, v)
 	}
 	return nil
 }

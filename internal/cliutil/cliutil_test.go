@@ -70,6 +70,13 @@ func TestCheckNonNegative(t *testing.T) {
 	if !strings.Contains(err.Error(), "-batch must be >= 0 (got -1)") {
 		t.Fatalf("message lacks the flag name and value: %q", err)
 	}
+	// Float flags (-mu) share the check and the message shape.
+	if err := CheckNonNegative("mu", 0.0); err != nil {
+		t.Fatalf("0.0 rejected: %v", err)
+	}
+	if err := CheckNonNegative("mu", -2.5); err == nil || !strings.Contains(err.Error(), "-mu must be >= 0 (got -2.5)") {
+		t.Fatalf("-2.5: err = %v, want the flag name and value", err)
+	}
 }
 
 func TestCheckRequires(t *testing.T) {

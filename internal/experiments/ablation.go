@@ -52,18 +52,17 @@ func Ablations(bench string, threads int, cfg Fig3Config) (*report.Table, error)
 		Columns: []string{"variant", "ops/s", "aborts/commit", "conflicts", "graceCommits"},
 	}
 	for _, v := range variants {
-		w, err := workload.ByName(bench, scenario.Options{Length: cfg.Length})
+		w, err := workload.ByName(bench, scenario.Options{})
 		if err != nil {
 			return nil, err
 		}
 		p := htm.DefaultParams(threads)
-		p.Policy = cfg.Policy
 		p.Strategy = strategy.UniformRW{}
 		p.Seed = cfg.Seed
 		v.adjust(&p)
 		m := htm.NewMachine(p, w)
 		met := m.Run(cfg.Cycles)
-		t.AddRow(v.name, met.OpsPerSecond(cfg.GHz), met.AbortRate(), met.Conflicts, met.GraceCommits)
+		t.AddRow(v.name, met.OpsPerSecond(), met.AbortRate(), met.Conflicts, met.GraceCommits)
 	}
 	return t, nil
 }

@@ -6,7 +6,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
@@ -28,19 +27,8 @@ type Fig3Config struct {
 	Threads []int
 	// Cycles is the simulated duration per cell.
 	Cycles uint64
-	// Policy is the HTM conflict-resolution policy (paper: requestor
-	// wins).
-	Policy core.Policy
-	// Length overrides the scenario's default transaction-length
-	// sampler (the -dist flag); nil keeps the scenario default.
-	Length dist.Sampler
-	// Delta is the Add magnitude for the commutative-counter
-	// scenarios (scenario.Options.Delta; 0 = 1).
-	Delta uint64
 	// Seed feeds all random streams.
 	Seed uint64
-	// GHz converts cycles to seconds for ops/s reporting.
-	GHz float64
 }
 
 // DefaultFig3Config mirrors the paper's setup at laptop scale.
@@ -48,22 +36,21 @@ func DefaultFig3Config() Fig3Config {
 	return Fig3Config{
 		Threads: []int{1, 2, 4, 8, 12, 16},
 		Cycles:  2_000_000,
-		Policy:  core.RequestorWins,
 		Seed:    1,
-		GHz:     1,
 	}
 }
 
 // Figure3 regenerates one panel of Figure 3: throughput (ops/s) of
 // NO_DELAY, DELAY_TUNED, DELAY_DET, DELAY_RAND across thread counts
-// on the HTM simulator. Every cell is drained after its measurement
-// window and checked against the scenario's committed-state
-// invariant, so each regeneration doubles as a serializability test.
+// on the HTM simulator under requestor wins, at the simulator's 1 GHz
+// convention. Every cell is drained after its measurement window and
+// checked against the scenario's committed-state invariant, so each
+// regeneration doubles as a serializability test.
 func Figure3(bench string, cfg Fig3Config) (*report.Table, error) {
 	if len(cfg.Threads) == 0 {
 		cfg = DefaultFig3Config()
 	}
-	tunedProbe, err := workload.ByName(bench, scenario.Options{Length: cfg.Length, Delta: cfg.Delta})
+	tunedProbe, err := workload.ByName(bench, scenario.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +58,7 @@ func Figure3(bench string, cfg Fig3Config) (*report.Table, error) {
 	tuned := workload.TunedDelay(tunedProbe, probeParams, 512)
 	strategies := strategy.Fig3Set(tuned)
 	t := &report.Table{
-		Title:   fmt.Sprintf("Figure 3 (%s): throughput, ops/s at %.0f GHz", bench, cfg.GHz),
+		Title:   fmt.Sprintf("Figure 3 (%s): throughput, ops/s at 1 GHz", bench),
 		Columns: []string{"threads"},
 	}
 	names := []string{"NO_DELAY", "DELAY_TUNED", "DELAY_DET", "DELAY_RAND"}
@@ -79,17 +66,16 @@ func Figure3(bench string, cfg Fig3Config) (*report.Table, error) {
 	for _, n := range cfg.Threads {
 		row := []interface{}{n}
 		for _, s := range strategies {
-			w, err := workload.ByName(bench, scenario.Options{Length: cfg.Length, Delta: cfg.Delta})
+			w, err := workload.ByName(bench, scenario.Options{})
 			if err != nil {
 				return nil, err
 			}
 			p := htm.DefaultParams(n)
-			p.Policy = cfg.Policy
 			p.Strategy = s
 			p.Seed = cfg.Seed
 			m := htm.NewMachine(p, w)
 			met := m.Run(cfg.Cycles)
-			row = append(row, met.OpsPerSecond(cfg.GHz))
+			row = append(row, met.OpsPerSecond())
 			fin := m.Drain()
 			if err := w.Check(m.Dir.ReadWord, fin.PerCoreCommits); err != nil {
 				return nil, fmt.Errorf("experiments: %s at %d threads (%v): %w", bench, n, s, err)
@@ -98,7 +84,7 @@ func Figure3(bench string, cfg Fig3Config) (*report.Table, error) {
 		t.AddRow(row...)
 	}
 	t.AddNote("tuned delay = %.1f cycles (average isolated fast-path length)", tuned)
-	t.AddNote("policy %v, %d cycles per cell, seed %d", cfg.Policy, cfg.Cycles, cfg.Seed)
+	t.AddNote("policy %v, %d cycles per cell, seed %d", probeParams.Policy, cfg.Cycles, cfg.Seed)
 	return t, nil
 }
 
@@ -116,19 +102,6 @@ type STMConfig struct {
 	// Length overrides the scenario's default transaction-length
 	// sampler (the -dist flag); nil keeps the scenario default.
 	Length dist.Sampler
-	// Delta is the Add magnitude for the commutative-counter
-	// scenarios (scenario.Options.Delta; 0 = 1).
-	Delta uint64
-	// MetricsSample is the 1-in-N commit-phase timer sampling interval
-	// for the per-cell metrics plane (0 = metrics.DefaultSampleN).
-	// Every cell gets a fresh plane either way — latency quantiles and
-	// the abort taxonomy are always on.
-	MetricsSample int
-	// ReportEvery enables the periodic stderr reporter: every interval
-	// during a measured drive, one structured line with the window's
-	// commit count, p50/p99 commit latency, and abort taxonomy. 0
-	// disables (the default).
-	ReportEvery time.Duration
 	// Seed feeds the per-goroutine streams.
 	Seed uint64
 }
@@ -159,8 +132,8 @@ func DefaultSTMConfig() STMConfig {
 
 // stmScenario instantiates a registry scenario sized for the given
 // worker count on a fresh STM runtime.
-func stmScenario(bench string, length dist.Sampler, delta uint64, workers int, cfg stm.Config) (*scenario.STMRunner, error) {
-	sc, err := scenario.ByName(bench, scenario.Options{Workers: workers, Length: length, Delta: delta})
+func stmScenario(bench string, length dist.Sampler, workers int, cfg stm.Config) (*scenario.STMRunner, error) {
+	sc, err := scenario.ByName(bench, scenario.Options{Workers: workers, Length: length})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
@@ -168,13 +141,13 @@ func stmScenario(bench string, length dist.Sampler, delta uint64, workers int, c
 }
 
 // stmRuntimeConfig is the stm.Config of one cell: cfg's runtime with
-// strategy s and a metrics plane of its own, so each measured cell
-// reads its own latency quantiles and abort taxonomy without
-// cross-cell bleed.
+// strategy s and a metrics plane of its own (phase timers at
+// metrics.DefaultSampleN), so each measured cell reads its own latency
+// quantiles and abort taxonomy without cross-cell bleed.
 func stmRuntimeConfig(cfg STMConfig, s core.Strategy) stm.Config {
 	c := cfg.Config
 	c.Strategy = s
-	c.Metrics = metrics.NewPlane(16, cfg.MetricsSample)
+	c.Metrics = metrics.NewPlane(16, metrics.DefaultSampleN)
 	return c
 }
 
@@ -195,7 +168,7 @@ func stmStrategies(tunedNs float64) []core.Strategy {
 func tuneSTM(bench string, cfg STMConfig) (float64, error) {
 	sCfg := stmRuntimeConfig(cfg, nil)
 	sCfg.MaxRetries = 64
-	rn, err := stmScenario(bench, cfg.Length, cfg.Delta, 1, sCfg)
+	rn, err := stmScenario(bench, cfg.Length, 1, sCfg)
 	if err != nil {
 		return 0, err
 	}
@@ -227,15 +200,12 @@ func STMThroughput(bench string, cfg STMConfig) (*report.Table, error) {
 	}
 	for _, n := range cfg.Goroutines {
 		row := []interface{}{n}
-		for si, s := range stmStrategies(tuned) {
-			rn, err := stmScenario(bench, cfg.Length, cfg.Delta, n, stmRuntimeConfig(cfg, s))
+		for _, s := range stmStrategies(tuned) {
+			rn, err := stmScenario(bench, cfg.Length, n, stmRuntimeConfig(cfg, s))
 			if err != nil {
 				return nil, err
 			}
-			stop := startReporter(os.Stderr, rn.Runtime(), cfg.ReportEvery,
-				fmt.Sprintf("%s g=%d %s", bench, n, stratNames[si]))
 			res := rn.Drive(n, cfg.Duration, cfg.Seed)
-			stop()
 			if err := rn.Check(res.PerWorker); err != nil {
 				return nil, fmt.Errorf("experiments: %s at %d goroutines: %w", bench, n, err)
 			}

@@ -4,17 +4,13 @@ import (
 	"strconv"
 	"testing"
 	"time"
-
-	"txconflict/internal/core"
 )
 
 func smallFig3() Fig3Config {
 	return Fig3Config{
 		Threads: []int{1, 4},
 		Cycles:  300_000,
-		Policy:  core.RequestorWins,
 		Seed:    3,
-		GHz:     1,
 	}
 }
 

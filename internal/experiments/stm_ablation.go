@@ -47,7 +47,7 @@ func measureSTM(rn *scenario.STMRunner, n int, d time.Duration, seed uint64) (st
 // mean-profiled strategy, Corollary 2 backoff, and the NO_DELAY
 // baseline. The base configuration is pinned (eager requestor-wins,
 // RRW) so every row varies exactly one design choice against the same
-// baseline; cfg supplies only Duration, Seed, Length and Delta.
+// baseline; cfg supplies only Duration, Seed and Length.
 func STMAblations(bench string, goroutines int, cfg STMConfig) (*report.Table, error) {
 	if goroutines <= 0 {
 		goroutines = runtime.GOMAXPROCS(0)
@@ -92,7 +92,7 @@ func STMAblations(bench string, goroutines int, cfg STMConfig) (*report.Table, e
 			MaxRetries:  256,
 		}}
 		v.adjust(&sCfg)
-		rn, err := stmScenario(bench, cfg.Length, cfg.Delta, goroutines, sCfg)
+		rn, err := stmScenario(bench, cfg.Length, goroutines, sCfg)
 		if err != nil {
 			return nil, err
 		}

@@ -14,22 +14,21 @@ import (
 )
 
 // RecordTrace runs one recorded measurement of a registry scenario on
-// the real-goroutine STM runtime and returns the captured trace: the
-// "measure" leg of the Section 1 profile-to-simulation loop. The
-// scenario invariant is verified before the trace is handed back, so
-// a returned trace always comes from a serializable run.
-func RecordTrace(bench string, cfg STMConfig, workers int, d time.Duration) (*trace.Trace, error) {
+// the real-goroutine STM runtime for cfg.Duration (default 200 ms) and
+// returns the captured trace: the "measure" leg of the Section 1
+// profile-to-simulation loop. The scenario invariant is verified
+// before the trace is handed back, so a returned trace always comes
+// from a serializable run.
+func RecordTrace(bench string, cfg STMConfig, workers int) (*trace.Trace, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 		if workers > 4 {
 			workers = 4
 		}
 	}
+	d := cfg.Duration
 	if d <= 0 {
-		d = cfg.Duration
-		if d <= 0 {
-			d = 200 * time.Millisecond
-		}
+		d = 200 * time.Millisecond
 	}
 	sc, err := scenario.ByName(bench, scenario.Options{Workers: workers, Length: cfg.Length})
 	if err != nil {
@@ -60,14 +59,12 @@ type FidelityConfig struct {
 	Workers int
 	// Cycles is the simulated duration of the HTM leg.
 	Cycles uint64
-	// Duration is the wall-clock duration of the STM leg.
-	Duration time.Duration
-	// Seed feeds both backends' random streams.
-	Seed uint64
 	// STM carries the replay runtime's policy and mode (Resolution,
 	// Lazy, ...) — start from DefaultSTMConfig and set them to the
 	// recorded run's configuration, or the comparison measures a config
-	// mismatch, not fidelity.
+	// mismatch, not fidelity. Its Duration is the wall-clock length of
+	// the STM leg (default 100 ms) and its Seed feeds both backends'
+	// random streams.
 	STM STMConfig
 }
 
@@ -94,8 +91,8 @@ func TraceFidelity(tr *trace.Trace, cfg FidelityConfig) (*report.Table, error) {
 	if cfg.Cycles == 0 {
 		cfg.Cycles = 500_000
 	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 100 * time.Millisecond
+	if cfg.STM.Duration <= 0 {
+		cfg.STM.Duration = 100 * time.Millisecond
 	}
 	prof := trace.NewProfile(tr)
 
@@ -110,7 +107,7 @@ func TraceFidelity(tr *trace.Trace, cfg FidelityConfig) (*report.Table, error) {
 	p := htm.DefaultParams(workers)
 	p.Policy = cfg.STM.Rule.Policy
 	p.Strategy = strategy.UniformRW{}
-	p.Seed = cfg.Seed
+	p.Seed = cfg.STM.Seed
 	m := htm.NewMachine(p, w)
 	met := m.Run(cfg.Cycles)
 	fin := m.Drain()
@@ -125,13 +122,13 @@ func TraceFidelity(tr *trace.Trace, cfg FidelityConfig) (*report.Table, error) {
 	}
 	sCfg := stmRuntimeConfig(cfg.STM, strategy.UniformRW{})
 	rn := scenario.NewSTMRunner(stmSc, sCfg)
-	res := rn.Drive(workers, cfg.Duration, cfg.Seed)
+	res := rn.Drive(workers, cfg.STM.Duration, cfg.STM.Seed)
 	if err := rn.Check(res.PerWorker); err != nil {
 		return nil, fmt.Errorf("experiments: STM replay: %w", err)
 	}
 	snap := rn.Runtime().Stats.Snapshot()
 
-	simCommitsPerSec := met.OpsPerSecond(1)
+	simCommitsPerSec := met.OpsPerSecond()
 	var simAbortsPerCommit float64
 	if met.Commits > 0 {
 		simAbortsPerCommit = float64(met.Aborts) / float64(met.Commits)
@@ -157,7 +154,7 @@ func TraceFidelity(tr *trace.Trace, cfg FidelityConfig) (*report.Table, error) {
 		stmAbortsPerCommit, snap["kills"])
 	if stmCommitsPerSec > 0 {
 		t.AddNote("sim-vs-real throughput ratio %.3g (sim at 1 GHz, %d cycles; real %v wall clock)",
-			simCommitsPerSec/stmCommitsPerSec, cfg.Cycles, cfg.Duration)
+			simCommitsPerSec/stmCommitsPerSec, cfg.Cycles, cfg.STM.Duration)
 	}
 	t.AddNote("abort-rate delta sim-real = %+.3f aborts/commit", simAbortsPerCommit-stmAbortsPerCommit)
 	if tr.UnitNs > 0 {

@@ -14,11 +14,11 @@ import (
 func TestTraceFidelity(t *testing.T) {
 	cfg := DefaultSTMConfig()
 	cfg.Seed = 5
-	d := 40 * time.Millisecond
+	cfg.Duration = 40 * time.Millisecond
 	if testing.Short() {
-		d = 20 * time.Millisecond
+		cfg.Duration = 20 * time.Millisecond
 	}
-	tr, err := RecordTrace("hotspot", cfg, 2, d)
+	tr, err := RecordTrace("hotspot", cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,11 +27,9 @@ func TestTraceFidelity(t *testing.T) {
 			len(tr.Records), tr.Commits(), tr.Scenario)
 	}
 	tab, err := TraceFidelity(tr, FidelityConfig{
-		Workers:  2,
-		Cycles:   150_000,
-		Duration: d,
-		Seed:     5,
-		STM:      cfg, // replay under the recorded run's config
+		Workers: 2,
+		Cycles:  150_000,
+		STM:     cfg, // replay under the recorded run's config and seed
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +51,7 @@ func TestTraceFidelity(t *testing.T) {
 // scenario that is not registered surfaces the registry's sorted name
 // list instead of a bare failure.
 func TestRecordTraceUnknownScenario(t *testing.T) {
-	_, err := RecordTrace("no-such-scenario", STMConfig{}, 1, 10*time.Millisecond)
+	_, err := RecordTrace("no-such-scenario", STMConfig{Duration: 10 * time.Millisecond}, 1)
 	if err == nil || !strings.Contains(err.Error(), "unknown scenario") ||
 		!strings.Contains(err.Error(), "hotspot") {
 		t.Fatalf("err = %v, want unknown-scenario with registered names", err)

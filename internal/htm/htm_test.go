@@ -420,14 +420,14 @@ func TestMetricsHelpers(t *testing.T) {
 	if m.Throughput() != 2000 {
 		t.Fatalf("throughput %v", m.Throughput())
 	}
-	if got := m.OpsPerSecond(1); got != 2000*1e3 {
+	if got := m.OpsPerSecond(); got != 2000*1e3 {
 		t.Fatalf("ops/s %v", got)
 	}
 	if m.AbortRate() != 0.25 {
 		t.Fatalf("abort rate %v", m.AbortRate())
 	}
 	var zero Metrics
-	if zero.Throughput() != 0 || zero.OpsPerSecond(1) != 0 {
+	if zero.Throughput() != 0 || zero.OpsPerSecond() != 0 {
 		t.Fatal("zero metrics should not divide by zero")
 	}
 }

@@ -142,13 +142,13 @@ func (m Metrics) Throughput() float64 {
 	return float64(m.Commits) / float64(m.Cycles) * 1e6
 }
 
-// OpsPerSecond converts throughput to operations per second assuming
-// the given clock in GHz (the paper's figures report ops/s).
-func (m Metrics) OpsPerSecond(ghz float64) float64 {
+// OpsPerSecond converts throughput to operations per second at the
+// simulator's 1 GHz convention (the paper's figures report ops/s).
+func (m Metrics) OpsPerSecond() float64 {
 	if m.Cycles == 0 {
 		return 0
 	}
-	return float64(m.Commits) / (float64(m.Cycles) / (ghz * 1e9))
+	return float64(m.Commits) / (float64(m.Cycles) / 1e9)
 }
 
 // AbortRate returns aborts per commit.

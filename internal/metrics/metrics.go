@@ -1,7 +1,7 @@
 // Package metrics is the runtime's always-on observability plane and
 // the one place a runtime event is counted: every stm.Runtime has a
-// Plane, stm.Stats is a view of it, and the stderr reporter reads the
-// difference of two of its snapshots. It answers the questions bare
+// Plane, stm.Stats is a view of it, and the benchmark's per-layer
+// metrics read the difference of two of its snapshots. It answers the questions bare
 // counters cannot ("what is commit p99 right now?") at a cost the
 // per-transaction traces of internal/trace cannot match: zero
 // allocations, and for a block that commits no shared counter written at
@@ -28,7 +28,7 @@
 //   - Plane: per-worker cache-line-padded shards of the above, plus a
 //     merged PlaneSnapshot and a Prometheus text-exposition writer
 //     (prom.go) — the backing store for txkvd's GET /metrics and
-//     /v1/stats, for stm.Stats, and for the stderr progress reporter.
+//     /v1/stats, for stm.Stats, and for bench/'s per-layer metrics.
 package metrics
 
 import (

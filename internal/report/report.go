@@ -1,5 +1,5 @@
-// Package report renders experiment results as aligned text tables
-// and CSV, the output format of every figure-regeneration harness in
+// Package report renders experiment results as aligned text tables,
+// the output format of every figure-regeneration harness in
 // this repository.
 package report
 
@@ -107,33 +107,6 @@ func (t *Table) WriteText(w io.Writer) error {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
 	b.WriteByte('\n')
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// WriteCSV renders the table as CSV (RFC-4180-ish; cells containing
-// commas or quotes are quoted).
-func (t *Table) WriteCSV(w io.Writer) error {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				b.WriteByte('"')
-				b.WriteString(strings.ReplaceAll(c, "\"", "\"\""))
-				b.WriteByte('"')
-			} else {
-				b.WriteString(c)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Columns)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
 	_, err := io.WriteString(w, b.String())
 	return err
 }

@@ -50,22 +50,6 @@ func TestColumnsAligned(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	var b strings.Builder
-	tab := &Table{Columns: []string{"x", "y"}}
-	tab.AddRow("plain", `with "quote", and comma`)
-	if err := tab.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, `"with ""quote"", and comma"`) {
-		t.Errorf("CSV quoting wrong:\n%s", out)
-	}
-	if !strings.HasPrefix(out, "x,y\n") {
-		t.Errorf("CSV header wrong:\n%s", out)
-	}
-}
-
 func TestFloatFormatting(t *testing.T) {
 	cases := []struct {
 		v    float64

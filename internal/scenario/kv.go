@@ -59,8 +59,8 @@ func newKVCounter(opt Options) *Scenario {
 		l := s.sampleLen(r)
 		return s.program(worker, s.sampleThink(r),
 			Work(l),
-			Add(key, s.delta),
-			Add(kvKeys+worker, s.delta),
+			Add(key, 1),
+			Add(kvKeys+worker, 1),
 		)
 	}
 	s.check = kvTallyCheck(s)

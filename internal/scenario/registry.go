@@ -148,16 +148,11 @@ func newBase(opt Options, defLen dist.Sampler, wordsFn func(workers int) int) *S
 	if think == nil {
 		think = dist.Constant{V: 10}
 	}
-	delta := opt.Delta
-	if delta == 0 {
-		delta = 1
-	}
 	return &Scenario{
 		workers: workers,
 		wordsFn: wordsFn,
 		length:  length,
 		think:   think,
-		delta:   delta,
 		counts:  make([]uint64, workers),
 		bufs:    make([]opBuf, workers),
 	}
@@ -314,8 +309,7 @@ func newBimodal(opt Options) *Scenario {
 // deltas (OpAdd): the program never observes the counters, so the STM
 // combiner may fold colliding increments under Policy.FoldCommutative
 // instead of serializing them. Semantics and the Σ objects =
-// 2 · delta · commits invariant are identical either way (delta is
-// Options.Delta, default 1).
+// 2 · commits invariant are identical either way.
 func newHotspot(opt Options) *Scenario {
 	z := dist.NewZipf(objects, 1.1, 1)
 	pick := func(r *rng.Rand) (int, int) {
@@ -332,8 +326,8 @@ func newHotspot(opt Options) *Scenario {
 		l := s.sampleLen(r)
 		return s.program(worker, s.sampleThink(r),
 			Work(l),
-			Add(i, s.delta),
-			Add(j, s.delta),
+			Add(i, 1),
+			Add(j, 1),
 		)
 	}
 	s.check = func(st *State) error {
@@ -341,9 +335,9 @@ func newHotspot(opt Options) *Scenario {
 		for w := 0; w < objects; w++ {
 			sum += st.Read(w)
 		}
-		if want := 2 * s.delta * st.Commits(); sum != want {
-			return fmt.Errorf("hotspot: object sum %d, want %d (commits %d, delta %d)",
-				sum, want, st.Commits(), s.delta)
+		if want := 2 * st.Commits(); sum != want {
+			return fmt.Errorf("hotspot: object sum %d, want %d (commits %d)",
+				sum, want, st.Commits())
 		}
 		return nil
 	}

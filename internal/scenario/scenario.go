@@ -175,12 +175,6 @@ type Options struct {
 	// Think overrides the scenario's default non-transactional
 	// think-time sampler (default: constant 10).
 	Think dist.Sampler
-	// Delta is the increment magnitude of the commutative-counter
-	// scenarios' tagged Add ops (hotspot, kvcounter; 0 = 1). The
-	// committed invariants scale with it, so any magnitude still
-	// detects lost updates — larger deltas just make a single lost
-	// fold stand out more in the sums.
-	Delta uint64
 }
 
 // Scenario is one instantiated workload: a named program generator
@@ -197,7 +191,6 @@ type Scenario struct {
 	think   dist.Sampler
 	next    func(worker int, r *rng.Rand) Program
 	check   func(st *State) error
-	delta   uint64 // Add magnitude for the commutative scenarios
 
 	counts []uint64 // per-worker transaction parity/sequence state
 	bufs   []opBuf  // per-worker backing array of the last Program

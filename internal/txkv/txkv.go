@@ -11,7 +11,7 @@
 // # Word layout
 //
 // A Store with capacity C buckets (a power of two), I index classes
-// and S size stripes owns one stm arena of 3C+I+S words:
+// and S = 16 size stripes owns one stm arena of 3C+I+S words:
 //
 //	[0, C)        bucket key words: 0 = empty, ^0 = tombstone,
 //	              otherwise userKey+1
@@ -102,6 +102,11 @@ var ErrFull = errors.New("txkv: map full")
 // past it, inserts may reuse it.
 const tombstone = ^uint64(0)
 
+// sizeStripes is the number of striped occupancy words (a power of
+// two); striping keeps inserts from serializing on a single counter
+// word.
+const sizeStripes = 16
+
 // Config sizes a Store.
 type Config struct {
 	// Capacity is the bucket count, rounded up to a power of two.
@@ -112,10 +117,6 @@ type Config struct {
 	// (power of two, default 64). A value belongs to class
 	// value & (IndexClasses-1).
 	IndexClasses int
-	// SizeStripes is the number of striped occupancy words (power of
-	// two, default 16); striping keeps inserts from serializing on a
-	// single counter word.
-	SizeStripes int
 	// EscrowCounters classes the secondary index by key instead of by
 	// value (see the package comment): value updates stop relinking,
 	// and Add on an existing key becomes a blind commutative delta
@@ -137,7 +138,6 @@ type Store struct {
 	cap     int // buckets (power of two)
 	mask    uint64
 	classes int
-	stripes int
 	escrow  bool // key-classed index; Add records blind deltas
 }
 
@@ -145,15 +145,13 @@ type Store struct {
 func New(cfg Config) *Store {
 	c := ceilPow2(cfg.Capacity, 1024)
 	classes := ceilPow2(cfg.IndexClasses, 64)
-	stripes := ceilPow2(cfg.SizeStripes, 16)
 	s := &Store{
 		cap:     c,
 		mask:    uint64(c - 1),
 		classes: classes,
-		stripes: stripes,
 		escrow:  cfg.EscrowCounters,
 	}
-	s.rt = stm.New(3*c+classes+stripes, cfg.STM)
+	s.rt = stm.New(3*c+classes+sizeStripes, cfg.STM)
 	return s
 }
 
@@ -303,7 +301,7 @@ func (s *Store) put(tx *stm.Tx, key, val uint64) error {
 	tx.Store(s.keyWord(free), key+1)
 	tx.Store(s.valWord(free), val)
 	s.indexPush(tx, free, key, val)
-	st := s.sizeWord(int(hash(key)) & (s.stripes - 1))
+	st := s.sizeWord(int(hash(key)) & (sizeStripes - 1))
 	tx.Store(st, tx.Load(st)+1)
 	return nil
 }
@@ -326,7 +324,7 @@ func (s *Store) del(tx *stm.Tx, key uint64) bool {
 	s.indexUnlink(tx, b, key, tx.Load(s.valWord(b)))
 	tx.Store(s.keyWord(b), tombstone)
 	tx.Store(s.valWord(b), 0)
-	st := s.sizeWord(int(hash(key)) & (s.stripes - 1))
+	st := s.sizeWord(int(hash(key)) & (sizeStripes - 1))
 	tx.Store(st, tx.Load(st)-1)
 	return true
 }
@@ -437,7 +435,7 @@ func (s *Store) runAdd(w *stm.Worker, key, delta uint64) (newVal uint64, err err
 		tx.Store(s.keyWord(free), key+1)
 		tx.Store(s.valWord(free), delta)
 		s.indexPush(tx, free, key, delta)
-		st := s.sizeWord(int(hash(key)) & (s.stripes - 1))
+		st := s.sizeWord(int(hash(key)) & (sizeStripes - 1))
 		tx.Store(st, tx.Load(st)+1)
 		return nil
 	})
@@ -496,7 +494,7 @@ func (s *Store) runReadDoc(w *stm.Worker, base uint64, fields int) ([]uint64, er
 // stripes). Quiescent-state accessor.
 func (s *Store) Len() int {
 	var n uint64
-	for st := 0; st < s.stripes; st++ {
+	for st := 0; st < sizeStripes; st++ {
 		n += s.rt.ReadCommitted(s.sizeWord(st))
 	}
 	return int(n)

@@ -31,15 +31,9 @@ type User struct {
 	totals Totals
 }
 
-// Options tunes a workload instance obtained from ByName.
-type Options struct {
-	// Keys overrides the workload's keyspace size (0 = default).
-	Keys uint64
-	// KeyDist overrides the key-rank sampler (nil = the workload's
-	// zipf default). Samples are folded into [0, Keys) — pair with
-	// a mean around Keys/2 for sensible coverage.
-	KeyDist dist.Sampler
-}
+// Options is the (empty) per-instance argument of ByName: every
+// workload runs at its own keyspace and zipf skew.
+type Options struct{}
 
 // Workload is one named keyed traffic shape: a user factory over a
 // keyspace, plus the committed-state check that closes the loop.
@@ -50,7 +44,7 @@ type Workload struct {
 	newUser    func(u int, opt *Workload) *User
 	check      func(s *Store, tot Totals) error
 
-	keyDist dist.Sampler // nil = per-workload zipf default
+	keyDist *dist.Zipf // ranks 1..keys, skewed toward rank 1
 }
 
 // Name identifies the workload in flags and test cell names.
@@ -73,26 +67,17 @@ func (w *Workload) NewUser(u int) *User { return w.newUser(u, w) }
 // invariants are separate (Store.CheckInvariants).
 func (w *Workload) Check(s *Store, tot Totals) error { return w.check(s, tot) }
 
-// sampleKey draws one key from the workload's skewed working set.
+// sampleKey draws one key from the workload's skewed working set:
+// a zipf rank in [1, keys], folded into [0, keys) (rank keys is key 0).
 func (w *Workload) sampleKey(r *rng.Rand) uint64 {
-	v := w.keyDist.Sample(r)
-	if v < 0 {
-		v = -v
-	}
-	return uint64(v) % w.keys
-}
-
-// defaultZipf is the working-set skew shared by the built-ins: rank
-// 1 is the hottest key, tail falls off as rank^-s.
-func defaultZipf(keys uint64, s float64) dist.Sampler {
-	return dist.NewZipf(int(keys), s, 1)
+	return uint64(w.keyDist.Sample(r)) % w.keys
 }
 
 // workloadDefs is the keyed-traffic catalog. Names are stable CLI
 // identifiers (cmd/txkvd -workload).
 var workloadDefs = []struct {
 	name, desc string
-	build      func(opt Options) *Workload
+	build      func() *Workload
 }{
 	{"readmostly", "90% get / 8% put / 2% delete over a zipf working set", newReadMostly},
 	{"hotspot-counter", "keyed increments on a small, strongly zipf-skewed counter set", newHotspotCounter},
@@ -131,11 +116,11 @@ func Describe() []string {
 }
 
 // ByName instantiates the named workload.
-func ByName(name string, opt Options) (*Workload, error) {
+func ByName(name string, _ Options) (*Workload, error) {
 	want := strings.ToLower(strings.TrimSpace(name))
 	for _, d := range workloadDefs {
 		if d.name == want {
-			w := d.build(opt)
+			w := d.build()
 			w.name, w.desc = d.name, d.desc
 			return w, nil
 		}
@@ -144,16 +129,11 @@ func ByName(name string, opt Options) (*Workload, error) {
 		name, strings.Join(Names(), ", "))
 }
 
-// finish applies Options overrides and derives the store capacity
-// (2x the keyspace, so probe paths stay short at full occupancy).
-func finish(w *Workload, opt Options, defSkew float64) *Workload {
-	if opt.Keys > 0 {
-		w.keys = opt.Keys
-	}
-	w.keyDist = opt.KeyDist
-	if w.keyDist == nil {
-		w.keyDist = defaultZipf(w.keys, defSkew)
-	}
+// finish builds the key sampler — rank 1 is the hottest key, the tail
+// falls off as rank^-skew — and derives the store capacity (2x the
+// keyspace, so probe paths stay short at full occupancy).
+func finish(w *Workload, skew float64) *Workload {
+	w.keyDist = dist.NewZipf(int(w.keys), skew, 1)
 	w.capacity = int(2 * w.keys)
 	return w
 }
@@ -162,7 +142,7 @@ func finish(w *Workload, opt Options, defSkew float64) *Workload {
 // analogue of the readmostly scenario. Its semantic content is
 // structural — overwrites race benignly — so the map/index
 // invariants carry the whole check.
-func newReadMostly(opt Options) *Workload {
+func newReadMostly() *Workload {
 	w := &Workload{
 		keys: 1024,
 	}
@@ -187,7 +167,7 @@ func newReadMostly(opt Options) *Workload {
 		}
 		return nil
 	}
-	return finish(w, opt, 1.05)
+	return finish(w, 1.05)
 }
 
 // newHotspotCounter builds the contended-counter workload: every op
@@ -195,7 +175,7 @@ func newReadMostly(opt Options) *Workload {
 // funnels most of them onto a handful of keys — the serving-stack
 // version of the hotspot scenario. Lost updates show up directly:
 // the committed counter sum must equal the number of applied adds.
-func newHotspotCounter(opt Options) *Workload {
+func newHotspotCounter() *Workload {
 	w := &Workload{
 		keys: 128,
 	}
@@ -222,7 +202,7 @@ func newHotspotCounter(opt Options) *Workload {
 		}
 		return nil
 	}
-	return finish(w, opt, 1.2)
+	return finish(w, 1.2)
 }
 
 // docFields is the document workload's fields-per-document.
@@ -233,7 +213,7 @@ const docFields = 8
 // single transaction, and reads assert the fields are equal — the
 // all-or-nothing visibility invariant, checked on every read and
 // again over the quiescent store.
-func newDocument(opt Options) *Workload {
+func newDocument() *Workload {
 	w := &Workload{
 		keys: 64 * docFields, // 64 documents
 	}
@@ -282,5 +262,5 @@ func newDocument(opt Options) *Workload {
 		}
 		return nil
 	}
-	return finish(w, opt, 1.1)
+	return finish(w, 1.1)
 }

@@ -136,14 +136,18 @@ fuzz-trace:
 # Fuzz the /v1/batch codec against encoding/json: on arbitrary bytes
 # the fast-path decoders accept only what encoding/json accepts and
 # decode it to the same value, the fallback answers as the json.Decoder
-# did, and the append encoders write what json.Marshal writes. A
-# blocking CI step; the seed corpus (golden fixtures plus the
-# non-canonical cases) also runs in plain `go test`. The minimize
-# budget is cut from its 60 s default, which would otherwise swallow a
-# 10 s run the first time a kilobyte-sized input is interesting.
+# did, and the append encoders write what json.Marshal writes. Then
+# fuzz the store behind it: whatever ops a body decodes to, applying
+# them to a small store returns one result per op and leaves
+# CheckInvariants clean (FuzzApplyBatch). A blocking CI step; the seed
+# corpora (golden fixtures, the non-canonical cases, every op kind at
+# the edge keys) also run in plain `go test`. The minimize budget is
+# cut from its 60 s default, which would otherwise swallow a 10 s run
+# the first time a kilobyte-sized input is interesting.
 fuzz-batch:
 	$(GO) test -run '^$$' -fuzz 'FuzzBatchDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/txkv/
 	$(GO) test -run '^$$' -fuzz 'FuzzBatchResponseDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/txkv/
+	$(GO) test -run '^$$' -fuzz 'FuzzApplyBatch$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/txkv/
 
 tidy:
 	$(GO) mod tidy

@@ -37,7 +37,7 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", ":7070", "listen address")
-		capacity = flag.Int("capacity", 0, "store bucket count (0 = sized for -workload, else 2048)")
+		capacity = flag.Int("capacity", 0, "store bucket count (0 = sized for -workload)")
 		workers  = flag.Int("workers", 4, "transaction worker pool size (one stm.AtomicWorker each)")
 		mode     = flag.String("mode", "eager", "locking mode: eager or lazy")
 		batch    = flag.Int("batch", 0, "lazy group-commit batch bound (0 = unbatched; > 0 implies -mode lazy)")

@@ -65,10 +65,10 @@
 // conflict policies, grace strategies and group commit apply
 // unchanged — plus multi-key document updates, keyed counters, a
 // catalog of zipf-skewed workloads (readmostly, hotspot-counter,
-// document) with structural and semantic invariant checks, a
-// closed-loop load generator, and the cmd/txkvd HTTP front-end
-// (batch requests on a fixed pool of worker identities, each batch's
-// ops run back to back on one stm.Worker handle;
+// document) with structural and semantic invariant checks, batches
+// of ops as the store's one entry point, and the cmd/txkvd HTTP
+// front-end (batch requests on a fixed pool of worker identities,
+// each batch's ops run back to back on one stm.Worker handle;
 // its recorded throughput and latency rows come from `bash
 // bench/run.sh`, see bench/README.md). The same
 // traffic shapes are registered in the scenario catalog as

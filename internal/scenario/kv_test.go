@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 // there).
 func TestKVScenariosRegistered(t *testing.T) {
 	for _, name := range []string{"kvcounter", "kvread", "kvdoc"} {
-		if !Known(name) {
+		if !slices.Contains(Names(), name) {
 			t.Fatalf("scenario %q not registered (have %v)", name, Names())
 		}
 		sc, err := ByName(name, Options{Workers: 2})

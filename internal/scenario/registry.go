@@ -74,22 +74,6 @@ func Register(name, desc string, build func(opt Options) *Scenario) error {
 	return nil
 }
 
-// Known reports whether ByName would accept the name (same
-// lowercase/trim folding), without instantiating the scenario — a
-// replay scenario's builder walks every recorded transaction, so
-// validation must stay cheap.
-func Known(name string) bool {
-	want := strings.ToLower(strings.TrimSpace(name))
-	defsMu.RLock()
-	defer defsMu.RUnlock()
-	for _, d := range defs {
-		if d.name == want {
-			return true
-		}
-	}
-	return false
-}
-
 // Names returns the sorted scenario names ByName accepts.
 func Names() []string {
 	defsMu.RLock()

@@ -44,9 +44,6 @@ func NewSTMRunner(sc *Scenario, cfg stm.Config) *STMRunner {
 	return rn
 }
 
-// Scenario returns the underlying scenario.
-func (rn *STMRunner) Scenario() *Scenario { return rn.sc }
-
 // Runtime exposes the underlying STM runtime (stats, config).
 func (rn *STMRunner) Runtime() *stm.Runtime { return rn.rt }
 

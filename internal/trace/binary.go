@@ -829,19 +829,6 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 	return materialize(br)
 }
 
-// ReadIndex opens the binary trace at path and returns its header and
-// block index via the trailer — no record decoding, O(footer) work
-// regardless of trace size.
-func ReadIndex(path string) (*Header, []BlockIndex, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("trace: %w", err)
-	}
-	defer f.Close()
-	h, idx, _, err := readIndexFile(f)
-	return h, idx, err
-}
-
 // readIndexFile reads the header (front) and footer (via the trailer
 // at EOF) of an open binary trace file.
 func readIndexFile(f *os.File) (*Header, []BlockIndex, int, error) {

@@ -163,7 +163,12 @@ func TestBinaryWriterBlocks(t *testing.T) {
 	}
 
 	// The footer on disk reproduces the writer's index.
-	h, gotIdx, err := ReadIndex(path)
+	rf, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rf.Close()
+	h, gotIdx, _, err := readIndexFile(rf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +181,6 @@ func TestBinaryWriterBlocks(t *testing.T) {
 
 	// Each indexed offset frames a decodable block with the promised
 	// records.
-	rf, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rf.Close()
 	for i, e := range gotIdx {
 		recs, err := decodeBlockAt(rf, e, nil)
 		if err != nil {

@@ -43,7 +43,7 @@ type Profile struct {
 }
 
 // NewProfile aggregates tr. Traces with no committed records still
-// profile (runtime stats only); LengthSampler then returns an error.
+// profile (runtime stats only); RegisterSamplers then returns an error.
 func NewProfile(tr *Trace) *Profile {
 	p := &Profile{Scenario: tr.Scenario, Records: len(tr.Records), SpanNs: tr.SpanNs()}
 	var graceSum, durSum float64
@@ -81,30 +81,6 @@ func NewProfile(tr *Trace) *Profile {
 		p.CommitsPerSec = float64(p.Commits) / (float64(p.SpanNs) / 1e9)
 	}
 	return p
-}
-
-// LengthSampler returns the empirical sampler over the committed
-// transaction lengths, named name ("" defaults to "trace:<scenario>").
-func (p *Profile) LengthSampler(name string) (*dist.Empirical, error) {
-	if len(p.Lengths) == 0 {
-		return nil, fmt.Errorf("trace: profile of %q has no committed records to sample", p.Scenario)
-	}
-	if name == "" {
-		name = "trace:" + p.Scenario
-	}
-	return dist.NewEmpirical(name, p.Lengths), nil
-}
-
-// ThinkSampler returns the empirical sampler over the committed
-// think times.
-func (p *Profile) ThinkSampler(name string) (*dist.Empirical, error) {
-	if len(p.Thinks) == 0 {
-		return nil, fmt.Errorf("trace: profile of %q has no committed records to sample", p.Scenario)
-	}
-	if name == "" {
-		name = "trace:" + p.Scenario + ":think"
-	}
-	return dist.NewEmpirical(name, p.Thinks), nil
 }
 
 // RegisterSamplers adds the profile's length and think distributions

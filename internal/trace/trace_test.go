@@ -191,13 +191,11 @@ func TestProfileAndSamplers(t *testing.T) {
 		t.Fatalf("span = %d", p.SpanNs)
 	}
 
-	ls, err := p.LengthSampler("")
-	if err != nil || ls.Mean() != 20 || ls.Name() != "trace:unit" {
-		t.Fatalf("length sampler = %v/%v (%v)", ls.Name(), ls.Mean(), err)
+	if ls := dist.NewEmpirical("trace:unit", p.Lengths); ls.Mean() != 20 {
+		t.Fatalf("length sampler mean = %v", ls.Mean())
 	}
-	ts, err := p.ThinkSampler("")
-	if err != nil || ts.Mean() != 3 {
-		t.Fatalf("think sampler mean = %v (%v)", ts.Mean(), err)
+	if ts := dist.NewEmpirical("trace:unit:think", p.Thinks); ts.Mean() != 3 {
+		t.Fatalf("think sampler mean = %v", ts.Mean())
 	}
 
 	lname, tname, err := p.RegisterSamplers("Unit-Key")
@@ -220,8 +218,8 @@ func TestProfileAndSamplers(t *testing.T) {
 	}
 
 	empty := NewProfile(&Trace{Header: Header{Scenario: "none"}})
-	if _, err := empty.LengthSampler(""); err == nil {
-		t.Fatal("empty profile produced a sampler")
+	if _, _, err := empty.RegisterSamplers("none"); err == nil || len(empty.Lengths) != 0 {
+		t.Fatalf("empty profile registered samplers over %d lengths (%v)", len(empty.Lengths), err)
 	}
 	if tab := p.Table(); len(tab.Rows) == 0 {
 		t.Fatal("profile table is empty")

@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"txconflict/internal/rng"
+	"txconflict/internal/stm"
 )
 
 // nonCanonicalResponses are bodies the response fast path must
@@ -114,6 +117,35 @@ func FuzzBatchResponseDecode(f *testing.F) {
 			if enc, ref := appendBatchResponse(nil, want.Results), jsonEncodeResponse(t, want.Results); !bytes.Equal(enc, ref) {
 				t.Fatalf("encoded %+v as %s, json.Encoder as %s", want.Results, enc, ref)
 			}
+		}
+	})
+}
+
+// FuzzApplyBatch feeds wire ops to a store: whatever ops the request
+// decoder returns for a body, applying them to a 16-bucket, 4-class
+// store yields one result per op and leaves every structural invariant
+// of CheckInvariants intact — no op from the wire can corrupt the map
+// or its index. Seeded with every op kind at key 0 and the three keys
+// next to the top of the key space, plus a document whose key range
+// wraps past ^0.
+func FuzzApplyBatch(f *testing.F) {
+	for _, key := range []uint64{0, ^uint64(0) - 2, ^uint64(0) - 1, ^uint64(0)} {
+		for _, kind := range []string{KindGet, KindPut, KindDelete, KindAdd, KindUpdateDoc, KindReadDoc} {
+			f.Add(AppendBatchRequest(nil, []Op{{Kind: kind, Key: key, Val: 1, Fields: 2}}))
+		}
+	}
+	f.Add([]byte(`{"ops":[{"op":"updatedoc","key":18446744073709551614,"fields":3,"val":1}]}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		ops, err := decodeBatchRequest(nil, body)
+		if err != nil {
+			return
+		}
+		s := New(Config{Capacity: 16, IndexClasses: 4, STM: stm.DefaultConfig()})
+		if res := s.ApplyBatch(-1, rng.New(1), ops); len(res) != len(ops) {
+			t.Fatalf("%d results for %d ops", len(res), len(ops))
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("ops %+v: %v", ops, err)
 		}
 	})
 }

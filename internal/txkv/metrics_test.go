@@ -192,14 +192,21 @@ func TestMetricsExposition(t *testing.T) {
 		return body
 	}
 	check()
-	if _, err := w.RunLocal(store, GenConfig{
-		Users: 4, Batch: 16, Duration: 60 * time.Millisecond, Seed: 3,
-	}); err != nil {
+	tot, err := drive(w, func(u int, r *rng.Rand) Client {
+		return &LocalClient{Store: store, Worker: u, R: r}
+	}, 4, 16, 100, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Check(store, tot); err != nil {
 		t.Fatal(err)
 	}
 	body := check()
 	// The exposed histogram count matches the runtime counter (the
-	// store is quiesced between RunLocal and the scrape).
+	// store is quiesced between the traffic and the scrape).
 	commits := store.Runtime().Stats.Snapshot()["commits"]
 	want := "txstm_commit_latency_seconds_count " + strconv.FormatUint(commits, 10)
 	if !strings.Contains(body, want) {
@@ -230,25 +237,17 @@ func TestMetricsScrapeChurn(t *testing.T) {
 	ts := httptest.NewServer(sv)
 	defer ts.Close()
 
-	d := 120 * time.Millisecond
-	if testing.Short() {
-		d = 40 * time.Millisecond
-	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
 	// Policy churner: flips the group-commit lane and the grace
-	// budget, so scrapes race real SetPolicy swaps.
+	// budget, so scrapes race real SetPolicy swaps. It swaps once
+	// before it first looks at stop.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		rt := store.Runtime()
 		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
 			p := rt.Policy()
 			if i%2 == 0 {
 				p.CommitBatch = 0
@@ -256,39 +255,43 @@ func TestMetricsScrapeChurn(t *testing.T) {
 				p.CommitBatch = 4
 			}
 			rt.SetPolicy(p)
-			time.Sleep(2 * time.Millisecond)
+			select {
+			case <-stop:
+				return
+			case <-time.After(2 * time.Millisecond):
+			}
 		}
 	}()
 
-	// Scrapers: parse every body in full.
+	// Scrapers: parse every body in full, at least one each.
 	for s := 0; s < 2; s++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
+				checkExposition(t, scrape(t, ts.URL))
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				checkExposition(t, scrape(t, ts.URL))
 			}
 		}()
 	}
 
-	// Live traffic over the wire for the duration.
-	res, err := w.Run(func(u int, r *rng.Rand) Client {
+	// Live traffic over the wire: a fixed number of batches per user.
+	tot, err := drive(w, func(u int, r *rng.Rand) Client {
 		return &HTTPClient{Base: ts.URL}
-	}, GenConfig{Users: 4, Batch: 16, Duration: d, Seed: 5})
+	}, 4, 16, 60, 5)
 	close(stop)
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Ops == 0 {
-		t.Fatal("no operations served during churn")
-	}
 	if err := store.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Check(store, tot); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // Op is one keyed operation in a batch request — the wire unit of
-// the txkvd front-end and the load generator. Kind selects the
-// operation; unused fields are ignored.
+// the txkvd front-end and, in batches, the only way into a Store.
+// Kind selects the operation; unused fields are ignored.
 type Op struct {
 	Kind   string `json:"op"`
 	Key    uint64 `json:"key"`
@@ -20,12 +20,26 @@ type Op struct {
 // Op kinds. Each op executes as its own transaction; a batch
 // amortizes the network round trip, not the commit.
 const (
-	KindGet       = "get"
-	KindPut       = "put"
-	KindDelete    = "del"
-	KindAdd       = "add"
+	// KindGet returns Key's value in Val, Found reporting presence.
+	KindGet = "get"
+	// KindPut inserts or updates Key to Val.
+	KindPut = "put"
+	// KindDelete removes Key, Found reporting whether it was present.
+	KindDelete = "del"
+	// KindAdd increments Key's value by Val, inserting Val when the key
+	// is absent, and returns the new value in Val — except in escrow
+	// mode (Config.EscrowCounters), where an increment of an existing
+	// key is recorded blind via tx.Add so the batch combiner can fold
+	// it: the transaction never learns the value, and the result's Val
+	// is 0 (inserts still return Val). A caller that needs the
+	// post-increment value must get it in a separate transaction.
+	KindAdd = "add"
+	// KindUpdateDoc writes Val to the Fields keys Key, Key+1, ... in
+	// one transaction.
 	KindUpdateDoc = "updatedoc"
-	KindReadDoc   = "readdoc"
+	// KindReadDoc reads the Fields keys Key, Key+1, ... in one
+	// transaction into Vals (absent fields read as 0).
+	KindReadDoc = "readdoc"
 )
 
 // Result is one op's outcome. Err carries user-level errors (map
@@ -36,14 +50,6 @@ type Result struct {
 	Vals  []uint64 `json:"vals,omitempty"` // readdoc
 	Found bool     `json:"found,omitempty"`
 	Err   string   `json:"err,omitempty"`
-}
-
-// Apply executes one op as a transaction on the store.
-func (s *Store) Apply(worker int, r *rng.Rand, op Op) (res Result) {
-	w := s.rt.Worker(worker, r)
-	s.applyInto(&res, &w, op)
-	w.Release()
-	return res
 }
 
 // applyInto runs one op as one atomic block on the handle and writes
@@ -107,4 +113,24 @@ func (s *Store) ApplyBatchInto(dst []Result, worker int, r *rng.Rand, ops []Op) 
 	}
 	w.Release()
 	return dst
+}
+
+// Client executes one batch of ops — either in-process against a
+// Store (LocalClient) or over HTTP against a txkvd server
+// (HTTPClient in server.go).
+type Client interface {
+	Do(ops []Op) ([]Result, error)
+}
+
+// LocalClient runs batches directly on a store, tagging transactions
+// with a fixed worker id. One LocalClient per goroutine.
+type LocalClient struct {
+	Store  *Store
+	Worker int
+	R      *rng.Rand
+}
+
+// Do implements Client.
+func (c *LocalClient) Do(ops []Op) ([]Result, error) {
+	return c.Store.ApplyBatch(c.Worker, c.R, ops), nil
 }

@@ -3,7 +3,6 @@ package txkv
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"txconflict/internal/rng"
 	"txconflict/internal/stm"
@@ -21,10 +20,9 @@ import (
 // document all-or-nothing visibility). Run under -race in CI
 // (make race-short).
 func TestWorkloadInvariants(t *testing.T) {
-	users := 4
-	d := 60 * time.Millisecond
+	rounds := 100
 	if testing.Short() {
-		d = 25 * time.Millisecond
+		rounds = 40
 	}
 	cells := modes()
 	folded := cells[len(cells)-1] // lazy+batch4
@@ -39,21 +37,55 @@ func TestWorkloadInvariants(t *testing.T) {
 					t.Fatal(err)
 				}
 				s := w.NewStore(Config{STM: m.cfg, EscrowCounters: m.cfg.FoldCommutative})
-				res, err := w.RunLocal(s, GenConfig{
-					Users:    users,
-					Batch:    8,
-					Duration: d,
-					Seed:     7,
-				})
+				tot, err := drive(w, func(u int, r *rng.Rand) Client {
+					return &LocalClient{Store: s, Worker: u, R: r}
+				}, 4, 8, rounds, 7)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res.Ops == 0 {
-					t.Fatal("no operations completed")
+				if err := s.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Check(s, tot); err != nil {
+					t.Fatal(err)
 				}
 			})
 		}
 	}
+}
+
+// mixedOps is the number of ops each user of the mixed-op tests issues.
+func mixedOps() int {
+	if testing.Short() {
+		return 400
+	}
+	return 1000
+}
+
+// hammer runs users goroutines on s, user u issuing n ops drawn by next
+// from its own stream rng.New(seed+u), each as a one-op batch tagged
+// with worker u, and returns the first op error ("" when none).
+func hammer(s *Store, users, n int, seed uint64, next func(r *rng.Rand) Op) string {
+	done := make(chan string, users)
+	for u := 0; u < users; u++ {
+		go func() {
+			r := rng.New(seed + uint64(u))
+			for range n {
+				if res := one(s, u, r, next(r)); res.Err != "" {
+					done <- res.Err
+					return
+				}
+			}
+			done <- ""
+		}()
+	}
+	first := ""
+	for u := 0; u < users; u++ {
+		if err := <-done; first == "" {
+			first = err
+		}
+	}
+	return first
 }
 
 // TestConcurrentMixedOps hammers one store with every op kind at
@@ -64,52 +96,23 @@ func TestConcurrentMixedOps(t *testing.T) {
 	for _, m := range modes() {
 		t.Run(m.name, func(t *testing.T) {
 			s := New(Config{Capacity: 256, IndexClasses: 8, STM: m.cfg})
-			const users = 4
-			d := 50 * time.Millisecond
-			if testing.Short() {
-				d = 20 * time.Millisecond
-			}
-			done := make(chan error, users)
-			stop := make(chan struct{})
-			for u := 0; u < users; u++ {
-				u := u
-				go func() {
-					r := rng.New(uint64(100 + u))
-					for {
-						select {
-						case <-stop:
-							done <- nil
-							return
-						default:
-						}
-						key := uint64(r.Intn(96))
-						var err error
-						switch r.Intn(5) {
-						case 0:
-							err = s.Put(u, r, key, r.Uint64()&0xff)
-						case 1:
-							_, _, err = s.Get(u, r, key)
-						case 2:
-							_, err = s.Delete(u, r, key)
-						case 3:
-							_, err = s.Add(u, r, key, 1)
-						case 4:
-							base := (key / 4) * 4
-							err = s.UpdateDoc(u, r, base, 4, r.Uint64()&0xff)
-						}
-						if err != nil {
-							done <- err
-							return
-						}
-					}
-				}()
-			}
-			time.Sleep(d)
-			close(stop)
-			for u := 0; u < users; u++ {
-				if err := <-done; err != nil {
-					t.Fatal(err)
+			err := hammer(s, 4, mixedOps(), 100, func(r *rng.Rand) Op {
+				key := uint64(r.Intn(96))
+				switch r.Intn(5) {
+				case 0:
+					return Op{Kind: KindPut, Key: key, Val: r.Uint64() & 0xff}
+				case 1:
+					return Op{Kind: KindGet, Key: key}
+				case 2:
+					return Op{Kind: KindDelete, Key: key}
+				case 3:
+					return Op{Kind: KindAdd, Key: key, Val: 1}
+				default:
+					return Op{Kind: KindUpdateDoc, Key: (key / 4) * 4, Fields: 4, Val: r.Uint64() & 0xff}
 				}
+			})
+			if err != "" {
+				t.Fatal(err)
 			}
 			if err := s.CheckInvariants(); err != nil {
 				t.Fatal(err)
@@ -131,24 +134,10 @@ func TestEscrowAddFolds(t *testing.T) {
 	cfg.FoldCommutative = true
 	s := New(Config{Capacity: 64, IndexClasses: 8, EscrowCounters: true, STM: cfg})
 	const users, addsPer, hotKeys = 4, 3000, 4
-	done := make(chan error, users)
-	for u := 0; u < users; u++ {
-		u := u
-		go func() {
-			r := rng.New(uint64(200 + u))
-			for i := 0; i < addsPer; i++ {
-				if _, err := s.Add(u, r, uint64(r.Intn(hotKeys)), 1); err != nil {
-					done <- err
-					return
-				}
-			}
-			done <- nil
-		}()
-	}
-	for u := 0; u < users; u++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
+	if err := hammer(s, users, addsPer, 200, func(r *rng.Rand) Op {
+		return Op{Kind: KindAdd, Key: uint64(r.Intn(hotKeys)), Val: 1}
+	}); err != "" {
+		t.Fatal(err)
 	}
 	var sum uint64
 	s.Range(func(_, val uint64) { sum += val })
@@ -178,49 +167,21 @@ func TestEscrowMixedOps(t *testing.T) {
 				cfg.FoldCommutative = true
 			}
 			s := New(Config{Capacity: 256, IndexClasses: 8, EscrowCounters: true, STM: cfg})
-			const users = 4
-			d := 50 * time.Millisecond
-			if testing.Short() {
-				d = 20 * time.Millisecond
-			}
-			done := make(chan error, users)
-			stop := make(chan struct{})
-			for u := 0; u < users; u++ {
-				u := u
-				go func() {
-					r := rng.New(uint64(300 + u))
-					for {
-						select {
-						case <-stop:
-							done <- nil
-							return
-						default:
-						}
-						key := uint64(r.Intn(32))
-						var err error
-						switch r.Intn(4) {
-						case 0:
-							err = s.Put(u, r, key, r.Uint64()&0xff)
-						case 1:
-							_, _, err = s.Get(u, r, key)
-						case 2:
-							_, err = s.Delete(u, r, key)
-						default:
-							_, err = s.Add(u, r, key, 1)
-						}
-						if err != nil {
-							done <- err
-							return
-						}
-					}
-				}()
-			}
-			time.Sleep(d)
-			close(stop)
-			for u := 0; u < users; u++ {
-				if err := <-done; err != nil {
-					t.Fatal(err)
+			err := hammer(s, 4, mixedOps(), 300, func(r *rng.Rand) Op {
+				key := uint64(r.Intn(32))
+				switch r.Intn(4) {
+				case 0:
+					return Op{Kind: KindPut, Key: key, Val: r.Uint64() & 0xff}
+				case 1:
+					return Op{Kind: KindGet, Key: key}
+				case 2:
+					return Op{Kind: KindDelete, Key: key}
+				default:
+					return Op{Kind: KindAdd, Key: key, Val: 1}
 				}
+			})
+			if err != "" {
+				t.Fatal(err)
 			}
 			if err := s.CheckInvariants(); err != nil {
 				t.Fatal(err)

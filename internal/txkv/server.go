@@ -93,9 +93,6 @@ func NewServer(store *Store, workers int, seed uint64) *Server {
 	return sv
 }
 
-// Store returns the served store (for post-shutdown verification).
-func (sv *Server) Store() *Store { return sv.store }
-
 // Close drains the worker pool. In-flight requests racing Close may
 // fail with ErrServerClosed; callers should stop traffic first.
 func (sv *Server) Close() {
@@ -381,8 +378,8 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 // HTTPClient drives a txkvd server over the batch endpoint; it
-// implements Client, so the load generator runs unchanged against a
-// remote store.
+// implements Client, so code written against Client runs unchanged
+// against a remote store.
 type HTTPClient struct {
 	// Base is the server root, e.g. "http://127.0.0.1:7070".
 	Base string

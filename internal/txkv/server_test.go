@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"txconflict/internal/rng"
 	"txconflict/internal/stm"
@@ -17,10 +16,10 @@ import (
 
 // TestTxkvdSmoke is the CI smoke test for the serving stack (make
 // smoke-txkv): start the txkvd core behind a real HTTP listener,
-// drive batched requests from the closed-loop load generator over
-// the wire for every registered workload, then verify the store's
-// structural invariants, the workload's semantic check, and a clean
-// pool shutdown. Runs under -race.
+// drive a fixed number of batched requests per user over the wire for
+// every registered workload, then verify the store's structural
+// invariants, the workload's semantic check, and a clean pool
+// shutdown. Runs under -race.
 func TestTxkvdSmoke(t *testing.T) {
 	for _, wname := range Names() {
 		t.Run(wname, func(t *testing.T) {
@@ -35,20 +34,12 @@ func TestTxkvdSmoke(t *testing.T) {
 			sv := NewServer(store, 4, 42)
 			ts := httptest.NewServer(sv)
 
-			d := 80 * time.Millisecond
-			if testing.Short() {
-				d = 30 * time.Millisecond
-			}
-			res, err := w.Run(func(u int, r *rng.Rand) Client {
+			tot, err := drive(w, func(u int, r *rng.Rand) Client {
 				return &HTTPClient{Base: ts.URL}
-			}, GenConfig{Users: 4, Batch: 16, Duration: d, Seed: 99})
+			}, 4, 16, 50, 99)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Ops == 0 {
-				t.Fatal("no operations served")
-			}
-			t.Logf("%s: %d keyed ops over HTTP (%.0f ops/sec)", wname, res.Ops, res.OpsPerSec())
 
 			// Quiesced: the server-side invariant endpoint and the local
 			// checks must both pass.
@@ -63,7 +54,7 @@ func TestTxkvdSmoke(t *testing.T) {
 			if err := store.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
-			if err := w.Check(store, res.Totals); err != nil {
+			if err := w.Check(store, tot); err != nil {
 				t.Fatal(err)
 			}
 

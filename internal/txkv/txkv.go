@@ -22,7 +22,7 @@
 //	[3C+I, +S)    striped occupancy counters (live keys only)
 //
 // Every operation's footprint flows through tx.Load/tx.Store, so a
-// Put is a handful of word reads (the probe path) plus a few writes —
+// put is a handful of word reads (the probe path) plus a few writes —
 // exactly the kind of small-footprint transaction the paper's cost
 // model prices.
 //
@@ -42,12 +42,12 @@
 //
 // Config.EscrowCounters switches the index to *key* classes
 // (key & (classes-1)): a live bucket's class is then immutable, so
-// value updates never touch the chains and Add can record its
+// value updates never touch the chains and an add can record its
 // increment on the value word as a blind commutative delta (tx.Add)
 // that the group-commit combiner folds under
 // stm.Policy.FoldCommutative — colliding hot-counter bumps stop
 // aborting each other. The trade: the index no longer trips on a
-// torn value (only on torn structure), and a blind Add cannot report
+// torn value (only on torn structure), and a blind add cannot report
 // the new value. See internal/stm for the folding semantics.
 //
 // # Wire contract (POST /v1/batch)
@@ -90,7 +90,6 @@ import (
 	"errors"
 	"fmt"
 
-	"txconflict/internal/rng"
 	"txconflict/internal/stm"
 )
 
@@ -119,26 +118,26 @@ type Config struct {
 	IndexClasses int
 	// EscrowCounters classes the secondary index by key instead of by
 	// value (see the package comment): value updates stop relinking,
-	// and Add on an existing key becomes a blind commutative delta
-	// the STM combiner can fold (stm.Policy.FoldCommutative). In this
-	// mode Add returns 0 for blind increments — callers that need the
-	// post-increment value must Get it in a separate transaction.
+	// and an add on an existing key becomes a blind commutative delta
+	// the STM combiner can fold (stm.Policy.FoldCommutative; KindAdd
+	// says what such an add returns).
 	EscrowCounters bool
 	// STM configures the underlying runtime (conflict policy, lazy
-	// vs eager locking, CommitBatch, shards, tracing...).
+	// vs eager locking, CommitBatch, tracing, metrics...).
 	STM stm.Config
 }
 
-// Store is the transactional key-value store. All mutating and
-// reading entry points run as stm transactions and are safe for
-// concurrent use; the Committed*/Check methods read quiescent state
-// and are meant for post-run verification.
+// Store is the transactional key-value store. Its one entry point is a
+// batch of Ops (ApplyBatch, ApplyBatchInto): every op runs as its own
+// stm transaction, safe for concurrent use. Len, Range and
+// CheckInvariants read quiescent state and are meant for post-run
+// verification.
 type Store struct {
 	rt      *stm.Runtime
 	cap     int // buckets (power of two)
 	mask    uint64
 	classes int
-	escrow  bool // key-classed index; Add records blind deltas
+	escrow  bool // key-classed index; add records blind deltas
 }
 
 // New builds a store and its STM arena.
@@ -274,16 +273,22 @@ func checkKey(key uint64) error {
 }
 
 // checkDoc rejects a document no store of this size can hold, before
-// anything is sized or looped by a field count from the wire, then the
-// document's last key as checkKey does.
+// anything is sized or looped by a field count from the wire, then a
+// document whose keys base, ..., base+fields-1 wrap past ^0 or reach
+// the keys checkKey rejects. fields must be positive.
 func (s *Store) checkDoc(base uint64, fields int) error {
 	if fields > s.cap {
 		return fmt.Errorf("txkv: document of %d fields exceeds the store's %d buckets", fields, s.cap)
 	}
-	return checkKey(base + uint64(fields) - 1)
+	last := base + uint64(fields) - 1
+	if last < base {
+		return fmt.Errorf("txkv: document at key %#x with %d fields wraps the key space", base, fields)
+	}
+	return checkKey(last)
 }
 
-// put is the in-transaction upsert shared by Put, Add and UpdateDoc.
+// put is the in-transaction upsert shared by runPut, runAdd and
+// runUpdateDoc.
 func (s *Store) put(tx *stm.Tx, key, val uint64) error {
 	b, found, free := s.probe(tx, key)
 	if found {
@@ -329,20 +334,10 @@ func (s *Store) del(tx *stm.Tx, key uint64) bool {
 	return true
 }
 
-// The public single-op entry points below are one-shot wrappers: each
-// opens an stm.Worker handle, runs the op's one transactional body
-// (the run* method) on it and releases it. Store.ApplyBatchInto runs a
-// whole batch of the same bodies on one handle.
-
-// Put inserts or updates key. worker tags the transaction's trace
-// records (pass -1 outside a worker pool); r must be the caller
-// goroutine's own stream.
-func (s *Store) Put(worker int, r *rng.Rand, key, val uint64) error {
-	w := s.rt.Worker(worker, r)
-	err := s.runPut(&w, key, val)
-	w.Release()
-	return err
-}
+// The run* methods are the one transactional body per op kind: each
+// runs its op as one atomic block on the caller's stm.Worker handle.
+// Store.ApplyBatchInto calls them, through applyInto, for a whole
+// batch on one handle.
 
 func (s *Store) runPut(w *stm.Worker, key, val uint64) error {
 	if err := checkKey(key); err != nil {
@@ -351,14 +346,6 @@ func (s *Store) runPut(w *stm.Worker, key, val uint64) error {
 	return w.Atomic(func(tx *stm.Tx) error {
 		return s.put(tx, key, val)
 	})
-}
-
-// Get returns key's value (ok=false when absent).
-func (s *Store) Get(worker int, r *rng.Rand, key uint64) (val uint64, ok bool, err error) {
-	w := s.rt.Worker(worker, r)
-	val, ok, err = s.runGet(&w, key)
-	w.Release()
-	return val, ok, err
 }
 
 func (s *Store) runGet(w *stm.Worker, key uint64) (val uint64, ok bool, err error) {
@@ -372,14 +359,6 @@ func (s *Store) runGet(w *stm.Worker, key uint64) (val uint64, ok bool, err erro
 	return val, ok, err
 }
 
-// Delete removes key, reporting whether it was present.
-func (s *Store) Delete(worker int, r *rng.Rand, key uint64) (deleted bool, err error) {
-	w := s.rt.Worker(worker, r)
-	deleted, err = s.runDelete(&w, key)
-	w.Release()
-	return deleted, err
-}
-
 func (s *Store) runDelete(w *stm.Worker, key uint64) (deleted bool, err error) {
 	if err := checkKey(key); err != nil {
 		return false, err
@@ -391,21 +370,11 @@ func (s *Store) runDelete(w *stm.Worker, key uint64) (deleted bool, err error) {
 	return deleted, err
 }
 
-// Add atomically increments key's value by delta, inserting delta
-// when the key is absent (the counter type: a keyed read-modify-write
-// whose conflicts land on the value word and, when the class
-// changes, on the index chains). It returns the new value — except in
-// escrow mode (Config.EscrowCounters), where an increment of an
-// existing key is recorded blind via tx.Add so the batch combiner can
-// fold it: the transaction never learns the value, and Add returns 0
-// (inserts still return delta).
-func (s *Store) Add(worker int, r *rng.Rand, key, delta uint64) (newVal uint64, err error) {
-	w := s.rt.Worker(worker, r)
-	newVal, err = s.runAdd(&w, key, delta)
-	w.Release()
-	return newVal, err
-}
-
+// runAdd increments key's value by delta, inserting delta when the
+// key is absent (the counter type: a keyed read-modify-write whose
+// conflicts land on the value word and, when the class changes, on
+// the index chains), and returns the new value — 0 for a blind
+// increment in escrow mode (see KindAdd).
 func (s *Store) runAdd(w *stm.Worker, key, delta uint64) (newVal uint64, err error) {
 	if err := checkKey(key); err != nil {
 		return 0, err
@@ -442,16 +411,9 @@ func (s *Store) runAdd(w *stm.Worker, key, delta uint64) (newVal uint64, err err
 	return newVal, err
 }
 
-// UpdateDoc atomically writes val to the document's fields — the
-// keys base, base+1, ..., base+fields-1 — in one transaction, so a
-// reader can never observe a half-updated document.
-func (s *Store) UpdateDoc(worker int, r *rng.Rand, base uint64, fields int, val uint64) error {
-	w := s.rt.Worker(worker, r)
-	err := s.runUpdateDoc(&w, base, fields, val)
-	w.Release()
-	return err
-}
-
+// runUpdateDoc writes val to the document's fields — the keys base,
+// base+1, ..., base+fields-1 — in one transaction, so a reader can
+// never observe a half-updated document.
 func (s *Store) runUpdateDoc(w *stm.Worker, base uint64, fields int, val uint64) error {
 	if err := s.checkDoc(base, fields); err != nil {
 		return err
@@ -466,16 +428,9 @@ func (s *Store) runUpdateDoc(w *stm.Worker, base uint64, fields int, val uint64)
 	})
 }
 
-// ReadDoc atomically reads the document's fields (absent fields read
-// as 0 — a document that was never written is all-zero, still
-// satisfying the all-fields-equal visibility invariant).
-func (s *Store) ReadDoc(worker int, r *rng.Rand, base uint64, fields int) ([]uint64, error) {
-	w := s.rt.Worker(worker, r)
-	vals, err := s.runReadDoc(&w, base, fields)
-	w.Release()
-	return vals, err
-}
-
+// runReadDoc reads the document's fields in one transaction (absent
+// fields read as 0 — a document that was never written is all-zero,
+// still satisfying the all-fields-equal visibility invariant).
 func (s *Store) runReadDoc(w *stm.Worker, base uint64, fields int) ([]uint64, error) {
 	if err := s.checkDoc(base, fields); err != nil {
 		return nil, err

@@ -1,8 +1,10 @@
 package txkv
 
 import (
-	"errors"
+	"fmt"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -38,40 +40,100 @@ func modes() []struct {
 	}
 }
 
+// one runs op as a batch of one: the store has no other way in.
+func one(s *Store, worker int, r *rng.Rand, op Op) Result {
+	return s.ApplyBatch(worker, r, []Op{op})[0]
+}
+
+// drive runs the workload closed-loop for a fixed amount of traffic,
+// without a clock: each of users goroutines issues rounds batches of
+// batch ops drawn from its User.Next through its own client and checks
+// every response with User.Observe. newClient gets the user index and
+// a stream for the client's own transactions; each user's op stream
+// and client stream are the next two splits of seed. It returns the
+// users' merged Totals for Workload.Check, or the first transport
+// error, short response or failed observation.
+func drive(w *Workload, newClient func(u int, r *rng.Rand) Client, users, batch, rounds int, seed uint64) (Totals, error) {
+	root := rng.New(seed)
+	usrs := make([]*User, users)
+	errs := make([]error, users)
+	var wg sync.WaitGroup
+	for u := range usrs {
+		ru, rc := root.Split(), root.Split()
+		usr := w.NewUser(u)
+		usrs[u] = usr
+		client := newClient(u, rc)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ops := make([]Op, batch)
+			for i := 0; i < rounds; i++ {
+				for j := range ops {
+					ops[j] = usr.Next(ru)
+				}
+				results, err := client.Do(ops)
+				if err == nil && len(results) != len(ops) {
+					err = fmt.Errorf("%d results for %d ops", len(results), len(ops))
+				}
+				for j := 0; err == nil && usr.Observe != nil && j < len(ops); j++ {
+					err = usr.Observe(ops[j], results[j])
+				}
+				if err != nil {
+					errs[u] = fmt.Errorf("txkv: user %d: %w", u, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	var tot Totals
+	for u, usr := range usrs {
+		if errs[u] != nil {
+			return tot, errs[u]
+		}
+		tot.Adds += usr.totals.Adds
+	}
+	return tot, nil
+}
+
+// mustPut puts key = val through a one-op batch and fails the test on
+// any error.
+func mustPut(t *testing.T, s *Store, r *rng.Rand, key, val uint64) {
+	t.Helper()
+	if res := one(s, -1, r, Op{Kind: KindPut, Key: key, Val: val}); res.Err != "" {
+		t.Fatalf("put(%d, %d): %s", key, val, res.Err)
+	}
+}
+
 func TestPutGetDelete(t *testing.T) {
 	for _, m := range modes() {
 		t.Run(m.name, func(t *testing.T) {
 			s := newTestStore(t, m.cfg, 64)
 			r := rng.New(1)
-			if _, ok, _ := s.Get(-1, r, 7); ok {
+			get := func(key uint64) Result { return one(s, -1, r, Op{Kind: KindGet, Key: key}) }
+			del := func(key uint64) Result { return one(s, -1, r, Op{Kind: KindDelete, Key: key}) }
+			if get(7).Found {
 				t.Fatal("empty store found key 7")
 			}
-			if err := s.Put(-1, r, 7, 70); err != nil {
-				t.Fatal(err)
+			mustPut(t, s, r, 7, 70)
+			mustPut(t, s, r, 0, 100) // key 0 is legal
+			if res := get(7); res.Err != "" || !res.Found || res.Val != 70 {
+				t.Fatalf("get(7) = %+v want 70,true", res)
 			}
-			if err := s.Put(-1, r, 0, 100); err != nil { // key 0 is legal
-				t.Fatal(err)
-			}
-			v, ok, err := s.Get(-1, r, 7)
-			if err != nil || !ok || v != 70 {
-				t.Fatalf("Get(7) = %d,%v,%v want 70,true,nil", v, ok, err)
-			}
-			if err := s.Put(-1, r, 7, 71); err != nil { // update
-				t.Fatal(err)
-			}
-			if v, _, _ := s.Get(-1, r, 7); v != 71 {
-				t.Fatalf("after update Get(7) = %d, want 71", v)
+			mustPut(t, s, r, 7, 71) // update
+			if res := get(7); res.Val != 71 {
+				t.Fatalf("after update get(7) = %d, want 71", res.Val)
 			}
 			if s.Len() != 2 {
 				t.Fatalf("Len = %d, want 2", s.Len())
 			}
-			if del, _ := s.Delete(-1, r, 7); !del {
-				t.Fatal("Delete(7) reported absent")
+			if !del(7).Found {
+				t.Fatal("del(7) reported absent")
 			}
-			if del, _ := s.Delete(-1, r, 7); del {
-				t.Fatal("second Delete(7) reported present")
+			if del(7).Found {
+				t.Fatal("second del(7) reported present")
 			}
-			if _, ok, _ := s.Get(-1, r, 7); ok {
+			if get(7).Found {
 				t.Fatal("deleted key still found")
 			}
 			if s.Len() != 1 {
@@ -92,17 +154,15 @@ func TestCollisionsAndTombstones(t *testing.T) {
 	s := newTestStore(t, stm.DefaultConfig(), 8)
 	r := rng.New(2)
 	for k := uint64(0); k < 8; k++ {
-		if err := s.Put(-1, r, k, k*10); err != nil {
-			t.Fatalf("Put(%d): %v", k, err)
-		}
+		mustPut(t, s, r, k, k*10)
 	}
-	if err := s.Put(-1, r, 99, 1); !errors.Is(err, ErrFull) {
-		t.Fatalf("Put into full map = %v, want ErrFull", err)
+	if res := one(s, -1, r, Op{Kind: KindPut, Key: 99, Val: 1}); res.Err != ErrFull.Error() {
+		t.Fatalf("put into full map = %q, want %q", res.Err, ErrFull)
 	}
 	// Delete every other key, creating tombstones mid-path.
 	for k := uint64(0); k < 8; k += 2 {
-		if del, err := s.Delete(-1, r, k); err != nil || !del {
-			t.Fatalf("Delete(%d) = %v,%v", k, del, err)
+		if res := one(s, -1, r, Op{Kind: KindDelete, Key: k}); res.Err != "" || !res.Found {
+			t.Fatalf("del(%d) = %+v", k, res)
 		}
 	}
 	if err := s.CheckInvariants(); err != nil {
@@ -111,11 +171,9 @@ func TestCollisionsAndTombstones(t *testing.T) {
 	// Updates through tombstoned paths must hit the live copy, not
 	// insert a duplicate at a reused tombstone.
 	for k := uint64(1); k < 8; k += 2 {
-		if err := s.Put(-1, r, k, k*100); err != nil {
-			t.Fatalf("Put(%d) through tombstones: %v", k, err)
-		}
-		if v, ok, _ := s.Get(-1, r, k); !ok || v != k*100 {
-			t.Fatalf("Get(%d) = %d,%v want %d,true", k, v, ok, k*100)
+		mustPut(t, s, r, k, k*100)
+		if res := one(s, -1, r, Op{Kind: KindGet, Key: k}); !res.Found || res.Val != k*100 {
+			t.Fatalf("get(%d) = %d,%v want %d,true", k, res.Val, res.Found, k*100)
 		}
 	}
 	if s.Len() != 4 {
@@ -123,9 +181,7 @@ func TestCollisionsAndTombstones(t *testing.T) {
 	}
 	// Reinsertions reuse tombstones.
 	for k := uint64(0); k < 8; k += 2 {
-		if err := s.Put(-1, r, k, k); err != nil {
-			t.Fatalf("reinsert Put(%d): %v", k, err)
-		}
+		mustPut(t, s, r, k, k)
 	}
 	if s.Len() != 8 {
 		t.Fatalf("Len after reinserts = %d, want 8", s.Len())
@@ -141,16 +197,16 @@ func TestAddCounter(t *testing.T) {
 			s := newTestStore(t, m.cfg, 64)
 			r := rng.New(3)
 			for i := 0; i < 10; i++ {
-				v, err := s.Add(-1, r, 5, 3)
-				if err != nil {
-					t.Fatal(err)
+				res := one(s, -1, r, Op{Kind: KindAdd, Key: 5, Val: 3})
+				if res.Err != "" {
+					t.Fatal(res.Err)
 				}
-				if want := uint64(3 * (i + 1)); v != want {
-					t.Fatalf("Add #%d returned %d, want %d", i, v, want)
+				if want := uint64(3 * (i + 1)); res.Val != want {
+					t.Fatalf("add #%d returned %d, want %d", i, res.Val, want)
 				}
 			}
-			if v, ok, _ := s.Get(-1, r, 5); !ok || v != 30 {
-				t.Fatalf("Get(5) = %d,%v want 30,true", v, ok)
+			if res := one(s, -1, r, Op{Kind: KindGet, Key: 5}); !res.Found || res.Val != 30 {
+				t.Fatalf("get(5) = %d,%v want 30,true", res.Val, res.Found)
 			}
 			if err := s.CheckInvariants(); err != nil {
 				t.Fatal(err)
@@ -162,24 +218,24 @@ func TestAddCounter(t *testing.T) {
 func TestDocumentAtomicity(t *testing.T) {
 	s := newTestStore(t, stm.DefaultConfig(), 64)
 	r := rng.New(4)
-	if err := s.UpdateDoc(-1, r, 8, 4, 42); err != nil {
-		t.Fatal(err)
+	if res := one(s, -1, r, Op{Kind: KindUpdateDoc, Key: 8, Fields: 4, Val: 42}); res.Err != "" {
+		t.Fatal(res.Err)
 	}
-	vals, err := s.ReadDoc(-1, r, 8, 4)
-	if err != nil {
-		t.Fatal(err)
+	res := one(s, -1, r, Op{Kind: KindReadDoc, Key: 8, Fields: 4})
+	if res.Err != "" {
+		t.Fatal(res.Err)
 	}
-	for f, v := range vals {
+	for f, v := range res.Vals {
 		if v != 42 {
 			t.Fatalf("doc field %d = %d, want 42", f, v)
 		}
 	}
 	// Unwritten documents read all-zero (still all-equal).
-	vals, err = s.ReadDoc(-1, r, 32, 4)
-	if err != nil {
-		t.Fatal(err)
+	res = one(s, -1, r, Op{Kind: KindReadDoc, Key: 32, Fields: 4})
+	if res.Err != "" {
+		t.Fatal(res.Err)
 	}
-	for f, v := range vals {
+	for f, v := range res.Vals {
 		if v != 0 {
 			t.Fatalf("unwritten doc field %d = %d, want 0", f, v)
 		}
@@ -195,32 +251,37 @@ func TestDocumentAtomicity(t *testing.T) {
 func TestIndexClassRelink(t *testing.T) {
 	s := New(Config{Capacity: 32, IndexClasses: 4, STM: stm.DefaultConfig()})
 	r := rng.New(5)
-	if err := s.Put(-1, r, 1, 0); err != nil { // class 0
-		t.Fatal(err)
-	}
-	if err := s.Put(-1, r, 1, 3); err != nil { // class 3: relink
-		t.Fatal(err)
-	}
-	if err := s.Put(-1, r, 1, 7); err != nil { // class 3 again: no-op
-		t.Fatal(err)
-	}
+	mustPut(t, s, r, 1, 0) // class 0
+	mustPut(t, s, r, 1, 3) // class 3: relink
+	mustPut(t, s, r, 1, 7) // class 3 again: no-op
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok, _ := s.Get(-1, r, 1); !ok || v != 7 {
-		t.Fatalf("Get(1) = %d,%v want 7,true", v, ok)
+	if res := one(s, -1, r, Op{Kind: KindGet, Key: 1}); !res.Found || res.Val != 7 {
+		t.Fatalf("get(1) = %d,%v want 7,true", res.Val, res.Found)
 	}
 }
 
+// TestBadKeysRejected: an op naming a key the store cannot represent
+// (^0 is the tombstone, stored keys are userKey+1) errors and leaves
+// the store intact — including a document whose key range wraps past
+// ^0 into the tombstone and the empty word.
 func TestBadKeysRejected(t *testing.T) {
-	s := newTestStore(t, stm.DefaultConfig(), 16)
-	r := rng.New(6)
-	for _, key := range []uint64{^uint64(0), ^uint64(0) - 1} {
-		if err := s.Put(-1, r, key, 1); err == nil {
-			t.Fatalf("Put(%#x) accepted an unrepresentable key", key)
+	const top = ^uint64(0)
+	for _, op := range []Op{
+		{Kind: KindPut, Key: top, Val: 1},
+		{Kind: KindPut, Key: top - 1, Val: 1},
+		{Kind: KindGet, Key: top},
+		{Kind: KindGet, Key: top - 1},
+		{Kind: KindUpdateDoc, Key: top - 1, Fields: 3, Val: 1}, // keys top-1, top, 0
+		{Kind: KindReadDoc, Key: top - 1, Fields: 3},
+	} {
+		s := newTestStore(t, stm.DefaultConfig(), 16)
+		if res := s.ApplyBatch(-1, rng.New(6), []Op{op})[0]; res.Err == "" {
+			t.Errorf("%+v accepted an unrepresentable key: %+v", op, res)
 		}
-		if _, _, err := s.Get(-1, r, key); err == nil {
-			t.Fatalf("Get(%#x) accepted an unrepresentable key", key)
+		if err := s.CheckInvariants(); err != nil {
+			t.Errorf("%+v: %v", op, err)
 		}
 	}
 }
@@ -230,12 +291,10 @@ func TestRangeVisitsLiveKeys(t *testing.T) {
 	r := rng.New(7)
 	want := map[uint64]uint64{1: 10, 2: 20, 3: 30}
 	for k, v := range want {
-		if err := s.Put(-1, r, k, v); err != nil {
-			t.Fatal(err)
-		}
+		mustPut(t, s, r, k, v)
 	}
-	if _, err := s.Delete(-1, r, 2); err != nil {
-		t.Fatal(err)
+	if res := one(s, -1, r, Op{Kind: KindDelete, Key: 2}); res.Err != "" {
+		t.Fatal(res.Err)
 	}
 	delete(want, 2)
 	got := map[uint64]uint64{}
@@ -312,9 +371,7 @@ func TestApplyBatchIntoOverwritesSlots(t *testing.T) {
 				s := newTestStore(t, m.cfg, 8)
 				r := rng.New(2)
 				for k := uint64(0); k < 8; k++ {
-					if err := s.Put(-1, r, k, k*10); err != nil {
-						t.Fatal(err)
-					}
+					mustPut(t, s, r, k, k*10)
 				}
 				return s
 			}
@@ -373,8 +430,8 @@ func TestBatchStampDoesNotOutliveBatch(t *testing.T) {
 func TestWorkloadRegistry(t *testing.T) {
 	names := Names()
 	for _, want := range []string{"readmostly", "hotspot-counter", "document"} {
-		if !Known(want) {
-			t.Fatalf("Known(%q) = false; registered: %v", want, names)
+		if !slices.Contains(names, want) {
+			t.Fatalf("Names() lacks %q: %v", want, names)
 		}
 		w, err := ByName("  "+want+"  ", Options{}) // folding
 		if err != nil {
@@ -383,12 +440,12 @@ func TestWorkloadRegistry(t *testing.T) {
 		if w.Name() != want {
 			t.Fatalf("ByName(%q).Name() = %q", want, w.Name())
 		}
-		if w.Keys() == 0 || w.Capacity() < int(w.Keys()) {
-			t.Fatalf("%s sized keys=%d capacity=%d", want, w.Keys(), w.Capacity())
+		if w.keys == 0 || w.Capacity() < int(w.keys) {
+			t.Fatalf("%s sized keys=%d capacity=%d", want, w.keys, w.Capacity())
 		}
 	}
-	if Known("nope") {
-		t.Fatal("Known accepted an unregistered workload")
+	if slices.Contains(names, "nope") {
+		t.Fatal("Names() lists an unregistered workload")
 	}
 	if _, err := ByName("nope", Options{}); err == nil {
 		t.Fatal("ByName accepted an unregistered workload")

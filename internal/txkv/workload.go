@@ -12,11 +12,9 @@ import (
 // Totals aggregates the side effects the final workload check needs:
 // the part of a run's history the quiescent store cannot reproduce.
 type Totals struct {
-	// Adds is the sum of deltas applied by successful Add ops.
+	// Adds is the sum of deltas applied by successful add ops.
 	Adds uint64
 }
-
-func (t *Totals) merge(o Totals) { t.Adds += o.Adds }
 
 // User is one closed-loop client: an op generator plus a response
 // validator, both confined to the user's own goroutine.
@@ -53,11 +51,17 @@ func (w *Workload) Name() string { return w.name }
 // Description is the one-line summary for CLI listings.
 func (w *Workload) Description() string { return w.desc }
 
-// Keys returns the keyspace size.
-func (w *Workload) Keys() uint64 { return w.keys }
-
 // Capacity returns the store bucket count the workload needs.
 func (w *Workload) Capacity() int { return w.capacity }
+
+// NewStore builds a store sized for the workload on the given STM
+// configuration.
+func (w *Workload) NewStore(cfg Config) *Store {
+	if cfg.Capacity == 0 {
+		cfg.Capacity = w.Capacity()
+	}
+	return New(cfg)
+}
 
 // NewUser builds user u's closed-loop client state.
 func (w *Workload) NewUser(u int) *User { return w.newUser(u, w) }
@@ -92,18 +96,6 @@ func Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Known reports whether ByName would accept name (after lower-case/
-// trim folding, matching the scenario and dist registries).
-func Known(name string) bool {
-	want := strings.ToLower(strings.TrimSpace(name))
-	for _, d := range workloadDefs {
-		if d.name == want {
-			return true
-		}
-	}
-	return false
 }
 
 // Describe returns "name: description" lines for CLI help.
@@ -248,15 +240,17 @@ func newDocument() *Workload {
 		return usr
 	}
 	w.check = func(s *Store, tot Totals) error {
-		r := rng.New(1)
-		for d := uint64(0); d < docs(w); d++ {
-			vals, err := s.ReadDoc(-1, r, d*docFields, docFields)
-			if err != nil {
-				return err
+		ops := make([]Op, docs(w))
+		for d := range ops {
+			ops[d] = Op{Kind: KindReadDoc, Key: uint64(d) * docFields, Fields: docFields}
+		}
+		for d, res := range s.ApplyBatch(-1, rng.New(1), ops) {
+			if res.Err != "" {
+				return fmt.Errorf("document: reading doc %d: %s", d, res.Err)
 			}
-			for _, v := range vals {
-				if v != vals[0] {
-					return fmt.Errorf("document: doc %d committed fields differ: %v", d, vals)
+			for _, v := range res.Vals {
+				if v != res.Vals[0] {
+					return fmt.Errorf("document: doc %d committed fields differ: %v", d, res.Vals)
 				}
 			}
 		}

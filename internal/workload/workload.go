@@ -7,15 +7,12 @@
 //
 // The same scenarios run unchanged as real transactions on the STM
 // runtime via scenario.STMRunner; this package is only the simulator
-// half of that pairing. The paper's Section 8.2 benchmarks
-// (stack, queue, TxApp, bimodal) keep their historical constructors
-// here as thin wrappers over the scenario registry.
+// half of that pairing.
 package workload
 
 import (
 	"fmt"
 
-	"txconflict/internal/dist"
 	"txconflict/internal/htm"
 	"txconflict/internal/rng"
 	"txconflict/internal/scenario"
@@ -51,9 +48,6 @@ func ByName(name string, opt scenario.Options) (*HTM, error) {
 	}
 	return FromScenario(sc), nil
 }
-
-// Scenario returns the wrapped scenario (for invariant checking).
-func (w *HTM) Scenario() *scenario.Scenario { return w.sc }
 
 // Name implements htm.Workload.
 func (w *HTM) Name() string { return w.sc.Name() }
@@ -144,54 +138,6 @@ func compileOp(ops []htm.Op, op scenario.Op) []htm.Op {
 	default:
 		panic(fmt.Sprintf("workload: unknown scenario op kind %d", op.Kind))
 	}
-}
-
-// mustScenario builds a registry scenario for the historical
-// constructors (names are compile-time constants, so failure is a
-// programming error).
-func mustScenario(name string, opt scenario.Options) *scenario.Scenario {
-	sc, err := scenario.ByName(name, opt)
-	if err != nil {
-		panic(err)
-	}
-	return sc
-}
-
-// NewStack returns the paper's contended-stack workload with constant
-// compute and think times (in cycles).
-func NewStack(opCompute, think sim.Time) *HTM {
-	return FromScenario(mustScenario("stack", scenario.Options{
-		Length: dist.Constant{V: float64(opCompute)},
-		Think:  dist.Constant{V: float64(think)},
-	}))
-}
-
-// NewQueue returns the contended ring-queue workload.
-func NewQueue(opCompute, think sim.Time) *HTM {
-	return FromScenario(mustScenario("queue", scenario.Options{
-		Length: dist.Constant{V: float64(opCompute)},
-		Think:  dist.Constant{V: float64(think)},
-	}))
-}
-
-// NewTxApp returns the uniform-length transactional application
-// (2 objects of 64).
-func NewTxApp(compute, think sim.Time) *HTM {
-	return FromScenario(mustScenario("txapp", scenario.Options{
-		Length: dist.Constant{V: float64(compute)},
-		Think:  dist.Constant{V: float64(think)},
-	}))
-}
-
-// NewBimodal returns the bimodal transactional application:
-// transactions alternate (per draw) between short and very long
-// compute phases, the regime where hand-tuned delays lose to the
-// randomized strategy (Figure 3, bottom right).
-func NewBimodal(short, long sim.Time, pShort float64, think sim.Time) *HTM {
-	return FromScenario(mustScenario("bimodal", scenario.Options{
-		Length: dist.Bimodal{Short: float64(short), Long: float64(long), PShort: pShort},
-		Think:  dist.Constant{V: float64(think)},
-	}))
 }
 
 // TunedDelay estimates the hand-tuned grace period for a workload:

@@ -12,6 +12,18 @@ import (
 	"txconflict/internal/strategy"
 )
 
+// build instantiates a registry scenario for the simulator through
+// ByName, with the given length distribution and a constant think time
+// (both in cycles).
+func build(t testing.TB, name string, length dist.Sampler, think float64) *HTM {
+	t.Helper()
+	w, err := ByName(name, scenario.Options{Length: length, Think: dist.Constant{V: think}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
 func runWorkload(t *testing.T, w *HTM, cores int, pol ccore.Policy, s ccore.Strategy, cycles uint64) (*htm.Machine, htm.Metrics) {
 	t.Helper()
 	p := htm.DefaultParams(cores)
@@ -39,12 +51,12 @@ func checkInvariant(t *testing.T, w *HTM, pol ccore.Policy, s ccore.Strategy, cy
 
 func TestStackInvariant(t *testing.T) {
 	for _, pol := range []ccore.Policy{ccore.RequestorWins, ccore.RequestorAborts} {
-		checkInvariant(t, NewStack(15, 10), pol, strategy.UniformRW{}, 400000)
+		checkInvariant(t, build(t, "stack", dist.Constant{V: 15}, 10), pol, strategy.UniformRW{}, 400000)
 	}
 }
 
 func TestStackPushPopAlternation(t *testing.T) {
-	w := NewStack(5, 5)
+	w := build(t, "stack", dist.Constant{V: 5}, 5)
 	r := rng.New(1)
 	// Core 0's stream must alternate push (ending in a +1 write to the
 	// depth word) and pop (ending in a -1 write). A Tx's ops last until
@@ -64,22 +76,22 @@ func TestStackPushPopAlternation(t *testing.T) {
 
 func TestQueueInvariant(t *testing.T) {
 	for _, pol := range []ccore.Policy{ccore.RequestorWins, ccore.RequestorAborts} {
-		checkInvariant(t, NewQueue(15, 10), pol, strategy.UniformRW{}, 400000)
+		checkInvariant(t, build(t, "queue", dist.Constant{V: 15}, 10), pol, strategy.UniformRW{}, 400000)
 	}
 }
 
 func TestTxAppInvariant(t *testing.T) {
 	for _, pol := range []ccore.Policy{ccore.RequestorWins, ccore.RequestorAborts} {
-		checkInvariant(t, NewTxApp(40, 10), pol, strategy.UniformRW{}, 400000)
+		checkInvariant(t, build(t, "txapp", dist.Constant{V: 40}, 10), pol, strategy.UniformRW{}, 400000)
 	}
 }
 
 func TestBimodalInvariant(t *testing.T) {
-	checkInvariant(t, NewBimodal(50, 5000, 0.5, 10), ccore.RequestorWins, strategy.UniformRW{}, 1500000)
+	checkInvariant(t, build(t, "bimodal", dist.Bimodal{Short: 50, Long: 5000, PShort: 0.5}, 10), ccore.RequestorWins, strategy.UniformRW{}, 1500000)
 }
 
 func TestBimodalMixesLengths(t *testing.T) {
-	w := NewBimodal(10, 1000, 0.5, 0)
+	w := build(t, "bimodal", dist.Bimodal{Short: 10, Long: 1000, PShort: 0.5}, 0)
 	r := rng.New(3)
 	short, long := 0, 0
 	for i := 0; i < 200; i++ {
@@ -98,7 +110,7 @@ func TestBimodalMixesLengths(t *testing.T) {
 }
 
 func TestTxAppPicksDistinctObjects(t *testing.T) {
-	w := NewTxApp(10, 0)
+	w := build(t, "txapp", dist.Constant{V: 10}, 0)
 	r := rng.New(5)
 	for i := 0; i < 1000; i++ {
 		tx := w.NextTx(0, r)
@@ -110,31 +122,31 @@ func TestTxAppPicksDistinctObjects(t *testing.T) {
 
 func TestTunedDelayPlausible(t *testing.T) {
 	p := htm.DefaultParams(4)
-	d := TunedDelay(NewStack(15, 10), p, 256)
+	d := TunedDelay(build(t, "stack", dist.Constant{V: 15}, 10), p, 256)
 	// Stack tx: 3 memory ops * 3 cycles + 15 compute + 10 commit = 34.
 	if d < 20 || d > 60 {
 		t.Fatalf("tuned delay %v implausible for stack", d)
 	}
 	// Bimodal tuned delay sits between the modes (that is exactly why
 	// hand-tuning fails there).
-	db := TunedDelay(NewBimodal(50, 5000, 0.5, 0), p, 2048)
+	db := TunedDelay(build(t, "bimodal", dist.Bimodal{Short: 50, Long: 5000, PShort: 0.5}, 0), p, 2048)
 	if db < 1000 || db > 4000 {
 		t.Fatalf("tuned delay %v implausible for bimodal", db)
 	}
 }
 
 func TestWorkloadNames(t *testing.T) {
-	if NewStack(1, 1).Name() != "stack" ||
-		NewQueue(1, 1).Name() != "queue" ||
-		NewTxApp(1, 1).Name() != "txapp" ||
-		NewBimodal(1, 2, 0.5, 1).Name() != "bimodal" {
+	if build(t, "stack", dist.Constant{V: 1}, 1).Name() != "stack" ||
+		build(t, "queue", dist.Constant{V: 1}, 1).Name() != "queue" ||
+		build(t, "txapp", dist.Constant{V: 1}, 1).Name() != "txapp" ||
+		build(t, "bimodal", dist.Bimodal{Short: 1, Long: 2, PShort: 0.5}, 1).Name() != "bimodal" {
 		t.Fatal("workload names wrong")
 	}
 }
 
 func TestStackUnderNoDelay(t *testing.T) {
 	// The NO_DELAY baseline must also preserve the invariant.
-	checkInvariant(t, NewStack(15, 10), ccore.RequestorWins, nil, 400000)
+	checkInvariant(t, build(t, "stack", dist.Constant{V: 15}, 10), ccore.RequestorWins, nil, 400000)
 }
 
 func TestByNameUnknown(t *testing.T) {
@@ -148,7 +160,7 @@ func TestByNameUnknown(t *testing.T) {
 // ops land on per-word cache lines: the stack push's element store
 // must address elemBase + depth*64 bytes.
 func TestCompileIndirectAddressing(t *testing.T) {
-	w := NewStack(5, 5)
+	w := build(t, "stack", dist.Constant{V: 5}, 5)
 	r := rng.New(1)
 	tx := w.NextTx(0, r) // push
 	st := tx.Ops[2]      // StoreAt(1, r0, ...)
@@ -244,7 +256,7 @@ func TestDistOverride(t *testing.T) {
 func BenchmarkStackSimulation(b *testing.B) {
 	p := htm.DefaultParams(8)
 	p.Strategy = strategy.UniformRW{}
-	m := htm.NewMachine(p, NewStack(15, 10))
+	m := htm.NewMachine(p, build(b, "stack", dist.Constant{V: 15}, 10))
 	b.ResetTimer()
 	m.Run(uint64(b.N) * 100)
 }

@@ -46,8 +46,8 @@ bench-smoke:
 # worker goroutines; internal/scenario: the cross-backend parity
 # suite; internal/trace + internal/experiments: recorded runs and the
 # trace-fidelity loop; internal/txkv: the keyed store's workload
-# invariant matrix and serving pool). -short keeps it inside CI
-# budgets. internal/stm runs at -cpu 1,4: on one P a requestor can only
+# invariant matrix and the token-gated server). -short keeps it inside
+# CI budgets. internal/stm runs at -cpu 1,4: on one P a requestor can only
 # yield to an owner that shares its P (the hand-off the conflict path
 # must survive), on four the descriptor free lists and the lock word
 # see real interleavings.
@@ -76,10 +76,13 @@ scenario-parity:
 	$(GO) test -race -count=1 -run 'TestScenarioParity|TestCrossMode' ./internal/scenario/
 
 # End-to-end txkv serving smoke under the race detector: every keyed
-# workload over HTTP (httptest), one AtomicWorker per pool worker,
-# structural + semantic invariants verified after shutdown.
+# workload over HTTP (httptest), each batch on its request's goroutine
+# under one of the server's worker tokens, structural + semantic
+# invariants verified after shutdown; then the token edges: a request
+# whose context ended never takes a token, and Close waits for a
+# running batch.
 smoke-txkv:
-	$(GO) test -race -count=1 -run 'TestTxkvdSmoke|TestServerEndpoints' ./internal/txkv/
+	$(GO) test -race -count=1 -run 'TestTxkvdSmoke|TestServerEndpoints|TestCancelledRequestTakesNoToken|TestCloseWaitsForRunningBatch' ./internal/txkv/
 
 # Observability-plane smoke under the race detector: drive live
 # traffic through a metrics-enabled server, scrape GET /metrics, and

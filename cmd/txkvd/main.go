@@ -1,13 +1,13 @@
 // Command txkvd serves the transactional key-value store
 // (internal/txkv) over HTTP — the serving front-end that turns the STM
-// word arena into an end-to-end keyed system: batch requests execute
-// on a fixed pool of transaction workers, one stm.AtomicWorker
-// identity per pool worker.
+// word arena into an end-to-end keyed system: each batch request runs
+// on its own goroutine under one of -workers stm worker identities, so
+// at most that many batches run at once.
 //
 // Usage:
 //
 //	txkvd                                    # serve on -addr
-//	txkvd -mode lazy -batch 4 -workers 8     # lazy group-commit pool
+//	txkvd -mode lazy -batch 4 -workers 8     # lazy group commit, 8 concurrent batches
 //	txkvd -workload hotspot-counter -batch 4 -fold  # escrow counters
 //	txkvd -workload list                     # list keyed workloads
 //
@@ -38,7 +38,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":7070", "listen address")
 		capacity = flag.Int("capacity", 0, "store bucket count (0 = sized for -workload)")
-		workers  = flag.Int("workers", 4, "transaction worker pool size (one stm.AtomicWorker each)")
+		workers  = flag.Int("workers", 4, "concurrent batches, one stm worker identity each")
 		mode     = flag.String("mode", "eager", "locking mode: eager or lazy")
 		batch    = flag.Int("batch", 0, "lazy group-commit batch bound (0 = unbatched; > 0 implies -mode lazy)")
 		fold     = flag.Bool("fold", false, "escrow-counter mode: key-classed index + commutative delta folding in the combiner (requires -batch > 0)")
@@ -88,8 +88,8 @@ func main() {
 	cfg.Lazy = *mode == "lazy" || *batch > 0
 	cfg.CommitBatch = *batch
 	cfg.FoldCommutative = *fold
-	// The metrics plane feeds /metrics and /v1/stats, sharded per pool
-	// worker; -metrics-sample paces the commit-phase timers.
+	// The metrics plane feeds /metrics and /v1/stats, sharded per worker
+	// identity; -metrics-sample paces the commit-phase timers.
 	cfg.Metrics = metrics.NewPlane(*workers, *msample)
 
 	// The served store needs a concrete workload to size it; default

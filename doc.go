@@ -67,11 +67,11 @@
 // catalog of zipf-skewed workloads (readmostly, hotspot-counter,
 // document) with structural and semantic invariant checks, batches
 // of ops as the store's one entry point, and the cmd/txkvd HTTP
-// front-end (batch requests on a fixed pool of worker identities,
-// each batch's ops run back to back on one stm.Worker handle;
-// its recorded throughput and latency rows come from `bash
-// bench/run.sh`, see bench/README.md). The same
-// traffic shapes are registered in the scenario catalog as
+// front-end (each batch request runs on its own goroutine under one
+// of a fixed set of worker identities, its ops back to back on one
+// stm.Worker handle; its recorded throughput and latency rows come
+// from `bash bench/run.sh`, see bench/README.md). The same traffic
+// shapes are registered in the scenario catalog as
 // kvcounter/kvread/kvdoc, so both backends exercise keyed conflict
 // patterns in the parity suites.
 //

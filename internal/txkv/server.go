@@ -8,10 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime/pprof"
 	"sort"
-	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"txconflict/internal/core"
@@ -37,94 +34,90 @@ var (
 )
 
 // Server is the txkvd serving core: an http.Handler that executes
-// batch requests on a fixed pool of transaction workers, one
-// stm.AtomicWorker identity per pool worker — so per-worker trace
+// each batch request on the request's own goroutine under one of a
+// fixed set of worker tokens. A token is an stm worker identity (id
+// and random stream), so at most workers batches run at once, each
+// under an identity no other running batch holds — per-worker trace
 // buffers stay contention-free and conflict stats attribute cleanly.
 // cmd/txkvd wraps it in an http.Server; tests drive it through
 // httptest.
 type Server struct {
 	store *Store
 
-	jobs   chan job
+	tokens chan token
 	quit   chan struct{}
-	wg     sync.WaitGroup
 	closed atomic.Bool
 }
 
-// job is one dispatched batch; the worker fills dst (see
-// Store.ApplyBatchInto) and sends the results on reply.
-type job struct {
-	ops   []Op
-	dst   []Result
-	reply chan []Result
+// token is one worker identity; exactly one running batch holds it.
+type token struct {
+	id int
+	r  *rng.Rand
 }
 
-// NewServer starts workers pool goroutines around the store.
+// NewServer fills workers tokens for the store.
 func NewServer(store *Store, workers int, seed uint64) *Server {
 	if workers <= 0 {
 		workers = 4
 	}
 	sv := &Server{
-		store: store,
-		jobs:  make(chan job),
-		quit:  make(chan struct{}),
+		store:  store,
+		tokens: make(chan token, workers),
+		quit:   make(chan struct{}),
 	}
 	root := rng.New(seed)
 	for w := 0; w < workers; w++ {
-		w := w
-		r := root.Split()
-		sv.wg.Add(1)
-		// Profiler labels make the pool legible in pprof output: CPU
-		// samples split by worker identity instead of blurring into
-		// one anonymous goroutine set.
-		labels := pprof.Labels("subsystem", "txkv-pool", "txkv_worker", strconv.Itoa(w))
-		go pprof.Do(context.Background(), labels, func(context.Context) {
-			defer sv.wg.Done()
-			for {
-				select {
-				case <-sv.quit:
-					return
-				case j := <-sv.jobs:
-					j.reply <- sv.store.ApplyBatchInto(j.dst, w, r, j.ops)
-				}
-			}
-		})
+		sv.tokens <- token{id: w, r: root.Split()}
 	}
 	return sv
 }
 
-// Close drains the worker pool. In-flight requests racing Close may
-// fail with ErrServerClosed; callers should stop traffic first.
+// Close refuses new batches and returns once every running batch has
+// given its token back. In-flight requests racing Close may fail with
+// ErrServerClosed; callers should stop traffic first.
 func (sv *Server) Close() {
 	if sv.closed.CompareAndSwap(false, true) {
 		close(sv.quit)
-		sv.wg.Wait()
+		for i := 0; i < cap(sv.tokens); i++ {
+			<-sv.tokens
+		}
 	}
 }
 
-// Exec dispatches one batch to the worker pool and waits for its
-// results. It fails with ErrBatchTooLarge above maxBatchOps ops and
-// with ErrServerClosed once Close has begun.
+// Exec runs one batch under a worker token and returns its results.
+// It fails with ErrBatchTooLarge above maxBatchOps ops and with
+// ErrServerClosed once Close has begun.
 func (sv *Server) Exec(ops []Op) ([]Result, error) {
-	return sv.exec(ops, nil, make(chan []Result, 1))
+	return sv.exec(context.Background(), ops, nil)
 }
 
-// exec is Exec with the caller's result memory and reply channel
-// (1-buffered and empty). After an error neither has been handed to a
-// worker.
-func (sv *Server) exec(ops []Op, dst []Result, reply chan []Result) ([]Result, error) {
+// exec is Exec into the caller's result memory (see
+// Store.ApplyBatchInto). It waits for a token only while ctx is live
+// and the server open; then it fails with ErrServerClosed or ctx's
+// error, and the batch has not run.
+func (sv *Server) exec(ctx context.Context, ops []Op, dst []Result) ([]Result, error) {
 	if len(ops) > maxBatchOps {
 		return nil, fmt.Errorf("%w: %d ops exceed the %d-op limit", ErrBatchTooLarge, len(ops), maxBatchOps)
 	}
 	if sv.closed.Load() {
 		return nil, ErrServerClosed
 	}
+	var t token
+	// A free token skips ctx.Done(), which allocates its channel on a
+	// net/http request's first call.
 	select {
-	case sv.jobs <- job{ops: ops, dst: dst, reply: reply}:
-		return <-reply, nil
-	case <-sv.quit:
-		return nil, ErrServerClosed
+	case t = <-sv.tokens:
+	default:
+		select {
+		case t = <-sv.tokens:
+		case <-sv.quit:
+			return nil, ErrServerClosed
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
+	defer func() { sv.tokens <- t }()
+	return sv.store.ApplyBatchInto(dst, t.id, t.r, ops), nil
 }
 
 // ServeHTTP implements the front-end API:
@@ -233,9 +226,7 @@ func (sv *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	sc := getScratch()
 	if status, msg := sv.runBatch(sc, r); status != http.StatusOK {
 		// The scratch goes with the failed request instead of back to
-		// the pool: a refused batch's ops may be far past the limit,
-		// and a lost race with Close is too rare to be worth arguing
-		// that no worker holds sc.reply.
+		// the pool: a refused batch's ops may be far past the limit.
 		http.Error(w, msg, status)
 		return
 	}
@@ -265,7 +256,7 @@ func (sv *Server) runBatch(sc *batchScratch, r *http.Request) (status int, msg s
 	if err != nil {
 		return http.StatusBadRequest, "bad batch: " + err.Error()
 	}
-	results, err := sv.exec(ops, sc.res, sc.reply)
+	results, err := sv.exec(r.Context(), ops, sc.res)
 	switch {
 	case errors.Is(err, ErrBatchTooLarge):
 		return http.StatusRequestEntityTooLarge, err.Error()

@@ -2,6 +2,7 @@ package txkv
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -18,8 +19,8 @@ import (
 // smoke-txkv): start the txkvd core behind a real HTTP listener,
 // drive a fixed number of batched requests per user over the wire for
 // every registered workload, then verify the store's structural
-// invariants, the workload's semantic check, and a clean pool
-// shutdown. Runs under -race.
+// invariants, the workload's semantic check, and a clean shutdown.
+// Runs under -race.
 func TestTxkvdSmoke(t *testing.T) {
 	for _, wname := range Names() {
 		t.Run(wname, func(t *testing.T) {
@@ -58,7 +59,7 @@ func TestTxkvdSmoke(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Clean shutdown: pool drains, then refuses work.
+			// Clean shutdown: running batches finish, then work is refused.
 			ts.Close()
 			sv.Close()
 			if _, err := sv.Exec([]Op{{Kind: KindGet, Key: 1}}); err == nil {
@@ -180,6 +181,69 @@ func TestServerEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("POST after Close = %s, want 503", resp.Status)
 	}
+}
+
+// TestCancelledRequestTakesNoToken: a request whose context has ended
+// while every token is held is answered 503 at once, without running
+// its batch or consuming a token, and the server serves on once the
+// tokens come back.
+func TestCancelledRequestTakesNoToken(t *testing.T) {
+	store := New(Config{STM: stm.DefaultConfig()})
+	sv := NewServer(store, 2, 1)
+	defer sv.Close()
+	held := make([]token, cap(sv.tokens)) // as that many running batches
+	for i := range held {
+		held[i] = <-sv.tokens
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	n := store.Len()
+	body := AppendBatchRequest(nil, []Op{{Kind: KindPut, Key: 1, Val: 2}})
+	req := httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	sv.ServeHTTP(rec, req)
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("cancelled POST /v1/batch = %d: %s, want 503", rec.Code, rec.Body)
+	}
+	if got := store.Len(); got != n {
+		t.Fatalf("store.Len() = %d after a cancelled put, want %d", got, n)
+	}
+	for _, tk := range held {
+		sv.tokens <- tk
+	}
+	if got := len(sv.tokens); got != cap(sv.tokens) {
+		t.Fatalf("%d of %d tokens free after the cancelled request", got, cap(sv.tokens))
+	}
+	if res, err := sv.Exec([]Op{{Kind: KindPut, Key: 1, Val: 2}}); err != nil || res[0].Err != "" {
+		t.Fatalf("Exec after the tokens came back = %v, %v", res, err)
+	}
+	if got := store.Len(); got != n+1 {
+		t.Fatalf("store.Len() = %d after the put, want %d", got, n+1)
+	}
+}
+
+// TestCloseWaitsForRunningBatch: Close refuses new batches at once but
+// returns only after a running batch gives its token back.
+func TestCloseWaitsForRunningBatch(t *testing.T) {
+	sv := NewServer(New(Config{STM: stm.DefaultConfig()}), 2, 1)
+	running := <-sv.tokens
+	closed := make(chan struct{})
+	go func() {
+		sv.Close()
+		close(closed)
+	}()
+	<-sv.quit
+	if _, err := sv.Exec(nil); !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("Exec while closing: %v, want ErrServerClosed", err)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a batch held a token")
+	default:
+	}
+	sv.tokens <- running
+	<-closed
 }
 
 // TestPolicyEndpoint covers the control-plane surface: reading the

@@ -81,9 +81,10 @@
 // Status codes: 400 for a body encoding/json rejects, 413 for a body
 // over 8 MiB or a batch over maxBatchOps ops (ErrBatchTooLarge) —
 // requests no retry can fix — and 503 only for a server that is
-// closing (ErrServerClosed). Server.handleBatch and HTTPClient.Do work
-// out of one pooled scratch per request (body, ops, results, encoded
-// output, reply channel); nothing returned to a caller points into it.
+// closing (ErrServerClosed) or a request whose context ended before a
+// worker token was free. Server.handleBatch and HTTPClient.Do work out
+// of one pooled scratch per request (body, ops, results, encoded
+// output); nothing returned to a caller points into it.
 package txkv
 
 import (

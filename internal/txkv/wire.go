@@ -451,28 +451,25 @@ func ParseBatchResponse(dst []Result, body []byte) ([]Result, error) {
 // socket: Server.handleBatch uses all of it, HTTPClient.Do the body
 // and out buffers. Nothing a caller keeps may point into it.
 type batchScratch struct {
-	body  bytes.Buffer     // the request (server) or response (client) as read
-	lr    io.LimitedReader // the server's body limit, without its allocation
-	ops   []Op
-	res   []Result
-	out   []byte        // the encoded response (server) or request (client)
-	reply chan []Result // 1-buffered: a worker never blocks on a reply
+	body bytes.Buffer     // the request (server) or response (client) as read
+	lr   io.LimitedReader // the server's body limit, without its allocation
+	ops  []Op
+	res  []Result
+	out  []byte // the encoded response (server) or request (client)
 }
 
 // maxPooledBytes keeps one outsized request from pinning megabytes in
 // the pool; ordinary batches are a few kilobytes.
 const maxPooledBytes = 1 << 20
 
-var scratchPool = sync.Pool{New: func() any {
-	return &batchScratch{reply: make(chan []Result, 1)}
-}}
+var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 func getScratch() *batchScratch { return scratchPool.Get().(*batchScratch) }
 
 // putScratch recycles sc. Both ends call it only after a request that
-// succeeded, when nothing else can still touch the scratch: the worker
-// has replied, and on the client a 200 has proved the transport is
-// done reading the request bytes.
+// succeeded, when nothing else can still touch the scratch: on the
+// server its batch has run and been encoded, and on the client a 200
+// has proved the transport is done reading the request bytes.
 func putScratch(sc *batchScratch) {
 	if sc.body.Cap() > maxPooledBytes || cap(sc.out) > maxPooledBytes {
 		return

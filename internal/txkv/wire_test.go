@@ -2,6 +2,7 @@ package txkv
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/debug"
 	"testing"
 
 	"txconflict/internal/rng"
@@ -169,7 +171,8 @@ var canonicalRequests = []string{
 	`{"ops":[{"key":1,"op":"del"},{"fields":8,"val":0,"key":0,"op":"updatedoc"}]}`,
 	" {\n\t\"ops\" : [ { \"op\" : \"add\" , \"key\" : 18446744073709551615 , \"val\" : 10 } ] }\r\n ",
 	// The largest field count the fast path takes; executed, it used to
-	// panic a pool worker in make() (Store.checkDoc now refuses it).
+	// panic the goroutine running the batch in make() (Store.checkDoc
+	// now refuses it).
 	`{"ops":[{"op":"readdoc","key":1,"fields":9223372036854775807}]}`,
 }
 
@@ -294,6 +297,27 @@ func TestBatchCodecAllocs(t *testing.T) {
 	const serveMax = 2
 	if got := testing.AllocsPerRun(200, serve); got > serveMax {
 		t.Errorf("ServeHTTP allocates %.1f objects per 16-op batch, want <= %d", got, serveMax)
+	}
+	// net/http hands every request a fresh cancellable context, whose
+	// Done allocates its channel on the first call; a free token must
+	// not ask for it. The contexts are made before counting, and with
+	// the GC off a sync.Pool miss can neither hide nor fake an
+	// allocation, so the count is exact.
+	const runs = 200
+	reqs := make([]*http.Request, runs+1) // AllocsPerRun's warm-up call, then runs
+	for i := range reqs {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		reqs[i] = req.WithContext(ctx)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	next := 0
+	if got := testing.AllocsPerRun(runs, func() {
+		req = reqs[next]
+		next++
+		serve()
+	}); got != 0 {
+		t.Errorf("ServeHTTP with a cancellable context allocates %.1f objects per 16-op batch, want 0", got)
 	}
 
 	var out []byte

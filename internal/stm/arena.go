@@ -53,10 +53,12 @@
 // # Locking modes
 //
 //   - Eager (encounter-time, default): writers acquire the word lock
-//     at the first Store and write in place with an undo log —
-//     the faithful analogue of the paper's HTM (Algorithm 1), where
-//     a transaction owns its write set for its whole duration and
-//     conflicts find the receiver mid-execution.
+//     at the first Store — or already at the read, through
+//     LoadForUpdate, for a word they read and then write — and write
+//     in place with an undo log: the faithful analogue of the paper's
+//     HTM (Algorithm 1), where a transaction owns its write set for its
+//     whole duration and conflicts find the receiver mid-execution, at
+//     the requestor's own access.
 //   - Lazy (commit-time, TL2-style): writes are buffered and locks
 //     are taken in address order only inside commit. Lock hold times
 //     are short, so grace periods matter less — this mode doubles as
@@ -64,7 +66,7 @@
 //
 // Both modes, and the lazy mode's group-commit combiner, commit through
 // one staged pipeline (commit.go); eager only skips its lock and
-// write-back stages, done at Store time.
+// write-back stages, done at the first touch of each word it writes.
 //
 // # Conflicts and the epoch scheme
 //

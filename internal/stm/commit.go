@@ -11,16 +11,16 @@ import (
 // roster, the descriptors committing together:
 //
 //  1. plan: what the roster locks. Eager holds its plan already, the
-//     words it locked at their first Store; lazy is a roster of one
-//     whose plan is its sorted write set (commit); a lane round is the
-//     drained queue, its write and delta sets merged into one sorted,
-//     distinct plan (drain).
+//     words it locked at their first Store or LoadForUpdate; lazy is a
+//     roster of one whose plan is its sorted write set (commit); a lane
+//     round is the drained queue, its write and delta sets merged into
+//     one sorted, distinct plan (drain).
 //  2. acquire: take the plan's locks in address order (acquire, the one
-//     lock loop, which eager runs at Store time). Every committer locks
-//     in the same order, so committers — single or combining, in any
-//     lane — and the irrevocable path never deadlock on each other; a
-//     foreign lock resolves through the conflict machinery (onLocked)
-//     with the committer as requestor.
+//     lock loop, which eager runs at each word's first touch). Every
+//     committer locks in the same order, so committers — single or
+//     combining, in any lane — and the irrevocable path never deadlock
+//     on each other; a foreign lock resolves through the conflict
+//     machinery (onLocked) with the committer as requestor.
 //  3. admit: decide who commits before anything is written (admit). A
 //     roster of one crosses the no-return point, losing to a kill that
 //     landed first, and revalidates its reads; a lane round admits
@@ -38,7 +38,7 @@ import (
 // Only stages 2 and 3 abort, and nothing is written before stage 4, so
 // an abort unwinding out of the pipeline has only to release what stage
 // 2 took, at the versions it was taken at, and fail the drained members
-// (abandon); eager's locks, taken at Store, go with its undo log
+// (abandon); eager's locks, taken at first touch, go with its undo log
 // (rollback). Stamping after every lock of the plan is held is what
 // keeps any value the commit clock once held a sound snapshot: a writer
 // stamped at or below it had locked all its words before the clock got

@@ -127,28 +127,82 @@ func TestLazyBuffering(t *testing.T) {
 	}
 }
 
+// TestEagerInPlaceAndRollback: an eager write locks its word and
+// writes in place, and so does a read for update, without writing; a
+// user error restores every pre-image and unlocks, and a read for
+// update that commits with no Store releases the word at a new version
+// with its old value.
 func TestEagerInPlaceAndRollback(t *testing.T) {
+	fail := errors.New("fail")
+	for _, tc := range []struct {
+		name    string
+		body    func(t *testing.T, tx *Tx) // runs on word 0, which holds 5
+		inPlace uint64                     // what word 0 holds after body
+		err     error
+	}{
+		{"store-then-error", func(_ *testing.T, tx *Tx) { tx.Store(0, 7) }, 7, fail},
+		{"load-for-update-then-error", func(t *testing.T, tx *Tx) {
+			if v := tx.LoadForUpdate(0); v != 5 {
+				t.Errorf("LoadForUpdate = %d, want 5", v)
+			}
+		}, 5, fail},
+		{"load-for-update-then-commit", func(_ *testing.T, tx *Tx) { tx.LoadForUpdate(0) }, 5, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := New(4, DefaultConfig())
+			r := rng.New(1)
+			_ = rt.Atomic(r, func(tx *Tx) error { tx.Store(0, 5); return nil })
+			ver := lockVersion(rt.meta[0].lock.Load())
+			err := rt.Atomic(r, func(tx *Tx) error {
+				tc.body(t, tx)
+				if l := rt.meta[0].lock.Load(); !isLocked(l) || lockOwner(l) != tx.id {
+					t.Error("the word is not locked by its writer")
+				}
+				if len(tx.reads) != 0 {
+					t.Errorf("%d read entries, want none", len(tx.reads))
+				}
+				// Eager mode writes in place while holding the lock.
+				if v := rt.meta[0].val.Load(); v != tc.inPlace {
+					t.Errorf("in-place value %d, want %d", v, tc.inPlace)
+				}
+				return tc.err
+			})
+			if err != tc.err {
+				t.Fatalf("Atomic = %v, want %v", err, tc.err)
+			}
+			if got := rt.ReadCommitted(0); got != 5 {
+				t.Fatalf("committed value %d, want the pre-image 5", got)
+			}
+			l := rt.meta[0].lock.Load()
+			if isLocked(l) {
+				t.Fatal("the word was left locked")
+			}
+			if lockVersion(l) <= ver {
+				t.Fatalf("released at version %d, want above %d", lockVersion(l), ver)
+			}
+		})
+	}
+}
+
+// TestLoadForUpdateLazyIsLoad: on a lazy runtime a read for update is
+// a plain read — a read entry, no lock, nothing in the write set.
+func TestLoadForUpdateLazyIsLoad(t *testing.T) {
 	cfg := DefaultConfig()
+	cfg.Lazy = true
 	rt := New(4, cfg)
 	r := rng.New(1)
-	fail := errors.New("fail")
 	_ = rt.Atomic(r, func(tx *Tx) error {
-		tx.Store(0, 7)
-		// Eager mode writes in place while holding the lock.
-		if rt.meta[0].val.Load() != 7 {
-			t.Error("eager write not in place")
+		if v := tx.LoadForUpdate(0); v != 0 {
+			t.Errorf("LoadForUpdate = %d", v)
 		}
-		if l := rt.meta[0].lock.Load(); !isLocked(l) || lockOwner(l) != tx.id {
-			t.Error("eager write did not lock the word")
+		if len(tx.reads) != 1 || tx.reads[0].idx != 0 {
+			t.Errorf("read set %v, want one entry for word 0", tx.reads)
 		}
-		return fail
+		if isLocked(rt.meta[0].lock.Load()) || len(tx.writeIdx) != 0 {
+			t.Error("a lazy read for update took the word")
+		}
+		return nil
 	})
-	if rt.ReadCommitted(0) != 0 {
-		t.Fatal("rollback did not restore the pre-image")
-	}
-	if isLocked(rt.meta[0].lock.Load()) {
-		t.Fatal("rollback left the word locked")
-	}
 }
 
 // TestCounterConcurrent is the core serializability test: G
@@ -338,13 +392,14 @@ func TestIrrevocableFallback(t *testing.T) {
 }
 
 // stageConflict forces one real lock conflict on word 0 regardless of
-// GOMAXPROCS or core count: the receiver acquires the encounter lock
-// and parks on a channel; the requestor then touches the same word and
-// must go through the full onLocked path (grace wait + resolution).
-// The receiver is released only after the requestor's resolution has
-// been observed in the counters, so the conflict cannot be skipped by
-// goroutine serialization on a loaded or single-core box.
-func stageConflict(t *testing.T, pol core.Policy) *Runtime {
+// GOMAXPROCS or core count: the receiver runs recv, which takes word
+// 0's encounter lock and calls park; the requestor then runs req,
+// which touches the same word and must go through the full onLocked
+// path (grace wait + resolution). park returns only after the
+// requestor's resolution has been observed in the counters, so the
+// conflict cannot be skipped by goroutine serialization on a loaded or
+// single-core box.
+func stageConflict(t *testing.T, pol core.Policy, recv func(tx *Tx, park func()), req func(tx *Tx)) *Runtime {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Rule.Policy = pol
@@ -356,17 +411,19 @@ func stageConflict(t *testing.T, pol core.Policy) *Runtime {
 
 	held := make(chan struct{}, 4)
 	release := make(chan struct{})
+	park := func() {
+		select {
+		case held <- struct{}{}:
+		default: // retries after a kill must not block
+		}
+		<-release
+	}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { // receiver: holds the lock until released
 		defer wg.Done()
 		_ = rt.Atomic(recvRng, func(tx *Tx) error {
-			tx.Store(0, tx.Load(0)+1)
-			select {
-			case held <- struct{}{}:
-			default: // retries after a kill must not block
-			}
-			<-release
+			recv(tx, park)
 			return nil
 		})
 	}()
@@ -376,7 +433,7 @@ func stageConflict(t *testing.T, pol core.Policy) *Runtime {
 	go func() { // requestor: conflicts on word 0
 		defer wg.Done()
 		_ = rt.Atomic(reqRng, func(tx *Tx) error {
-			tx.Store(0, tx.Load(0)+1)
+			req(tx)
 			return nil
 		})
 	}()
@@ -402,10 +459,20 @@ func stageConflict(t *testing.T, pol core.Policy) *Runtime {
 	return rt
 }
 
+// incrementAndPark and increment are the staged conflict's classic
+// bodies: both sides read-modify-write word 0, and the receiver holds
+// its lock from its Store.
+func incrementAndPark(tx *Tx, park func()) {
+	tx.Store(0, tx.Load(0)+1)
+	park()
+}
+
+func increment(tx *Tx) { tx.Store(0, tx.Load(0)+1) }
+
 func TestPolicyKillAccounting(t *testing.T) {
 	// Requestor-wins must resolve a conflict by killing the receiver;
 	// requestor aborts must never kill (only self aborts).
-	rw := stageConflict(t, core.RequestorWins)
+	rw := stageConflict(t, core.RequestorWins, incrementAndPark, increment)
 	st := rw.Stats.Snapshot()
 	if st["kills"] == 0 {
 		t.Error("requestor-wins conflict produced no kills")
@@ -413,7 +480,7 @@ func TestPolicyKillAccounting(t *testing.T) {
 	if st["graceWaits"] == 0 {
 		t.Error("requestor-wins conflict skipped the grace wait")
 	}
-	ra := stageConflict(t, core.RequestorAborts)
+	ra := stageConflict(t, core.RequestorAborts, incrementAndPark, increment)
 	st = ra.Stats.Snapshot()
 	if st["kills"] != 0 {
 		t.Errorf("requestor-aborts produced %d kills", st["kills"])
@@ -426,6 +493,38 @@ func TestPolicyKillAccounting(t *testing.T) {
 		if got := rt.ReadCommitted(0); got != 2 {
 			t.Errorf("counter = %d, want 2 (one commit per side)", got)
 		}
+	}
+}
+
+// TestLoadForUpdateConflictsAtTheRead: an eager receiver that has only
+// read word 0 for update, and parks before writing it, already owns
+// the word, so a read-only requestor meets its lock at its own Load and
+// resolves the conflict there, through onLocked: requestor-wins waits
+// out a grace period and kills, requestor-aborts aborts itself.
+func TestLoadForUpdateConflictsAtTheRead(t *testing.T) {
+	readForUpdateAndPark := func(tx *Tx, park func()) {
+		v := tx.LoadForUpdate(0)
+		park()
+		tx.Store(0, v+1)
+	}
+	read := func(tx *Tx) { tx.Load(0) }
+	for _, pol := range []core.Policy{core.RequestorWins, core.RequestorAborts} {
+		t.Run(pol.String(), func(t *testing.T) {
+			rt := stageConflict(t, pol, readForUpdateAndPark, read)
+			st := rt.Stats.Snapshot()
+			if st["graceWaits"] == 0 {
+				t.Error("the read skipped the grace wait")
+			}
+			if pol == core.RequestorWins && st["kills"] == 0 {
+				t.Error("requestor-wins conflict produced no kills")
+			}
+			if pol == core.RequestorAborts && (st["kills"] != 0 || st["selfAborts"] == 0) {
+				t.Errorf("requestor-aborts: %d kills, %d self aborts; want 0 and some", st["kills"], st["selfAborts"])
+			}
+			if got := rt.ReadCommitted(0); got != 1 {
+				t.Errorf("counter = %d, want 1 (the receiver's one commit)", got)
+			}
+		})
 	}
 }
 
@@ -491,7 +590,7 @@ func TestKWindowObservesConflicts(t *testing.T) {
 			t.Fatalf("KEstimate = %v after conflicts, want >= 2", k)
 		}
 	}
-	staged := stageConflict(t, core.RequestorWins)
+	staged := stageConflict(t, core.RequestorWins, incrementAndPark, increment)
 	if staged.Stats.Snapshot()["graceWaits"] == 0 {
 		t.Fatal("staged conflict recorded no grace wait")
 	}

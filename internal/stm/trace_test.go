@@ -260,31 +260,41 @@ func TestTraceGateOverhead(t *testing.T) {
 		{"lazy-batched", rtBatch},
 		{"policy-swapped", rtSwapped},
 	}
-	body := func(tx *Tx) error { tx.Store(1, 2); return nil }
+	// A store, and an add: a read-modify-write that on eager reads
+	// through LoadForUpdate.
+	bodies := []struct {
+		name string
+		fn   func(tx *Tx) error
+	}{
+		{"store", func(tx *Tx) error { tx.Store(1, 2); return nil }},
+		{"add", func(tx *Tx) error { tx.Add(1, 1); return nil }},
+	}
 	type entry struct {
 		name string
 		run  func()
 	}
 	for _, v := range variants {
-		handleOf := func(blocks int) entry {
-			return entry{fmt.Sprintf("%d-block handle", blocks), func() {
-				w := v.rt.Worker(0, r)
-				for i := 0; i < blocks; i++ {
-					_ = w.Atomic(body)
+		for _, body := range bodies {
+			handleOf := func(blocks int) entry {
+				return entry{fmt.Sprintf("%d-block handle", blocks), func() {
+					w := v.rt.Worker(0, r)
+					for i := 0; i < blocks; i++ {
+						_ = w.Atomic(body.fn)
+					}
+					w.Release()
+				}}
+			}
+			entries := []entry{
+				{"one-shot", func() { _ = v.rt.AtomicWorker(0, r, body.fn) }},
+				handleOf(16), // fills the ledger exactly: folded when full, Release finds it empty
+				handleOf(21), // one full fold mid-handle, the rest at Release
+			}
+			for _, e := range entries {
+				e.run() // the descriptor's first use makes it
+				runtime.GC()
+				if avg := testing.AllocsPerRun(200, e.run); avg != 0 {
+					t.Errorf("%s tracing-off %s %s allocates %v objects/run, want 0", v.name, body.name, e.name, avg)
 				}
-				w.Release()
-			}}
-		}
-		entries := []entry{
-			{"one-shot", func() { _ = v.rt.AtomicWorker(0, r, body) }},
-			handleOf(16), // fills the ledger exactly: folded when full, Release finds it empty
-			handleOf(21), // one full fold mid-handle, the rest at Release
-		}
-		for _, e := range entries {
-			e.run() // the descriptor's first use makes it
-			runtime.GC()
-			if avg := testing.AllocsPerRun(200, e.run); avg != 0 {
-				t.Errorf("%s tracing-off %s allocates %v objects/run, want 0", v.name, e.name, avg)
 			}
 		}
 	}

@@ -112,8 +112,8 @@ type Tx struct {
 
 	// writeIdx is the attempt's write set, the commit pipeline's plan:
 	// lazy buffers the values in writeVals; eager locked each word at its
-	// first Store and wrote in place, undo[i] holding writeIdx[i]'s
-	// pre-image.
+	// first Store or LoadForUpdate and wrote in place, undo[i] holding
+	// writeIdx[i]'s pre-image.
 	writeIdx  []int
 	writeVals map[int]uint64
 	undo      []uint64
@@ -592,21 +592,46 @@ func (tx *Tx) Store(idx int, val uint64) {
 		tx.writeVals[idx] = val
 		return
 	}
-	// Eager: acquire the encounter lock on first touch, logging the
-	// pre-image, then write in place.
+	// Eager: write in place under the encounter lock.
+	tx.own(idx).val.Store(val)
+}
+
+// LoadForUpdate reads word idx transactionally, for a caller that will
+// write it. On an eager runtime it takes the word's encounter lock at
+// the read, as the first Store would, so the word gets no read-set
+// entry and a competing transaction meets the lock at its own access —
+// where the conflict policy prices the grace period — rather than this
+// one failing validation at commit. On a lazy runtime it is Load.
+//
+// A word taken this way and never stored commits, on eager, at a new
+// version with its old value, as a Store of the same value would: use
+// it only for words the transaction writes.
+func (tx *Tx) LoadForUpdate(idx int) uint64 {
+	if tx.rt.lazy {
+		return tx.Load(idx)
+	}
+	tx.checkKilled()
+	return tx.own(idx).val.Load()
+}
+
+// own returns eager word idx with tx holding its encounter lock: on
+// first touch it acquires the lock and adds the word to the write set,
+// logging its pre-image in the undo log.
+func (tx *Tx) own(idx int) *wordMeta {
 	m := &tx.rt.meta[idx]
 	if !tx.holds(m.lock.Load()) {
 		tx.acquire(idx, tx.id, true)
 		tx.writeIdx = append(tx.writeIdx, idx)
 		tx.undo = append(tx.undo, m.val.Load())
 	}
-	m.val.Store(val)
+	return m
 }
 
 // Add applies `word idx += delta` transactionally. Its contract is
-// exactly Store(idx, Load(idx)+delta) — and that is literally how it
-// executes on eager runtimes, with the lazy combiner lane closed, on
-// the irrevocable slow path, or while Policy.FoldCommutative is off.
+// exactly Store(idx, Load(idx)+delta). It executes as
+// Store(idx, LoadForUpdate(idx)+delta) — on eager runtimes the word is
+// locked at the read — with the lazy combiner lane closed, on the
+// irrevocable slow path, or while Policy.FoldCommutative is off.
 // When the attempt's latched policy has folding enabled and the
 // commit is headed for the group-commit combiner, the delta is
 // instead recorded blind: no read entry, no buffered value, just a
@@ -618,7 +643,7 @@ func (tx *Tx) Store(idx int, val uint64) {
 func (tx *Tx) Add(idx int, delta uint64) {
 	tx.checkKilled()
 	if !tx.batched || !tx.pol.FoldCommutative {
-		tx.Store(idx, tx.Load(idx)+delta)
+		tx.Store(idx, tx.LoadForUpdate(idx)+delta)
 		return
 	}
 	if _, ok := tx.writeVals[idx]; ok {

@@ -196,38 +196,49 @@ func BenchmarkAtomicBlock(b *testing.B) {
 // of one of four shared words drawn from the goroutine's own stream.
 // Beside BenchmarkAtomicBlock (no second core) it prices what sharing
 // costs per committed block: the lines two cores pass back and forth
-// plus the conflicts themselves (aborts/block). Each commit mode
-// (benchModes) is a sub-benchmark.
+// plus the conflicts themselves (aborts/block). The body is the first
+// axis — rmw, Store(Load+1), which an eager block locks at its Store,
+// and add, Add(idx, 1), which it locks at the read (LoadForUpdate) —
+// and each commit mode (benchModes) is a sub-benchmark of both.
 func BenchmarkHotPair(b *testing.B) {
-	for _, mode := range benchModes() {
-		b.Run(mode.name, func(b *testing.B) {
-			rt := New(64, mode.cfg)
-			var wg sync.WaitGroup
-			b.ResetTimer()
-			for g := 0; g < 2; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					r := rng.New(uint64(g) + 1)
-					w := rt.Worker(g, r)
-					defer w.Release()
-					for i := g; i < b.N; i += 2 {
-						idx := int(r.Uint64() & 3)
-						_ = w.Atomic(func(tx *Tx) error { tx.Store(idx, tx.Load(idx)+1); return nil })
-					}
-				}()
-			}
-			wg.Wait()
-			b.StopTimer()
-			var sum uint64
-			for idx := 0; idx < 4; idx++ {
-				sum += rt.ReadCommitted(idx)
-			}
-			if sum != uint64(b.N) {
-				b.Fatalf("%d blocks committed %d increments", b.N, sum)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/block")
-			b.ReportMetric(float64(rt.Stats.Snapshot()["aborts"])/float64(b.N), "aborts/block")
-		})
+	bodies := []struct {
+		name string
+		fn   func(tx *Tx, idx int)
+	}{
+		{"rmw", func(tx *Tx, idx int) { tx.Store(idx, tx.Load(idx)+1) }},
+		{"add", func(tx *Tx, idx int) { tx.Add(idx, 1) }},
+	}
+	for _, body := range bodies {
+		for _, mode := range benchModes() {
+			b.Run(body.name+"/"+mode.name, func(b *testing.B) {
+				rt := New(64, mode.cfg)
+				var wg sync.WaitGroup
+				b.ResetTimer()
+				for g := 0; g < 2; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						r := rng.New(uint64(g) + 1)
+						w := rt.Worker(g, r)
+						defer w.Release()
+						for i := g; i < b.N; i += 2 {
+							idx := int(r.Uint64() & 3)
+							_ = w.Atomic(func(tx *Tx) error { body.fn(tx, idx); return nil })
+						}
+					}()
+				}
+				wg.Wait()
+				b.StopTimer()
+				var sum uint64
+				for idx := 0; idx < 4; idx++ {
+					sum += rt.ReadCommitted(idx)
+				}
+				if sum != uint64(b.N) {
+					b.Fatalf("%d blocks committed %d increments", b.N, sum)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/block")
+				b.ReportMetric(float64(rt.Stats.Snapshot()["aborts"])/float64(b.N), "aborts/block")
+			})
+		}
 	}
 }

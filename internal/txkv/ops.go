@@ -117,7 +117,9 @@ func (s *Store) ApplyBatchInto(dst []Result, worker int, r *rng.Rand, ops []Op) 
 
 // Client executes one batch of ops — either in-process against a
 // Store (LocalClient) or over HTTP against a txkvd server
-// (HTTPClient in server.go).
+// (HTTPClient in server.go). The results Do returns are written over
+// one slice the client keeps: they stay valid until the next Do on the
+// same client, and a caller that keeps them longer copies them.
 type Client interface {
 	Do(ops []Op) ([]Result, error)
 }
@@ -128,9 +130,14 @@ type LocalClient struct {
 	Store  *Store
 	Worker int
 	R      *rng.Rand
+
+	res []Result // the results of the last Do
 }
 
-// Do implements Client.
+// Do implements Client. Its results are valid until the next Do: each
+// batch is written over the previous one's result slice, so a warm
+// client allocates nothing per batch.
 func (c *LocalClient) Do(ops []Op) ([]Result, error) {
-	return c.Store.ApplyBatch(c.Worker, c.R, ops), nil
+	c.res = c.Store.ApplyBatchInto(c.res, c.Worker, c.R, ops)
+	return c.res, nil
 }

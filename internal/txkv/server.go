@@ -370,15 +370,18 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // HTTPClient drives a txkvd server over the batch endpoint; it
 // implements Client, so code written against Client runs unchanged
-// against a remote store.
+// against a remote store. One HTTPClient per goroutine.
 type HTTPClient struct {
 	// Base is the server root, e.g. "http://127.0.0.1:7070".
 	Base string
 	// C is the underlying HTTP client (nil = http.DefaultClient).
 	C *http.Client
+
+	res []Result // the results of the last Do
 }
 
-// Do implements Client. The returned results are the caller's own.
+// Do implements Client. Its results are valid until the next Do: each
+// response is decoded over the previous one's result slice.
 func (h *HTTPClient) Do(ops []Op) ([]Result, error) {
 	c := h.C
 	if c == nil {
@@ -403,10 +406,11 @@ func (h *HTTPClient) Do(ops []Op) ([]Result, error) {
 	if _, err := sc.body.ReadFrom(resp.Body); err != nil {
 		return nil, err
 	}
-	results, err := ParseBatchResponse(make([]Result, 0, len(ops)), sc.body.Bytes())
+	results, err := ParseBatchResponse(h.res[:0], sc.body.Bytes())
 	if err != nil {
 		return nil, err
 	}
+	h.res = results
 	putScratch(sc)
 	return results, nil
 }

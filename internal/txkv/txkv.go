@@ -21,10 +21,15 @@
 //	[3C, 3C+I)    index heads: first bucket+1 per value class
 //	[3C+I, +S)    striped occupancy counters (live keys only)
 //
-// Every operation's footprint flows through tx.Load/tx.Store, so a
-// put is a handful of word reads (the probe path) plus a few writes —
-// exactly the kind of small-footprint transaction the paper's cost
-// model prices.
+// Every operation's footprint flows through tx.Load, tx.LoadForUpdate
+// and tx.Store, so a put is a handful of word reads (the probe path)
+// plus a few writes — exactly the kind of small-footprint transaction
+// the paper's cost model prices. A word an op reads and then always
+// writes (a value it updates, an index head it pushes onto, a size
+// stripe) is read with LoadForUpdate: on an eager runtime the op owns
+// it from that read on, so two ops racing for it meet at the second
+// one's access, where the conflict policy prices a grace period,
+// instead of the first failing validation at commit.
 //
 // # Secondary index
 //
@@ -235,7 +240,7 @@ func (s *Store) probe(tx *stm.Tx, key uint64) (bucket int, found bool, free int)
 // of its class chain.
 func (s *Store) indexPush(tx *stm.Tx, b int, key, val uint64) {
 	c := s.bucketClass(key, val)
-	tx.Store(s.linkWord(b), tx.Load(s.headWord(c)))
+	tx.Store(s.linkWord(b), tx.LoadForUpdate(s.headWord(c)))
 	tx.Store(s.headWord(c), uint64(b)+1)
 }
 
@@ -243,23 +248,23 @@ func (s *Store) indexPush(tx *stm.Tx, b int, key, val uint64) {
 // indexed under (key's class in escrow mode, val's otherwise). The
 // chain must contain b — a miss means the index lost an insert, which
 // the transaction turns into a panic rather than silent corruption.
+// The head and the links the walk passes are plain reads, since
+// whether one is written is known only once it is read; b's own link
+// is always written, so it is read for update.
 func (s *Store) indexUnlink(tx *stm.Tx, b int, key, val uint64) {
 	c := s.bucketClass(key, val)
-	cur := tx.Load(s.headWord(c))
-	if cur == uint64(b)+1 {
-		tx.Store(s.headWord(c), tx.Load(s.linkWord(b)))
-		tx.Store(s.linkWord(b), 0)
-		return
-	}
-	for steps := 0; cur != 0 && steps <= s.cap; steps++ {
-		prev := int(cur) - 1
-		next := tx.Load(s.linkWord(prev))
-		if next == uint64(b)+1 {
-			tx.Store(s.linkWord(prev), tx.Load(s.linkWord(b)))
+	at := s.headWord(c) // the word the walk stands on
+	for steps := 0; steps <= s.cap; steps++ {
+		cur := tx.Load(at)
+		if cur == uint64(b)+1 {
+			tx.Store(at, tx.LoadForUpdate(s.linkWord(b)))
 			tx.Store(s.linkWord(b), 0)
 			return
 		}
-		cur = next
+		if cur == 0 {
+			break
+		}
+		at = s.linkWord(int(cur) - 1)
 	}
 	panic(fmt.Sprintf("txkv: bucket %d missing from index class %d", b, c))
 }
@@ -288,19 +293,29 @@ func (s *Store) checkDoc(base uint64, fields int) error {
 	return checkKey(last)
 }
 
-// put is the in-transaction upsert shared by runPut, runAdd and
-// runUpdateDoc.
+// put is the in-transaction upsert shared by runPut and runUpdateDoc.
 func (s *Store) put(tx *stm.Tx, key, val uint64) error {
 	b, found, free := s.probe(tx, key)
-	if found {
-		old := tx.Load(s.valWord(b))
-		if s.bucketClass(key, old) != s.bucketClass(key, val) {
-			s.indexUnlink(tx, b, key, old)
-			s.indexPush(tx, b, key, val)
-		}
-		tx.Store(s.valWord(b), val)
-		return nil
+	if !found {
+		return s.insert(tx, free, key, val)
 	}
+	s.update(tx, b, key, tx.LoadForUpdate(s.valWord(b)), val)
+	return nil
+}
+
+// update sets the value of key's bucket b from old, which the caller
+// read for update, to val, relinking b when its index class changes.
+func (s *Store) update(tx *stm.Tx, b int, key, old, val uint64) {
+	if s.bucketClass(key, old) != s.bucketClass(key, val) {
+		s.indexUnlink(tx, b, key, old)
+		s.indexPush(tx, b, key, val)
+	}
+	tx.Store(s.valWord(b), val)
+}
+
+// insert stores key = val in the free bucket a probe returned (-1: the
+// probe path is full).
+func (s *Store) insert(tx *stm.Tx, free int, key, val uint64) error {
 	if free < 0 {
 		return ErrFull
 	}
@@ -308,7 +323,7 @@ func (s *Store) put(tx *stm.Tx, key, val uint64) error {
 	tx.Store(s.valWord(free), val)
 	s.indexPush(tx, free, key, val)
 	st := s.sizeWord(int(hash(key)) & (sizeStripes - 1))
-	tx.Store(st, tx.Load(st)+1)
+	tx.Store(st, tx.LoadForUpdate(st)+1)
 	return nil
 }
 
@@ -327,11 +342,11 @@ func (s *Store) del(tx *stm.Tx, key uint64) bool {
 	if !found {
 		return false
 	}
-	s.indexUnlink(tx, b, key, tx.Load(s.valWord(b)))
+	s.indexUnlink(tx, b, key, tx.LoadForUpdate(s.valWord(b)))
 	tx.Store(s.keyWord(b), tombstone)
 	tx.Store(s.valWord(b), 0)
 	st := s.sizeWord(int(hash(key)) & (sizeStripes - 1))
-	tx.Store(st, tx.Load(st)-1)
+	tx.Store(st, tx.LoadForUpdate(st)-1)
 	return true
 }
 
@@ -375,38 +390,28 @@ func (s *Store) runDelete(w *stm.Worker, key uint64) (deleted bool, err error) {
 // key is absent (the counter type: a keyed read-modify-write whose
 // conflicts land on the value word and, when the class changes, on
 // the index chains), and returns the new value — 0 for a blind
-// increment in escrow mode (see KindAdd).
+// increment in escrow mode (see KindAdd). One probe serves both halves.
 func (s *Store) runAdd(w *stm.Worker, key, delta uint64) (newVal uint64, err error) {
 	if err := checkKey(key); err != nil {
 		return 0, err
 	}
-	if !s.escrow {
-		err = w.Atomic(func(tx *stm.Tx) error {
-			old, _ := s.get(tx, key)
-			newVal = old + delta
-			return s.put(tx, key, newVal)
-		})
-		return newVal, err
-	}
 	err = w.Atomic(func(tx *stm.Tx) error {
 		newVal = 0 // the closure re-runs on abort
 		b, found, free := s.probe(tx, key)
-		if found {
+		switch {
+		case !found:
+			newVal = delta
+			return s.insert(tx, free, key, delta)
+		case s.escrow:
 			// The probe path read the key words (validated as usual),
 			// but the value word carries only a delta: no read entry,
 			// so colliding increments on a hot counter commute.
 			tx.Add(s.valWord(b), delta)
-			return nil
+		default:
+			old := tx.LoadForUpdate(s.valWord(b))
+			newVal = old + delta
+			s.update(tx, b, key, old, newVal)
 		}
-		if free < 0 {
-			return ErrFull
-		}
-		newVal = delta
-		tx.Store(s.keyWord(free), key+1)
-		tx.Store(s.valWord(free), delta)
-		s.indexPush(tx, free, key, delta)
-		st := s.sizeWord(int(hash(key)) & (sizeStripes - 1))
-		tx.Store(st, tx.Load(st)+1)
 		return nil
 	})
 	return newVal, err

@@ -267,9 +267,9 @@ func (*replayBody) Close() error { return nil }
 // request through ServeHTTP on a reused recorder measured 39 objects
 // through encoding/json and measures 0 now; the pin leaves room for a
 // sync.Pool miss after a collection. Client side: encoding the request
-// and decoding the response measured 19 and now cost the caller's
-// []Result and nothing else (Do adds the bytes.Reader it hands to
-// net/http).
+// and decoding the response into the result slice the client keeps
+// measured 19 and now cost nothing (Do adds the bytes.Reader it hands
+// to net/http).
 func TestBatchCodecAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector randomizes sync.Pool reuse")
@@ -321,15 +321,56 @@ func TestBatchCodecAllocs(t *testing.T) {
 	}
 
 	var out []byte
+	var results []Result
 	got := testing.AllocsPerRun(200, func() {
+		var err error
 		out = AppendBatchRequest(out[:0], ops)
-		results, err := ParseBatchResponse(make([]Result, 0, len(ops)), respBody)
+		results, err = ParseBatchResponse(results[:0], respBody)
 		if err != nil || len(results) != len(ops) {
 			t.Fatalf("ParseBatchResponse = %d results, %v", len(results), err)
 		}
 	})
-	if got > 1 {
-		t.Errorf("request encode + response decode allocate %.1f objects, want <= 1", got)
+	if got != 0 {
+		t.Errorf("request encode + response decode into a kept slice allocate %.1f objects, want 0", got)
+	}
+}
+
+// TestLocalClientAllocs: LocalClient.Do writes each batch over the
+// result slice it kept from the last one, so on a warm store a batch
+// of the in-process workloads' shapes — read-mostly, and hot counters
+// that relink their index class — allocates nothing.
+func TestLocalClientAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	for _, name := range []string{"readmostly", "hotspot-counter"} {
+		t.Run(name, func(t *testing.T) {
+			w, err := ByName(name, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			usr, r := w.NewUser(0), rng.New(5)
+			ops := make([]Op, 16)
+			for i := range ops {
+				ops[i] = usr.Next(r)
+			}
+			c := &LocalClient{Store: w.NewStore(Config{STM: stm.DefaultConfig()}), R: rng.New(1)}
+			do := func() {
+				res, err := c.Do(ops)
+				if err != nil || len(res) != len(ops) {
+					t.Fatalf("Do = %d results, %v", len(res), err)
+				}
+				for i := range res {
+					if res[i].Err != "" {
+						t.Fatalf("op %+v: %s", ops[i], res[i].Err)
+					}
+				}
+			}
+			do()
+			if got := testing.AllocsPerRun(200, do); got != 0 {
+				t.Errorf("LocalClient.Do allocates %.1f objects per 16-op batch, want 0", got)
+			}
+		})
 	}
 }
 

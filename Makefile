@@ -93,23 +93,18 @@ smoke-txkv:
 smoke-txkvd:
 	$(GO) test -race -count=1 -run 'TestMetricsExposition|TestMetricsScrapeChurn' ./internal/txkv/
 
-# The Section 1 profile-to-simulation loop, end to end, on the binary
-# container: record a short contended hotspot run on the STM runtime
-# as a .btrace, convert the checked-in JSONL golden fixture to a
-# .btrace (the read-only format's streaming way out; the result must
-# equal the binary golden byte for byte), replay the recording on a
-# fresh STM arena, replay it on the HTM simulator and diff recorded vs
-# simulated vs re-measured behaviour (-fidelity), then stream a 10⁶-
-# record synthetic trace through the block writer and replay an
-# index-spaced sample of it (LoadSample) — all under the race
-# detector. CI runs this and uploads the recorded trace.
+# The Section 1 profile-to-simulation loop, end to end, on the .btrace
+# container: record a short contended hotspot run on the STM runtime,
+# replay the recording on a fresh STM arena, replay it on the HTM
+# simulator and diff recorded vs simulated vs re-measured behaviour
+# (-fidelity), then stream a 10⁶-record synthetic trace through the
+# block writer and replay an index-spaced sample of it (LoadSample) —
+# all under the race detector. CI runs this and uploads the recorded
+# trace.
 TRACE_FILE ?= demo.btrace
-TRACE_CONV ?= demo-golden.btrace
 TRACE_BIG ?= demo-big.btrace
 trace-demo:
 	$(GO) run -race ./cmd/stmbench -scenario hotspot -duration 200ms -record $(TRACE_FILE)
-	$(GO) run -race ./cmd/stmbench -convert internal/trace/testdata/golden-v1.trace -out $(TRACE_CONV)
-	cmp $(TRACE_CONV) internal/trace/testdata/golden-v1.btrace
 	$(GO) run -race ./cmd/stmbench -replay $(TRACE_FILE) -goroutines 1,2 -duration 100ms
 	$(GO) run -race ./cmd/stmbench -fidelity $(TRACE_FILE) -duration 100ms
 	$(GO) run -race ./cmd/stmbench -synth 1000000 -record $(TRACE_BIG)
@@ -125,15 +120,13 @@ trace-demo:
 paper-smoke:
 	d=$$(mktemp -d) && $(GO) run ./cmd/paper -quick -seed 2 -out "$$d"; s=$$?; rm -rf "$$d"; exit $$s
 
-# Fuzz both trace formats' readers: record a fresh binary seed
-# (internal/trace/testdata/fuzz-seed.btrace, gitignored; the JSONL
-# seed fuzz-seed.trace beside it is frozen), then fuzz Load on JSONL
-# and on the binary container — corrupt or truncated inputs must
+# Fuzz the trace reader: record a fresh seed
+# (internal/trace/testdata/fuzz-seed.btrace, gitignored), then fuzz
+# Load on the .btrace container — corrupt or truncated inputs must
 # error, never panic, never over-allocate, never silently drop
 # records.
 fuzz-trace:
 	$(GO) run ./cmd/stmbench -scenario hotspot -duration 50ms -goroutines 2 -record internal/trace/testdata/fuzz-seed.btrace
-	$(GO) test -run '^$$' -fuzz 'FuzzLoad$$' -fuzztime 20s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzLoadBinary -fuzztime 20s ./internal/trace/
 
 # Fuzz the /v1/batch codec against encoding/json: on arbitrary bytes

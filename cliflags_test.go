@@ -112,7 +112,8 @@ func TestCmdFlagValidation(t *testing.T) {
 	// serves; bench/ drives the served store; -dist, -users and
 	// -batchsize are pinned above), and stmbench's knobs that nothing
 	// set to a second value (Add magnitude, progress reporter, phase
-	// sampling, CSV) — are rejected by the flag package, never silently
+	// sampling, CSV), and stmbench's trace conversion (there is one
+	// trace format) — are rejected by the flag package, never silently
 	// ignored.
 	for _, r := range []struct{ cmd, flag string }{
 		{"stmbench", "perf"}, {"stmbench", "fleet"}, {"txkvd", "perf"},
@@ -121,7 +122,7 @@ func TestCmdFlagValidation(t *testing.T) {
 		{"txkvd", "bench"}, {"txkvd", "load"}, {"txkvd", "duration"},
 		{"txkvd", "record"}, {"txkvd", "mu"},
 		{"stmbench", "delta"}, {"stmbench", "report"}, {"stmbench", "metrics-sample"},
-		{"stmbench", "csv"},
+		{"stmbench", "csv"}, {"stmbench", "convert"}, {"stmbench", "out"},
 	} {
 		cases = append(cases, flagCase{r.cmd + " " + r.flag + " removed", r.cmd,
 			[]string{"-" + r.flag}, "flag provided but not defined: -" + r.flag, ""})

@@ -122,10 +122,10 @@ var sections = []section{
 		}
 		return tabs, nil
 	}},
-	// E18: STM runtime design ablations — arena sharding, locking
-	// mode, batched group commit, policies, mean profile, backoff,
-	// NO_DELAY — each varied alone against the pinned eager
-	// requestor-wins baseline.
+	// E18: STM runtime design ablations — lazy locking, batched group
+	// commit, requestor-aborts, the §9 hybrid policy, the
+	// mean-profiled strategy, Cor2 backoff, NO_DELAY — each varied
+	// alone against the pinned eager requestor-wins baseline.
 	{file: "stm_ablations.txt", timed: true, build: func(s sizes) ([]*report.Table, error) {
 		return one(experiments.STMAblations("txapp", 8, stmConfig(s)))
 	}},

@@ -26,13 +26,11 @@
 //	stmbench -scenario hotspot -record run.btrace  # record a real run
 //	stmbench -replay run.btrace                    # replay it as a scenario
 //	stmbench -fidelity run.btrace                  # recorded vs sim vs replayed
-//	stmbench -convert old.trace -out old.btrace    # JSONL -> binary, streaming
 //	stmbench -synth 1000000 -record big.btrace     # stream a synthetic trace to disk
 //
-// Traces are written only in the binary container, so -record and
-// -out must end in .btrace. -replay/-fidelity/-convert also read the
-// JSONL format of earlier builds (auto-detected by content); -replay
-// samples only an indexed .btrace, so convert a large JSONL first.
+// Traces are read and written only in the binary container, so
+// -record must end in .btrace; -replay samples a large trace through
+// its block index.
 //
 // Recorded throughput and latency numbers come from `bash bench/run.sh`
 // (see bench/README.md); this command prints tables and records none.
@@ -69,11 +67,9 @@ func main() {
 		fold     = flag.Bool("fold", false, "fold commutative deltas in the batched combiner (requires -batch > 0)")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		ablate   = flag.Bool("ablate", false, "run the STM design ablations instead of the strategy sweep (baseline pinned: rejects -policy/-lazy/-batch/-fold)")
-		out      = flag.String("out", "", "destination .btrace file for -convert")
 		record   = flag.String("record", "", "record a trace of the scenario run to this .btrace file (binary container; see internal/trace)")
 		replay   = flag.String("replay", "", "replay a recorded trace file as the benchmark scenario (large .btrace traces are index-sampled)")
 		fidelity = flag.String("fidelity", "", "emit the sim-vs-real fidelity report for a recorded trace file")
-		convert  = flag.String("convert", "", "convert the trace file (JSONL or binary) to the .btrace file -out, streaming, and exit")
 		synth    = flag.Int("synth", 0, "stream this many synthetic records to the -record path and exit (streaming-writer soak)")
 	)
 	flag.Parse()
@@ -110,14 +106,6 @@ func main() {
 	}
 	if err := cliutil.CheckRequires("synth", *synth > 0, *record != "", "-record <path> (the synthetic stream needs a destination)"); err != nil {
 		cliutil.Fatal("stmbench", err)
-	}
-	if err := cliutil.CheckRequires("convert", *convert != "", *out != "", "-out <path>.btrace"); err != nil {
-		cliutil.Fatal("stmbench", err)
-	}
-
-	if *convert != "" {
-		runConvert(*convert, *out)
-		return
 	}
 
 	sel := *scen
@@ -216,9 +204,8 @@ func maxLevel(levels []int) int {
 }
 
 // replayBudget caps how many records -replay materializes: beyond
-// it, trace.LoadSample keeps an evenly spaced subset via the binary
-// index (and refuses an unindexed JSONL file), so replaying a
-// 10⁸-record capture stays bounded in memory.
+// it, trace.LoadSample keeps an evenly spaced subset via the block
+// index, so replaying a 10⁸-record capture stays bounded in memory.
 const replayBudget = 65536
 
 // loadReplay loads a recorded trace (sampling past replayBudget),
@@ -248,24 +235,6 @@ func loadReplay(path string) string {
 			path, name, tr.Commits(), filepath.Base(path))
 	}
 	return name
-}
-
-// runConvert streams a trace (either format) into the binary
-// container at dst without materializing it.
-func runConvert(src, dst string) {
-	n, err := trace.Convert(src, dst)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "stmbench:", err)
-		os.Exit(1)
-	}
-	sfi, serr := os.Stat(src)
-	dfi, derr := os.Stat(dst)
-	if serr == nil && derr == nil && sfi.Size() > 0 {
-		fmt.Printf("converted %s -> %s (%d records, %d -> %d bytes, %.2fx)\n",
-			src, dst, n, sfi.Size(), dfi.Size(), float64(sfi.Size())/float64(dfi.Size()))
-		return
-	}
-	fmt.Printf("converted %s -> %s (%d records)\n", src, dst, n)
 }
 
 // runSynth streams n synthetic records through the trace writer —

@@ -51,8 +51,8 @@
 // simulation loop: a per-worker recorder hooks into the STM runtime
 // (stm.Config.Trace) and captures one record per atomic block —
 // footprints, retries, kills, grace waits, timings — into a
-// versioned binary container (.btrace; the JSONL format of earlier
-// builds is read-only); profiles convert to dist.Empirical samplers
+// versioned binary container (.btrace, the one trace format);
+// profiles convert to dist.Empirical samplers
 // in the catalog (trace:<key>), and replays re-issue the recorded
 // footprints as first-class scenarios on both backends
 // (stmbench -record/-replay/-fidelity, experiments.TraceFidelity).

@@ -40,7 +40,7 @@ func TestRunExtendsWindow(t *testing.T) {
 
 // TestReadWordDoesNotInsert: checking memory must not change the
 // directory — a word nobody requested reads as zero and leaves no
-// entry behind for DebugState to list.
+// directory entry behind.
 func TestReadWordDoesNotInsert(t *testing.T) {
 	m := NewMachine(DefaultParams(2), counterWorkload(10, 5))
 	m.Run(20000)

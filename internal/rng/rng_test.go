@@ -197,28 +197,6 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(21)
-	f := func(nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := r.Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTwoDistinct(t *testing.T) {
 	r := New(31)
 	for i := 0; i < 10000; i++ {
@@ -264,27 +242,6 @@ func TestBoolProbability(t *testing.T) {
 	p := float64(hits) / n
 	if math.Abs(p-0.3) > 0.01 {
 		t.Fatalf("Bool(0.3) hit rate %v", p)
-	}
-}
-
-func TestShuffleCoversAllPositions(t *testing.T) {
-	r := New(43)
-	const n = 6
-	// Every element should visit every position across many shuffles.
-	visits := [n][n]int{}
-	for trial := 0; trial < 6000; trial++ {
-		arr := [n]int{0, 1, 2, 3, 4, 5}
-		r.Shuffle(n, func(i, j int) { arr[i], arr[j] = arr[j], arr[i] })
-		for pos, v := range arr {
-			visits[v][pos]++
-		}
-	}
-	for v := 0; v < n; v++ {
-		for pos := 0; pos < n; pos++ {
-			if visits[v][pos] == 0 {
-				t.Fatalf("element %d never landed at position %d", v, pos)
-			}
-		}
 	}
 }
 

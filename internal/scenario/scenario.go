@@ -90,11 +90,6 @@ func Store(word, src int, imm uint64) Op {
 	return Op{Kind: OpWrite, Word: word, Reg: -1, Src: src, Imm: imm}
 }
 
-// StoreImm constructs a write of the constant imm to a static word.
-func StoreImm(word int, imm uint64) Op {
-	return Op{Kind: OpWrite, Word: word, Reg: -1, Src: -1, Imm: imm}
-}
-
 // StoreAt constructs a write of regs[src]+imm (or imm when src < 0)
 // to word base + (regs[reg] & mask).
 func StoreAt(base, reg int, mask uint64, src int, imm uint64) Op {

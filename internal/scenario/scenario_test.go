@@ -223,9 +223,6 @@ func TestOpResolution(t *testing.T) {
 	if got := Store(0, 7, 1).Value(&regs); got != 10 {
 		t.Fatalf("reg+imm value = %d, want 10", got)
 	}
-	if got := StoreImm(0, 42).Value(&regs); got != 42 {
-		t.Fatalf("imm value = %d, want 42", got)
-	}
 }
 
 // TestSTMRunnerSingleWorker runs every scenario single-threaded on

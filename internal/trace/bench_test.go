@@ -49,20 +49,21 @@ func hotspotTrace(tb testing.TB, n int) *Trace {
 }
 
 // TestBinarySizeRatio is the compression acceptance gate: on a
-// 10k-record hotspot-shaped capture, the binary container must be at
-// least 4x smaller than the JSONL encoding of the same records.
+// 10k-record hotspot-shaped capture, the binary container must hold at
+// most 21 bytes per record (the line-per-record JSON encoding earlier
+// builds wrote measured ~85 bytes/record on this capture; 21 keeps the
+// container at least 4x smaller than that).
 func TestBinarySizeRatio(t *testing.T) {
-	tr := hotspotTrace(t, 10_000)
-	jsonl := encodeJSONL(tr)
+	const n = 10_000
+	tr := hotspotTrace(t, n)
 	var bbuf bytes.Buffer
 	if err := WriteBinary(&bbuf, tr); err != nil {
 		t.Fatal(err)
 	}
-	ratio := float64(len(jsonl)) / float64(bbuf.Len())
-	t.Logf("10k hotspot records: JSONL %d bytes (%.1f/rec), binary %d bytes (%.1f/rec), ratio %.2fx",
-		len(jsonl), float64(len(jsonl))/10000, bbuf.Len(), float64(bbuf.Len())/10000, ratio)
-	if ratio < 4 {
-		t.Fatalf("binary container only %.2fx smaller than JSONL, want >= 4x", ratio)
+	perRec := float64(bbuf.Len()) / n
+	t.Logf("10k hotspot records: binary %d bytes (%.1f/rec)", bbuf.Len(), perRec)
+	if perRec > 21 {
+		t.Fatalf("binary container holds %.1f bytes/record, want <= 21", perRec)
 	}
 }
 
@@ -84,24 +85,14 @@ func BenchmarkTraceEncode(b *testing.B) {
 	})
 }
 
-// BenchmarkTraceDecode measures per-record decode cost on both
-// formats.
+// BenchmarkTraceDecode measures per-record decode cost of the binary
+// container over the same capture.
 func BenchmarkTraceDecode(b *testing.B) {
 	tr := hotspotTrace(b, 10_000)
-	jsonl := encodeJSONL(tr)
 	var bbuf bytes.Buffer
 	if err := WriteBinary(&bbuf, tr); err != nil {
 		b.Fatal(err)
 	}
-	b.Run("jsonl", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Read(bytes.NewReader(jsonl)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tr.Records)), "ns/record")
-	})
 	b.Run("binary", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

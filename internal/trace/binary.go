@@ -1,11 +1,10 @@
 package trace
 
-// The block-framed binary trace container (.btrace) — the one format
-// traces are written in. The read-only JSONL format of earlier builds
-// costs ~100 bytes/record; this format encodes the same Record
-// stream at ~10-25 bytes/record (varint + delta coding, optional
-// per-block DEFLATE), which is what makes 10⁶–10⁸-transaction traces
-// practical to record, store and replay.
+// The block-framed binary trace container (.btrace) — the one trace
+// format read and written. It encodes the Record stream at ~10-25
+// bytes/record (varint + delta coding, optional per-block DEFLATE),
+// which is what makes 10⁶–10⁸-transaction traces practical to record,
+// store and replay.
 //
 // Layout (all integers are unsigned varints unless stated; signed
 // values use zigzag varints via encoding/binary.AppendVarint):
@@ -16,9 +15,9 @@ package trace
 //	entry   := count offsetΔ minStartΔ(zigzag) spanNs
 //	trailer := footerOffset(8, LE) tailMagic(8 bytes, "txcbtrEN")
 //
-// Header JSON is the same Header struct a JSONL header line holds
-// (format name, version, scenario provenance, the calibrated UnitNs
-// cycle conversion); the footer's totalRecords is authoritative for
+// Header JSON is the encoding/json form of Header (format name,
+// version, scenario provenance, the calibrated UnitNs cycle
+// conversion); the footer's totalRecords is authoritative for
 // the record count, so the stream can be written without knowing it
 // up front. Block flags bit 0 marks a DEFLATE-compressed payload
 // (applied per block, and only when it actually shrinks the block);
@@ -88,8 +87,7 @@ const (
 	// maxBlockBytes caps one block's uncompressed payload on both
 	// sides: the writer seals early past 8 MiB, and the reader rejects
 	// declared sizes beyond 64 MiB before allocating (a lying header
-	// must not commit us to a huge allocation — the binary analogue of
-	// the JSONL unbounded-preallocation fix).
+	// must not commit us to a huge allocation).
 	maxBlockBytes     = 8 << 20
 	maxDecodeBlock    = 64 << 20
 	maxHeaderJSON     = 1 << 20
@@ -114,25 +112,14 @@ type BlockIndex struct {
 	MinStartNs, MaxStartNs int64
 }
 
-// BinaryWriterOptions tunes the block framing.
-type BinaryWriterOptions struct {
-	// BlockRecords is the records-per-block bound (0 =
-	// DefaultBlockRecords).
-	BlockRecords int
-	// NoCompress disables the per-block DEFLATE attempt (the writer
-	// otherwise compresses each block and keeps whichever encoding is
-	// smaller).
-	NoCompress bool
-}
-
 // Writer streams Records into the block-framed binary container. One
 // block of records is buffered at a time; Close seals the last block
 // and writes the index footer and trailer. The writer needs only an
 // io.Writer — the record count and index live in the footer, so
 // nothing is back-patched.
 type Writer struct {
-	w   *bufio.Writer
-	opt BinaryWriterOptions
+	w    *bufio.Writer
+	file *os.File // owned by a Create writer: Close closes it
 
 	payload []byte // current block, uncompressed
 	scratch bytes.Buffer
@@ -152,19 +139,18 @@ type Writer struct {
 
 // NewWriter starts a binary trace stream on w: magic and header are
 // written immediately, records follow via WriteRecord, and Close
-// seals the file. The header's Count may be zero — the footer carries
-// the authoritative record count.
-func NewWriter(w io.Writer, h Header, opt BinaryWriterOptions) (*Writer, error) {
-	if opt.BlockRecords <= 0 {
-		opt.BlockRecords = DefaultBlockRecords
-	}
+// seals the stream. The header's Count may be zero — the footer
+// carries the authoritative record count. A block closes at
+// DefaultBlockRecords records and is stored DEFLATE-compressed when
+// that is smaller than its raw encoding.
+func NewWriter(w io.Writer, h Header) (*Writer, error) {
 	h.Format = FormatName
 	h.Version = FormatVersion
 	hj, err := json.Marshal(&h)
 	if err != nil {
 		return nil, fmt.Errorf("trace: encode binary header: %w", err)
 	}
-	bw := &Writer{w: bufio.NewWriterSize(w, 1<<16), opt: opt}
+	bw := &Writer{w: bufio.NewWriterSize(w, 1<<16)}
 	var pre []byte
 	pre = append(pre, BinaryMagic...)
 	pre = binary.AppendUvarint(pre, uint64(len(hj)))
@@ -201,7 +187,7 @@ func (bw *Writer) WriteRecord(r *Record) error {
 	bw.prevStart = r.StartNs
 	bw.blockRecs++
 	bw.total++
-	if bw.blockRecs >= bw.opt.BlockRecords || len(bw.payload) >= maxBlockBytes {
+	if bw.blockRecs >= DefaultBlockRecords || len(bw.payload) >= maxBlockBytes {
 		return bw.flushBlock()
 	}
 	return nil
@@ -215,18 +201,16 @@ func (bw *Writer) flushBlock() error {
 	}
 	stored := bw.payload
 	var flags byte
-	if !bw.opt.NoCompress {
-		bw.scratch.Reset()
-		if bw.fw == nil {
-			bw.fw, _ = flate.NewWriter(&bw.scratch, flate.BestSpeed)
-		} else {
-			bw.fw.Reset(&bw.scratch)
-		}
-		if _, err := bw.fw.Write(bw.payload); err == nil && bw.fw.Close() == nil &&
-			bw.scratch.Len() < len(bw.payload) {
-			stored = bw.scratch.Bytes()
-			flags = blockFlagCompressed
-		}
+	bw.scratch.Reset()
+	if bw.fw == nil {
+		bw.fw, _ = flate.NewWriter(&bw.scratch, flate.BestSpeed)
+	} else {
+		bw.fw.Reset(&bw.scratch)
+	}
+	if _, err := bw.fw.Write(bw.payload); err == nil && bw.fw.Close() == nil &&
+		bw.scratch.Len() < len(bw.payload) {
+		stored = bw.scratch.Bytes()
+		flags = blockFlagCompressed
 	}
 	var frame []byte
 	frame = append(frame, blockTag, flags)
@@ -253,10 +237,27 @@ func (bw *Writer) flushBlock() error {
 }
 
 // Close seals the last block and writes the index footer and trailer.
-// The Writer is unusable afterwards; closing the underlying file is
-// the caller's job.
+// The Writer is unusable afterwards. The underlying io.Writer is the
+// caller's to close, except for a Create writer's file: Close closes
+// it, and removes it if the trace could not be sealed.
 func (bw *Writer) Close() error {
-	if bw.closed {
+	err := bw.seal()
+	if f := bw.file; f != nil {
+		bw.file = nil
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			os.Remove(f.Name())
+		}
+	}
+	return err
+}
+
+// seal flushes the last block, the footer and the trailer once; after
+// a failed write it returns that error and writes nothing more.
+func (bw *Writer) seal() error {
+	if bw.closed || bw.err != nil {
 		return bw.err
 	}
 	if err := bw.flushBlock(); err != nil {
@@ -289,13 +290,6 @@ func (bw *Writer) Close() error {
 	}
 	return nil
 }
-
-// Count returns the number of records written so far.
-func (bw *Writer) Count() int { return bw.total }
-
-// Index returns the sealed blocks' index entries (complete only after
-// Close).
-func (bw *Writer) Index() []BlockIndex { return bw.index }
 
 // appendRecord encodes one record onto buf. prevStart is the previous
 // record's StartNs (the delta base); first marks the block's first
@@ -500,6 +494,13 @@ func decodeRecord(c *cursor, r *Record, prevStart int64, first bool) error {
 			return fmt.Errorf("trace: counter %d overflows uint32", v)
 		}
 	}
+	// Replay turns these lengths into unsigned simulated time: a
+	// negative, NaN or infinite one would wrap or saturate there.
+	for _, v := range [2]float64{compute, think} {
+		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("trace: length %v is not a finite non-negative number", v)
+		}
+	}
 	*r = Record{
 		Worker:        int32(worker),
 		StartNs:       start,
@@ -530,9 +531,8 @@ type binaryReader struct {
 	block    []Record // decoded current block
 	blockPos int
 
-	total   int // records handed out
-	footer  bool
-	footerN int // record count the footer promised
+	total  int // records handed out
+	footer bool
 
 	rawBuf, storedBuf []byte
 	fr                io.ReadCloser
@@ -577,8 +577,6 @@ func newBinaryReader(r io.Reader) (*binaryReader, error) {
 	}
 	return &binaryReader{br: br, h: h}, nil
 }
-
-func (r *binaryReader) Header() *Header { return &r.h }
 
 // Next decodes the next record into rec, loading the next block when
 // the current one is exhausted. It returns io.EOF after the last
@@ -735,7 +733,6 @@ func (r *binaryReader) readFooter() error {
 		return fmt.Errorf("trace: footer index covers %d records, footer promises %d", sum, total)
 	}
 	r.footer = true
-	r.footerN = total
 	r.h.Count = total
 	return nil
 }
@@ -799,20 +796,30 @@ func parseFooterBody(body []byte) ([]BlockIndex, int, error) {
 	return idx, int(total), nil
 }
 
-func (r *binaryReader) Close() error { return nil }
-
 // WriteBinary encodes the whole trace to w in the binary container
 // (the []Record-materialized convenience; Writer is the streaming
 // path).
 func WriteBinary(w io.Writer, tr *Trace) error {
-	h := tr.Header
-	h.Count = len(tr.Records)
-	bw, err := NewWriter(w, h, BinaryWriterOptions{})
+	bw, err := NewWriter(w, countedHeader(tr))
 	if err != nil {
 		return err
 	}
-	for i := range tr.Records {
-		if err := bw.WriteRecord(&tr.Records[i]); err != nil {
+	return writeAll(bw, tr.Records)
+}
+
+// countedHeader is tr's header with Count stamped from its records.
+func countedHeader(tr *Trace) Header {
+	h := tr.Header
+	h.Count = len(tr.Records)
+	return h
+}
+
+// writeAll writes recs to bw and closes it, closing it on a failed
+// write too (which removes a Create writer's file).
+func writeAll(bw *Writer, recs []Record) error {
+	for i := range recs {
+		if err := bw.WriteRecord(&recs[i]); err != nil {
+			bw.Close()
 			return err
 		}
 	}
@@ -832,6 +839,17 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 // readIndexFile reads the header (front) and footer (via the trailer
 // at EOF) of an open binary trace file.
 func readIndexFile(f *os.File) (*Header, []BlockIndex, int, error) {
+	// Header: parse from the front first, so a file that is no binary
+	// trace at all is refused as such (the streaming reader's header
+	// logic, without consuming blocks).
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return nil, nil, 0, fmt.Errorf("trace: %w", err)
+	}
+	br, err := newBinaryReader(f)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	h := br.h
 	st, err := f.Stat()
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("trace: %w", err)
@@ -851,16 +869,6 @@ func readIndexFile(f *os.File) (*Header, []BlockIndex, int, error) {
 	if footerOff < int64(len(BinaryMagic)) || footerOff >= size-16 {
 		return nil, nil, 0, fmt.Errorf("trace: footer offset %d out of range", footerOff)
 	}
-	// Header: parse from the front (reuse the streaming reader's
-	// header logic without consuming blocks).
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, nil, 0, fmt.Errorf("trace: %w", err)
-	}
-	br, err := newBinaryReader(f)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	h := br.h
 	// Footer: tag + body + CRC + trailer.
 	flen := size - 16 - footerOff
 	if flen > maxFooterBytes {

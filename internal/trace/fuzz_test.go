@@ -7,13 +7,11 @@ import (
 	"testing"
 )
 
-// fuzzSeedTrace builds a small but structurally complete trace — a
-// couple of workers, mixed outcomes, footprints, annotations — and
-// returns its JSONL bytes. It keeps the seed corpus non-empty on its
-// own; a real recorded run joins it via the frozen
-// testdata/fuzz-seed.trace.
-func fuzzSeedTrace() []byte {
-	tr := &Trace{
+// fuzzSeedTrace is a small but structurally complete trace — a couple
+// of workers, mixed outcomes, footprints, annotations — that keeps
+// the seed corpus non-empty on its own.
+func fuzzSeedTrace() *Trace {
+	return &Trace{
 		Header: Header{
 			Scenario:       "hotspot",
 			Workers:        2,
@@ -30,53 +28,12 @@ func fuzzSeedTrace() []byte {
 			{Worker: -1, StartNs: 95, DurNs: 50, Committed: false, Irrevocable: true},
 		},
 	}
-	return encodeJSONL(tr)
 }
 
-// FuzzLoad is the persistence-format fuzz harness: whatever bytes land
-// on disk — truncated files, corrupt versions, bit flips inside a
-// record line — Load must either return the trace with every record
-// the header promises or fail with an error. It must never panic and
-// never silently drop records (a short read that "succeeds" would
-// poison every downstream profile and replay).
-func FuzzLoad(f *testing.F) {
-	valid := fuzzSeedTrace()
-	f.Add(valid)
-	// Truncations: drop the tail mid-record and mid-header.
-	f.Add(valid[:len(valid)-20])
-	f.Add(valid[:15])
-	f.Add([]byte{})
-	// Corrupt version / format.
-	f.Add(bytes.Replace(valid, []byte(`"version":1`), []byte(`"version":99`), 1))
-	f.Add(bytes.Replace(valid, []byte(FormatName), []byte("not-a-trace"), 1))
-	// Count lies about the record lines.
-	f.Add(bytes.Replace(valid, []byte(`"records":3`), []byte(`"records":7`), 1))
-	// Bit flips in a record line and in the header.
-	flip := func(b []byte, i int) []byte {
-		c := append([]byte(nil), b...)
-		c[i%len(c)] ^= 0x20
-		return c
-	}
-	f.Add(flip(valid, 5))
-	f.Add(flip(valid, len(valid)/2))
-	f.Add(flip(valid, len(valid)-3))
-	// Pathological inputs: no newline, huge count, raw JSON array.
-	f.Add([]byte(`{"format":"txconflict-trace","version":1,"records":1000000}`))
-	f.Add([]byte(`[1,2,3]`))
-	// A real recorded run, frozen in JSONL.
-	if demo, err := os.ReadFile(filepath.Join("testdata", "fuzz-seed.trace")); err == nil {
-		f.Add(demo)
-	}
-
-	f.Fuzz(fuzzLoadBody)
-}
-
-// fuzzLoadBody is the shared contract check for both fuzz targets:
-// arbitrary bytes either fail Load with an error or produce a
-// complete, re-serializable trace. Load auto-detects the format, so
-// the same body covers JSONL and binary inputs.
+// fuzzLoadBody is the fuzz contract check: arbitrary bytes either fail
+// Load with an error or produce a complete, re-serializable trace.
 func fuzzLoadBody(t *testing.T, data []byte) {
-	path := filepath.Join(t.TempDir(), "fuzz.trace")
+	path := filepath.Join(t.TempDir(), "fuzz.btrace")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -96,15 +53,6 @@ func fuzzLoadBody(t *testing.T, data []byte) {
 	if tr.Header.Version < 1 || tr.Header.Version > FormatVersion {
 		t.Fatalf("accepted trace with version %d", tr.Header.Version)
 	}
-	rt, err := Read(bytes.NewReader(encodeJSONL(tr)))
-	if err != nil {
-		t.Fatalf("round trip of an accepted trace: %v", err)
-	}
-	if len(rt.Records) != len(tr.Records) {
-		t.Fatalf("round trip dropped records: %d -> %d", len(tr.Records), len(rt.Records))
-	}
-	// And through the binary container: an accepted trace must survive
-	// the compact encoding too.
 	var bbuf bytes.Buffer
 	if err := WriteBinary(&bbuf, tr); err != nil {
 		t.Fatalf("binary-encoding an accepted trace: %v", err)
@@ -118,13 +66,8 @@ func fuzzLoadBody(t *testing.T, data []byte) {
 	}
 }
 
-// fuzzSeedBinary is the binary sibling of fuzzSeedTrace: the same
-// structurally complete trace in the block-framed container.
-func fuzzSeedBinary() []byte {
-	tr, err := Read(bytes.NewReader(fuzzSeedTrace()))
-	if err != nil {
-		panic(err)
-	}
+// encodeSeed is tr in the block-framed container.
+func encodeSeed(tr *Trace) []byte {
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, tr); err != nil {
 		panic(err)
@@ -138,7 +81,7 @@ func fuzzSeedBinary() []byte {
 // must reject every corruption cleanly (no panic, no OOM-sized
 // allocation, no silent partial load).
 func FuzzLoadBinary(f *testing.F) {
-	valid := fuzzSeedBinary()
+	valid := encodeSeed(fuzzSeedTrace())
 	f.Add(valid)
 	// Truncations: mid-trailer, mid-footer, mid-block, mid-header.
 	f.Add(valid[:len(valid)-8])
@@ -176,6 +119,11 @@ func FuzzLoadBinary(f *testing.F) {
 	f.Add(frame('B', 0, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40, 1))
 	f.Add(frame('I', 0xff, 0xff, 0xff, 0xff, 0x0f))
 	f.Add(frame('?', 0))
+	// A length replay cannot turn into simulated time (WriteBinary
+	// does not validate; Load must).
+	negative := fuzzSeedTrace()
+	negative.Records[0].Compute = -1
+	f.Add(encodeSeed(negative))
 	// The golden fixture keeps the corpus anchored to a real v1 file,
 	// and `make fuzz-trace` records a fresh run as fuzz-seed.btrace.
 	for _, name := range []string{"golden-v1.btrace", "fuzz-seed.btrace"} {

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,36 +11,27 @@ import (
 	"testing"
 )
 
-// TestGoldenFixtures pins the v1 on-disk formats forever: the
-// checked-in JSONL and binary fixtures must keep loading, with every
-// field intact, in every future build. If either of these tests
-// breaks, the format changed incompatibly — bump the version and keep
-// reading v1 instead of editing the fixtures.
+// TestGoldenFixtures pins the v1 on-disk format forever: the
+// checked-in binary fixture must keep loading, with every field
+// intact, in every future build. If this test breaks, the format
+// changed incompatibly — bump the version and keep reading v1 instead
+// of editing the fixture.
 func TestGoldenFixtures(t *testing.T) {
-	jsonl, err := Load(filepath.Join("testdata", "golden-v1.trace"))
-	if err != nil {
-		t.Fatalf("golden JSONL no longer loads: %v", err)
-	}
-	binary, err := Load(filepath.Join("testdata", "golden-v1.btrace"))
+	tr, err := Load(filepath.Join("testdata", "golden-v1.btrace"))
 	if err != nil {
 		t.Fatalf("golden binary no longer loads: %v", err)
 	}
-	for name, tr := range map[string]*Trace{"jsonl": jsonl, "binary": binary} {
-		if tr.Scenario != "golden" || tr.Workers != 2 || tr.Version != 1 {
-			t.Fatalf("%s: header = %+v", name, tr.Header)
-		}
-		if tr.Config != "requestor-wins/RRW/lazy/b4" || tr.CapturedUnixNs != 1700000000000000000 {
-			t.Fatalf("%s: provenance = %+v", name, tr.Header)
-		}
-		if tr.UnitNs != 1.25 {
-			t.Fatalf("%s: calibration = %v", name, tr.UnitNs)
-		}
-		if tr.Count != 5 || len(tr.Records) != 5 {
-			t.Fatalf("%s: %d records, count %d", name, len(tr.Records), tr.Count)
-		}
+	if tr.Scenario != "golden" || tr.Workers != 2 || tr.Version != 1 {
+		t.Fatalf("header = %+v", tr.Header)
 	}
-	if !reflect.DeepEqual(normalizeTrace(jsonl), normalizeTrace(binary)) {
-		t.Fatal("golden JSONL and binary fixtures diverged")
+	if tr.Config != "requestor-wins/RRW/lazy/b4" || tr.CapturedUnixNs != 1700000000000000000 {
+		t.Fatalf("provenance = %+v", tr.Header)
+	}
+	if tr.UnitNs != 1.25 {
+		t.Fatalf("calibration = %v", tr.UnitNs)
+	}
+	if tr.Count != 5 || len(tr.Records) != 5 {
+		t.Fatalf("%d records, count %d", len(tr.Records), tr.Count)
 	}
 
 	want := []Record{
@@ -55,83 +48,86 @@ func TestGoldenFixtures(t *testing.T) {
 		{Worker: 1, StartNs: 4294967296, DurNs: 1, Committed: true,
 			Reads: []uint32{4294967295}},
 	}
-	if !reflect.DeepEqual(jsonl.Records, want) {
-		t.Fatalf("golden records drifted:\ngot  %+v\nwant %+v", jsonl.Records, want)
+	if !reflect.DeepEqual(tr.Records, want) {
+		t.Fatalf("golden records drifted:\ngot  %+v\nwant %+v", tr.Records, want)
 	}
 }
 
-// TestGoldenConvert pins Convert against both fixtures at once:
-// streaming the JSONL golden into the binary container reproduces the
-// binary golden byte for byte.
-func TestGoldenConvert(t *testing.T) {
-	dst := filepath.Join(t.TempDir(), "golden.btrace")
-	if n, err := Convert(filepath.Join("testdata", "golden-v1.trace"), dst); err != nil || n != 5 {
-		t.Fatalf("Convert(golden-v1.trace) = %d records, %v", n, err)
-	}
-	got, err := os.ReadFile(dst)
+// withFooterTotal rewrites a sealed container's footer to promise
+// total records, with a fresh footer CRC so only the count lies.
+func withFooterTotal(raw []byte, total uint64) []byte {
+	n := len(raw)
+	footerOff := binary.LittleEndian.Uint64(raw[n-16 : n-8])
+	_, old, err := parseFooterBody(raw[footerOff+1 : n-16-4])
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	want, err := os.ReadFile(filepath.Join("testdata", "golden-v1.btrace"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("converted JSONL golden (%d bytes) differs from golden-v1.btrace (%d bytes)", len(got), len(want))
-	}
+	footer := append([]byte(nil), raw[footerOff:n-16-4-len(binary.AppendUvarint(nil, uint64(old)))]...)
+	footer = binary.AppendUvarint(footer, total)
+	footer = binary.LittleEndian.AppendUint32(footer, crc32.Checksum(footer, crcTable))
+	out := append(append([]byte(nil), raw[:footerOff]...), footer...)
+	out = binary.LittleEndian.AppendUint64(out, footerOff)
+	return append(out, binaryTailMagic...)
 }
 
 // TestGoldenRejections pins the rejection behaviour for future and
-// hostile files, derived from the goldens so the corruptions stay
+// hostile files, derived from the golden so the corruptions stay
 // realistic.
 func TestGoldenRejections(t *testing.T) {
-	rawJSONL, err := os.ReadFile(filepath.Join("testdata", "golden-v1.trace"))
+	raw, err := os.ReadFile(filepath.Join("testdata", "golden-v1.btrace"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rawBinary, err := os.ReadFile(filepath.Join("testdata", "golden-v1.btrace"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reject := func(name string, data []byte, wantErr string) {
+	load := func(name string, data []byte) (*Trace, error) {
 		t.Helper()
 		path := filepath.Join(t.TempDir(), name)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), wantErr) {
+		return Load(path)
+	}
+	reject := func(name string, data []byte, wantErr string) {
+		t.Helper()
+		if _, err := load(name, data); err == nil || !strings.Contains(err.Error(), wantErr) {
 			t.Errorf("%s: err = %v, want %q", name, err, wantErr)
 		}
 	}
 
 	// A version-2 writer's output must be refused, not misread.
-	reject("newer.trace",
-		bytes.Replace(rawJSONL, []byte(`"version":1`), []byte(`"version":2`), 1),
-		"unsupported format version")
 	reject("newer-header.btrace",
-		bytes.Replace(rawBinary, []byte(`"version":1`), []byte(`"version":2`), 1),
+		bytes.Replace(raw, []byte(`"version":1`), []byte(`"version":2`), 1),
 		"unsupported format version")
-	newerContainer := append([]byte(nil), rawBinary...)
+	newerContainer := append([]byte(nil), raw...)
 	copy(newerContainer, "txcbtr02")
 	reject("newer-container.btrace", newerContainer, "unsupported binary container version")
 
-	// Alien files.
-	alien := append([]byte(nil), rawBinary...)
+	// Alien files: another container, JSON text, a header naming
+	// another format, nothing at all.
+	alien := append([]byte(nil), raw...)
 	copy(alien, "PK\x03\x04zip!")
-	reject("alien.btrace", alien, "unrecognized trace format")
+	reject("alien.btrace", alien, "not a txconflict-trace binary trace")
 	reject("alien.trace", []byte(`{"format":"something-else","version":1}`+"\n"),
-		"not a txconflict-trace")
+		"not a txconflict-trace binary trace")
+	reject("alien-header.btrace",
+		bytes.Replace(raw, []byte(`"txconflict-trace"`), []byte(`"something-else!!"`), 1),
+		"not a txconflict-trace stream")
+	reject("empty.btrace", nil, "read binary magic")
 
-	// A lying record count must fail as truncation, and a huge count
-	// must not commit the loader to a huge allocation (bounded
-	// preallocation: this returns promptly instead of OOMing).
-	reject("lying-count.trace",
-		bytes.Replace(rawJSONL, []byte(`"records":5`), []byte(`"records":9`), 1),
-		"truncated stream")
-	reject("huge-count.trace",
-		bytes.Replace(rawJSONL, []byte(`"records":5`), []byte(`"records":2000000000`), 1),
-		"truncated stream")
+	// A footer promising more records than the blocks hold fails as
+	// truncation, however large the promise.
+	reject("lying-count.btrace", withFooterTotal(raw, 9), "truncated stream")
+	reject("huge-count.btrace", withFooterTotal(raw, 2000000000), "truncated stream")
+	// The header's count is advisory: the footer's wins, and a huge
+	// one does not commit the loader to a huge allocation.
+	hlen, n := binary.Uvarint(raw[len(BinaryMagic):])
+	hdrEnd := len(BinaryMagic) + n + int(hlen)
+	hj := bytes.Replace(raw[len(BinaryMagic)+n:hdrEnd], []byte(`"records":5`), []byte(`"records":2000000000`), 1)
+	huge := binary.AppendUvarint([]byte(BinaryMagic), uint64(len(hj)))
+	huge = append(append(huge, hj...), raw[hdrEnd:]...)
+	if tr, err := load("huge-header-count.btrace", huge); err != nil || tr.Count != 5 || len(tr.Records) != 5 {
+		t.Errorf("huge header count: err = %v, want the footer's 5 records", err)
+	}
 
-	// Binary: truncation anywhere loses the footer and is refused.
-	reject("truncated.btrace", rawBinary[:len(rawBinary)-20], "trace:")
+	// Truncation anywhere loses the footer and is refused.
+	reject("truncated.btrace", raw[:len(raw)-20], "trace:")
 }

@@ -2,35 +2,11 @@ package trace
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 )
-
-// encodeJSONL renders tr in the read-only JSONL format — a header
-// line, then one json.Marshal'd record per line — with the header's
-// format, version and record count stamped from the data. It is the
-// reference input the JSONL reader, Convert and the fuzz seeds are
-// checked on; the package itself writes only the binary container.
-func encodeJSONL(tr *Trace) []byte {
-	h := tr.Header
-	h.Format, h.Version, h.Count = FormatName, FormatVersion, len(tr.Records)
-	out, err := json.Marshal(&h)
-	if err != nil {
-		panic(err)
-	}
-	out = append(out, '\n')
-	for i := range tr.Records {
-		line, err := json.Marshal(&tr.Records[i])
-		if err != nil {
-			panic(err)
-		}
-		out = append(append(out, line...), '\n')
-	}
-	return out
-}
 
 // randomTrace draws a structurally valid but adversarial trace:
 // unsorted footprints (forcing the raw index encoding), empty and
@@ -79,7 +55,7 @@ func randomTrace(rng *rand.Rand) *Trace {
 			Writes:        randomFootprint(rng),
 		}
 		if rng.Intn(10) == 0 {
-			r.Compute = math.Float64frombits(rng.Uint64() &^ (0x7ff << 52)) // subnormal-ish, full mantissa
+			r.Compute = math.Float64frombits(rng.Uint64() &^ (0xfff << 52)) // positive subnormal, full mantissa
 		}
 		tr.Records = append(tr.Records, r)
 	}
@@ -114,10 +90,11 @@ func randomFootprint(rng *rand.Rand) []uint32 {
 	}
 }
 
-// TestRoundTripProperty is the cross-format property test: for random
-// traces, JSONL → binary → JSONL preserves every record semantically,
-// and re-encoding the binary form is byte-stable. Runs under -race in
-// CI's race-short lane.
+// TestRoundTripProperty is the container's property test: for random
+// traces, encode → decode preserves every record semantically, a
+// second decode → encode loop preserves them again, and re-encoding
+// the decoded trace is byte-stable. Runs under -race in CI's
+// race-short lane.
 func TestRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	iters := 50
@@ -127,15 +104,8 @@ func TestRoundTripProperty(t *testing.T) {
 	for it := 0; it < iters; it++ {
 		tr := randomTrace(rng)
 
-		// JSONL decode.
-		fromJSONL, err := Read(bytes.NewReader(encodeJSONL(tr)))
-		if err != nil {
-			t.Fatalf("iter %d: jsonl decode: %v", it, err)
-		}
-
-		// Binary encode/decode of the JSONL-loaded trace.
 		var bbuf bytes.Buffer
-		if err := WriteBinary(&bbuf, fromJSONL); err != nil {
+		if err := WriteBinary(&bbuf, tr); err != nil {
 			t.Fatalf("iter %d: binary encode: %v", it, err)
 		}
 		fromBinary, err := ReadBinary(bytes.NewReader(bbuf.Bytes()))
@@ -143,23 +113,8 @@ func TestRoundTripProperty(t *testing.T) {
 			t.Fatalf("iter %d: binary decode: %v", it, err)
 		}
 
-		// Back to JSONL: the full cross-format loop.
-		back, err := Read(bytes.NewReader(encodeJSONL(fromBinary)))
-		if err != nil {
-			t.Fatalf("iter %d: jsonl re-decode: %v", it, err)
-		}
-
-		want := normalizeTrace(tr)
-		for step, got := range map[string]*Trace{
-			"jsonl": fromJSONL, "binary": fromBinary, "jsonl-again": back,
-		} {
-			if !reflect.DeepEqual(want, normalizeTrace(got)) {
-				t.Fatalf("iter %d: %s round trip diverged (records %d)", it, step, len(tr.Records))
-			}
-		}
-
-		// Binary re-encode must be byte-identical: same records, same
-		// block framing, same footer.
+		// Re-encoding must be byte-identical: same records, same block
+		// framing, same footer.
 		var bbuf2 bytes.Buffer
 		if err := WriteBinary(&bbuf2, fromBinary); err != nil {
 			t.Fatalf("iter %d: binary re-encode: %v", it, err)
@@ -168,11 +123,22 @@ func TestRoundTripProperty(t *testing.T) {
 			t.Fatalf("iter %d: binary re-encode not byte-stable: %d vs %d bytes",
 				it, bbuf.Len(), bbuf2.Len())
 		}
+		again, err := ReadBinary(bytes.NewReader(bbuf2.Bytes()))
+		if err != nil {
+			t.Fatalf("iter %d: binary re-decode: %v", it, err)
+		}
+
+		want := normalizeTrace(tr)
+		for step, got := range map[string]*Trace{"binary": fromBinary, "binary-again": again} {
+			if !reflect.DeepEqual(want, normalizeTrace(got)) {
+				t.Fatalf("iter %d: %s round trip diverged (records %d)", it, step, len(tr.Records))
+			}
+		}
 	}
 }
 
 // TestRoundTripEmpty pins the degenerate cases: a record-free trace
-// and single-record traces survive both formats.
+// and single-record traces survive the container.
 func TestRoundTripEmpty(t *testing.T) {
 	for _, tr := range []*Trace{
 		{Header: Header{Scenario: "empty", Workers: 1}},
@@ -191,13 +157,6 @@ func TestRoundTripEmpty(t *testing.T) {
 		}
 		if !reflect.DeepEqual(normalizeTrace(tr), normalizeTrace(got)) {
 			t.Fatalf("%s: binary round trip diverged", tr.Scenario)
-		}
-		got, err = Read(bytes.NewReader(encodeJSONL(tr)))
-		if err != nil {
-			t.Fatalf("%s: %v", tr.Scenario, err)
-		}
-		if !reflect.DeepEqual(normalizeTrace(tr), normalizeTrace(got)) {
-			t.Fatalf("%s: jsonl round trip diverged", tr.Scenario)
 		}
 	}
 }

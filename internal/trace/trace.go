@@ -11,18 +11,16 @@
 //     buffers (installed via stm.Config.Trace, annotated with
 //     program-level context by scenario.STMRunner). One Record per
 //     atomic block: footprints, retries, kills, grace waits, timings.
-//   - Save/Load: one written format, the block-framed binary
-//     container (BinaryExt ".btrace", see binary.go: varint + delta
-//     coding, per-block CRC and optional DEFLATE, an index footer
-//     for seek/sample). Save/Create refuse any other extension. Load
-//     auto-detects by content and still reads the read-only JSONL
-//     format of earlier builds (one JSON header line, one JSON record
-//     per line, ~4-10x larger); Convert streams JSONL into .btrace.
-//   - Writer/RecordWriter and RecordReader: the streaming pair —
-//     record and replay paths never hold a full trace in memory, so
-//     10⁶–10⁸-transaction captures stream through a bounded block
-//     buffer. LoadSample uses the binary index to replay an evenly
-//     spaced sample of an arbitrarily large trace.
+//   - Save/Load: one format, the block-framed binary container
+//     (BinaryExt ".btrace", see binary.go: varint + delta coding,
+//     per-block CRC and optional DEFLATE, an index footer for
+//     seek/sample). Save/Create refuse any other extension; Load
+//     decides by content, not by name.
+//   - Writer (NewWriter, Create) and the block reader behind Load:
+//     record and replay paths never hold more than a block in memory,
+//     so 10⁶–10⁸-transaction captures stream through a bounded block
+//     buffer. LoadSample uses the index to replay an evenly spaced
+//     sample of an arbitrarily large trace.
 //   - Profile: the aggregator turning a trace into length and
 //     think-time distributions (dist.NewEmpirical samplers,
 //     registrable in the dist.ByName catalog as "trace:<key>") and a
@@ -40,46 +38,46 @@ package trace
 // Record is one atomic block of a recorded run: the runtime-observed
 // half (outcome, retries, kills, grace waits, concrete word
 // footprints, timings) merged with the scenario-level half (program
-// op count, sampled compute length, think time). Field tags are kept
-// short — traces run to millions of lines.
+// op count, sampled compute length, think time).
 type Record struct {
 	// Worker is the recording worker index (-1 for unattributed
 	// blocks that reached the overflow buffer).
-	Worker int32 `json:"w"`
+	Worker int32
 	// StartNs is the block's start, in nanoseconds since the
 	// recorder's epoch (Header.CapturedUnixNs).
-	StartNs int64 `json:"t"`
+	StartNs int64
 	// DurNs is the block's wall-clock duration.
-	DurNs int64 `json:"d"`
+	DurNs int64
 	// GraceNs is the total grace-wait time across attempts.
-	GraceNs int64 `json:"g,omitempty"`
+	GraceNs int64
 	// Retries counts aborted attempts before the outcome.
-	Retries uint32 `json:"r,omitempty"`
+	Retries uint32
 	// KillsSuffered and KillsIssued count conflict kills on each side
 	// of the ledger.
-	KillsSuffered uint32 `json:"kr,omitempty"`
-	KillsIssued   uint32 `json:"ki,omitempty"`
+	KillsSuffered uint32
+	KillsIssued   uint32
 	// Committed distinguishes commits from user-level aborts.
-	Committed bool `json:"c"`
+	Committed bool
 	// Irrevocable marks blocks that fell back to the slow path.
-	Irrevocable bool `json:"irr,omitempty"`
+	Irrevocable bool
 	// Ops is the program length (scenario annotation).
-	Ops uint32 `json:"o,omitempty"`
+	Ops uint32
 	// Compute is the program's sampled in-transaction compute, in
 	// scenario units (simulated cycles / busy-work iterations).
-	Compute float64 `json:"l,omitempty"`
+	Compute float64
 	// Think is the program's post-commit think time, same units.
-	Think float64 `json:"th,omitempty"`
+	// Load refuses a Compute or Think that is negative, NaN or
+	// infinite.
+	Think float64
 	// Reads and Writes are the distinct word indices of the final
 	// attempt's footprint.
-	Reads  []uint32 `json:"rs,omitempty"`
-	Writes []uint32 `json:"ws,omitempty"`
+	Reads  []uint32
+	Writes []uint32
 	// FoldedWrites counts the block's delta-writes (stm.Tx.Add) that
 	// the group-commit combiner folded into summed stores instead of
-	// writing back individually. Zero (and absent from JSONL) for
-	// blocks committed outside the fold path, and in every file
-	// written before the field existed.
-	FoldedWrites uint32 `json:"fw,omitempty"`
+	// writing back individually. Zero for blocks committed outside
+	// the fold path.
+	FoldedWrites uint32
 }
 
 // Header identifies a trace: provenance (scenario, worker count,

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
@@ -74,8 +76,8 @@ func TestRecorderCapture(t *testing.T) {
 	}
 }
 
-// TestSaveLoadRoundTrip pins the on-disk formats: a saved trace loads
-// back identical, and corrupted JSONL variants of it are rejected
+// TestSaveLoadRoundTrip pins the on-disk format: a saved trace loads
+// back identical, and corrupted variants of its bytes are rejected
 // with telling errors.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	tr := recordRun(t, "hotspot", 2, 20*time.Millisecond)
@@ -91,24 +93,30 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("round trip diverged:\nsaved  %+v\nloaded %+v", tr.Header, got.Header)
 	}
 
-	raw := encodeJSONL(tr)
-	corrupt := func(name, content, wantErr string) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := func(name string, content []byte, wantErr string) {
 		p := filepath.Join(t.TempDir(), name)
-		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
+		if err := os.WriteFile(p, content, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := Load(p); err == nil || !strings.Contains(err.Error(), wantErr) {
 			t.Errorf("%s: err = %v, want %q", name, err, wantErr)
 		}
 	}
-	lines := strings.SplitN(string(raw), "\n", 2)
-	corrupt("newer.trace",
-		strings.Replace(lines[0], `"version":1`, `"version":99`, 1)+"\n"+lines[1],
+	corrupt("newer.btrace",
+		bytes.Replace(raw, []byte(`"version":1`), []byte(`"version":9`), 1),
 		"unsupported format version")
-	corrupt("alien.trace", `{"format":"something-else","version":1}`+"\n", "not a txconflict-trace")
-	corrupt("empty.trace", "", "empty stream")
-	truncated := strings.Split(strings.TrimRight(string(raw), "\n"), "\n")
-	corrupt("short.trace", strings.Join(truncated[:len(truncated)-3], "\n")+"\n", "truncated stream")
+	corrupt("alien.btrace", []byte(`{"format":"something-else","version":1}`+"\n"), "not a txconflict-trace")
+	corrupt("empty.btrace", nil, "read binary magic")
+	// Cut where the footer starts: every block intact, the count
+	// never arrives.
+	footerOff := binary.LittleEndian.Uint64(raw[len(raw)-16:])
+	corrupt("short.btrace", raw[:footerOff], "truncated binary stream")
+	// A footer promising more records than the blocks hold.
+	corrupt("lying-count.btrace", withFooterTotal(raw, uint64(len(tr.Records)+3)), "truncated stream")
 }
 
 // TestRecorderOverflow routes unattributed blocks (plain Atomic, no

@@ -6,7 +6,7 @@
 # make target: bench-smoke only checks that the benchmark module and
 # internal/stm's AtomicBlock and HotPair microbenchmarks build and run,
 # each on its commit-mode axis (eager, lazy, lazyb4).
-# race-short repeats TestMetricsPlaneWiring 200x at -cpu 2: a kill landing on an attempt failing for another reason is rare, and a miscounted one must fail CI, not flake.
+# race-short repeats TestMetricsPlaneWiring and TestCommitCountExact 200x at -cpu 2: a kill landing on an attempt failing for another reason is rare, and so is a commit lost between a descriptor's private count and its flush; either must fail CI, not flake.
 
 GO ?= go
 
@@ -53,7 +53,7 @@ bench-smoke:
 # see real interleavings.
 race-short:
 	$(GO) test -race -short -cpu 1,4 ./internal/stm/
-	$(GO) test -count=200 -cpu 2 -run 'TestMetricsPlaneWiring' ./internal/stm/
+	$(GO) test -count=200 -cpu 2 -run 'TestMetricsPlaneWiring|TestCommitCountExact' ./internal/stm/
 	$(GO) test -race -short ./internal/htm/ ./internal/scenario/ ./internal/trace/ ./internal/experiments/ ./internal/txkv/
 
 # Control-plane race cell: SetPolicy churn against live traffic on all
@@ -120,14 +120,16 @@ trace-demo:
 paper-smoke:
 	d=$$(mktemp -d) && $(GO) run ./cmd/paper -quick -seed 2 -out "$$d"; s=$$?; rm -rf "$$d"; exit $$s
 
-# Fuzz the trace reader: record a fresh seed
-# (internal/trace/testdata/fuzz-seed.btrace, gitignored), then fuzz
-# Load on the .btrace container — corrupt or truncated inputs must
-# error, never panic, never over-allocate, never silently drop
-# records.
+# Fuzz the trace reader: Load's decoder on the .btrace container,
+# seeded in memory (FuzzLoadBinary builds a few hundred records, small
+# enough that each mutation decodes fast) — corrupt or truncated inputs
+# must error, never panic, never over-allocate, never silently drop
+# records. New inputs are not minimized: from a fresh corpus this
+# target finds one every ~70 ms, and minimizing each (even at 1 s, as
+# fuzz-batch does) left the 20 s run at ~54k executions instead of
+# ~350k. A failing input is still saved under testdata/fuzz.
 fuzz-trace:
-	$(GO) run ./cmd/stmbench -scenario hotspot -duration 50ms -goroutines 2 -record internal/trace/testdata/fuzz-seed.btrace
-	$(GO) test -run '^$$' -fuzz FuzzLoadBinary -fuzztime 20s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzLoadBinary -fuzztime 20s -fuzzminimizetime 0 ./internal/trace/
 
 # Fuzz the /v1/batch codec against encoding/json: on arbitrary bytes
 # the fast-path decoders accept only what encoding/json accepts and

@@ -5,11 +5,13 @@
 // counters cannot ("what is commit p99 right now?") at a cost the
 // per-transaction traces of internal/trace cannot match: zero
 // allocations, and for a block that commits no shared counter written at
-// all — the runtime notes its two durations in a ledger private to the
-// descriptor and hands the plane up to sixteen blocks at a time
-// (Shard.ObserveCommits), a handful of uncontended atomic adds per
-// ledger. Only the rarer events (an aborted attempt, a grace wait, a
-// combiner round, a sampled phase) cost their few adds each.
+// all — the runtime counts the block in its descriptor, notes a sampled
+// block's two durations in a ledger private to the descriptor, and
+// hands the plane up to sixteen blocks at a time (CounterCommits and
+// Shard.ObserveCommits), a handful of uncontended atomic adds per
+// ledger. Only the 1-in-N sampled blocks read the clock for the
+// latency histograms. The rarer events (an aborted attempt, a grace
+// wait, a combiner round, a sampled phase) cost their few adds each.
 //
 // Three pieces:
 //

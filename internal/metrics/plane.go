@@ -87,12 +87,13 @@ func (p CommitPhase) String() string {
 
 // Counter indexes a shard's plain event counters: the runtime events
 // that are neither a latency observation nor an abort attribution.
-// Together with the histogram counts and the abort taxonomy they are
-// everything stm.Stats reports (see PlaneSnapshot.Counts).
+// Together with the grace histogram's count and the abort taxonomy
+// they are everything stm.Stats reports (see PlaneSnapshot.Counts).
 type Counter uint8
 
 const (
-	CounterKills         Counter = iota // receiver aborts forced by requestors
+	CounterCommits       Counter = iota // committed blocks, every one (exact; see Shard)
+	CounterKills                        // receiver aborts forced by requestors
 	CounterSelfAborts                   // requestor-side and validation aborts
 	CounterExtensions                   // successful snapshot extensions
 	CounterBatches                      // combiner rounds
@@ -107,6 +108,7 @@ const (
 // counterNames are the lowerCamel keys of Counts (and so of
 // /v1/stats and, snake-cased, of /metrics).
 var counterNames = [NumCounters]string{
+	"commits",
 	"kills",
 	"selfAborts",
 	"extensions",
@@ -119,9 +121,11 @@ var counterNames = [NumCounters]string{
 
 const cacheLine = 64
 
-// DefaultSampleN is the default 1-in-N sampling interval for the
-// commit-phase timers (the histograms are never sampled — every
-// transaction is observed).
+// DefaultSampleN is the default 1-in-N sampling interval. The stm
+// runtime draws once per atomic block whether the block is a sample: a
+// sampled block alone times its attempts and itself (the attempt and
+// commit histograms, and so ProfileMean) and runs the commit-phase
+// timers. Event counts — commits included — are never sampled.
 const DefaultSampleN = 64
 
 // Shard is one worker's slice of the plane. Its methods are lock-free
@@ -129,9 +133,14 @@ const DefaultSampleN = 64
 // ledger of committed blocks rather than per block — so a worker
 // hammering its own shard never contends with scrapes or with other
 // workers (modulo shard-count folding when workers exceed shards).
+//
+// The attempt and commit histograms hold the 1-in-SampleN sampled
+// blocks only, so their quantiles and means are sample statistics and
+// their counts are not event counts; CounterCommits is the exact
+// number of committed blocks, handed over with the ledger.
 type Shard struct {
-	attempt Histogram // per-attempt wall time, committed and aborted
-	commit  Histogram // whole-block wall time of committed blocks
+	attempt Histogram // per-attempt wall time of sampled blocks, committed and aborted
+	commit  Histogram // whole-block wall time of sampled committed blocks
 	grace   Histogram // per-conflict grace-period wait
 	drain   Histogram // combiner round: drain to outcome stamps
 
@@ -149,8 +158,9 @@ type Shard struct {
 	_ [cacheLine]byte
 }
 
-// ObserveAttempt records one attempt's wall time (ns). Committed
-// attempts arrive through ObserveCommits; this is the aborted ones.
+// ObserveAttempt records one sampled attempt's wall time (ns).
+// Committed attempts arrive through ObserveCommits; this is the
+// aborted ones.
 func (s *Shard) ObserveAttempt(ns int64) { s.attempt.Observe(ns) }
 
 // ObserveGrace records one grace-period wait (ns) on a conflict chain
@@ -169,8 +179,9 @@ func (s *Shard) Abort(r AbortReason) { s.aborts[r].Add(1) }
 // Add bumps one event counter by n.
 func (s *Shard) Add(c Counter, n uint64) { s.counters[c].Add(n) }
 
-// ObserveCommits folds a ledger of committed blocks into the shard in
-// one pass: block i's committing attempt took attemptNs[i] and the
+// ObserveCommits folds a ledger of sampled committed blocks into the
+// shard in one pass (the blocks' count goes to CounterCommits, sampled
+// or not): block i's committing attempt took attemptNs[i] and the
 // whole block, first attempt to commit, blockNs[i] (equal when it
 // committed first time; the slices have one length). It leaves the
 // attempt and commit histograms exactly as one Observe pair per block
@@ -214,8 +225,9 @@ type Plane struct {
 
 // NewPlane builds a plane sized for the given worker count. workers
 // is rounded up to a power of two and capped (shards are ~17KB each);
-// sampleN is the 1-in-N phase-timer interval, rounded up to a power
-// of two, with <= 0 selecting DefaultSampleN.
+// sampleN is the 1-in-N block-sampling interval (see DefaultSampleN),
+// rounded up to a power of two, with <= 0 selecting DefaultSampleN and
+// 1 timing every block.
 func NewPlane(workers, sampleN int) *Plane {
 	n := 1
 	for n < workers && n < 16 {
@@ -241,8 +253,9 @@ func (p *Plane) Shard(worker int) *Shard {
 }
 
 // ProfileMean is the mean committed-block duration µ in nanoseconds:
-// Σ Sum ÷ Σ Count over the shards' commit histograms (0 = no commit
-// yet). It is read at a conflict, so a commit pays nothing for it.
+// Σ Sum ÷ Σ Count over the shards' commit histograms, so the mean of
+// the sampled blocks (0 = no sampled commit yet). It is read at a
+// conflict, so a commit pays nothing for it.
 func (p *Plane) ProfileMean() float64 {
 	var sum, n uint64
 	for i := range p.shards {
@@ -273,7 +286,7 @@ func ratio(a, b uint64) float64 {
 	return float64(a) / float64(b)
 }
 
-// SampleN returns the effective phase-timer sampling interval.
+// SampleN returns the effective block-sampling interval.
 func (p *Plane) SampleN() int { return p.sampleN }
 
 // PlaneSnapshot is the merged view of every shard at one instant.
@@ -330,12 +343,12 @@ func (s *PlaneSnapshot) AbortTotal() uint64 {
 }
 
 // Counts renders the runtime's event counts as the name-keyed map
-// stm.Stats.Snapshot returns. Four keys are read off the histograms
-// and the taxonomy — an event observed there is not counted a second
-// time — so graceWaits counts grace waits that have ended.
+// stm.Stats.Snapshot returns. Three keys are read off the grace
+// histogram and the taxonomy — an event observed there is not counted
+// a second time — so graceWaits counts grace waits that have ended.
+// commits is CounterCommits, not the sampled commit histogram's count.
 func (s *PlaneSnapshot) Counts() map[string]uint64 {
 	out := map[string]uint64{
-		"commits":     s.Commit.Count,
 		"aborts":      s.AbortTotal(),
 		"graceWaits":  s.Grace.Count,
 		"irrevocable": s.Aborts[AbortMaxRetries],

@@ -114,9 +114,9 @@ func summaryProm(p *PromWriter, name, help string, h *HistSnapshot) {
 func (s *PlaneSnapshot) WriteProm(w io.Writer, prefix string) error {
 	p := NewPromWriter(w)
 	summaryProm(p, prefix+"_attempt_latency_seconds",
-		"Wall time of individual transaction attempts (committed and aborted).", &s.Attempt)
+		"Wall time of transaction attempts (committed and aborted) of the 1-in-N sampled atomic blocks (see _phase_sample_interval); _count counts samples, not attempts.", &s.Attempt)
 	summaryProm(p, prefix+"_commit_latency_seconds",
-		"Wall time of committed atomic blocks, first attempt to commit.", &s.Commit)
+		"Wall time of the 1-in-N sampled committed atomic blocks, first attempt to commit (see _phase_sample_interval); _count counts samples, txstm_commits_total counts commits.", &s.Commit)
 	summaryProm(p, prefix+"_grace_wait_seconds",
 		"Grace-period waits spent by requestors on locked words.", &s.Grace)
 	summaryProm(p, prefix+"_combiner_drain_seconds",
@@ -140,7 +140,7 @@ func (s *PlaneSnapshot) WriteProm(w io.Writer, prefix string) error {
 	}
 
 	name = prefix + "_phase_sample_interval"
-	p.Family(name, "gauge", "1-in-N sampling interval of the commit-phase timers.")
+	p.Family(name, "gauge", "1-in-N atomic-block sampling interval: a sampled block feeds the attempt and commit latency summaries and runs the commit-phase timers.")
 	p.Uint(name, nil, uint64(s.SampleN))
 	return p.Err()
 }

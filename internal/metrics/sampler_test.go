@@ -8,38 +8,57 @@ import (
 	"txconflict/internal/stm"
 )
 
-// TestSampleInterval pins the 1-in-N contract where the sampler lives
-// since the shards lost their tick: each descriptor counts its own
-// write commits against the plane's interval, so a descriptor that
-// commits c of them has run the phase timers on exactly c/N — however
-// its commits interleave with another descriptor's on the same shard —
-// and read-only commits, which have no phases, do not count.
+// TestSampleInterval pins the 1-in-N contract where the sampler lives:
+// each atomic block draws once, from its descriptor's own stream,
+// whether it is a sample. Only sampled blocks are timed — one attempt
+// and one commit observation each here, where nothing retries — and a
+// sampled block that writes runs the phase timers once, a read-only one
+// not at all; the commits count stays exact whatever was sampled. The
+// draw is random, not every N-th block: on two descriptors interleaved
+// on one shard, 4,000 blocks each at 1-in-8, the samples lie within
+// five standard deviations (~30) of 1,000.
 func TestSampleInterval(t *testing.T) {
-	plane := metrics.NewPlane(1, 6) // rounds up to 1-in-8
-	if plane.SampleN() != 8 {
-		t.Fatalf("SampleN = %d, want 8", plane.SampleN())
-	}
-	cfg := stm.DefaultConfig()
-	cfg.Metrics = plane
-	rt := stm.New(4, cfg)
-	write := func(tx *stm.Tx) error { tx.Store(0, tx.Load(0)+1); return nil }
-	read := func(tx *stm.Tx) error { _ = tx.Load(1); return nil }
-	a, b := rt.Worker(0, rng.New(1)), rt.Worker(0, rng.New(2))
-	for i := 0; i < 8*10; i++ { // a: 80 write commits, b: 36, interleaved
-		_ = a.Atomic(write)
-		_ = a.Atomic(read)
-		if i < 36 {
-			_ = b.Atomic(write)
-		}
-	}
-	a.Release()
-	b.Release()
-	snap := plane.Snapshot()
-	if want := uint64(80/8 + 36/8); snap.PhaseN[metrics.PhaseValidate] != want || snap.PhaseN[metrics.PhaseClock] != want {
-		t.Fatalf("sampled %d validate and %d clock phases over 80 + 36 write commits on two descriptors at 1-in-8, want %d each",
-			snap.PhaseN[metrics.PhaseValidate], snap.PhaseN[metrics.PhaseClock], want)
-	}
-	if snap.Commit.Count != 80+80+36 {
-		t.Fatalf("commits = %d, want %d", snap.Commit.Count, 80+80+36)
+	for _, body := range []struct {
+		name  string
+		write bool
+		fn    func(tx *stm.Tx) error
+	}{
+		{"write", true, func(tx *stm.Tx) error { tx.Store(0, tx.Load(0)+1); return nil }},
+		{"read", false, func(tx *stm.Tx) error { _ = tx.Load(1); return nil }},
+	} {
+		t.Run(body.name, func(t *testing.T) {
+			plane := metrics.NewPlane(1, 6) // rounds up to 1-in-8
+			if plane.SampleN() != 8 {
+				t.Fatalf("SampleN = %d, want 8", plane.SampleN())
+			}
+			cfg := stm.DefaultConfig()
+			cfg.Metrics = plane
+			rt := stm.New(4, cfg)
+			const perHandle = 4000
+			a, b := rt.Worker(0, rng.New(1)), rt.Worker(0, rng.New(2))
+			for i := 0; i < perHandle; i++ {
+				_ = a.Atomic(body.fn)
+				_ = b.Atomic(body.fn)
+			}
+			a.Release()
+			b.Release()
+			snap := plane.Snapshot()
+			if got := snap.Counts()["commits"]; got != 2*perHandle {
+				t.Fatalf("commits = %d, want %d", got, 2*perHandle)
+			}
+			sampled := snap.Commit.Count
+			if sampled < 850 || sampled > 1150 || snap.Attempt.Count != sampled {
+				t.Fatalf("%d sampled commits and %d sampled attempts over %d blocks at 1-in-8, want one each per sample and 850–1150 samples",
+					sampled, snap.Attempt.Count, 2*perHandle)
+			}
+			want := uint64(0)
+			if body.write {
+				want = sampled
+			}
+			if snap.PhaseN[metrics.PhaseValidate] != want || snap.PhaseN[metrics.PhaseClock] != want {
+				t.Fatalf("%d validate and %d clock phase samples over %d sampled blocks, want %d each",
+					snap.PhaseN[metrics.PhaseValidate], snap.PhaseN[metrics.PhaseClock], sampled, want)
+			}
+		})
 	}
 }

@@ -88,11 +88,11 @@ func TestCrossModeCounts(t *testing.T) {
 // commit count, the abort taxonomy and the event counters.
 func countsLine(name, mode string, arena uint64, s metrics.PlaneSnapshot) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s %s arena=%016x commits=%d", name, mode, arena, s.Commit.Count)
+	c := s.Counts()
+	fmt.Fprintf(&b, "%s %s arena=%016x commits=%d", name, mode, arena, c["commits"])
 	for r := 0; r < metrics.NumAbortReasons; r++ {
 		fmt.Fprintf(&b, " abort.%s=%d", metrics.AbortReason(r), s.Aborts[r])
 	}
-	c := s.Counts()
 	for _, k := range []string{"selfAborts", "extensions", "batches", "batchCommits", "batchFails", "foldedCommits", "foldedWords"} {
 		fmt.Fprintf(&b, " %s=%d", k, c[k])
 	}

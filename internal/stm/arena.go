@@ -209,16 +209,17 @@ type Config struct {
 	// is unperturbed when tracing is off.
 	Trace Tracer
 	// Metrics is the plane (internal/metrics) every event of this
-	// runtime is counted in: per-worker latency histograms for attempt,
-	// commit, grace-wait and combiner-drain time, the abort-reason
-	// taxonomy, the event counters behind Stats, and 1-in-N sampled
+	// runtime is counted in: per-worker latency histograms for grace-wait
+	// and combiner-drain time and, over the 1-in-N sampled blocks,
+	// attempt and commit time, the abort-reason taxonomy, the event
+	// counters behind Stats (commits exact), and the sampled blocks'
 	// commit-phase timers. Unlike Trace it is always on — a committed
-	// block costs two plain stores into its descriptor's ledger, its
-	// share of one bulk fold per sixteen blocks (see Worker) and no
-	// allocations (pinned by TestTraceGateOverhead) — so nil only
-	// leaves the sizing to New; supply a plane to choose the shard
-	// count and the phase-sample interval. A plane passed to two
-	// runtimes merges their counters.
+	// block costs a count in its descriptor's ledger (and a sampled one
+	// two clock reads and two plain stores), its share of one bulk fold
+	// per sixteen blocks (see Worker) and no allocations (pinned by
+	// TestTraceGateOverhead) — so nil only leaves the sizing to New;
+	// supply a plane to choose the shard count and the sample interval.
+	// A plane passed to two runtimes merges their counters.
 	Metrics *metrics.Plane
 }
 
@@ -265,11 +266,11 @@ func (s *Stats) Snapshot() map[string]uint64 {
 // latches the current *Policy once, so a swap never tears a running
 // attempt and an unswapped runtime pays only the pointer load.
 type Runtime struct {
-	lazy      bool
-	tracer    Tracer
-	metrics   *metrics.Plane
-	phaseMask uint64 // metrics.SampleN()-1: see Tx.samplePhases
-	meta      []wordMeta
+	lazy       bool
+	tracer     Tracer
+	metrics    *metrics.Plane
+	sampleMask uint64 // metrics.SampleN()-1: a block is a sample when its draw & sampleMask is 0 (see Worker)
+	meta       []wordMeta
 
 	pol      atomic.Pointer[Policy]
 	polSwaps atomic.Uint64
@@ -310,14 +311,14 @@ func New(n int, cfg Config) *Runtime {
 		plane = metrics.NewPlane(runtime.GOMAXPROCS(0), 0)
 	}
 	rt := &Runtime{
-		lazy:      cfg.Lazy,
-		tracer:    cfg.Trace,
-		metrics:   plane,
-		phaseMask: uint64(plane.SampleN() - 1),
-		Stats:     Stats{plane: plane},
-		meta:      make([]wordMeta, n),
-		descLimit: maxDescs,
-		free:      make([]freeList, ceilPow2(min(runtime.GOMAXPROCS(0), 16))),
+		lazy:       cfg.Lazy,
+		tracer:     cfg.Trace,
+		metrics:    plane,
+		sampleMask: uint64(plane.SampleN() - 1),
+		Stats:      Stats{plane: plane},
+		meta:       make([]wordMeta, n),
+		descLimit:  maxDescs,
+		free:       make([]freeList, ceilPow2(min(runtime.GOMAXPROCS(0), 16))),
 	}
 	rt.descs.Store(&[]*Tx{nil})
 	if cfg.Lazy {

@@ -97,7 +97,8 @@ func (rt *Runtime) setBatchShards(n int) {
 // only delta-writes).
 func (tx *Tx) commitLazyBatched() {
 	rt := tx.rt
-	tx.flush() // the queue is a wait
+	tx.flush()        // the queue is a wait
+	tx.publishStart() // and a combiner locks words under this descriptor's id
 	first := 0
 	switch {
 	case len(tx.writeIdx) == 0:

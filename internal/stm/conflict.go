@@ -53,10 +53,15 @@ func (tx *Tx) onLocked(m *wordMeta, l uint64) {
 	}
 	// One clock read opens the wait: it is the start of the grace
 	// observation, the instant the abort cost B is priced at, and the
-	// base of the deadline. The deferred observation also runs when
-	// the wait ends in an abort panic, so no grace time is lost on
-	// killed waiters, and every wait's k reaches the plane's KEstimate.
+	// base of the deadline — and, for an attempt not stamped yet, its
+	// start, so a requestor's own B counts from here. The deferred
+	// observation also runs when the wait ends in an abort panic, so no
+	// grace time is lost on killed waiters, and every wait's k reaches
+	// the plane's KEstimate.
 	waitStart := nanos()
+	if !tx.stamped {
+		tx.start, tx.stamped = waitStart, true
+	}
 	k := owner.chainK()
 	defer func() {
 		owner.leaveChain()
@@ -113,10 +118,13 @@ func (tx *Tx) onLocked(m *wordMeta, l uint64) {
 
 // decide prices the conflict with owner at the stamp now through the
 // policy's rule: each side's B base is the time it has run plus
-// CleanupCost (footnote 1), and µ comes from the metrics plane.
+// CleanupCost (footnote 1) — the receiver's since the start stamp it
+// published before its first lock (startNanos), the requestor's since
+// its own start stamp, which is its wait's start if it had none — and
+// µ comes from the metrics plane, the mean of its sampled blocks.
 func (tx *Tx) decide(owner *Tx, k int, now int64) core.Decision {
 	cleanup := float64(tx.pol.CleanupCost.Nanoseconds())
 	receiver := core.Side{B: float64(now-owner.startNanos.Load()) + cleanup, Attempts: int(owner.attempts.Load())}
-	requestor := core.Side{B: float64(now-tx.startNanos.Load()) + cleanup, Attempts: int(tx.attempts.Load())}
+	requestor := core.Side{B: float64(now-tx.start) + cleanup, Attempts: int(tx.attempts.Load())}
 	return tx.pol.Decide(k, receiver, requestor, tx.rt.metrics, tx.rng)
 }

@@ -280,7 +280,7 @@ func TestGraceForClampsOverflow(t *testing.T) {
 				owner := &Tx{rt: rt}
 				owner.startNanos.Store(now)
 				tx := &Tx{rt: rt, pol: rt.pol.Load()}
-				tx.startNanos.Store(now)
+				tx.start = now
 				got := time.Duration(tx.decide(owner, 2, now).Grace)
 				if got < 0 {
 					t.Fatalf("policy %v: grace %v is negative (overflow leaked through)", pol, got)

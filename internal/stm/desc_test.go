@@ -66,17 +66,20 @@ func TestLayout(t *testing.T) {
 	if end := unsafe.Sizeof(tx); end < waiters+cacheLine {
 		t.Errorf("Tx.waiters at %d can share a line with whatever follows the descriptor at %d", waiters, end)
 	}
-	// The ledger and the phase sampler are written by the owner on every
-	// commit: none of their bytes may share a line with a word a
-	// requestor polls or writes, or each append would take that line away
-	// from a waiter.
+	// The ledger, the attempt's private stamps and the block sampler are
+	// written by the owner on every block: none of their bytes may share
+	// a line with a word a requestor polls or writes, or each block would
+	// take that line away from a waiter.
 	type span struct {
 		name        string
 		start, size uintptr
 	}
 	for _, o := range []span{
 		{"ledN", unsafe.Offsetof(tx.ledN), unsafe.Sizeof(tx.ledN)},
-		{"phaseTick", unsafe.Offsetof(tx.phaseTick), unsafe.Sizeof(tx.phaseTick)},
+		{"pend", unsafe.Offsetof(tx.pend), unsafe.Sizeof(tx.pend)},
+		{"start", unsafe.Offsetof(tx.start), unsafe.Sizeof(tx.start)},
+		{"sampled", unsafe.Offsetof(tx.sampled), unsafe.Sizeof(tx.sampled)},
+		{"sampler", unsafe.Offsetof(tx.sampler), unsafe.Sizeof(tx.sampler)},
 		{"ledAttempt", unsafe.Offsetof(tx.ledAttempt), unsafe.Sizeof(tx.ledAttempt)},
 		{"ledBlock", unsafe.Offsetof(tx.ledBlock), unsafe.Sizeof(tx.ledBlock)},
 	} {

@@ -25,7 +25,8 @@ type Policy struct {
 	// Section 9 switch, strategy, mean profile and Corollary 2's
 	// backoff, its B in nanoseconds. Its µ source is the metrics
 	// plane's mean committed-block duration (metrics.Plane.ProfileMean),
-	// read at the conflict.
+	// read at the conflict: a sample mean over the 1-in-SampleN blocks
+	// the plane times, 0 until the first sampled block commits.
 	core.Rule
 	// CommitBatch opens the lazy group-commit combiner lane (batch.go)
 	// with the given batch bound: a committing transaction either

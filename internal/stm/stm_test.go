@@ -398,12 +398,15 @@ func TestIrrevocableFallback(t *testing.T) {
 // path (grace wait + resolution). park returns only after the
 // requestor's resolution has been observed in the counters, so the
 // conflict cannot be skipped by goroutine serialization on a loaded or
-// single-core box.
-func stageConflict(t *testing.T, pol core.Policy, recv func(tx *Tx, park func()), req func(tx *Tx)) *Runtime {
+// single-core box. Each tune, if any, adjusts the config first.
+func stageConflict(t *testing.T, pol core.Policy, recv func(tx *Tx, park func()), req func(tx *Tx), tune ...func(*Config)) *Runtime {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Rule.Policy = pol
 	cfg.MaxRetries = 0 // never escalate to irrevocable (which kills)
+	for _, f := range tune {
+		f(&cfg)
+	}
 	rt := New(2, cfg)
 	root := rng.New(3)
 	recvRng := root.Split()
@@ -601,6 +604,7 @@ func TestKWindowObservesConflicts(t *testing.T) {
 
 func TestProfilerMean(t *testing.T) {
 	cfg := DefaultConfig()
+	cfg.Metrics = metrics.NewPlane(1, 1) // µ is a sample mean: time every block
 	cfg.UseMeanProfile = true
 	cfg.Strategy = strategy.MeanRW{}
 	rt := New(2, cfg)

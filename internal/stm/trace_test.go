@@ -362,9 +362,9 @@ func TestZeroStampIsNotASentinel(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if w.tx.blockStart != 0 || w.tx.startNanos.Load() < before {
+	if w.tx.blockStart != 0 || w.tx.start < before {
 		t.Fatalf("blockStart = %d (want the chained stamp 0), retry started at %d (want a fresh read ≥ %d)",
-			w.tx.blockStart, w.tx.startNanos.Load(), before)
+			w.tx.blockStart, w.tx.start, before)
 	}
 	if rec.Retries != 1 || rec.DurNs != w.tx.blockEnd || rec.StartUnixNs != wallNanos(0) {
 		t.Fatalf("record %+v, want one retry and a block spanning stamps 0..%d", rec, w.tx.blockEnd)

@@ -67,7 +67,10 @@ type Tx struct {
 	state atomic.Uint64
 	// irrevocable, startNanos and attempts are read by *other*
 	// goroutines (requestors inspecting their receiver in decide),
-	// hence atomic.
+	// hence atomic. startNanos is the attempt's start stamp as a
+	// requestor prices it, published by publishStart before the first
+	// lock that names this descriptor; until then it holds an older
+	// attempt's stamp, which nobody reads.
 	irrevocable atomic.Bool
 	startNanos  atomic.Int64
 	attempts    atomic.Int32
@@ -89,24 +92,39 @@ type Tx struct {
 	tr     TxTrace
 
 	// mx is this worker's metrics shard, latched per Worker handle.
-	// blockStart is the first attempt's start stamp, the base of the
+	// blockStart is a sampled block's start stamp, the base of the
 	// committed-block latency observation; blockEnd is the stamp the
-	// latest attempt ended at (where the handle's next block starts,
-	// see Worker); lastAbort is the taxonomy reason of the most recent
-	// aborted attempt.
+	// latest attempt that read the clock at its end ended at (where the
+	// handle's next block starts, see Worker); lastAbort is the taxonomy
+	// reason of the most recent aborted attempt.
 	mx         *metrics.Shard
 	blockStart int64
 	blockEnd   int64
 	lastAbort  metrics.AbortReason
 
-	// The observation ledger: the committed blocks mx has not been told
-	// about yet, block i's committing attempt having taken ledAttempt[i]
-	// ns and the whole block ledBlock[i]. Owner-private plain words — a
-	// commit appends and returns — folded into mx by flush (see Worker
-	// for when). phaseTick counts this descriptor's write commits for
-	// the 1-in-N phase-timer sampler.
+	// The attempt's stamps, owner-private: start is its start stamp once
+	// stamped says it has one (a chained or sampled block's first
+	// attempt, every retry, and otherwise the first lock or conflict
+	// wait; see Worker); published says startNanos holds it; ended says
+	// the attempt read the clock at its end, into blockEnd. sampled is
+	// the block's one sampling draw, from sampler — a stream of the
+	// descriptor's own, so the draw moves neither the caller's rng nor
+	// the block's position in a handle.
+	start     int64
+	stamped   bool
+	published bool
+	ended     bool
+	sampled   bool
+	sampler   rng.Rand
+
+	// The observation ledger: pend counts the committed blocks mx has
+	// not been told about yet, and of those the sampled ones are ledN
+	// entries, entry i's committing attempt having taken ledAttempt[i]
+	// ns and its whole block ledBlock[i]. Owner-private plain words — a
+	// commit bumps pend, appends if sampled, and returns — folded into
+	// mx by flush (see Worker for when).
+	pend       int
 	ledN       int
-	phaseTick  uint64
 	ledAttempt [ledgerCap]int64
 	ledBlock   [ledgerCap]int64
 
@@ -146,21 +164,32 @@ type Tx struct {
 // the metrics plane at most: a txkv batch.
 const ledgerCap = 16
 
-// flush folds the ledger into the metrics shard. Called wherever the
-// owner is about to wait or unwind, so what a snapshot misses is only
-// blocks of a handle that is running right now.
+// flush folds the ledger into the metrics shard: the commit count, then
+// the sampled durations. Called wherever the owner is about to wait or
+// unwind, so what a snapshot misses is only blocks of a handle that is
+// running right now.
 func (tx *Tx) flush() {
-	if tx.ledN > 0 {
+	if tx.pend > 0 {
+		tx.mx.Add(metrics.CounterCommits, uint64(tx.pend))
 		tx.mx.ObserveCommits(tx.ledAttempt[:tx.ledN], tx.ledBlock[:tx.ledN])
-		tx.ledN = 0
+		tx.pend, tx.ledN = 0, 0
 	}
 }
 
-// samplePhases reports whether this commit runs the phase timers: true
-// on every SampleN-th call on this descriptor.
-func (tx *Tx) samplePhases() bool {
-	tx.phaseTick++
-	return tx.phaseTick&tx.rt.phaseMask == 0
+// publishStart makes the attempt's start stamp what a requestor reads in
+// startNanos, stamping the attempt now if it has no stamp yet. Called
+// before every lock acquisition that can name this descriptor — eager's
+// own, lazy's pipeline, a lane member's enqueue — and a no-op after the
+// first.
+func (tx *Tx) publishStart() {
+	if tx.published {
+		return
+	}
+	if !tx.stamped {
+		tx.start, tx.stamped = nanos(), true
+	}
+	tx.startNanos.Store(tx.start)
+	tx.published = true
 }
 
 // epoch returns the current attempt epoch.
@@ -194,8 +223,8 @@ func (rt *Runtime) Atomic(r *rng.Rand, fn func(tx *Tx) error) error {
 // in the block's TxTrace when tracing is enabled (Config.Trace). The
 // id has no semantic effect on execution; scenario.STMRunner passes
 // its worker index so per-worker trace buffers stay contention-free.
-// It is the one-shot form of a Worker handle: two clock reads, one
-// free-list round trip.
+// It is the one-shot form of a Worker handle: one free-list round
+// trip, and the clock reads of one unchained block (see Worker).
 func (rt *Runtime) AtomicWorker(worker int, r *rng.Rand, fn func(tx *Tx) error) error {
 	w := rt.Worker(worker, r)
 	err := w.Atomic(fn)
@@ -205,33 +234,48 @@ func (rt *Runtime) AtomicWorker(worker int, r *rng.Rand, fn func(tx *Tx) error) 
 
 // Worker is a handle for running atomic blocks back to back on one
 // goroutine (a batch of keyed ops, say). It owns one descriptor for
-// its whole life, and it chains stamps: block i+1's first attempt
-// starts at the stamp block i ended at, so a block that commits first
-// time reads the clock once, at its end. The attempt and commit
-// observations of a chained block therefore include the few
-// nanoseconds the caller spent between the two blocks — which is why
-// a handle must not be held across think time, I/O or any other wait:
-// open it, run the blocks, Release it.
+// its whole life.
+//
+// A block reads the clock only where a stamp is needed. Each block
+// draws once whether it is one of the metrics plane's 1-in-SampleN
+// samples (a traced block always is); a sampled block reads the clock
+// at its start and end and times its attempts, its whole block and its
+// commit phases. Any other block needs a start stamp only if it can be
+// party to a conflict — the abort cost B is the doomed side's running
+// time (paper footnote 1) — so it stamps at its first lock (published
+// to requestors in startNanos before the lock can name it) or at its
+// first grace wait as a requestor, whichever comes first; a read-only
+// block that meets no lock reads no clock at all. A block that took a
+// lock reads the clock once more at its end, after releasing.
+//
+// And the handle chains stamps: a block that read the clock at its end
+// — sampled, or one that took a lock — hands that stamp to the next
+// block as its start, so a run of writers reads the clock once per
+// block. The observations and B of a chained block therefore include
+// the few nanoseconds the caller spent between the two blocks — which
+// is why a handle must not be held across think time, I/O or any other
+// wait: open it, run the blocks, Release it. A block after one that
+// read no clock at its end starts unstamped.
 //
 // What is never chained: the first block of a handle and every retry
-// read the clock afresh, so a stale stamp cannot outlive Release, and
-// rollback or the wait for the irrevocable token never inflates an
-// attempt's duration or the abort cost B a requestor prices against
-// this descriptor's startNanos. A panic out of a block breaks the
-// chain too.
+// stamp afresh, so a stale stamp cannot outlive Release, and rollback
+// or the wait for the irrevocable token never inflates an attempt's
+// duration or the abort cost B a requestor prices against this
+// descriptor's startNanos. A panic out of a block breaks the chain too.
 //
 // A live handle also holds observations back: a block that commits
-// writes no shared counter, it notes its attempt and block durations in
-// the descriptor's ledger, and the ledger reaches the metrics plane
-// sixteen blocks at a time. It is let go of at Release, when full, and
-// before the owner can wait or unwind: ahead of a grace wait, the
-// combiner queue and the irrevocable token, on an aborted attempt, on a
-// block that returns an error, and on a panic out of fn (so a handle
-// leaked by a panic loses nothing). A snapshot therefore trails each
-// running handle by at most sixteen committed blocks — in Commit and
-// Attempt and so in the commits count, never in the arena — and by
-// nothing across a wait, a retry or a Release; every block is still
-// observed, with the stamps it ran at.
+// writes no shared counter, it counts itself in the descriptor's ledger
+// (and notes its attempt and block durations there if sampled), and the
+// ledger reaches the metrics plane sixteen blocks at a time. It is let
+// go of at Release, when full, and before the owner can wait or unwind:
+// ahead of a grace wait, the combiner queue and the irrevocable token,
+// on an aborted attempt, on a block that returns an error, and on a
+// panic out of fn (so a handle leaked by a panic loses nothing). A
+// snapshot therefore trails each running handle by at most sixteen
+// committed blocks — in the commits count and in the sampled Commit
+// and Attempt histograms, never in the arena — and by nothing across a
+// wait, a retry or a Release; every block is still counted, and every
+// sampled one observed with the stamps it ran at.
 //
 // A Worker is not safe for concurrent use, and its blocks must not
 // nest.
@@ -239,7 +283,8 @@ type Worker struct {
 	tx *Tx
 	id int
 	// chained reports that the previous block on this handle ran to
-	// its end, so tx.blockEnd is the stamp the next block starts at.
+	// its end and read the clock there, so tx.blockEnd is the stamp the
+	// next block starts at.
 	chained bool
 }
 
@@ -278,7 +323,7 @@ func (rt *Runtime) newTx() *Tx {
 	if len(descs) > rt.descLimit {
 		return nil
 	}
-	tx := &Tx{rt: rt, id: uint64(len(descs))}
+	tx := &Tx{rt: rt, id: uint64(len(descs)), sampler: *rng.New(uint64(len(descs)))}
 	if rt.lazy {
 		tx.writeVals = make(map[int]uint64, 8)
 	}
@@ -314,23 +359,24 @@ func (w *Worker) Atomic(fn func(tx *Tx) error) error {
 	if tx.traced {
 		tx.beginTrace(w.id)
 	}
-	// The chain holds only from a block that ran to its end to the
-	// first attempt of the next: it is broken here and re-made on
+	tx.sampled = tx.traced || tx.sampler.Uint64()&tx.rt.sampleMask == 0
+	// The chain holds only from a block that read the clock at its end
+	// to the first attempt of the next: it is broken here and re-made on
 	// return, so a panic out of fn leaves it broken.
-	start := tx.blockEnd
-	if !w.chained {
-		start = nanos()
+	start, stamped := tx.blockEnd, w.chained
+	if !stamped && tx.sampled {
+		start, stamped = nanos(), true
 	}
 	w.chained = false
 	tx.blockStart = start
 	for {
-		tx.reset(start)
+		tx.reset(start, stamped)
 		err, aborted := tx.attempt(fn)
 		if !aborted {
 			if tx.traced {
 				tx.emitTrace(err == nil)
 			}
-			w.chained = true
+			w.chained = tx.ended
 			return err
 		}
 		tx.attempts.Add(1)
@@ -343,19 +389,20 @@ func (w *Worker) Atomic(fn func(tx *Tx) error) error {
 				tx.tr.Irrevocable = true
 			}
 		}
-		start = nanos()
+		start, stamped = nanos(), true
 	}
 }
 
-// reset opens a fresh attempt starting at the stamp now: a new epoch
-// (so stale requestors from the previous attempt can neither kill us
-// nor keep waiting on us), the current conflict policy, and cleared
-// speculative state. The snapshot rv is kept (see "Arena layout").
-func (tx *Tx) reset(now int64) {
+// reset opens a fresh attempt, starting at the stamp start if stamped
+// (else it stamps on demand, see publishStart): a new epoch (so stale
+// requestors from the previous attempt can neither kill us nor keep
+// waiting on us), the current conflict policy, and cleared speculative
+// state. The snapshot rv is kept (see "Arena layout").
+func (tx *Tx) reset(start int64, stamped bool) {
 	tx.pol = tx.rt.pol.Load()
 	tx.batched = tx.rt.batch != nil && tx.pol.CommitBatch > 0 && !tx.irrevocable.Load()
 	tx.state.Store((tx.epoch() + 1) << stateEpochShift) // status = active
-	tx.startNanos.Store(now)
+	tx.start, tx.stamped, tx.published, tx.ended = start, stamped, false, false
 	tx.reads = tx.reads[:0]
 	tx.writeIdx = tx.writeIdx[:0]
 	if tx.writeVals != nil {
@@ -369,13 +416,25 @@ func (tx *Tx) reset(now int64) {
 	tx.undo = tx.undo[:0]
 }
 
-// endAttempt closes an attempt that did not commit: it reads the clock
-// once, lets go of the ledger and observes the attempt's duration.
+// endAttempt closes an attempt that did not commit: it lets go of the
+// ledger and, in a sampled block or after a lock, reads the clock once
+// (endClock), observing a sampled attempt's duration.
 func (tx *Tx) endAttempt() {
-	now := nanos()
-	tx.blockEnd = now
+	sampled := tx.endClock()
 	tx.flush()
-	tx.mx.ObserveAttempt(now - tx.startNanos.Load())
+	if sampled {
+		tx.mx.ObserveAttempt(tx.blockEnd - tx.start)
+	}
+}
+
+// endClock reads the clock at the attempt's end into blockEnd when the
+// block is sampled or the attempt took a lock (and so published a
+// stamp), and reports whether the block is sampled.
+func (tx *Tx) endClock() bool {
+	if tx.sampled || tx.published {
+		tx.blockEnd, tx.ended = nanos(), true
+	}
+	return tx.sampled
 }
 
 // attempt executes fn once; aborted reports whether it must be
@@ -428,12 +487,14 @@ func (tx *Tx) attempt(fn func(tx *Tx) error) (err error, aborted bool) {
 	}
 	tx.commit()
 	tx.releaseToken()
-	// Committed: one clock read, two plain stores into the ledger.
-	now := nanos()
-	tx.blockEnd = now
-	tx.ledAttempt[tx.ledN] = now - tx.startNanos.Load()
-	tx.ledBlock[tx.ledN] = now - tx.blockStart
-	if tx.ledN++; tx.ledN == ledgerCap {
+	// Committed: one count, and for a sampled block two plain stores
+	// into the ledger.
+	if tx.endClock() {
+		tx.ledAttempt[tx.ledN] = tx.blockEnd - tx.start
+		tx.ledBlock[tx.ledN] = tx.blockEnd - tx.blockStart
+		tx.ledN++
+	}
+	if tx.pend++; tx.pend == ledgerCap {
 		tx.flush()
 	}
 	return nil, false
@@ -620,6 +681,7 @@ func (tx *Tx) LoadForUpdate(idx int) uint64 {
 func (tx *Tx) own(idx int) *wordMeta {
 	m := &tx.rt.meta[idx]
 	if !tx.holds(m.lock.Load()) {
+		tx.publishStart()
 		tx.acquire(idx, tx.id, true)
 		tx.writeIdx = append(tx.writeIdx, idx)
 		tx.undo = append(tx.undo, m.val.Load())

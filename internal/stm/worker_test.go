@@ -57,7 +57,8 @@ func (c captureB) Name() string                                  { return "captu
 
 // TestGraceForPricesElapsedPlusCleanup: the abort cost handed to the
 // strategy is the time the paying side has run — the stamp the wait
-// opened at minus that side's startNanos — plus Policy.CleanupCost,
+// opened at minus that side's start stamp, the receiver's as published
+// in startNanos, the requestor's its own — plus Policy.CleanupCost,
 // whichever clock the stamps come from, and the decision records it.
 func TestGraceForPricesElapsedPlusCleanup(t *testing.T) {
 	var b float64
@@ -70,7 +71,7 @@ func TestGraceForPricesElapsedPlusCleanup(t *testing.T) {
 	owner := &Tx{rt: rt}
 	owner.startNanos.Store(now - ownerRan)
 	tx := &Tx{rt: rt, pol: rt.pol.Load()}
-	tx.startNanos.Store(now - selfRan)
+	tx.start = now - selfRan
 	cleanup := float64(cfg.CleanupCost.Nanoseconds())
 	for pol, want := range map[core.Policy]float64{
 		core.RequestorWins:   ownerRan + cleanup, // the receiver would be killed
@@ -155,38 +156,48 @@ func benchModes() []struct {
 	}{{"eager", DefaultConfig()}, {"lazy", lazy}, {"lazyb4", batchedConfig(4)}}
 }
 
-// BenchmarkAtomicBlock is the fixed cost of one committed single-store
+// BenchmarkAtomicBlock is the fixed cost of one committed one-word
 // block through the two entries, one block per b.N so ns/op is
 // ns/block (reported under that name too): oneshot is AtomicWorker (a
-// descriptor-pool round trip and two clock reads per block), handle16
-// runs sixteen blocks per Worker handle (one pool round trip and
-// seventeen reads per sixteen blocks) — the shape of a txkv batch.
-// Each runs in every commit mode (benchModes).
+// descriptor-pool round trip per block), handle16 runs sixteen blocks
+// per Worker handle (one pool round trip per sixteen blocks) — the
+// shape of a txkv batch. Each runs in every commit mode (benchModes)
+// and with two bodies: store, which locks its word and so stamps and
+// reads the clock at its end, and load, a read-only block, which reads
+// no clock unless it is one of the plane's samples.
 func BenchmarkAtomicBlock(b *testing.B) {
-	body := func(tx *Tx) error { tx.Store(3, 4); return nil }
+	bodies := []struct {
+		name string
+		fn   func(tx *Tx) error
+	}{
+		{"store", func(tx *Tx) error { tx.Store(3, 4); return nil }},
+		{"load", func(tx *Tx) error { tx.Load(3); return nil }},
+	}
 	for _, perHandle := range []int{1, 16} {
 		name := "oneshot"
 		if perHandle > 1 {
 			name = "handle16"
 		}
 		for _, mode := range benchModes() {
-			b.Run(name+"/"+mode.name, func(b *testing.B) {
-				rt := New(64, mode.cfg)
-				r := rng.New(1)
-				b.ResetTimer()
-				for i := 0; i < b.N; i += perHandle {
-					if perHandle == 1 {
-						_ = rt.AtomicWorker(0, r, body)
-						continue
+			for _, body := range bodies {
+				b.Run(name+"/"+mode.name+"/"+body.name, func(b *testing.B) {
+					rt := New(64, mode.cfg)
+					r := rng.New(1)
+					b.ResetTimer()
+					for i := 0; i < b.N; i += perHandle {
+						if perHandle == 1 {
+							_ = rt.AtomicWorker(0, r, body.fn)
+							continue
+						}
+						w := rt.Worker(0, r)
+						for j := 0; j < perHandle && i+j < b.N; j++ {
+							_ = w.Atomic(body.fn)
+						}
+						w.Release()
 					}
-					w := rt.Worker(0, r)
-					for j := 0; j < perHandle && i+j < b.N; j++ {
-						_ = w.Atomic(body)
-					}
-					w.Release()
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/block")
-			})
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/block")
+				})
+			}
 		}
 	}
 }

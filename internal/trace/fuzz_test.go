@@ -31,13 +31,12 @@ func fuzzSeedTrace() *Trace {
 }
 
 // fuzzLoadBody is the fuzz contract check: arbitrary bytes either fail
-// Load with an error or produce a complete, re-serializable trace.
+// Load with an error or produce a complete, re-serializable trace. Load
+// is os.Open plus ReadBinary, so the bytes go to ReadBinary straight
+// from memory: a file round trip per input would cost more than the
+// decode it feeds.
 func fuzzLoadBody(t *testing.T, data []byte) {
-	path := filepath.Join(t.TempDir(), "fuzz.btrace")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := Load(path)
+	tr, err := ReadBinary(bytes.NewReader(data))
 	if err != nil {
 		return // rejecting corrupt input is the contract
 	}
@@ -124,12 +123,14 @@ func FuzzLoadBinary(f *testing.F) {
 	negative := fuzzSeedTrace()
 	negative.Records[0].Compute = -1
 	f.Add(encodeSeed(negative))
-	// The golden fixture keeps the corpus anchored to a real v1 file,
-	// and `make fuzz-trace` records a fresh run as fuzz-seed.btrace.
-	for _, name := range []string{"golden-v1.btrace", "fuzz-seed.btrace"} {
-		if g, err := os.ReadFile(filepath.Join("testdata", name)); err == nil {
-			f.Add(g)
-		}
+	// A run-sized trace, built in memory: a few hundred records, enough
+	// for a DEFLATE-compressed block and few enough that every input
+	// mutated from it decodes fast, so a fuzz run spends its budget on
+	// mutations. And the golden fixture, to anchor the corpus to a real
+	// v1 file.
+	f.Add(encodeSeed(synthTrace(300)))
+	if g, err := os.ReadFile(filepath.Join("testdata", "golden-v1.btrace")); err == nil {
+		f.Add(g)
 	}
 
 	f.Fuzz(fuzzLoadBody)

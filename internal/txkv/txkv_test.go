@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"txconflict/internal/metrics"
 	"txconflict/internal/rng"
 	"txconflict/internal/stm"
 )
@@ -409,9 +410,12 @@ func TestApplyBatchIntoOverwritesSlots(t *testing.T) {
 // stamps on one stm.Worker handle, and the handle ends with the batch.
 // Two batches 20 ms apart must therefore leave no commit latency
 // anywhere near 20 ms — the second batch's first op reads the clock
-// afresh instead of starting where the first batch ended.
+// afresh instead of starting where the first batch ended. The plane
+// samples every block, so every op's latency is observed.
 func TestBatchStampDoesNotOutliveBatch(t *testing.T) {
-	s := newTestStore(t, stm.DefaultConfig(), 64)
+	cfg := stm.DefaultConfig()
+	cfg.Metrics = metrics.NewPlane(1, 1)
+	s := newTestStore(t, cfg, 64)
 	r := rng.New(9)
 	ops := []Op{{Kind: KindPut, Key: 1, Val: 1}, {Kind: KindGet, Key: 1}, {Kind: KindAdd, Key: 1, Val: 2}}
 	s.ApplyBatch(0, r, ops)

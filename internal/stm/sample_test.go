@@ -38,7 +38,8 @@ func bucketOf(v float64) int {
 // handles through two runtimes, one timing every block (SampleN 1) and
 // one the default 1 in 64, handle by handle in lockstep on the same
 // bodies so both see the same machine. The sampled p50 and p99 of the
-// attempt and commit summaries lie within one bucket of the exact ones;
+// attempt and commit summaries lie within one bucket of the exact ones
+// (up to the sample's rank error, see below);
 // the commits count is exact after every Release (the total, 16·n + 7,
 // is a multiple of neither 16 nor 64); and the samples fall on every
 // position of a handle, about evenly, as a draw — unlike every 64th
@@ -101,14 +102,21 @@ func TestSampledSummariesTrackExact(t *testing.T) {
 	if n := float64(ss.Commit.Count); math.Abs(n-mean) > 5*math.Sqrt(mean) {
 		t.Fatalf("SampleN 64: %v sampled commits over %d blocks, want about %v", n, blocks, mean)
 	}
+	// A sample's q-quantile is the exact distribution's at q give or
+	// take the sample's own rank error, so the exact quantile is taken
+	// over q ± 5σ of that error: on the full run this band sits inside
+	// one bucket, and only a short run on a loaded box, whose tail is
+	// the scheduler's, widens it.
 	for _, h := range []struct {
 		name          string
 		exact, sample *metrics.HistSnapshot
 	}{{"attempt", &es.Attempt, &ss.Attempt}, {"commit", &es.Commit, &ss.Commit}} {
 		for _, q := range []float64{0.5, 0.99} {
-			e, s := h.exact.Quantile(q), h.sample.Quantile(q)
-			if d := bucketOf(e) - bucketOf(s); d < -1 || d > 1 {
-				t.Errorf("%s p%v: sampled %v ns is %d buckets from the exact %v ns", h.name, q*100, s, d, e)
+			d := 5 * math.Sqrt(q*(1-q)/float64(h.sample.Count))
+			lo, hi := h.exact.Quantile(max(q-d, 1e-9)), h.exact.Quantile(min(q+d, 1))
+			if s := h.sample.Quantile(q); bucketOf(s) < bucketOf(lo)-1 || bucketOf(s) > bucketOf(hi)+1 {
+				t.Errorf("%s p%v: sampled %v ns is more than a bucket outside the exact %v–%v ns (p%.4g–p%.4g)",
+					h.name, q*100, s, lo, hi, 100*max(q-d, 0), 100*min(q+d, 1))
 			}
 		}
 	}

@@ -39,17 +39,10 @@ func scrape(pass func()) (stop func()) {
 	return func() { close(quit); wg.Wait() }
 }
 
-// commits is the plane's exact commit count.
+// commits is the plane's exact commit count. The ledger tests run on a
+// plane that samples every block (onPlane(1)), so the attempt and commit
+// histograms count every attempt and every commit too.
 func commits(rt *Runtime) uint64 { return rt.Stats.Snapshot()["commits"] }
-
-// everyBlockSampled is DefaultConfig on a plane that samples every
-// block (SampleN 1), so the attempt and commit histograms count every
-// attempt and every commit, as the exact counter does.
-func everyBlockSampled() Config {
-	cfg := DefaultConfig()
-	cfg.Metrics = metrics.NewPlane(2, 1)
-	return cfg
-}
 
 // TestLedgerHoldsBackAtMostSixteen: a block that commits writes the
 // plane nothing — the count moves sixteen blocks at a time while the
@@ -64,7 +57,7 @@ func TestLedgerHoldsBackAtMostSixteen(t *testing.T) {
 		lazy bool
 	}{{"eager", false}, {"lazy", true}} {
 		t.Run(m.name, func(t *testing.T) {
-			cfg := everyBlockSampled()
+			cfg := onPlane(1)
 			cfg.Lazy = m.lazy
 			rt := New(8, cfg)
 			var begun, returned atomic.Uint64
@@ -107,7 +100,7 @@ func TestLedgerHoldsBackAtMostSixteen(t *testing.T) {
 // waiter on the owner — before its grace wait has ended, let alone the
 // block — the plane has every one of those blocks.
 func TestLedgerFlushedBeforeGraceWait(t *testing.T) {
-	cfg := everyBlockSampled()
+	cfg := onPlane(1)
 	cfg.Strategy = unclampedGrace(10 * time.Second / time.Nanosecond) // never expires in here
 	cfg.MaxRetries = 0
 	rt := New(4, cfg)
@@ -164,7 +157,7 @@ func TestLedgerFlushedBeforeGraceWait(t *testing.T) {
 // an error, and after a panic out of fn on a handle that is then never
 // released, the plane holds every block the handle committed before.
 func TestLedgerFlushedOnRetryErrorAndPanic(t *testing.T) {
-	cfg := everyBlockSampled()
+	cfg := onPlane(1)
 	cfg.MaxRetries = 0
 	rt := New(4, cfg)
 	stop := scrape(func() { commits(rt) })

@@ -603,8 +603,7 @@ func TestKWindowObservesConflicts(t *testing.T) {
 }
 
 func TestProfilerMean(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Metrics = metrics.NewPlane(1, 1) // µ is a sample mean: time every block
+	cfg := onPlane(1) // µ is a sample mean: time every block
 	cfg.UseMeanProfile = true
 	cfg.Strategy = strategy.MeanRW{}
 	rt := New(2, cfg)

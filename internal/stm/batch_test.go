@@ -287,7 +287,7 @@ func stagedBatchRuntime(t *testing.T, cfg Config) *Runtime {
 // parked in the queue would have.
 func enqueueByHand(rt *Runtime, w *Worker, r int, ver uint64, idx int, val uint64) {
 	m := w.tx
-	m.reset(nanos(), true)
+	m.reset(nanos())
 	m.publishStart()
 	m.reads = append(m.reads, readEntry{idx: r, ver: ver})
 	m.writeIdx = append(m.writeIdx, idx)
@@ -366,14 +366,14 @@ func TestBatchCombinerAbortReleasesAtPreBatchVersion(t *testing.T) {
 
 			wH := rt.Worker(2, rng.New(5))
 			defer wH.Release()
-			wH.tx.reset(nanos(), true)
+			wH.tx.reset(nanos())
 			wH.tx.irrevocable.Store(c.irrevocable)
 			rt.meta[3].lock.Store(lockedBy(unlockedAt(1), wH.tx.id))
 
 			wA := rt.Worker(0, rng.New(6))
 			defer wA.Release()
 			a := wA.tx
-			a.reset(nanos(), true)
+			a.reset(nanos())
 			a.writeIdx = append(a.writeIdx, 0, 3)
 			a.writeVals[0], a.writeVals[3] = 20, 23
 			killed := make(chan struct{})

@@ -53,15 +53,10 @@ func (tx *Tx) onLocked(m *wordMeta, l uint64) {
 	}
 	// One clock read opens the wait: it is the start of the grace
 	// observation, the instant the abort cost B is priced at, and the
-	// base of the deadline — and, for an attempt not stamped yet, its
-	// start, so a requestor's own B counts from here. The deferred
-	// observation also runs when the wait ends in an abort panic, so no
-	// grace time is lost on killed waiters, and every wait's k reaches
-	// the plane's KEstimate.
+	// base of the deadline. The deferred observation also runs when
+	// the wait ends in an abort panic, so no grace time is lost on
+	// killed waiters, and every wait's k reaches the plane's KEstimate.
 	waitStart := nanos()
-	if !tx.stamped {
-		tx.start, tx.stamped = waitStart, true
-	}
 	k := owner.chainK()
 	defer func() {
 		owner.leaveChain()
@@ -120,8 +115,8 @@ func (tx *Tx) onLocked(m *wordMeta, l uint64) {
 // policy's rule: each side's B base is the time it has run plus
 // CleanupCost (footnote 1) — the receiver's since the start stamp it
 // published before its first lock (startNanos), the requestor's since
-// its own start stamp, which is its wait's start if it had none — and
-// µ comes from the metrics plane, the mean of its sampled blocks.
+// its own start stamp, which a read-only requestor has not published —
+// and µ comes from the metrics plane, the mean of its sampled blocks.
 func (tx *Tx) decide(owner *Tx, k int, now int64) core.Decision {
 	cleanup := float64(tx.pol.CleanupCost.Nanoseconds())
 	receiver := core.Side{B: float64(now-owner.startNanos.Load()) + cleanup, Attempts: int(owner.attempts.Load())}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"txconflict/internal/core"
 	"txconflict/internal/metrics"
@@ -192,50 +193,68 @@ func TestCommitCountExact(t *testing.T) {
 	}
 }
 
-// TestStartStampsOnDemand pins where a block's start stamp — what a
+// TestStartStampsChain pins where a block's start stamp — what a
 // requestor prices the block's abort cost B from — comes from, on a
-// plane that samples every block and one that in effect samples none. A
-// writer after a writer publishes exactly the stamp the previous block
-// read at its end; a writer after a read-only block publishes, on the
-// unsampled plane, a stamp taken no earlier than its first Store (the
-// read-only block read no clock, so there is nothing to chain).
-func TestStartStampsOnDemand(t *testing.T) {
+// plane that samples every block and one that in effect samples none.
+// The first block of a handle starts at the handle's opening read; a
+// block after a writer, at the stamp that writer read at its end; and
+// the stamp reaches startNanos only at the block's first lock. An
+// unsampled read-only block reads no clock: it leaves the stamp it
+// started at to the next block, a writer publishes that carried stamp,
+// and a sampled block does not start at it but reads the clock afresh.
+func TestStartStampsChain(t *testing.T) {
 	for _, sampleN := range []int{1, rarelySampled} {
 		rt := New(4, onPlane(sampleN))
+		before := nanos()
 		w := rt.Worker(0, rng.New(1))
-		_ = w.Atomic(func(tx *Tx) error { tx.Store(0, 1); return nil })
-		if !w.chained {
+		opened := w.tx.blockEnd
+		if opened < before {
+			t.Fatalf("SampleN %d: the handle opened at stamp %d, want a read ≥ %d", sampleN, opened, before)
+		}
+		var published int64
+		_ = w.Atomic(func(tx *Tx) error {
+			if tx.published {
+				t.Error("the start stamp was published before the first lock")
+			}
+			tx.Store(0, 1)
+			published = tx.startNanos.Load()
+			return nil
+		})
+		if published != opened {
+			t.Errorf("SampleN %d: a handle's first writer published %d, want the handle's opening stamp %d", sampleN, published, opened)
+		}
+		if !w.chained || w.carried {
 			t.Fatalf("SampleN %d: a writer did not read the clock at its end", sampleN)
 		}
 		end := w.tx.blockEnd
-		var published int64
 		_ = w.Atomic(func(tx *Tx) error { tx.Store(1, 1); published = tx.startNanos.Load(); return nil })
 		if published != end {
 			t.Errorf("SampleN %d: writer after a writer published %d, want the previous block's end stamp %d", sampleN, published, end)
 		}
 
+		end = w.tx.blockEnd
 		_ = w.Atomic(func(tx *Tx) error { tx.Load(0); return nil })
 		if sampleN == 1 {
 			w.Release()
 			continue
 		}
-		if w.chained {
-			t.Fatalf("unsampled read-only block read the clock at its end")
+		if !w.chained || !w.carried || w.tx.blockEnd != end {
+			t.Fatalf("unsampled read-only block left chained %v, carried %v, stamp %d; want the stamp it started at, %d, carried on",
+				w.chained, w.carried, w.tx.blockEnd, end)
 		}
-		var before, after int64
-		_ = w.Atomic(func(tx *Tx) error {
-			if tx.published {
-				t.Error("the start stamp was published before the first lock")
-			}
-			before = nanos()
-			tx.Store(2, 1)
-			published = tx.startNanos.Load()
-			after = nanos()
-			return nil
-		})
-		if published < before || published > after {
-			t.Errorf("writer after an unsampled read-only block published %d, want a stamp taken at its first Store, in [%d, %d]",
-				published, before, after)
+		_ = w.Atomic(func(tx *Tx) error { tx.Store(2, 1); published = tx.startNanos.Load(); return nil })
+		if published != end {
+			t.Errorf("writer after an unsampled read-only block published %d, want the carried stamp %d", published, end)
+		}
+
+		_ = w.Atomic(func(tx *Tx) error { tx.Load(0); return nil })
+		carried := w.tx.blockEnd
+		rt.sampleMask = 0 // the next draw samples
+		before = nanos()
+		_ = w.Atomic(func(tx *Tx) error { tx.Load(0); return nil })
+		if !w.tx.sampled || w.tx.blockStart < before {
+			t.Errorf("sampled block after a carried stamp %d started at %d (sampled %v), want a fresh read ≥ %d",
+				carried, w.tx.blockStart, w.tx.sampled, before)
 		}
 		w.Release()
 	}
@@ -256,21 +275,29 @@ func (c recordB) Delay(conf core.Conflict, _ *rng.Rand) float64 {
 }
 func (c recordB) Name() string { return "record-B" }
 
-// TestReadOnlyRequestorPricesFromItsWait: under requestor aborts the
-// requestor's own B is priced. An unsampled read-only requestor has no
-// stamp when it meets the receiver's lock at its Load, so its wait's
-// start is its start: the first B the strategy sees is exactly
-// CleanupCost.
-func TestReadOnlyRequestorPricesFromItsWait(t *testing.T) {
+// TestReadOnlyRequestorPricesFromItsStart: under requestor aborts the
+// requestor's own B is priced, and it is the requestor's running time
+// (footnote 1) even for an unsampled read-only block, which publishes
+// no stamp: its first attempt spins for a while before its Load meets
+// the receiver's lock, and the first B the strategy sees covers that
+// spin on top of CleanupCost.
+func TestReadOnlyRequestorPricesFromItsStart(t *testing.T) {
+	const spin = 200 * time.Microsecond
 	var mu sync.Mutex
 	var bs []float64
 	tune := func(cfg *Config) {
 		cfg.Strategy = recordB{&mu, &bs}
 		cfg.Metrics = metrics.NewPlane(1, rarelySampled)
 	}
-	rt := stageConflict(t, core.RequestorAborts, incrementAndPark, func(tx *Tx) { tx.Load(0) }, tune)
+	rt := stageConflict(t, core.RequestorAborts, incrementAndPark, func(tx *Tx) {
+		if tx.Attempts() == 0 {
+			for t0 := nanos(); nanos()-t0 < int64(spin); {
+			}
+		}
+		tx.Load(0)
+	}, tune)
 	cleanup := float64(rt.Policy().CleanupCost.Nanoseconds())
-	if len(bs) == 0 || bs[0] != cleanup {
-		t.Fatalf("abort costs priced %v, want the first exactly CleanupCost = %v ns", bs, cleanup)
+	if len(bs) == 0 || bs[0] < cleanup+float64(spin) {
+		t.Fatalf("abort costs priced %v, want the first at least CleanupCost + the %v spin = %v ns", bs, spin, cleanup+float64(spin))
 	}
 }

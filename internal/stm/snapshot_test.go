@@ -102,7 +102,7 @@ func TestSnapshotCarried(t *testing.T) {
 			}
 			_ = w.Atomic(func(tx *Tx) error { tx.Store(2, 1); tx.Store(6, 1); return nil })
 			check("after a commit of two words", 1)
-			w.tx.reset(nanos(), true)
+			w.tx.reset(nanos())
 			check("after reset", 1)
 			_ = w.Atomic(func(tx *Tx) error { tx.Store(2, 2); tx.Store(3, 2); return nil })
 			check("after a second commit", 2)

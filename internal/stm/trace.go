@@ -15,7 +15,8 @@ type TxTrace struct {
 	Worker int
 	// StartUnixNs is the wall-clock start of the first attempt, Unix
 	// nanoseconds. For a block chained on a Worker handle that is the
-	// instant the handle's previous block ended.
+	// instant the handle's previous block ended (for its first block,
+	// the instant the handle opened).
 	StartUnixNs int64
 	// DurNs is the duration of the whole atomic block on the runtime's
 	// monotonic clock — exactly what the metrics plane's commit

@@ -92,28 +92,24 @@ type Tx struct {
 	tr     TxTrace
 
 	// mx is this worker's metrics shard, latched per Worker handle.
-	// blockStart is a sampled block's start stamp, the base of the
-	// committed-block latency observation; blockEnd is the stamp the
-	// latest attempt that read the clock at its end ended at (where the
-	// handle's next block starts, see Worker); lastAbort is the taxonomy
-	// reason of the most recent aborted attempt.
+	// blockStart is the block's start stamp, the base of a sampled
+	// block's committed-block latency observation; blockEnd is where the
+	// handle's next block starts (see Worker): the latest attempt's end
+	// stamp if it read the clock there, else its start stamp carried on;
+	// lastAbort is the taxonomy reason of the most recent aborted
+	// attempt.
 	mx         *metrics.Shard
 	blockStart int64
 	blockEnd   int64
 	lastAbort  metrics.AbortReason
 
-	// The attempt's stamps, owner-private: start is its start stamp once
-	// stamped says it has one (a chained or sampled block's first
-	// attempt, every retry, and otherwise the first lock or conflict
-	// wait; see Worker); published says startNanos holds it; ended says
-	// the attempt read the clock at its end, into blockEnd. sampled is
-	// the block's one sampling draw, from sampler — a stream of the
-	// descriptor's own, so the draw moves neither the caller's rng nor
-	// the block's position in a handle.
+	// The attempt's stamps, owner-private: start is its start stamp (see
+	// Worker); published says startNanos holds it. sampled is the block's
+	// one sampling draw, from sampler — a stream of the descriptor's own,
+	// so the draw moves neither the caller's rng nor the block's position
+	// in a handle.
 	start     int64
-	stamped   bool
 	published bool
-	ended     bool
 	sampled   bool
 	sampler   rng.Rand
 
@@ -177,19 +173,15 @@ func (tx *Tx) flush() {
 }
 
 // publishStart makes the attempt's start stamp what a requestor reads in
-// startNanos, stamping the attempt now if it has no stamp yet. Called
-// before every lock acquisition that can name this descriptor — eager's
-// own, lazy's pipeline, a lane member's enqueue — and a no-op after the
-// first.
+// startNanos. Called before every lock acquisition that can name this
+// descriptor — eager's own, lazy's pipeline, a lane member's enqueue —
+// and a no-op after the first, so an attempt that takes no lock pays
+// no fenced store.
 func (tx *Tx) publishStart() {
-	if tx.published {
-		return
+	if !tx.published {
+		tx.startNanos.Store(tx.start)
+		tx.published = true
 	}
-	if !tx.stamped {
-		tx.start, tx.stamped = nanos(), true
-	}
-	tx.startNanos.Store(tx.start)
-	tx.published = true
 }
 
 // epoch returns the current attempt epoch.
@@ -224,7 +216,8 @@ func (rt *Runtime) Atomic(r *rng.Rand, fn func(tx *Tx) error) error {
 // id has no semantic effect on execution; scenario.STMRunner passes
 // its worker index so per-worker trace buffers stay contention-free.
 // It is the one-shot form of a Worker handle: one free-list round
-// trip, and the clock reads of one unchained block (see Worker).
+// trip, and the clock read of the handle's opening plus, if the block
+// takes a lock or is sampled, the one at its end (see Worker).
 func (rt *Runtime) AtomicWorker(worker int, r *rng.Rand, fn func(tx *Tx) error) error {
 	w := rt.Worker(worker, r)
 	err := w.Atomic(fn)
@@ -236,32 +229,36 @@ func (rt *Runtime) AtomicWorker(worker int, r *rng.Rand, fn func(tx *Tx) error) 
 // goroutine (a batch of keyed ops, say). It owns one descriptor for
 // its whole life.
 //
-// A block reads the clock only where a stamp is needed. Each block
-// draws once whether it is one of the metrics plane's 1-in-SampleN
-// samples (a traced block always is); a sampled block reads the clock
-// at its start and end and times its attempts, its whole block and its
-// commit phases. Any other block needs a start stamp only if it can be
-// party to a conflict — the abort cost B is the doomed side's running
-// time (paper footnote 1) — so it stamps at its first lock (published
-// to requestors in startNanos before the lock can name it) or at its
-// first grace wait as a requestor, whichever comes first; a read-only
-// block that meets no lock reads no clock at all. A block that took a
-// lock reads the clock once more at its end, after releasing.
+// Every block has a start stamp — the abort cost B a conflict prices is
+// either side's running time (paper footnote 1) — but the handle chains
+// stamps, so a block reads the clock only at its end, and only where it
+// must. The handle reads it once when it opens; each block starts at
+// the stamp the previous one left in blockEnd (the first at the opening
+// read). Each block draws once whether it is one of the metrics plane's
+// 1-in-SampleN samples (a traced block always is); a sampled block, or
+// one that took a lock, reads the clock at its end, after releasing,
+// and leaves that stamp to the next block, so a run of writers reads
+// the clock once per block. An unsampled read-only block reads no clock
+// at all: it leaves its own start stamp to the next block. The stamp
+// reaches requestors in startNanos, published before the block's first
+// lock can name the descriptor (publishStart), so a block that takes no
+// lock pays no fenced store either.
 //
-// And the handle chains stamps: a block that read the clock at its end
-// — sampled, or one that took a lock — hands that stamp to the next
-// block as its start, so a run of writers reads the clock once per
-// block. The observations and B of a chained block therefore include
-// the few nanoseconds the caller spent between the two blocks — which
-// is why a handle must not be held across think time, I/O or any other
-// wait: open it, run the blocks, Release it. A block after one that
-// read no clock at its end starts unstamped.
+// B and the observations of a chained block therefore include the time
+// the caller spent between blocks, and after a run of unsampled
+// read-only blocks B includes those blocks too — which is why a handle
+// must not be held across think time, I/O or any other wait: open it,
+// run the blocks, Release it. A sampled block times itself alone: after
+// a read-only block it does not start at the carried stamp but reads
+// the clock afresh, so the attempt and commit histograms and the µ
+// they give (Plane.ProfileMean) are per-block durations.
 //
-// What is never chained: the first block of a handle and every retry
-// stamp afresh, so a stale stamp cannot outlive Release, and rollback
-// or the wait for the irrevocable token never inflates an attempt's
-// duration or the abort cost B a requestor prices against this
-// descriptor's startNanos. A panic out of a block breaks the chain too.
+// What is never chained: every retry stamps afresh, so rollback or the
+// wait for the irrevocable token never inflates an attempt's duration
+// or the abort cost B a requestor prices against this descriptor's
+// startNanos, and a stale stamp cannot outlive Release (the next handle
+// reads its own). A panic out of a block breaks the chain too: the next
+// block reads the clock at its start.
 //
 // A live handle also holds observations back: a block that commits
 // writes no shared counter, it counts itself in the descriptor's ledger
@@ -282,10 +279,13 @@ func (rt *Runtime) AtomicWorker(worker int, r *rng.Rand, fn func(tx *Tx) error) 
 type Worker struct {
 	tx *Tx
 	id int
-	// chained reports that the previous block on this handle ran to
-	// its end and read the clock there, so tx.blockEnd is the stamp the
-	// next block starts at.
+	// chained reports that tx.blockEnd is the stamp the next block
+	// starts at: the handle's opening read, or what the previous block
+	// left there on running to its end. carried reports that the
+	// previous block read no clock at its end, so that stamp is the one
+	// it started at, carried on.
 	chained bool
+	carried bool
 }
 
 // Worker opens a handle tagged with a worker id (see AtomicWorker); r
@@ -310,7 +310,8 @@ func (rt *Runtime) Worker(id int, r *rng.Rand) Worker {
 	tx.rng = r
 	tx.mx = rt.metrics.Shard(id)
 	tx.traced = rt.tracer != nil
-	return Worker{tx: tx, id: id}
+	tx.blockEnd = nanos()
+	return Worker{tx: tx, id: id, chained: true}
 }
 
 // newTx makes a descriptor and publishes it in the table under the
@@ -360,23 +361,23 @@ func (w *Worker) Atomic(fn func(tx *Tx) error) error {
 		tx.beginTrace(w.id)
 	}
 	tx.sampled = tx.traced || tx.sampler.Uint64()&tx.rt.sampleMask == 0
-	// The chain holds only from a block that read the clock at its end
-	// to the first attempt of the next: it is broken here and re-made on
-	// return, so a panic out of fn leaves it broken.
-	start, stamped := tx.blockEnd, w.chained
-	if !stamped && tx.sampled {
-		start, stamped = nanos(), true
+	// The chain holds only from the end of a block to the first attempt
+	// of the next: it is broken here and re-made on return, so a panic
+	// out of fn leaves it broken.
+	start := tx.blockEnd
+	if !w.chained || tx.sampled && w.carried {
+		start = nanos()
 	}
 	w.chained = false
 	tx.blockStart = start
 	for {
-		tx.reset(start, stamped)
+		tx.reset(start)
 		err, aborted := tx.attempt(fn)
 		if !aborted {
 			if tx.traced {
 				tx.emitTrace(err == nil)
 			}
-			w.chained = tx.ended
+			w.chained, w.carried = true, !tx.sampled && !tx.published
 			return err
 		}
 		tx.attempts.Add(1)
@@ -389,20 +390,20 @@ func (w *Worker) Atomic(fn func(tx *Tx) error) error {
 				tx.tr.Irrevocable = true
 			}
 		}
-		start, stamped = nanos(), true
+		start = nanos()
 	}
 }
 
-// reset opens a fresh attempt, starting at the stamp start if stamped
-// (else it stamps on demand, see publishStart): a new epoch (so stale
-// requestors from the previous attempt can neither kill us nor keep
-// waiting on us), the current conflict policy, and cleared speculative
-// state. The snapshot rv is kept (see "Arena layout").
-func (tx *Tx) reset(start int64, stamped bool) {
+// reset opens a fresh attempt starting at the stamp start, published
+// to requestors only at its first lock (publishStart): a new epoch (so
+// stale requestors from the previous attempt can neither kill us nor
+// keep waiting on us), the current conflict policy, and cleared
+// speculative state. The snapshot rv is kept (see "Arena layout").
+func (tx *Tx) reset(start int64) {
 	tx.pol = tx.rt.pol.Load()
 	tx.batched = tx.rt.batch != nil && tx.pol.CommitBatch > 0 && !tx.irrevocable.Load()
 	tx.state.Store((tx.epoch() + 1) << stateEpochShift) // status = active
-	tx.start, tx.stamped, tx.published, tx.ended = start, stamped, false, false
+	tx.start, tx.published = start, false
 	tx.reads = tx.reads[:0]
 	tx.writeIdx = tx.writeIdx[:0]
 	if tx.writeVals != nil {
@@ -427,12 +428,15 @@ func (tx *Tx) endAttempt() {
 	}
 }
 
-// endClock reads the clock at the attempt's end into blockEnd when the
-// block is sampled or the attempt took a lock (and so published a
-// stamp), and reports whether the block is sampled.
+// endClock leaves the attempt's stamp for the next block in blockEnd:
+// its end, read now, when the block is sampled or the attempt took a
+// lock (and so published its start); else its start, carried on. It
+// reports whether the block is sampled.
 func (tx *Tx) endClock() bool {
 	if tx.sampled || tx.published {
-		tx.blockEnd, tx.ended = nanos(), true
+		tx.blockEnd = nanos()
+	} else {
+		tx.blockEnd = tx.start
 	}
 	return tx.sampled
 }

@@ -45,7 +45,7 @@ func main() {
 		workload = flag.String("workload", "", "keyed workload from internal/txkv (or 'list'); sizes the served store ('' = readmostly)")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the serve mux (exposes goroutine/heap/CPU profiles — keep off on untrusted networks)")
-		msample  = flag.Int("metrics-sample", metrics.DefaultSampleN, "1-in-N atomic-block sampling interval (rounded up to a power of two): a sampled block feeds the attempt and commit latency summaries and runs the commit-phase timers; counts are exact")
+		msample  = flag.Int("metrics-sample", metrics.DefaultSampleN, "1-in-N atomic-block sampling interval (rounded up to a power of two): 1 block in N feeds the attempt and commit latency summaries and, drawn independently, 1 in N runs the commit-phase timers; counts are exact")
 	)
 	flag.Parse()
 

@@ -122,10 +122,13 @@ var counterNames = [NumCounters]string{
 const cacheLine = 64
 
 // DefaultSampleN is the default 1-in-N sampling interval. The stm
-// runtime draws once per atomic block whether the block is a sample: a
+// runtime draws once per atomic block, and the draw makes two
+// independent 1-in-N choices: whether the block is a latency sample — a
 // sampled block alone times its attempts and itself (the attempt and
-// commit histograms, and so ProfileMean) and runs the commit-phase
-// timers. Event counts — commits included — are never sampled.
+// commit histograms, and so ProfileMean) — and whether it runs the
+// commit-phase timers, kept apart so the timers' own clock reads do not
+// inflate the sampled durations. Event counts — commits included — are
+// never sampled.
 const DefaultSampleN = 64
 
 // Shard is one worker's slice of the plane. Its methods are lock-free

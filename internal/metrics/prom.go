@@ -140,7 +140,7 @@ func (s *PlaneSnapshot) WriteProm(w io.Writer, prefix string) error {
 	}
 
 	name = prefix + "_phase_sample_interval"
-	p.Family(name, "gauge", "1-in-N atomic-block sampling interval: a sampled block feeds the attempt and commit latency summaries and runs the commit-phase timers.")
+	p.Family(name, "gauge", "1-in-N atomic-block sampling interval: one draw per block picks, independently and each 1 in N, the blocks that feed the attempt and commit latency summaries and the blocks that run the commit-phase timers.")
 	p.Uint(name, nil, uint64(s.SampleN))
 	return p.Err()
 }

@@ -212,12 +212,13 @@ type Config struct {
 	// runtime is counted in: per-worker latency histograms for grace-wait
 	// and combiner-drain time and, over the 1-in-N sampled blocks,
 	// attempt and commit time, the abort-reason taxonomy, the event
-	// counters behind Stats (commits exact), and the sampled blocks'
-	// commit-phase timers. Unlike Trace it is always on — a committed
-	// block costs a count in its descriptor's ledger (and a sampled one
-	// two clock reads and two plain stores), its share of one bulk fold
-	// per sixteen blocks (see Worker) and no allocations (pinned by
-	// TestTraceGateOverhead) — so nil only leaves the sizing to New;
+	// counters behind Stats (commits exact), and, over an independent
+	// 1 in N, the commit-phase timers. Unlike Trace it is always on — a
+	// committed block costs a count in its descriptor's ledger (and a
+	// sampled one at most two clock reads and two plain stores), its
+	// share of one bulk fold per sixteen blocks (see Worker) and no
+	// allocations (pinned by TestTraceGateOverhead) — so nil only leaves
+	// the sizing to New;
 	// supply a plane to choose the shard count and the sample interval.
 	// A plane passed to two runtimes merges their counters.
 	Metrics *metrics.Plane
@@ -270,6 +271,7 @@ type Runtime struct {
 	tracer     Tracer
 	metrics    *metrics.Plane
 	sampleMask uint64 // metrics.SampleN()-1: a block is a sample when its draw & sampleMask is 0 (see Worker)
+	phaseMask  uint64 // the same, for the draw's high half: the block runs the phase timers
 	meta       []wordMeta
 
 	pol      atomic.Pointer[Policy]
@@ -315,6 +317,7 @@ func New(n int, cfg Config) *Runtime {
 		tracer:     cfg.Trace,
 		metrics:    plane,
 		sampleMask: uint64(plane.SampleN() - 1),
+		phaseMask:  uint64(plane.SampleN() - 1),
 		Stats:      Stats{plane: plane},
 		meta:       make([]wordMeta, n),
 		descLimit:  maxDescs,

@@ -102,13 +102,13 @@ func (tx *Tx) pipeline(r *roster) uint64 {
 			}
 		}()
 	}
-	// The phase timers run in a sampled block (the committer's draw, see
-	// Worker): one lap per stage boundary, on the committer's descriptor
-	// — a lane round's whole batch is one sample, one acquisition and
-	// one advance for many commits. Eager has no lock or write-back
-	// stage to attribute. An abort discards the sample, so the
-	// histograms only describe commits that reached each phase.
-	sampled := tx.sampled
+	// The phase timers run in a block the committer's draw picked for
+	// them (phased, see Worker): one lap per stage boundary, on the
+	// committer's descriptor — a lane round's whole batch is one sample,
+	// one acquisition and one advance for many commits. Eager has no lock
+	// or write-back stage to attribute. An abort discards the sample, so
+	// the histograms only describe commits that reached each phase.
+	sampled := tx.phased
 	var t0 int64
 	if sampled {
 		t0 = nanos()

@@ -79,6 +79,7 @@ func TestLayout(t *testing.T) {
 		{"pend", unsafe.Offsetof(tx.pend), unsafe.Sizeof(tx.pend)},
 		{"start", unsafe.Offsetof(tx.start), unsafe.Sizeof(tx.start)},
 		{"sampled", unsafe.Offsetof(tx.sampled), unsafe.Sizeof(tx.sampled)},
+		{"phased", unsafe.Offsetof(tx.phased), unsafe.Sizeof(tx.phased)},
 		{"sampler", unsafe.Offsetof(tx.sampler), unsafe.Sizeof(tx.sampler)},
 		{"ledAttempt", unsafe.Offsetof(tx.ledAttempt), unsafe.Sizeof(tx.ledAttempt)},
 		{"ledBlock", unsafe.Offsetof(tx.ledBlock), unsafe.Sizeof(tx.ledBlock)},

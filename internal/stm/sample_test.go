@@ -42,7 +42,8 @@ func bucketOf(v float64) int {
 // attempt and commit summaries lie within one bucket of the exact ones
 // (up to the sample's rank error, see below);
 // the commits count is exact after every Release (the total, 16·n + 7,
-// is a multiple of neither 16 nor 64); and the samples fall on every
+// is a multiple of neither 16 nor 64); few samples run the phase
+// timers; and the samples fall on every
 // position of a handle, about evenly, as a draw — unlike every 64th
 // block, which would find one position of a 16-block handle only.
 func TestSampledSummariesTrackExact(t *testing.T) {
@@ -52,6 +53,9 @@ func TestSampledSummariesTrackExact(t *testing.T) {
 	}
 	const tail = 7
 	exact, sampled := New(64, onPlane(1)), New(64, onPlane(metrics.DefaultSampleN))
+	// The reference times every block but runs no phase timers, as 63
+	// in 64 samples do not.
+	exact.phaseMask = math.MaxUint32
 	read := func(idx, spin int) func(*Tx) error {
 		return func(tx *Tx) error { tx.Load(idx); busySpin(spin); return nil }
 	}
@@ -61,7 +65,7 @@ func TestSampledSummariesTrackExact(t *testing.T) {
 	r := rng.New(7)
 	var bodies [16]func(*Tx) error
 	var atPos [16]int
-	var blocks uint64
+	var blocks, phasedSamples uint64
 	for h := 0; h <= handles; h++ {
 		n := 16
 		if h == handles {
@@ -84,6 +88,9 @@ func TestSampledSummariesTrackExact(t *testing.T) {
 				}
 				if rt == sampled && w.tx.sampled {
 					atPos[i]++
+					if w.tx.phased {
+						phasedSamples++
+					}
 				}
 			}
 			w.Release()
@@ -120,6 +127,12 @@ func TestSampledSummariesTrackExact(t *testing.T) {
 					h.name, q*100, s, lo, hi, 100*max(q-d, 0), 100*min(q+d, 1))
 			}
 		}
+	}
+	// The phase timers' clock reads would double a short block's
+	// duration, so they run on an independent 1-in-64 draw: about 1 in
+	// 64 samples carries them, far from all.
+	if phasedSamples*8 > ss.Commit.Count {
+		t.Errorf("%d of %d sampled blocks also ran the phase timers, want about 1 in 64", phasedSamples, ss.Commit.Count)
 	}
 	perPos := float64(ss.Commit.Count) / 16
 	for i, c := range atPos {

@@ -104,13 +104,16 @@ type Tx struct {
 	lastAbort  metrics.AbortReason
 
 	// The attempt's stamps, owner-private: start is its start stamp (see
-	// Worker); published says startNanos holds it. sampled is the block's
-	// one sampling draw, from sampler — a stream of the descriptor's own,
-	// so the draw moves neither the caller's rng nor the block's position
-	// in a handle.
+	// Worker); published says startNanos holds it. sampled and phased are
+	// the block's one sampling draw, from sampler — a stream of the
+	// descriptor's own, so the draw moves neither the caller's rng nor the
+	// block's position in a handle: sampled (its low half) picks a latency
+	// sample, phased (its high half) a block that runs the commit-phase
+	// timers.
 	start     int64
 	published bool
 	sampled   bool
+	phased    bool
 	sampler   rng.Rand
 
 	// The observation ledger: pend counts the committed blocks mx has
@@ -242,7 +245,11 @@ func (rt *Runtime) AtomicWorker(worker int, r *rng.Rand, fn func(tx *Tx) error) 
 // at all: it leaves its own start stamp to the next block. The stamp
 // reaches requestors in startNanos, published before the block's first
 // lock can name the descriptor (publishStart), so a block that takes no
-// lock pays no fenced store either.
+// lock pays no fenced store either. The high half of the same draw picks,
+// independently and also 1 in SampleN, the blocks that run the
+// commit-phase timers: their clock reads would double a short block's
+// duration, so they stay out of all but 1 in SampleN of the latency
+// samples.
 //
 // B and the observations of a chained block therefore include the time
 // the caller spent between blocks, and after a run of unsampled
@@ -360,7 +367,9 @@ func (w *Worker) Atomic(fn func(tx *Tx) error) error {
 	if tx.traced {
 		tx.beginTrace(w.id)
 	}
-	tx.sampled = tx.traced || tx.sampler.Uint64()&tx.rt.sampleMask == 0
+	draw := tx.sampler.Uint64()
+	tx.sampled = tx.traced || draw&tx.rt.sampleMask == 0
+	tx.phased = draw>>32&tx.rt.phaseMask == 0
 	// The chain holds only from the end of a block to the first attempt
 	// of the next: it is broken here and re-made on return, so a panic
 	// out of fn leaves it broken.

@@ -218,9 +218,9 @@ type Config struct {
 	// sampled one at most two clock reads and two plain stores), its
 	// share of one bulk fold per sixteen blocks (see Worker) and no
 	// allocations (pinned by TestTraceGateOverhead) — so nil only leaves
-	// the sizing to New;
-	// supply a plane to choose the shard count and the sample interval.
-	// A plane passed to two runtimes merges their counters.
+	// the sizing to New; supply a plane to choose the shard count and the
+	// sample interval. A plane passed to two runtimes merges their
+	// counters.
 	Metrics *metrics.Plane
 }
 
